@@ -380,8 +380,11 @@ def replay_certificate(cert: dict, options=None) -> list[str]:
     options = options or cx.EstimateOptions()
     log: list[str] = []
 
-    def run(node: dict) -> tuple[int, int | None]:
-        sgp = ff.parse_semigroup(node["semigroup"])
+    def run(node: dict, sgp=None) -> tuple[int, int | None]:
+        # below the root, the carrier is the one replay recomputed and
+        # compared with the node's text, so replay walks estimate's carriers
+        if sgp is None:
+            sgp = ff.parse_semigroup(node["semigroup"])
         rule = node["rule"]
         if rule == "aperiodic":
             if not is_aperiodic(sgp):
@@ -400,9 +403,13 @@ def replay_certificate(cert: dict, options=None) -> list[str]:
                     image_text = cx._serialize_sgp(gq.quotient)
                     if image_text != child_node["image"]:
                         raise VerificationError("replay: GM image changed")
-                    if child_node["sub"]["semigroup"] != image_text:
-                        raise VerificationError("replay: child certificate mismatch")
-                lo, hi = run(child_node["sub"])
+                    child_sgp = gq.quotient
+                else:
+                    image_text = node["semigroup"]
+                    child_sgp = sgp
+                if child_node["sub"]["semigroup"] != image_text:
+                    raise VerificationError("replay: child certificate mismatch")
+                lo, hi = run(child_node["sub"], child_sgp)
                 lowers.append(lo)
                 uppers.append(hi)
             got = (
@@ -417,7 +424,7 @@ def replay_certificate(cert: dict, options=None) -> list[str]:
             rlm_text = cx._serialize_sgp(pres.rlmq.rlm)
             if node["rlm"]["semigroup"] != rlm_text:
                 raise VerificationError("replay: RLM image changed")
-            rlm_lo, rlm_hi = run(node["rlm"])
+            rlm_lo, rlm_hi = run(node["rlm"], pres.rlmq.rlm)
             lower = max(1, rlm_lo)
             upper_node = node["upper"]
             if upper_node["kind"] == "pure":

@@ -18,8 +18,8 @@ from .errors import InputError, ResourceError, VerificationError
 
 DEFAULT_ELEMENT_BUDGET = 100_000
 
-# Threshold below which construction-time exhaustive sanity checks
-# (associativity spot check) are run.
+# Carriers up to this order get a complete associativity check (Light's
+# test) at construction time.
 _ASSOC_CHECK_LIMIT = 40
 
 
@@ -232,14 +232,19 @@ class FiniteSemigroup:
         return reach
 
     def _check_associativity(self):
-        els = self.elements
-        for a in els:
-            for b in els:
-                ab = self._mul(a, b)
-                for c in els:
-                    if self._mul(ab, c) != self._mul(a, self._mul(b, c)):
+        """Light's test: (x*g)*y = x*(g*y) for every generator g.  The
+        elements that associate in the middle position form a subsemigroup,
+        so this is complete once the generators reach every element."""
+        n = len(self.elements)
+        table = [[self.mul_index(x, y) for y in range(n)] for x in range(n)]
+        for g in self.gens:
+            for x in range(n):
+                xg_row, x_row = table[table[x][g]], table[x]
+                for y in range(n):
+                    if xg_row[y] != x_row[table[g][y]]:
+                        els = self.elements
                         raise VerificationError(
-                            f"multiplication not associative at ({a}, {b}, {c})"
+                            f"multiplication not associative at ({els[x]}, {els[g]}, {els[y]})"
                         )
 
     # -- basic structure ----------------------------------------------

@@ -202,6 +202,27 @@ def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
     return RlmQuotient(sgp, jref, rlm, morphism, image_of_j)
 
 
+def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int], list[int]]:
+    """The least idempotent e of J, and per R-class a (L-class b) of J the
+    least element p_a of R_a n L_e (q_b of L_b n R_e)."""
+    gs = sgp.green()
+    e = min(i for i in gs.idempotents if gs.j_of[i] == jref.j_id)
+    le, re = gs.l_of[e], gs.r_of[e]
+    p_reps = []
+    for a in jref.a_classes:
+        inter = [i for i in gs.r_classes[a] if gs.l_of[i] == le]
+        if not inter:
+            raise VerificationError("empty R-class/L_e intersection in a J-class")
+        p_reps.append(min(inter))
+    q_reps = []
+    for b in jref.b_classes:
+        inter = [i for i in gs.l_classes[b] if gs.r_of[i] == re]
+        if not inter:
+            raise VerificationError("empty R_e/L-class intersection in a J-class")
+        q_reps.append(min(inter))
+    return e, p_reps, q_reps
+
+
 # -- GM quotient ------------------------------------------------------------
 
 
@@ -220,15 +241,18 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
-    members = jref.members
+    _, p_reps, q_reps = _sandwich_reps(sgp, jref)
     n = len(sgp.elements)
+    # The key of s is its sandwiches q_b*s*p_a only.  That loses nothing:
+    # x = p_a*g*q_b and y = p_a'*g'*q_b' give xsy = p_a*g*(q_b*s*p_a')*g'*q_b',
+    # and the sandwich either lies in H_e, fixing xsy, or drops out of J with it.
     profiles: dict[tuple, list[int]] = {}
     for s in range(n):
         prof = []
-        for x in members:
-            xs = sgp.mul_index(x, s)
-            for y in members:
-                p = sgp.mul_index(xs, y)
+        for q in q_reps:
+            qs = sgp.mul_index(q, s)
+            for pa in p_reps:
+                p = sgp.mul_index(qs, pa)
                 prof.append(p if gs.j_of[p] == jref.j_id else -1)
         profiles.setdefault(tuple(prof), []).append(s)
     class_rep = [0] * n
@@ -331,25 +355,10 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
         raise InputError("Rees coordinates need a regular J-class")
     gs = sgp.green()
     j_id = jref.j_id
-    idems = sorted(e for e in gs.idempotents if gs.j_of[e] == j_id)
-    e = idems[0]
+    e, p_reps, q_reps = _sandwich_reps(sgp, jref)
     group = maximal_subgroup(sgp, e)
     g_index = {sgp.index[v]: k for k, v in enumerate(group.elements)}
     a_classes, b_classes = jref.a_classes, jref.b_classes
-    le, re = gs.l_of[e], gs.r_of[e]
-
-    p_reps = []
-    for a in a_classes:
-        inter = [i for i in gs.r_classes[a] if gs.l_of[i] == le]
-        if not inter:
-            raise VerificationError("empty R-class/L_e intersection in a J-class")
-        p_reps.append(min(inter))
-    q_reps = []
-    for b in b_classes:
-        inter = [i for i in gs.l_classes[b] if gs.r_of[i] == re]
-        if not inter:
-            raise VerificationError("empty R_e/L-class intersection in a J-class")
-        q_reps.append(min(inter))
 
     a_pos = {a: k for k, a in enumerate(a_classes)}
     b_pos = {b: k for k, b in enumerate(b_classes)}

@@ -181,6 +181,39 @@ class TestEstimateAndReplay:
         code, _, err = run(capsys, "replay", str(cert))
         assert code == EXIT_VERIFY
 
+    def test_child_proof_about_another_semigroup_fails(self, capsys, tmp_path):
+        # a valid [1, 1] group-mapping proof for Z_2 grafted under b2z2_1's
+        # self-group-mapping child: the interval agrees, the semigroup does not
+        cert, other = tmp_path / "cert.json", tmp_path / "z2.json"
+        run(capsys, "estimate", corpus_file("b2z2_1"), "--cert", str(cert))
+        run(capsys, "estimate", corpus_file("z2"), "--cert", str(other))
+        payload = json.loads(cert.read_text(encoding="ascii"))
+        graft = json.loads(other.read_text(encoding="ascii"))["children"][0]
+        assert payload["children"][0]["kind"] == graft["kind"] == "self-group-mapping"
+        payload["children"][0]["sub"] = graft["sub"]
+        cert.write_text(json.dumps(payload), encoding="ascii")
+        code, _, err = run(capsys, "replay", str(cert))
+        assert code == EXIT_VERIFY
+        assert "replay: child certificate mismatch" in err
+
+    def test_replay_recurses_on_abstract_gm_images(self, capsys, tmp_path):
+        # replay must recurse on the GM images it recomputes, as estimate
+        # does: their re-parsed transformation form orders the elements
+        # differently, which changes the GM child classes of this order-61
+        # semigroup's image
+        src = tmp_path / "s61.sgp"
+        src.write_text(
+            "points: 4\ngens:\ng0: 1 3 1 -\ng1: 2 - 3 4\ng2: - 4 3 2\n",
+            encoding="ascii",
+        )
+        cert = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "estimate", str(src), "--cert", str(cert))
+        assert code == EXIT_OK
+        assert json.loads(cert.read_text(encoding="ascii"))["order"] == 61
+        code2, out2, err2 = run(capsys, "replay", str(cert))
+        assert code2 == EXIT_OK, err2
+        assert out2.splitlines()[-1] == "replay: ok"
+
 
 class TestInverseDemo:
     def test_demo_with_lift(self, capsys):

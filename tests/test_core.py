@@ -13,7 +13,7 @@ from krc.core import (
     minimal_generating_set,
     regular_representation,
 )
-from krc.errors import InputError, ResourceError
+from krc.errors import InputError, ResourceError, VerificationError
 from krc.inverse import brandt_semigroup
 
 T = PartialTransformation
@@ -93,6 +93,22 @@ class TestGenerate:
                 assert value == s.elements[i]
                 # reduced: no shorter word reaches the element earlier in BFS
                 assert len(word) <= len(s)
+
+
+class TestAssociativityCheck:
+    @pytest.mark.parametrize("gen_values", [None, [1]])
+    def test_subtraction_mod_3_rejected(self, gen_values):
+        with pytest.raises(VerificationError):
+            FiniteSemigroup.from_elements(
+                [0, 1, 2], lambda a, b: (a - b) % 3, sort_key=lambda v: v,
+                gen_values=gen_values,
+            )
+
+    def test_addition_mod_3_accepted_from_one_generator(self):
+        s = FiniteSemigroup.from_elements(
+            [0, 1, 2], lambda a, b: (a + b) % 3, sort_key=lambda v: v, gen_values=[1]
+        )
+        assert len(s) == 3
 
 
 class TestGreen:

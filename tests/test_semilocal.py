@@ -133,6 +133,36 @@ class TestGmQuotient:
         assert gq.generalized_only
 
 
+def _full_profile_classes(sgp, jref):
+    """The GM congruence by its definition: s ~ t iff x*s*y and x*t*y agree
+    through J for all x, y in J; maps each element to its least class member."""
+    gs = sgp.green()
+    profiles = {}
+    for s in range(len(sgp.elements)):
+        prof = []
+        for x in jref.members:
+            xs = sgp.mul_index(x, s)
+            for y in jref.members:
+                p = sgp.mul_index(xs, y)
+                prof.append(p if gs.j_of[p] == jref.j_id else -1)
+        profiles.setdefault(tuple(prof), []).append(s)
+    return {sgp.elements[s]: min(cls) for cls in profiles.values() for s in cls}
+
+
+def test_gm_key_matches_full_profile(corpus):
+    from test_acceptance import _sample_semigroups
+
+    checked = 0
+    for sgp in [s for s, _ in corpus.values()] + _sample_semigroups():
+        gs = sgp.green()
+        for j_id, regular in enumerate(gs.regular):
+            if regular:
+                jref = JClassRef(sgp, j_id)
+                assert gm_quotient(sgp, jref).morphism == _full_profile_classes(sgp, jref)
+                checked += 1
+    assert checked == 494
+
+
 class TestReesCoordinates:
     def test_group_case(self, sym3):
         rc = rees_coordinates(sym3, JClassRef(sym3, 0))
