@@ -49,7 +49,6 @@ from .flows import (
 from .complexity import (
     ComplexityInterval,
     RelationalMorphism,
-    complexity_zero,
     derived_semigroup,
     estimate,
     gm_reduction,

@@ -249,14 +249,15 @@ def _parse_lifts(text: str, source, target) -> dict:
     return lifts
 
 
+def _estimate_options(args) -> cx.EstimateOptions:
+    return cx.EstimateOptions(
+        max_flow_states=args.budget_states, automata_budget=args.automata_budget
+    )
+
+
 def cmd_estimate(args) -> int:
     sgp = ff.load_semigroup(args.file, max_elements=args.budget_elements)
-    options = cx.EstimateOptions(
-        max_flow_states=args.budget_states,
-        automata_budget=args.automata_budget,
-        max_elements=args.budget_elements,
-    )
-    interval = cx.estimate(sgp, options)
+    interval = cx.estimate(sgp, _estimate_options(args))
     print(str(interval))
     if args.trace:
         sys.stdout.write(_dump_json(interval.certificate))
@@ -359,12 +360,7 @@ def corpus_report(manifest_path=None, options=None) -> str:
 
 
 def cmd_corpus_run(args) -> int:
-    options = cx.EstimateOptions(
-        max_flow_states=args.budget_states,
-        automata_budget=args.automata_budget,
-        max_elements=args.budget_elements,
-    )
-    report = corpus_report(args.manifest, options)
+    report = corpus_report(args.manifest, _estimate_options(args))
     sys.stdout.write(report)
     if args.out:
         Path(args.out).write_text(report, encoding="ascii")
@@ -476,12 +472,7 @@ def replay_certificate(cert: dict, options=None) -> list[str]:
 
 def cmd_replay(args) -> int:
     cert = json.loads(Path(args.certificate).read_text(encoding="ascii"))
-    options = cx.EstimateOptions(
-        max_flow_states=args.budget_states,
-        automata_budget=args.automata_budget,
-        max_elements=args.budget_elements,
-    )
-    log = replay_certificate(cert, options)
+    log = replay_certificate(cert, _estimate_options(args))
     for line in log:
         print(line)
     print("replay: ok")
@@ -504,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget-elements",
             type=int,
             default=_env_int("KRC_BUDGET_ELEMENTS", 100_000),
-            help="element budget for semigroup enumeration",
+            help="element budget for loading the input semigroup",
         )
         p.add_argument(
             "--budget-states",

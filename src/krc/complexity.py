@@ -10,10 +10,11 @@ Search exhaustion widens intervals; it never produces claims.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
     DivisionWitness,
@@ -26,21 +27,15 @@ from .semilocal import (
     gm_quotient,
     group_mapping_presentation,
 )
-from .flows import (
-    Flow,
-    FlowSearchExhausted,
-    _enumerate_automata,
-    _iter_labelings,
-    presentation_construct,
-    transition_semigroup,
-    verify_flow,
-)
-from .spc import enumerate_spcs
+from .flows import flow_search, presentation_construct
 
 IDENT = ("I",)  # the fresh identity object of a derived category
-ZERO = "0"
 
 DEFAULT_CHAIN_BUDGET = 50_000
+
+# Above this many arrows, checking that derived products do not depend on
+# the representative (quadratic in the arrows) is refused, not skipped.
+ARROW_CHECK_LIMIT = 4000
 
 
 # -- relational morphisms ----------------------------------------------------
@@ -152,6 +147,27 @@ class RelationalMorphism:
 # -- derived semigroup -------------------------------------------------------
 
 
+def _arrow_end(t_sgp: FiniteSemigroup, obj, t2):
+    """The object where the arrow (obj, (s, t2)) ends."""
+    return t2 if obj is IDENT else t_sgp.mul(obj, t2)
+
+
+def _arrow_key(rho: RelationalMorphism, pre: dict, identify: bool, obj, s, t2) -> tuple:
+    """The class of the derived-category arrow (obj, (s, t2)): source and end
+    objects by index, and a label.  With `identify`, an arrow from a target
+    object is labeled by its left translation on that object's preimage
+    `pre[obj]`; the fresh object and the free consolidation label by s (and
+    t2) on the nose."""
+    s_sgp, t_sgp = rho.source, rho.target
+    end = _arrow_end(t_sgp, obj, t2)
+    if not identify or obj is IDENT:
+        label: Any = (s_sgp.index[s], None if identify else t_sgp.index[t2])
+    else:
+        label = tuple(s_sgp.index[s_sgp.mul(s1, s)] for s1 in pre[obj])
+    oi = -1 if obj is IDENT else t_sgp.index[obj]
+    return (oi, t_sgp.index[end], label)
+
+
 def derived_semigroup(
     rho: RelationalMorphism, identify: bool = True
 ) -> FiniteSemigroup:
@@ -166,20 +182,7 @@ def derived_semigroup(
     s_sgp, t_sgp = rho.source, rho.target
     objects = [IDENT] + list(t_sgp.elements)
     pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
-
-    def end_of(obj, t2):
-        return t2 if obj is IDENT else t_sgp.mul(obj, t2)
-
-    def class_key(obj, s, t2):
-        end = end_of(obj, t2)
-        if not identify or obj is IDENT:
-            label: Any = (s_sgp.index[s], None if identify else t_sgp.index[t2])
-        else:
-            label = tuple(
-                s_sgp.index[s_sgp.mul(s1, s)] for s1 in pre[obj]
-            )
-        oi = -1 if obj is IDENT else t_sgp.index[obj]
-        return (oi, t_sgp.index[end], label)
+    arrow_key = functools.partial(_arrow_key, rho, pre, identify)
 
     arrows: dict[tuple, tuple] = {}  # class key -> canonical representative
     members: dict[tuple, list[tuple]] = {}
@@ -187,18 +190,18 @@ def derived_semigroup(
         for (s, t2) in sorted(
             rho.graph, key=lambda p: (s_sgp.index[p[0]], t_sgp.index[p[1]])
         ):
-            key = class_key(obj, s, t2)
+            key = arrow_key(obj, s, t2)
             arrows.setdefault(key, (obj, s, t2))
             members.setdefault(key, []).append((obj, s, t2))
 
     def arrow_mul(k1, k2):
         obj1, s1, t1 = arrows[k1]
-        end1 = end_of(obj1, t1)
+        end1 = _arrow_end(t_sgp, obj1, t1)
         # composable iff the second arrow starts where the first ends
         if k2[0] < 0 or t_sgp.index[end1] != k2[0]:
             return ZERO
         _, s2, t2 = arrows[k2]
-        return class_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
+        return arrow_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
 
     def mul(u, v):
         if u == ZERO or v == ZERO:
@@ -209,25 +212,28 @@ def derived_semigroup(
     der = FiniteSemigroup.from_elements(
         values, mul, sort_key=lambda v: (0,) if v == ZERO else (1,) + v
     )
-    _verify_arrow_identification(der, rho, members, class_key, identify)
+    _verify_arrow_identification(rho, members, arrow_key)
     return der
 
 
-def _verify_arrow_identification(der, rho, members, class_key, _identify) -> None:
+def _verify_arrow_identification(rho, members, arrow_key) -> None:
     """Products may not depend on the representative arrow chosen."""
     s_sgp, t_sgp = rho.source, rho.target
     total = sum(len(v) for v in members.values())
-    if total > 4000:
-        return  # desk-scale guard; representatives are canonical anyway
+    if total > ARROW_CHECK_LIMIT:
+        raise ResourceError(
+            f"{total} derived arrows exceed the identification check limit "
+            f"of {ARROW_CHECK_LIMIT}"
+        )
     for k1, arr1 in members.items():
         for k2, arr2 in members.items():
             expected = None
             for (obj1, s1, t1) in arr1:
-                end1 = t1 if obj1 is IDENT else t_sgp.mul(obj1, t1)
+                end1 = _arrow_end(t_sgp, obj1, t1)
                 for (obj2, s2, t2) in arr2:
                     if obj2 is IDENT or t_sgp.index[end1] != t_sgp.index[obj2]:
                         continue
-                    got = class_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
+                    got = arrow_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
                     if expected is None:
                         expected = got
                     elif expected != got:
@@ -245,15 +251,6 @@ def derived_division_witness(
     s_sgp, t_sgp = rho.source, rho.target
     pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
 
-    def class_key(obj, s, t2):
-        end = t2 if obj is IDENT else t_sgp.mul(obj, t2)
-        if obj is IDENT:
-            label: Any = (s_sgp.index[s], None)
-        else:
-            label = tuple(s_sgp.index[s_sgp.mul(s1, s)] for s1 in pre[obj])
-        oi = -1 if obj is IDENT else t_sgp.index[obj]
-        return (oi, t_sgp.index[end], label)
-
     positions, oracle = semigroup_wreath_oracle(derived, t_sgp)
     marker = positions[0]
     lifts = {}
@@ -263,7 +260,7 @@ def derived_division_witness(
         fvals = []
         for p in positions:
             obj = IDENT if p is marker else p
-            key = class_key(obj, x, tx)
+            key = _arrow_key(rho, pre, True, obj, x, tx)
             if key not in derived.index:
                 raise VerificationError("lift arrow missing from the derived semigroup")
             fvals.append(key)
@@ -367,10 +364,6 @@ class ComplexityInterval:
         return f"[{self.lower}, {hi}]"
 
 
-def complexity_zero(sgp: FiniteSemigroup) -> bool:
-    return is_aperiodic(sgp)
-
-
 @dataclass
 class GmReduction:
     children: list[tuple[JClassRef, GmQuotient]]
@@ -414,7 +407,6 @@ def _serialize_sgp(sgp: FiniteSemigroup) -> str:
 class EstimateOptions:
     max_flow_states: int = 1
     automata_budget: int = 2000
-    max_elements: int = 100_000
 
 
 def estimate(
@@ -447,12 +439,12 @@ def estimate(
                 {
                     "jclass": jref.j_id,
                     "kind": "smaller-gm-image",
-                    "image": _serialize_sgp(gq.quotient),
+                    "image": sub.certificate["semigroup"],
                     "sub": sub.certificate,
                 }
             )
         else:
-            sub = _estimate_group_mapping(sgp, jref, options, _label)
+            sub = _estimate_group_mapping(sgp, text, jref, options, _label)
             child_intervals.append(sub)
             child_certs.append(
                 {"jclass": jref.j_id, "kind": "self-group-mapping", "sub": sub.certificate}
@@ -475,8 +467,9 @@ def estimate(
 
 
 def _estimate_group_mapping(
-    sgp: FiniteSemigroup, jref: JClassRef, options: EstimateOptions, label: str
+    sgp: FiniteSemigroup, text: str, jref: JClassRef, options: EstimateOptions, label: str
 ) -> ComplexityInterval:
+    """`text` is the serialized form of sgp, which the caller already has."""
     pres = group_mapping_presentation(sgp)
     if pres.jref.j_id != jref.j_id:
         raise VerificationError(
@@ -488,7 +481,7 @@ def _estimate_group_mapping(
         "label": label,
         "rule": "group-mapping",
         "order": len(sgp),
-        "semigroup": _serialize_sgp(sgp),
+        "semigroup": text,
         "jclass": jref.j_id,
         "rlm": rlm_int.certificate,
         "lower": {
@@ -538,54 +531,33 @@ def flow_upper(pres, rlm_upper: int, options: EstimateOptions):
     if rlm_upper < 1:
         raise InputError("flow upper bounds need an RLM upper bound of at least 1")
     cap = rlm_upper - 1
-    if cap == 0:
-        cap_check = is_aperiodic
-    else:
-        def cap_check(tsg: FiniteSemigroup) -> bool:
-            sub = estimate(tsg, options, _label="T_A")
-            return sub.upper is not None and sub.upper <= cap
 
-    letters = tuple(pres.sgp.gen_names)
-    spcs = enumerate_spcs(pres.n_b, pres.group)
-    from .flows import _transition_check
+    def within_cap(tsg: FiniteSemigroup) -> bool:
+        sub = estimate(tsg, options, _label="T_A")
+        return sub.upper is not None and sub.upper <= cap
 
-    compat_cache: dict[tuple[int, int, str], bool] = {}
+    def accept(flow):
+        try:
+            witness = presentation_construct(flow)
+        except (VerificationError, ResourceError):
+            return None  # flow verifies but yields no usable decomposition
+        return {
+            "kind": "flow",
+            "value": rlm_upper,
+            "cap": cap,
+            "flow": dump_flow(flow),
+            "b_bar": witness.b_bar,
+            "lift_semigroup_order": len(witness.division.morphism),
+        }
 
-    def compatible(i, k, x):
-        key = (i, k, x)
-        if key not in compat_cache:
-            compat_cache[key] = _transition_check(pres, spcs[i], spcs[k], x) is None
-        return compat_cache[key]
-
-    tried = 0
-    for m in range(1, options.max_flow_states + 1):
-        for aut in _enumerate_automata(m, letters):
-            if tried >= options.automata_budget:
-                return FlowSearchExhausted(options.max_flow_states, tried, options.automata_budget)
-            tried += 1
-            try:
-                tsg = transition_semigroup(aut)
-            except ResourceError:
-                continue
-            if not cap_check(tsg):
-                continue
-            for assignment in _iter_labelings(pres, aut, spcs, compatible):
-                flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
-                if verify_flow(flow) is not True:
-                    raise VerificationError("search produced a non-flow")
-                try:
-                    witness = presentation_construct(flow)
-                except (VerificationError, ResourceError):
-                    continue  # flow verifies but yields no usable decomposition
-                return {
-                    "kind": "flow",
-                    "value": rlm_upper,
-                    "cap": cap,
-                    "flow": dump_flow(flow),
-                    "b_bar": witness.b_bar,
-                    "lift_semigroup_order": len(witness.division.morphism),
-                }
-    return FlowSearchExhausted(options.max_flow_states, tried, options.automata_budget)
+    return flow_search(
+        pres,
+        options.max_flow_states,
+        cap=cap,
+        cap_check=within_cap if cap else None,
+        automata_budget=options.automata_budget,
+        accept=accept,
+    )
 
 
 def check_derived_wreath_division(

@@ -18,6 +18,8 @@ from .errors import InputError, ResourceError, VerificationError
 
 DEFAULT_ELEMENT_BUDGET = 100_000
 
+ZERO = "0"  # the adjoined zero of abstract carriers (Brandt, derived, flow points)
+
 # Carriers up to this order get a complete associativity check (Light's
 # test) at construction time.
 _ASSOC_CHECK_LIMIT = 40
@@ -667,8 +669,11 @@ def regular_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
 
 
 def maximal_subgroup(sgp: FiniteSemigroup, e: Any) -> FiniteGroup:
-    """The H-class of the idempotent e with the induced multiplication."""
-    ei = sgp.index[e] if not isinstance(e, int) else e
+    """The H-class of the idempotent e (an element value, never an index)
+    with the induced multiplication."""
+    if e not in sgp.index:
+        raise InputError(f"{e!r} is not an element of the semigroup")
+    ei = sgp.index[e]
     if sgp.mul_index(ei, ei) != ei:
         raise InputError("element is not idempotent")
     gs = sgp.green()

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
     ActionPair,
@@ -27,8 +27,6 @@ from .products import (
 )
 from .semilocal import GroupMappingPresentation
 from .spc import SPC, CrossSectionFailure, enumerate_spcs, mu_action
-
-ZERO = "0"
 
 DEFAULT_AUTOMATA_BUDGET = 20_000
 
@@ -357,11 +355,8 @@ def _division_witness(w: PresentationWitness) -> DivisionWitness:
         ActionPair.of_group(group),
         ActionPair.of_transformations(sym_sgp),
     )
-    inner_carrier = inner.full_carrier()
-    inner_sgp = FiniteSemigroup.from_elements(
-        inner_carrier.elements, inner.mul, sort_key=inner.sort_key
-    )
-    inner_pair = ActionPair(list(inner.points), inner_sgp, inner.act)
+    # G wr Sym_b stays a lazy oracle: checking given lifts only multiplies
+    inner_pair = ActionPair(inner.points, inner, inner.act)
     outer = wreath(inner_pair, ActionPair.of_transformations(w.transition_sgp))
 
     lifts = {}
@@ -424,10 +419,15 @@ def flow_search(
     cap: int = 0,
     cap_check: Optional[Callable[[FiniteSemigroup], bool]] = None,
     automata_budget: int = DEFAULT_AUTOMATA_BUDGET,
+    accept: Callable[[Flow], Any] = lambda flow: flow,
 ):
-    """First verified flow over automata with at most max_states states whose
-    transition semigroup passes the complexity cap; exhaustion is explicit
-    and never a nonexistence claim."""
+    """First accepted verified flow over automata with at most max_states
+    states whose transition semigroup passes the complexity cap.
+
+    Automata come in canonical order, and per automaton its consistent
+    labelings; `accept(flow)` turns a verified flow into the result, and
+    None moves on to the next labeling.  Exhaustion is explicit and never
+    a nonexistence claim."""
     if cap_check is None:
         if cap != 0:
             raise InputError("cap > 0 needs an explicit cap_check")
@@ -456,16 +456,17 @@ def flow_search(
                 continue
             if not cap_check(tsg):
                 continue
-            assignment = _search_labeling(pres, aut, spcs, compatible)
-            if assignment is not None:
+            for assignment in _iter_labelings(aut, spcs, compatible):
                 flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
                 if verify_flow(flow) is not True:
                     raise VerificationError("search produced a non-flow")
-                return flow
+                result = accept(flow)
+                if result is not None:
+                    return result
     return FlowSearchExhausted(max_states, tried, automata_budget)
 
 
-def _iter_labelings(pres, aut: Automaton, spcs, compatible) -> Iterator[list[int]]:
+def _iter_labelings(aut: Automaton, spcs, compatible) -> Iterator[list[int]]:
     """All consistent labelings, backtracking after transition-consistency
     propagation; domains are SPC indices in canonical order, so solutions
     come out canonically ordered."""
@@ -512,9 +513,3 @@ def _iter_labelings(pres, aut: Automaton, spcs, compatible) -> Iterator[list[int
                 assignment[state - 1] = None
 
     yield from backtrack(1)
-
-
-def _search_labeling(pres, aut: Automaton, spcs, compatible) -> Optional[list[int]]:
-    for assignment in _iter_labelings(pres, aut, spcs, compatible):
-        return assignment
-    return None

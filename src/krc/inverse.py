@@ -15,11 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import FiniteGroup, FiniteSemigroup, PartialTransformation
+from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation
 from .errors import InputError, VerificationError
 from .semilocal import JClassRef, rees_coordinates, rlm_quotient, classify
-
-ZERO = "0"  # adjoined zero marker for Brandt carriers
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,17 @@ Division S < T is always handled as a checkable certificate: generator
 lifts whose generated relation inside T x S is a surjective function onto
 S.  Search mode scans lift tuples in canonical order under a budget and
 never claims nonexistence.
+
+Every division target and every `ActionPair.sgp` is a multiplication
+oracle: it has `mul(u, v)` and `elements`, the carrier list when it is
+enumerated (`FiniteSemigroup`, `MulOracle` from a full carrier) and None
+when it is lazy (`PairSemigroup`, `WreathProduct`, the abstract wreath
+oracle).  Checking given lifts only multiplies; a search needs `elements`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -26,41 +33,23 @@ WREATH_CARRIER_BUDGET = 10**6
 DIVISION_SEARCH_BUDGET = 2_000_000
 
 
-class EnumeratedCarrier:
-    """A plain enumerated multiplication structure (no Cayley machinery).
+class MulOracle:
+    """A bare multiplication oracle (no Cayley machinery), for carriers too
+    large or too transient to wrap in a FiniteSemigroup."""
 
-    Used for carriers that are too large or too transient to wrap in a
-    full FiniteSemigroup; satisfies the same .elements/.mul protocol.
-    """
-
-    def __init__(self, elements: list[Any], mul: Callable[[Any, Any], Any]):
+    def __init__(self, elements: Optional[list[Any]], mul: Callable[[Any, Any], Any]):
         self.elements = elements
-        self._mul = mul
-        self._cache: dict[tuple[Any, Any], Any] = {}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def mul(self, u, v):
-        key = (u, v)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._mul(u, v)
-            self._cache[key] = hit
-        return hit
+        self.mul = mul
 
 
 class PairSemigroup:
-    """Componentwise product of two multiplication structures."""
+    """Componentwise product of two multiplication oracles (lazy)."""
 
-    def __init__(self, left, right, enumerate_carrier: bool = False):
+    elements = None
+
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.elements = None
-        if enumerate_carrier:
-            self.elements = [
-                (a, b) for a in left.elements for b in right.elements
-            ]
 
     def mul(self, u, v):
         return (self.left.mul(u[0], v[0]), self.right.mul(u[1], v[1]))
@@ -72,7 +61,8 @@ class PairSemigroup:
 @dataclass
 class ActionPair:
     """A transformation semigroup (Q, S): S with a faithful partial right
-    action on the ordered point set Q."""
+    action on the ordered point set Q.  S may be a lazy oracle; the two
+    checks below need it enumerated."""
 
     points: list[Any]
     sgp: FiniteSemigroup
@@ -174,6 +164,8 @@ class WreathProduct:
     materialized only under the configured budget.
     """
 
+    elements = None  # a lazy oracle; full_carrier() enumerates
+
     def __init__(self, left: ActionPair, right: ActionPair, restrict_to_domain: bool = False):
         self.left = left
         self.right = right
@@ -242,17 +234,9 @@ class WreathProduct:
         )
 
     def act_table(self, w) -> PartialTransformation:
-        pos = {p: i for i, p in enumerate(self.points)}
-        images = []
-        for p in self.points:
-            img = self.act(p, w)
-            images.append(0 if img is None else pos[img] + 1)
-        return PartialTransformation(tuple(images))
+        return ActionPair(self.points, self, self.act).act_table(w)
 
-    def action_pair(self, carrier: FiniteSemigroup) -> ActionPair:
-        return ActionPair(list(self.points), carrier, self.act)
-
-    def full_carrier(self, budget: int = WREATH_CARRIER_BUDGET) -> EnumeratedCarrier:
+    def full_carrier(self, budget: int = WREATH_CARRIER_BUDGET) -> MulOracle:
         size = len(self.left.sgp) ** len(self.right.points) * len(self.right.sgp)
         if size > budget:
             raise ResourceError(
@@ -264,7 +248,7 @@ class WreathProduct:
             for f in itertools.product(self.left.sgp.elements, repeat=len(self.right.points))
         ]
         elements.sort(key=self.sort_key)
-        return EnumeratedCarrier(elements, self.mul)
+        return MulOracle(elements, self.mul)
 
     def generated(self, named_gens: Sequence[tuple[str, Any]]) -> FiniteSemigroup:
         return FiniteSemigroup.generate(
@@ -280,7 +264,7 @@ def wreath(
 
 def semigroup_wreath_oracle(s_oracle, t_sgp: FiniteSemigroup):
     """The abstract wreath S wr T = S^(T^1) x T with T acting on positions
-    by right translation; returns (carrier points list, mul oracle).
+    by right translation; returns (positions, lazy oracle).
 
     Positions are T's elements plus an adjoined identity marker.  Used for
     derived-semigroup division targets where no state set is given.
@@ -292,6 +276,7 @@ def semigroup_wreath_oracle(s_oracle, t_sgp: FiniteSemigroup):
     def translate(p, t):
         return t if p is positions[0] else t_sgp.mul(p, t)
 
+    @functools.lru_cache(maxsize=None)
     def mul(u, v):
         f1, t1 = u
         f2, t2 = v
@@ -307,14 +292,14 @@ def semigroup_wreath_oracle(s_oracle, t_sgp: FiniteSemigroup):
                 out.append(s_oracle.mul(f1[i], other))
         return (tuple(out), t_sgp.mul(t1, t2))
 
-    return positions, EnumeratedCarrier([], mul)
+    return positions, MulOracle(None, mul)
 
 
 def enumerated_semigroup_wreath(
     s_sgp: FiniteSemigroup,
     t_sgp: FiniteSemigroup,
     budget: int = WREATH_CARRIER_BUDGET,
-) -> EnumeratedCarrier:
+) -> MulOracle:
     """S wr T with the full carrier S^(T^1) x T materialized (small cases
     only); element order is canonical for reproducible searches."""
     positions, oracle = semigroup_wreath_oracle(s_sgp, t_sgp)
@@ -328,8 +313,7 @@ def enumerated_semigroup_wreath(
         for t in t_sgp.elements
         for f in itertools.product(s_sgp.elements, repeat=len(positions))
     ]
-    oracle.elements = elements
-    return oracle
+    return MulOracle(elements, oracle.mul)
 
 
 # -- semidirect products --------------------------------------------------
@@ -453,7 +437,7 @@ def check_division(
         witness.verify()
         return witness
 
-    if getattr(target, "elements", None) is None:
+    if target.elements is None:
         raise InputError("division search needs an enumerated target")
     names = list(s.gen_names)
     k = len(names)
@@ -540,12 +524,13 @@ def embed_product_of_wreaths(
             fv.append((f[pt.position(p)], f2[pt2.position(p2)]))
         return big.make(fv, (t, t2))
 
-    source = PairSemigroup(c1, c2, enumerate_carrier=True)
-    table = {u: phi(u) for u in source.elements}
+    source = PairSemigroup(c1, c2)
+    pairs = [(a, b) for a in c1.elements for b in c2.elements]
+    table = {u: phi(u) for u in pairs}
     witness = EmbeddingWitness(table, big.mul)
     witness.verify_morphism(source.mul)
     # pointwise action agreement: (q,p,q',p') . ((f,t),(f',t'))
-    for u in source.elements:
+    for u in pairs:
         (f, t), (f2, t2) = u
         for (q, p) in w1.points:
             for (q2, p2) in w2.points:

@@ -356,7 +356,7 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     gs = sgp.green()
     j_id = jref.j_id
     e, p_reps, q_reps = _sandwich_reps(sgp, jref)
-    group = maximal_subgroup(sgp, e)
+    group = maximal_subgroup(sgp, sgp.elements[e])
     g_index = {sgp.index[v]: k for k, v in enumerate(group.elements)}
     a_classes, b_classes = jref.a_classes, jref.b_classes
 

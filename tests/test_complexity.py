@@ -1,12 +1,12 @@
 import pytest
 
+from krc import complexity
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.complexity import (
     ComplexityInterval,
     EstimateOptions,
     RelationalMorphism,
     check_derived_wreath_division,
-    complexity_zero,
     derived_division_witness,
     derived_semigroup,
     derived_upper,
@@ -15,7 +15,7 @@ from krc.complexity import (
     lift_through_expansion,
     rhodes_expansion,
 )
-from krc.errors import InputError
+from krc.errors import InputError, ResourceError
 from krc.products import DivisionWitness, ExhaustionReport
 
 T = PartialTransformation
@@ -39,14 +39,14 @@ def z2_rz2():
 
 class TestComplexityZero:
     def test_right_zero(self, right_zero_2):
-        assert complexity_zero(right_zero_2)
+        assert is_aperiodic(right_zero_2)
 
     def test_z2(self):
-        assert not complexity_zero(FiniteSemigroup.generate([("t", T((2, 1)))]))
+        assert not is_aperiodic(FiniteSemigroup.generate([("t", T((2, 1)))]))
 
     def test_counter_free_transition_semigroup(self):
         s = FiniteSemigroup.generate([("a", T((2, 3, 3))), ("b", T((1, 1, 1)))])
-        assert complexity_zero(s)
+        assert is_aperiodic(s)
 
 
 class TestGmReduction:
@@ -202,6 +202,13 @@ class TestEstimate:
         iv = estimate(sgp, EstimateOptions(automata_budget=0))
         assert iv.lower == 1
         assert iv.upper == 2  # wreath embedding over the RLM still applies
+
+    def test_arrow_check_over_limit_is_refused(self, monkeypatch, z2_abs):
+        rho = RelationalMorphism.to_trivial(z2_abs)
+        assert len(derived_semigroup(rho)) > 1
+        monkeypatch.setattr(complexity, "ARROW_CHECK_LIMIT", 1)
+        with pytest.raises(ResourceError):
+            derived_semigroup(rho)
 
     def test_interval_sanity(self):
         with pytest.raises(Exception):

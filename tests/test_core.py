@@ -197,7 +197,18 @@ class TestAperiodicity:
 class TestMaximalSubgroup:
     def test_aperiodic_gives_trivial(self, right_zero_2):
         for e in right_zero_2.idempotent_indices():
-            assert len(maximal_subgroup(right_zero_2, e)) == 1
+            assert len(maximal_subgroup(right_zero_2, right_zero_2.elements[e])) == 1
+
+    def test_int_valued_carrier_takes_values(self):
+        # an int is an element value here, never an index into the carrier
+        z2 = FiniteSemigroup.from_elements(
+            [10, 11], lambda a, b: 10 + (a + b) % 2, sort_key=lambda v: v
+        )
+        g = maximal_subgroup(z2, 10)
+        assert len(g) == 2
+        assert set(g.elements) == {10, 11}
+        with pytest.raises(InputError):
+            maximal_subgroup(z2, 0)
 
     def test_sym3_identity(self, sym3):
         g = maximal_subgroup(sym3, T.identity(3))

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from krc import complexity
+from krc.complexity import EstimateOptions
 from krc.core import PartialTransformation, is_aperiodic
-from krc.errors import InputError
+from krc.errors import InputError, VerificationError
 from krc.flows import (
     Automaton,
     Flow,
@@ -185,6 +187,39 @@ class TestFlowSearch:
     def test_budget_exhaustion_reported(self, small17_pres):
         out = flow_search(small17_pres, max_states=1, automata_budget=0)
         assert isinstance(out, FlowSearchExhausted)
+
+    def test_rejecting_accept_exhausts(self, small17_pres):
+        offered = []
+
+        def reject(flow):
+            assert verify_flow(flow) is True
+            offered.append(flow)
+            return None
+
+        out = flow_search(small17_pres, max_states=1, accept=reject)
+        assert isinstance(out, FlowSearchExhausted)
+        assert offered
+        assert out.automata_tried == 2 ** len(small17_pres.sgp.gen_names)
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 1000])
+    def test_estimate_counts_automata_like_flow_search(
+        self, small17_pres, monkeypatch, budget
+    ):
+        # every decomposition fails, so the estimate's search runs dry too
+        def no_decomposition(flow):
+            raise VerificationError("no decomposition")
+
+        monkeypatch.setattr(complexity, "presentation_construct", no_decomposition)
+        via_estimate = complexity.flow_upper(
+            small17_pres, 1, EstimateOptions(automata_budget=budget)
+        )
+        direct = flow_search(
+            small17_pres, max_states=1, automata_budget=budget, accept=lambda f: None
+        )
+        assert isinstance(via_estimate, FlowSearchExhausted)
+        assert isinstance(direct, FlowSearchExhausted)
+        total = 2 ** len(small17_pres.sgp.gen_names)
+        assert via_estimate.automata_tried == direct.automata_tried == min(budget, total)
 
     def test_cap_above_zero_needs_check(self, small17_pres):
         with pytest.raises(InputError):

@@ -12,6 +12,7 @@ from krc.products import (
     direct_product_pair,
     embed_product_of_wreaths,
     semidirect,
+    semigroup_wreath_oracle,
     wreath,
 )
 
@@ -174,6 +175,16 @@ class TestDivision:
         z3 = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
         w = check_division(z3, sym3)
         w.verify()
+
+    def test_search_over_lazy_oracle_is_rejected(self):
+        # a lazy target has no carrier to scan, so no exhaustion is claimed
+        triv = FiniteSemigroup.generate([("1", T.identity(1))])
+        _, oracle = semigroup_wreath_oracle(triv, triv)
+        assert oracle.elements is None
+        with pytest.raises(InputError):
+            check_division(triv, oracle)
+        with pytest.raises(InputError):
+            check_division(triv, wreath(group_pair(2), ActionPair.trivial()))
 
 
 class TestEmbeddingLemma:
