@@ -9,8 +9,11 @@ right actions.
 
 Division S < T is always handled as a checkable certificate: generator
 lifts whose generated relation inside T x S is a surjective function onto
-S.  Search mode scans lift tuples in canonical order under a budget and
-never claims nonexistence.
+S.  Search mode assigns lifts depth first in canonical order, cuts every
+prefix whose generated relation is already not a function, and returns
+the first witness of the canonical order.  Its budget counts lift tuples
+ruled out, a cut prefix counting all the tuples below it; the search never
+claims nonexistence.
 
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle: it has `mul(u, v)` and `elements`, the carrier list when it is
@@ -371,7 +374,12 @@ class DivisionWitness:
 
 @dataclass
 class ExhaustionReport:
-    """Search gave up; explicitly not a nonexistence claim."""
+    """Search gave up; explicitly not a nonexistence claim.
+
+    `tried` counts the lift tuples of the canonical order that the search
+    ruled out, at most `budget`; `searched_all` says that every tuple was
+    ruled out within the budget.
+    """
 
     tried: int
     budget: int
@@ -381,14 +389,26 @@ class ExhaustionReport:
         return False
 
 
-def _relation_closure(s: FiniteSemigroup, target, lifts: dict[str, Any]):
-    """Close {(lift(x), x)} under multiplication; return the t -> s map if
-    it stays functional, else a description of the first conflict."""
+def _relation_closure(
+    s: FiniteSemigroup,
+    target,
+    lifts: dict[str, Any],
+    names: Optional[Sequence[str]] = None,
+):
+    """Close {(lift(x), x)} under multiplication, x running over the
+    generators `names` (all of S's by default); return the t -> s map if it
+    stays functional, else a description of the first conflict.
+
+    Over all generators the map must also be onto S.  Over some of them it
+    is onto the subsemigroup they generate by construction, so only
+    functionality is checked.
+    """
+    gen_values = dict(zip(s.gen_names, (s.elements[gi] for gi in s.gens)))
     gen_pairs = []
-    for name, gi in zip(s.gen_names, s.gens):
+    for name in s.gen_names if names is None else names:
         if name not in lifts:
             return f"no lift for generator {name!r}"
-        gen_pairs.append((lifts[name], s.elements[gi]))
+        gen_pairs.append((lifts[name], gen_values[name]))
     mapping: dict[Any, Any] = {}
     frontier = []
     for tv, sv in gen_pairs:
@@ -412,7 +432,7 @@ def _relation_closure(s: FiniteSemigroup, target, lifts: dict[str, Any]):
                 elif prev != s2:
                     return f"relation not functional at {t2!r}"
         frontier = new
-    if len(set(mapping.values())) != len(s.elements):
+    if names is None and len(set(mapping.values())) != len(s.elements):
         return "relation not surjective onto the source"
     return mapping
 
@@ -426,8 +446,20 @@ def check_division(
     """Certify S < target.
 
     With lifts: verify them (VerificationError on failure).  Without:
-    scan lift tuples in canonical order, returning the first witness or an
-    ExhaustionReport; exhaustion is an explicit "unknown".
+    search lift tuples in canonical order, returning the first witness or
+    an ExhaustionReport; exhaustion is an explicit "unknown".
+
+    Lift candidates for a generator are the target elements whose
+    one-generator closure is functional.  The search assigns generators
+    depth first in canonical order and closes the relation of each prefix
+    of two or more lifts; a prefix whose closure is not functional is cut
+    with its whole subtree, since every extension's relation contains it.
+    Surjectivity is checked on full tuples only.  The first witness is thus
+    the first in the canonical order of all tuples, and a cut subtree counts
+    all its tuples as tried.  The search stops when `budget` tuples are
+    ruled out, so for S with k generators it runs at most k closures per
+    target element, k per tuple of the budget, and one to re-verify a
+    witness.
     """
     if lifts is not None:
         result = _relation_closure(s, target, lifts)
@@ -441,35 +473,53 @@ def check_division(
         raise InputError("division search needs an enumerated target")
     names = list(s.gen_names)
     k = len(names)
-    # an element whose solo closure already conflicts can never appear at
-    # that position of a viable tuple
-    viable: list[list[Any]] = []
-    for i, name in enumerate(names):
-        sub = FiniteSemigroup.generate(
-            [(name, s.elements[s.gens[i]])], mul=s._mul,
-            sort_key=lambda v: s.index[v],
-        )
-        ok = [
+    viable = [
+        [
             tv
             for tv in target.elements
-            if isinstance(_relation_closure(sub, target, {name: tv}), dict)
+            if isinstance(_relation_closure(s, target, {name: tv}, [name]), dict)
         ]
-        viable.append(ok)
+        for name in names
+    ]
+    # block[d]: the number of full tuples below a prefix of length d
+    block = [1] * (k + 1)
+    for d in range(k - 1, -1, -1):
+        block[d] = block[d + 1] * len(viable[d])
     tried = 0
-    total = 1
-    for ok in viable:
-        total *= len(ok)
-    for combo in itertools.product(*viable):
-        if tried >= budget:
-            return ExhaustionReport(tried, budget, searched_all=False)
-        tried += 1
-        lifts_try = dict(zip(names, combo))
-        result = _relation_closure(s, target, lifts_try)
-        if isinstance(result, dict):
-            witness = DivisionWitness(s, target, lifts_try, result)
-            witness.verify()
-            return witness
-    return ExhaustionReport(tried, budget, searched_all=True)
+    chosen: dict[str, Any] = {}  # entries past the current depth are stale
+
+    def first_witness(depth: int):
+        """The closure of the first witness extending `chosen`, or None;
+        `tried` moves past every tuple ruled out."""
+        nonlocal tried
+        name = names[depth]
+        for tv in viable[depth]:
+            if tried >= budget:
+                return None
+            chosen[name] = tv
+            if depth + 1 == k:
+                result = _relation_closure(s, target, chosen)
+                if isinstance(result, dict):
+                    return result
+                tried += 1
+            # a one-lift prefix passed the viable filter already
+            elif depth and not isinstance(
+                _relation_closure(s, target, chosen, names[: depth + 1]), dict
+            ):
+                tried += block[depth + 1]
+            else:
+                result = first_witness(depth + 1)
+                if result is not None:
+                    return result
+        return None
+
+    result = first_witness(0) if block[0] else None
+    if result is None:
+        total = block[0]
+        return ExhaustionReport(min(total, budget), budget, searched_all=total <= budget)
+    witness = DivisionWitness(s, target, {name: chosen[name] for name in names}, result)
+    witness.verify()
+    return witness
 
 
 # -- the product-of-wreaths embedding --------------------------------------

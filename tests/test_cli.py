@@ -132,6 +132,26 @@ class TestDivide:
         )
         assert code == EXIT_OK
 
+    def test_search_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "divide", corpus_file("z2"), corpus_file("sym3"))
+        assert code == EXIT_OK
+        assert out == (
+            '{\n  "lifts": {\n    "t": "1 3 2"\n  },\n  "morphism": [\n'
+            '    [\n      "1 2 3",\n      "1 2"\n    ],\n'
+            '    [\n      "1 3 2",\n      "2 1"\n    ]\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize("budget,tried", [("3", "3"), ("9", "9"), ("20", "9")])
+    def test_search_exhaustion_stdout_is_pinned(self, capsys, budget, tried):
+        # the Klein four-group does not divide Sym_3; 3 x 3 lift tuples
+        code, out, _ = run(
+            capsys,
+            "divide", corpus_file("klein"), corpus_file("sym3"),
+            "--division-budget", budget,
+        )
+        assert code == EXIT_RESOURCE
+        assert out == f"unknown: searched {tried} lift tuples (budget {budget})\n"
+
     def test_bad_lifts_fail_verification(self, capsys, tmp_path):
         lifts = tmp_path / "lifts.txt"
         lifts.write_text("t: 1 2 3\n", encoding="ascii")

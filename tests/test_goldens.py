@@ -1,9 +1,10 @@
-"""Byte-for-byte guard on the corpus outputs.
+"""Byte-for-byte guard on the corpus outputs and the division witnesses.
 
 `perfbench/goldens.json` holds sha256 digests of the `krc corpus run`
 report and, per corpus member, of the certificate `krc estimate FILE
---cert OUT` writes, of estimate's stdout and of `krc replay OUT`'s stdout.
-These tests read that file and never write it.
+--cert OUT` writes, of estimate's stdout and of `krc replay OUT`'s stdout;
+per derived-wreath division of the acceptance suite, it holds the digest of
+the witness found by search.  These tests read that file and never write it.
 """
 
 import hashlib
@@ -13,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from krc.cli import CORPUS_DIR, load_corpus_manifest, main
+from krc.complexity import RelationalMorphism, check_derived_wreath_division
+from krc.core import FiniteSemigroup, PartialTransformation
+from krc.products import DivisionWitness
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
@@ -57,3 +61,37 @@ def test_estimate_and_replay(entry, goldens, capsys, tmp_path):
     assert sha(out) == want["estimate_stdout"]
     assert sha(cert.read_text(encoding="ascii")) == want["cert"]
     assert sha(run(capsys, ["replay", str(cert)])) == want["replay_stdout"]
+
+
+def division_instance(name: str):
+    """(phi, psi) of the acceptance suite's derived-wreath division `name`."""
+    if name == "trivial":
+        phi = RelationalMorphism.identity(
+            FiniteSemigroup.generate([("1", PartialTransformation.identity(1))])
+        )
+        return phi, phi
+    mul = {"z2": lambda a, b: (a + b) % 2, "u1": lambda a, b: a * b}[name]
+    phi = RelationalMorphism.to_trivial(
+        FiniteSemigroup.from_elements([0, 1], mul, sort_key=lambda v: v)
+    )
+    return phi, RelationalMorphism.identity(phi.target)
+
+
+def witness_json(witness) -> str:
+    """A division witness as `krc divide` prints it, keys sorted."""
+    payload = {
+        "lifts": {name: str(v) for name, v in witness.lifts.items()},
+        "morphism": sorted([str(t), str(s)] for t, s in witness.morphism.items()),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name,budget", [
+    ("trivial", 300_000),
+    ("z2", 4_000_000),
+    ("u1", 6_000_000),
+])
+def test_division_witness(name, budget, goldens):
+    witness = check_derived_wreath_division(*division_instance(name), budget=budget)
+    assert isinstance(witness, DivisionWitness)
+    assert sha(witness_json(witness)) == goldens["instances"][f"division/{name}"]["witness"]

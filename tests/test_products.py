@@ -1,13 +1,16 @@
 import itertools
+import math
 
 import pytest
 
+from krc import products
 from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.errors import InputError, ResourceError
 from krc.products import (
     ActionPair,
     DivisionWitness,
     ExhaustionReport,
+    _relation_closure,
     check_division,
     direct_product_pair,
     embed_product_of_wreaths,
@@ -185,6 +188,98 @@ class TestDivision:
             check_division(triv, oracle)
         with pytest.raises(InputError):
             check_division(triv, wreath(group_pair(2), ActionPair.trivial()))
+
+
+T3_GENS = [("a", T((2, 1, 3))), ("b", T((2, 3, 1))), ("e", T((1, 1, 3)))]
+
+
+def viable_lifts(s, target):
+    """Per generator g, the target elements whose closure with g, taken
+    inside <g>, is a function onto <g>."""
+    viable = []
+    for name, gi in zip(s.gen_names, s.gens):
+        sub = FiniteSemigroup.generate(
+            [(name, s.elements[gi])], mul=s.mul, sort_key=lambda v: s.index[v]
+        )
+        viable.append([
+            tv
+            for tv in target.elements
+            if isinstance(_relation_closure(sub, target, {name: tv}), dict)
+        ])
+    return viable
+
+
+def scan_division(s, target, budget):
+    """The exhaustive scan the search must agree with: every tuple of
+    viable lifts in canonical order, one full closure each."""
+    tried = 0
+    for combo in itertools.product(*viable_lifts(s, target)):
+        if tried >= budget:
+            return ExhaustionReport(tried, budget, searched_all=False)
+        tried += 1
+        lifts = dict(zip(s.gen_names, combo))
+        result = _relation_closure(s, target, lifts)
+        if isinstance(result, dict):
+            return DivisionWitness(s, target, lifts, result)
+    return ExhaustionReport(tried, budget, searched_all=True)
+
+
+@pytest.fixture(scope="module")
+def division_pairs(sym3, right_zero_2):
+    t3 = FiniteSemigroup.generate(T3_GENS)
+    # with the idempotent first, every (e, a) prefix conflicts in Sym_3 and
+    # the search cuts blocks of two tuples, the last block among them; in
+    # T_3 it cuts six blocks before the first witness, the 43rd tuple
+    t3_e_first = FiniteSemigroup.generate(T3_GENS[2:] + T3_GENS[:2])
+    z2 = FiniteSemigroup.generate([("t", T((2, 1)))])
+    z3 = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
+    return {
+        "sym3>right_zero_2": (sym3, right_zero_2),
+        "t3>sym3": (t3, sym3),
+        "t3_e_first>sym3": (t3_e_first, sym3),
+        "t3_e_first>t3": (t3_e_first, t3),
+        "sym3>t3": (sym3, t3),
+        "z2>sym3": (z2, sym3),
+        "z3>sym3": (z3, sym3),
+    }
+
+
+class TestDivisionSearch:
+    @pytest.mark.parametrize("pair", [
+        "sym3>right_zero_2", "t3>sym3", "t3_e_first>sym3", "t3_e_first>t3",
+        "sym3>t3", "z2>sym3", "z3>sym3",
+    ])
+    def test_search_matches_exhaustive_scan(self, pair, division_pairs, monkeypatch):
+        s, target = division_pairs[pair]
+        k = len(s.gens)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _relation_closure(*args)
+
+        monkeypatch.setattr(products, "_relation_closure", counted)
+        total = math.prod(len(ok) for ok in viable_lifts(s, target))
+        for budget in range(total + 2):
+            want = scan_division(s, target, budget)
+            calls.clear()
+            got = check_division(s, target, budget=budget)
+            if isinstance(want, DivisionWitness):
+                assert isinstance(got, DivisionWitness), budget
+                assert list(got.lifts.items()) == list(want.lifts.items())
+                assert got.morphism == want.morphism
+            else:
+                assert got == want, budget
+            # the viable filter, the search, and one re-verification of a witness
+            verify = isinstance(got, DivisionWitness)
+            assert len(calls) <= k * len(target.elements) + k * budget + verify
+
+    def test_budget_inside_the_last_cut_block(self, division_pairs):
+        s, target = division_pairs["t3_e_first>sym3"]
+        # 6 * 3 * 2 tuples; the last cut carries the count from 34 to 36
+        assert check_division(s, target, budget=35) == ExhaustionReport(35, 35, False)
+        assert check_division(s, target, budget=36) == ExhaustionReport(36, 36, True)
+        assert check_division(s, target, budget=37) == ExhaustionReport(36, 37, True)
 
 
 class TestEmbeddingLemma:
