@@ -12,7 +12,8 @@ Run:  python demos/05_complexity_certificates.py
 """
 
 from krc import estimate
-from krc.cli import CORPUS_DIR, replay_certificate
+from krc.cli import CORPUS_DIR
+from krc.complexity import replay_certificate
 from krc.fileformats import load_semigroup
 
 

@@ -4,18 +4,20 @@ Subcommands: analyze, rlm, gm, rees, spc, flow verify, flow search,
 divide, estimate, inverse demo, corpus run, replay.  Output is
 deterministic byte for byte for fixed inputs and budgets.  Exit codes:
 0 success, 2 usage or input error, 3 resource budget, 4 verification
-failure.
+failure.  Budget flags default to the library's defaults.  The
+certificate format belongs to `complexity`: `estimate` and `replay` only
+write, read and print what it returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .core import (
+    DEFAULT_ELEMENT_BUDGET,
     FiniteGroup,
     PartialTransformation,
     is_aperiodic,
@@ -31,7 +33,7 @@ from .semilocal import (
     rees_coordinates,
     rlm_quotient,
 )
-from .products import DivisionWitness, check_division
+from .products import DIVISION_SEARCH_BUDGET, DivisionWitness, check_division
 from . import spc as spcmod
 from . import flows as flowmod
 from . import complexity as cx
@@ -43,16 +45,6 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"bad value for {name}: {raw!r}") from None
 
 
 def _jsonable(value):
@@ -260,9 +252,9 @@ def cmd_estimate(args) -> int:
     interval = cx.estimate(sgp, _estimate_options(args))
     print(str(interval))
     if args.trace:
-        sys.stdout.write(_dump_json(interval.certificate))
+        sys.stdout.write(cx.certificate_json(interval.certificate))
     if args.cert:
-        Path(args.cert).write_text(_dump_json(interval.certificate), encoding="ascii")
+        Path(args.cert).write_text(cx.certificate_json(interval.certificate), encoding="ascii")
     return EXIT_OK
 
 
@@ -370,109 +362,12 @@ def cmd_corpus_run(args) -> int:
 # -- certificate replay ------------------------------------------------------
 
 
-def replay_certificate(cert: dict, options=None) -> list[str]:
-    """Re-verify an estimate certificate from its embedded files alone;
-    returns a log of replayed claims (raises on any failure)."""
-    options = options or cx.EstimateOptions()
-    log: list[str] = []
-
-    def run(node: dict, sgp=None) -> tuple[int, int | None]:
-        # below the root, the carrier is the one replay recomputed and
-        # compared with the node's text, so replay walks estimate's carriers
-        if sgp is None:
-            sgp = ff.parse_semigroup(node["semigroup"])
-        rule = node["rule"]
-        if rule == "aperiodic":
-            if not is_aperiodic(sgp):
-                raise VerificationError("replay: semigroup is not aperiodic")
-            log.append(f"{node['label']}: aperiodic, [0, 0]")
-            got = (0, 0)
-        elif rule == "gm-max":
-            reduction = cx.gm_reduction(sgp)
-            if len(reduction.children) != len(node["children"]):
-                raise VerificationError("replay: GM child count changed")
-            lowers, uppers = [], []
-            for child_node, (jref, gq) in zip(node["children"], reduction.children):
-                if child_node["jclass"] != jref.j_id:
-                    raise VerificationError("replay: GM child classes changed")
-                if child_node["kind"] == "smaller-gm-image":
-                    image_text = cx._serialize_sgp(gq.quotient)
-                    if image_text != child_node["image"]:
-                        raise VerificationError("replay: GM image changed")
-                    child_sgp = gq.quotient
-                else:
-                    image_text = node["semigroup"]
-                    child_sgp = sgp
-                if child_node["sub"]["semigroup"] != image_text:
-                    raise VerificationError("replay: child certificate mismatch")
-                lo, hi = run(child_node["sub"], child_sgp)
-                lowers.append(lo)
-                uppers.append(hi)
-            got = (
-                max(lowers),
-                None if any(u is None for u in uppers) else max(uppers),
-            )
-            log.append(f"{node['label']}: gm-max over {len(lowers)} children")
-        elif rule == "group-mapping":
-            pres = group_mapping_presentation(sgp)
-            if pres.jref.j_id != node["jclass"]:
-                raise VerificationError("replay: distinguished class changed")
-            rlm_text = cx._serialize_sgp(pres.rlmq.rlm)
-            if node["rlm"]["semigroup"] != rlm_text:
-                raise VerificationError("replay: RLM image changed")
-            rlm_lo, rlm_hi = run(node["rlm"], pres.rlmq.rlm)
-            lower = max(1, rlm_lo)
-            upper_node = node["upper"]
-            if upper_node["kind"] == "pure":
-                from .semilocal import fasp_embedding
-
-                emb = fasp_embedding(pres)
-                if len(emb.witness.morphism) != upper_node["embedded_order"]:
-                    raise VerificationError("replay: embedding order changed")
-                if rlm_hi is None or upper_node["value"] != rlm_hi + 1:
-                    raise VerificationError("replay: pure upper bound inconsistent")
-                got = (lower, upper_node["value"])
-                log.append(f"{node['label']}: pure upper {upper_node['value']}")
-            elif upper_node["kind"] == "flow":
-                flow = ff.parse_flow(upper_node["flow"], pres)
-                if flowmod.verify_flow(flow) is not True:
-                    raise VerificationError("replay: stored flow does not verify")
-                tsg = flowmod.transition_semigroup(flow.automaton)
-                cap = upper_node["cap"]
-                if cap == 0:
-                    if not is_aperiodic(tsg):
-                        raise VerificationError("replay: flow automaton is not aperiodic")
-                else:
-                    sub = cx.estimate(tsg, options)
-                    if sub.upper is None or sub.upper > cap:
-                        raise VerificationError("replay: flow automaton exceeds the cap")
-                witness = flowmod.presentation_construct(flow)
-                if len(witness.division.morphism) != upper_node["lift_semigroup_order"]:
-                    raise VerificationError("replay: lift order changed")
-                if rlm_hi is None or upper_node["value"] != rlm_hi:
-                    raise VerificationError("replay: flow upper bound inconsistent")
-                got = (lower, upper_node["value"])
-                log.append(f"{node['label']}: flow upper {upper_node['value']}")
-            else:
-                got = (lower, None)
-                log.append(f"{node['label']}: upper unknown")
-        else:
-            raise VerificationError(f"replay: unknown rule {rule!r}")
-        want = tuple(node["interval"])
-        want = (want[0], want[1])
-        if got != want:
-            raise VerificationError(
-                f"replay: interval mismatch at {node['label']}: {got} vs {want}"
-            )
-        return got
-
-    run(cert)
-    return log
-
-
 def cmd_replay(args) -> int:
-    cert = json.loads(Path(args.certificate).read_text(encoding="ascii"))
-    log = replay_certificate(cert, _estimate_options(args))
+    try:
+        cert = json.loads(Path(args.certificate).read_text(encoding="ascii"))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"certificate is not ASCII JSON: {exc}") from None
+    log = cx.replay_certificate(cert, _estimate_options(args))
     for line in log:
         print(line)
     print("replay: ok")
@@ -494,25 +389,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget-elements",
             type=int,
-            default=_env_int("KRC_BUDGET_ELEMENTS", 100_000),
+            default=DEFAULT_ELEMENT_BUDGET,
             help="element budget for loading the input semigroup",
         )
         p.add_argument(
             "--budget-states",
             type=int,
-            default=_env_int("KRC_BUDGET_STATES", 1),
+            default=cx.EstimateOptions.max_flow_states,
             help="maximal automaton size for flow search",
         )
         p.add_argument(
             "--automata-budget",
             type=int,
-            default=_env_int("KRC_AUTOMATA_BUDGET", 2000),
+            default=cx.EstimateOptions.automata_budget,
             help="number of automata tried per flow search",
         )
         p.add_argument(
             "--division-budget",
             type=int,
-            default=_env_int("KRC_DIVISION_BUDGET", 2_000_000),
+            default=DIVISION_SEARCH_BUDGET,
             help="lift tuples tried per division search",
         )
 

@@ -6,11 +6,17 @@ group-mapping images for the reduction step, and for a group-mapping
 semigroup either the wreath embedding over its RLM image (upper bound one
 more than the RLM's) or a verified flow (matching the RLM's upper bound).
 Search exhaustion widens intervals; it never produces claims.
+
+This module is the only interpreter of the certificate format.  `estimate`
+writes it; `replay_certificate` reruns `estimate` on the root semigroup,
+following the certificate's stored upper-bound choices instead of
+searching, and accepts only if it gets the same certificate back.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -27,7 +33,13 @@ from .semilocal import (
     gm_quotient,
     group_mapping_presentation,
 )
-from .flows import flow_search, presentation_construct
+from .flows import (
+    DEFAULT_AUTOMATA_BUDGET,
+    flow_search,
+    presentation_construct,
+    transition_semigroup,
+    verify_flow,
+)
 
 IDENT = ("I",)  # the fresh identity object of a derived category
 
@@ -82,25 +94,6 @@ class RelationalMorphism:
             if not is_aperiodic(sub):
                 return False
         return True
-
-    @classmethod
-    def from_generating_pairs(
-        cls, source: FiniteSemigroup, target: FiniteSemigroup, pairs: dict[str, Any]
-    ) -> "RelationalMorphism":
-        named = []
-        for name, gi in zip(source.gen_names, source.gens):
-            if name not in pairs:
-                raise InputError(f"no target partner for generator {name!r}")
-            named.append((name, (source.elements[gi], pairs[name])))
-
-        def mul(u, v):
-            return (source.mul(u[0], v[0]), target.mul(u[1], v[1]))
-
-        closure = FiniteSemigroup.generate(
-            named, mul=mul,
-            sort_key=lambda p: (source.index[p[0]], target.index[p[1]]),
-        )
-        return cls(source, target, set(closure.elements), dict(pairs))
 
     @classmethod
     def from_function(
@@ -406,14 +399,21 @@ def _serialize_sgp(sgp: FiniteSemigroup) -> str:
 @dataclass
 class EstimateOptions:
     max_flow_states: int = 1
-    automata_budget: int = 2000
+    automata_budget: int = DEFAULT_AUTOMATA_BUDGET
 
 
 def estimate(
-    sgp: FiniteSemigroup, options: Optional[EstimateOptions] = None, _label: str = "S"
+    sgp: FiniteSemigroup,
+    options: Optional[EstimateOptions] = None,
+    _label: str = "S",
+    _given: Optional[dict[str, Any]] = None,
 ) -> ComplexityInterval:
     """The full pipeline: aperiodicity, GM reduction with the max rule,
-    and per group-mapping image the RLM recursion plus pure/flow uppers."""
+    and per group-mapping image the RLM recursion plus pure/flow uppers.
+
+    `_given` (replay only) maps group-mapping labels to stored `upper`
+    nodes: a stored flow is checked instead of searched for, and any other
+    stored choice skips the flow search."""
     options = options or EstimateOptions()
     text = _serialize_sgp(sgp)
     if is_aperiodic(sgp):
@@ -433,7 +433,9 @@ def estimate(
     child_certs = []
     for jref, gq in reduction.children:
         if len(gq.quotient) < len(sgp.elements):
-            sub = estimate(gq.quotient, options, _label=f"{_label}/GM[J{jref.j_id}]")
+            sub = estimate(
+                gq.quotient, options, _label=f"{_label}/GM[J{jref.j_id}]", _given=_given
+            )
             child_intervals.append(sub)
             child_certs.append(
                 {
@@ -444,7 +446,7 @@ def estimate(
                 }
             )
         else:
-            sub = _estimate_group_mapping(sgp, text, jref, options, _label)
+            sub = _estimate_group_mapping(sgp, text, jref, options, _label, _given)
             child_intervals.append(sub)
             child_certs.append(
                 {"jclass": jref.j_id, "kind": "self-group-mapping", "sub": sub.certificate}
@@ -467,7 +469,12 @@ def estimate(
 
 
 def _estimate_group_mapping(
-    sgp: FiniteSemigroup, text: str, jref: JClassRef, options: EstimateOptions, label: str
+    sgp: FiniteSemigroup,
+    text: str,
+    jref: JClassRef,
+    options: EstimateOptions,
+    label: str,
+    given: Optional[dict[str, Any]],
 ) -> ComplexityInterval:
     """`text` is the serialized form of sgp, which the caller already has."""
     pres = group_mapping_presentation(sgp)
@@ -475,7 +482,7 @@ def _estimate_group_mapping(
         raise VerificationError(
             "trivial GM congruence at a class that is not distinguished"
         )
-    rlm_int = estimate(pres.rlmq.rlm, options, _label=f"{label}/RLM")
+    rlm_int = estimate(pres.rlmq.rlm, options, _label=f"{label}/RLM", _given=given)
     lower = max(1, rlm_int.lower)
     cert: dict[str, Any] = {
         "label": label,
@@ -497,7 +504,8 @@ def _estimate_group_mapping(
     # a flow certificate matches the RLM upper; the wreath embedding
     # always gives one more
     if rlm_int.upper >= 1:
-        flow_result = flow_upper(pres, rlm_int.upper, options)
+        stored = None if given is None else given.get(label, {})
+        flow_result = flow_upper(pres, rlm_int.upper, options, stored)
         if isinstance(flow_result, dict):
             cert["upper"] = flow_result
             cert["interval"] = [lower, rlm_int.upper]
@@ -522,11 +530,17 @@ def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
     }
 
 
-def flow_upper(pres, rlm_upper: int, options: EstimateOptions):
+def flow_upper(
+    pres, rlm_upper: int, options: EstimateOptions, stored: Optional[dict] = None
+):
     """Search for a flow whose transition semigroup stays below rlm_upper-1
     and whose constructive decomposition fully verifies; returns the
-    certificate dict or an exhaustion report."""
-    from .fileformats import dump_flow
+    certificate dict or an exhaustion report.
+
+    Replay passes the `stored` upper node instead: a stored flow is checked
+    like a found one (VerificationError if it fails), and any other stored
+    kind returns None without searching."""
+    from .fileformats import dump_flow, parse_flow
 
     if rlm_upper < 1:
         raise InputError("flow upper bounds need an RLM upper bound of at least 1")
@@ -535,6 +549,8 @@ def flow_upper(pres, rlm_upper: int, options: EstimateOptions):
     def within_cap(tsg: FiniteSemigroup) -> bool:
         sub = estimate(tsg, options, _label="T_A")
         return sub.upper is not None and sub.upper <= cap
+
+    cap_check = within_cap if cap else is_aperiodic
 
     def accept(flow):
         try:
@@ -550,14 +566,106 @@ def flow_upper(pres, rlm_upper: int, options: EstimateOptions):
             "lift_semigroup_order": len(witness.division.morphism),
         }
 
-    return flow_search(
-        pres,
-        options.max_flow_states,
-        cap=cap,
-        cap_check=within_cap if cap else None,
-        automata_budget=options.automata_budget,
-        accept=accept,
-    )
+    if stored is None:
+        return flow_search(
+            pres,
+            options.max_flow_states,
+            cap=cap,
+            cap_check=cap_check,
+            automata_budget=options.automata_budget,
+            accept=accept,
+        )
+    if stored.get("kind") != "flow":
+        return None
+    flow = parse_flow(stored.get("flow"), pres)
+    if verify_flow(flow) is not True:
+        raise VerificationError("replay: stored flow does not verify")
+    if not cap_check(transition_semigroup(flow.automaton)):
+        raise VerificationError("replay: stored flow's automaton exceeds the cap")
+    result = accept(flow)
+    if result is None:
+        raise VerificationError("replay: stored flow yields no decomposition")
+    return result
+
+
+# -- certificate replay ------------------------------------------------------
+
+
+def certificate_json(cert: dict[str, Any]) -> str:
+    """The canonical text of a certificate, as `krc estimate --cert` writes it."""
+    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+def replay_certificate(
+    cert: Any, options: Optional[EstimateOptions] = None
+) -> list[str]:
+    """Re-verify a certificate from its root semigroup text alone.
+
+    Reruns `estimate` on the root semigroup, following the stored upper of
+    every group-mapping node (keyed by its label, unique in a tree) instead
+    of searching, and requires the recomputed certificate's canonical text
+    to equal the given one's.  Returns the replay log, one line per node,
+    children first; raises InputError, VerificationError or ResourceError."""
+    from .fileformats import parse_semigroup
+
+    if not isinstance(cert, dict) or not isinstance(cert.get("semigroup"), str):
+        raise InputError("certificate has no root semigroup text")
+    given: dict[str, dict] = {}
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            continue
+        if node.get("rule") == "group-mapping" and isinstance(node.get("label"), str):
+            upper = node.get("upper")
+            given[node["label"]] = upper if isinstance(upper, dict) else {}
+        children = node.get("children")
+        if isinstance(children, list):
+            stack += [c.get("sub") for c in children if isinstance(c, dict)]
+        stack.append(node.get("rlm"))
+    got = estimate(parse_semigroup(cert["semigroup"]), options, _given=given).certificate
+    if certificate_json(got) != certificate_json(cert):
+        path = ".".join(str(p) for p in _first_difference(cert, got) or ()) or "the root"
+        raise VerificationError(f"replay: certificate differs from the recomputed one at {path}")
+    return _replay_log(got)
+
+
+def _first_difference(a: Any, b: Any) -> Optional[tuple]:
+    """The path to the first place, in canonical key order, where two JSON
+    values differ (types included, as JSON tells 1 from true)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return (key,)
+            sub = _first_difference(a[key], b[key])
+            if sub is not None:
+                return (key,) + sub
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            sub = _first_difference(x, y)
+            if sub is not None:
+                return (i,) + sub
+        return None if len(a) == len(b) else (min(len(a), len(b)),)
+    return None if type(a) is type(b) and a == b else ()
+
+
+def _replay_log(node: dict[str, Any]) -> list[str]:
+    log = []
+    for child in node.get("children", []):
+        log += _replay_log(child["sub"])
+    if "rlm" in node:
+        log += _replay_log(node["rlm"])
+    label = node["label"]
+    if node["rule"] == "aperiodic":
+        log.append(f"{label}: aperiodic, [0, 0]")
+    elif node["rule"] == "gm-max":
+        log.append(f"{label}: gm-max over {len(node['children'])} children")
+    elif node["upper"]["kind"] == "unknown":
+        log.append(f"{label}: upper unknown")
+    else:
+        log.append(f"{label}: {node['upper']['kind']} upper {node['upper']['value']}")
+    return log
 
 
 def check_derived_wreath_division(

@@ -69,18 +69,6 @@ class PartialTransformation:
     def domain(self) -> tuple[int, ...]:
         return tuple(q for q in range(1, self.degree + 1) if self.images[q - 1] != 0)
 
-    def is_total(self) -> bool:
-        return all(v != 0 for v in self.images)
-
-    def is_injective_on_domain(self) -> bool:
-        seen = set()
-        for v in self.images:
-            if v != 0:
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
-
     def sort_key(self) -> tuple[int, ...]:
         # undefined sorts after every real point
         n = self.degree
@@ -413,10 +401,6 @@ class GreenStructure:
     regular: list[bool]
     idempotents: list[int]
 
-    def j_leq(self, c1: int, c2: int) -> bool:
-        """J-class c1 lies below (or equals) J-class c2."""
-        return c1 in self.j_order[c2]
-
     def l_strictly_below(self, i: int, j: int) -> bool:
         """Element i lies strictly below element j in the L-order."""
         ci, cj = self.l_of[i], self.l_of[j]
@@ -576,9 +560,6 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
-
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
 
     @classmethod
     def from_table(cls, table: list[list[int]]) -> "FiniteGroup":

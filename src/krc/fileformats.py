@@ -40,12 +40,21 @@ from .errors import InputError
 
 
 def _clean_lines(text: str) -> list[str]:
+    if not isinstance(text, str):
+        raise InputError(f"expected text, got {type(text).__name__}")
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append(line)
     return out
+
+
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"bad {what}: {token!r}") from None
 
 
 # -- semigroup files ---------------------------------------------------
@@ -66,10 +75,7 @@ def parse_semigroup(
     lines = _clean_lines(text)
     if not lines or not lines[0].startswith("points:"):
         raise InputError("semigroup file must start with 'points: n'")
-    try:
-        n = int(lines[0].split(":", 1)[1])
-    except ValueError:
-        raise InputError("bad point count") from None
+    n = _int(lines[0].split(":", 1)[1], "point count")
     if n <= 0:
         raise InputError("point count must be positive")
     if len(lines) < 2 or lines[1] != "gens:":
@@ -90,10 +96,7 @@ def parse_semigroup(
             if t == "-":
                 images.append(0)
             else:
-                try:
-                    v = int(t)
-                except ValueError:
-                    raise InputError(f"bad image {t!r} in generator {name!r}") from None
+                v = _int(t, f"image in generator {name!r}")
                 if not 1 <= v <= n:
                     raise InputError(f"image {v} out of range in generator {name!r}")
                 images.append(v)
@@ -125,10 +128,10 @@ def parse_group(text: str) -> FiniteGroup:
     lines = _clean_lines(text)
     if not lines or not lines[0].startswith("order:"):
         raise InputError("group file must start with 'order: k'")
-    k = int(lines[0].split(":", 1)[1])
+    k = _int(lines[0].split(":", 1)[1], "group order")
     rows = []
     for line in lines[1:]:
-        row = [int(t) for t in line.split()]
+        row = [_int(t, "table entry") for t in line.split()]
         if len(row) != k or any(not 0 <= v < k for v in row):
             raise InputError("bad multiplication table row")
         rows.append(row)
@@ -162,7 +165,7 @@ def parse_spc(line: str, size_b: int, group: FiniteGroup):
     if not w_body.endswith("}"):
         raise InputError(f"bad SPC subset: {line!r}")
     w_body = w_body[:-1]
-    w = [int(t) for t in w_body.split(",")] if w_body else []
+    w = [_int(t, "SPC point") for t in w_body.split(",")] if w_body else []
     blocks: list[tuple[int, ...]] = []
     labels: list[tuple[int, ...]] = []
     if blocks_text.strip():
@@ -171,9 +174,9 @@ def parse_spc(line: str, size_b: int, group: FiniteGroup):
             if not part.startswith("{") or ":" not in part:
                 raise InputError(f"bad SPC block: {part!r}")
             members_text, labs_text = part.split(":", 1)
-            members = tuple(int(t) for t in members_text[1:-1].split(","))
+            members = tuple(_int(t, "block member") for t in members_text[1:-1].split(","))
             labs = (
-                tuple(int(t) for t in labs_text.split(","))
+                tuple(_int(t, "block label") for t in labs_text.split(","))
                 if labs_text
                 else ()
             )
@@ -219,7 +222,7 @@ def _parse_automaton_lines(lines: list[str], letters: tuple[str, ...]):
 
     if not lines or not lines[0].startswith("states:"):
         raise InputError("automaton file must start with 'states: m'")
-    m = int(lines[0].split(":", 1)[1])
+    m = _int(lines[0].split(":", 1)[1], "state count")
     if m <= 0:
         raise InputError("state count must be positive")
     delta = {}
@@ -229,7 +232,7 @@ def _parse_automaton_lines(lines: list[str], letters: tuple[str, ...]):
         toks = line.split(":", 1)[1].split()
         if len(toks) != 3:
             raise InputError(f"bad transition line: {line!r}")
-        q, x, tgt = int(toks[0]), toks[1], toks[2]
+        q, x, tgt = _int(toks[0], "state"), toks[1], toks[2]
         if x not in letters:
             raise InputError(f"unknown letter {x!r} in transition")
         if not 1 <= q <= m:
@@ -237,7 +240,7 @@ def _parse_automaton_lines(lines: list[str], letters: tuple[str, ...]):
         if (q, x) in delta:
             raise InputError(f"duplicate transition for ({q}, {x})")
         if tgt != "-":
-            t = int(tgt)
+            t = _int(tgt, "target state")
             if not 1 <= t <= m:
                 raise InputError(f"target state {t} out of range")
             delta[(q, x)] = t

@@ -16,7 +16,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import (
+    DEFAULT_ELEMENT_BUDGET,
+    ZERO,
+    FiniteGroup,
+    FiniteSemigroup,
+    PartialTransformation,
+    is_aperiodic,
+)
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
     ActionPair,
@@ -28,7 +35,7 @@ from .products import (
 from .semilocal import GroupMappingPresentation
 from .spc import SPC, CrossSectionFailure, enumerate_spcs, mu_action
 
-DEFAULT_AUTOMATA_BUDGET = 20_000
+DEFAULT_AUTOMATA_BUDGET = 2_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,9 @@ class Automaton:
         )
 
 
-def transition_semigroup(aut: Automaton, max_elements: int = 100_000) -> FiniteSemigroup:
+def transition_semigroup(
+    aut: Automaton, max_elements: int = DEFAULT_ELEMENT_BUDGET
+) -> FiniteSemigroup:
     named = [(x, aut.letter_map(x)) for x in aut.letters]
     return FiniteSemigroup.generate(named, max_elements=max_elements)
 

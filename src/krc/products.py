@@ -253,11 +253,6 @@ class WreathProduct:
         elements.sort(key=self.sort_key)
         return MulOracle(elements, self.mul)
 
-    def generated(self, named_gens: Sequence[tuple[str, Any]]) -> FiniteSemigroup:
-        return FiniteSemigroup.generate(
-            named_gens, mul=self.mul, sort_key=self.sort_key
-        )
-
 
 def wreath(
     left: ActionPair, right: ActionPair, restrict_to_domain: bool = False
@@ -465,9 +460,8 @@ def check_division(
         result = _relation_closure(s, target, lifts)
         if not isinstance(result, dict):
             raise VerificationError(f"division lifts rejected: {result}")
-        witness = DivisionWitness(s, target, dict(lifts), result)
-        witness.verify()
-        return witness
+        # built from the closure just checked, so not re-verified
+        return DivisionWitness(s, target, dict(lifts), result)
 
     if target.elements is None:
         raise InputError("division search needs an enumerated target")

@@ -572,12 +572,6 @@ class FaspEmbedding:
     lifts: dict[str, Any]
     witness: DivisionWitness
 
-    def element_image(self, s_value):
-        for w, s in self.witness.morphism.items():
-            if s == s_value:
-                return w
-        raise InputError("element not in the embedded image")
-
 
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     group = pres.group

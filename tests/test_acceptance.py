@@ -7,13 +7,14 @@ import time
 
 import pytest
 
-from krc.cli import CORPUS_DIR, corpus_report, load_corpus_manifest, replay_certificate
+from krc.cli import CORPUS_DIR, corpus_report, load_corpus_manifest
 from krc.complexity import (
     RelationalMorphism,
     check_derived_wreath_division,
     derived_semigroup,
     estimate,
     lift_through_expansion,
+    replay_certificate,
     rhodes_expansion,
 )
 from krc.core import (

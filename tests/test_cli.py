@@ -11,6 +11,8 @@ from krc.cli import (
     corpus_report,
     main,
 )
+from krc.complexity import estimate
+from krc.fileformats import load_semigroup, parse_semigroup
 
 
 def run(capsys, *argv):
@@ -214,7 +216,7 @@ class TestEstimateAndReplay:
         cert.write_text(json.dumps(payload), encoding="ascii")
         code, _, err = run(capsys, "replay", str(cert))
         assert code == EXIT_VERIFY
-        assert "replay: child certificate mismatch" in err
+        assert "replay: certificate differs from the recomputed one at children.0.sub." in err
 
     def test_replay_recurses_on_abstract_gm_images(self, capsys, tmp_path):
         # replay must recurse on the GM images it recomputes, as estimate
@@ -233,6 +235,152 @@ class TestEstimateAndReplay:
         code2, out2, err2 = run(capsys, "replay", str(cert))
         assert code2 == EXIT_OK, err2
         assert out2.splitlines()[-1] == "replay: ok"
+
+
+# the symmetric inverse monoid on three points; its certificate holds a flow
+I3_TEXT = "points: 3\ngens:\ng0: 2 3 1\ng1: 2 1 3\ng2: - 2 3\n"
+TAMPER_CERTS = {
+    "b2z2_1": estimate(load_semigroup(CORPUS_DIR / "b2z2_1.sgp")).certificate,
+    "I3": estimate(parse_semigroup(I3_TEXT)).certificate,
+}
+I3_FLOW = ("children", 1, "sub", "children", 1, "sub", "upper")
+
+
+def node_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def path_id(value):
+    return ".".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+def tampered(name, path, value):
+    cert = json.loads(json.dumps(TAMPER_CERTS[name]))
+    node_at(cert, path[:-1])[path[-1]] = value
+    return cert
+
+
+def changed(leaf):
+    """A leaf no certificate could hold in its place: text gains a comment
+    line, a number grows by one, null becomes 0."""
+    if isinstance(leaf, str):
+        return leaf + "# tampered\n"
+    return 0 if leaf is None else leaf + 1
+
+
+def replay(capsys, tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="ascii")
+    return run(capsys, "replay", str(path))
+
+
+class TestReplayRejects:
+    def test_untampered_certificates_replay(self, capsys, tmp_path):
+        assert node_at(TAMPER_CERTS["I3"], I3_FLOW)["kind"] == "flow"
+        for cert in TAMPER_CERTS.values():
+            code, out, err = replay(capsys, tmp_path, cert)
+            assert code == EXIT_OK, err
+            assert out.splitlines()[-1] == "replay: ok"
+
+    @pytest.mark.parametrize("name,path", [
+        (name, path) for name, cert in TAMPER_CERTS.items() for path in leaf_paths(cert)
+    ], ids=path_id)
+    def test_every_changed_leaf(self, capsys, tmp_path, name, path):
+        leaf = node_at(TAMPER_CERTS[name], path)
+        code, _, err = replay(capsys, tmp_path, tampered(name, path, changed(leaf)))
+        assert code == EXIT_VERIFY, err
+        assert "replay: certificate differs from the recomputed one at " in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("cap", 5), ("b_bar", 8), ("b_bar", -1),
+    ])
+    def test_flow_fields_are_recomputed(self, capsys, tmp_path, field, value):
+        assert node_at(TAMPER_CERTS["I3"], I3_FLOW)["cap"] == 0
+        code, _, err = replay(capsys, tmp_path, tampered("I3", I3_FLOW + (field,), value))
+        assert code == EXIT_VERIFY
+        assert err == (
+            "verification failure: replay: certificate differs from the recomputed one"
+            f" at {path_id(I3_FLOW + (field,))}\n"
+        )
+
+    def test_unknown_self_group_mapping_kind(self, capsys, tmp_path):
+        cert = tampered("b2z2_1", ("children", 0, "kind"), "other-proof")
+        code, _, err = replay(capsys, tmp_path, cert)
+        assert code == EXIT_VERIFY
+        assert err.endswith("at children.0.kind\n")
+
+    def test_flow_that_does_not_verify(self, capsys, tmp_path):
+        bad = "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 1\nflow:\nW={1}; blocks=[{1}:0]\n"
+        code, _, err = replay(capsys, tmp_path, tampered("I3", I3_FLOW + ("flow",), bad))
+        assert code == EXIT_VERIFY
+        assert "replay: stored flow does not verify" in err
+
+
+class TestReplayMalformed:
+    def check(self, capsys, tmp_path, cert):
+        code, _, err = replay(capsys, tmp_path, cert)
+        assert code in (EXIT_USAGE, EXIT_VERIFY)
+        assert err.startswith(("error: ", "verification failure: ")), err
+        return code, err
+
+    def test_missing_root_semigroup(self, capsys, tmp_path):
+        cert = json.loads(json.dumps(TAMPER_CERTS["b2z2_1"]))
+        del cert["semigroup"]
+        code, err = self.check(capsys, tmp_path, cert)
+        assert code == EXIT_USAGE
+        assert "no root semigroup text" in err
+
+    def test_empty_gm_max_on_the_trivial_semigroup(self, capsys, tmp_path):
+        cert = {
+            "children": [], "interval": [0, 0], "label": "S", "order": 1,
+            "rule": "gm-max", "semigroup": "points: 1\ngens:\na: 1\n",
+        }
+        code, err = self.check(capsys, tmp_path, cert)
+        assert code == EXIT_VERIFY
+        assert err.endswith("at children\n")
+
+    @pytest.mark.parametrize("value", [None, [], {}], ids=["null", "list", "object"])
+    @pytest.mark.parametrize("name,path", [
+        ("b2z2_1", path) for path in leaf_paths(TAMPER_CERTS["b2z2_1"])
+    ] + [
+        ("I3", I3_FLOW + (key,)) for key in node_at(TAMPER_CERTS["I3"], I3_FLOW)
+    ], ids=path_id)
+    def test_leaf_replaced(self, capsys, tmp_path, name, path, value):
+        self.check(capsys, tmp_path, tampered(name, path, value))
+
+    @pytest.mark.parametrize("line,bad", [
+        (0, "states: x"), (1, "trans: 1 g0 x"), (5, "W={x}; blocks=[{1}:0]"),
+    ])
+    def test_flow_text_with_a_bad_number(self, capsys, tmp_path, line, bad):
+        flow = node_at(TAMPER_CERTS["I3"], I3_FLOW)["flow"].splitlines()
+        flow[line] = bad
+        cert = tampered("I3", I3_FLOW + ("flow",), "\n".join(flow) + "\n")
+        code, err = self.check(capsys, tmp_path, cert)
+        assert code == EXIT_USAGE
+        assert "bad " in err
+
+    @pytest.mark.parametrize("text", [
+        "", "[1, 2]", "{", "\"S\"", "[" * 10**5 + "]" * 10**5,
+    ], ids=["empty", "list", "truncated", "string", "deep"])
+    def test_not_a_certificate(self, capsys, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text, encoding="ascii")
+        code, _, err = run(capsys, "replay", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
 
 
 class TestInverseDemo:

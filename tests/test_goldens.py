@@ -30,18 +30,6 @@ def goldens():
     return json.loads(GOLDENS.read_text(encoding="ascii"))
 
 
-@pytest.fixture(autouse=True)
-def default_budgets(monkeypatch):
-    """The goldens were recorded with the default budgets."""
-    for name in (
-        "KRC_BUDGET_ELEMENTS",
-        "KRC_BUDGET_STATES",
-        "KRC_AUTOMATA_BUDGET",
-        "KRC_DIVISION_BUDGET",
-    ):
-        monkeypatch.delenv(name, raising=False)
-
-
 def run(capsys, argv) -> str:
     rc = main(argv)
     out = capsys.readouterr().out

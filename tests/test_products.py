@@ -174,6 +174,19 @@ class TestDivision:
         assert isinstance(out, ExhaustionReport)
         assert not out.searched_all
 
+    def test_given_lifts_close_once(self, sym3, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _relation_closure(*args)
+
+        monkeypatch.setattr(products, "_relation_closure", counted)
+        lifts = {name: sym3.elements[g] for name, g in zip(sym3.gen_names, sym3.gens)}
+        w = check_division(sym3, sym3, lifts=lifts)
+        assert isinstance(w, DivisionWitness)
+        assert len(calls) == 1
+
     def test_witness_reverifies(self, sym3):
         z3 = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
         w = check_division(z3, sym3)
