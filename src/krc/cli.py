@@ -4,7 +4,7 @@ Subcommands: analyze, rlm, gm, rees, spc, flow verify, flow search,
 divide, estimate, inverse demo, corpus run, replay.  Output is
 deterministic byte for byte for fixed inputs and budgets.  Exit codes:
 0 success, 2 usage or input error, 3 resource budget, 4 verification
-failure.  Budget flags default to the library's defaults.  The
+failure.  A subcommand takes only the budget flags it reads.  The
 certificate format belongs to `complexity`: `estimate` and `replay` only
 write, read and print what it returns.
 """
@@ -227,10 +227,13 @@ def _parse_lifts(text: str, source, target) -> dict:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        if ":" not in line:
+            raise InputError(f"bad lift line: {line!r}")
         name, rest = line.split(":", 1)
         name = name.strip()
-        toks = rest.split()
-        images = tuple(0 if t == "-" else int(t) for t in toks)
+        images = tuple(
+            0 if t == "-" else ff._int(t, f"image in lift {name!r}") for t in rest.split()
+        )
         value = PartialTransformation(images)
         if value not in target.index:
             raise InputError(f"lift for {name!r} is not in the target semigroup")
@@ -385,42 +388,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budgets(p):
-        p.add_argument(
-            "--budget-elements",
-            type=int,
-            default=DEFAULT_ELEMENT_BUDGET,
-            help="element budget for loading the input semigroup",
-        )
-        p.add_argument(
-            "--budget-states",
-            type=int,
-            default=cx.EstimateOptions.max_flow_states,
-            help="maximal automaton size for flow search",
-        )
-        p.add_argument(
-            "--automata-budget",
-            type=int,
-            default=cx.EstimateOptions.automata_budget,
-            help="number of automata tried per flow search",
-        )
-        p.add_argument(
-            "--division-budget",
-            type=int,
-            default=DIVISION_SEARCH_BUDGET,
-            help="lift tuples tried per division search",
-        )
+    budgets = {
+        "--budget-elements": (
+            DEFAULT_ELEMENT_BUDGET, "element budget for loading the input semigroup"
+        ),
+        "--budget-states": (
+            cx.EstimateOptions.max_flow_states, "maximal automaton size for flow search"
+        ),
+        "--automata-budget": (
+            cx.EstimateOptions.automata_budget, "number of automata tried per flow search"
+        ),
+        "--division-budget": (DIVISION_SEARCH_BUDGET, "lift tuples tried per division search"),
+    }
+
+    def add_budgets(p, *flags):
+        """Only the budget flags that the subcommand reads."""
+        for flag in flags:
+            default, text = budgets[flag]
+            p.add_argument(flag, type=int, default=default, help=text)
 
     p = sub.add_parser("analyze", help="order, Green data, classification")
     p.add_argument("file")
-    add_budgets(p)
+    add_budgets(p, "--budget-elements")
     p.set_defaults(func=cmd_analyze)
 
     for name, fn in (("rlm", cmd_rlm), ("gm", cmd_gm), ("rees", cmd_rees)):
         p = sub.add_parser(name, help=f"{name} data at a J-class")
         p.add_argument("file")
         p.add_argument("--jclass", type=int, required=True)
-        add_budgets(p)
+        add_budgets(p, "--budget-elements")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("spc", help="SPC lattice operations")
@@ -436,27 +432,27 @@ def build_parser() -> argparse.ArgumentParser:
     pv = fsub.add_parser("verify")
     pv.add_argument("semigroup")
     pv.add_argument("flow")
-    add_budgets(pv)
+    add_budgets(pv, "--budget-elements")
     pv.set_defaults(func=cmd_flow_verify)
     ps = fsub.add_parser("search")
     ps.add_argument("semigroup")
     ps.add_argument("--max-states", type=int, default=1)
     ps.add_argument("--cap", type=int, default=0)
-    add_budgets(ps)
+    add_budgets(ps, "--budget-elements", "--automata-budget")
     ps.set_defaults(func=cmd_flow_search)
 
     p = sub.add_parser("divide", help="certify S < T")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--lifts")
-    add_budgets(p)
+    add_budgets(p, "--budget-elements", "--division-budget")
     p.set_defaults(func=cmd_divide)
 
     p = sub.add_parser("estimate", help="complexity interval with certificate")
     p.add_argument("file")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--cert", help="write the certificate to this path")
-    add_budgets(p)
+    add_budgets(p, "--budget-elements", "--budget-states", "--automata-budget")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("inverse", help="inverse-monoid constructions")
@@ -473,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr = csub.add_parser("run")
     pr.add_argument("--manifest")
     pr.add_argument("--out")
-    add_budgets(pr)
+    add_budgets(pr, "--budget-states", "--automata-budget")
     pr.set_defaults(func=cmd_corpus_run)
 
     p = sub.add_parser("replay", help="re-verify a certificate from files alone")
     p.add_argument("certificate")
-    add_budgets(p)
+    add_budgets(p, "--budget-states", "--automata-budget")
     p.set_defaults(func=cmd_replay)
 
     return parser

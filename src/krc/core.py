@@ -2,10 +2,14 @@
 
 Everything downstream works on two carriers: `PartialTransformation`
 (a partial self-map of {1..n}, with 0 playing the role of the undefined
-mark) and `FiniteSemigroup` (an enumerated multiplication structure on
-arbitrary hashable values).  Semigroups built from transformations are
-automatically faithful; abstract ones (quotients, Rees/Brandt carriers,
-products) supply their own multiplication callable.
+mark) and `FiniteSemigroup` (an enumerated semigroup on arbitrary hashable
+values).  Semigroups built from transformations multiply by `compose`;
+abstract ones (quotients, Rees/Brandt carriers, products) supply their own
+multiplication callable.  Either way the callable is read only while the
+carrier is built, for its right Cayley graph over the generators (and, on
+small carriers, for the associativity check).  After that a product is
+traced: i*j follows a word of j through the right Cayley graph from i,
+which is sound because the operation is associative.
 """
 
 from __future__ import annotations
@@ -93,12 +97,22 @@ def _transformation_key(x: Any) -> Any:
 
 
 class FiniteSemigroup:
-    """An enumerated finite semigroup.
+    """An enumerated finite semigroup, held as its Cayley graphs.
 
-    Elements are hashable values in a canonical order; products go through
-    the supplied multiplication callable and are cached.  Generators carry
-    names, and the right/left Cayley tables over the generator set are the
-    basis of all the Green machinery.
+    Elements are hashable values in a canonical order.  Everything else is
+    int data over their indices: the named generators, the right and left
+    Cayley graphs over them, and one word over the generators per element
+    (the breadth-first tree of `words()`).  The product i*j is traced: it
+    follows j's word through the right Cayley graph from i, as in Froidure
+    & Pin, "Algorithms for computing finite semigroups" (1997).  No product
+    is stored.
+
+    The multiplication callable is read only while a carrier is built: it
+    gives the right Cayley graph, and for carriers of at most
+    `_ASSOC_CHECK_LIMIT` elements Light's test checks its own products for
+    associativity.  Tracing is sound because the operation is associative
+    (checked there, taken on trust for larger carriers): with
+    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.
     """
 
     def __init__(
@@ -106,26 +120,46 @@ class FiniteSemigroup:
         elements: list[Any],
         gen_indices: list[int],
         gen_names: list[str],
+        right_cayley: list[list[int]],
         mul: Callable[[Any, Any], Any],
     ):
+        """`right_cayley[i][k]` is the index of elements[i] * generator k;
+        `mul` is the value-level multiplication, read only here."""
         self.elements = elements
         self.index = {v: i for i, v in enumerate(elements)}
         if len(self.index) != len(elements):
             raise InputError("duplicate elements in semigroup carrier")
-        self.gens = gen_indices
+        self.gens = list(gen_indices)
         self.gen_names = gen_names
-        self._mul = mul
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self.right_cayley = [
-            [self.mul_index(i, g) for g in gen_indices] for i in range(len(elements))
-        ]
-        self.left_cayley = [
-            [self.mul_index(g, i) for g in gen_indices] for i in range(len(elements))
-        ]
+        self.right_cayley = right_cayley
+        self._words, self.left_cayley = self._word_tree()
         self._green: Optional[GreenStructure] = None
-        self._words: Optional[list[tuple[int, ...]]] = None
         if len(elements) <= _ASSOC_CHECK_LIMIT:
-            self._check_associativity()
+            self._check_associativity(mul)
+
+    def _word_tree(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+        """A word per element, breadth first along the right Cayley graph,
+        and the left Cayley graph traced along them: g*i = (g*prefix)*letter."""
+        right, gens = self.right_cayley, self.gens
+        words: list[tuple[int, ...]] = [()] * len(right)
+        prefix_row: list[list[int]] = [None] * len(right)  # g*prefix for each g
+        order = []
+        for k, gi in enumerate(gens):
+            if not words[gi]:
+                words[gi] = (k,)
+                prefix_row[gi] = gens
+                order.append(gi)
+        left: list[list[int]] = [None] * len(right)
+        for i in order:  # grows while iterating: breadth first
+            left[i] = row = [right[p][words[i][-1]] for p in prefix_row[i]]
+            for k, j in enumerate(right[i]):
+                if not words[j]:
+                    words[j] = words[i] + (k,)
+                    prefix_row[j] = row
+                    order.append(j)
+        if len(order) != len(right):
+            raise InputError("given generators do not generate the carrier")
+        return words, left
 
     # -- construction -------------------------------------------------
 
@@ -137,7 +171,8 @@ class FiniteSemigroup:
         sort_key: Callable[[Any], Any] = _transformation_key,
         max_elements: int = DEFAULT_ELEMENT_BUDGET,
     ) -> "FiniteSemigroup":
-        """Breadth-first closure of the generators under right multiplication.
+        """Breadth-first closure of the generators under right multiplication;
+        its edges are the right Cayley graph.
 
         The element list is re-sorted into canonical order afterwards, so
         output is independent of generator order up to naming.
@@ -152,27 +187,29 @@ class FiniteSemigroup:
         if len(degrees) > 1:
             raise InputError(f"generators of unequal degree: {sorted(degrees)}")
         gen_values = [g for _, g in named_gens]
-        seen = dict.fromkeys(gen_values)  # insertion ordered, deduplicated
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for u in frontier:
-                for g in gen_values:
-                    p = mul(u, g)
-                    if p not in seen:
-                        seen[p] = None
-                        new.append(p)
-                        if len(seen) > max_elements:
-                            raise ResourceError(
-                                f"element budget exceeded: more than {max_elements} "
-                                "elements in the closure"
-                            )
-            frontier = new
-        elements = sorted(seen, key=sort_key)
-        index = {v: i for i, v in enumerate(elements)}
-        gen_indices = [index[g] for g in gen_values]
-        sgp = cls(elements, gen_indices, [n for n, _ in named_gens], mul)
-        return sgp
+        values = list(dict.fromkeys(gen_values))  # in breadth-first order
+        found = {g: b for b, g in enumerate(values)}  # value -> position in values
+        edges = []
+        for u in values:  # grows while iterating: breadth first
+            row = []
+            for g in gen_values:
+                p = mul(u, g)
+                b = found.get(p)
+                if b is None:
+                    b = found[p] = len(values)
+                    values.append(p)
+                    if len(values) > max_elements:
+                        raise ResourceError(
+                            f"element budget exceeded: more than {max_elements} "
+                            "elements in the closure"
+                        )
+                row.append(b)
+            edges.append(row)
+        order = sorted(range(len(values)), key=lambda b: sort_key(values[b]))
+        rank = {b: i for i, b in enumerate(order)}
+        right = [[rank[c] for c in edges[b]] for b in order]
+        gens = [rank[found[g]] for g in gen_values]
+        return cls([values[b] for b in order], gens, [n for n, _ in named_gens], right, mul)
 
     @classmethod
     def from_elements(
@@ -183,7 +220,9 @@ class FiniteSemigroup:
         gen_values: Optional[Sequence[Any]] = None,
         gen_names: Optional[Sequence[str]] = None,
     ) -> "FiniteSemigroup":
-        """Wrap an explicitly enumerated carrier; verifies closure.
+        """Wrap an explicitly enumerated carrier; verifies closure under
+        right multiplication by the generators, which together with the
+        generators reaching every element gives closure.
 
         Without an explicit generating set every element is taken as a
         generator (harmless at desk scale, and it keeps the Cayley graphs
@@ -191,48 +230,31 @@ class FiniteSemigroup:
         """
         elements = sorted(set(values), key=sort_key)
         index = {v: i for i, v in enumerate(elements)}
-        for u in elements:
-            for v in elements:
-                if mul(u, v) not in index:
-                    raise InputError("carrier is not closed under multiplication")
         if gen_values is None:
             gen_values = elements
             gen_names = [f"e{i}" for i in range(len(elements))]
         elif gen_names is None:
             gen_names = [f"x{i}" for i in range(len(gen_values))]
-        sgp = cls(elements, [index[g] for g in gen_values], list(gen_names), mul)
-        if gen_values is not elements:
-            reach = sgp._closure_of_gens()
-            if len(reach) != len(elements):
-                raise InputError("given generators do not generate the carrier")
-        return sgp
+        right = [[index.get(mul(u, g)) for g in gen_values] for u in elements]
+        if any(None in row for row in right):
+            raise InputError("carrier is not closed under multiplication")
+        return cls(elements, [index[g] for g in gen_values], list(gen_names), right, mul)
 
-    def _closure_of_gens(self) -> set[int]:
-        reach = set(self.gens)
-        frontier = list(reach)
-        while frontier:
-            new = []
-            for i in frontier:
-                for k in range(len(self.gens)):
-                    j = self.right_cayley[i][k]
-                    if j not in reach:
-                        reach.add(j)
-                        new.append(j)
-            frontier = new
-        return reach
-
-    def _check_associativity(self):
-        """Light's test: (x*g)*y = x*(g*y) for every generator g.  The
-        elements that associate in the middle position form a subsemigroup,
-        so this is complete once the generators reach every element."""
-        n = len(self.elements)
-        table = [[self.mul_index(x, y) for y in range(n)] for x in range(n)]
+    def _check_associativity(self, mul: Callable[[Any, Any], Any]):
+        """Light's test on the callable's own products (traced ones would
+        take associativity for granted): (x*g)*y = x*(g*y) for every
+        generator g.  The elements that associate in the middle position
+        form a subsemigroup, so this is complete once the generators reach
+        every element."""
+        els, index = self.elements, self.index
+        table = [[index.get(mul(u, v)) for v in els] for u in els]
+        if any(None in row for row in table):
+            raise InputError("carrier is not closed under multiplication")
         for g in self.gens:
-            for x in range(n):
-                xg_row, x_row = table[table[x][g]], table[x]
-                for y in range(n):
-                    if xg_row[y] != x_row[table[g][y]]:
-                        els = self.elements
+            for x, x_row in enumerate(table):
+                xg_row = table[x_row[g]]
+                for y, gy in enumerate(table[g]):
+                    if xg_row[y] != x_row[gy]:
                         raise VerificationError(
                             f"multiplication not associative at ({els[x]}, {els[g]}, {els[y]})"
                         )
@@ -246,12 +268,11 @@ class FiniteSemigroup:
         return self.elements[self.mul_index(self.index[u], self.index[v])]
 
     def mul_index(self, i: int, j: int) -> int:
-        key = (i, j)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = self.index[self._mul(self.elements[i], self.elements[j])]
-            self._mul_cache[key] = hit
-        return hit
+        """i*j, tracing j's word through the right Cayley graph from i."""
+        right = self.right_cayley
+        for k in self._words[j]:
+            i = right[i][k]
+        return i
 
     @property
     def is_transformation(self) -> bool:
@@ -267,44 +288,20 @@ class FiniteSemigroup:
 
     def words(self) -> list[tuple[int, ...]]:
         """A reduced word over generator indices for every element (BFS-first)."""
-        if self._words is None:
-            words: dict[int, tuple[int, ...]] = {}
-            frontier = []
-            for k, gi in enumerate(self.gens):
-                if gi not in words:
-                    words[gi] = (k,)
-                    frontier.append(gi)
-            while frontier:
-                new = []
-                for i in frontier:
-                    for k in range(len(self.gens)):
-                        j = self.right_cayley[i][k]
-                        if j not in words:
-                            words[j] = words[i] + (k,)
-                            new.append(j)
-                frontier = new
-            if len(words) != len(self.elements):
-                raise VerificationError("generators do not reach every element")
-            self._words = [words[i] for i in range(len(self.elements))]
         return self._words
 
     def identity_index(self) -> Optional[int]:
-        n = len(self.elements)
-        for i in range(n):
-            if all(
-                self.mul_index(i, j) == j and self.mul_index(j, i) == j
-                for j in range(n)
-            ):
+        """e with e*g = g*e = g for every generator g, which makes e an
+        identity since the generators generate."""
+        for i in range(len(self.elements)):
+            if self.right_cayley[i] == self.gens == self.left_cayley[i]:
                 return i
         return None
 
     def zero_index(self) -> Optional[int]:
-        n = len(self.elements)
-        for i in range(n):
-            if all(
-                self.mul_index(i, j) == i and self.mul_index(j, i) == i
-                for j in range(n)
-            ):
+        """z with z*g = g*z = z for every generator g (a zero, as above)."""
+        for i in range(len(self.elements)):
+            if set(self.right_cayley[i]) | set(self.left_cayley[i]) == {i}:
                 return i
         return None
 
@@ -620,9 +617,7 @@ def minimal_generating_set(sgp: FiniteSemigroup) -> list[int]:
 def with_generators(sgp: FiniteSemigroup, gen_indices: list[int]) -> FiniteSemigroup:
     """The same semigroup re-presented over the given generating subset."""
     named = [(f"g{k}", sgp.elements[i]) for k, i in enumerate(gen_indices)]
-    out = FiniteSemigroup.generate(
-        named, mul=sgp._mul, sort_key=lambda v: sgp.index[v]
-    )
+    out = FiniteSemigroup.generate(named, mul=sgp.mul, sort_key=lambda v: sgp.index[v])
     if len(out) != len(sgp):
         raise InputError("given indices do not generate the semigroup")
     return out

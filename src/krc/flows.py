@@ -19,15 +19,16 @@ from typing import Any, Callable, Iterator, Optional
 from .core import (
     DEFAULT_ELEMENT_BUDGET,
     ZERO,
-    FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
+    compose,
     is_aperiodic,
 )
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
     ActionPair,
     DivisionWitness,
+    MulOracle,
     PairSemigroup,
     check_division,
     wreath,
@@ -358,13 +359,9 @@ def _division_witness(w: PresentationWitness) -> DivisionWitness:
     pres = w.flow.presentation
     group = pres.group
     b_bar = w.b_bar
-    sym = FiniteGroup.symmetric(b_bar)
-    sym_sgp = FiniteSemigroup.from_elements(sym.elements, lambda a, b: a * b)
-    inner = wreath(
-        ActionPair.of_group(group),
-        ActionPair.of_transformations(sym_sgp),
-    )
-    # G wr Sym_b stays a lazy oracle: checking given lifts only multiplies
+    # Sym_b and G wr Sym_b stay lazy oracles: checking given lifts only multiplies
+    sym = ActionPair(list(range(1, b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
+    inner = wreath(ActionPair.of_group(group), sym)
     inner_pair = ActionPair(inner.points, inner, inner.act)
     outer = wreath(inner_pair, ActionPair.of_transformations(w.transition_sgp))
 

@@ -260,13 +260,8 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
         rep = min(cls_members)
         for s in cls_members:
             class_rep[s] = rep
-    # congruence check: multiplication must be well defined on classes
-    for u in range(n):
-        for v in range(n):
-            if class_rep[sgp.mul_index(u, v)] != class_rep[
-                sgp.mul_index(class_rep[u], class_rep[v])
-            ]:
-                raise VerificationError("J-profile relation is not a congruence")
+    if not _is_congruence(sgp, class_rep):
+        raise VerificationError("J-profile relation is not a congruence")
 
     reps = sorted(set(class_rep))
     quotient = FiniteSemigroup.from_elements(
@@ -299,6 +294,20 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
                     "GM morphism not injective on a subgroup of the distinguished class"
                 )
     return GmQuotient(sgp, jref, quotient, morphism, generalized_only, injective_all)
+
+
+def _is_congruence(sgp: FiniteSemigroup, class_rep: list[int]) -> bool:
+    """Whether the partition that maps each element to a member of its class
+    is a congruence.  Checking s*g ~ r*g and g*s ~ g*r for each s, its
+    representative r and each generator g is complete: along the word of u,
+    s ~ t gives s*u ~ t*u, likewise u*s ~ u*t, and then s*t ~ s'*t ~ s'*t'."""
+    right, left = sgp.right_cayley, sgp.left_cayley
+    return all(
+        class_rep[a] == class_rep[b]
+        for s, r in enumerate(class_rep)
+        for row_s, row_r in ((right[s], right[r]), (left[s], left[r]))
+        for a, b in zip(row_s, row_r)
+    )
 
 
 # -- Rees coordinates -------------------------------------------------------

@@ -47,6 +47,16 @@ class TestAnalyze:
         assert code == EXIT_RESOURCE
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", corpus_file("sym3"), "--automata-budget", "5"),
+        ("flow", "search", corpus_file("small_2_z2"), "--budget-states", "2"),
+        ("replay", "cert.json", "--division-budget", "5"),
+    ])
+    def test_unread_budget_flag_is_a_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
 
 class TestQuotientCommands:
     def test_rlm_outputs_semigroup_and_sidecar(self, capsys):
@@ -163,6 +173,22 @@ class TestDivide:
             "--lifts", str(lifts),
         )
         assert code == EXIT_VERIFY
+
+    @pytest.mark.parametrize("text,message", [
+        ("t 1 3 2\n", "bad lift line: 't 1 3 2'"),
+        ("t: 1 x 2\n", "bad image in lift 't': 'x'"),
+    ])
+    def test_malformed_lifts_are_input_errors(self, capsys, tmp_path, text, message):
+        lifts = tmp_path / "lifts.txt"
+        lifts.write_text(text, encoding="ascii")
+        code, out, err = run(
+            capsys,
+            "divide", corpus_file("z2"), corpus_file("sym3"),
+            "--lifts", str(lifts),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
 
 class TestEstimateAndReplay:

@@ -12,9 +12,14 @@ from krc.core import (
     maximal_subgroup,
     minimal_generating_set,
     regular_representation,
+    with_generators,
 )
+from krc.cli import CORPUS_DIR, load_corpus_manifest
+from krc.complexity import RelationalMorphism, derived_semigroup
 from krc.errors import InputError, ResourceError, VerificationError
+from krc.fileformats import load_semigroup
 from krc.inverse import brandt_semigroup
+from krc.semilocal import JClassRef, gm_quotient
 
 T = PartialTransformation
 
@@ -93,6 +98,75 @@ class TestGenerate:
                 assert value == s.elements[i]
                 # reduced: no shorter word reaches the element earlier in BFS
                 assert len(word) <= len(s)
+
+
+LADDER = {
+    "T3": ((2, 3, 1), (2, 1, 3), (1, 1, 3)),
+    "PT3": ((2, 3, 1), (2, 1, 3), (1, 1, 3), (0, 2, 3)),
+    "I3": ((2, 3, 1), (2, 1, 3), (0, 2, 3)),
+}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every carrier built while the fixture is active, with the
+    multiplication callable it was built from."""
+    seen = []
+    init = FiniteSemigroup.__init__
+
+    def recording(self, elements, gen_indices, gen_names, right_cayley, mul):
+        init(self, elements, gen_indices, gen_names, right_cayley, mul)
+        seen.append((self, mul))
+
+    monkeypatch.setattr(FiniteSemigroup, "__init__", recording)
+    return seen
+
+
+class TestTracedProducts:
+    """Products traced along words against the callable each carrier was
+    built from, and the generator-only checks against brute force."""
+
+    def test_traced_products_match_the_callable(self, built):
+        corpus = [load_semigroup(CORPUS_DIR / e["file"]) for e in load_corpus_manifest()]
+        ladder = {
+            name: FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+            for name, gens in LADDER.items()
+        }
+        t3 = ladder["T3"]
+        quotients = [
+            gm_quotient(t3, JClassRef(t3, j)).quotient
+            for j, regular in enumerate(t3.green().regular)
+            if regular
+        ]
+        derived = derived_semigroup(RelationalMorphism.to_trivial(corpus[0]))
+        regenerated = with_generators(t3, minimal_generating_set(t3))
+        assert [len(s) for s in ladder.values()] == [27, 64, 34]
+        assert len(regenerated.gens) < len(regenerated)
+        named = corpus + list(ladder.values()) + quotients + [derived, regenerated]
+        by_carrier = {id(sgp): mul for sgp, mul in built}
+        assert all(id(sgp) in by_carrier for sgp in named)
+        for sgp, mul in built:
+            els, index = sgp.elements, sgp.index
+            n = len(els)
+            table = [[index[mul(u, v)] for v in els] for u in els]
+            assert all(sgp.mul_index(i, j) == table[i][j] for i in range(n) for j in range(n))
+            ident = [i for i in range(n) if all(table[i][j] == j == table[j][i] for j in range(n))]
+            zero = [i for i in range(n) if all(table[i][j] == i == table[j][i] for j in range(n))]
+            assert sgp.identity_index() == (ident[0] if ident else None)
+            assert sgp.zero_index() == (zero[0] if zero else None)
+            assert sgp.idempotent_indices() == [i for i in range(n) if table[i][i] == i]
+
+    def test_holds_no_product_store(self, sym3):
+        assert set(vars(sym3)) == {
+            "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
+            "_words", "_green",
+        }
+
+    def test_generators_that_do_not_generate(self):
+        with pytest.raises(InputError, match="do not generate"):
+            FiniteSemigroup.from_elements(
+                [0, 1, 2], lambda a, b: (a + b) % 3, sort_key=lambda v: v, gen_values=[0]
+            )
 
 
 class TestAssociativityCheck:

@@ -4,7 +4,7 @@ import pytest
 
 from krc import complexity
 from krc.complexity import EstimateOptions
-from krc.core import PartialTransformation, is_aperiodic
+from krc.core import FiniteGroup, PartialTransformation, is_aperiodic
 from krc.errors import InputError, VerificationError
 from krc.flows import (
     Automaton,
@@ -146,6 +146,17 @@ class TestPresentationConstruct:
         pres = group_mapping_presentation(b2z2_1)
         w = presentation_construct(trivial_flow(pres))
         w.division.verify()
+
+    def test_no_symmetric_group_is_built(self, b2z2_1, monkeypatch):
+        # Sym_b stays a lazy oracle: checking the lifts only multiplies
+        def refuse(n):
+            raise AssertionError(f"Sym_{n} built")
+
+        monkeypatch.setattr(FiniteGroup, "symmetric", refuse)
+        pres = group_mapping_presentation(b2z2_1)
+        w = presentation_construct(trivial_flow(pres))
+        assert w.b_bar == 2
+        assert set(w.division.morphism.values()) == set(b2z2_1.elements)
 
     def test_rejects_non_flow(self, small17_pres):
         pres = small17_pres

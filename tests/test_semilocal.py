@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
@@ -9,6 +11,7 @@ from krc.inverse import (
 )
 from krc.semilocal import (
     JClassRef,
+    _is_congruence,
     classify,
     fasp_embedding,
     gm_quotient,
@@ -161,6 +164,43 @@ def test_gm_key_matches_full_profile(corpus):
                 assert gm_quotient(sgp, jref).morphism == _full_profile_classes(sgp, jref)
                 checked += 1
     assert checked == 494
+
+
+def _is_congruence_by_pairs(sgp, class_rep):
+    """All pairs (u, v): u*v ~ r(u)*r(v), products taken by composition."""
+    els, index = sgp.elements, sgp.index
+    n = len(els)
+    return all(
+        class_rep[index[els[u] * els[v]]]
+        == class_rep[index[els[class_rep[u]] * els[class_rep[v]]]]
+        for u in range(n)
+        for v in range(n)
+    )
+
+
+def test_generator_congruence_check_matches_all_pairs(corpus):
+    verdicts = []
+    for sgp, _ in corpus.values():
+        # L is a right congruence and R a left one, seldom two-sided
+        gs = sgp.green()
+        for class_of, classes in ((gs.l_of, gs.l_classes), (gs.r_of, gs.r_classes)):
+            part = [min(classes[c]) for c in class_of]
+            verdicts.append(_is_congruence(sgp, part))
+            assert verdicts[-1] == _is_congruence_by_pairs(sgp, part)
+        for j_id, regular in enumerate(gs.regular):
+            if not regular:
+                continue
+            morphism = gm_quotient(sgp, JClassRef(sgp, j_id)).morphism
+            class_rep = [morphism[v] for v in sgp.elements]
+            partitions = [class_rep]
+            for a, b in itertools.combinations(sorted(set(class_rep)), 2):
+                partitions.append([a if r == b else r for r in class_rep])
+            for part in partitions:
+                verdict = _is_congruence(sgp, part)
+                assert verdict == _is_congruence_by_pairs(sgp, part)
+                verdicts.append(verdict)
+    # every J-profile partition is a congruence; some merges are not
+    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
 
 
 class TestReesCoordinates:
