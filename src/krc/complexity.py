@@ -22,11 +22,7 @@ from typing import Any, Optional
 
 from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
-from .products import (
-    DivisionWitness,
-    check_division,
-    semigroup_wreath_oracle,
-)
+from .products import ActionPair, DivisionWitness, check_division, wreath
 from .semilocal import (
     GmQuotient,
     JClassRef,
@@ -244,21 +240,21 @@ def derived_division_witness(
     s_sgp, t_sgp = rho.source, rho.target
     pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
 
-    positions, oracle = semigroup_wreath_oracle(derived, t_sgp)
-    marker = positions[0]
+    w = wreath(ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp))
+    marker = w.right.points[0]
     lifts = {}
     for name, gi in zip(s_sgp.gen_names, s_sgp.gens):
         x = s_sgp.elements[gi]
         tx = rho.gen_choice[name]
         fvals = []
-        for p in positions:
+        for p in w.right.points:
             obj = IDENT if p is marker else p
             key = _arrow_key(rho, pre, True, obj, x, tx)
             if key not in derived.index:
                 raise VerificationError("lift arrow missing from the derived semigroup")
             fvals.append(key)
         lifts[name] = (tuple(fvals), tx)
-    return check_division(s_sgp, oracle, lifts=lifts)
+    return check_division(s_sgp, w, lifts=lifts)
 
 
 # -- Rhodes expansion --------------------------------------------------------
@@ -271,6 +267,16 @@ def rhodes_expansion(
     returns the expansion and the surjective morphism chain -> top."""
     gs = t_sgp.green()
     n = len(t_sgp.elements)
+    below = []  # per L-class, the elements strictly below it in the L-order
+    for c in range(len(gs.l_classes)):
+        reach, stack = set(), [c]
+        while stack:
+            for d in gs.l_succ[stack.pop()]:
+                if d not in reach:
+                    reach.add(d)
+                    stack.append(d)
+        reach.discard(c)
+        below.append([i for i in range(n) if gs.l_of[i] in reach])
 
     chains: list[tuple[int, ...]] = []
 
@@ -278,12 +284,10 @@ def rhodes_expansion(
         if len(chains) > max_chains:
             raise ResourceError(f"chain budget {max_chains} exceeded")
         chains.append(tuple(chain))
-        last = chain[-1]
-        for i in range(n):
-            if gs.l_strictly_below(i, last):
-                chain.append(i)
-                extend(chain)
-                chain.pop()
+        for i in below[gs.l_of[chain[-1]]]:
+            chain.append(i)
+            extend(chain)
+            chain.pop()
 
     for i in range(n):
         extend([i])
@@ -678,14 +682,15 @@ def check_derived_wreath_division(
     search over generator lifts; returns the witness or an explicit
     exhaustion report (never a nonexistence claim)."""
     from .core import minimal_generating_set, with_generators
-    from .products import enumerated_semigroup_wreath
 
     composite = phi.compose(psi)
     d_comp = derived_semigroup(composite)
     d_phi = derived_semigroup(phi)
     d_psi = derived_semigroup(psi)
     source = with_generators(d_comp, minimal_generating_set(d_comp))
-    carrier = enumerated_semigroup_wreath(d_phi, d_psi, budget=carrier_budget)
+    carrier = wreath(
+        ActionPair.right_translation(d_phi), ActionPair.right_translation(d_psi)
+    ).full_carrier(carrier_budget)
     return check_division(source, carrier, lifts=None, budget=budget)
 
 

@@ -380,9 +380,12 @@ def _canonical_classes(raw_ids: list[int]) -> tuple[list[int], list[list[int]]]:
 class GreenStructure:
     """Green class data of a finite semigroup.
 
-    Class ids are canonical (ordered by least element index), and the
-    quasi-orders are reflexive-transitive reachability in the Cayley
-    graphs, which is exactly the S^1-definition of the relations.
+    Class ids are canonical (ordered by least element index).  The J- and
+    L-orders on classes are kept as the one-step successor sets of the
+    Cayley graph condensations: j_succ[c] holds the classes reached from
+    class c by one edge (c itself included when an edge stays inside it).
+    Their reflexive-transitive closure is the order, which is exactly the
+    S^1-definition of the relations.
     """
 
     r_of: list[int]
@@ -393,21 +396,15 @@ class GreenStructure:
     l_classes: list[list[int]]
     j_classes: list[list[int]]
     h_classes: list[list[int]]
-    j_order: list[set[int]]  # j_order[c] = set of J-class ids <= c (downset)
-    l_order: list[set[int]]  # same for the L-order on L-classes
+    j_succ: list[set[int]]  # one edge of either Cayley graph
+    l_succ: list[set[int]]  # one edge of the left Cayley graph
     regular: list[bool]
     idempotents: list[int]
-
-    def l_strictly_below(self, i: int, j: int) -> bool:
-        """Element i lies strictly below element j in the L-order."""
-        ci, cj = self.l_of[i], self.l_of[j]
-        return ci != cj and ci in self.l_order[cj]
 
 
 def green(sgp: FiniteSemigroup) -> GreenStructure:
     """Compute R, L, J, H partitions plus regularity and idempotents."""
     n = len(sgp.elements)
-    ngens = len(sgp.gens)
     right = sgp.right_cayley
     left = sgp.left_cayley
 
@@ -422,31 +419,16 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     h_raw = [r_of[i] * len(l_classes) + l_of[i] for i in range(n)]
     h_of, h_classes = _canonical_classes(h_raw)
 
-    # class-level orders: reachability over the condensations
-    def _downsets(class_of: list[int], classes: list[list[int]], both: bool) -> list[set[int]]:
-        nc = len(classes)
-        succ_sets: list[set[int]] = [set() for _ in range(nc)]
+    # class-level orders: one-step successors in the condensations, whose
+    # reflexive-transitive closure is the order
+    def _successors(class_of: list[int], classes: list[list[int]], both: bool) -> list[set[int]]:
+        succ: list[set[int]] = [set() for _ in classes]
         for i in range(n):
-            ci = class_of[i]
-            for k in range(ngens):
-                succ_sets[ci].add(class_of[left[i][k]])
-                if both:
-                    succ_sets[ci].add(class_of[right[i][k]])
-        downset: list[set[int]] = []
-        for c in range(nc):
-            seen = {c}
-            stack = [c]
-            while stack:
-                d = stack.pop()
-                for e in succ_sets[d]:
-                    if e not in seen:
-                        seen.add(e)
-                        stack.append(e)
-            downset.append(seen)
-        return downset
-
-    j_downset = _downsets(j_of, j_classes, both=True)
-    l_downset = _downsets(l_of, l_classes, both=False)
+            out = succ[class_of[i]]
+            out.update(class_of[j] for j in left[i])
+            if both:
+                out.update(class_of[j] for j in right[i])
+        return succ
 
     idempotents = sgp.idempotent_indices()
     regular = [False] * len(j_classes)
@@ -456,7 +438,9 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     return GreenStructure(
         r_of, l_of, j_of, h_of,
         r_classes, l_classes, j_classes, h_classes,
-        j_downset, l_downset, regular, idempotents,
+        _successors(j_of, j_classes, both=True),
+        _successors(l_of, l_classes, both=False),
+        regular, idempotents,
     )
 
 
@@ -476,17 +460,20 @@ def check_stability(sgp: FiniteSemigroup) -> None:
 def is_aperiodic(sgp: FiniteSemigroup) -> bool:
     """True iff every subgroup is trivial.
 
-    Computed once by power stabilisation (s^k = s^{k+1} at k = |S|) and once
-    through the Green structure (H-classes containing an idempotent are
-    singletons); the two verdicts are asserted equal.
+    Computed once by power stabilisation and once through the Green
+    structure (H-classes containing an idempotent are singletons); the two
+    verdicts are asserted equal.  Powers of s are taken up to the first
+    repeat: s^{k+1} = s^k makes s aperiodic, and a repeat further back is
+    a cycle of length at least 2, so the verdict is that of s^|S| = s^{|S|+1}.
     """
-    n = len(sgp.elements)
     by_powers = True
-    for i in range(n):
-        p = i
-        for _ in range(n):
-            p = sgp.mul_index(p, i)
-        if sgp.mul_index(p, i) != p:
+    for i in range(len(sgp.elements)):
+        p, seen = i, {i}
+        q = sgp.mul_index(p, i)
+        while q not in seen:
+            seen.add(q)
+            p, q = q, sgp.mul_index(q, i)
+        if q != p:
             by_powers = False
             break
     gs = sgp.green()

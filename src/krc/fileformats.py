@@ -35,7 +35,12 @@ line per state, in state order.
 
 from __future__ import annotations
 
-from .core import FiniteGroup, FiniteSemigroup, PartialTransformation
+from .core import (
+    DEFAULT_ELEMENT_BUDGET,
+    FiniteGroup,
+    FiniteSemigroup,
+    PartialTransformation,
+)
 from .errors import InputError
 
 
@@ -70,7 +75,7 @@ def dump_semigroup(sgp: FiniteSemigroup) -> str:
 
 
 def parse_semigroup(
-    text: str, max_elements: int | None = None
+    text: str, max_elements: int = DEFAULT_ELEMENT_BUDGET
 ) -> FiniteSemigroup:
     lines = _clean_lines(text)
     if not lines or not lines[0].startswith("points:"):
@@ -105,11 +110,10 @@ def parse_semigroup(
         raise InputError("no generators")
     if len({nm for nm, _ in named}) != len(named):
         raise InputError("duplicate generator names")
-    kwargs = {} if max_elements is None else {"max_elements": max_elements}
-    return FiniteSemigroup.generate(named, **kwargs)
+    return FiniteSemigroup.generate(named, max_elements=max_elements)
 
 
-def load_semigroup(path, max_elements: int | None = None) -> FiniteSemigroup:
+def load_semigroup(path, max_elements: int = DEFAULT_ELEMENT_BUDGET) -> FiniteSemigroup:
     with open(path, encoding="ascii") as fh:
         return parse_semigroup(fh.read(), max_elements=max_elements)
 

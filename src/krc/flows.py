@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from .core import (
-    DEFAULT_ELEMENT_BUDGET,
     ZERO,
     FiniteSemigroup,
     PartialTransformation,
@@ -64,11 +63,9 @@ class Automaton:
         )
 
 
-def transition_semigroup(
-    aut: Automaton, max_elements: int = DEFAULT_ELEMENT_BUDGET
-) -> FiniteSemigroup:
+def transition_semigroup(aut: Automaton) -> FiniteSemigroup:
     named = [(x, aut.letter_map(x)) for x in aut.letters]
-    return FiniteSemigroup.generate(named, max_elements=max_elements)
+    return FiniteSemigroup.generate(named)
 
 
 @dataclass

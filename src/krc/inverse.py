@@ -360,7 +360,7 @@ def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
             ]:
                 raise VerificationError("J0 is not a copy of the monomial group")
     j0_id = gs.j_of[ts.index[j0[0]]]
-    if gs.j_order[j0_id] != {j0_id}:
+    if not gs.j_succ[j0_id] <= {j0_id}:
         raise VerificationError("J0 is not the minimal ideal")
 
     # J2 = units of T(S), again a copy of the monomial group
@@ -471,16 +471,13 @@ class InverseDecomposition:
 
 def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDecomposition:
     from .flows import presentation_construct, trivial_flow, verify_flow
-    from .products import PairSemigroup, check_division
+    from .products import MulOracle, PairSemigroup, check_division
     from .semilocal import group_mapping_presentation
 
     size = validate_gm_inverse(sgp, group)
     units = monomial_group(size, group)
-    units_sgp = FiniteSemigroup.from_elements(
-        units.elements,
-        lambda a, b: monomial_mul(a, b, group),
-        sort_key=PartialMonomialMatrix.sort_key,
-    )
+    # checking the given lifts only multiplies
+    units_sgp = MulOracle(units.elements, lambda a, b: monomial_mul(a, b, group))
     pres = group_mapping_presentation(sgp)
 
     # the unit-extension lift is a surjective morphism onto S

@@ -17,9 +17,14 @@ claims nonexistence.
 
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle: it has `mul(u, v)` and `elements`, the carrier list when it is
-enumerated (`FiniteSemigroup`, `MulOracle` from a full carrier) and None
-when it is lazy (`PairSemigroup`, `WreathProduct`, the abstract wreath
-oracle).  Checking given lifts only multiplies; a search needs `elements`.
+enumerated (`FiniteSemigroup`, `MulOracle`) and None when it is lazy
+(`PairSemigroup`, `WreathProduct`).  Checking given lifts only multiplies;
+a search needs `elements`.  A factor that is only multiplied is a
+`MulOracle`, not a `FiniteSemigroup`.
+
+The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
+(S^1,S) wr (T^1,T) of the right translation actions
+(`ActionPair.right_translation`), so it has no product of its own.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ DIVISION_SEARCH_BUDGET = 2_000_000
 
 
 class MulOracle:
-    """A bare multiplication oracle (no Cayley machinery), for carriers too
-    large or too transient to wrap in a FiniteSemigroup."""
+    """A bare multiplication oracle (no Cayley machinery), for a factor
+    that is only multiplied or a carrier too large to wrap in a
+    FiniteSemigroup."""
 
     def __init__(self, elements: Optional[list[Any]], mul: Callable[[Any, Any], Any]):
         self.elements = elements
@@ -68,12 +74,13 @@ class ActionPair:
     checks below need it enumerated."""
 
     points: list[Any]
-    sgp: FiniteSemigroup
+    sgp: Any  # a multiplication oracle
     act: Callable[[Any, Any], Optional[Any]]
 
+    def __post_init__(self):
+        self._pos = {p: i for i, p in enumerate(self.points)}
+
     def position(self, point) -> int:
-        if not hasattr(self, "_pos"):
-            self._pos = {p: i for i, p in enumerate(self.points)}
         return self._pos[point]
 
     def act_table(self, value) -> PartialTransformation:
@@ -120,11 +127,20 @@ class ActionPair:
     @classmethod
     def of_group(cls, group: FiniteGroup) -> "ActionPair":
         """(G, G): the right regular action, with elements 0..|G|-1."""
-        table = group.table
-        sgp = FiniteSemigroup.from_elements(
-            range(len(group)), lambda a, b: table[a][b], sort_key=lambda v: v
-        )
-        return cls(list(range(len(group))), sgp, lambda p, g: table[p][g])
+        idx = list(range(len(group)))
+        return cls(idx, MulOracle(idx, group.mul), group.mul)
+
+    @classmethod
+    def right_translation(cls, sgp) -> "ActionPair":
+        """(S^1, S): S acting on itself by right translation.  The points
+        are a fresh marker, standing for the adjoined identity, followed
+        by S's elements."""
+        marker = object()
+
+        def act(p, t):
+            return t if p is marker else sgp.mul(p, t)
+
+        return cls([marker] + list(sgp.elements), sgp, act)
 
     @classmethod
     def trivial(cls) -> "ActionPair":
@@ -135,14 +151,7 @@ class ActionPair:
 def direct_product_pair(a: ActionPair, b: ActionPair) -> ActionPair:
     """(Q, S) x (Q', S'): componentwise action on Q x Q'."""
     values = [(u, v) for u in a.sgp.elements for v in b.sgp.elements]
-    ka, kb = a.sgp.index, b.sgp.index
-
-    def mul(u, v):
-        return (a.sgp.mul(u[0], v[0]), b.sgp.mul(u[1], v[1]))
-
-    sgp = FiniteSemigroup.from_elements(
-        values, mul, sort_key=lambda w: (ka[w[0]], kb[w[1]])
-    )
+    sgp = MulOracle(values, PairSemigroup(a.sgp, b.sgp).mul)
     points = [(p, q) for p in a.points for q in b.points]
 
     def act(pq, w):
@@ -177,7 +186,8 @@ class WreathProduct:
         # domain of their own t-component; this keeps s -> (f_s, t_s) maps
         # structurally injective over partial right actions
         self.restrict_to_domain = restrict_to_domain
-        self._cache: dict = {}
+        # a division closure multiplies the same pairs many times
+        self.mul = functools.lru_cache(maxsize=None)(self._product)
 
     def make(self, fvals: Sequence[Any], t) -> tuple[tuple, Any]:
         if len(fvals) != len(self.right.points):
@@ -189,35 +199,31 @@ class WreathProduct:
             ]
         return (tuple(fvals), t)
 
-    def mul(self, u, v):
-        key = (u, v)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _product(self, u, v):
+        """The wreath formula; `mul` is its cached form."""
         f1, t1 = u
         f2, t2 = v
+        right, left_mul = self.right, self.left.sgp.mul
         out = []
-        for i, q in enumerate(self.right.points):
-            qi = self.right.act(q, t1)
+        for i, q in enumerate(right.points):
+            qi = right.act(q, t1)
             if qi is None:
                 out.append(f1[i])
                 continue
-            other = f2[self.right.position(qi)]
+            other = f2[right._pos[qi]]
             if f1[i] is None:
                 out.append(other)
             elif other is None:
                 out.append(f1[i])
             else:
-                out.append(self.left.sgp.mul(f1[i], other))
-        t12 = self.right.sgp.mul(t1, t2)
+                out.append(left_mul(f1[i], other))
+        t12 = right.sgp.mul(t1, t2)
         if self.restrict_to_domain:
             out = [
-                None if self.right.act(q, t12) is None else w
-                for w, q in zip(out, self.right.points)
+                None if right.act(q, t12) is None else w
+                for w, q in zip(out, right.points)
             ]
-        res = (tuple(out), t12)
-        self._cache[key] = res
-        return res
+        return (tuple(out), t12)
 
     def act(self, point, w):
         (b, q), (f, t) = point, w
@@ -228,29 +234,23 @@ class WreathProduct:
             return None
         return (b2, q2)
 
-    def sort_key(self, w):
-        f, t = w
-        li = self.left.sgp.index
-        return (
-            self.right.sgp.index[t],
-            tuple(-1 if v is None else li[v] for v in f),
-        )
-
     def act_table(self, w) -> PartialTransformation:
         return ActionPair(self.points, self, self.act).act_table(w)
 
     def full_carrier(self, budget: int = WREATH_CARRIER_BUDGET) -> MulOracle:
-        size = len(self.left.sgp) ** len(self.right.points) * len(self.right.sgp)
+        """S^Q x T, in the order of T's carrier and then of the function
+        parts over S's carrier, lexicographically."""
+        left, right = self.left.sgp.elements, self.right.sgp.elements
+        size = len(left) ** len(self.right.points) * len(right)
         if size > budget:
             raise ResourceError(
                 f"wreath carrier of size {size} exceeds the budget of {budget}"
             )
         elements = [
             (f, t)
-            for t in self.right.sgp.elements
-            for f in itertools.product(self.left.sgp.elements, repeat=len(self.right.points))
+            for t in right
+            for f in itertools.product(left, repeat=len(self.right.points))
         ]
-        elements.sort(key=self.sort_key)
         return MulOracle(elements, self.mul)
 
 
@@ -258,60 +258,6 @@ def wreath(
     left: ActionPair, right: ActionPair, restrict_to_domain: bool = False
 ) -> WreathProduct:
     return WreathProduct(left, right, restrict_to_domain)
-
-
-def semigroup_wreath_oracle(s_oracle, t_sgp: FiniteSemigroup):
-    """The abstract wreath S wr T = S^(T^1) x T with T acting on positions
-    by right translation; returns (positions, lazy oracle).
-
-    Positions are T's elements plus an adjoined identity marker.  Used for
-    derived-semigroup division targets where no state set is given.
-    """
-    marker = ("id",)
-    positions = [marker] + list(t_sgp.elements)
-    pos_index = {p: i for i, p in enumerate(positions)}
-
-    def translate(p, t):
-        return t if p is positions[0] else t_sgp.mul(p, t)
-
-    @functools.lru_cache(maxsize=None)
-    def mul(u, v):
-        f1, t1 = u
-        f2, t2 = v
-        out = []
-        for i, p in enumerate(positions):
-            q = translate(p, t1)
-            other = f2[pos_index[q]]
-            if f1[i] is None:
-                out.append(other)
-            elif other is None:
-                out.append(f1[i])
-            else:
-                out.append(s_oracle.mul(f1[i], other))
-        return (tuple(out), t_sgp.mul(t1, t2))
-
-    return positions, MulOracle(None, mul)
-
-
-def enumerated_semigroup_wreath(
-    s_sgp: FiniteSemigroup,
-    t_sgp: FiniteSemigroup,
-    budget: int = WREATH_CARRIER_BUDGET,
-) -> MulOracle:
-    """S wr T with the full carrier S^(T^1) x T materialized (small cases
-    only); element order is canonical for reproducible searches."""
-    positions, oracle = semigroup_wreath_oracle(s_sgp, t_sgp)
-    size = len(s_sgp.elements) ** len(positions) * len(t_sgp.elements)
-    if size > budget:
-        raise ResourceError(
-            f"abstract wreath carrier of size {size} exceeds the budget of {budget}"
-        )
-    elements = [
-        (f, t)
-        for t in t_sgp.elements
-        for f in itertools.product(s_sgp.elements, repeat=len(positions))
-    ]
-    return MulOracle(elements, oracle.mul)
 
 
 # -- semidirect products --------------------------------------------------

@@ -80,14 +80,15 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
         # its own zero, but its minimal ideal still counts)
         z = None
         for c, members in enumerate(gs.j_classes):
-            if gs.j_order[c] == {c}:
+            if gs.j_succ[c] <= {c}:
                 out.append((c, list(members)))
         if len(out) != 1:
             raise VerificationError("finite semigroup without unique kernel")
     else:
         zc = gs.j_of[z]
         for c, members in enumerate(gs.j_classes):
-            if c != zc and gs.j_order[c] == {c, zc}:
+            # the zero lies below every class, so this is J-order {c, zc}
+            if c != zc and gs.j_succ[c] <= {c, zc}:
                 out.append((c, list(members) + [z]))
     return z, out
 

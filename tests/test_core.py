@@ -19,7 +19,7 @@ from krc.complexity import RelationalMorphism, derived_semigroup
 from krc.errors import InputError, ResourceError, VerificationError
 from krc.fileformats import load_semigroup
 from krc.inverse import brandt_semigroup
-from krc.semilocal import JClassRef, gm_quotient
+from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient
 
 T = PartialTransformation
 
@@ -242,7 +242,88 @@ class TestGreen:
                 assert gs.regular[j]
 
 
+def brute_zero_minimal_ideals(sgp):
+    """The 0-minimal ideals (the kernel if there is no zero), read off the
+    principal ideals S^1 a S^1 computed from all products."""
+    n = len(sgp.elements)
+    mul = sgp.mul_index
+
+    def principal(a):
+        left = {a} | {mul(x, a) for x in range(n)}
+        return frozenset(left | {mul(u, y) for u in left for y in range(n)})
+
+    ideal = [principal(a) for a in range(n)]
+    zeros = [z for z in range(n) if ideal[z] == {z} and all(mul(z, x) == z for x in range(n))]
+    z = zeros[0] if zeros and n > 1 else None
+    out = []
+    for c, members in enumerate(sgp.green().j_classes):
+        a = members[0]
+        smaller = {b for b in ideal[a] if ideal[b] != ideal[a]}
+        if z is None and not smaller:
+            out.append((c, list(members)))
+        elif z is not None and a != z and smaller <= {z}:
+            out.append((c, list(members) + [z]))
+    return z, out
+
+
+class TestGreenOrder:
+    def test_zero_minimal_ideals_match_brute_force(self, corpus):
+        ladder = [
+            FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+            for gens in LADDER.values()
+        ]
+        for s in [s for s, _ in corpus.values()] + ladder:
+            assert _zero_minimal_ideals(s) == brute_zero_minimal_ideals(s)
+
+    def test_successor_sets_generate_the_j_order(self, b2z2_1):
+        gs = b2z2_1.green()
+        n = len(b2z2_1)
+        for a in range(n):
+            below = {gs.j_of[b2z2_1.mul_index(x, b2z2_1.mul_index(a, y))]
+                     for x in range(n) for y in range(n)}
+            reach, stack = {gs.j_of[a]}, [gs.j_of[a]]
+            while stack:
+                for d in gs.j_succ[stack.pop()]:
+                    if d not in reach:
+                        reach.add(d)
+                        stack.append(d)
+            # b2z2_1 is a monoid, so S a S is S^1 a S^1
+            assert reach == below
+
+
+def catalan_monoid(n):
+    """C_n less its identity: e_i maps i to i+1 and fixes every other point."""
+    gens = []
+    for i in range(1, n):
+        images = list(range(1, n + 1))
+        images[i - 1] = i + 1
+        gens.append((f"e{i}", T(tuple(images))))
+    return FiniteSemigroup.generate(gens)
+
+
 class TestAperiodicity:
+    def test_powers_stop_at_the_first_repeat(self, monkeypatch):
+        s = catalan_monoid(6)
+        assert len(s) == 131
+        # x^2, ..., x^(k+1) for each x with x^(k+1) = x^k first, then one
+        # square per element for the idempotents of the Green structure
+        want = len(s)
+        for x in s.elements:
+            p = x
+            want += 1
+            while compose(p, x) != p:
+                p = compose(p, x)
+                want += 1
+        calls = []
+        mul_index = FiniteSemigroup.mul_index
+
+        def counted(self, i, j):
+            calls.append((i, j))
+            return mul_index(self, i, j)
+
+        monkeypatch.setattr(FiniteSemigroup, "mul_index", counted)
+        assert is_aperiodic(s)
+        assert len(calls) == want == 416
     def test_right_zero(self, right_zero_2):
         assert is_aperiodic(right_zero_2)
 

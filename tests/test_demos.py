@@ -1,10 +1,14 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the demos import krc from the source tree, as the tests do
+PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -14,6 +18,7 @@ def test_demo_runs_clean(script):
         capture_output=True,
         text=True,
         timeout=240,
+        env=dict(os.environ, PYTHONPATH=PYTHONPATH),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

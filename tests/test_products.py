@@ -15,7 +15,6 @@ from krc.products import (
     direct_product_pair,
     embed_product_of_wreaths,
     semidirect,
-    semigroup_wreath_oracle,
     wreath,
 )
 
@@ -30,6 +29,47 @@ def trivial_on(k):
     return ActionPair.of_transformations(
         FiniteSemigroup.generate([("1", T.identity(k))])
     )
+
+
+def cyclic_sgp(n):
+    return FiniteSemigroup.from_elements(
+        range(n), lambda a, b: (a + b) % n, sort_key=lambda v: v
+    )
+
+
+def reference_semigroup_wreath_mul(s, t):
+    """The product of S wr T = S^(T^1) x T written out directly: T acts on
+    the positions, an identity marker and then T's elements, by right
+    translation."""
+    marker = ("id",)
+    positions = [marker] + list(t.elements)
+    pos_index = {p: i for i, p in enumerate(positions)}
+
+    def mul(u, v):
+        f1, t1 = u
+        f2, t2 = v
+        out = []
+        for i, p in enumerate(positions):
+            q = t1 if p is marker else t.mul(p, t1)
+            other = f2[pos_index[q]]
+            if f1[i] is None:
+                out.append(other)
+            elif other is None:
+                out.append(f1[i])
+            else:
+                out.append(s.mul(f1[i], other))
+        return (tuple(out), t.mul(t1, t2))
+
+    return mul
+
+
+def reference_sort_key(w, element):
+    """The canonical order of a wreath carrier: T's order, then the
+    function part over S's order (None first)."""
+    f, t = element
+    li = {v: i for i, v in enumerate(w.left.sgp.elements)}
+    ri = {v: i for i, v in enumerate(w.right.sgp.elements)}
+    return (ri[t], tuple(-1 if v is None else li[v] for v in f))
 
 
 class TestWreath:
@@ -89,11 +129,39 @@ class TestWreath:
         with pytest.raises(ResourceError):
             w.full_carrier(budget=10)
 
+    def test_full_carrier_is_in_canonical_order(self):
+        s = ActionPair.of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
+        c = ActionPair.of_transformations(
+            FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
+        )
+        for w in (
+            wreath(group_pair(2), ActionPair.trivial()),
+            wreath(group_pair(2), trivial_on(2)),
+            wreath(group_pair(3), s),
+            wreath(group_pair(2), c),
+            wreath(group_pair(3), trivial_on(4)),
+        ):
+            elements = w.full_carrier().elements
+            assert elements == sorted(elements, key=lambda e: reference_sort_key(w, e))
+
+    @pytest.mark.parametrize("pair", ["u1,z2", "z2,u1", "right_zero_2,z2"])
+    def test_semigroup_wreath_is_right_translation_wreath(self, pair, right_zero_2):
+        u1 = FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
+        named = {"u1": u1, "z2": cyclic_sgp(2), "right_zero_2": right_zero_2}
+        s, t = (named[n] for n in pair.split(","))
+        w = wreath(ActionPair.right_translation(s), ActionPair.right_translation(t))
+        want = reference_semigroup_wreath_mul(s, t)
+        carrier = w.full_carrier().elements
+        assert len(carrier) == len(s) ** (len(t) + 1) * len(t)
+        for u in carrier:
+            for v in carrier:
+                assert w.mul(u, v) == want(u, v)
+
 
 class TestSemidirect:
     def test_trivial_action_is_direct_product(self):
-        z2 = ActionPair.of_group(FiniteGroup.cyclic(2)).sgp
-        z3 = ActionPair.of_group(FiniteGroup.cyclic(3)).sgp
+        z2 = cyclic_sgp(2)
+        z3 = cyclic_sgp(3)
         sd = semidirect(z2, z3, beta=lambda t, s: s)
         assert len(sd) == 6
         for (s1, t1) in sd.elements:
@@ -104,7 +172,7 @@ class TestSemidirect:
                 )
 
     def test_klein_four(self):
-        z2 = ActionPair.of_group(FiniteGroup.cyclic(2)).sgp
+        z2 = cyclic_sgp(2)
         k = semidirect(z2, z2, beta=lambda t, s: s)
         assert len(k) == 4
         assert not is_aperiodic(k)
@@ -141,7 +209,7 @@ class TestSemidirect:
                 assert (sf, st) == (wf, wt)
 
     def test_invalid_beta_rejected(self):
-        z2 = ActionPair.of_group(FiniteGroup.cyclic(2)).sgp
+        z2 = cyclic_sgp(2)
         with pytest.raises(InputError):
             semidirect(z2, z2, beta=lambda t, s: z2.mul(s, s) if t else s)
 
@@ -195,7 +263,7 @@ class TestDivision:
     def test_search_over_lazy_oracle_is_rejected(self):
         # a lazy target has no carrier to scan, so no exhaustion is claimed
         triv = FiniteSemigroup.generate([("1", T.identity(1))])
-        _, oracle = semigroup_wreath_oracle(triv, triv)
+        oracle = wreath(ActionPair.right_translation(triv), ActionPair.right_translation(triv))
         assert oracle.elements is None
         with pytest.raises(InputError):
             check_division(triv, oracle)
@@ -331,6 +399,31 @@ def test_direct_product_pair_componentwise():
     a = group_pair(2)
     b = trivial_on(2)
     d = direct_product_pair(a, b)
-    assert len(d.sgp) == 2
+    assert len(d.sgp.elements) == 2
     assert len(d.points) == 4
     d.check_action()
+
+
+def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
+    from krc import inverse
+    from krc.inverse import inverse_decomposition, lift_TS, small_monoid
+    from krc.semilocal import fasp_embedding, group_mapping_presentation
+
+    z2 = FiniteGroup.cyclic(2)
+    pres = group_mapping_presentation(b2z2_1)
+    s = small_monoid(2, z2, 1)
+    ts = lift_TS(s, z2)  # a carrier whose Green structure is read elsewhere
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a FiniteSemigroup carrier")
+
+    monkeypatch.setattr(FiniteSemigroup, "from_elements", refuse)
+    monkeypatch.setattr(inverse, "lift_TS", lambda sgp, group: ts)
+    g = ActionPair.of_group(FiniteGroup.cyclic(3))
+    g.check_action()
+    d = direct_product_pair(g, group_pair(2))
+    assert len(d.sgp.elements) == 6
+    d.check_action()
+    d.check_faithful()
+    assert len(fasp_embedding(pres).witness.morphism) == len(b2z2_1)
+    assert inverse_decomposition(s, z2).ts is ts
