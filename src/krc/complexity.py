@@ -40,6 +40,7 @@ from .flows import (
 IDENT = ("I",)  # the fresh identity object of a derived category
 
 DEFAULT_CHAIN_BUDGET = 50_000
+DERIVED_WREATH_CARRIER_BUDGET = 10_000  # elements of D(phi) wr D(psi)
 
 # Above this many arrows, checking that derived products do not depend on
 # the representative (quadratic in the arrows) is refused, not skipped.
@@ -676,7 +677,6 @@ def check_derived_wreath_division(
     phi: RelationalMorphism,
     psi: RelationalMorphism,
     budget: int = 300_000,
-    carrier_budget: int = 10_000,
 ):
     """Witness D(phi.psi) < D(phi) wr D(psi) by bounded canonical-order
     search over generator lifts; returns the witness or an explicit
@@ -690,7 +690,7 @@ def check_derived_wreath_division(
     source = with_generators(d_comp, minimal_generating_set(d_comp))
     carrier = wreath(
         ActionPair.right_translation(d_phi), ActionPair.right_translation(d_psi)
-    ).full_carrier(carrier_budget)
+    ).full_carrier(DERIVED_WREATH_CARRIER_BUDGET)
     return check_division(source, carrier, lifts=None, budget=budget)
 
 

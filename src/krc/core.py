@@ -100,9 +100,10 @@ class FiniteSemigroup:
     """An enumerated finite semigroup, held as its Cayley graphs.
 
     Elements are hashable values in a canonical order.  Everything else is
-    int data over their indices: the named generators, the right and left
-    Cayley graphs over them, and one word over the generators per element
-    (the breadth-first tree of `words()`).  The product i*j is traced: it
+    int data over their indices: the named generators, the right Cayley
+    graph over them, the left one (read off as the generators' right
+    translations), and one word over the generators per element (the
+    breadth-first tree of `words()`).  The product i*j is traced: it
     follows j's word through the right Cayley graph from i, as in Froidure
     & Pin, "Algorithms for computing finite semigroups" (1997).  No product
     is stored.
@@ -113,6 +114,15 @@ class FiniteSemigroup:
     associativity.  Tracing is sound because the operation is associative
     (checked there, taken on trust for larger carriers): with
     j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.
+
+    Products that come as whole rows are taken in bulk.
+    `right_translations(points)` gives p*s for every point p and every
+    element s, and `left_translations(points)` gives s*p.  Each row is built
+    from the row of s's word less its last letter g, one list lookup per
+    entry: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the points are
+    closed under left multiplication by the generators.  Both identities
+    are associativity, the same assumption that tracing makes.  `mul_index`
+    is the way to get a single scattered product.
     """
 
     def __init__(
@@ -132,34 +142,39 @@ class FiniteSemigroup:
         self.gens = list(gen_indices)
         self.gen_names = gen_names
         self.right_cayley = right_cayley
-        self._words, self.left_cayley = self._word_tree()
+        self._word_tree()
+        self.left_cayley = self.right_translations(self.gens)  # g*i for each g
         self._green: Optional[GreenStructure] = None
         if len(elements) <= _ASSOC_CHECK_LIMIT:
             self._check_associativity(mul)
 
-    def _word_tree(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-        """A word per element, breadth first along the right Cayley graph,
-        and the left Cayley graph traced along them: g*i = (g*prefix)*letter."""
+    def _word_tree(self) -> None:
+        """A word per element, breadth first along the right Cayley graph.
+
+        The tree is also kept as int lists: `_order` lists the elements
+        prefix before child, `_parent[i]` is i's word less its last letter
+        (-1 for a generator) and `_letter[i]` is that last letter."""
         right, gens = self.right_cayley, self.gens
-        words: list[tuple[int, ...]] = [()] * len(right)
-        prefix_row: list[list[int]] = [None] * len(right)  # g*prefix for each g
+        n = len(right)
+        words: list[tuple[int, ...]] = [()] * n
+        parent = [-1] * n
+        letter = [-1] * n
         order = []
         for k, gi in enumerate(gens):
             if not words[gi]:
                 words[gi] = (k,)
-                prefix_row[gi] = gens
+                letter[gi] = k
                 order.append(gi)
-        left: list[list[int]] = [None] * len(right)
         for i in order:  # grows while iterating: breadth first
-            left[i] = row = [right[p][words[i][-1]] for p in prefix_row[i]]
             for k, j in enumerate(right[i]):
                 if not words[j]:
                     words[j] = words[i] + (k,)
-                    prefix_row[j] = row
+                    parent[j] = i
+                    letter[j] = k
                     order.append(j)
-        if len(order) != len(right):
+        if len(order) != n:
             raise InputError("given generators do not generate the carrier")
-        return words, left
+        self._words, self._order, self._parent, self._letter = words, order, parent, letter
 
     # -- construction -------------------------------------------------
 
@@ -274,6 +289,48 @@ class FiniteSemigroup:
             i = right[i][k]
         return i
 
+    def right_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
+        """For every element s, the row (p*s for p in points).
+
+        Rows are built along the word tree, prefix before child: s = t*g
+        with g the last letter of s's word gives p*s = (p*t)*g, so s's row
+        is t's row moved one step along the right Cayley graph.  Like
+        tracing, this rests on associativity."""
+        points = tuple(points)
+        right = self.right_cayley
+        by_letter = list(zip(*right))  # by_letter[k][x] = x*g_k
+        rows: list[tuple[int, ...]] = [None] * len(right)
+        parent, letter = self._parent, self._letter
+        for s in self._order:
+            prev = points if parent[s] < 0 else rows[parent[s]]
+            rows[s] = tuple(map(by_letter[letter[s]].__getitem__, prev))
+        return rows
+
+    def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
+        """For every element s, the row (s*p for p in points); `points` must
+        be closed under left multiplication by the generators.
+
+        Rows are built along the word tree: s = t*g gives s*p = t*(g*p),
+        and g*p is again a point, so s's row is t's row read at the
+        positions of the points g*p.  Like tracing, this rests on
+        associativity."""
+        points = tuple(points)
+        left = self.left_cayley
+        at = {p: i for i, p in enumerate(points)}
+        g_rows = [tuple(left[p][k] for p in points) for k in range(len(self.gens))]
+        try:
+            shifts = [[at[q] for q in row] for row in g_rows]
+        except KeyError:
+            raise InputError(
+                "point set is not closed under left multiplication by the generators"
+            ) from None
+        rows: list[tuple[int, ...]] = [None] * len(left)
+        parent, letter = self._parent, self._letter
+        for s in self._order:
+            t, k = parent[s], letter[s]
+            rows[s] = g_rows[k] if t < 0 else tuple(map(rows[t].__getitem__, shifts[k]))
+        return rows
+
     @property
     def is_transformation(self) -> bool:
         return bool(self.elements) and isinstance(
@@ -294,7 +351,7 @@ class FiniteSemigroup:
         """e with e*g = g*e = g for every generator g, which makes e an
         identity since the generators generate."""
         for i in range(len(self.elements)):
-            if self.right_cayley[i] == self.gens == self.left_cayley[i]:
+            if self.right_cayley[i] == self.gens == list(self.left_cayley[i]):
                 return i
         return None
 

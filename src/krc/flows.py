@@ -436,7 +436,7 @@ def flow_search(
             raise InputError("cap > 0 needs an explicit cap_check")
         cap_check = is_aperiodic
     letters = tuple(pres.sgp.gen_names)
-    spcs = enumerate_spcs(pres.n_b, pres.group)
+    spcs = None  # enumerated once an automaton passes the cap
     compat: dict[tuple[int, int, str], bool] = {}
 
     def compatible(i: int, k: int, x: str) -> bool:
@@ -459,6 +459,8 @@ def flow_search(
                 continue
             if not cap_check(tsg):
                 continue
+            if spcs is None:
+                spcs = enumerate_spcs(pres.n_b, pres.group)
             for assignment in _iter_labelings(aut, spcs, compatible):
                 flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
                 if verify_flow(flow) is not True:

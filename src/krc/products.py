@@ -39,6 +39,7 @@ from .errors import InputError, ResourceError, VerificationError
 
 WREATH_CARRIER_BUDGET = 10**6
 DIVISION_SEARCH_BUDGET = 2_000_000
+EMBEDDING_CARRIER_BUDGET = 5000  # elements of the product of two wreath carriers
 
 
 class MulOracle:
@@ -488,7 +489,6 @@ def embed_product_of_wreaths(
     qs2: ActionPair,
     pt: ActionPair,
     pt2: ActionPair,
-    carrier_budget: int = 5000,
 ):
     """Realize (Q,S)wr(P,T) x (Q',S')wr(P',T') inside
     ((Q,S)x(Q',S')) wr ((P,T)x(P',T')) via ((f,t),(f',t')) -> (F,(t,t'))
@@ -497,11 +497,11 @@ def embed_product_of_wreaths(
     """
     w1 = wreath(qs, pt)
     w2 = wreath(qs2, pt2)
-    c1 = w1.full_carrier(carrier_budget)
-    c2 = w2.full_carrier(carrier_budget)
-    if len(c1.elements) * len(c2.elements) > carrier_budget:
+    c1 = w1.full_carrier(EMBEDDING_CARRIER_BUDGET)
+    c2 = w2.full_carrier(EMBEDDING_CARRIER_BUDGET)
+    if len(c1.elements) * len(c2.elements) > EMBEDDING_CARRIER_BUDGET:
         raise ResourceError(
-            f"product carrier exceeds embedding budget {carrier_budget}"
+            f"product carrier exceeds embedding budget {EMBEDDING_CARRIER_BUDGET}"
         )
     inner = direct_product_pair(qs, qs2)
     outer = direct_product_pair(pt, pt2)

@@ -13,7 +13,7 @@ is verified exhaustively at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .core import FiniteGroup, FiniteSemigroup, PartialTransformation, maximal_subgroup
 from .errors import InputError, VerificationError
@@ -94,21 +94,18 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
 
 
 def classify(sgp: FiniteSemigroup) -> Classification:
-    """Right/left/group-mapping flags via faithfulness on 0-minimal ideals."""
+    """Right/left/group-mapping flags via faithfulness on 0-minimal ideals.
+
+    An ideal (the 0-minimal ones carry their zero) is two-sided, so both
+    translation sets come in bulk."""
     z, ideals = _zero_minimal_ideals(sgp)
     n = len(sgp.elements)
     right_on = []
     left_on = []
     for j_id, ideal in ideals:
-        right_maps = {
-            tuple(sgp.mul_index(a, s) for a in ideal) for s in range(n)
-        }
-        if len(right_maps) == n:
+        if len(set(sgp.right_translations(ideal))) == n:
             right_on.append(j_id)
-        left_maps = {
-            tuple(sgp.mul_index(s, a) for a in ideal) for s in range(n)
-        }
-        if len(left_maps) == n:
+        if len(set(sgp.left_translations(ideal))) == n:
             left_on.append(j_id)
     right_mapping = bool(right_on)
     left_mapping = bool(left_on)
@@ -145,36 +142,45 @@ class RlmQuotient:
     image_of_j: set[PartialTransformation]
 
 
-def _lclass_action_map(sgp: FiniteSemigroup, jref: JClassRef, s_idx: int) -> PartialTransformation:
-    """The partial map of one element on B, verified representative-free."""
+def _lclass_action_map(
+    sgp: FiniteSemigroup, jref: JClassRef
+) -> Callable[[int], PartialTransformation]:
+    """s -> the partial map of s on B, verified representative-free.  The
+    products u*s come from one set of right translations of J's L-class
+    members."""
     gs = sgp.green()
-    b_pos = {b: k for k, b in enumerate(jref.b_classes)}
-    images = []
+    b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
+    target = [
+        b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in range(len(sgp.elements))
+    ]
+    points, spans = [], []
     for b in jref.b_classes:
-        targets = set()
-        for u in gs.l_classes[b]:
-            p = sgp.mul_index(u, s_idx)
-            targets.add(b_pos[gs.l_of[p]] + 1 if gs.j_of[p] == jref.j_id else 0)
-        if len(targets) != 1:
-            raise VerificationError(
-                f"L-class action not well defined at b={b}, s={s_idx}"
-            )
-        images.append(targets.pop())
-    return PartialTransformation(tuple(images))
+        spans.append((b, len(points), len(points) + len(gs.l_classes[b])))
+        points += gs.l_classes[b]
+    rows = sgp.right_translations(points)
+
+    def action(s_idx: int) -> PartialTransformation:
+        row = rows[s_idx]
+        images = []
+        for b, lo, hi in spans:
+            targets = {target[p] for p in row[lo:hi]}
+            if len(targets) != 1:
+                raise VerificationError(
+                    f"L-class action not well defined at b={b}, s={s_idx}"
+                )
+            images.append(targets.pop())
+        return PartialTransformation(tuple(images))
+
+    return action
 
 
 def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
-    named = [
-        (name, _lclass_action_map(sgp, jref, gi))
-        for name, gi in zip(sgp.gen_names, sgp.gens)
-    ]
+    action = _lclass_action_map(sgp, jref)
+    named = [(name, action(gi)) for name, gi in zip(sgp.gen_names, sgp.gens)]
     rlm = FiniteSemigroup.generate(named)
-    morphism = {
-        sgp.elements[i]: _lclass_action_map(sgp, jref, i)
-        for i in range(len(sgp.elements))
-    }
+    morphism = {sgp.elements[i]: action(i) for i in range(len(sgp.elements))}
     for v in morphism.values():
         if v not in rlm.index:
             raise VerificationError("quotient morphism leaves the generated image")
@@ -247,15 +253,18 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
     # The key of s is its sandwiches q_b*s*p_a only.  That loses nothing:
     # x = p_a*g*q_b and y = p_a'*g'*q_b' give xsy = p_a*g*(q_b*s*p_a')*g'*q_b',
     # and the sandwich either lies in H_e, fixing xsy, or drops out of J with it.
+    # The rows q_b*s come in bulk.  When q_b*s falls below J, so does each
+    # (q_b*s)*p_a; otherwise q_b*s is a member of J, whose p_a-entries are
+    # traced once per member.
+    entries = [(-1,) * len(p_reps)] * n
+    for x in jref.members:
+        entries[x] = tuple(
+            p if gs.j_of[p] == jref.j_id else -1
+            for p in (sgp.mul_index(x, pa) for pa in p_reps)
+        )
     profiles: dict[tuple, list[int]] = {}
-    for s in range(n):
-        prof = []
-        for q in q_reps:
-            qs = sgp.mul_index(q, s)
-            for pa in p_reps:
-                p = sgp.mul_index(qs, pa)
-                prof.append(p if gs.j_of[p] == jref.j_id else -1)
-        profiles.setdefault(tuple(prof), []).append(s)
+    for s, qs_row in enumerate(sgp.right_translations(q_reps)):
+        profiles.setdefault(tuple(entries[qs] for qs in qs_row), []).append(s)
     class_rep = [0] * n
     for cls_members in profiles.values():
         rep = min(cls_members)
@@ -337,9 +346,10 @@ class ReesCoordinates:
         or falls out of J exactly when C(b,a') = 0; checked for all pairs."""
         sgp, g = self.sgp, self.group
         gs = sgp.green()
-        for u, (a1, g1, b1) in self.coord.items():
+        rows = sgp.right_translations(list(self.coord))
+        for k, (a1, g1, b1) in enumerate(self.coord.values()):
             for v, (a2, g2, b2) in self.coord.items():
-                p = sgp.mul_index(u, v)
+                p = rows[v][k]
                 c = self.matrix[b1][a2]
                 if c < 0:
                     if gs.j_of[p] == self.jref.j_id:
@@ -373,17 +383,16 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     a_pos = {a: k for k, a in enumerate(a_classes)}
     b_pos = {b: k for k, b in enumerate(b_classes)}
     group_indices = [sgp.index[v] for v in group.elements]
+    # p_a*g*q_b = p_a*(g*q_b), read off two sets of right translations
+    p_times = sgp.right_translations(p_reps)
+    g_times = sgp.right_translations(group_indices)
 
     coord: dict[int, tuple[int, int, int]] = {}
     uncoord: dict[tuple[int, int, int], int] = {}
     for u in jref.members:
         a = a_pos[gs.r_of[u]]
         b = b_pos[gs.l_of[u]]
-        hits = []
-        pa, qb = p_reps[a], q_reps[b]
-        for k, gi in enumerate(group_indices):
-            if sgp.mul_index(sgp.mul_index(pa, gi), qb) == u:
-                hits.append(k)
+        hits = [k for k, gq in enumerate(g_times[q_reps[b]]) if p_times[gq][a] == u]
         if len(hits) != 1:
             raise VerificationError(
                 f"element {u} is p_a*g*q_b for {len(hits)} values of g"
@@ -609,12 +618,10 @@ def _verify_fasp_action(pres, w, witness) -> None:
     """The wreath image acts on G x B exactly as S does on R_e."""
     sgp, rc = pres.sgp, pres.rees
     gs = sgp.green()
+    r_e = {u: (g, b) for u, (a, g, b) in rc.coord.items() if a == 0}  # the a = 0 slice
+    rows = sgp.right_translations(list(r_e))
     for wv, sv in witness.morphism.items():
-        s_idx = sgp.index[sv]
-        for u, (a, g, b) in rc.coord.items():
-            if a != 0:
-                continue  # R_e is the a = 0 slice
-            p = sgp.mul_index(u, s_idx)
+        for p, (g, b) in zip(rows[sgp.index[sv]], r_e.values()):
             in_j = gs.j_of[p] == pres.jref.j_id
             img = w.act((g, b + 1), wv)
             if not in_j:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestTracedProducts:
     def test_holds_no_product_store(self, sym3):
         assert set(vars(sym3)) == {
             "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
-            "_words", "_green",
+            "_words", "_order", "_parent", "_letter", "_green",
         }
 
     def test_generators_that_do_not_generate(self):
@@ -289,6 +290,57 @@ class TestGreenOrder:
                         stack.append(d)
             # b2z2_1 is a monoid, so S a S is S^1 a S^1
             assert reach == below
+
+
+T4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (1, 1, 3, 4))
+
+
+@pytest.fixture(scope="module")
+def translation_carriers(corpus):
+    """The corpus, T_3, PT_3, I_3 and the GM images of T_4 at its regular
+    J-classes."""
+    ladder = [
+        FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+        for gens in LADDER.values()
+    ]
+    t4 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(T4_GENS)])
+    images = [
+        gm_quotient(t4, JClassRef(t4, j)).quotient
+        for j, regular in enumerate(t4.green().regular)
+        if regular
+    ]
+    assert len(t4) == 256 and len(images) == 4
+    return [s for s, _ in corpus.values()] + ladder + images
+
+
+class TestBulkTranslations:
+    """Rows propagated along the word tree against single traced products."""
+
+    def test_right_translations_match_traced_products(self, translation_carriers):
+        for sgp in translation_carriers:
+            n = len(sgp)
+            rng = random.Random(n)
+            # unsorted, with repeats, and the empty set
+            for points in (rng.choices(range(n), k=n + 3), list(range(n))[::-1], []):
+                rows = sgp.right_translations(points)
+                assert rows == [tuple(sgp.mul_index(p, s) for p in points) for s in range(n)]
+
+    def test_left_translations_on_zero_minimal_ideals(self, translation_carriers):
+        checked = 0
+        for sgp in translation_carriers:
+            n = len(sgp)
+            for _, ideal in _zero_minimal_ideals(sgp)[1]:
+                points = ideal[::-1] + ideal[:1]  # unsorted, with a repeat
+                rows = sgp.left_translations(points)
+                assert rows == [tuple(sgp.mul_index(s, p) for p in points) for s in range(n)]
+                checked += 1
+        assert checked >= len(translation_carriers)
+
+    def test_left_translations_need_a_left_closed_set(self, b2z2_1):
+        gs = b2z2_1.green()
+        top = gs.j_classes[gs.j_of[b2z2_1.identity_index()]]
+        with pytest.raises(InputError, match="not closed under left multiplication"):
+            b2z2_1.left_translations(top)
 
 
 def catalan_monoid(n):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from krc import complexity
+from krc import complexity, flows
 from krc.complexity import EstimateOptions
 from krc.core import FiniteGroup, PartialTransformation, is_aperiodic
 from krc.errors import InputError, VerificationError
@@ -198,6 +198,14 @@ class TestFlowSearch:
     def test_budget_exhaustion_reported(self, small17_pres):
         out = flow_search(small17_pres, max_states=1, automata_budget=0)
         assert isinstance(out, FlowSearchExhausted)
+
+    def test_zero_budget_enumerates_no_spcs(self, small17_pres, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("SPCs enumerated although no automaton is tried")
+
+        monkeypatch.setattr(flows, "enumerate_spcs", refuse)
+        out = flow_search(small17_pres, max_states=2, automata_budget=0)
+        assert out == FlowSearchExhausted(2, 0, 0)
 
     def test_rejecting_accept_exhausts(self, small17_pres):
         offered = []

@@ -10,6 +10,7 @@ from krc.inverse import (
     small_monoid,
 )
 from krc.semilocal import (
+    Classification,
     JClassRef,
     _is_congruence,
     classify,
@@ -58,6 +59,66 @@ class TestClassify:
         cls = classify(s7)
         assert cls.generalized_group_mapping
         assert not cls.group_mapping
+
+
+def _brute_classification(sgp):
+    """classify() by its definitions, every product traced on its own."""
+    from test_core import brute_zero_minimal_ideals
+
+    z, ideals = brute_zero_minimal_ideals(sgp)
+    n = len(sgp)
+    mul = sgp.mul_index
+
+    def faithful(product, ideal):
+        return len({tuple(product(s, a) for a in ideal) for s in range(n)}) == n
+
+    right = [c for c, ideal in ideals if faithful(lambda s, a: mul(a, s), ideal)]
+    left = [c for c, ideal in ideals if faithful(lambda s, a: mul(s, a), ideal)]
+    distinguished = ideals[0][0] if right or left else None
+    ggm = bool(right and left)
+    gm = False
+    if ggm:
+        # H_e = eSe n J for an idempotent e of the regular class J
+        members = sgp.green().j_classes[distinguished]
+        gm = any(
+            sum(mul(e, x) == x == mul(x, e) for x in members) > 1
+            for e in members
+            if mul(e, e) == e
+        )
+    return Classification(bool(right), bool(left), ggm, gm, z, ideals, distinguished)
+
+
+def test_classify_matches_brute_force(corpus):
+    from test_core import LADDER
+
+    ladder = [
+        FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+        for gens in LADDER.values()
+    ]
+    verdicts = set()
+    for sgp in [s for s, _ in corpus.values()] + ladder:
+        cls = classify(sgp)
+        assert cls == _brute_classification(sgp)
+        verdicts.add((cls.right_mapping, cls.left_mapping, cls.group_mapping))
+    assert len(verdicts) >= 3
+
+
+def test_classify_takes_products_in_bulk(monkeypatch):
+    from test_core import LADDER
+
+    t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
+    t3.green()  # Green's relations trace each idempotent's square
+    calls = []
+    traced = FiniteSemigroup.mul_index
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return traced(self, i, j)
+
+    monkeypatch.setattr(FiniteSemigroup, "mul_index", counted)
+    cls = classify(t3)
+    assert cls.right_mapping and not cls.left_mapping
+    assert calls == []
 
 
 class TestRlmQuotient:
