@@ -20,7 +20,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import (
+    ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic, regular_representation,
+)
 from .errors import InputError, ResourceError, VerificationError
 from .products import ActionPair, DivisionWitness, check_division, wreath
 from .semilocal import (
@@ -392,15 +394,6 @@ def gm_reduction(sgp: FiniteSemigroup) -> GmReduction:
     return GmReduction(children)
 
 
-def _serialize_sgp(sgp: FiniteSemigroup) -> str:
-    from .core import regular_representation
-    from .fileformats import dump_semigroup
-
-    if sgp.is_transformation:
-        return dump_semigroup(sgp)
-    return dump_semigroup(regular_representation(sgp))
-
-
 @dataclass
 class EstimateOptions:
     max_flow_states: int = 1
@@ -412,21 +405,74 @@ def estimate(
     options: Optional[EstimateOptions] = None,
     _label: str = "S",
     _given: Optional[dict[str, Any]] = None,
+    _memo: Optional[dict[tuple, tuple[str, ComplexityInterval]]] = None,
 ) -> ComplexityInterval:
     """The full pipeline: aperiodicity, GM reduction with the max rule,
     and per group-mapping image the RLM recursion plus pure/flow uppers.
 
     `_given` (replay only) maps group-mapping labels to stored `upper`
     nodes: a stored flow is checked instead of searched for, and any other
-    stored choice skips the flow search."""
-    options = options or EstimateOptions()
-    text = _serialize_sgp(sgp)
+    stored choice skips the flow search.
+
+    Each distinct carrier is computed once per top-level call: the
+    recursion reaches the same semigroup by several paths (S/GM[J2] and
+    S/GM[J1]/GM[J2], say).  `_memo`, made fresh by every top-level call
+    and passed down next to `_given`, maps a carrier's key to the label it
+    was first computed at and its interval.  The key is the carrier's int
+    structure: its right Cayley graph, generator indices and names, and
+    for a transformation carrier its text.  Text alone would not do: an
+    abstract carrier's text costs the regular representation a hit should
+    skip, and equal text does not fix the element order that J-class ids
+    are read in.  A hit returns the stored interval with its certificate
+    relabeled: every label that is the stored label, or starts with it
+    plus "/", starts with `_label` instead."""
+    from .fileformats import dump_semigroup
+
+    memo = {} if _memo is None else _memo
+    text = dump_semigroup(sgp) if sgp.is_transformation else None
+    key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names), text)
+    if key in memo:
+        label, done = memo[key]
+        return ComplexityInterval(
+            done.lower, done.upper, _relabeled(done.certificate, label, _label)
+        )
+    if text is None:
+        text = dump_semigroup(regular_representation(sgp))
+    result = _estimate_carrier(sgp, text, options or EstimateOptions(), _label, _given, memo)
+    memo[key] = (_label, result)
+    return result
+
+
+def _relabeled(node: Any, old: str, new: str) -> Any:
+    """A copy of a certificate with the labels at and below `old` moved
+    under `new`; labels appear only under `label` keys."""
+    if isinstance(node, list):
+        return [_relabeled(v, old, new) for v in node]
+    if not isinstance(node, dict):
+        return node
+    out = {k: _relabeled(v, old, new) for k, v in node.items()}
+    label = node.get("label", "")
+    if label == old or label.startswith(old + "/"):
+        out["label"] = new + label[len(old):]
+    return out
+
+
+def _estimate_carrier(
+    sgp: FiniteSemigroup,
+    text: str,
+    options: EstimateOptions,
+    label: str,
+    given: Optional[dict[str, Any]],
+    memo: dict,
+) -> ComplexityInterval:
+    """`estimate` on a carrier the memo does not hold; `text` is its
+    serialized form."""
     if is_aperiodic(sgp):
         return ComplexityInterval(
             0,
             0,
             {
-                "label": _label,
+                "label": label,
                 "rule": "aperiodic",
                 "order": len(sgp),
                 "semigroup": text,
@@ -438,9 +484,7 @@ def estimate(
     child_certs = []
     for jref, gq in reduction.children:
         if len(gq.quotient) < len(sgp.elements):
-            sub = estimate(
-                gq.quotient, options, _label=f"{_label}/GM[J{jref.j_id}]", _given=_given
-            )
+            sub = estimate(gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo)
             child_intervals.append(sub)
             child_certs.append(
                 {
@@ -451,7 +495,7 @@ def estimate(
                 }
             )
         else:
-            sub = _estimate_group_mapping(sgp, text, jref, options, _label, _given)
+            sub = _estimate_group_mapping(sgp, text, jref, options, label, given, memo)
             child_intervals.append(sub)
             child_certs.append(
                 {"jclass": jref.j_id, "kind": "self-group-mapping", "sub": sub.certificate}
@@ -463,7 +507,7 @@ def estimate(
         lower,
         upper,
         {
-            "label": _label,
+            "label": label,
             "rule": "gm-max",
             "order": len(sgp),
             "semigroup": text,
@@ -480,6 +524,7 @@ def _estimate_group_mapping(
     options: EstimateOptions,
     label: str,
     given: Optional[dict[str, Any]],
+    memo: dict,
 ) -> ComplexityInterval:
     """`text` is the serialized form of sgp, which the caller already has."""
     pres = group_mapping_presentation(sgp)
@@ -487,7 +532,7 @@ def _estimate_group_mapping(
         raise VerificationError(
             "trivial GM congruence at a class that is not distinguished"
         )
-    rlm_int = estimate(pres.rlmq.rlm, options, _label=f"{label}/RLM", _given=given)
+    rlm_int = estimate(pres.rlmq.rlm, options, f"{label}/RLM", given, memo)
     lower = max(1, rlm_int.lower)
     cert: dict[str, Any] = {
         "label": label,
@@ -552,6 +597,7 @@ def flow_upper(
     cap = rlm_upper - 1
 
     def within_cap(tsg: FiniteSemigroup) -> bool:
+        # a top-level call: its own memo, and never the replayed choices
         sub = estimate(tsg, options, _label="T_A")
         return sub.upper is not None and sub.upper <= cap
 
@@ -610,7 +656,14 @@ def replay_certificate(
     every group-mapping node (keyed by its label, unique in a tree) instead
     of searching, and requires the recomputed certificate's canonical text
     to equal the given one's.  Returns the replay log, one line per node,
-    children first; raises InputError, VerificationError or ResourceError."""
+    children first; raises InputError, VerificationError or ResourceError.
+
+    The recomputation computes each distinct carrier once (see `estimate`),
+    following the stored upper of the first node it reaches for that
+    carrier; a later node for the same carrier gets a relabeled copy.  So a
+    certificate whose repeats of one carrier carry different stored uppers
+    is rejected, even when each upper would verify alone.  `estimate`
+    never emits such a certificate."""
     from .fileformats import parse_semigroup
 
     if not isinstance(cert, dict) or not isinstance(cert.get("semigroup"), str):

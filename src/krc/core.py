@@ -7,7 +7,7 @@ values).  Semigroups built from transformations multiply by `compose`;
 abstract ones (quotients, Rees/Brandt carriers, products) supply their own
 multiplication callable.  Either way the callable is read only while the
 carrier is built, for its right Cayley graph over the generators (and, on
-small carriers, for the associativity check).  After that a product is
+small abstract carriers, for the associativity check).  After that a product is
 traced: i*j follows a word of j through the right Cayley graph from i,
 which is sound because the operation is associative.
 """
@@ -113,7 +113,12 @@ class FiniteSemigroup:
     `_ASSOC_CHECK_LIMIT` elements Light's test checks its own products for
     associativity.  Tracing is sound because the operation is associative
     (checked there, taken on trust for larger carriers): with
-    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.
+    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Light's test is skipped
+    where it cannot fail, when the callable is `compose`: composing maps is
+    associative, and the carrier is closed already, as `generate` closes by
+    construction and `from_elements` checks closure under the generators
+    plus reachability.  Every other callable, a GM image's included, gets
+    the full test.
 
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
@@ -145,7 +150,7 @@ class FiniteSemigroup:
         self._word_tree()
         self.left_cayley = self.right_translations(self.gens)  # g*i for each g
         self._green: Optional[GreenStructure] = None
-        if len(elements) <= _ASSOC_CHECK_LIMIT:
+        if len(elements) <= _ASSOC_CHECK_LIMIT and mul is not compose:
             self._check_associativity(mul)
 
     def _word_tree(self) -> None:

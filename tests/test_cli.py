@@ -270,6 +270,12 @@ TAMPER_CERTS = {
     "I3": estimate(parse_semigroup(I3_TEXT)).certificate,
 }
 I3_FLOW = ("children", 1, "sub", "children", 1, "sub", "upper")
+# the full transformation monoid on three points: S/GM[J2] is the carrier
+# of S/GM[J1]/GM[J2], computed once and served to the later node as a copy
+T3_TEXT = "points: 3\ngens:\ng0: 2 3 1\ng1: 2 1 3\ng2: 1 1 3\n"
+T3_CERT = estimate(parse_semigroup(T3_TEXT)).certificate
+T3_COMPUTED = ("children", 0, "sub", "children", 1, "sub")
+T3_SERVED = ("children", 1, "sub")
 
 
 def node_at(node, path):
@@ -340,6 +346,22 @@ class TestReplayRejects:
         assert err == (
             "verification failure: replay: certificate differs from the recomputed one"
             f" at {path_id(I3_FLOW + (field,))}\n"
+        )
+
+    @pytest.mark.parametrize("path", [
+        T3_SERVED + path for path in leaf_paths(node_at(T3_CERT, T3_SERVED))
+    ], ids=path_id)
+    def test_changed_leaf_in_a_memo_served_copy(self, capsys, tmp_path, path):
+        computed, served = node_at(T3_CERT, T3_COMPUTED), node_at(T3_CERT, T3_SERVED)
+        assert (computed["label"], served["label"]) == ("S/GM[J1]/GM[J2]", "S/GM[J2]")
+        assert computed["semigroup"] == served["semigroup"]
+        cert = json.loads(json.dumps(T3_CERT))
+        node_at(cert, path[:-1])[path[-1]] = changed(node_at(cert, path))
+        code, _, err = replay(capsys, tmp_path, cert)
+        assert code == EXIT_VERIFY
+        assert err == (
+            "verification failure: replay: certificate differs from the recomputed one"
+            f" at {path_id(path)}\n"
         )
 
     def test_unknown_self_group_mapping_kind(self, capsys, tmp_path):

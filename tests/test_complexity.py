@@ -15,8 +15,10 @@ from krc.complexity import (
     lift_through_expansion,
     rhodes_expansion,
 )
+from krc.cli import load_corpus_manifest
 from krc.errors import InputError, ResourceError
 from krc.products import DivisionWitness, ExhaustionReport
+from test_core import I4_GENS, LADDER, T4_GENS
 
 T = PartialTransformation
 
@@ -241,6 +243,61 @@ class TestDerivedWreathDivision:
         assert any(isinstance(r, DivisionWitness) for r in results)
         # and in fact all three certify here
         assert all(isinstance(r, DivisionWitness) for r in results)
+
+
+BUDGET_0 = EstimateOptions(automata_budget=0)
+
+
+def memo_served(monkeypatch, sgp, options):
+    """estimate(sgp, options) on a memo of its own; returns that memo and,
+    per call the memo served, (carrier, label, interval)."""
+    memo, served = {}, []
+    inner = complexity.estimate
+
+    def tracing(sub, opts=None, _label="S", _given=None, _memo=None):
+        before = None if _memo is None else len(_memo)
+        result = inner(sub, opts, _label, _given, _memo)
+        if _memo is memo and len(memo) == before:
+            served.append((sub, _label, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(complexity, "estimate", tracing)
+        tracing(sgp, options, _memo=memo)
+    return memo, served
+
+
+def ladder(gens):
+    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+
+
+class TestMemo:
+    """Each distinct carrier is computed once per estimate; every memo hit
+    must equal a fresh estimate of its node at its label."""
+
+    def check_hits(self, served, options):
+        for sub, label, got in served:
+            fresh = estimate(sub, options, _label=label)
+            assert (got.lower, got.upper) == (fresh.lower, fresh.upper), label
+            assert got.certificate == fresh.certificate, label
+
+    @pytest.mark.parametrize("name", [e["name"] for e in load_corpus_manifest()])
+    def test_corpus(self, monkeypatch, corpus, name):
+        sgp, _ = corpus[name]
+        _, served = memo_served(monkeypatch, sgp, None)
+        self.check_hits(served, None)
+
+    @pytest.mark.parametrize("gens,options,computed,hits", [
+        (LADDER["T3"], None, 6, 2),
+        (LADDER["PT3"], None, 6, 2),
+        (LADDER["I3"], None, 6, 2),
+        (I4_GENS, BUDGET_0, 10, 7),
+        (T4_GENS, BUDGET_0, 10, 7),
+    ], ids=["T3", "PT3", "I3", "I4", "T4"])
+    def test_ladder(self, monkeypatch, gens, options, computed, hits):
+        memo, served = memo_served(monkeypatch, ladder(gens), options)
+        assert (len(memo), len(served)) == (computed, hits)
+        self.check_hits(served, options)
 
 
 def test_derived_upper_rule(z2_rz2, z2_abs):

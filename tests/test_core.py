@@ -185,6 +185,25 @@ class TestAssociativityCheck:
         )
         assert len(s) == 3
 
+    def test_light_only_where_it_can_fail(self, monkeypatch):
+        # composing maps is associative; any other callable, a GM image's
+        # included, gets Light's test
+        tested = []
+        check = FiniteSemigroup._check_associativity
+
+        def counting(self, mul):
+            tested.append(mul)
+            check(self, mul)
+
+        monkeypatch.setattr(FiniteSemigroup, "_check_associativity", counting)
+        t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
+        FiniteSemigroup.from_elements(t3.elements, compose)
+        regular_representation(t3)
+        assert tested == []
+        gm_quotient(t3, JClassRef(t3, t3.green().j_of[t3.gens[0]]))
+        FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
+        assert len(tested) == 2 and compose not in tested
+
 
 class TestGreen:
     def test_group_single_class(self, sym3):
@@ -293,6 +312,7 @@ class TestGreenOrder:
 
 
 T4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (1, 1, 3, 4))
+I4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (0, 2, 3, 4))
 
 
 @pytest.fixture(scope="module")
