@@ -11,7 +11,6 @@ from .core import (
     green,
     is_aperiodic,
     maximal_subgroup,
-    regular_representation,
 )
 from .semilocal import (
     Classification,

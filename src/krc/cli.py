@@ -21,7 +21,6 @@ from .core import (
     FiniteGroup,
     PartialTransformation,
     is_aperiodic,
-    regular_representation,
 )
 from .errors import InputError, ResourceError, VerificationError
 from . import fileformats as ff
@@ -115,8 +114,7 @@ def cmd_rlm(args) -> int:
 def cmd_gm(args) -> int:
     sgp = ff.load_semigroup(args.file, max_elements=args.budget_elements)
     gq = gm_quotient(sgp, _jref(sgp, args))
-    rep = regular_representation(gq.quotient)
-    sys.stdout.write(ff.dump_semigroup(rep))
+    sys.stdout.write(ff.dump_semigroup(gq.quotient))
     sidecar = {
         "jclass": args.jclass,
         "order": len(gq.quotient),

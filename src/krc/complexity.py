@@ -20,9 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import (
-    ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic, regular_representation,
-)
+from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import ActionPair, DivisionWitness, check_division, wreath
 from .semilocal import (
@@ -421,11 +419,11 @@ def estimate(
     was first computed at and its interval.  The key is the carrier's int
     structure: its right Cayley graph, generator indices and names, and
     for a transformation carrier its text.  Text alone would not do: an
-    abstract carrier's text costs the regular representation a hit should
-    skip, and equal text does not fix the element order that J-class ids
-    are read in.  A hit returns the stored interval with its certificate
-    relabeled: every label that is the stored label, or starts with it
-    plus "/", starts with `_label` instead."""
+    abstract carrier's text costs a faithfulness check (`dump_semigroup`)
+    that a hit should skip, and equal text does not fix the element order
+    that J-class ids are read in.  A hit returns the stored interval with
+    its certificate relabeled: every label that is the stored label, or
+    starts with it plus "/", starts with `_label` instead."""
     from .fileformats import dump_semigroup
 
     memo = {} if _memo is None else _memo
@@ -437,7 +435,7 @@ def estimate(
             done.lower, done.upper, _relabeled(done.certificate, label, _label)
         )
     if text is None:
-        text = dump_semigroup(regular_representation(sgp))
+        text = dump_semigroup(sgp)
     result = _estimate_carrier(sgp, text, options or EstimateOptions(), _label, _given, memo)
     memo[key] = (_label, result)
     return result

@@ -9,7 +9,8 @@ multiplication callable.  Either way the callable is read only while the
 carrier is built, for its right Cayley graph over the generators (and, on
 small abstract carriers, for the associativity check).  After that a product is
 traced: i*j follows a word of j through the right Cayley graph from i,
-which is sound because the operation is associative.
+which is sound because the operation is associative.  An abstract
+carrier's file form is read off that graph too (`fileformats`).
 """
 
 from __future__ import annotations
@@ -670,27 +671,6 @@ def with_generators(sgp: FiniteSemigroup, gen_indices: list[int]) -> FiniteSemig
     if len(out) != len(sgp):
         raise InputError("given indices do not generate the semigroup")
     return out
-
-
-def regular_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
-    """The faithful right-translation action on S (plus an adjoined
-    identity point when S is not a monoid), keeping generator names.
-
-    Gives abstract semigroups (quotients, products) a transformation form
-    for serialization."""
-    n = len(sgp.elements)
-    ident = sgp.identity_index()
-    extra = 0 if ident is not None else 1
-    named = []
-    for name, gi in zip(sgp.gen_names, sgp.gens):
-        images = [sgp.mul_index(i, gi) + 1 for i in range(n)]
-        if extra:
-            images.append(gi + 1)
-        named.append((name, PartialTransformation(tuple(images))))
-    rep = FiniteSemigroup.generate(named, max_elements=len(sgp.elements) + 1)
-    if len(rep) != len(sgp):
-        raise VerificationError("regular representation is not faithful")
-    return rep
 
 
 def maximal_subgroup(sgp: FiniteSemigroup, e: Any) -> FiniteGroup:

@@ -35,13 +35,15 @@ line per state, in state order.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import (
     DEFAULT_ELEMENT_BUDGET,
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
 )
-from .errors import InputError
+from .errors import InputError, VerificationError
 
 
 def _clean_lines(text: str) -> list[str]:
@@ -66,12 +68,34 @@ def _int(token: str, what: str) -> int:
 
 
 def dump_semigroup(sgp: FiniteSemigroup) -> str:
-    if not sgp.is_transformation:
-        raise InputError("only transformation semigroups have a file form")
-    lines = [f"points: {sgp.degree}", "gens:"]
-    for name, gi in zip(sgp.gen_names, sgp.gens):
-        lines.append(f"{name}: {sgp.elements[gi]}")
+    """The generators' images; an abstract carrier (a quotient, a product)
+    is written as its right regular representation, `_right_regular`."""
+    gens = [sgp.elements[gi] for gi in sgp.gens] if sgp.is_transformation else _right_regular(sgp)
+    lines = [f"points: {gens[0].degree}", "gens:"]
+    lines += [f"{name}: {g}" for name, g in zip(sgp.gen_names, gens)]
     return "\n".join(lines) + "\n"
+
+
+def _right_regular(sgp: FiniteSemigroup) -> list[PartialTransformation]:
+    """Each generator's right translation x -> x*g of S, read off the right
+    Cayley graph, plus one adjoined point sent to g when S has no identity.
+
+    Faithful iff these generate exactly |S| maps.  s acts as rho_s, its
+    word's product (`right_translations`), which sends the base point (the
+    identity, or the adjoined point) to s; so the rho_s are distinct, and
+    they are all the maps iff rho_s then g is rho_(s*g) for every s and g."""
+    right = sgp.right_cayley
+    columns = list(zip(*right))  # columns[k][x] = x*g_k
+    rows = sgp.right_translations(range(len(right)))
+    if sgp.identity_index() is None:
+        rows = [row + (s,) for s, row in enumerate(rows)]
+        columns = [col + (gi,) for col, gi in zip(columns, sgp.gens)]
+    for s, row in enumerate(rows if len(rows[0]) > 1 else ()):  # one point, one map
+        image = itemgetter(*row)  # col -> (col[x] for x in row), as a tuple
+        for col, t in zip(columns, right[s]):
+            if image(col) != rows[t]:
+                raise VerificationError("regular representation is not faithful")
+    return [PartialTransformation(tuple(x + 1 for x in col)) for col in columns]
 
 
 def parse_semigroup(

@@ -2,6 +2,7 @@
 with its measured evidence.  Run with -s (or read test_output.txt) to see
 the lines; every tolerance and bound is pinned here, not configured."""
 
+import json
 import random
 import time
 
@@ -24,7 +25,7 @@ from krc.core import (
     check_stability,
     is_aperiodic,
 )
-from krc.errors import ResourceError
+from krc.errors import InputError, ResourceError, VerificationError
 from krc.fileformats import load_semigroup
 from krc.flows import presentation_construct, trivial_flow, verify_flow, Flow
 from krc.inverse import analyze_lift, brandt_isomorphism, small_monoid
@@ -38,6 +39,7 @@ from krc.semilocal import (
     rlm_quotient,
 )
 from krc.spc import TOP, canonicalize, enumerate_spcs, join, leq, meet
+from test_cli import changed, leaf_paths, node_at
 
 T = PartialTransformation
 SEED = 20250811
@@ -375,6 +377,26 @@ def test_criterion_8_complexity_pipeline():
     print(
         f"ACCEPTANCE 8: PASS - intervals match on {checked} corpus members, "
         f"slowest certificate replay {slow:.1f}s"
+    )
+
+
+def test_sample_round_trip_and_tamper(sample):
+    """Every sample certificate replays, and the same certificate with one
+    leaf changed (chosen by a seeded draw) is rejected."""
+    rng = random.Random(SEED)
+    start = time.monotonic()
+    for sgp in sample:
+        cert = estimate(sgp).certificate
+        replay_certificate(cert)
+        path = rng.choice(list(leaf_paths(cert)))
+        bad = json.loads(json.dumps(cert))
+        node_at(bad, path[:-1])[path[-1]] = changed(node_at(cert, path))
+        rejected = (VerificationError, InputError) if path == ("semigroup",) else VerificationError
+        with pytest.raises(rejected):
+            replay_certificate(bad)
+    print(
+        f"ACCEPTANCE 8b: PASS - {len(sample)} sample certificates replay and reject "
+        f"one changed leaf each ({time.monotonic() - start:.1f}s)"
     )
 
 

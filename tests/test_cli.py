@@ -74,6 +74,38 @@ class TestQuotientCommands:
         quotient = parse_semigroup(header)
         assert len(quotient) == 2
 
+    @pytest.mark.parametrize("file,jclass,text,sidecar", [
+        ("b2z2_1", 1,
+         "points: 10\ngens:\ne: 1 2 3 4 5 6 7 8 9 10\n"
+         "a: 5 5 4 10 10 9 8 10 10 10\nb: 6 10 10 2 3 10 10 6 7 10\n",
+         {"classes": [["- - - -", 9], ["- - 1 2", 5], ["- - 2 1", 6], ["- - 3 4", 7],
+                      ["- - 4 3", 8], ["1 2 - -", 1], ["1 2 3 4", 0], ["2 1 - -", 2],
+                      ["3 4 - -", 3], ["4 3 - -", 4]],
+          "generalized_only": False, "injective_on_all_subgroups": True,
+          "jclass": 1, "order": 10}),
+        ("z2_rz2", 0, "points: 2\ngens:\nx: 2 1\ny: 2 1\n",
+         {"classes": [["1 2 3 3", 0], ["1 2 4 4", 0], ["2 1 3 3", 2], ["2 1 4 4", 2]],
+          "generalized_only": False, "injective_on_all_subgroups": True,
+          "jclass": 0, "order": 2}),
+        # B_2: its GM image at J0 has no identity, so the text adjoins point
+        # 6; the one at J1 is trivial, a single point
+        ("brandt", 0, "points: 6\ngens:\na: 2 5 4 5 5 2\nb: 5 1 5 3 5 3\n",
+         {"classes": [["- -", 4], ["- 1", 2], ["- 2", 3], ["1 -", 0], ["2 -", 1]],
+          "generalized_only": True, "injective_on_all_subgroups": True,
+          "jclass": 0, "order": 5}),
+        ("brandt", 1, "points: 1\ngens:\na: 1\nb: 1\n",
+         {"classes": [["- -", 0], ["- 1", 0], ["- 2", 0], ["1 -", 0], ["2 -", 0]],
+          "generalized_only": True, "injective_on_all_subgroups": True,
+          "jclass": 1, "order": 1}),
+    ], ids=["b2z2_1-J1", "z2_rz2-J0", "brandt-J0", "brandt-J1"])
+    def test_gm_stdout_is_pinned(self, capsys, tmp_path, file, jclass, text, sidecar):
+        path = tmp_path / "brandt.sgp"
+        path.write_text("points: 2\ngens:\na: 2 -\nb: - 1\n", encoding="ascii")
+        source = str(path) if file == "brandt" else corpus_file(file)
+        code, out, _ = run(capsys, "gm", source, "--jclass", str(jclass))
+        assert code == EXIT_OK
+        assert out == text + json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+
     def test_rees_sidecar(self, capsys):
         code, out, _ = run(capsys, "rees", corpus_file("b2z2_1"), "--jclass", "1")
         assert code == EXIT_OK

@@ -12,13 +12,13 @@ from krc.core import (
     is_aperiodic,
     maximal_subgroup,
     minimal_generating_set,
-    regular_representation,
     with_generators,
 )
 from krc.cli import CORPUS_DIR, load_corpus_manifest
-from krc.complexity import RelationalMorphism, derived_semigroup
+from krc.complexity import EstimateOptions, RelationalMorphism, derived_semigroup, estimate
 from krc.errors import InputError, ResourceError, VerificationError
-from krc.fileformats import load_semigroup
+from krc import fileformats
+from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
 from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient
 
@@ -198,7 +198,6 @@ class TestAssociativityCheck:
         monkeypatch.setattr(FiniteSemigroup, "_check_associativity", counting)
         t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
         FiniteSemigroup.from_elements(t3.elements, compose)
-        regular_representation(t3)
         assert tested == []
         gm_quotient(t3, JClassRef(t3, t3.green().j_of[t3.gens[0]]))
         FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
@@ -486,10 +485,77 @@ def test_minimal_generating_set(sym3):
     assert len(reached) == len(sym3)
 
 
-def test_regular_representation_faithful(b2z2_1):
-    from krc.semilocal import gm_quotient, JClassRef
+def reference_regular_representation(sgp):
+    """The right regular representation as a closure of transformations:
+    each generator's right translation, plus an adjoined identity point
+    when S is not a monoid; faithful when the closure has |S| elements."""
+    n = len(sgp.elements)
+    ident = sgp.identity_index()
+    named = []
+    for name, gi in zip(sgp.gen_names, sgp.gens):
+        images = [sgp.mul_index(i, gi) + 1 for i in range(n)]
+        if ident is None:
+            images.append(gi + 1)
+        named.append((name, T(tuple(images))))
+    rep = FiniteSemigroup.generate(named, max_elements=n + 1)
+    if len(rep) != n:
+        raise VerificationError("regular representation is not faithful")
+    return rep
 
-    gq = gm_quotient(b2z2_1, JClassRef(b2z2_1, 1))
-    rep = regular_representation(gq.quotient)
-    assert len(rep) == len(gq.quotient)
-    assert rep.gen_names == gq.quotient.gen_names
+
+@pytest.fixture(scope="module")
+def written_abstract_carriers(corpus):
+    """Every distinct abstract carrier that `estimate` writes, at default
+    options on the corpus, T_3, PT_3, I_3 and the acceptance sample, and at
+    automata budget 0 on I_4 and T_4."""
+    from test_acceptance import _sample_semigroups
+
+    def generated(gens):
+        return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+
+    runs = [(s, EstimateOptions()) for s, _ in corpus.values()]
+    runs += [(generated(gens), EstimateOptions()) for gens in LADDER.values()]
+    runs += [(generated(gens), EstimateOptions(automata_budget=0)) for gens in (I4_GENS, T4_GENS)]
+    runs += [(s, EstimateOptions()) for s in _sample_semigroups()]
+    seen = {}
+    dump = fileformats.dump_semigroup
+
+    def recording(sgp):
+        if not sgp.is_transformation:
+            seen[tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names)] = sgp
+        return dump(sgp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileformats, "dump_semigroup", recording)
+        for sgp, options in runs:
+            estimate(sgp, options)
+    return list(seen.values())
+
+
+class TestRegularRepresentation:
+    """An abstract carrier's text, read off its right Cayley graph, against
+    the closure of its generators' right translations."""
+
+    def test_text_equals_the_closure_form(self, written_abstract_carriers):
+        monoids = 0
+        for sgp in written_abstract_carriers:
+            assert dump_semigroup(sgp) == dump_semigroup(reference_regular_representation(sgp))
+            monoids += sgp.identity_index() is not None
+        assert monoids >= 50 and len(written_abstract_carriers) - monoids >= 15
+
+    def test_faithful_on_a_gm_image(self, b2z2_1):
+        gq = gm_quotient(b2z2_1, JClassRef(b2z2_1, 1))
+        text = dump_semigroup(gq.quotient)
+        rep = parse_semigroup(text)
+        assert len(rep) == len(gq.quotient)
+        assert rep.gen_names == gq.quotient.gen_names
+        assert text == dump_semigroup(reference_regular_representation(gq.quotient))
+
+    def test_unfaithful_carrier_is_rejected(self):
+        # Z_41 over 1 and 2 with one right Cayley edge moved; past 40
+        # elements Light's test does not run, so only the text's check sees it
+        right = [[(i + 1) % 41, (i + 2) % 41] for i in range(41)]
+        right[5][1] = (right[5][1] + 7) % 41
+        sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], right, lambda u, v: (u + v) % 41)
+        with pytest.raises(VerificationError, match="not faithful"):
+            dump_semigroup(sgp)
