@@ -6,12 +6,15 @@ deterministic byte for byte for fixed inputs and budgets.  Exit codes:
 0 success, 2 usage or input error, 3 resource budget, 4 verification
 failure.  A subcommand takes only the budget flags it reads.  The
 certificate format belongs to `complexity`: `estimate` and `replay` only
-write, read and print what it returns.
+write, read and print what it returns.  `main(argv)` may be called
+repeatedly in one process: the parser is built once per process and each
+call parses into a fresh namespace.  A negative budget exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,10 +255,12 @@ def cmd_estimate(args) -> int:
     sgp = ff.load_semigroup(args.file, max_elements=args.budget_elements)
     interval = cx.estimate(sgp, _estimate_options(args))
     print(str(interval))
+    if args.trace or args.cert:
+        text = cx.certificate_json(interval.certificate)
     if args.trace:
-        sys.stdout.write(cx.certificate_json(interval.certificate))
+        sys.stdout.write(text)
     if args.cert:
-        Path(args.cert).write_text(cx.certificate_json(interval.certificate), encoding="ascii")
+        Path(args.cert).write_text(text, encoding="ascii")
     return EXIT_OK
 
 
@@ -378,6 +383,7 @@ def cmd_replay(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krc",
@@ -399,11 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--division-budget": (DIVISION_SEARCH_BUDGET, "lift tuples tried per division search"),
     }
 
+    def non_negative_int(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+        return value
+
     def add_budgets(p, *flags):
         """Only the budget flags that the subcommand reads."""
         for flag in flags:
             default, text = budgets[flag]
-            p.add_argument(flag, type=int, default=default, help=text)
+            p.add_argument(flag, type=non_negative_int, default=default, help=text)
 
     p = sub.add_parser("analyze", help="order, Green data, classification")
     p.add_argument("file")
@@ -434,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_flow_verify)
     ps = fsub.add_parser("search")
     ps.add_argument("semigroup")
-    ps.add_argument("--max-states", type=int, default=1)
-    ps.add_argument("--cap", type=int, default=0)
+    ps.add_argument("--max-states", type=non_negative_int, default=1)
+    ps.add_argument("--cap", type=non_negative_int, default=0)
     add_budgets(ps, "--budget-elements", "--automata-budget")
     ps.set_defaults(func=cmd_flow_search)
 

@@ -1,13 +1,21 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import krc
+from krc import complexity as cx
 from krc.cli import (
     CORPUS_DIR,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     corpus_report,
     main,
 )
@@ -23,6 +31,98 @@ def run(capsys, *argv):
 
 def corpus_file(name: str) -> str:
     return str(CORPUS_DIR / f"{name}.sgp")
+
+
+def fresh_process(cwd, *argv) -> tuple[int, bytes]:
+    """`python -m krc.cli ARGV` in a new interpreter: exit code and stdout."""
+    src = str(Path(krc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "krc.cli", *argv],
+        capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path}, check=False,
+    )
+    return done.returncode, done.stdout
+
+
+# each subcommand's required arguments, and the budget flags it takes
+COMMANDS = {
+    ("analyze",): ([corpus_file("z2")], ["--budget-elements"]),
+    ("rlm",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
+    ("gm",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
+    ("rees",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
+    ("flow", "verify"): ([corpus_file("z2"), "flow.txt"], ["--budget-elements"]),
+    ("flow", "search"): (
+        [corpus_file("z2")],
+        ["--budget-elements", "--automata-budget", "--max-states", "--cap"],
+    ),
+    ("divide",): ([corpus_file("z2"), corpus_file("z2")], ["--budget-elements", "--division-budget"]),
+    ("estimate",): (
+        [corpus_file("z2")], ["--budget-elements", "--budget-states", "--automata-budget"]
+    ),
+    ("corpus", "run"): ([], ["--budget-states", "--automata-budget"]),
+    ("replay",): (["cert.json"], ["--budget-states", "--automata-budget"]),
+}
+BUDGET_PAIRS = [(command, flag) for command, (_, flags) in COMMANDS.items() for flag in flags]
+BUDGET_IDS = [" ".join(command) + " " + flag for command, flag in BUDGET_PAIRS]
+
+
+def non_negative_options(parser, command=()):
+    """(subcommand, flag) for every option of `parser` typed as a non-negative int."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from non_negative_options(sub, (*command, name))
+        elif getattr(action.type, "__name__", None) == "non_negative_int":
+            yield command, action.option_strings[0]
+
+
+class TestBudgetFlags:
+    def test_every_budget_flag_is_listed(self):
+        assert sorted(non_negative_options(build_parser())) == sorted(BUDGET_PAIRS)
+
+    @pytest.mark.parametrize("command,flag", BUDGET_PAIRS, ids=BUDGET_IDS)
+    def test_negative_budget_is_a_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, *COMMANDS[command][0], flag, "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument {flag}: invalid non-negative int value: '-1'" in err
+
+
+class TestParserReuse:
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        assert run(capsys, "analyze", corpus_file("z2"))[0] == EXIT_OK
+        assert built[0] == "krc"
+        built.clear()
+        assert run(capsys, "analyze", corpus_file("z2"))[0] == EXIT_OK
+        assert built == []
+
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        argv = ("flow", "search", corpus_file("b2z2_1"), "--max-states", "0")
+        assert run(capsys, *argv, "--automata-budget", "3") == (
+            EXIT_RESOURCE, "unknown: exhausted after 0 automata (budget 3)\n", ""
+        )
+        assert run(capsys, *argv) == (
+            EXIT_RESOURCE, "unknown: exhausted after 0 automata (budget 2000)\n", ""
+        )
+
+    def test_usage_error_and_help_change_no_later_output(self, capsys, tmp_path):
+        argv = ("estimate", corpus_file("b2z2_1"), "--trace")
+        assert run(capsys, *argv, "--automata-budget", "-1")[0] == EXIT_USAGE
+        code, out, _ = run(capsys, "estimate", "--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage: krc estimate")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert fresh_process(tmp_path, *argv) == (code, out.encode("ascii"))
 
 
 class TestAnalyze:
@@ -241,6 +341,28 @@ class TestEstimateAndReplay:
         assert interval_line == "[1, 1]"
         cert = json.loads(payload)
         assert cert["rule"] == "gm-max"
+
+    def test_trace_and_cert_hold_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        serialize = cx.certificate_json
+        monkeypatch.setattr(cx, "certificate_json", lambda c: calls.append(c) or serialize(c))
+        cert = tmp_path / "cert.json"
+        code, out, _ = run(
+            capsys, "estimate", corpus_file("b2z2_1"), "--trace", "--cert", str(cert)
+        )
+        assert code == EXIT_OK
+        interval_line, payload = out.split("\n", 1)
+        assert interval_line == "[1, 1]"
+        assert payload.encode("ascii") == cert.read_bytes()
+        assert len(calls) == 1
+
+    def test_one_shot_process_matches_in_process_main(self, capsys, tmp_path):
+        file = corpus_file("small_3_z2_r1")
+        code, out, _ = run(capsys, "estimate", file, "--cert", str(tmp_path / "main.json"))
+        assert code == EXIT_OK
+        one_shot = fresh_process(tmp_path, "estimate", file, "--cert", "one-shot.json")
+        assert one_shot == (code, out.encode("ascii"))
+        assert (tmp_path / "one-shot.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
     def test_certificate_replay_cold(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
