@@ -177,10 +177,8 @@ def cmd_flow_verify(args) -> int:
     if verdict is True:
         print("ok")
         return EXIT_OK
-    print(
-        f"violation: {verdict.condition} at state {verdict.state} "
-        f"letter {verdict.letter}: {verdict.detail}"
-    )
+    where = f" at state {verdict.state} letter {verdict.letter}" if verdict.letter else ""
+    print(f"violation: {verdict.condition}{where}: {verdict.detail}")
     return EXIT_VERIFY
 
 

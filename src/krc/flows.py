@@ -3,15 +3,19 @@ the constructive decomposition a verified flow induces.
 
 A flow labels every automaton state with an SPC over (B, G) of the
 analyzed group-mapping presentation so that each transition transports
-supports, blocks and cross sections coherently (conditions F1-F5).  From
-a verified flow the lifted action on G x [b] x Q is built, and the
-witness map onto G x B + 0 is checked to be a surjective morphism; the
-resulting division of S into (G wr Sym_b wr T_A) x RLM is machine-checked
-through the division machinery.
+supports, blocks and cross sections coherently (conditions F1-F5, each
+local to one transition), and so that the supports W_q cover B (the
+global cover condition; a point no support reaches leaves the witness map
+below short of G x B).  From a verified flow the lifted action on
+G x [b] x Q is built, and the witness map onto G x B + 0 is checked to be
+a surjective morphism; the resulting division of S into
+(G wr Sym_b wr T_A) x RLM is machine-checked through the division
+machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
@@ -83,9 +87,9 @@ class Flow:
 
 @dataclass
 class FlowViolation:
-    condition: str  # F1..F5
-    state: int
-    letter: str
+    condition: str  # F1..F5, or "cover"
+    state: int  # 0 for the cover condition
+    letter: str  # "" for the cover condition
     detail: str
 
     def __bool__(self):
@@ -146,8 +150,8 @@ def _transition_check(
 
 
 def verify_flow(flow: Flow):
-    """Check F1-F5 at every defined transition; returns True or the first
-    violation (a value, not an exception)."""
+    """Check F1-F5 at every defined transition, then the cover condition;
+    returns True or the first violation (a value, not an exception)."""
     aut = flow.automaton
     for q in range(1, aut.n_states + 1):
         for x in aut.letters:
@@ -159,6 +163,11 @@ def verify_flow(flow: Flow):
             )
             if bad is not None:
                 return FlowViolation(bad[0], q, x, bad[1])
+    covered = set().union(*(spc.subset for spc in flow.labeling))
+    missing = [b for b in range(1, flow.presentation.n_b + 1) if b not in covered]
+    if missing:
+        points = ", ".join(map(str, missing))
+        return FlowViolation("cover", 0, "", f"no state's support contains {points}")
     return True
 
 
@@ -428,24 +437,16 @@ def flow_search(
     states whose transition semigroup passes the complexity cap.
 
     Automata come in canonical order, and per automaton its consistent
-    labelings; `accept(flow)` turns a verified flow into the result, and
-    None moves on to the next labeling.  Exhaustion is explicit and never
-    a nonexistence claim."""
+    covering labelings, with transitions checked through one
+    `_successor_index` per search; `accept(flow)` turns a verified flow
+    into the result, and None moves on to the next labeling.  Exhaustion
+    is explicit and never a nonexistence claim."""
     if cap_check is None:
         if cap != 0:
             raise InputError("cap > 0 needs an explicit cap_check")
         cap_check = is_aperiodic
     letters = tuple(pres.sgp.gen_names)
     spcs = None  # enumerated once an automaton passes the cap
-    compat: dict[tuple[int, int, str], bool] = {}
-
-    def compatible(i: int, k: int, x: str) -> bool:
-        key = (i, k, x)
-        hit = compat.get(key)
-        if hit is None:
-            hit = _transition_check(pres, spcs[i], spcs[k], x) is None
-            compat[key] = hit
-        return hit
 
     tried = 0
     for m in range(1, max_states + 1):
@@ -461,7 +462,9 @@ def flow_search(
                 continue
             if spcs is None:
                 spcs = enumerate_spcs(pres.n_b, pres.group)
-            for assignment in _iter_labelings(aut, spcs, compatible):
+                supports = [frozenset(spc.subset) for spc in spcs]
+                succ = _successor_index(pres, spcs, supports)
+            for assignment in _iter_labelings(aut, supports, succ):
                 flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
                 if verify_flow(flow) is not True:
                     raise VerificationError("search produced a non-flow")
@@ -471,50 +474,106 @@ def flow_search(
     return FlowSearchExhausted(max_states, tried, automata_budget)
 
 
-def _iter_labelings(aut: Automaton, spcs, compatible) -> Iterator[list[int]]:
-    """All consistent labelings, backtracking after transition-consistency
-    propagation; domains are SPC indices in canonical order, so solutions
-    come out canonically ordered."""
+def _successor_index(
+    pres: GroupMappingPresentation, spcs: list[SPC], supports: list[frozenset[int]]
+) -> Callable[[int, str], frozenset[int]]:
+    """succ(i, x): the k with `_transition_check(pres, spcs[i], spcs[k], x)`
+    None.  That check passes exactly when F4 holds for (i, x), the images
+    of i's blocks under x have their union U inside W_k, and spcs[k]
+    restricted to U has exactly those images as blocks (so they are
+    pairwise disjoint), with the moved labels up to a left shift per
+    block.  So succ(i, x) is one bucket of the targets whose support
+    contains U, keyed by the blocks on U with each block's labels shifted
+    to 1_G at its least point; the buckets of a U are built when U first
+    comes up."""
+    group = pres.group
+    buckets: dict[frozenset[int], dict[tuple, frozenset[int]]] = {}
+
+    def key(blocks: list[dict[int, int]]) -> tuple:
+        out = []
+        for blk in filter(None, blocks):
+            points = sorted(blk)
+            shift = group.inv(blk[points[0]])
+            out.append((tuple(points), tuple(group.mul(shift, blk[b]) for b in points)))
+        return tuple(sorted(out))
+
+    def bucket(u: frozenset[int]) -> dict[tuple, frozenset[int]]:
+        if u not in buckets:
+            members: dict[tuple, list[int]] = {}
+            for k, spc in enumerate(spcs):
+                if u <= supports[k]:
+                    lab = spc.label_of()
+                    on_u = [{b: lab[b] for b in blk if b in u} for blk in spc.blocks]
+                    members.setdefault(key(on_u), []).append(k)
+            buckets[u] = {kk: frozenset(ks) for kk, ks in members.items()}
+        return buckets[u]
+
+    @functools.cache
+    def succ(i: int, x: str) -> frozenset[int]:
+        rlm_map = pres.rlm_of_gen[x]
+        moved = mu_action(spcs[i].label_of(), rlm_map, pres.label_of_gen[x], group)
+        if isinstance(moved, CrossSectionFailure):
+            return frozenset()
+        images = [{rlm_map[b - 1] for b in blk} - {0} for blk in spcs[i].blocks]
+        u = frozenset().union(*images)
+        return bucket(u).get(key([{c: moved[c] for c in img} for img in images]), frozenset())
+
+    return succ
+
+
+def _iter_labelings(
+    aut: Automaton, supports: list[frozenset[int]], succ: Callable[[int, str], frozenset[int]]
+) -> Iterator[list[int]]:
+    """All consistent labelings whose supports cover B, by backtracking
+    over domains of SPC indices in canonical order, so solutions come out
+    canonically ordered.  Two rules first prune the domains until neither
+    removes anything, each only indices in no covering solution: arc
+    consistency on the successor sets (keep i in D_q when succ(i, x) meets
+    D_t, and k in D_t when it is in some succ(i, x) over D_q), and the
+    cover filter (W_q contains every point of B that no other state's
+    domain reaches; with one state, W = B)."""
     m = aut.n_states
-    arcs = [
-        (q, t, x)
-        for (q, x), t in sorted(aut.delta.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-    ]
-    domains: list[list[int]] = [list(range(len(spcs))) for _ in range(m)]
+    arcs = [(q - 1, t - 1, x) for (q, x), t in aut.delta.items()]
+    domains: list[list[int]] = [list(range(len(supports))) for _ in range(m)]
+    full = supports[0]  # canonical order puts W = B first
+
     changed = True
     while changed:
         changed = False
-        for (q, t, x) in arcs:
-            dq, dt = domains[q - 1], domains[t - 1]
-            keep = [i for i in dq if any(compatible(i, k, x) for k in dt)]
+        for q in range(m):
+            need = full.difference(
+                *(supports[k] for p in range(m) if p != q for k in domains[p])
+            )
+            keep = [k for k in domains[q] if need <= supports[k]]
+            if len(keep) != len(domains[q]):
+                domains[q] = keep
+                changed = True
+        for q, t, x in arcs:
+            dq, dt = domains[q], set(domains[t])
+            keep = [i for i in dq if not succ(i, x).isdisjoint(dt)]
             if len(keep) != len(dq):
-                domains[q - 1] = keep
+                domains[q] = keep
                 changed = True
-            keep_t = [k for k in dt if any(compatible(i, k, x) for i in domains[q - 1])]
-            if len(keep_t) != len(dt):
-                domains[t - 1] = keep_t
+            targets = set().union(*{succ(i, x) for i in keep})
+            keep_t = [k for k in domains[t] if k in targets]
+            if len(keep_t) != len(domains[t]):
+                domains[t] = keep_t
                 changed = True
-        if any(not d for d in domains):
+        if not all(domains):
             return
 
-    assignment: list[Optional[int]] = [None] * m
-
-    def consistent(state: int, idx: int) -> bool:
-        for (q, t, x) in arcs:
-            vq = idx if q == state else assignment[q - 1]
-            vt = idx if t == state else assignment[t - 1]
-            if vq is not None and vt is not None and not compatible(vq, vt, x):
-                return False
-        return True
+    # each arc is checked once, when the later of its two states is labeled
+    closing = [[(q, t, x) for q, t, x in arcs if max(q, t) == s] for s in range(m)]
+    assignment = [0] * m
 
     def backtrack(state: int) -> Iterator[list[int]]:
-        if state > m:
-            yield list(assignment)
+        if state == m:
+            if frozenset().union(*(supports[k] for k in assignment)) == full:
+                yield list(assignment)
             return
-        for idx in domains[state - 1]:
-            if consistent(state, idx):
-                assignment[state - 1] = idx
+        for idx in domains[state]:
+            assignment[state] = idx
+            if all(assignment[t] in succ(assignment[q], x) for q, t, x in closing[state]):
                 yield from backtrack(state + 1)
-                assignment[state - 1] = None
 
-    yield from backtrack(1)
+    yield from backtrack(0)

@@ -249,6 +249,35 @@ class TestFlowCommands:
         assert code == EXIT_VERIFY
         assert "violation" in out
 
+    def t3_image(self, tmp_path):
+        """T_3's S/GM[J1] (order 25, B = {1, 2, 3}), as its certificate holds it."""
+        node = node_at(T3_CERT, ("children", 0, "sub"))
+        assert (node["label"], node["order"]) == ("S/GM[J1]", 25)
+        path = tmp_path / "t3_gm1.sgp"
+        path.write_text(node["semigroup"], encoding="ascii")
+        return str(path)
+
+    def test_verify_rejects_a_flow_that_covers_nothing(self, capsys, tmp_path):
+        # F1-F5 hold on the empty labeling; the cover condition does not
+        flow = tmp_path / "empty.txt"
+        flow.write_text(
+            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 1\nflow:\nW={}; blocks=[]\n",
+            encoding="ascii",
+        )
+        code, out, _ = run(capsys, "flow", "verify", self.t3_image(tmp_path), str(flow))
+        assert code == EXIT_VERIFY
+        assert out == "violation: cover: no state's support contains 1, 2, 3\n"
+
+    def test_search_prints_a_covering_flow(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "flow", "search", self.t3_image(tmp_path), "--max-states", "1"
+        )
+        assert code == EXIT_OK
+        assert out == (
+            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 -\nflow:\n"
+            "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
+        )
+
     def test_search_exhaustion_exit(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,25 +1,33 @@
+import itertools
 import random
 
 import pytest
 
 from krc import complexity, flows
-from krc.complexity import EstimateOptions
-from krc.core import FiniteGroup, PartialTransformation, is_aperiodic
+from krc.cli import CORPUS_DIR, load_corpus_manifest
+from krc.complexity import EstimateOptions, estimate
+from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.errors import InputError, VerificationError
 from krc.flows import (
     Automaton,
     Flow,
     FlowSearchExhausted,
     FlowViolation,
+    _enumerate_automata,
+    _iter_labelings,
+    _successor_index,
+    _transition_check,
     flow_search,
     presentation_construct,
     transition_semigroup,
     trivial_flow,
     verify_flow,
 )
+from krc.fileformats import load_semigroup, parse_semigroup
 from krc.inverse import matrix_semigroup_as_transformations, small_monoid
 from krc.semilocal import group_mapping_presentation
-from krc.spc import canonicalize
+from krc.spc import canonicalize, enumerate_spcs
+from test_core import I4_GENS, LADDER, T4_GENS
 
 T = PartialTransformation
 
@@ -28,6 +36,49 @@ T = PartialTransformation
 def small17_pres(z2_group):
     sgp = matrix_semigroup_as_transformations(small_monoid(2, z2_group, 1), z2_group)
     return group_mapping_presentation(sgp)
+
+
+def reached_presentations(sgps, options=None):
+    """The presentations of the distinct group-mapping nodes that estimate
+    reaches from `sgps`, in the order first reached."""
+    texts: dict[str, None] = {}
+
+    def walk(node):
+        if isinstance(node, dict):
+            if node.get("rule") == "group-mapping":
+                texts.setdefault(node["semigroup"])
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    for sgp in sgps:
+        walk(estimate(sgp, options).certificate)
+    return [group_mapping_presentation(parse_semigroup(text)) for text in texts]
+
+
+def ladder(gens):
+    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+
+
+@pytest.fixture(scope="module")
+def corpus_presentations():
+    return reached_presentations(
+        load_semigroup(CORPUS_DIR / entry["file"]) for entry in load_corpus_manifest()
+    )
+
+
+@pytest.fixture(scope="module")
+def ladder_presentations():
+    """T_3, PT_3 and I_3's group-mapping nodes, by name."""
+    return {name: reached_presentations([ladder(gens)]) for name, gens in LADDER.items()}
+
+
+def successors(pres):
+    spcs = enumerate_spcs(pres.n_b, pres.group)
+    supports = [frozenset(spc.subset) for spc in spcs]
+    return spcs, supports, _successor_index(pres, spcs, supports)
 
 
 class TestTransitionSemigroup:
@@ -243,3 +294,123 @@ class TestFlowSearch:
     def test_cap_above_zero_needs_check(self, small17_pres):
         with pytest.raises(InputError):
             flow_search(small17_pres, max_states=1, cap=1)
+
+
+class TestSuccessorIndex:
+    """succ(i, x) is exactly the set of targets `_transition_check` passes."""
+
+    def test_every_triple_on_the_corpus_and_ladder(
+        self, corpus_presentations, ladder_presentations
+    ):
+        presentations = corpus_presentations + [
+            pres for group in ladder_presentations.values() for pres in group
+        ]
+        triples = 0
+        for pres in presentations:
+            spcs, _, succ = successors(pres)
+            for i, x in itertools.product(range(len(spcs)), pres.sgp.gen_names):
+                want = {
+                    k for k in range(len(spcs))
+                    if _transition_check(pres, spcs[i], spcs[k], x) is None
+                }
+                assert succ(i, x) == want, (i, x)
+                triples += len(spcs)
+        assert triples == 11_592
+
+    @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
+    def test_sampled_sources_at_four_b_points(self, gens):
+        presentations = [
+            pres
+            for pres in reached_presentations([ladder(gens)], EstimateOptions(automata_budget=0))
+            if pres.n_b == 4
+        ]
+        assert presentations
+        rng = random.Random(20261018)
+        for pres in presentations:
+            spcs, _, succ = successors(pres)
+            for _ in range(12):
+                i, x = rng.randrange(len(spcs)), rng.choice(pres.sgp.gen_names)
+                want = {
+                    k for k in range(len(spcs))
+                    if _transition_check(pres, spcs[i], spcs[k], x) is None
+                }
+                assert succ(i, x) == want, (i, x)
+
+
+class TestLabelings:
+    def test_covering_solutions_match_brute_force(self, corpus_presentations):
+        small = [pres for pres in corpus_presentations if pres.n_b <= 2]
+        assert {pres.n_b for pres in small} == {1, 2}
+        # presentations whose transition checks agree give `_iter_labelings`
+        # the same input, so each distinct one is enumerated once
+        seen = set()
+        for pres in small:
+            spcs, supports, succ = successors(pres)
+            letters = tuple(pres.sgp.gen_names)
+            passes = {
+                (i, k, x): _transition_check(pres, spcs[i], spcs[k], x) is None
+                for i, k, x in itertools.product(range(len(spcs)), range(len(spcs)), letters)
+            }
+            full = frozenset(range(1, pres.n_b + 1))
+            shape = (letters, tuple(supports), tuple(sorted(passes.items())))
+            if shape in seen:
+                continue
+            seen.add(shape)
+            for m in (1, 2):
+                for aut in _enumerate_automata(m, letters):
+                    want = [
+                        list(labels)
+                        for labels in itertools.product(range(len(spcs)), repeat=m)
+                        if all(
+                            passes[labels[q - 1], labels[t - 1], x]
+                            for (q, x), t in aut.delta.items()
+                        )
+                        and frozenset().union(*(supports[i] for i in labels)) == full
+                    ]
+                    assert list(_iter_labelings(aut, supports, succ)) == want, aut
+
+
+class TestCover:
+    """A one-state labeling verifies only when its support is B, and a
+    flow that verifies never fails to construct for want of onto-ness."""
+
+    def test_cover_iff_onto(self, corpus_presentations, ladder_presentations, monkeypatch):
+        presentations = corpus_presentations + [
+            pres for name in ("T3", "PT3") for pres in ladder_presentations[name]
+        ]
+        constructed = 0
+        for pres in presentations:
+            letters = tuple(pres.sgp.gen_names)
+            for aut in _enumerate_automata(1, letters):
+                for spc in enumerate_spcs(pres.n_b, pres.group):
+                    flow = Flow(aut, pres, (spc,))
+                    verdict = verify_flow(flow)
+                    local = all(
+                        _transition_check(pres, spc, spc, x) is None
+                        for (_, x) in aut.delta
+                    )
+                    if len(spc.subset) < pres.n_b:
+                        assert verdict is not True
+                        assert (verdict.condition == "cover") == local
+                        if local:
+                            with monkeypatch.context() as patch:
+                                patch.setattr(flows, "verify_flow", lambda flow: True)
+                                with pytest.raises(VerificationError, match="not onto"):
+                                    presentation_construct(flow)
+                        continue
+                    assert (verdict is True) == local
+                    if verdict is True:
+                        try:
+                            presentation_construct(flow)
+                        except VerificationError as err:
+                            assert "not onto" not in str(err)
+                        constructed += 1
+        assert constructed
+
+    def test_empty_labeling_violates_cover(self, small17_pres):
+        letters = tuple(small17_pres.sgp.gen_names)
+        aut = Automaton(1, letters, {(1, x): 1 for x in letters})
+        flow = Flow(aut, small17_pres, (canonicalize(small17_pres.n_b, [], {}, small17_pres.group),))
+        assert verify_flow(flow) == FlowViolation(
+            "cover", 0, "", "no state's support contains 1, 2"
+        )

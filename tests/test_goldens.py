@@ -86,6 +86,21 @@ def test_ladder_estimate_and_replay(key, gens, flags, goldens, capsys, tmp_path)
         assert sha(replayed) == want["replay_stdout"]
 
 
+@pytest.mark.parametrize("gens,digest", [
+    pytest.param(I4_GENS, "6298130ecceedf9acfb83d761e28c7cc6a06c8c44ffd370cac45b00e7b246f81", id="I4"),
+    pytest.param(T4_GENS, "2833f726c286bfc66166769c4986f7a3a4640cfdb9e79c22bf575f9aab70eb5d", id="T4"),
+])
+def test_degree4_at_default_options(gens, digest, capsys, tmp_path):
+    """No flags, so the flow search runs at every group-mapping node.  T_4's
+    digest is the `degree4/T4` golden's: every flow found there fails to
+    construct, so each group-mapping node keeps the pure bound."""
+    src, cert = tmp_path / "in.sgp", tmp_path / "cert.json"
+    src.write_text(sgp_text(gens), encoding="ascii")
+    run(capsys, ["estimate", str(src), "--cert", str(cert)])
+    assert sha(cert.read_text(encoding="ascii")) == digest
+    assert run(capsys, ["replay", str(cert)]).splitlines()[-1] == "replay: ok"
+
+
 def division_instance(name: str):
     """(phi, psi) of the acceptance suite's derived-wreath division `name`."""
     if name == "trivial":
