@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
@@ -367,7 +367,7 @@ class GmReduction:
     children: list[tuple[JClassRef, GmQuotient]]
 
 
-def gm_reduction(sgp: FiniteSemigroup) -> GmReduction:
+def gm_reduction(sgp: FiniteSemigroup, _shared: Optional[dict] = None) -> GmReduction:
     """GM images at every J-class with a nontrivial subgroup, with the
     combined-projection injectivity check of the max rule."""
     gs = sgp.green()
@@ -375,7 +375,7 @@ def gm_reduction(sgp: FiniteSemigroup) -> GmReduction:
     for j_id in range(len(gs.j_classes)):
         jref = JClassRef(sgp, j_id)
         if jref.is_regular and jref.contains_nontrivial_subgroup():
-            children.append((jref, gm_quotient(sgp, jref)))
+            children.append((jref, gm_quotient(sgp, jref, _shared)))
     # the combined projection is injective on every maximal subgroup
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
@@ -404,6 +404,7 @@ def estimate(
     _label: str = "S",
     _given: Optional[dict[str, Any]] = None,
     _memo: Optional[dict[tuple, tuple[str, ComplexityInterval]]] = None,
+    _shared: Optional[dict] = None,
 ) -> ComplexityInterval:
     """The full pipeline: aperiodicity, GM reduction with the max rule,
     and per group-mapping image the RLM recursion plus pure/flow uppers.
@@ -423,10 +424,14 @@ def estimate(
     that a hit should skip, and equal text does not fix the element order
     that J-class ids are read in.  A hit returns the stored interval with
     its certificate relabeled: every label that is the stored label, or
-    starts with it plus "/", starts with `_label` instead."""
+    starts with it plus "/", starts with `_label` instead.
+
+    `_shared`, made and passed down the same way, is `semilocal.classify`'s
+    table: one Green structure and classification per distinct int structure."""
     from .fileformats import dump_semigroup
 
     memo = {} if _memo is None else _memo
+    shared = {} if _shared is None else _shared
     text = dump_semigroup(sgp) if sgp.is_transformation else None
     key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names), text)
     if key in memo:
@@ -436,7 +441,9 @@ def estimate(
         )
     if text is None:
         text = dump_semigroup(sgp)
-    result = _estimate_carrier(sgp, text, options or EstimateOptions(), _label, _given, memo)
+    result = _estimate_carrier(
+        sgp, text, options or EstimateOptions(), _label, _given, memo, shared
+    )
     memo[key] = (_label, result)
     return result
 
@@ -462,6 +469,7 @@ def _estimate_carrier(
     label: str,
     given: Optional[dict[str, Any]],
     memo: dict,
+    shared: dict,
 ) -> ComplexityInterval:
     """`estimate` on a carrier the memo does not hold; `text` is its
     serialized form."""
@@ -477,12 +485,14 @@ def _estimate_carrier(
                 "interval": [0, 0],
             },
         )
-    reduction = gm_reduction(sgp)
+    reduction = gm_reduction(sgp, shared)
     child_intervals: list[ComplexityInterval] = []
     child_certs = []
     for jref, gq in reduction.children:
         if len(gq.quotient) < len(sgp.elements):
-            sub = estimate(gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo)
+            sub = estimate(
+                gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo, shared
+            )
             child_intervals.append(sub)
             child_certs.append(
                 {
@@ -493,7 +503,7 @@ def _estimate_carrier(
                 }
             )
         else:
-            sub = _estimate_group_mapping(sgp, text, jref, options, label, given, memo)
+            sub = _estimate_group_mapping(sgp, text, jref, options, label, given, memo, shared)
             child_intervals.append(sub)
             child_certs.append(
                 {"jclass": jref.j_id, "kind": "self-group-mapping", "sub": sub.certificate}
@@ -523,14 +533,15 @@ def _estimate_group_mapping(
     label: str,
     given: Optional[dict[str, Any]],
     memo: dict,
+    shared: dict,
 ) -> ComplexityInterval:
     """`text` is the serialized form of sgp, which the caller already has."""
-    pres = group_mapping_presentation(sgp)
+    pres = group_mapping_presentation(sgp, shared)
     if pres.jref.j_id != jref.j_id:
         raise VerificationError(
             "trivial GM congruence at a class that is not distinguished"
         )
-    rlm_int = estimate(pres.rlmq.rlm, options, f"{label}/RLM", given, memo)
+    rlm_int = estimate(pres.rlmq.rlm, options, f"{label}/RLM", given, memo, shared)
     lower = max(1, rlm_int.lower)
     cert: dict[str, Any] = {
         "label": label,
@@ -578,6 +589,20 @@ def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
     }
 
 
+def flow_cap_check(cap: int, options: EstimateOptions) -> Callable[[FiniteSemigroup], bool]:
+    """Whether a flow automaton's transition semigroup T_A is within `cap`:
+    aperiodic at cap 0, else `estimate(T_A)` under `options` (a top-level
+    call: its own memo, never replayed choices) has an upper of at most cap."""
+    if cap == 0:
+        return is_aperiodic
+
+    def within_cap(tsg: FiniteSemigroup) -> bool:
+        sub = estimate(tsg, options, _label="T_A")
+        return sub.upper is not None and sub.upper <= cap
+
+    return within_cap
+
+
 def flow_upper(
     pres, rlm_upper: int, options: EstimateOptions, stored: Optional[dict] = None
 ):
@@ -593,13 +618,7 @@ def flow_upper(
     if rlm_upper < 1:
         raise InputError("flow upper bounds need an RLM upper bound of at least 1")
     cap = rlm_upper - 1
-
-    def within_cap(tsg: FiniteSemigroup) -> bool:
-        # a top-level call: its own memo, and never the replayed choices
-        sub = estimate(tsg, options, _label="T_A")
-        return sub.upper is not None and sub.upper <= cap
-
-    cap_check = within_cap if cap else is_aperiodic
+    cap_check = flow_cap_check(cap, options)
 
     def accept(flow):
         try:

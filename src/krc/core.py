@@ -151,6 +151,7 @@ class FiniteSemigroup:
         self._word_tree()
         self.left_cayley = self.right_translations(self.gens)  # g*i for each g
         self._green: Optional[GreenStructure] = None
+        self._classification = None  # filled by semilocal.classify
         if len(elements) <= _ASSOC_CHECK_LIMIT and mul is not compose:
             self._check_associativity(mul)
 

@@ -93,11 +93,26 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
     return z, out
 
 
-def classify(sgp: FiniteSemigroup) -> Classification:
+def classify(sgp: FiniteSemigroup, _shared: Optional[dict] = None) -> Classification:
     """Right/left/group-mapping flags via faithfulness on 0-minimal ideals.
 
-    An ideal (the 0-minimal ones carry their zero) is two-sided, so both
-    translation sets come in bulk."""
+    The result is kept on the carrier, next to its Green structure; both
+    depend only on the right Cayley graph and generator indices.  `_shared`
+    (made by each top-level `complexity.estimate`, passed down by every
+    function here that takes it) maps that pair to the first carrier's
+    results, so an equal carrier adopts them and the checks run once."""
+    if sgp._classification is None:
+        shared = {} if _shared is None else _shared
+        key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens))
+        if key not in shared:
+            shared[key] = (sgp.green(), _classify(sgp))
+        sgp._green, sgp._classification = shared[key]
+    return sgp._classification
+
+
+def _classify(sgp: FiniteSemigroup) -> Classification:
+    """`classify`'s body.  An ideal (the 0-minimal ones carry their zero) is
+    two-sided, so both translation sets come in bulk."""
     z, ideals = _zero_minimal_ideals(sgp)
     n = len(sgp.elements)
     right_on = []
@@ -174,7 +189,9 @@ def _lclass_action_map(
     return action
 
 
-def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
+def rlm_quotient(
+    sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
+) -> RlmQuotient:
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
     action = _lclass_action_map(sgp, jref)
@@ -185,6 +202,7 @@ def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
         if v not in rlm.index:
             raise VerificationError("quotient morphism leaves the generated image")
     image_of_j = {morphism[sgp.elements[i]] for i in jref.members}
+    cls = classify(rlm, _shared)  # first, so an equal carrier's Green structure is adopted
 
     # the image of J is an aperiodic J-class of the quotient
     rgs = rlm.green()
@@ -194,8 +212,6 @@ def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
     for e in rgs.idempotents:
         if rgs.j_of[e] in img_ids and len(rgs.h_classes[rgs.h_of[e]]) > 1:
             raise VerificationError("image of J is not aperiodic")
-
-    cls = classify(rlm)
     if not cls.right_mapping:
         raise VerificationError("RLM quotient is not right mapping")
     distinguished = {
@@ -243,8 +259,15 @@ class GmQuotient:
     injective_on_all_subgroups: bool
 
 
-def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
-    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J."""
+def gm_quotient(
+    sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
+) -> GmQuotient:
+    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J.
+
+    The quotient's elements are the least members of their classes; when
+    all classes are singletons it is built straight from the carrier's int
+    data (elements 0..n-1, same generators and right Cayley graph), and
+    Light's test still runs on it."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
@@ -274,17 +297,20 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
         raise VerificationError("J-profile relation is not a congruence")
 
     reps = sorted(set(class_rep))
-    quotient = FiniteSemigroup.from_elements(
-        reps,
-        lambda a, b: class_rep[sgp.mul_index(a, b)],
-        sort_key=lambda v: v,
-        gen_values=[class_rep[g] for g in sgp.gens],
-        gen_names=list(sgp.gen_names),
-    )
+    if len(reps) == n:  # class_rep is the identity
+        quotient = FiniteSemigroup(reps, sgp.gens, sgp.gen_names, sgp.right_cayley, sgp.mul_index)
+    else:
+        quotient = FiniteSemigroup.from_elements(
+            reps,
+            lambda a, b: class_rep[sgp.mul_index(a, b)],
+            sort_key=lambda v: v,
+            gen_values=[class_rep[g] for g in sgp.gens],
+            gen_names=list(sgp.gen_names),
+        )
     morphism = {sgp.elements[i]: class_rep[i] for i in range(n)}
 
     generalized_only = not jref.contains_nontrivial_subgroup()
-    qcls = classify(quotient)
+    qcls = classify(quotient, _shared)
     if generalized_only:
         if not qcls.generalized_group_mapping:
             raise VerificationError("GM image is not generalized group mapping")
@@ -470,13 +496,15 @@ class GroupMappingPresentation:
         return g, b2
 
 
-def group_mapping_presentation(sgp: FiniteSemigroup) -> GroupMappingPresentation:
-    cls = classify(sgp)
+def group_mapping_presentation(
+    sgp: FiniteSemigroup, _shared: Optional[dict] = None
+) -> GroupMappingPresentation:
+    cls = classify(sgp, _shared)
     if not cls.generalized_group_mapping:
         raise InputError("semigroup is not generalized group mapping")
     jref = JClassRef(sgp, cls.distinguished_j)
     rc = rees_coordinates(sgp, jref)
-    rlmq = rlm_quotient(sgp, jref)
+    rlmq = rlm_quotient(sgp, jref, _shared)
     group = rc.group
     nb = len(rc.b_classes)
 

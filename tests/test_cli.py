@@ -278,6 +278,18 @@ class TestFlowCommands:
             "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
         )
 
+    def test_search_under_cap_one(self, capsys, tmp_path):
+        # cap 1 checks each T_A by estimating it; a one-state automaton's
+        # T_A is aperiodic, so the flow is the one found at cap 0
+        code, out, _ = run(
+            capsys, "flow", "search", self.t3_image(tmp_path), "--max-states", "1", "--cap", "1"
+        )
+        assert code == EXIT_OK
+        assert out == (
+            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 -\nflow:\n"
+            "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
+        )
+
     def test_search_exhaustion_exit(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from krc import complexity
+from krc import complexity, core, semilocal
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.complexity import (
     ComplexityInterval,
@@ -15,7 +17,8 @@ from krc.complexity import (
     lift_through_expansion,
     rhodes_expansion,
 )
-from krc.cli import load_corpus_manifest
+from krc.cli import CORPUS_DIR, load_corpus_manifest
+from krc.fileformats import load_semigroup
 from krc.errors import InputError, ResourceError
 from krc.products import DivisionWitness, ExhaustionReport
 from test_core import I4_GENS, LADDER, T4_GENS
@@ -254,9 +257,9 @@ def memo_served(monkeypatch, sgp, options):
     memo, served = {}, []
     inner = complexity.estimate
 
-    def tracing(sub, opts=None, _label="S", _given=None, _memo=None):
+    def tracing(sub, opts=None, _label="S", _given=None, _memo=None, _shared=None):
         before = None if _memo is None else len(_memo)
-        result = inner(sub, opts, _label, _given, _memo)
+        result = inner(sub, opts, _label, _given, _memo, _shared)
         if _memo is memo and len(memo) == before:
             served.append((sub, _label, result))
         return result
@@ -298,6 +301,88 @@ class TestMemo:
         memo, served = memo_served(monkeypatch, ladder(gens), options)
         assert (len(memo), len(served)) == (computed, hits)
         self.check_hits(served, options)
+
+
+def same_int_data(sgp):
+    """A new carrier on sgp's int data: elements 0..n-1, the same generators
+    and right Cayley graph, products traced."""
+    n = len(sgp)
+    rows = [list(row) for row in sgp.right_cayley]
+    return FiniteSemigroup(list(range(n)), list(sgp.gens), list(sgp.gen_names), rows, sgp.mul_index)
+
+
+class TestSharedStructure:
+    """One top-level estimate computes the Green structure and the
+    classification once per distinct int structure; what a carrier gets
+    from the table equals what a fresh carrier on its int data computes."""
+
+    @pytest.mark.parametrize("gens,bodies,greens", [
+        (LADDER["T3"], 5, 6),
+        (LADDER["PT3"], 5, 6),
+        (LADDER["I3"], 5, 6),
+        (I4_GENS, 9, 10),
+        (T4_GENS, 9, 10),
+    ], ids=["T3", "PT3", "I3", "I4", "T4"])
+    def test_counts(self, monkeypatch, gens, bodies, greens):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(semilocal, "_classify", counting("classify", semilocal._classify))
+        monkeypatch.setattr(core, "green", counting("green", core.green))
+        estimate(ladder(gens), BUDGET_0)
+        assert (counts["classify"], counts["green"]) == (bodies, greens)
+
+    def reached(self, monkeypatch, sgp, options):
+        """Every carrier that estimate(sgp, options) estimates or classifies."""
+        seen = []
+        inner_estimate, inner_classify = complexity.estimate, semilocal.classify
+
+        def estimating(sub, *args):
+            seen.append(sub)
+            return inner_estimate(sub, *args)
+
+        def classifying(sub, _shared=None):
+            seen.append(sub)
+            return inner_classify(sub, _shared)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(complexity, "estimate", estimating)
+            patch.setattr(semilocal, "classify", classifying)
+            estimating(sgp, options)
+        return list({id(s): s for s in seen}.values())
+
+    def test_sharing_is_exact(self, monkeypatch):
+        # fresh carriers: the session's corpus may hold classifications already
+        runs = [(load_semigroup(CORPUS_DIR / e["file"]), None) for e in load_corpus_manifest()]
+        runs += [(ladder(gens), None) for gens in LADDER.values()]
+        runs += [(ladder(gens), BUDGET_0) for gens in (I4_GENS, T4_GENS)]
+        classified = structures = 0
+        for sgp, options in runs:
+            carriers = self.reached(monkeypatch, sgp, options)
+            for sub in carriers:
+                fresh = same_int_data(sub)
+                if sub._green is not None:
+                    assert sub._green == fresh.green()
+                if sub._classification is not None:
+                    assert sub._classification == semilocal._classify(fresh)
+                    classified += 1
+            structures += len({
+                (tuple(map(tuple, sub.right_cayley)), tuple(sub.gens))
+                for sub in carriers if sub._classification is not None
+            })
+        assert (classified, structures) == (131, 68)
+
+
+def test_flow_cap_check(corpus):
+    assert complexity.flow_cap_check(0, EstimateOptions()) is is_aperiodic
+    within_one = complexity.flow_cap_check(1, EstimateOptions())
+    assert within_one(corpus["z2"][0])  # [1, 1]
+    assert not within_one(ladder(LADDER["T3"]))  # [1, 2]
 
 
 def test_derived_upper_rule(z2_rz2, z2_abs):

@@ -160,7 +160,7 @@ class TestTracedProducts:
     def test_holds_no_product_store(self, sym3):
         assert set(vars(sym3)) == {
             "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
-            "_words", "_order", "_parent", "_letter", "_green",
+            "_words", "_order", "_parent", "_letter", "_green", "_classification",
         }
 
     def test_generators_that_do_not_generate(self):

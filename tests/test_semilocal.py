@@ -103,6 +103,21 @@ def test_classify_matches_brute_force(corpus):
     assert len(verdicts) >= 3
 
 
+def test_classify_shares_only_equal_structures():
+    """Z_2 twice, with one right Cayley graph but the generator at element 1
+    in one copy and at element 0 in the other: the identity, and so the
+    idempotent, differs, and a shared table must keep the two apart."""
+    by_one = FiniteSemigroup([0, 1], [1], ["t"], [[1], [0]], lambda a, b: (a + b) % 2)
+    by_zero = FiniteSemigroup([0, 1], [0], ["t"], [[1], [0]], lambda a, b: int(a == b))
+    shared = {}
+    classify(by_one, shared)
+    classify(by_zero, shared)
+    assert (by_one.green().idempotents, by_zero.green().idempotents) == ([0], [1])
+    again = FiniteSemigroup([0, 1], [0], ["t"], [[1], [0]], lambda a, b: int(a == b))
+    assert classify(again, shared) is by_zero._classification
+    assert len(shared) == 2
+
+
 def test_classify_takes_products_in_bulk(monkeypatch):
     from test_core import LADDER
 
@@ -225,6 +240,30 @@ def test_gm_key_matches_full_profile(corpus):
                 assert gm_quotient(sgp, jref).morphism == _full_profile_classes(sgp, jref)
                 checked += 1
     assert checked == 494
+
+
+def test_discrete_gm_quotient_is_the_carriers_int_data(corpus):
+    """A GM partition into singletons gives the carrier's own int data, as
+    the quotient by the identity relation built through `from_elements`."""
+    from test_acceptance import _sample_semigroups
+
+    checked = 0
+    for sgp in [s for s, _ in corpus.values()] + _sample_semigroups():
+        for j_id, regular in enumerate(sgp.green().regular):
+            if not regular:
+                continue
+            quotient = gm_quotient(sgp, JClassRef(sgp, j_id)).quotient
+            if len(quotient) < len(sgp):
+                continue
+            built = FiniteSemigroup.from_elements(
+                range(len(sgp)), sgp.mul_index, sort_key=lambda v: v,
+                gen_values=sgp.gens, gen_names=sgp.gen_names,
+            )
+            assert quotient.elements == built.elements
+            assert (quotient.gens, quotient.gen_names) == (built.gens, built.gen_names)
+            assert quotient.right_cayley == built.right_cayley
+            checked += 1
+    assert checked == 87
 
 
 def _is_congruence_by_pairs(sgp, class_rep):
