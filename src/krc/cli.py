@@ -185,11 +185,12 @@ def cmd_flow_verify(args) -> int:
 def cmd_flow_search(args) -> int:
     sgp = ff.load_semigroup(args.semigroup, max_elements=args.budget_elements)
     pres = group_mapping_presentation(sgp)
-    options = cx.EstimateOptions(args.max_states, args.automata_budget)
+    options = cx.EstimateOptions(
+        max_flow_states=args.max_states, automata_budget=args.automata_budget
+    )
     result = flowmod.flow_search(
         pres,
         max_states=args.max_states,
-        cap=args.cap,
         cap_check=cx.flow_cap_check(args.cap, options),
         automata_budget=args.automata_budget,
     )

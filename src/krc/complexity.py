@@ -638,7 +638,6 @@ def flow_upper(
         return flow_search(
             pres,
             options.max_flow_states,
-            cap=cap,
             cap_check=cap_check,
             automata_budget=options.automata_budget,
             accept=accept,

@@ -428,23 +428,19 @@ def _enumerate_automata(
 def flow_search(
     pres: GroupMappingPresentation,
     max_states: int,
-    cap: int = 0,
-    cap_check: Optional[Callable[[FiniteSemigroup], bool]] = None,
+    cap_check: Callable[[FiniteSemigroup], bool] = is_aperiodic,
     automata_budget: int = DEFAULT_AUTOMATA_BUDGET,
     accept: Callable[[Flow], Any] = lambda flow: flow,
 ):
     """First accepted verified flow over automata with at most max_states
-    states whose transition semigroup passes the complexity cap.
+    states whose transition semigroup passes `cap_check` (aperiodicity,
+    that is cap 0, unless `complexity.flow_cap_check` gives another).
 
     Automata come in canonical order, and per automaton its consistent
     covering labelings, with transitions checked through one
     `_successor_index` per search; `accept(flow)` turns a verified flow
     into the result, and None moves on to the next labeling.  Exhaustion
     is explicit and never a nonexistence claim."""
-    if cap_check is None:
-        if cap != 0:
-            raise InputError("cap > 0 needs an explicit cap_check")
-        cap_check = is_aperiodic
     letters = tuple(pres.sgp.gen_names)
     spcs = None  # enumerated once an automaton passes the cap
 

@@ -262,12 +262,7 @@ class GmQuotient:
 def gm_quotient(
     sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
 ) -> GmQuotient:
-    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J.
-
-    The quotient's elements are the least members of their classes; when
-    all classes are singletons it is built straight from the carrier's int
-    data (elements 0..n-1, same generators and right Cayley graph), and
-    Light's test still runs on it."""
+    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
@@ -297,16 +292,13 @@ def gm_quotient(
         raise VerificationError("J-profile relation is not a congruence")
 
     reps = sorted(set(class_rep))
-    if len(reps) == n:  # class_rep is the identity
-        quotient = FiniteSemigroup(reps, sgp.gens, sgp.gen_names, sgp.right_cayley, sgp.mul_index)
-    else:
-        quotient = FiniteSemigroup.from_elements(
-            reps,
-            lambda a, b: class_rep[sgp.mul_index(a, b)],
-            sort_key=lambda v: v,
-            gen_values=[class_rep[g] for g in sgp.gens],
-            gen_names=list(sgp.gen_names),
-        )
+    quotient = FiniteSemigroup.from_elements(
+        reps,
+        lambda a, b: class_rep[sgp.mul_index(a, b)],
+        sort_key=lambda v: v,
+        gen_values=[class_rep[g] for g in sgp.gens],
+        gen_names=list(sgp.gen_names),
+    )
     morphism = {sgp.elements[i]: class_rep[i] for i in range(n)}
 
     generalized_only = not jref.contains_nontrivial_subgroup()

@@ -290,6 +290,25 @@ class TestFlowCommands:
             "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
         )
 
+    def test_search_estimates_each_automaton_under_the_subcommands_budgets(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        seen = []
+        real = cx.estimate
+
+        def spy(sgp, options=None, *rest, **kw):
+            seen.append((options, kw.get("_label")))
+            return real(sgp, options, *rest, **kw)
+
+        monkeypatch.setattr(cx, "estimate", spy)
+        image = self.t3_image(tmp_path)
+        argv = ["flow", "search", image, "--max-states", "2", "--automata-budget", "7"]
+        assert run(capsys, *argv, "--cap", "0")[0] == EXIT_OK
+        assert seen == []
+        assert run(capsys, *argv, "--cap", "1")[0] == EXIT_OK
+        options = cx.EstimateOptions(max_flow_states=2, automata_budget=7)
+        assert seen and all(call == (options, "T_A") for call in seen)
+
     def test_search_exhaustion_exit(self, capsys):
         code, out, _ = run(
             capsys,

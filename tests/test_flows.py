@@ -291,10 +291,6 @@ class TestFlowSearch:
         total = 2 ** len(small17_pres.sgp.gen_names)
         assert via_estimate.automata_tried == direct.automata_tried == min(budget, total)
 
-    def test_cap_above_zero_needs_check(self, small17_pres):
-        with pytest.raises(InputError):
-            flow_search(small17_pres, max_states=1, cap=1)
-
 
 class TestSuccessorIndex:
     """succ(i, x) is exactly the set of targets `_transition_check` passes."""

@@ -242,30 +242,6 @@ def test_gm_key_matches_full_profile(corpus):
     assert checked == 494
 
 
-def test_discrete_gm_quotient_is_the_carriers_int_data(corpus):
-    """A GM partition into singletons gives the carrier's own int data, as
-    the quotient by the identity relation built through `from_elements`."""
-    from test_acceptance import _sample_semigroups
-
-    checked = 0
-    for sgp in [s for s, _ in corpus.values()] + _sample_semigroups():
-        for j_id, regular in enumerate(sgp.green().regular):
-            if not regular:
-                continue
-            quotient = gm_quotient(sgp, JClassRef(sgp, j_id)).quotient
-            if len(quotient) < len(sgp):
-                continue
-            built = FiniteSemigroup.from_elements(
-                range(len(sgp)), sgp.mul_index, sort_key=lambda v: v,
-                gen_values=sgp.gens, gen_names=sgp.gen_names,
-            )
-            assert quotient.elements == built.elements
-            assert (quotient.gens, quotient.gen_names) == (built.gens, built.gen_names)
-            assert quotient.right_cayley == built.right_cayley
-            checked += 1
-    assert checked == 87
-
-
 def _is_congruence_by_pairs(sgp, class_rep):
     """All pairs (u, v): u*v ~ r(u)*r(v), products taken by composition."""
     els, index = sgp.elements, sgp.index
