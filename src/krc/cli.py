@@ -233,6 +233,13 @@ def _parse_lifts(text: str, source, target) -> dict:
             raise InputError(f"bad lift line: {line!r}")
         name, rest = line.split(":", 1)
         name = name.strip()
+        if name not in source.gen_names:
+            raise InputError(
+                f"lift for {name!r}, which is not a generator of the source "
+                f"(generators: {', '.join(source.gen_names)})"
+            )
+        if name in lifts:
+            raise InputError(f"generator {name!r} is lifted twice")
         images = tuple(
             0 if t == "-" else ff._int(t, f"image in lift {name!r}") for t in rest.split()
         )

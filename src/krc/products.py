@@ -15,6 +15,15 @@ the first witness of the canonical order.  Its budget counts lift tuples
 ruled out, a cut prefix counting all the tuples below it; the search never
 claims nonexistence.
 
+A search first keeps, per generator x, the target elements t that x may
+lift to on its own, with no closure.  Lifting x to t closes to
+{(t^n, x^n)}, a function exactly when index(t) >= index(x) and period(x)
+divides period(t), where the index i and period p of y are the least
+i, p >= 1 with y^i = y^(i+p).  Proof: for a < b, y^a = y^b exactly when
+a >= index(y) and period(y) divides b - a, so t^a = t^b forces
+x^a = x^b for all a < b exactly when it does for a = index(t),
+b = a + period(t).
+
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle: it has `mul(u, v)` and `elements`, the carrier list when it is
 enumerated (`FiniteSemigroup`, `MulOracle`) and None when it is lazy
@@ -379,6 +388,38 @@ def _relation_closure(
     return mapping
 
 
+def _index_period(x, step: Callable[[Any], Any]) -> tuple[int, int]:
+    """(index, period) of the orbit x, step(x), step(step(x)), ...: the
+    least i, p >= 1 whose i-th and (i+p)-th terms are equal."""
+    seen = {}
+    n = 1
+    while x not in seen:
+        seen[x] = n
+        x = step(x)
+        n += 1
+    return seen[x], n - seen[x]
+
+
+def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:
+    """Per generator of S, the target elements whose one-generator closure
+    is functional, by the (index, period) test, in the target's order."""
+    right = s.right_cayley
+    gen_shapes = [
+        _index_period(gi, lambda i, k=k: right[i][k]) for k, gi in enumerate(s.gens)
+    ]
+    shapes = [
+        _index_period(tv, lambda y, tv=tv: target.mul(y, tv)) for tv in target.elements
+    ]
+    return [
+        [
+            tv
+            for tv, (ti, tp) in zip(target.elements, shapes)
+            if ti >= xi and tp % xp == 0
+        ]
+        for xi, xp in gen_shapes
+    ]
+
+
 def check_division(
     s: FiniteSemigroup,
     target,
@@ -391,17 +432,22 @@ def check_division(
     search lift tuples in canonical order, returning the first witness or
     an ExhaustionReport; exhaustion is an explicit "unknown".
 
-    Lift candidates for a generator are the target elements whose
-    one-generator closure is functional.  The search assigns generators
-    depth first in canonical order and closes the relation of each prefix
-    of two or more lifts; a prefix whose closure is not functional is cut
-    with its whole subtree, since every extension's relation contains it.
-    Surjectivity is checked on full tuples only.  The first witness is thus
-    the first in the canonical order of all tuples, and a cut subtree counts
-    all its tuples as tried.  The search stops when `budget` tuples are
-    ruled out, so for S with k generators it runs at most k closures per
-    target element, k per tuple of the budget, and one to re-verify a
-    witness.
+    Lift candidates for a generator x are the target elements t whose
+    one-generator closure {(t^n, x^n)} is functional, in the target's
+    element order.  That holds exactly when index(t) >= index(x) and
+    period(x) divides period(t) (see the module docstring), so the filter
+    closes nothing: it walks the powers of each target element once through
+    `target.mul`, and of each generator once along its column of
+    `s.right_cayley`.  The search assigns generators depth first in
+    canonical order and closes the relation of each prefix of two or more
+    lifts; a prefix whose closure is not functional is cut with its whole
+    subtree, since every extension's relation contains it.  Surjectivity
+    is checked on full tuples only.  The first witness is thus the first
+    in the canonical order of all tuples, and a cut subtree counts all its
+    tuples as tried.  The search stops when `budget` tuples are ruled out,
+    so for S with k generators it costs one power walk per target element
+    and per generator, then at most k closures per tuple of the budget and
+    one to re-verify a witness.
     """
     if lifts is not None:
         result = _relation_closure(s, target, lifts)
@@ -414,14 +460,7 @@ def check_division(
         raise InputError("division search needs an enumerated target")
     names = list(s.gen_names)
     k = len(names)
-    viable = [
-        [
-            tv
-            for tv in target.elements
-            if isinstance(_relation_closure(s, target, {name: tv}, [name]), dict)
-        ]
-        for name in names
-    ]
+    viable = _viable_lifts(s, target)
     # block[d]: the number of full tuples below a prefix of length d
     block = [1] * (k + 1)
     for d in range(k - 1, -1, -1):

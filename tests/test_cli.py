@@ -359,16 +359,26 @@ class TestDivide:
     def test_bad_lifts_fail_verification(self, capsys, tmp_path):
         lifts = tmp_path / "lifts.txt"
         lifts.write_text("t: 1 2 3\n", encoding="ascii")
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "divide", corpus_file("z2"), corpus_file("sym3"),
             "--lifts", str(lifts),
         )
         assert code == EXIT_VERIFY
+        assert out == ""
+        assert err == (
+            "verification failure: division lifts rejected: "
+            "relation not functional at PartialTransformation(images=(1, 2, 3))\n"
+        )
 
     @pytest.mark.parametrize("text,message", [
         ("t 1 3 2\n", "bad lift line: 't 1 3 2'"),
         ("t: 1 x 2\n", "bad image in lift 't': 'x'"),
+        (
+            "zz: 1 2 3\nt: 1 3 2\n",
+            "lift for 'zz', which is not a generator of the source (generators: t)",
+        ),
+        ("t: 1 2 3\nt: 1 3 2\n", "generator 't' is lifted twice"),
     ])
     def test_malformed_lifts_are_input_errors(self, capsys, tmp_path, text, message):
         lifts = tmp_path / "lifts.txt"

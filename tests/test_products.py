@@ -1,9 +1,11 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
 
-from krc import products
+from krc import complexity, products
 from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.errors import InputError, ResourceError
 from krc.products import (
@@ -17,6 +19,8 @@ from krc.products import (
     semidirect,
     wreath,
 )
+from test_core import LADDER, T4_GENS
+from test_goldens import division_instance
 
 T = PartialTransformation
 
@@ -351,9 +355,10 @@ class TestDivisionSearch:
                 assert got.morphism == want.morphism
             else:
                 assert got == want, budget
-            # the viable filter, the search, and one re-verification of a witness
+            # the search and one re-verification of a witness; the viable
+            # filter closes nothing
             verify = isinstance(got, DivisionWitness)
-            assert len(calls) <= k * len(target.elements) + k * budget + verify
+            assert len(calls) <= k * budget + verify
 
     def test_budget_inside_the_last_cut_block(self, division_pairs):
         s, target = division_pairs["t3_e_first>sym3"]
@@ -361,6 +366,127 @@ class TestDivisionSearch:
         assert check_division(s, target, budget=35) == ExhaustionReport(35, 35, False)
         assert check_division(s, target, budget=36) == ExhaustionReport(36, 36, True)
         assert check_division(s, target, budget=37) == ExhaustionReport(36, 37, True)
+
+
+def closure_viable(s, target):
+    """Per generator, the target elements whose one-generator closure
+    inside S is functional, one closure each."""
+    return [
+        [
+            tv
+            for tv in target.elements
+            if isinstance(_relation_closure(s, target, {name: tv}, [name]), dict)
+        ]
+        for name in s.gen_names
+    ]
+
+
+def ladder(name):
+    gens = T4_GENS if name == "T4" else LADDER[name]
+    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+
+
+@pytest.fixture(scope="module")
+def derived_wreath_divisions():
+    """(source, carrier) of the acceptance suite's three derived-wreath
+    divisions, as check_derived_wreath_division hands them to the search:
+    carriers of 243, 1875 and 1875 elements."""
+    captured = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("trivial", "z2", "u1"):
+            mp.setattr(
+                complexity, "check_division",
+                lambda s, target, **kw: captured.setdefault(name, (s, target)),
+            )
+            complexity.check_derived_wreath_division(*division_instance(name))
+    return captured
+
+
+def morphism_digest(witness):
+    pairs = sorted([str(t), str(s)] for t, s in witness.morphism.items())
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16]
+
+
+class TestViableFilter:
+    """The (index, period) test agrees with one closure per generator and
+    target element."""
+
+    @pytest.mark.parametrize("pair", [
+        "sym3>right_zero_2", "t3>sym3", "t3_e_first>sym3", "t3_e_first>t3",
+        "sym3>t3", "z2>sym3", "z3>sym3",
+    ])
+    def test_division_pairs(self, pair, division_pairs):
+        s, target = division_pairs[pair]
+        assert products._viable_lifts(s, target) == closure_viable(s, target)
+
+    @pytest.mark.parametrize("name,order", [("trivial", 243), ("z2", 1875), ("u1", 1875)])
+    def test_derived_wreath_carriers(self, name, order, derived_wreath_divisions):
+        s, carrier = derived_wreath_divisions[name]
+        assert len(carrier.elements) == order
+        assert products._viable_lifts(s, carrier) == closure_viable(s, carrier)
+
+    @pytest.mark.parametrize("target", ["PT3", "T4", "I3"])
+    def test_t3_into_ladder(self, target):
+        s, t = ladder("T3"), ladder(target)
+        viable = products._viable_lifts(s, t)
+        assert viable == closure_viable(s, t)
+        # an idempotent generator may lift anywhere; the others may not
+        assert any(len(ok) < len(t.elements) for ok in viable)
+
+    def test_index_period(self):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 2: the 2nd term recurs after 3 steps
+        assert products._index_period(0, [1, 2, 3, 4, 2].__getitem__) == (3, 3)
+        assert products._index_period(5, lambda y: y) == (1, 1)
+
+
+class TestDivisionOutcomes:
+    """Search outcomes recorded before the (index, period) filter: the same
+    lifts, morphisms and exhaustion counts."""
+
+    @pytest.mark.parametrize("name,budget,lifts,digest", [
+        ("trivial", 300_000, {
+            "g0": "(('0', '0', '0', '0'), '0')",
+            "g1": "(('0', '0', '0', (-1, 0, (0, None))), '0')",
+            "g2": "(('0', (0, 0, (0,)), '0', '0'), '0')",
+        }, "3c9f29c5b32b4e3f"),
+        ("z2", 4_000_000, {
+            "g0": "(('0', '0', '0', '0'), '0')",
+            "g1": "(('0', '0', '0', (-1, 0, (0, None))), '0')",
+            "g2": "(('0', '0', '0', (-1, 0, (1, None))), '0')",
+            "g3": "(('0', (0, 0, (0, 1)), '0', '0'), '0')",
+            "g4": "(('0', (0, 0, (1, 0)), '0', '0'), '0')",
+        }, "9f92c68cf666fc56"),
+        ("u1", 6_000_000, {
+            "g0": "(('0', '0', '0', '0'), '0')",
+            "g1": "(('0', '0', '0', (-1, 0, (0, None))), '0')",
+            "g2": "(('0', '0', '0', (-1, 0, (1, None))), '0')",
+            "g3": "(('0', (0, 0, (0, 0)), '0', '0'), '0')",
+            "g4": "(('0', (0, 0, (0, 1)), '0', '0'), '0')",
+        }, "d6088d3e2b196e52"),
+    ])
+    def test_derived_wreath(self, name, budget, lifts, digest, derived_wreath_divisions):
+        s, carrier = derived_wreath_divisions[name]
+        w = check_division(s, carrier, budget=budget)
+        assert isinstance(w, DivisionWitness)
+        assert {g: str(v) for g, v in w.lifts.items()} == lifts
+        assert morphism_digest(w) == digest
+
+    @pytest.mark.parametrize("source,target,lifts,order,digest", [
+        ("T3", "PT3", ("2 3 1", "1 3 2", "1 2 2"), 27, "065f60f82db500b9"),
+        ("T3", "T4", ("1 3 4 2", "1 2 4 3", "1 2 3 3"), 27, "9c49c0acbcdcb650"),
+        ("T4", "T4", ("2 3 4 1", "1 2 4 3", "1 2 3 3"), 256, "3129d47fa43aa834"),
+    ])
+    def test_ladder_witness(self, source, target, lifts, order, digest):
+        w = check_division(ladder(source), ladder(target))
+        assert isinstance(w, DivisionWitness)
+        assert [str(w.lifts[g]) for g in ("g0", "g1", "g2")] == list(lifts)
+        assert len(w.morphism) == order
+        assert morphism_digest(w) == digest
+
+    def test_t3_into_i3_exhausts(self):
+        budget = products.DIVISION_SEARCH_BUDGET
+        got = check_division(ladder("T3"), ladder("I3"))
+        assert got == ExhaustionReport(408, budget, searched_all=True)
 
 
 class TestEmbeddingLemma:
