@@ -30,6 +30,23 @@ ZERO = "0"  # the adjoined zero of abstract carriers (Brandt, derived, flow poin
 _ASSOC_CHECK_LIMIT = 40
 
 
+def _light_test(table: list[list[int]], gens: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """Light's associativity test on a multiplication table: the first
+    (x, g, y) with (x*g)*y != x*(g*y), g running over `gens`, or None.
+    The elements that associate in the middle position are closed under
+    the table's product ((x*(ab))*y = x*((ab)*y) follows from a and b
+    associating there), so this is complete once products of `gens`
+    reach every element."""
+    for g in gens:
+        g_row = table[g]
+        for x, x_row in enumerate(table):
+            xg_row = table[x_row[g]]
+            for y, gy in enumerate(g_row):
+                if xg_row[y] != x_row[gy]:
+                    return x, g, y
+    return None
+
+
 @dataclass(frozen=True)
 class PartialTransformation:
     """A partial self-map of the point set {1..n}; images[q-1] == 0 means undefined.
@@ -264,22 +281,18 @@ class FiniteSemigroup:
 
     def _check_associativity(self, mul: Callable[[Any, Any], Any]):
         """Light's test on the callable's own products (traced ones would
-        take associativity for granted): (x*g)*y = x*(g*y) for every
-        generator g.  The elements that associate in the middle position
-        form a subsemigroup, so this is complete once the generators reach
+        take associativity for granted), over the generators, which reach
         every element."""
         els, index = self.elements, self.index
         table = [[index.get(mul(u, v)) for v in els] for u in els]
         if any(None in row for row in table):
             raise InputError("carrier is not closed under multiplication")
-        for g in self.gens:
-            for x, x_row in enumerate(table):
-                xg_row = table[x_row[g]]
-                for y, gy in enumerate(table[g]):
-                    if xg_row[y] != x_row[gy]:
-                        raise VerificationError(
-                            f"multiplication not associative at ({els[x]}, {els[g]}, {els[y]})"
-                        )
+        bad = _light_test(table, self.gens)
+        if bad is not None:
+            x, g, y = bad
+            raise VerificationError(
+                f"multiplication not associative at ({els[x]}, {els[g]}, {els[y]})"
+            )
 
     # -- basic structure ----------------------------------------------
 
@@ -586,19 +599,28 @@ class FiniteGroup:
         return inv
 
     def verify(self) -> None:
-        """Full table-wise group axioms (associativity included)."""
+        """Full table-wise group axioms: rows and columns are permutations,
+        and Light's test passes over a generating set chosen greedily.  The
+        identity associates in the middle position already, so the right
+        products of the chosen elements start from it."""
         n = len(self.elements)
+        table = self.table
         for i in range(n):
-            if sorted(self.table[i]) != list(range(n)):
+            if sorted(table[i]) != list(range(n)):
                 raise VerificationError("table row is not a permutation")
-            if sorted(row[i] for row in self.table) != list(range(n)):
+            if sorted(row[i] for row in table) != list(range(n)):
                 raise VerificationError("table column is not a permutation")
+        gens: list[int] = []
+        reached = {self.identity}
         for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise VerificationError("group table not associative")
+            if i not in reached:
+                gens.append(i)
+                frontier = reached | {i}
+                while frontier:
+                    reached |= frontier
+                    frontier = {table[u][g] for u in frontier for g in gens} - reached
+        if _light_test(table, gens) is not None:
+            raise VerificationError("group table not associative")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -4,13 +4,23 @@ the constructive decomposition a verified flow induces.
 A flow labels every automaton state with an SPC over (B, G) of the
 analyzed group-mapping presentation so that each transition transports
 supports, blocks and cross sections coherently (conditions F1-F5, each
-local to one transition), and so that the supports W_q cover B (the
-global cover condition; a point no support reaches leaves the witness map
-below short of G x B).  From a verified flow the lifted action on
-G x [b] x Q is built, and the witness map onto G x B + 0 is checked to be
-a surjective morphism; the resulting division of S into
-(G wr Sym_b wr T_A) x RLM is machine-checked through the division
-machinery.
+local to one transition), so that every undefined transition q.x sends
+W_q wholly to 0, and so that the supports W_q cover B (the global cover
+condition; a point no support reaches leaves the witness map below short
+of G x B).
+
+The middle one is the sink condition: an undefined q.x moves to a sink
+state labeled with the empty SPC, and F1 against it reads W_q.x inside
+{0}.  A point of W_q that x moves while q dies gets no wreath coordinate
+in x's lift, so elements of S that differ only there share a lift.  Every
+flow that keeps the condition constructed over the 1- and 2-state
+automata on the corpus, T_3 and PT_3; some that break it construct too,
+at a state that no transition enters for one.
+
+From a verified flow the lifted action on G x [b] x Q is built, and the
+witness map onto G x B + 0 is checked to be a surjective morphism; the
+resulting division of S into (G wr Sym_b wr T_A) x RLM is machine-checked
+through the division machinery.
 """
 
 from __future__ import annotations
@@ -87,7 +97,7 @@ class Flow:
 
 @dataclass
 class FlowViolation:
-    condition: str  # F1..F5, or "cover"
+    condition: str  # F1..F5, "sink" or "cover"
     state: int  # 0 for the cover condition
     letter: str  # "" for the cover condition
     detail: str
@@ -149,18 +159,33 @@ def _transition_check(
     return None
 
 
+def _sink_check(
+    pres: GroupMappingPresentation, spc_q: SPC, letter: str
+) -> Optional[tuple[str, str]]:
+    """The sink condition for an undefined transition; None when W_q.x is
+    inside {0}."""
+    rlm_map = pres.rlm_of_gen[letter]
+    for b in spc_q.subset:
+        img = rlm_map[b - 1]
+        if img != 0:
+            return ("sink", f"{b}.{letter} = {img} but the transition is undefined")
+    return None
+
+
 def verify_flow(flow: Flow):
-    """Check F1-F5 at every defined transition, then the cover condition;
-    returns True or the first violation (a value, not an exception)."""
+    """Check F1-F5 at every defined transition and the sink condition at
+    every undefined one, then the cover condition; returns True or the
+    first violation (a value, not an exception)."""
     aut = flow.automaton
+    pres = flow.presentation
     for q in range(1, aut.n_states + 1):
+        spc_q = flow.labeling[q - 1]
         for x in aut.letters:
             t = aut.step(q, x)
             if t is None:
-                continue
-            bad = _transition_check(
-                flow.presentation, flow.labeling[q - 1], flow.labeling[t - 1], x
-            )
+                bad = _sink_check(pres, spc_q, x)
+            else:
+                bad = _transition_check(pres, spc_q, flow.labeling[t - 1], x)
             if bad is not None:
                 return FlowViolation(bad[0], q, x, bad[1])
     covered = set().union(*(spc.subset for spc in flow.labeling))
@@ -437,10 +462,11 @@ def flow_search(
     that is cap 0, unless `complexity.flow_cap_check` gives another).
 
     Automata come in canonical order, and per automaton its consistent
-    covering labelings, with transitions checked through one
-    `_successor_index` per search; `accept(flow)` turns a verified flow
-    into the result, and None moves on to the next labeling.  Exhaustion
-    is explicit and never a nonexistence claim."""
+    covering labelings that keep the sink condition, with transitions
+    checked through one `_successor_index` and one `_sink_index` per
+    search; `accept(flow)` turns a verified flow into the result, and None
+    moves on to the next labeling.  Exhaustion is explicit and never a
+    nonexistence claim."""
     letters = tuple(pres.sgp.gen_names)
     spcs = None  # enumerated once an automaton passes the cap
 
@@ -460,7 +486,8 @@ def flow_search(
                 spcs = enumerate_spcs(pres.n_b, pres.group)
                 supports = [frozenset(spc.subset) for spc in spcs]
                 succ = _successor_index(pres, spcs, supports)
-            for assignment in _iter_labelings(aut, supports, succ):
+                sinks = _sink_index(pres, supports)
+            for assignment in _iter_labelings(aut, supports, succ, sinks):
                 flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
                 if verify_flow(flow) is not True:
                     raise VerificationError("search produced a non-flow")
@@ -517,20 +544,44 @@ def _successor_index(
     return succ
 
 
+def _sink_index(
+    pres: GroupMappingPresentation, supports: list[frozenset[int]]
+) -> dict[str, frozenset[int]]:
+    """Per letter x, the indices of the SPCs whose support x sends wholly
+    to 0: the labels the sink condition leaves a state whose x is
+    undefined."""
+    out = {}
+    for x, rlm_map in pres.rlm_of_gen.items():
+        zeros = {b for b, img in enumerate(rlm_map, 1) if img == 0}
+        out[x] = frozenset(k for k, w in enumerate(supports) if w <= zeros)
+    return out
+
+
 def _iter_labelings(
-    aut: Automaton, supports: list[frozenset[int]], succ: Callable[[int, str], frozenset[int]]
+    aut: Automaton,
+    supports: list[frozenset[int]],
+    succ: Callable[[int, str], frozenset[int]],
+    sinks: dict[str, frozenset[int]],
 ) -> Iterator[list[int]]:
-    """All consistent labelings whose supports cover B, by backtracking
-    over domains of SPC indices in canonical order, so solutions come out
-    canonically ordered.  Two rules first prune the domains until neither
-    removes anything, each only indices in no covering solution: arc
-    consistency on the successor sets (keep i in D_q when succ(i, x) meets
-    D_t, and k in D_t when it is in some succ(i, x) over D_q), and the
-    cover filter (W_q contains every point of B that no other state's
-    domain reaches; with one state, W = B)."""
+    """All consistent labelings that keep the sink condition and whose
+    supports cover B, by backtracking over domains of SPC indices in
+    canonical order, so solutions come out canonically ordered.  The sink
+    condition is unary, so D_q starts as the indices in sinks[x] for every
+    undefined q.x.  Two rules then prune the domains until neither removes
+    anything, each only indices in no covering solution: arc consistency
+    on the successor sets (keep i in D_q when succ(i, x) meets D_t, and k
+    in D_t when it is in some succ(i, x) over D_q), and the cover filter
+    (W_q contains every point of B that no other state's domain reaches;
+    with one state, W = B)."""
     m = aut.n_states
     arcs = [(q - 1, t - 1, x) for (q, x), t in aut.delta.items()]
-    domains: list[list[int]] = [list(range(len(supports))) for _ in range(m)]
+    domains: list[list[int]] = [
+        [
+            i for i in range(len(supports))
+            if all(i in sinks[x] for x in aut.letters if (q, x) not in aut.delta)
+        ]
+        for q in range(1, m + 1)
+    ]
     full = supports[0]  # canonical order puts W = B first
 
     changed = True

@@ -352,9 +352,13 @@ def _relation_closure(
 
     Over all generators the map must also be onto S.  Over some of them it
     is onto the subsemigroup they generate by construction, so only
-    functionality is checked.
+    functionality is checked.  A lift for a name that is not a generator
+    of S is refused.
     """
     gen_values = dict(zip(s.gen_names, (s.elements[gi] for gi in s.gens)))
+    for name in lifts:
+        if name not in gen_values:
+            return f"lift for {name!r}, which is not a generator of the source"
     gen_pairs = []
     for name in s.gen_names if names is None else names:
         if name not in lifts:

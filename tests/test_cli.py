@@ -220,6 +220,12 @@ class TestQuotientCommands:
         assert code2 == EXIT_USAGE
 
 
+SMALL_3_TRIV_R2_FLOW = (
+    "states: 1\ntrans: 1 i 1\ntrans: 1 s1 1\ntrans: 1 s2 1\ntrans: 1 e 1\nflow:\n"
+    "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
+)
+
+
 class TestFlowCommands:
     def test_search_then_verify(self, capsys, tmp_path):
         code, out, _ = run(
@@ -268,27 +274,45 @@ class TestFlowCommands:
         assert code == EXIT_VERIFY
         assert out == "violation: cover: no state's support contains 1, 2, 3\n"
 
-    def test_search_prints_a_covering_flow(self, capsys, tmp_path):
+    def test_search_prints_a_covering_flow(self, capsys):
+        # the flow small_3_triv_r2's certificate holds as its upper
         code, out, _ = run(
-            capsys, "flow", "search", self.t3_image(tmp_path), "--max-states", "1"
+            capsys, "flow", "search", corpus_file("small_3_triv_r2"), "--max-states", "1"
         )
         assert code == EXIT_OK
-        assert out == (
-            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 -\nflow:\n"
-            "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
-        )
+        assert out == SMALL_3_TRIV_R2_FLOW
 
-    def test_search_under_cap_one(self, capsys, tmp_path):
+    def test_search_under_cap_one(self, capsys):
         # cap 1 checks each T_A by estimating it; a one-state automaton's
         # T_A is aperiodic, so the flow is the one found at cap 0
         code, out, _ = run(
-            capsys, "flow", "search", self.t3_image(tmp_path), "--max-states", "1", "--cap", "1"
+            capsys,
+            "flow", "search", corpus_file("small_3_triv_r2"), "--max-states", "1", "--cap", "1",
         )
         assert code == EXIT_OK
-        assert out == (
-            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 -\nflow:\n"
-            "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n"
+        assert out == SMALL_3_TRIV_R2_FLOW
+
+    def test_search_exhausts_on_t3_image_at_one_state(self, capsys, tmp_path):
+        # each one-state covering flow there has an undefined g2 that moves
+        # a point of W, so none keeps the sink condition
+        code, out, _ = run(
+            capsys, "flow", "search", self.t3_image(tmp_path), "--max-states", "1"
         )
+        assert code == EXIT_RESOURCE
+        assert out == "unknown: exhausted after 8 automata (budget 2000)\n"
+
+    def test_verify_rejects_a_flow_that_breaks_the_sink_condition(self, capsys, tmp_path):
+        # the flow this search printed before the sink condition was part of
+        # the definition; its construction fails ("relation not functional")
+        flow = tmp_path / "sink.txt"
+        flow.write_text(
+            "states: 1\ntrans: 1 g0 1\ntrans: 1 g1 1\ntrans: 1 g2 -\nflow:\n"
+            "W={1,2,3}; blocks=[{1}:0 | {2}:0 | {3}:0]\n",
+            encoding="ascii",
+        )
+        code, out, _ = run(capsys, "flow", "verify", self.t3_image(tmp_path), str(flow))
+        assert code == EXIT_VERIFY
+        assert out == "violation: sink at state 1 letter g2: 2.g2 = 2 but the transition is undefined\n"
 
     def test_search_estimates_each_automaton_under_the_subcommands_budgets(
         self, capsys, tmp_path, monkeypatch
@@ -303,11 +327,11 @@ class TestFlowCommands:
         monkeypatch.setattr(cx, "estimate", spy)
         image = self.t3_image(tmp_path)
         argv = ["flow", "search", image, "--max-states", "2", "--automata-budget", "7"]
-        assert run(capsys, *argv, "--cap", "0")[0] == EXIT_OK
+        assert run(capsys, *argv, "--cap", "0")[0] == EXIT_RESOURCE
         assert seen == []
-        assert run(capsys, *argv, "--cap", "1")[0] == EXIT_OK
+        assert run(capsys, *argv, "--cap", "1")[0] == EXIT_RESOURCE
         options = cx.EstimateOptions(max_flow_states=2, automata_budget=7)
-        assert seen and all(call == (options, "T_A") for call in seen)
+        assert seen == [(options, "T_A")] * 7
 
     def test_search_exhaustion_exit(self, capsys):
         code, out, _ = run(

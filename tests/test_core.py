@@ -467,6 +467,19 @@ class TestGroups:
         with pytest.raises(InputError):
             FiniteGroup.from_table([[0, 1], [1, 1]])
 
+    def test_loop_rejected(self):
+        # a Latin square with identity in which every element is its own
+        # inverse: a loop of order 5, not a group (Z_5 has no such elements)
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(VerificationError, match="not associative"):
+            FiniteGroup.from_table(loop)
+
 
 def test_minimal_generating_set(sym3):
     gens = minimal_generating_set(sym3)

@@ -15,6 +15,7 @@ from krc.flows import (
     FlowViolation,
     _enumerate_automata,
     _iter_labelings,
+    _sink_index,
     _successor_index,
     _transition_check,
     flow_search,
@@ -23,7 +24,7 @@ from krc.flows import (
     trivial_flow,
     verify_flow,
 )
-from krc.fileformats import load_semigroup, parse_semigroup
+from krc.fileformats import dump_flow, load_semigroup, parse_semigroup
 from krc.inverse import matrix_semigroup_as_transformations, small_monoid
 from krc.semilocal import group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
@@ -73,6 +74,22 @@ def corpus_presentations():
 def ladder_presentations():
     """T_3, PT_3 and I_3's group-mapping nodes, by name."""
     return {name: reached_presentations([ladder(gens)]) for name, gens in LADDER.items()}
+
+
+def keeps_sink(pres, spc, x):
+    """The sink condition at an undefined transition: x sends W to 0."""
+    return all(pres.rlm_of_gen[x][b - 1] == 0 for b in spc.subset)
+
+
+def transition_passes(pres, spcs):
+    """(i, k, x) -> whether F1-F5 hold on the transition from spcs[i] to
+    spcs[k] under x."""
+    return {
+        (i, k, x): _transition_check(pres, spcs[i], spcs[k], x) is None
+        for i, k, x in itertools.product(
+            range(len(spcs)), range(len(spcs)), pres.sgp.gen_names
+        )
+    }
 
 
 def successors(pres):
@@ -152,6 +169,14 @@ class TestVerifyFlow:
         verdict = verify_flow(flow)
         assert isinstance(verdict, FlowViolation)
         assert verdict.condition == "F3"
+
+    def test_sink_violation(self, b2z2_1):
+        pres = group_mapping_presentation(b2z2_1)
+        aut = Automaton(1, ("e", "a", "b"), {(1, "e"): 1, (1, "b"): 1})
+        verdict = verify_flow(Flow(aut, pres, trivial_flow(pres).labeling))
+        assert verdict == FlowViolation(
+            "sink", 1, "a", "1.a = 2 but the transition is undefined"
+        )
 
     def test_relabeling_invariance(self, small17_pres):
         pres = small17_pres
@@ -342,13 +367,17 @@ class TestLabelings:
         seen = set()
         for pres in small:
             spcs, supports, succ = successors(pres)
+            sinks = _sink_index(pres, supports)
             letters = tuple(pres.sgp.gen_names)
-            passes = {
-                (i, k, x): _transition_check(pres, spcs[i], spcs[k], x) is None
-                for i, k, x in itertools.product(range(len(spcs)), range(len(spcs)), letters)
+            passes = transition_passes(pres, spcs)
+            sink_ok = {
+                (i, x): keeps_sink(pres, spcs[i], x)
+                for i, x in itertools.product(range(len(spcs)), letters)
             }
             full = frozenset(range(1, pres.n_b + 1))
-            shape = (letters, tuple(supports), tuple(sorted(passes.items())))
+            shape = (
+                letters, tuple(supports), tuple(sorted(passes.items())), tuple(sorted(sink_ok.items()))
+            )
             if shape in seen:
                 continue
             seen.add(shape)
@@ -361,14 +390,20 @@ class TestLabelings:
                             passes[labels[q - 1], labels[t - 1], x]
                             for (q, x), t in aut.delta.items()
                         )
+                        and all(
+                            sink_ok[labels[q - 1], x]
+                            for q, x in itertools.product(range(1, m + 1), letters)
+                            if (q, x) not in aut.delta
+                        )
                         and frozenset().union(*(supports[i] for i in labels)) == full
                     ]
-                    assert list(_iter_labelings(aut, supports, succ)) == want, aut
+                    assert list(_iter_labelings(aut, supports, succ, sinks)) == want, aut
 
 
 class TestCover:
-    """A one-state labeling verifies only when its support is B, and a
-    flow that verifies never fails to construct for want of onto-ness."""
+    """A one-state labeling verifies exactly when F1-F5, the sink condition
+    and the cover condition hold, and a flow that verifies never fails to
+    construct for want of onto-ness."""
 
     def test_cover_iff_onto(self, corpus_presentations, ladder_presentations, monkeypatch):
         presentations = corpus_presentations + [
@@ -383,7 +418,9 @@ class TestCover:
                     verdict = verify_flow(flow)
                     local = all(
                         _transition_check(pres, spc, spc, x) is None
-                        for (_, x) in aut.delta
+                        if (1, x) in aut.delta
+                        else keeps_sink(pres, spc, x)
+                        for x in letters
                     )
                     if len(spc.subset) < pres.n_b:
                         assert verdict is not True
@@ -410,3 +447,118 @@ class TestCover:
         assert verify_flow(flow) == FlowViolation(
             "cover", 0, "", "no state's support contains 1, 2"
         )
+
+
+def local_covering_flows(pres, automata):
+    """Every labeling of each automaton that passes F1-F5 at its defined
+    transitions and whose supports cover B, the sink condition aside."""
+    spcs = enumerate_spcs(pres.n_b, pres.group)
+    passes = transition_passes(pres, spcs)
+    full = frozenset(range(1, pres.n_b + 1))
+    for aut in automata:
+        for labels in itertools.product(range(len(spcs)), repeat=aut.n_states):
+            if all(
+                passes[labels[q - 1], labels[t - 1], x] for (q, x), t in aut.delta.items()
+            ) and frozenset().union(*(spcs[i].subset for i in labels)) == full:
+                yield Flow(aut, pres, tuple(spcs[i] for i in labels))
+
+
+def construct_outcome(flow, monkeypatch):
+    """"ok" when the flow's decomposition constructs, else the failure,
+    with the flow conditions left to the construction's own checks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "verify_flow", lambda flow: True)
+        try:
+            presentation_construct(flow)
+        except VerificationError as err:
+            return str(err)
+    return "ok"
+
+
+class TestSinkSoundness:
+    """Over labelings that keep F1-F5 and cover B, a flow that verifies
+    constructs, and a flow that fails to construct breaks the sink
+    condition.  The converse does not hold: some flows break it and still
+    construct (the 2-state sweep below meets them)."""
+
+    def sweep(self, presentations, automata_of, monkeypatch):
+        counts = {"flows": 0, "verified": 0, "constructed": 0}
+        for pres in presentations:
+            for flow in local_covering_flows(pres, automata_of(pres)):
+                verdict = verify_flow(flow)
+                outcome = construct_outcome(flow, monkeypatch)
+                if verdict is True:
+                    assert outcome == "ok", dump_flow(flow)
+                elif outcome != "ok":
+                    assert verdict.condition == "sink", (dump_flow(flow), outcome)
+                    assert outcome.startswith("division lifts rejected")
+                counts["flows"] += 1
+                counts["verified"] += verdict is True
+                counts["constructed"] += outcome == "ok"
+        return counts
+
+    def test_one_state_on_the_corpus_t3_and_pt3(
+        self, corpus_presentations, ladder_presentations, monkeypatch
+    ):
+        presentations = (
+            corpus_presentations + ladder_presentations["T3"] + ladder_presentations["PT3"]
+        )
+        counts = self.sweep(
+            presentations,
+            lambda pres: _enumerate_automata(1, tuple(pres.sgp.gen_names)),
+            monkeypatch,
+        )
+        assert counts == {"flows": 596, "verified": 43, "constructed": 43}
+
+    def test_two_state_slice_on_t3(self, ladder_presentations, monkeypatch):
+        # every 7th automaton of the canonical order; the whole sweep at two
+        # states runs for several seconds
+        counts = self.sweep(
+            ladder_presentations["T3"],
+            lambda pres: itertools.islice(
+                _enumerate_automata(2, tuple(pres.sgp.gen_names)), 0, None, 7
+            ),
+            monkeypatch,
+        )
+        # 26 flows break the sink condition and construct all the same
+        assert counts == {"flows": 1751, "verified": 90, "constructed": 116}
+
+    def test_the_condition_is_not_necessary(self, ladder_presentations, monkeypatch):
+        # T_3's order-7 presentation (one point of B): no transition enters
+        # state 2, whose g1 is undefined although g1 moves the point of W_2
+        pres = next(pres for pres in ladder_presentations["T3"] if len(pres.sgp) == 7)
+        aut = Automaton(
+            2,
+            ("g0", "g1", "g2"),
+            {(1, "g0"): 1, (1, "g1"): 1, (1, "g2"): 1, (2, "g0"): 1, (2, "g2"): 1},
+        )
+        spc = trivial_flow(pres).labeling[0]
+        flow = Flow(aut, pres, (spc, spc))
+        assert verify_flow(flow) == FlowViolation(
+            "sink", 2, "g1", "1.g1 = 1 but the transition is undefined"
+        )
+        assert construct_outcome(flow, monkeypatch) == "ok"
+
+    @pytest.mark.parametrize(
+        "name,exhausted",
+        [("T3", FlowSearchExhausted(2, 737, 2000)), ("PT3", FlowSearchExhausted(2, 2000, 2000))],
+    )
+    def test_two_state_search_results(self, ladder_presentations, name, exhausted):
+        # recorded before the sink condition was part of the definition:
+        # the search then offered flows that failed to construct, and
+        # passed over them
+        def constructs(flow):
+            try:
+                presentation_construct(flow)
+            except VerificationError:
+                return None
+            return flow
+
+        results = [
+            flow_search(pres, max_states=2, accept=constructs)
+            for pres in ladder_presentations[name]
+        ]
+        assert results[0] == exhausted
+        assert [dump_flow(flow) for flow in results[1:]] == [
+            dump_flow(trivial_flow(pres)) for pres in ladder_presentations[name][1:]
+        ]

@@ -7,7 +7,7 @@ import pytest
 
 from krc import complexity, products
 from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
-from krc.errors import InputError, ResourceError
+from krc.errors import InputError, ResourceError, VerificationError
 from krc.products import (
     ActionPair,
     DivisionWitness,
@@ -258,6 +258,17 @@ class TestDivision:
         w = check_division(sym3, sym3, lifts=lifts)
         assert isinstance(w, DivisionWitness)
         assert len(calls) == 1
+
+    def test_lift_for_an_unknown_name_is_refused(self, sym3):
+        z2 = FiniteSemigroup.generate([("t", T((2, 1)))])
+        lifts = {"t": T((1, 3, 2)), "zz": T((1, 2, 3))}
+        reason = "lift for 'zz', which is not a generator of the source"
+        with pytest.raises(VerificationError, match=f"division lifts rejected: {reason}"):
+            check_division(z2, sym3, lifts=lifts)
+        good = check_division(z2, sym3, lifts={"t": T((1, 3, 2))})
+        forged = DivisionWitness(z2, sym3, lifts, good.morphism)
+        with pytest.raises(VerificationError, match=f"failed to re-verify: {reason}"):
+            forged.verify()
 
     def test_witness_reverifies(self, sym3):
         z3 = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
