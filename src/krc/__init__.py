@@ -21,7 +21,6 @@ from .semilocal import (
     fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
-    r_class_action,
     rees_coordinates,
     rlm_quotient,
 )
@@ -31,9 +30,6 @@ from .products import (
     DivisionWitness,
     ExhaustionReport,
     check_division,
-    direct_product_pair,
-    embed_product_of_wreaths,
-    semidirect,
     wreath,
 )
 from .flows import (

@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["leq", "meet", "join", "enumerate"])
     p.add_argument("spc1", nargs="?", default="")
     p.add_argument("spc2", nargs="?", default="")
-    p.add_argument("--size", type=int, required=True, help="|B|")
+    p.add_argument("--size", type=non_negative_int, required=True, help="|B|")
     p.set_defaults(func=cmd_spc)
 
     p = sub.add_parser("flow", help="flow verification and search")
@@ -454,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_flow_verify)
     ps = fsub.add_parser("search")
     ps.add_argument("semigroup")
-    ps.add_argument("--max-states", type=non_negative_int, default=1)
+    ps.add_argument(
+        "--max-states", type=non_negative_int, default=cx.EstimateOptions.max_flow_states
+    )
     ps.add_argument("--cap", type=non_negative_int, default=0)
     add_budgets(ps, "--budget-elements", "--automata-budget")
     ps.set_defaults(func=cmd_flow_search)

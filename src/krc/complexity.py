@@ -142,37 +142,34 @@ def _arrow_end(t_sgp: FiniteSemigroup, obj, t2):
     return t2 if obj is IDENT else t_sgp.mul(obj, t2)
 
 
-def _arrow_key(rho: RelationalMorphism, pre: dict, identify: bool, obj, s, t2) -> tuple:
+def _arrow_key(rho: RelationalMorphism, pre: dict, obj, s, t2) -> tuple:
     """The class of the derived-category arrow (obj, (s, t2)): source and end
-    objects by index, and a label.  With `identify`, an arrow from a target
-    object is labeled by its left translation on that object's preimage
-    `pre[obj]`; the fresh object and the free consolidation label by s (and
-    t2) on the nose."""
+    objects by index, and a label.  An arrow from a target object is labeled
+    by its left translation on that object's preimage `pre[obj]`; the fresh
+    object labels by s on the nose."""
     s_sgp, t_sgp = rho.source, rho.target
     end = _arrow_end(t_sgp, obj, t2)
-    if not identify or obj is IDENT:
-        label: Any = (s_sgp.index[s], None if identify else t_sgp.index[t2])
+    if obj is IDENT:
+        label: Any = (s_sgp.index[s], None)
     else:
         label = tuple(s_sgp.index[s_sgp.mul(s1, s)] for s1 in pre[obj])
     oi = -1 if obj is IDENT else t_sgp.index[obj]
     return (oi, t_sgp.index[end], label)
 
 
-def derived_semigroup(
-    rho: RelationalMorphism, identify: bool = True
-) -> FiniteSemigroup:
+def derived_semigroup(rho: RelationalMorphism) -> FiniteSemigroup:
     """The consolidation of the derived category of rho.
 
     Arrows are (t, (s, t')) with t an object (target elements plus a fresh
     identity object); coterminal arrows are identified when they act the
     same by left translation on the preimage of the source object, the
     fresh object forcing equality on the nose.  Non-composable products
-    are 0.  `identify=False` keeps the free consolidation for comparison.
+    are 0.
     """
     s_sgp, t_sgp = rho.source, rho.target
     objects = [IDENT] + list(t_sgp.elements)
     pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
-    arrow_key = functools.partial(_arrow_key, rho, pre, identify)
+    arrow_key = functools.partial(_arrow_key, rho, pre)
 
     arrows: dict[tuple, tuple] = {}  # class key -> canonical representative
     members: dict[tuple, list[tuple]] = {}
@@ -250,7 +247,7 @@ def derived_division_witness(
         fvals = []
         for p in w.right.points:
             obj = IDENT if p is marker else p
-            key = _arrow_key(rho, pre, True, obj, x, tx)
+            key = _arrow_key(rho, pre, obj, x, tx)
             if key not in derived.index:
                 raise VerificationError("lift arrow missing from the derived semigroup")
             fvals.append(key)
@@ -761,28 +758,3 @@ def check_derived_wreath_division(
         ActionPair.right_translation(d_phi), ActionPair.right_translation(d_psi)
     ).full_carrier(DERIVED_WREATH_CARRIER_BUDGET)
     return check_division(source, carrier, lifts=None, budget=budget)
-
-
-def derived_upper(
-    rho: RelationalMorphism,
-    t_interval: ComplexityInterval,
-    d_interval: ComplexityInterval,
-) -> ComplexityInterval:
-    """If Tc <= n-1 and D(rho)c <= 1 then Sc <= n; more generally the
-    division S < D wr T caps Sc by the sum of the two uppers.  The wreath
-    division is re-checked before the bound is emitted."""
-    if t_interval.upper is None or d_interval.upper is None:
-        raise InputError("both intervals need known upper bounds")
-    derived = derived_semigroup(rho)
-    witness = derived_division_witness(rho, derived)
-    upper = t_interval.upper + d_interval.upper
-    return ComplexityInterval(
-        0,
-        upper,
-        {
-            "rule": "derived-wreath",
-            "t_upper": t_interval.upper,
-            "d_upper": d_interval.upper,
-            "lift_semigroup_order": len(witness.morphism),
-        },
-    )

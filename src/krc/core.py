@@ -600,9 +600,7 @@ class FiniteGroup:
 
     def verify(self) -> None:
         """Full table-wise group axioms: rows and columns are permutations,
-        and Light's test passes over a generating set chosen greedily.  The
-        identity associates in the middle position already, so the right
-        products of the chosen elements start from it."""
+        and Light's test passes over `greedy_generators`."""
         n = len(self.elements)
         table = self.table
         for i in range(n):
@@ -610,17 +608,26 @@ class FiniteGroup:
                 raise VerificationError("table row is not a permutation")
             if sorted(row[i] for row in table) != list(range(n)):
                 raise VerificationError("table column is not a permutation")
+        if _light_test(table, self.greedy_generators()) is not None:
+            raise VerificationError("group table not associative")
+
+    def greedy_generators(self) -> list[int]:
+        """A generating set chosen greedily in element order: an element
+        joins when the right products of the chosen ones have not reached
+        it yet.  The products start from the identity, which associates in
+        the middle position already, so Light's test needs no generator
+        for it."""
+        table = self.table
         gens: list[int] = []
         reached = {self.identity}
-        for i in range(n):
+        for i in range(len(table)):
             if i not in reached:
                 gens.append(i)
                 frontier = reached | {i}
                 while frontier:
                     reached |= frontier
                     frontier = {table[u][g] for u in frontier for g in gens} - reached
-        if _light_test(table, gens) is not None:
-            raise VerificationError("group table not associative")
+        return gens
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -239,8 +239,6 @@ def dump_automaton(aut) -> str:
 
 
 def parse_automaton(text: str, letters: tuple[str, ...]):
-    from .flows import Automaton
-
     lines = _clean_lines(text)
     return _parse_automaton_lines(lines, letters)
 

@@ -122,30 +122,6 @@ def monomial_group(n: int, group: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(elements, table)
 
 
-def _group_generators(group: FiniteGroup) -> list[int]:
-    """A small generating set, greedily in canonical order."""
-    gens: list[int] = []
-    reached = {group.identity}
-    for i in range(len(group)):
-        if i in reached:
-            continue
-        gens.append(i)
-        frontier = list(reached | {i})
-        reached.add(i)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(reached):
-                    for p in (group.mul(a, b), group.mul(b, a)):
-                        if p not in reached:
-                            reached.add(p)
-                            new.append(p)
-            frontier = new
-        if len(reached) == len(group):
-            break
-    return gens
-
-
 def small_monoid(n: int, group: FiniteGroup, r: int) -> FiniteSemigroup:
     """Units G wr Sym_n plus the rank-r matrices, rank drops collapsing to 0.
 
@@ -171,7 +147,7 @@ def small_monoid(n: int, group: FiniteGroup, r: int) -> FiniteSemigroup:
         named.append(
             (f"s{k}", PartialMonomialMatrix(n, tuple((p, 0) for p in perm)))
         )
-    for m, gi in enumerate(_group_generators(group)):
+    for m, gi in enumerate(group.greedy_generators()):
         rows = [(1, gi)] + [(i + 1, 0) for i in range(1, n)]
         named.append((f"d{m + 1}", PartialMonomialMatrix(n, tuple(rows))))
     e_rows: list = [(i + 1, 0) if i < r else None for i in range(n)]
@@ -487,7 +463,7 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
             if ts.mul(u, v)[0] != sgp.mul(u[0], v[0]):
                 raise VerificationError("lift projection is not a morphism")
 
-    # identify L-classes of the distinguished class with matrix columns
+    # match L-classes of the distinguished class with matrix columns
     gs = sgp.green()
     column_of_b = []
     for b in pres.rees.b_classes:

@@ -48,7 +48,6 @@ from .errors import InputError, ResourceError, VerificationError
 
 WREATH_CARRIER_BUDGET = 10**6
 DIVISION_SEARCH_BUDGET = 2_000_000
-EMBEDDING_CARRIER_BUDGET = 5000  # elements of the product of two wreath carriers
 
 
 class MulOracle:
@@ -101,16 +100,6 @@ class ActionPair:
             images.append(0 if img is None else self.position(img) + 1)
         return PartialTransformation(tuple(images))
 
-    def check_faithful(self) -> None:
-        seen: dict = {}
-        for v in self.sgp.elements:
-            t = self.act_table(v)
-            if t in seen:
-                raise VerificationError(
-                    f"action not faithful: {seen[t]!r} and {v!r} act identically"
-                )
-            seen[t] = v
-
     def check_action(self) -> None:
         """(p.u).v = p.(uv) over everything, with undefinedness matching."""
         for u in self.sgp.elements:
@@ -156,22 +145,6 @@ class ActionPair:
     def trivial(cls) -> "ActionPair":
         sgp = FiniteSemigroup.generate([("1", PartialTransformation.identity(1))])
         return cls([1], sgp, lambda p, f: p)
-
-
-def direct_product_pair(a: ActionPair, b: ActionPair) -> ActionPair:
-    """(Q, S) x (Q', S'): componentwise action on Q x Q'."""
-    values = [(u, v) for u in a.sgp.elements for v in b.sgp.elements]
-    sgp = MulOracle(values, PairSemigroup(a.sgp, b.sgp).mul)
-    points = [(p, q) for p in a.points for q in b.points]
-
-    def act(pq, w):
-        ia = a.act(pq[0], w[0])
-        ib = b.act(pq[1], w[1])
-        if ia is None or ib is None:
-            return None
-        return (ia, ib)
-
-    return ActionPair(points, sgp, act)
 
 
 # -- wreath products ------------------------------------------------------
@@ -268,39 +241,6 @@ def wreath(
     left: ActionPair, right: ActionPair, restrict_to_domain: bool = False
 ) -> WreathProduct:
     return WreathProduct(left, right, restrict_to_domain)
-
-
-# -- semidirect products --------------------------------------------------
-
-
-def semidirect(
-    s: FiniteSemigroup,
-    t: FiniteSemigroup,
-    beta: Callable[[Any, Any], Any],
-) -> FiniteSemigroup:
-    """S x| T for a left action beta(t, s) of T on S by endomorphisms.
-
-    The action laws are verified exhaustively before the table is built.
-    """
-    for tv in t.elements:
-        for sv in s.elements:
-            if beta(tv, sv) not in s.index:
-                raise InputError("beta leaves the carrier")
-            for sw in s.elements:
-                if beta(tv, s.mul(sv, sw)) != s.mul(beta(tv, sv), beta(tv, sw)):
-                    raise InputError("beta(t, -) is not an endomorphism")
-        for tw in t.elements:
-            for sv in s.elements:
-                if beta(t.mul(tv, tw), sv) != beta(tv, beta(tw, sv)):
-                    raise InputError("beta is not a left action")
-
-    def mul(u, v):
-        return (s.mul(u[0], beta(u[1], v[0])), t.mul(u[1], v[1]))
-
-    values = [(sv, tv) for sv in s.elements for tv in t.elements]
-    return FiniteSemigroup.from_elements(
-        values, mul, sort_key=lambda w: (s.index[w[0]], t.index[w[1]])
-    )
 
 
 # -- division certificates -------------------------------------------------
@@ -503,78 +443,4 @@ def check_division(
         return ExhaustionReport(min(total, budget), budget, searched_all=total <= budget)
     witness = DivisionWitness(s, target, {name: chosen[name] for name in names}, result)
     witness.verify()
-    return witness
-
-
-# -- the product-of-wreaths embedding --------------------------------------
-
-
-@dataclass
-class EmbeddingWitness:
-    """A verified injective morphism given by an element table."""
-
-    table: dict[Any, Any]
-    target_mul: Callable[[Any, Any], Any]
-
-    def verify_morphism(self, mul_source) -> None:
-        items = list(self.table)
-        if len(set(self.table.values())) != len(items):
-            raise VerificationError("embedding is not injective")
-        for u in items:
-            for v in items:
-                uv = mul_source(u, v)
-                if self.table[uv] != self.target_mul(self.table[u], self.table[v]):
-                    raise VerificationError(f"embedding not a morphism at ({u}, {v})")
-
-
-def embed_product_of_wreaths(
-    qs: ActionPair,
-    qs2: ActionPair,
-    pt: ActionPair,
-    pt2: ActionPair,
-):
-    """Realize (Q,S)wr(P,T) x (Q',S')wr(P',T') inside
-    ((Q,S)x(Q',S')) wr ((P,T)x(P',T')) via ((f,t),(f',t')) -> (F,(t,t'))
-    with F(p,p') = (pf, p'f'); verified injective, multiplicative, and
-    action-compatible point by point.
-    """
-    w1 = wreath(qs, pt)
-    w2 = wreath(qs2, pt2)
-    c1 = w1.full_carrier(EMBEDDING_CARRIER_BUDGET)
-    c2 = w2.full_carrier(EMBEDDING_CARRIER_BUDGET)
-    if len(c1.elements) * len(c2.elements) > EMBEDDING_CARRIER_BUDGET:
-        raise ResourceError(
-            f"product carrier exceeds embedding budget {EMBEDDING_CARRIER_BUDGET}"
-        )
-    inner = direct_product_pair(qs, qs2)
-    outer = direct_product_pair(pt, pt2)
-    big = wreath(inner, outer)
-
-    def phi(u):
-        (f, t), (f2, t2) = u
-        fv = []
-        for (p, p2) in big.right.points:
-            fv.append((f[pt.position(p)], f2[pt2.position(p2)]))
-        return big.make(fv, (t, t2))
-
-    source = PairSemigroup(c1, c2)
-    pairs = [(a, b) for a in c1.elements for b in c2.elements]
-    table = {u: phi(u) for u in pairs}
-    witness = EmbeddingWitness(table, big.mul)
-    witness.verify_morphism(source.mul)
-    # pointwise action agreement: (q,p,q',p') . ((f,t),(f',t'))
-    for u in pairs:
-        (f, t), (f2, t2) = u
-        for (q, p) in w1.points:
-            for (q2, p2) in w2.points:
-                a1 = w1.act((q, p), (f, t))
-                a2 = w2.act((q2, p2), (f2, t2))
-                lhs = None
-                if a1 is not None and a2 is not None:
-                    lhs = ((a1[0], a2[0]), (a1[1], a2[1]))
-                rhs = big.act(((q, q2), (p, p2)), table[u])
-                if lhs != rhs:
-                    raise VerificationError(
-                        f"action mismatch at {(q, p, q2, p2)} under {u}"
-                    )
     return witness

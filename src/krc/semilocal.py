@@ -552,31 +552,7 @@ def _verify_coordinate_action(pres: GroupMappingPresentation) -> None:
                     )
 
 
-# -- theta^R and the wreath embedding ---------------------------------------
-
-
-def r_class_action(sgp: FiniteSemigroup, jref: JClassRef, r_id: int) -> ActionPair:
-    """The faithful partial action of S on one R-class of the distinguished
-    J-class of a right mapping semigroup."""
-    cls = classify(sgp)
-    if not cls.right_mapping or cls.distinguished_j != jref.j_id:
-        raise InputError("theta^R needs a right mapping semigroup at its ideal")
-    gs = sgp.green()
-    if r_id not in jref.a_classes:
-        raise InputError("R-class does not lie in the given J-class")
-    points = sorted(gs.r_classes[r_id])
-
-    def act(u, s_value):
-        p = sgp.mul_index(u, sgp.index[s_value])
-        if gs.j_of[p] != jref.j_id:
-            return None
-        if gs.r_of[p] != r_id:
-            raise VerificationError("stability violated: u*s left the R-class inside J")
-        return p
-
-    pair = ActionPair(points, sgp, act)
-    pair.check_faithful()
-    return pair
+# -- theta' and the wreath embedding ----------------------------------------
 
 
 def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:

@@ -44,12 +44,13 @@ def fresh_process(cwd, *argv) -> tuple[int, bytes]:
     return done.returncode, done.stdout
 
 
-# each subcommand's required arguments, and the budget flags it takes
+# each subcommand's required arguments, and its non-negative int options
 COMMANDS = {
     ("analyze",): ([corpus_file("z2")], ["--budget-elements"]),
     ("rlm",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
     ("gm",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
     ("rees",): ([corpus_file("z2"), "--jclass", "0"], ["--budget-elements"]),
+    ("spc",): (["z2.grp", "enumerate"], ["--size"]),
     ("flow", "verify"): ([corpus_file("z2"), "flow.txt"], ["--budget-elements"]),
     ("flow", "search"): (
         [corpus_file("z2")],
@@ -696,6 +697,35 @@ class TestInverseDemo:
         )
         assert code == EXIT_OK
         assert "19 elements with zero" in out
+
+    # sha256 of the whole stdout; any change in the chosen group generators
+    # (and so in the monomial generators of M_n(G)) moves these
+    @pytest.mark.parametrize("group, extra, digest", [
+        ("Z2", ["--lift"], "b091274dec02bffdd2c97328fdb591044102dde7b73651d938637bc4b3fc469f"),
+        ("klein", [], "8b34d908f33e1c55d20be1de99fc708fca6d08e40b505dc58198cd693f118cdd"),
+        ("s3", [], "bc0a417c3ff0e98764191abc95a763cf75fddcaaed7b1babdf7291225eaf1a8a"),
+    ], ids=["Z2-lift", "klein", "s3"])
+    def test_demo_stdout_is_pinned(self, capsys, tmp_path, group, extra, digest):
+        import hashlib
+
+        from krc.core import FiniteGroup
+        from krc.fileformats import dump_group
+
+        files = {
+            "klein": "order: 4\n" + "".join(
+                " ".join(str(a ^ b) for b in range(4)) + "\n" for a in range(4)
+            ),
+            "s3": dump_group(FiniteGroup.symmetric(3)),
+        }
+        if group in files:
+            path = tmp_path / f"{group}.grp"
+            path.write_text(files[group])
+            group = str(path)
+        code, out, _ = run(
+            capsys, "inverse", "demo", "--n", "2", "--group", group, "--rank", "1", *extra,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCorpusAndDeterminism:

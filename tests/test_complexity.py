@@ -11,7 +11,6 @@ from krc.complexity import (
     check_derived_wreath_division,
     derived_division_witness,
     derived_semigroup,
-    derived_upper,
     estimate,
     gm_reduction,
     lift_through_expansion,
@@ -87,12 +86,6 @@ class TestDerived:
         witness = derived_division_witness(rho, d)
         assert isinstance(witness, DivisionWitness)
         assert set(witness.morphism.values()) == set(b2z2_1.elements)
-
-    def test_free_consolidation_flag(self, sym3):
-        rho = RelationalMorphism.identity(sym3)
-        free = derived_semigroup(rho, identify=False)
-        identified = derived_semigroup(rho)
-        assert len(free) >= len(identified)
 
     def test_division_witness_for_quotient_morphism(self, z2_rz2, z2_abs):
         rho = RelationalMorphism.from_function(
@@ -383,17 +376,6 @@ def test_flow_cap_check(corpus):
     within_one = complexity.flow_cap_check(1, EstimateOptions())
     assert within_one(corpus["z2"][0])  # [1, 1]
     assert not within_one(ladder(LADDER["T3"]))  # [1, 2]
-
-
-def test_derived_upper_rule(z2_rz2, z2_abs):
-    rho = RelationalMorphism.from_function(
-        z2_rz2, z2_abs, {v: 0 if v(1) == 1 else 1 for v in z2_rz2.elements}
-    )
-    t_iv = estimate(rho.target)
-    d_iv = estimate(derived_semigroup(rho))
-    out = derived_upper(rho, t_iv, d_iv)
-    assert out.upper == t_iv.upper + d_iv.upper
-    assert out.upper >= estimate(z2_rz2).upper
 
 
 def test_relational_morphism_validation(sym3):

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from krc import complexity, products
-from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
+from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation
 from krc.errors import InputError, ResourceError, VerificationError
 from krc.products import (
     ActionPair,
@@ -14,9 +14,6 @@ from krc.products import (
     ExhaustionReport,
     _relation_closure,
     check_division,
-    direct_product_pair,
-    embed_product_of_wreaths,
-    semidirect,
     wreath,
 )
 from test_core import LADDER, T4_GENS
@@ -163,59 +160,25 @@ class TestWreath:
 
 
 class TestSemidirect:
-    def test_trivial_action_is_direct_product(self):
-        z2 = cyclic_sgp(2)
-        z3 = cyclic_sgp(3)
-        sd = semidirect(z2, z3, beta=lambda t, s: s)
-        assert len(sd) == 6
-        for (s1, t1) in sd.elements:
-            for (s2, t2) in sd.elements:
-                assert sd.mul((s1, t1), (s2, t2)) == (
-                    z2.mul(s1, s2),
-                    z3.mul(t1, t2),
-                )
-
-    def test_klein_four(self):
-        z2 = cyclic_sgp(2)
-        k = semidirect(z2, z2, beta=lambda t, s: s)
-        assert len(k) == 4
-        assert not is_aperiodic(k)
-        gs = k.green()
-        assert len(gs.h_classes) == 1
-        ident = k.identity_index()
-        for i in range(4):
-            assert k.mul_index(i, i) == ident
-
     def test_wreath_carrier_is_semidirect_of_power(self):
-        # S^Q x| T under the shift action agrees with the wreath table
+        # S^Q x| T under the shift action agrees with the wreath table:
+        # (f1, t1)(f2, t2) = (f1 . beta(t1, f2), t1 t2)
         z2 = FiniteGroup.cyclic(2)
         left = ActionPair.of_group(z2)
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("s", T((2, 1)))])
         )
-        w = wreath(left, right)
-        carrier = w.full_carrier()
-        power = FiniteSemigroup.from_elements(
-            list(itertools.product(range(2), repeat=2)),
-            lambda f, g: tuple(z2.mul(a, b) for a, b in zip(f, g)),
-            sort_key=lambda f: f,
-        )
+        carrier = wreath(left, right).full_carrier()
+        assert len(carrier.elements) == 2 ** 2 * len(right.sgp)
 
         def beta(t, f):
             # (t . f)(q) = f(qt)
             return tuple(f[right.position(right.act(q, t))] for q in right.points)
 
-        sd = semidirect(power, right.sgp, beta)
-        for (f1, t1) in sd.elements:
-            for (f2, t2) in sd.elements:
-                sf, st = sd.mul((f1, t1), (f2, t2))
-                wf, wt = carrier.mul((f1, t1), (f2, t2))
-                assert (sf, st) == (wf, wt)
-
-    def test_invalid_beta_rejected(self):
-        z2 = cyclic_sgp(2)
-        with pytest.raises(InputError):
-            semidirect(z2, z2, beta=lambda t, s: z2.mul(s, s) if t else s)
+        for (f1, t1) in carrier.elements:
+            for (f2, t2) in carrier.elements:
+                f = tuple(z2.mul(a, b) for a, b in zip(f1, beta(t1, f2)))
+                assert carrier.mul((f1, t1), (f2, t2)) == (f, right.sgp.mul(t1, t2))
 
 
 class TestDivision:
@@ -500,47 +463,6 @@ class TestDivisionOutcomes:
         assert got == ExhaustionReport(408, budget, searched_all=True)
 
 
-class TestEmbeddingLemma:
-    def test_all_factors_trivial(self):
-        t = ActionPair.trivial()
-        wit = embed_product_of_wreaths(t, t, t, t)
-        assert len(wit.table) == 1
-
-    def test_group_factors(self):
-        wit = embed_product_of_wreaths(
-            group_pair(2), ActionPair.trivial(), ActionPair.trivial(), group_pair(2)
-        )
-        assert len(wit.table) == 4
-
-    def test_special_case_of_direct_times_wreath(self):
-        # (P,T) = (1,1): (Q,S) x ((Q',S') wr (P',T')) embeds
-        qs = group_pair(2)
-        qs2 = group_pair(2)
-        pt2 = trivial_on(2)
-        wit = embed_product_of_wreaths(qs, qs2, ActionPair.trivial(), pt2)
-        assert len(wit.table) == 2 * (2 ** 2)
-
-    def test_small_transformation_factors(self):
-        qs = ActionPair.of_transformations(
-            FiniteSemigroup.generate([("a", T((1, 1)))])
-        )
-        qs2 = group_pair(2)
-        pt = trivial_on(2)
-        pt2 = ActionPair.trivial()
-        wit = embed_product_of_wreaths(qs, qs2, pt, pt2)
-        # injectivity and the pointwise action identity are asserted inside
-        assert wit.table
-
-
-def test_direct_product_pair_componentwise():
-    a = group_pair(2)
-    b = trivial_on(2)
-    d = direct_product_pair(a, b)
-    assert len(d.sgp.elements) == 2
-    assert len(d.points) == 4
-    d.check_action()
-
-
 def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
     from krc import inverse
     from krc.inverse import inverse_decomposition, lift_TS, small_monoid
@@ -558,9 +480,5 @@ def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
     monkeypatch.setattr(inverse, "lift_TS", lambda sgp, group: ts)
     g = ActionPair.of_group(FiniteGroup.cyclic(3))
     g.check_action()
-    d = direct_product_pair(g, group_pair(2))
-    assert len(d.sgp.elements) == 6
-    d.check_action()
-    d.check_faithful()
     assert len(fasp_embedding(pres).witness.morphism) == len(b2z2_1)
     assert inverse_decomposition(s, z2).ts is ts

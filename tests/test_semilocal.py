@@ -17,7 +17,6 @@ from krc.semilocal import (
     fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
-    r_class_action,
     rees_coordinates,
     rlm_quotient,
     theta_prime_representation,
@@ -312,36 +311,6 @@ class TestReesCoordinates:
         rc = rees_coordinates(b2z2_1, JClassRef(b2z2_1, 1))
         assert len(rc.coord) == 8
         assert len(rc.uncoord) == 8
-
-
-class TestRClassAction:
-    def test_group_regular_representation(self, sym3):
-        pair = r_class_action(sym3, JClassRef(sym3, 0), 0)
-        assert len(pair.points) == 6
-        for v in sym3.elements:
-            assert all(pair.act(u, v) is not None for u in pair.points)
-
-    def test_b2z2_four_points(self, b2z2_1):
-        jref = JClassRef(b2z2_1, 1)
-        pair = r_class_action(b2z2_1, jref, jref.a_classes[0])
-        assert len(pair.points) == 4
-        pair.check_faithful()
-
-    def test_faithfulness_witness(self, b2z2_1):
-        jref = JClassRef(b2z2_1, 1)
-        pair = r_class_action(b2z2_1, jref, jref.a_classes[0])
-        for s in b2z2_1.elements:
-            for t in b2z2_1.elements:
-                if s == t:
-                    continue
-                assert any(
-                    pair.act(u, s) != pair.act(u, t) for u in pair.points
-                )
-
-    def test_requires_right_mapping(self):
-        s = FiniteSemigroup.generate([("x", T((2, 0)))])
-        with pytest.raises(InputError):
-            r_class_action(s, JClassRef(s, 0), 0)
 
 
 class TestPresentation:
