@@ -228,6 +228,10 @@ SMALL_3_TRIV_R2_FLOW = (
 
 
 class TestFlowCommands:
+    def test_search_max_states_defaults_to_the_estimate_option(self):
+        args = build_parser().parse_args(["flow", "search", corpus_file("z2")])
+        assert args.max_states == cx.EstimateOptions.max_flow_states
+
     def test_search_then_verify(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "flow", "search", corpus_file("small_2_z2"), "--max-states", "1"

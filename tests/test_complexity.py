@@ -96,6 +96,24 @@ class TestDerived:
         witness.verify()
 
 
+    def test_fresh_object_arrows_are_labeled_by_s(self, b2z2_1):
+        # arrows from the fresh object are identified on the nose: one class
+        # per source element, keyed (-1, end, (s_index, None))
+        rho = RelationalMorphism.to_trivial(b2z2_1)
+        d = derived_semigroup(rho)
+        fresh = {k for k in d.elements if k != "0" and k[0] < 0}
+        assert fresh == {(-1, 0, (i, None)) for i in range(len(b2z2_1))}
+
+    def test_derivation_bound_holds_for_a_quotient_morphism(self, z2_rz2, z2_abs):
+        # c(S) <= c(T) + c(D(rho)) on the estimates' upper bounds
+        rho = RelationalMorphism.from_function(
+            z2_rz2, z2_abs, {v: 0 if v(1) == 1 else 1 for v in z2_rz2.elements}
+        )
+        t_upper = estimate(rho.target).upper
+        d_upper = estimate(derived_semigroup(rho)).upper
+        assert estimate(z2_rz2).upper <= t_upper + d_upper
+
+
 class TestRhodesExpansion:
     def test_right_zero_unchanged(self, right_zero_2):
         ex, eta = rhodes_expansion(right_zero_2)

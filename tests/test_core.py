@@ -481,6 +481,21 @@ class TestGroups:
             FiniteGroup.from_table(loop)
 
 
+    def test_klein_four_as_a_semigroup(self):
+        # Z_2 x Z_2: a group, so not aperiodic and one H-class, and every
+        # element squares to the identity
+        k = FiniteSemigroup.from_elements(
+            list(itertools.product(range(2), repeat=2)),
+            lambda f, g: tuple((a + b) % 2 for a, b in zip(f, g)),
+            sort_key=lambda f: f,
+        )
+        assert len(k) == 4
+        assert not is_aperiodic(k)
+        assert len(k.green().h_classes) == 1
+        ident = k.identity_index()
+        assert all(k.mul_index(i, i) == ident for i in range(4))
+
+
 def test_minimal_generating_set(sym3):
     gens = minimal_generating_set(sym3)
     assert len(gens) <= 3

@@ -233,6 +233,51 @@ class TestDecomposition:
         assert flat_kernel_matches_rlm(small_monoid(2, trivial_group, 1), trivial_group)
 
 
+def _two_sided_generators(group):
+    """Reference walk: a generator joins when the subgroup that the chosen
+    ones generate, closed under products on both sides, lacks it."""
+    gens = []
+    reached = {group.identity}
+    for i in range(len(group)):
+        if i in reached:
+            continue
+        gens.append(i)
+        frontier = reached | {i}
+        while frontier:
+            reached |= frontier
+            frontier = {
+                p for a in frontier for b in list(reached)
+                for p in (group.mul(a, b), group.mul(b, a))
+            } - reached
+    return gens
+
+
+@pytest.mark.parametrize("make", [
+    FiniteGroup.trivial,
+    lambda: FiniteGroup.cyclic(5),
+    lambda: FiniteGroup.cyclic(12),
+    lambda: FiniteGroup.symmetric(3),
+    lambda: FiniteGroup.symmetric(4),
+    lambda: monomial_group(2, FiniteGroup.cyclic(2)),
+    lambda: monomial_group(3, FiniteGroup.trivial()),
+    lambda: monomial_group(3, FiniteGroup.cyclic(2)),
+    lambda: monomial_group(2, FiniteGroup.symmetric(3)),
+], ids=["trivial", "Z5", "Z12", "S3", "S4", "M2(Z2)", "M3(1)", "M3(Z2)", "M2(S3)"])
+def test_greedy_generators_match_the_two_sided_walk(make):
+    # the right-product walk reaches the subgroup the chosen elements
+    # generate, so it picks the same elements as the two-sided closure,
+    # and those generate the group
+    group = make()
+    gens = group.greedy_generators()
+    assert gens == _two_sided_generators(group)
+    reached = {group.identity}
+    frontier = set(reached)
+    while frontier:
+        frontier = {group.mul(u, g) for u in frontier for g in gens} - reached
+        reached |= frontier
+    assert len(reached) == len(group)
+
+
 def test_brandt_semigroup_order(z2_group):
     assert len(brandt_semigroup(2, z2_group)) == 9
     assert len(brandt_semigroup(3, FiniteGroup.symmetric(2))) == 19
