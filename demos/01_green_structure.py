@@ -5,7 +5,7 @@ generators, Green's relations and aperiodicity.
 Run:  python demos/01_green_structure.py
 """
 
-from krc import FiniteSemigroup, PartialTransformation, is_aperiodic, maximal_subgroup
+from krc import FiniteSemigroup, PartialTransformation, compose, is_aperiodic, maximal_subgroup
 
 T = PartialTransformation
 
@@ -15,7 +15,7 @@ f = T((2, 0, 1))
 g = T((1, 1, 0))
 print("f      =", f)
 print("g      =", g)
-print("f * g  =", f * g)   # (qf)g, undefined stays undefined
+print("f * g  =", compose(f, g))   # (qf)g, undefined stays undefined
 print()
 
 # The two constant maps on two points close into the right-zero

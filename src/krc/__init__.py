@@ -29,8 +29,8 @@ from .products import (
     ActionPair,
     DivisionWitness,
     ExhaustionReport,
+    WreathProduct,
     check_division,
-    wreath,
 )
 from .flows import (
     Automaton,

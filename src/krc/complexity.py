@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional
 
 from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
-from .products import ActionPair, DivisionWitness, check_division, wreath
+from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 from .semilocal import (
     GmQuotient,
     JClassRef,
@@ -238,7 +238,9 @@ def derived_division_witness(
     s_sgp, t_sgp = rho.source, rho.target
     pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
 
-    w = wreath(ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp))
+    w = WreathProduct(
+        ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp)
+    )
     marker = w.right.points[0]
     lifts = {}
     for name, gi in zip(s_sgp.gen_names, s_sgp.gens):
@@ -359,12 +361,9 @@ class ComplexityInterval:
         return f"[{self.lower}, {hi}]"
 
 
-@dataclass
-class GmReduction:
-    children: list[tuple[JClassRef, GmQuotient]]
-
-
-def gm_reduction(sgp: FiniteSemigroup, _shared: Optional[dict] = None) -> GmReduction:
+def gm_reduction(
+    sgp: FiniteSemigroup, _shared: Optional[dict] = None
+) -> list[tuple[JClassRef, GmQuotient]]:
     """GM images at every J-class with a nontrivial subgroup, with the
     combined-projection injectivity check of the max rule."""
     gs = sgp.green()
@@ -386,7 +385,7 @@ def gm_reduction(sgp: FiniteSemigroup, _shared: Optional[dict] = None) -> GmRedu
             )
         if not children and len(h_members) > 1:
             raise VerificationError("nontrivial subgroup escaped the GM reduction")
-    return GmReduction(children)
+    return children
 
 
 @dataclass
@@ -482,10 +481,9 @@ def _estimate_carrier(
                 "interval": [0, 0],
             },
         )
-    reduction = gm_reduction(sgp, shared)
     child_intervals: list[ComplexityInterval] = []
     child_certs = []
-    for jref, gq in reduction.children:
+    for jref, gq in gm_reduction(sgp, shared):
         if len(gq.quotient) < len(sgp.elements):
             sub = estimate(
                 gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo, shared
@@ -754,7 +752,7 @@ def check_derived_wreath_division(
     d_phi = derived_semigroup(phi)
     d_psi = derived_semigroup(psi)
     source = with_generators(d_comp, minimal_generating_set(d_comp))
-    carrier = wreath(
+    carrier = WreathProduct(
         ActionPair.right_translation(d_phi), ActionPair.right_translation(d_psi)
     ).full_carrier(DERIVED_WREATH_CARRIER_BUDGET)
     return check_division(source, carrier, lifts=None, budget=budget)

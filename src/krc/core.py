@@ -71,25 +71,11 @@ class PartialTransformation:
     def identity(cls, n: int) -> "PartialTransformation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def empty(cls, n: int) -> "PartialTransformation":
-        return cls((0,) * n)
-
-    @classmethod
-    def constant(cls, n: int, v: int) -> "PartialTransformation":
-        return cls((v,) * n)
-
     def __call__(self, q: int) -> int:
         """Image of point q (1-based); 0 for undefined, and 0 maps to 0."""
         if q == 0:
             return 0
         return self.images[q - 1]
-
-    def __mul__(self, other: "PartialTransformation") -> "PartialTransformation":
-        return compose(self, other)
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(q for q in range(1, self.degree + 1) if self.images[q - 1] != 0)
 
     def sort_key(self) -> tuple[int, ...]:
         # undefined sorts after every real point
@@ -534,25 +520,30 @@ def check_stability(sgp: FiniteSemigroup) -> None:
                 raise VerificationError(f"stability (L side) fails at pair ({i},{j})")
 
 
+def _index_period(x, step: Callable[[Any], Any]) -> tuple[int, int]:
+    """(index, period) of the orbit x, step(x), step(step(x)), ...: the
+    least i, p >= 1 whose i-th and (i+p)-th terms are equal."""
+    seen = {}
+    n = 1
+    while x not in seen:
+        seen[x] = n
+        x = step(x)
+        n += 1
+    return seen[x], n - seen[x]
+
+
 def is_aperiodic(sgp: FiniteSemigroup) -> bool:
     """True iff every subgroup is trivial.
 
     Computed once by power stabilisation and once through the Green
     structure (H-classes containing an idempotent are singletons); the two
-    verdicts are asserted equal.  Powers of s are taken up to the first
-    repeat: s^{k+1} = s^k makes s aperiodic, and a repeat further back is
-    a cycle of length at least 2, so the verdict is that of s^|S| = s^{|S|+1}.
+    verdicts are asserted equal.  s is aperiodic exactly when its powers
+    have period 1, s^{k+1} = s^k; the walk stops at the first s that is not.
     """
-    by_powers = True
-    for i in range(len(sgp.elements)):
-        p, seen = i, {i}
-        q = sgp.mul_index(p, i)
-        while q not in seen:
-            seen.add(q)
-            p, q = q, sgp.mul_index(q, i)
-        if q != p:
-            by_powers = False
-            break
+    by_powers = all(
+        _index_period(i, lambda p, i=i: sgp.mul_index(p, i))[1] == 1
+        for i in range(len(sgp.elements))
+    )
     gs = sgp.green()
     by_subgroups = all(len(gs.h_classes[gs.h_of[e]]) == 1 for e in gs.idempotents)
     if by_powers != by_subgroups:

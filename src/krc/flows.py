@@ -17,10 +17,14 @@ flow that keeps the condition constructed over the 1- and 2-state
 automata on the corpus, T_3 and PT_3; some that break it construct too,
 at a state that no transition enters for one.
 
-From a verified flow the lifted action on G x [b] x Q is built, and the
-witness map onto G x B + 0 is checked to be a surjective morphism; the
-resulting division of S into (G wr Sym_b wr T_A) x RLM is machine-checked
-through the division machinery.
+One transport per labeled transition serves verification and
+construction alike: it checks F1-F5 in order and, when all hold, gives
+each block of W_q its target block and its group shift.  From a verified
+flow the lifted action on G x [b] x Q is read off these transports, and
+the witness map onto G x B + 0 is checked to be a surjective morphism;
+the resulting division of S into (G wr Sym_b wr T_A) x RLM is
+machine-checked through the division machinery, with G wr Sym_b nested
+directly as the left factor, a wreath product being an action pair.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from .products import (
     DivisionWitness,
     MulOracle,
     PairSemigroup,
+    WreathProduct,
     check_division,
-    wreath,
 )
 from .semilocal import GroupMappingPresentation
 from .spc import SPC, CrossSectionFailure, enumerate_spcs, mu_action
@@ -106,13 +110,16 @@ class FlowViolation:
         return False
 
 
-def _transition_check(
+def _transport(
     pres: GroupMappingPresentation, spc_q: SPC, spc_t: SPC, letter: str
-) -> Optional[tuple[str, str]]:
-    """F1-F5 for a single labeled transition; None when all pass."""
+) -> tuple[str, str] | list[tuple[Optional[int], int]]:
+    """F1-F5 on one labeled transition q.x = t, in that order.  The first
+    failure comes back as (condition, detail); when all hold, per block of
+    q the index of the target block it lands in and the shift g with
+    moved labels = g . target labels on its image, (None, 1_G) for a
+    block that x sends to 0."""
     group = pres.group
     rlm_map = pres.rlm_of_gen[letter]
-    labels = pres.label_of_gen[letter]
     w_target = set(spc_t.subset)
     # F1: W_q x inside W_qx
     for b in spc_q.subset:
@@ -121,42 +128,49 @@ def _transition_check(
             return ("F1", f"{b}.{letter} = {img} escapes the target support")
     # F2: every block lands inside a single target block
     target_block = spc_t.block_of()
-    block_image: list[Optional[int]] = []
-    for bi, blk in enumerate(spc_q.blocks):
-        homes = {target_block[rlm_map[b - 1]] for b in blk if rlm_map[b - 1] != 0}
-        if len(homes) > 1:
+    images = [sorted({rlm_map[b - 1] for b in blk} - {0}) for blk in spc_q.blocks]
+    homes: list[Optional[int]] = []
+    for blk, img in zip(spc_q.blocks, images):
+        home = {target_block[c] for c in img}
+        if len(home) > 1:
             return ("F2", f"block {blk} is split across target blocks")
-        block_image.append(homes.pop() if homes else None)
+        homes.append(home.pop() if home else None)
     # F3: the induced block map is injective where defined
     seen: dict[int, int] = {}
-    for bi, tgt in enumerate(block_image):
-        if tgt is None:
+    for bi, home in enumerate(homes):
+        if home is None:
             continue
-        if tgt in seen:
+        if home in seen:
             return (
                 "F3",
-                f"blocks {spc_q.blocks[seen[tgt]]} and {spc_q.blocks[bi]} collide",
+                f"blocks {spc_q.blocks[seen[home]]} and {spc_q.blocks[bi]} collide",
             )
-        seen[tgt] = bi
+        seen[home] = bi
     # F4: the transported labeling is well defined
-    moved = mu_action(spc_q.label_of(), rlm_map, labels, group)
+    moved = mu_action(spc_q.label_of(), rlm_map, pres.label_of_gen[letter], group)
     if isinstance(moved, CrossSectionFailure):
         return ("F4", f"cross-section condition fails at ({moved.b1}, {moved.b2})")
     # F5: per block, the transported labels lie in the target cross section
     t_label = spc_t.label_of()
-    for bi, blk in enumerate(spc_q.blocks):
-        images = sorted({rlm_map[b - 1] for b in blk if rlm_map[b - 1] != 0})
-        if not images:
-            continue
-        anchor = images[0]
-        shift = group.mul(moved[anchor], group.inv(t_label[anchor]))
-        for c in images:
+    moves = []
+    for blk, img, home in zip(spc_q.blocks, images, homes):
+        shift = group.mul(moved[img[0]], group.inv(t_label[img[0]])) if img else group.identity
+        for c in img:
             if moved[c] != group.mul(shift, t_label[c]):
                 return (
                     "F5",
                     f"block {blk} transports outside the target cross section at {c}",
                 )
-    return None
+        moves.append((home, shift))
+    return moves
+
+
+def _transition_check(
+    pres: GroupMappingPresentation, spc_q: SPC, spc_t: SPC, letter: str
+) -> Optional[tuple[str, str]]:
+    """F1-F5 for a single labeled transition; None when all pass."""
+    out = _transport(pres, spc_q, spc_t, letter)
+    return out if isinstance(out, tuple) else None
 
 
 def _sink_check(
@@ -240,11 +254,6 @@ class PresentationWitness:
         )
 
 
-def _block_data(spc: SPC, b_bar: int):
-    blocks = list(spc.blocks) + [()] * (b_bar - len(spc.blocks))
-    return blocks
-
-
 def presentation_construct(flow: Flow) -> PresentationWitness:
     ok = verify_flow(flow)
     if ok is not True:
@@ -255,66 +264,26 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
     nq = aut.n_states
     b_bar = max(1, max(len(spc.blocks) for spc in flow.labeling))
 
+    # per letter and state, the transport's block map completed to a
+    # permutation of [b_bar] and its shifts; a dead q.x and the padding
+    # blocks keep the identity, so the data has a fixed shape
     perms: dict[str, list[tuple[int, ...]]] = {}
     gbar: dict[str, list[tuple[int, ...]]] = {}
     for x in aut.letters:
-        rlm_map = pres.rlm_of_gen[x]
-        labels = pres.label_of_gen[x]
-        perms[x] = []
-        gbar[x] = []
+        perms[x], gbar[x] = [], []
         for q in range(1, nq + 1):
             qx = aut.step(q, x)
-            if qx is None:
-                # unused; keep a fixed shape so the data is deterministic
-                perms[x].append(tuple(range(b_bar)))
-                gbar[x].append((group.identity,) * b_bar)
-                continue
-            src = _block_data(flow.labeling[q - 1], b_bar)
-            tgt_spc = flow.labeling[qx - 1]
-            tgt_blocks = _block_data(tgt_spc, b_bar)
-            tgt_of_point = tgt_spc.block_of()
-            src_label = flow.labeling[q - 1].label_of()
-            tgt_label = tgt_spc.label_of()
-            partial: dict[int, int] = {}
-            gvals: list[int] = []
-            for j, blk in enumerate(src):
-                movers = [b for b in blk if rlm_map[b - 1] != 0]
-                if movers:
-                    partial[j] = tgt_of_point[rlm_map[movers[0] - 1]]
-                    b0 = movers[0]
-                    val = group.mul(
-                        group.mul(src_label[b0], labels[b0 - 1]),
-                        group.inv(tgt_label[rlm_map[b0 - 1]]),
-                    )
-                    # F5 makes the correction independent of the chosen member
-                    for b in movers[1:]:
-                        other = group.mul(
-                            group.mul(src_label[b], labels[b - 1]),
-                            group.inv(tgt_label[rlm_map[b - 1]]),
-                        )
-                        if other != val:
-                            raise VerificationError(
-                                "group correction depends on the block member"
-                            )
-                    gvals.append(val)
-                else:
-                    gvals.append(group.identity)
-            # complete the partial injection to a permutation of [b_bar]:
+            moves = [] if qx is None else _transport(
+                pres, flow.labeling[q - 1], flow.labeling[qx - 1], x
+            )
+            moves += [(None, group.identity)] * (b_bar - len(moves))
             # unmatched sources to unmatched targets, both in increasing order
-            used = set(partial.values())
-            free_targets = [j for j in range(b_bar) if j not in used]
-            perm = []
-            k = 0
-            for j in range(b_bar):
-                if j in partial:
-                    perm.append(partial[j])
-                else:
-                    perm.append(free_targets[k])
-                    k += 1
+            free = iter(sorted(set(range(b_bar)).difference(j for j, _ in moves)))
+            perm = tuple(next(free) if j is None else j for j, _ in moves)
             if sorted(perm) != list(range(b_bar)):
                 raise VerificationError("block map completion is not a permutation")
-            perms[x].append(tuple(perm))
-            gbar[x].append(tuple(gvals))
+            perms[x].append(perm)
+            gbar[x].append(tuple(g for _, g in moves))
 
     tsg = transition_semigroup(aut)
 
@@ -388,13 +357,10 @@ def _verify_rho(w: PresentationWitness) -> None:
 def _division_witness(w: PresentationWitness) -> DivisionWitness:
     """S < (G wr Sym_b wr T_A) x RLM, with the lift read off the flow."""
     pres = w.flow.presentation
-    group = pres.group
-    b_bar = w.b_bar
     # Sym_b and G wr Sym_b stay lazy oracles: checking given lifts only multiplies
-    sym = ActionPair(list(range(1, b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
-    inner = wreath(ActionPair.of_group(group), sym)
-    inner_pair = ActionPair(inner.points, inner, inner.act)
-    outer = wreath(inner_pair, ActionPair.of_transformations(w.transition_sgp))
+    sym = ActionPair(list(range(1, w.b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
+    inner = WreathProduct(ActionPair.of_group(pres.group), sym)
+    outer = WreathProduct(inner, ActionPair.of_transformations(w.transition_sgp))
 
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
@@ -407,21 +373,11 @@ def _division_witness(w: PresentationWitness) -> DivisionWitness:
                     tuple(p + 1 for p in w.perms[x][q - 1])
                 )
                 fvals.append(inner.make(list(w.gbar[x][q - 1]), perm))
-        wx = outer.make(fvals, w.transition_sgp.elements[
-            w.transition_sgp.index[w.flow.automaton.letter_map(x)]
-        ])
+        wx = outer.make(fvals, w.flow.automaton.letter_map(x))
         lifts[x] = (wx, pres.rlmq.morphism[pres.sgp.elements[gi]])
 
     target = PairSemigroup(outer, pres.rlmq.rlm)
-    witness = check_division(pres.sgp, target, lifts=lifts)
-
-    # the [b] x Q part of every lifted generator is a fiberwise permutation
-    # over the automaton's own transition action
-    for x in pres.sgp.gen_names:
-        for q in range(1, w.flow.automaton.n_states + 1):
-            if sorted(w.perms[x][q - 1]) != list(range(b_bar)):
-                raise VerificationError("lifted generator is not fiberwise a permutation")
-    return witness
+    return check_division(pres.sgp, target, lifts=lifts)
 
 
 # -- flow search -----------------------------------------------------------

@@ -43,10 +43,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .core import FiniteGroup, FiniteSemigroup, PartialTransformation
+from .core import FiniteGroup, FiniteSemigroup, _index_period
 from .errors import InputError, ResourceError, VerificationError
 
-WREATH_CARRIER_BUDGET = 10**6
 DIVISION_SEARCH_BUDGET = 2_000_000
 
 
@@ -79,8 +78,8 @@ class PairSemigroup:
 @dataclass
 class ActionPair:
     """A transformation semigroup (Q, S): S with a faithful partial right
-    action on the ordered point set Q.  S may be a lazy oracle; the two
-    checks below need it enumerated."""
+    action on the ordered point set Q.  S may be a lazy oracle; `_pos`
+    maps each point to its position in Q."""
 
     points: list[Any]
     sgp: Any  # a multiplication oracle
@@ -88,30 +87,6 @@ class ActionPair:
 
     def __post_init__(self):
         self._pos = {p: i for i, p in enumerate(self.points)}
-
-    def position(self, point) -> int:
-        return self._pos[point]
-
-    def act_table(self, value) -> PartialTransformation:
-        """The element's action as a partial transformation of 1..|Q|."""
-        images = []
-        for p in self.points:
-            img = self.act(p, value)
-            images.append(0 if img is None else self.position(img) + 1)
-        return PartialTransformation(tuple(images))
-
-    def check_action(self) -> None:
-        """(p.u).v = p.(uv) over everything, with undefinedness matching."""
-        for u in self.sgp.elements:
-            for v in self.sgp.elements:
-                uv = self.sgp.mul(u, v)
-                for p in self.points:
-                    step = self.act(p, u)
-                    lhs = None if step is None else self.act(step, v)
-                    if lhs != self.act(p, uv):
-                        raise VerificationError(
-                            f"not an action at point {p!r} with ({u!r}, {v!r})"
-                        )
 
     @classmethod
     def of_transformations(cls, sgp: FiniteSemigroup) -> "ActionPair":
@@ -141,11 +116,6 @@ class ActionPair:
 
         return cls([marker] + list(sgp.elements), sgp, act)
 
-    @classmethod
-    def trivial(cls) -> "ActionPair":
-        sgp = FiniteSemigroup.generate([("1", PartialTransformation.identity(1))])
-        return cls([1], sgp, lambda p, f: p)
-
 
 # -- wreath products ------------------------------------------------------
 
@@ -156,7 +126,9 @@ class WreathProduct:
     f is a tuple over Q-positions with values in S (or None for the
     adjoined identity), t is an element of T.  Elements multiply by the
     wreath formula and act on B x Q points; the full carrier S^Q x T is
-    materialized only under the configured budget.
+    materialized only under the given budget.  It is itself the action
+    pair (B x Q, S wr T): it has `points`, `_pos`, `sgp` and `act`, so it
+    nests as either factor of another wreath product.
     """
 
     elements = None  # a lazy oracle; full_carrier() enumerates
@@ -165,12 +137,17 @@ class WreathProduct:
         self.left = left
         self.right = right
         self.points = [(b, q) for b in left.points for q in right.points]
+        self._pos = {p: i for i, p in enumerate(self.points)}
         # with restrict_to_domain, function parts carry None outside the
         # domain of their own t-component; this keeps s -> (f_s, t_s) maps
         # structurally injective over partial right actions
         self.restrict_to_domain = restrict_to_domain
         # a division closure multiplies the same pairs many times
         self.mul = functools.lru_cache(maxsize=None)(self._product)
+
+    @property
+    def sgp(self) -> "WreathProduct":
+        return self
 
     def make(self, fvals: Sequence[Any], t) -> tuple[tuple, Any]:
         if len(fvals) != len(self.right.points):
@@ -210,17 +187,14 @@ class WreathProduct:
 
     def act(self, point, w):
         (b, q), (f, t) = point, w
-        fq = f[self.right.position(q)]
+        fq = f[self.right._pos[q]]
         b2 = b if fq is None else self.left.act(b, fq)
         q2 = self.right.act(q, t)
         if b2 is None or q2 is None:
             return None
         return (b2, q2)
 
-    def act_table(self, w) -> PartialTransformation:
-        return ActionPair(self.points, self, self.act).act_table(w)
-
-    def full_carrier(self, budget: int = WREATH_CARRIER_BUDGET) -> MulOracle:
+    def full_carrier(self, budget: int) -> MulOracle:
         """S^Q x T, in the order of T's carrier and then of the function
         parts over S's carrier, lexicographically."""
         left, right = self.left.sgp.elements, self.right.sgp.elements
@@ -235,12 +209,6 @@ class WreathProduct:
             for f in itertools.product(left, repeat=len(self.right.points))
         ]
         return MulOracle(elements, self.mul)
-
-
-def wreath(
-    left: ActionPair, right: ActionPair, restrict_to_domain: bool = False
-) -> WreathProduct:
-    return WreathProduct(left, right, restrict_to_domain)
 
 
 # -- division certificates -------------------------------------------------
@@ -330,18 +298,6 @@ def _relation_closure(
     if names is None and len(set(mapping.values())) != len(s.elements):
         return "relation not surjective onto the source"
     return mapping
-
-
-def _index_period(x, step: Callable[[Any], Any]) -> tuple[int, int]:
-    """(index, period) of the orbit x, step(x), step(step(x)), ...: the
-    least i, p >= 1 whose i-th and (i+p)-th terms are equal."""
-    seen = {}
-    n = 1
-    while x not in seen:
-        seen[x] = n
-        x = step(x)
-        n += 1
-    return seen[x], n - seen[x]
 
 
 def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 
 from .core import FiniteGroup, FiniteSemigroup, PartialTransformation, maximal_subgroup
 from .errors import InputError, VerificationError
-from .products import ActionPair, DivisionWitness, WreathProduct, check_division, wreath
+from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 
 
 @dataclass
@@ -209,9 +209,8 @@ def rlm_quotient(
     img_ids = {rgs.j_of[rlm.index[v]] for v in image_of_j}
     if len(img_ids) != 1:
         raise VerificationError("image of J is not a single J-class")
-    for e in rgs.idempotents:
-        if rgs.j_of[e] in img_ids and len(rgs.h_classes[rgs.h_of[e]]) > 1:
-            raise VerificationError("image of J is not aperiodic")
+    if JClassRef(rlm, img_ids.pop()).contains_nontrivial_subgroup():
+        raise VerificationError("image of J is not aperiodic")
     if not cls.right_mapping:
         raise VerificationError("RLM quotient is not right mapping")
     distinguished = {
@@ -590,7 +589,7 @@ class FaspEmbedding:
 
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     group = pres.group
-    w = wreath(
+    w = WreathProduct(
         ActionPair.of_group(group),
         ActionPair.of_transformations(pres.rlmq.rlm),
         restrict_to_domain=True,

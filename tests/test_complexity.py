@@ -55,19 +55,18 @@ class TestComplexityZero:
 
 class TestGmReduction:
     def test_aperiodic_empty(self, right_zero_2):
-        assert gm_reduction(right_zero_2).children == []
+        assert gm_reduction(right_zero_2) == []
 
     def test_z2_rz2_single_image(self, z2_rz2):
-        red = gm_reduction(z2_rz2)
-        assert len(red.children) == 1
-        _, gq = red.children[0]
+        children = gm_reduction(z2_rz2)
+        assert len(children) == 1
+        _, gq = children[0]
         assert len(gq.quotient) == 2
         assert not is_aperiodic(gq.quotient)
 
     def test_small_monoid_two_images(self, corpus):
         sgp, _ = corpus["small_2_z2"]
-        red = gm_reduction(sgp)
-        assert len(red.children) == 2
+        assert len(gm_reduction(sgp)) == 2
 
 
 class TestDerived:

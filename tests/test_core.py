@@ -7,6 +7,7 @@ from krc.core import (
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
+    _index_period,
     check_stability,
     compose,
     is_aperiodic,
@@ -410,6 +411,11 @@ class TestAperiodicity:
                 p = s.mul_index(p, i)
             assert s.mul_index(p, i) == p
         assert is_aperiodic(s)
+
+    def test_index_period(self):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 2: the 2nd term recurs after 3 steps
+        assert _index_period(0, [1, 2, 3, 4, 2].__getitem__) == (3, 3)
+        assert _index_period(5, lambda y: y) == (1, 1)
 
     def test_agrees_with_subgroup_triviality(self, b2z2_1, sym3, right_zero_2):
         for s in (b2z2_1, sym3, right_zero_2):

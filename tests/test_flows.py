@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -130,8 +133,7 @@ class TestVerifyFlow:
         assert verify_flow(trivial_flow(pres)) is True
 
     def test_merged_blocks_collide(self, small17_pres):
-        # one big block: images of 1 and 2 under a unit collapse F4/F3? no:
-        # units act injectively; break it instead with labels that clash
+        # one big block whose labels d1 moves off the cross section
         pres = small17_pres
         aut = Automaton(
             1,
@@ -140,9 +142,9 @@ class TestVerifyFlow:
         )
         bad = canonicalize(pres.n_b, [{1, 2}], {1: 0, 2: 0}, pres.group)
         flow = Flow(aut, pres, (bad,))
-        verdict = verify_flow(flow)
-        assert isinstance(verdict, FlowViolation)
-        assert verdict.condition in {"F4", "F5"}
+        assert verify_flow(flow) == FlowViolation(
+            "F5", 1, "d1", "block (1, 2) transports outside the target cross section at 2"
+        )
 
     def test_f1_violation(self, small17_pres):
         pres = small17_pres
@@ -562,3 +564,63 @@ class TestSinkSoundness:
         assert [dump_flow(flow) for flow in results[1:]] == [
             dump_flow(trivial_flow(pres)) for pres in ladder_presentations[name][1:]
         ]
+
+
+def digest(values) -> str:
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def pinned_presentations(b2z2_1, small17_pres, ladder_presentations):
+    """b2z2_1's and small17's presentations (two points of B) and T_3's
+    group-mapping node with three."""
+    t3 = ladder_presentations["T3"][0]
+    assert t3.n_b == 3
+    return {"b2z2_1": group_mapping_presentation(b2z2_1), "small17": small17_pres, "T3": t3}
+
+
+class TestPinned:
+    """Verdicts and constructions recorded before verification and
+    construction read one transport per transition."""
+
+    @pytest.mark.parametrize("name,conditions,want", [
+        ("b2z2_1", {None: 73, "F1": 29, "F2": 2, "F3": 2, "F5": 2}, "8d3ad3d67f328f4d"),
+        ("small17", {None: 79, "F1": 47, "F2": 6, "F3": 6, "F5": 6}, "c14866f13ebce2fb"),
+        (
+            "T3",
+            {None: 526, "F1": 634, "F2": 188, "F3": 224, "F4": 72, "F5": 84},
+            "7369f67dfc9ccf8b",
+        ),
+    ])
+    def test_transition_check_verdicts(self, pinned_presentations, name, conditions, want):
+        # every (source, target, letter): the first failing condition and
+        # its detail, or None
+        pres = pinned_presentations[name]
+        spcs = enumerate_spcs(pres.n_b, pres.group)
+        verdicts = [
+            _transition_check(pres, spcs[i], spcs[k], x)
+            for i, k, x in itertools.product(
+                range(len(spcs)), range(len(spcs)), pres.sgp.gen_names
+            )
+        ]
+        assert Counter(v and v[0] for v in verdicts) == conditions
+        assert digest(verdicts) == want
+
+    @pytest.mark.parametrize("name,flows,want", [
+        ("b2z2_1", 612, "6d8df5ea09e54bc3"),
+        ("small17", 488, "46d8d979bba5ba07"),
+        ("T3", 0, "4f53cda18c2baa0c"),
+    ])
+    def test_two_state_constructions(self, pinned_presentations, name, flows, want):
+        # every labeling `_iter_labelings` yields at two states, over
+        # undefined transitions and states with fewer blocks than b_bar
+        pres = pinned_presentations[name]
+        spcs, supports, succ = successors(pres)
+        sinks = _sink_index(pres, supports)
+        built = []
+        for aut in _enumerate_automata(2, tuple(pres.sgp.gen_names)):
+            for labels in _iter_labelings(aut, supports, succ, sinks):
+                w = presentation_construct(Flow(aut, pres, tuple(spcs[i] for i in labels)))
+                built.append([w.b_bar, w.perms, w.gbar, len(w.division.morphism)])
+        assert len(built) == flows
+        assert digest(built) == want

@@ -13,13 +13,14 @@ from krc.products import (
     DivisionWitness,
     ExhaustionReport,
     _relation_closure,
+    WreathProduct,
     check_division,
-    wreath,
 )
 from test_core import LADDER, T4_GENS
 from test_goldens import division_instance
 
 T = PartialTransformation
+BUDGET = 10**6  # above every wreath carrier built here
 
 
 def group_pair(n):
@@ -75,14 +76,14 @@ def reference_sort_key(w, element):
 
 class TestWreath:
     def test_trivial_right_factor_carrier(self):
-        w = wreath(group_pair(2), ActionPair.trivial())
-        full = w.full_carrier()
+        w = WreathProduct(group_pair(2), trivial_on(1))
+        full = w.full_carrier(BUDGET)
         assert len(full.elements) == 2
 
     def test_carrier_size_formula(self):
         # (Z2, Z2) wr (2 points, trivial): |S|^|Q| * |T| = 4
-        w = wreath(group_pair(2), trivial_on(2))
-        assert len(w.full_carrier().elements) == 2 ** 2 * 1
+        w = WreathProduct(group_pair(2), trivial_on(2))
+        assert len(w.full_carrier(BUDGET).elements) == 2 ** 2 * 1
 
     def test_action_formula(self):
         # (b, q)(f, t) = (b(qf), qt) replayed point by point
@@ -90,12 +91,12 @@ class TestWreath:
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("s", T((2, 1)))])
         )
-        w = wreath(left, right)
+        w = WreathProduct(left, right)
         for f in itertools.product(range(3), repeat=2):
             for t in right.sgp.elements:
                 elt = w.make(list(f), t)
                 for (b, q) in w.points:
-                    expected_b = left.act(b, f[right.position(q)])
+                    expected_b = left.act(b, f[right._pos[q]])
                     expected_q = right.act(q, t)
                     got = w.act((b, q), elt)
                     assert got == (
@@ -109,8 +110,8 @@ class TestWreath:
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
         )
-        w = wreath(left, right)
-        carrier = w.full_carrier()
+        w = WreathProduct(left, right)
+        carrier = w.full_carrier(BUDGET)
         for u in carrier.elements:
             for v in carrier.elements:
                 uv = carrier.mul(u, v)
@@ -120,15 +121,16 @@ class TestWreath:
                     assert lhs == w.act(p, uv)
 
     def test_faithful_on_total_instances(self):
-        w = wreath(group_pair(2), trivial_on(2))
-        carrier = w.full_carrier()
-        tables = {w.act_table(e) for e in carrier.elements}
+        w = WreathProduct(group_pair(2), trivial_on(2))
+        carrier = w.full_carrier(BUDGET)
+        tables = {tuple(w.act(p, e) for p in w.points) for e in carrier.elements}
         assert len(tables) == len(carrier.elements)
 
     def test_carrier_budget(self):
-        w = wreath(group_pair(3), trivial_on(4))
+        w = WreathProduct(group_pair(3), trivial_on(4))
+        assert len(w.full_carrier(3 ** 4).elements) == 3 ** 4
         with pytest.raises(ResourceError):
-            w.full_carrier(budget=10)
+            w.full_carrier(3 ** 4 - 1)
 
     def test_full_carrier_is_in_canonical_order(self):
         s = ActionPair.of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
@@ -136,13 +138,13 @@ class TestWreath:
             FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
         )
         for w in (
-            wreath(group_pair(2), ActionPair.trivial()),
-            wreath(group_pair(2), trivial_on(2)),
-            wreath(group_pair(3), s),
-            wreath(group_pair(2), c),
-            wreath(group_pair(3), trivial_on(4)),
+            WreathProduct(group_pair(2), trivial_on(1)),
+            WreathProduct(group_pair(2), trivial_on(2)),
+            WreathProduct(group_pair(3), s),
+            WreathProduct(group_pair(2), c),
+            WreathProduct(group_pair(3), trivial_on(4)),
         ):
-            elements = w.full_carrier().elements
+            elements = w.full_carrier(BUDGET).elements
             assert elements == sorted(elements, key=lambda e: reference_sort_key(w, e))
 
     @pytest.mark.parametrize("pair", ["u1,z2", "z2,u1", "right_zero_2,z2"])
@@ -150,9 +152,9 @@ class TestWreath:
         u1 = FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
         named = {"u1": u1, "z2": cyclic_sgp(2), "right_zero_2": right_zero_2}
         s, t = (named[n] for n in pair.split(","))
-        w = wreath(ActionPair.right_translation(s), ActionPair.right_translation(t))
+        w = WreathProduct(ActionPair.right_translation(s), ActionPair.right_translation(t))
         want = reference_semigroup_wreath_mul(s, t)
-        carrier = w.full_carrier().elements
+        carrier = w.full_carrier(BUDGET).elements
         assert len(carrier) == len(s) ** (len(t) + 1) * len(t)
         for u in carrier:
             for v in carrier:
@@ -168,12 +170,12 @@ class TestSemidirect:
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("s", T((2, 1)))])
         )
-        carrier = wreath(left, right).full_carrier()
+        carrier = WreathProduct(left, right).full_carrier(BUDGET)
         assert len(carrier.elements) == 2 ** 2 * len(right.sgp)
 
         def beta(t, f):
             # (t . f)(q) = f(qt)
-            return tuple(f[right.position(right.act(q, t))] for q in right.points)
+            return tuple(f[right._pos[right.act(q, t)]] for q in right.points)
 
         for (f1, t1) in carrier.elements:
             for (f2, t2) in carrier.elements:
@@ -241,12 +243,14 @@ class TestDivision:
     def test_search_over_lazy_oracle_is_rejected(self):
         # a lazy target has no carrier to scan, so no exhaustion is claimed
         triv = FiniteSemigroup.generate([("1", T.identity(1))])
-        oracle = wreath(ActionPair.right_translation(triv), ActionPair.right_translation(triv))
+        oracle = WreathProduct(
+            ActionPair.right_translation(triv), ActionPair.right_translation(triv)
+        )
         assert oracle.elements is None
         with pytest.raises(InputError):
             check_division(triv, oracle)
         with pytest.raises(InputError):
-            check_division(triv, wreath(group_pair(2), ActionPair.trivial()))
+            check_division(triv, WreathProduct(group_pair(2), trivial_on(1)))
 
 
 T3_GENS = [("a", T((2, 1, 3))), ("b", T((2, 3, 1))), ("e", T((1, 1, 3)))]
@@ -407,11 +411,6 @@ class TestViableFilter:
         # an idempotent generator may lift anywhere; the others may not
         assert any(len(ok) < len(t.elements) for ok in viable)
 
-    def test_index_period(self):
-        # 0 -> 1 -> 2 -> 3 -> 4 -> 2: the 2nd term recurs after 3 steps
-        assert products._index_period(0, [1, 2, 3, 4, 2].__getitem__) == (3, 3)
-        assert products._index_period(5, lambda y: y) == (1, 1)
-
 
 class TestDivisionOutcomes:
     """Search outcomes recorded before the (index, period) filter: the same
@@ -478,7 +477,5 @@ def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
 
     monkeypatch.setattr(FiniteSemigroup, "from_elements", refuse)
     monkeypatch.setattr(inverse, "lift_TS", lambda sgp, group: ts)
-    g = ActionPair.of_group(FiniteGroup.cyclic(3))
-    g.check_action()
     assert len(fasp_embedding(pres).witness.morphism) == len(b2z2_1)
     assert inverse_decomposition(s, z2).ts is ts

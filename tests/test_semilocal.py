@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
+from krc.core import FiniteSemigroup, PartialTransformation, compose, is_aperiodic
 from krc.errors import InputError
 from krc.inverse import (
     matrix_semigroup_as_transformations,
@@ -246,8 +246,8 @@ def _is_congruence_by_pairs(sgp, class_rep):
     els, index = sgp.elements, sgp.index
     n = len(els)
     return all(
-        class_rep[index[els[u] * els[v]]]
-        == class_rep[index[els[class_rep[u]] * els[class_rep[v]]]]
+        class_rep[index[compose(els[u], els[v])]]
+        == class_rep[index[compose(els[class_rep[u]], els[class_rep[v]])]]
         for u in range(n)
         for v in range(n)
     )
