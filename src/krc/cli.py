@@ -62,7 +62,7 @@ def _jsonable(value):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return cx.certificate_json(_jsonable(obj))
 
 
 # -- individual commands -------------------------------------------------
@@ -297,7 +297,7 @@ def cmd_inverse_demo(args) -> int:
     mid = len(sgp) - units - 1
     print(f"census: units {units}, rank-{args.rank} {mid}, zero 1, total {len(sgp)}")
     if args.rank == 1:
-        dec = invmod.inverse_decomposition(sgp, group)
+        invmod.inverse_decomposition(sgp, group)
         print(
             f"decomposition: verified (direct and flow lifts, "
             f"image order {len(sgp)})"

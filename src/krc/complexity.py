@@ -665,9 +665,10 @@ def replay_certificate(
 
     Reruns `estimate` on the root semigroup, following the stored upper of
     every group-mapping node (keyed by its label, unique in a tree) instead
-    of searching, and requires the recomputed certificate's canonical text
-    to equal the given one's.  Returns the replay log, one line per node,
-    children first; raises InputError, VerificationError or ResourceError.
+    of searching, and requires the recomputed certificate to equal the
+    given one as JSON values, types included.  Returns the replay log, one
+    line per node, children first; raises InputError, VerificationError or
+    ResourceError.
 
     The recomputation computes each distinct carrier once (see `estimate`),
     following the stored upper of the first node it reaches for that
@@ -693,8 +694,9 @@ def replay_certificate(
             stack += [c.get("sub") for c in children if isinstance(c, dict)]
         stack.append(node.get("rlm"))
     got = estimate(parse_semigroup(cert["semigroup"]), options, _given=given).certificate
-    if certificate_json(got) != certificate_json(cert):
-        path = ".".join(str(p) for p in _first_difference(cert, got) or ()) or "the root"
+    diff = _first_difference(cert, got)
+    if diff is not None:
+        path = ".".join(map(str, diff)) or "the root"
         raise VerificationError(f"replay: certificate differs from the recomputed one at {path}")
     return _replay_log(got)
 

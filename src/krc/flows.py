@@ -20,11 +20,13 @@ at a state that no transition enters for one.
 One transport per labeled transition serves verification and
 construction alike: it checks F1-F5 in order and, when all hold, gives
 each block of W_q its target block and its group shift.  From a verified
-flow the lifted action on G x [b] x Q is read off these transports, and
-the witness map onto G x B + 0 is checked to be a surjective morphism;
-the resulting division of S into (G wr Sym_b wr T_A) x RLM is
-machine-checked through the division machinery, with G wr Sym_b nested
-directly as the left factor, a wreath product being an action pair.
+flow these transports give each generator its lift into
+(G wr Sym_b wr T_A) x RLM, with G wr Sym_b nested directly as the left
+factor, a wreath product being an action pair.  The lifted action is the
+wreath lift's own: Qbar pairs the wreath's points ((g, j), q) with B + 0,
+and the witness map rho onto G x B + 0 is checked to be a surjective
+morphism against `act` of each lift.  The division of S that the lifts
+generate is then machine-checked through the division machinery.
 """
 
 from __future__ import annotations
@@ -228,30 +230,16 @@ def trivial_flow(pres: GroupMappingPresentation) -> Flow:
 class PresentationWitness:
     """Everything the flow-based decomposition produces: the block count
     b_bar, per-state-and-letter permutations and group corrections, the
-    lifted action, the carrier Qbar with its projection rho, and the
-    machine-checked division witness."""
+    carrier Qbar with its projection rho, and the machine-checked division
+    witness, whose lifts act on Qbar."""
 
     flow: Flow
     b_bar: int
     perms: dict[str, list[tuple[int, ...]]]  # per letter, per state: [b]->[b]
     gbar: dict[str, list[tuple[int, ...]]]  # per letter, per state: G labels
-    transition_sgp: FiniteSemigroup
     qbar: list[Any]
     rho: dict[Any, Any]
     division: DivisionWitness = field(repr=False)
-
-    def lifted_step(self, point: tuple[int, int, int], letter: str):
-        """(g, j, q).x = (g gbar(j,q,x), j p_{q,qx}, qx); None when qx dies."""
-        g, j, q = point
-        qx = self.flow.automaton.step(q, letter)
-        if qx is None:
-            return None
-        group = self.flow.presentation.group
-        return (
-            group.mul(g, self.gbar[letter][q - 1][j]),
-            self.perms[letter][q - 1][j],
-            qx,
-        )
 
 
 def presentation_construct(flow: Flow) -> PresentationWitness:
@@ -285,51 +273,58 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
             perms[x].append(perm)
             gbar[x].append(tuple(g for _, g in moves))
 
-    tsg = transition_semigroup(aut)
+    # the lifts into (G wr Sym_b wr T_A) x RLM; Sym_b and G wr Sym_b stay
+    # lazy oracles, as checking given lifts only multiplies
+    sym = ActionPair(list(range(1, b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
+    inner = WreathProduct(ActionPair.of_group(group), sym)
+    outer = WreathProduct(inner, ActionPair.of_transformations(transition_semigroup(aut)))
+    lifts = {}
+    for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
+        fvals = [
+            None if aut.step(q, x) is None else inner.make(
+                gbar[x][q - 1],
+                PartialTransformation(tuple(p + 1 for p in perms[x][q - 1])),
+            )
+            for q in range(1, nq + 1)
+        ]
+        wx = outer.make(fvals, aut.letter_map(x))
+        lifts[x] = (wx, pres.rlmq.morphism[pres.sgp.elements[gi]])
 
-    # Qbar and rho
-    qbar: list[Any] = []
-    rho: dict[Any, Any] = {}
-    for g in range(len(group)):
-        for j in range(b_bar):
-            for q in range(1, nq + 1):
-                qbar.append(((g, j, q), ZERO))
-                rho[((g, j, q), ZERO)] = ZERO
+    # Qbar: each point ((g, j), q) of the wreath with 0, and with every b
+    # in block j of q's label
+    qbar: list[Any] = [(point, ZERO) for point in outer.points]
+    rho: dict[Any, Any] = dict.fromkeys(qbar, ZERO)
     for q in range(1, nq + 1):
         blocks = flow.labeling[q - 1].blocks
         lab = flow.labeling[q - 1].label_of()
-        for j, blk in enumerate(blocks):
+        for j, blk in enumerate(blocks, 1):
             for b in blk:
                 for g in range(len(group)):
-                    omega = ((g, j, q), b)
+                    omega = (((g, j), q), b)
                     qbar.append(omega)
                     rho[omega] = (group.mul(g, lab[b]), b)
 
-    witness = PresentationWitness(
-        flow, b_bar, perms, gbar, tsg, qbar, rho, division=None
-    )
-    _verify_rho(witness)
-    witness.division = _division_witness(witness)
-    return witness
+    _verify_rho(pres, qbar, rho, outer, lifts)
+    division = check_division(pres.sgp, PairSemigroup(outer, pres.rlmq.rlm), lifts=lifts)
+    return PresentationWitness(flow, b_bar, perms, gbar, qbar, rho, division)
 
 
-def _verify_rho(w: PresentationWitness) -> None:
+def _verify_rho(pres, qbar, rho, outer: WreathProduct, lifts) -> None:
     """rho is onto G x B + 0 and commutes with every generator, the
-    undefined-image branch included."""
-    pres = w.flow.presentation
+    undefined-image branch included; upstairs, x moves the wreath point of
+    a member of Qbar as its lift's wreath part does."""
     group = pres.group
-    nb = pres.n_b
-    image = set(w.rho.values())
-    want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, nb + 1)}
+    image = set(rho.values())
+    want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, pres.n_b + 1)}
     if image != want:
         raise VerificationError("rho is not onto G x B + 0")
-    for omega in w.qbar:
+    for omega in qbar:
         point, b = omega
-        for x in w.flow.automaton.letters:
+        for x, (wx, _) in lifts.items():
             rlm_map = pres.rlm_of_gen[x]
             labels = pres.label_of_gen[x]
             # action of x on G x B + 0 downstairs
-            down = w.rho[omega]
+            down = rho[omega]
             if down == ZERO:
                 down_x = ZERO
             else:
@@ -337,7 +332,7 @@ def _verify_rho(w: PresentationWitness) -> None:
                 img = rlm_map[bb - 1]
                 down_x = (group.mul(h, labels[bb - 1]), img) if img else ZERO
             # action of x upstairs
-            up = w.lifted_step(point, x)
+            up = outer.act(point, wx)
             if up is None:
                 # the state path dies; nothing to compare
                 continue
@@ -346,38 +341,12 @@ def _verify_rho(w: PresentationWitness) -> None:
             else:
                 img = rlm_map[b - 1]
                 omega_x = (up, img) if img else (up, ZERO)
-            if omega_x not in w.rho:
+            if omega_x not in rho:
                 raise VerificationError(f"Qbar is not closed at {omega} under {x}")
-            if w.rho[omega_x] != down_x:
+            if rho[omega_x] != down_x:
                 raise VerificationError(
                     f"rho is not a morphism at {omega} under {x}"
                 )
-
-
-def _division_witness(w: PresentationWitness) -> DivisionWitness:
-    """S < (G wr Sym_b wr T_A) x RLM, with the lift read off the flow."""
-    pres = w.flow.presentation
-    # Sym_b and G wr Sym_b stay lazy oracles: checking given lifts only multiplies
-    sym = ActionPair(list(range(1, w.b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
-    inner = WreathProduct(ActionPair.of_group(pres.group), sym)
-    outer = WreathProduct(inner, ActionPair.of_transformations(w.transition_sgp))
-
-    lifts = {}
-    for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
-        fvals = []
-        for q in range(1, w.flow.automaton.n_states + 1):
-            if w.flow.automaton.step(q, x) is None:
-                fvals.append(None)
-            else:
-                perm = PartialTransformation(
-                    tuple(p + 1 for p in w.perms[x][q - 1])
-                )
-                fvals.append(inner.make(list(w.gbar[x][q - 1]), perm))
-        wx = outer.make(fvals, w.flow.automaton.letter_map(x))
-        lifts[x] = (wx, pres.rlmq.morphism[pres.sgp.elements[gi]])
-
-    target = PairSemigroup(outer, pres.rlmq.rlm)
-    return check_division(pres.sgp, target, lifts=lifts)
 
 
 # -- flow search -----------------------------------------------------------

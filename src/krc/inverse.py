@@ -534,11 +534,11 @@ def brandt_isomorphism(sgp: FiniteSemigroup, rc) -> dict[Any, Any]:
         return (a + 1, group.mul(g, rc.matrix[b][match[b]]), match[b] + 1)
 
     iso = {sgp.elements[u]: normalize(c) for u, c in rc.coord.items()}
-    # verify against the Brandt rule
+    # verify against the Brandt rule, the products u*v read off J's table
     gs = sgp.green()
-    for u, cu in rc.coord.items():
+    for k, cu in enumerate(rc.coord.values()):
         for v, cv in rc.coord.items():
-            p = sgp.mul_index(u, v)
+            p = rc.jref.rows[v][k]
             iu, iv = normalize(cu), normalize(cv)
             in_j = gs.j_of[p] == rc.jref.j_id
             if iu[2] == iv[0]:

@@ -8,11 +8,19 @@ q_b in R_e n b; every element of the class is then p_a * g * q_b for a
 unique g, and the structure matrix entry C(b, a) is the coordinate of
 q_b * p_a (or 0 when the product drops out of the class).  All of this
 is verified exhaustively at construction time.
+
+S's right action on a J-class is computed once, as the class's table
+`JClassRef.rows` (u*s for every element s and every member u).  The Rees
+coordinates, their transport and structure matrix, the L-class action of
+the RLM quotient, the labels of the presentation, the coordinate action
+and the wreath embedding's action on R_e all read their products off it:
+every product they need is u*s with u in J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .core import FiniteGroup, FiniteSemigroup, PartialTransformation, maximal_subgroup
@@ -44,6 +52,11 @@ class JClassRef:
     @property
     def members(self) -> list[int]:
         return self.sgp.green().j_classes[self.j_id]
+
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        """For every element s, the row (u*s for u in `members`)."""
+        return self.sgp.right_translations(self.members)
 
     @property
     def is_regular(self) -> bool:
@@ -150,7 +163,6 @@ class RlmQuotient:
     """The action of S on the L-classes of J by partial maps, with the
     quotient morphism table."""
 
-    source: FiniteSemigroup
     jref: JClassRef
     rlm: FiniteSemigroup  # transformations on 1..|B|
     morphism: dict[Any, PartialTransformation]
@@ -161,24 +173,21 @@ def _lclass_action_map(
     sgp: FiniteSemigroup, jref: JClassRef
 ) -> Callable[[int], PartialTransformation]:
     """s -> the partial map of s on B, verified representative-free.  The
-    products u*s come from one set of right translations of J's L-class
-    members."""
+    products u*s are J's table, its columns grouped by L-class."""
     gs = sgp.green()
     b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
     target = [
         b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in range(len(sgp.elements))
     ]
-    points, spans = [], []
-    for b in jref.b_classes:
-        spans.append((b, len(points), len(points) + len(gs.l_classes[b])))
-        points += gs.l_classes[b]
-    rows = sgp.right_translations(points)
+    columns: dict[int, list[int]] = {b: [] for b in jref.b_classes}
+    for k, u in enumerate(jref.members):
+        columns[gs.l_of[u]].append(k)
 
     def action(s_idx: int) -> PartialTransformation:
-        row = rows[s_idx]
+        row = jref.rows[s_idx]
         images = []
-        for b, lo, hi in spans:
-            targets = {target[p] for p in row[lo:hi]}
+        for b, ks in columns.items():
+            targets = {target[row[k]] for k in ks}
             if len(targets) != 1:
                 raise VerificationError(
                     f"L-class action not well defined at b={b}, s={s_idx}"
@@ -221,7 +230,7 @@ def rlm_quotient(
         raise VerificationError(
             "distinguished class of the RLM quotient is not the image of J"
         )
-    return RlmQuotient(sgp, jref, rlm, morphism, image_of_j)
+    return RlmQuotient(jref, rlm, morphism, image_of_j)
 
 
 def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int], list[int]]:
@@ -250,8 +259,6 @@ def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int
 
 @dataclass
 class GmQuotient:
-    source: FiniteSemigroup
-    jref: JClassRef
     quotient: FiniteSemigroup  # values are least preimage indices
     morphism: dict[Any, int]
     generalized_only: bool  # True when J is aperiodic (warning case)
@@ -320,7 +327,7 @@ def gm_quotient(
                 raise VerificationError(
                     "GM morphism not injective on a subgroup of the distinguished class"
                 )
-    return GmQuotient(sgp, jref, quotient, morphism, generalized_only, injective_all)
+    return GmQuotient(quotient, morphism, generalized_only, injective_all)
 
 
 def _is_congruence(sgp: FiniteSemigroup, class_rep: list[int]) -> bool:
@@ -354,16 +361,12 @@ class ReesCoordinates:
     matrix: list[list[int]]  # [b_pos][a_pos] -> G index or -1
     coord: dict[int, tuple[int, int, int]]  # element idx -> (a_pos, g_idx, b_pos)
     uncoord: dict[tuple[int, int, int], int]
-    e_index: int
-    p_reps: list[int]  # per a_pos
-    q_reps: list[int]  # per b_pos
 
     def verify_transport(self) -> None:
         """uncoord(a,g,b) * uncoord(a',g',b') = uncoord(a, g C(b,a') g', b')
         or falls out of J exactly when C(b,a') = 0; checked for all pairs."""
-        sgp, g = self.sgp, self.group
-        gs = sgp.green()
-        rows = sgp.right_translations(list(self.coord))
+        g, rows = self.group, self.jref.rows
+        gs = self.sgp.green()
         for k, (a1, g1, b1) in enumerate(self.coord.values()):
             for v, (a2, g2, b2) in self.coord.items():
                 p = rows[v][k]
@@ -399,17 +402,19 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
 
     a_pos = {a: k for k, a in enumerate(a_classes)}
     b_pos = {b: k for k, b in enumerate(b_classes)}
-    group_indices = [sgp.index[v] for v in group.elements]
-    # p_a*g*q_b = p_a*(g*q_b), read off two sets of right translations
-    p_times = sgp.right_translations(p_reps)
-    g_times = sgp.right_translations(group_indices)
+    # p_a, g and q_b lie in J, so p_a*(g*q_b) and q_b*p_a are table entries
+    rows = jref.rows
+    column = {u: k for k, u in enumerate(jref.members)}
+    g_columns = [column[sgp.index[v]] for v in group.elements]
 
+    # in member order, so the k-th coordinate is the table's column k
     coord: dict[int, tuple[int, int, int]] = {}
     uncoord: dict[tuple[int, int, int], int] = {}
     for u in jref.members:
         a = a_pos[gs.r_of[u]]
         b = b_pos[gs.l_of[u]]
-        hits = [k for k, gq in enumerate(g_times[q_reps[b]]) if p_times[gq][a] == u]
+        g_q, p_col = rows[q_reps[b]], column[p_reps[a]]
+        hits = [k for k, gc in enumerate(g_columns) if rows[g_q[gc]][p_col] == u]
         if len(hits) != 1:
             raise VerificationError(
                 f"element {u} is p_a*g*q_b for {len(hits)} values of g"
@@ -426,7 +431,7 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     for b in range(len(b_classes)):
         row = []
         for a in range(len(a_classes)):
-            prod = sgp.mul_index(q_reps[b], p_reps[a])
+            prod = rows[p_reps[a]][column[q_reps[b]]]
             if gs.j_of[prod] == j_id:
                 if prod not in g_index:
                     raise VerificationError("q_b * p_a stayed in J but left H_e")
@@ -436,8 +441,7 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
         matrix.append(row)
 
     rc = ReesCoordinates(
-        sgp, jref, group, list(a_classes), list(b_classes), matrix,
-        coord, uncoord, e, p_reps, q_reps,
+        sgp, jref, group, list(a_classes), list(b_classes), matrix, coord, uncoord
     )
     rc.verify_transport()
     rc.verify_matrix_regular()
@@ -475,11 +479,10 @@ class GroupMappingPresentation:
 
     def label_of(self, b_pos: int, s_value) -> Optional[tuple[int, int]]:
         """((b)s, b.s) for an arbitrary element, or None if b.s is undefined."""
-        rc = self.rees
-        s_idx = self.sgp.index[s_value]
+        rc, jref = self.rees, self.jref
         u = rc.uncoord[(0, rc.group.identity, b_pos)]
-        p = self.sgp.mul_index(u, s_idx)
-        if self.sgp.green().j_of[p] != self.jref.j_id:
+        p = jref.rows[self.sgp.index[s_value]][jref.members.index(u)]
+        if self.sgp.green().j_of[p] != jref.j_id:
             return None
         a, g, b2 = rc.coord[p]
         if a != 0:
@@ -496,34 +499,15 @@ def group_mapping_presentation(
     jref = JClassRef(sgp, cls.distinguished_j)
     rc = rees_coordinates(sgp, jref)
     rlmq = rlm_quotient(sgp, jref, _shared)
-    group = rc.group
-    nb = len(rc.b_classes)
-
-    rlm_of_gen: dict[str, tuple[int, ...]] = {}
-    label_of_gen: dict[str, tuple[int, ...]] = {}
-    for name, gi in zip(sgp.gen_names, sgp.gens):
-        rlm_map = []
-        labels = []
-        for b in range(nb):
-            u = rc.uncoord[(0, group.identity, b)]
-            p = sgp.mul_index(u, gi)
-            if sgp.green().j_of[p] == jref.j_id:
-                a2, g2, b2 = rc.coord[p]
-                rlm_map.append(b2 + 1)
-                labels.append(g2)
-            else:
-                rlm_map.append(0)
-                labels.append(group.identity)
-        rlm_of_gen[name] = tuple(rlm_map)
-        label_of_gen[name] = tuple(labels)
-        # the RLM quotient must agree with the coordinate action on B
-        lam = rlmq.morphism[sgp.elements[gi]]
-        if lam.images != tuple(rlm_map):
-            raise VerificationError("coordinate action disagrees with the RLM map")
-
-    pres = GroupMappingPresentation(
-        sgp, jref, rc, rlmq, rlm_of_gen, label_of_gen, cls.group_mapping
-    )
+    gens = [(name, sgp.elements[gi]) for name, gi in zip(sgp.gen_names, sgp.gens)]
+    rlm_of_gen = {name: rlmq.morphism[x].images for name, x in gens}
+    pres = GroupMappingPresentation(sgp, jref, rc, rlmq, rlm_of_gen, {}, cls.group_mapping)
+    for name, x in gens:
+        labels = (pres.label_of(b, x) for b in range(pres.n_b))
+        pres.label_of_gen[name] = tuple(
+            rc.group.identity if lab is None else lab[0] for lab in labels
+        )
+    # at a = 0, g = 1_G this checks the RLM map against the coordinates
     _verify_coordinate_action(pres)
     return pres
 
@@ -536,8 +520,7 @@ def _verify_coordinate_action(pres: GroupMappingPresentation) -> None:
     for name, gi in zip(sgp.gen_names, sgp.gens):
         rlm_map = pres.rlm_of_gen[name]
         labels = pres.label_of_gen[name]
-        for u, (a, g, b) in rc.coord.items():
-            p = sgp.mul_index(u, gi)
+        for p, (a, g, b) in zip(pres.jref.rows[gi], rc.coord.values()):
             if rlm_map[b] == 0:
                 if gs.j_of[p] == pres.jref.j_id:
                     raise VerificationError(
@@ -581,8 +564,6 @@ def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
 class FaspEmbedding:
     """S embedded in (G,G) wr (B, RLM_J(S)) via x -> ((b)x, RLM(x))."""
 
-    presentation: GroupMappingPresentation
-    wreath_product: WreathProduct
     lifts: dict[str, Any]
     witness: DivisionWitness
 
@@ -606,17 +587,19 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     if len(witness.morphism) != len(pres.sgp.elements):
         raise VerificationError("wreath embedding is not injective")
     _verify_fasp_action(pres, w, witness)
-    return FaspEmbedding(pres, w, lifts, witness)
+    return FaspEmbedding(lifts, witness)
 
 
 def _verify_fasp_action(pres, w, witness) -> None:
     """The wreath image acts on G x B exactly as S does on R_e."""
     sgp, rc = pres.sgp, pres.rees
     gs = sgp.green()
-    r_e = {u: (g, b) for u, (a, g, b) in rc.coord.items() if a == 0}  # the a = 0 slice
-    rows = sgp.right_translations(list(r_e))
+    # the a = 0 slice, by column of J's table
+    r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
     for wv, sv in witness.morphism.items():
-        for p, (g, b) in zip(rows[sgp.index[sv]], r_e.values()):
+        row = pres.jref.rows[sgp.index[sv]]
+        for k, g, b in r_e:
+            p = row[k]
             in_j = gs.j_of[p] == pres.jref.j_id
             img = w.act((g, b + 1), wv)
             if not in_j:

@@ -566,6 +566,17 @@ def changed(leaf):
     return 0 if leaf is None else leaf + 1
 
 
+def equal_twins(cert):
+    """(path, value) for every int leaf with the equal float, and for every
+    0/1 leaf with the equal bool: equal in Python, distinct in JSON."""
+    for path in leaf_paths(cert):
+        leaf = node_at(cert, path)
+        if type(leaf) is int:
+            yield path, float(leaf)
+            if leaf in (0, 1):
+                yield path, bool(leaf)
+
+
 def replay(capsys, tmp_path, cert):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert), encoding="ascii")
@@ -588,6 +599,18 @@ class TestReplayRejects:
         code, _, err = replay(capsys, tmp_path, tampered(name, path, changed(leaf)))
         assert code == EXIT_VERIFY, err
         assert "replay: certificate differs from the recomputed one at " in err
+
+    @pytest.mark.parametrize(
+        "path,value", list(equal_twins(TAMPER_CERTS["b2z2_1"])),
+        ids=lambda v: path_id(v) if isinstance(v, tuple) else json.dumps(v),
+    )
+    def test_equal_leaf_of_another_json_type(self, capsys, tmp_path, path, value):
+        code, _, err = replay(capsys, tmp_path, tampered("b2z2_1", path, value))
+        assert code == EXIT_VERIFY
+        assert err == (
+            "verification failure: replay: certificate differs from the recomputed one"
+            f" at {path_id(path)}\n"
+        )
 
     @pytest.mark.parametrize("field,value", [
         ("cap", 5), ("b_bar", 8), ("b_bar", -1),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,20 @@ ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the demos import krc from the source tree, as the tests do
 PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+# sha256 of each demo's standard output; the demos are deterministic
+STDOUT_SHA256 = {
+    "01_green_structure": "b025aef020a082f7c8b69c09d90962159295a45c76509cf7905ef8ed63d3112c",
+    "02_semilocal_coordinates": "1a3ca5116bd99b19ccfbd01f96b4929eface0e6d680a3a03be86cc494088fa06",
+    "03_spc_lattice": "0c5f45af8fd8553c43956a675b53624546158d1c5f747c5269ccfb25396df371",
+    "04_flows_and_decomposition": "afc155f499dcbe5007ad0e07fcba3f1b6fca0b9da286de19d298f01b3ccf336d",
+    "05_complexity_certificates": "45ae2e87a72ba76bc7fb0176a830e4dee16dfa24d02f61050c35ecf59bdca6dc",
+    "06_inverse_monoids": "77a3bfa09228290252b502b3b6be504f75c714e3f42e3020d1c7e71a79680c2d",
+    "07_derived_and_expansion": "cef47a2681479eb5e7d1fda5bb8fbbc10c281fb9c60d9d15d50b943bf5f8ecbf",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(STDOUT_SHA256) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -16,9 +31,8 @@ def test_demo_runs_clean(script):
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
-        text=True,
         timeout=240,
         env=dict(os.environ, PYTHONPATH=PYTHONPATH),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.stem]

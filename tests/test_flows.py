@@ -245,6 +245,29 @@ class TestPresentationConstruct:
         with pytest.raises(InputError):
             presentation_construct(Flow(aut, pres, (bad,)))
 
+    def test_wrong_shift_breaks_rho(self, small17_pres, monkeypatch):
+        # F1-F5 read only the transport's violations, so the flow still
+        # verifies; the lifts built from the wrong shift do not cover rho
+        transport = flows._transport
+        group = small17_pres.group
+        other = next(g for g in range(len(group)) if g != group.identity)
+
+        def wrong_shift(pres, spc_q, spc_t, letter):
+            moves = transport(pres, spc_q, spc_t, letter)
+            if isinstance(moves, tuple):
+                return moves
+            at = next((i for i, (home, _) in enumerate(moves) if home is not None), None)
+            if at is not None:
+                home, shift = moves[at]
+                moves[at] = (home, group.mul(shift, other))
+            return moves
+
+        monkeypatch.setattr(flows, "_transport", wrong_shift)
+        flow = trivial_flow(small17_pres)
+        assert verify_flow(flow) is True
+        with pytest.raises(VerificationError, match="rho is not a morphism"):
+            presentation_construct(flow)
+
     def test_lifted_action_fiberwise_permutation(self, small17_pres):
         w = presentation_construct(trivial_flow(small17_pres))
         for x in small17_pres.sgp.gen_names:

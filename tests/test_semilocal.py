@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from krc.cli import CORPUS_DIR
 from krc.core import FiniteSemigroup, PartialTransformation, compose, is_aperiodic
 from krc.errors import InputError
+from krc.fileformats import load_semigroup
 from krc.inverse import (
     matrix_semigroup_as_transformations,
     rlm_matrix,
@@ -341,6 +343,24 @@ class TestPresentation:
                         if lab_t is not None:
                             via = (g.mul(gs_, lab_t[0]), lab_t[1])
                     assert via == pres.label_of(b, st)
+
+
+@pytest.mark.parametrize("name", ["b2z2_1", "sym3", "zero_z2", "small_2_z2"])
+def test_one_action_table_per_presentation(monkeypatch, name):
+    """Presentation and wreath embedding read one table of S's right
+    action on the class; the only other one is classify's ideal rows."""
+    sgp = load_semigroup(CORPUS_DIR / f"{name}.sgp")
+    calls = []
+    translations = FiniteSemigroup.right_translations
+
+    def counted(self, points):
+        if self is sgp:
+            calls.append(tuple(points))
+        return translations(self, points)
+
+    monkeypatch.setattr(FiniteSemigroup, "right_translations", counted)
+    fasp_embedding(group_mapping_presentation(sgp))
+    assert len(calls) <= 2
 
 
 class TestFaspEmbedding:
