@@ -295,6 +295,19 @@ class FiniteSemigroup:
             i = right[i][k]
         return i
 
+    # the multiplication-oracle protocol of `products`: codes are indices
+    mul_code = mul_index
+
+    def encode(self, v: Any) -> int:
+        return self.index[v]
+
+    def decode(self, i: int) -> Any:
+        return self.elements[i]
+
+    @property
+    def codes(self) -> range:
+        return range(len(self.elements))
+
     def right_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
         """For every element s, the row (p*s for p in points).
 

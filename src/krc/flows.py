@@ -318,9 +318,10 @@ def _verify_rho(pres, qbar, rho, outer: WreathProduct, lifts) -> None:
     want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, pres.n_b + 1)}
     if image != want:
         raise VerificationError("rho is not onto G x B + 0")
+    moves = {x: outer.row(outer.encode(wx)) for x, (wx, _) in lifts.items()}
     for omega in qbar:
         point, b = omega
-        for x, (wx, _) in lifts.items():
+        for x in lifts:
             rlm_map = pres.rlm_of_gen[x]
             labels = pres.label_of_gen[x]
             # action of x on G x B + 0 downstairs
@@ -332,10 +333,11 @@ def _verify_rho(pres, qbar, rho, outer: WreathProduct, lifts) -> None:
                 img = rlm_map[bb - 1]
                 down_x = (group.mul(h, labels[bb - 1]), img) if img else ZERO
             # action of x upstairs
-            up = outer.act(point, wx)
-            if up is None:
+            j = moves[x][outer._pos[point]]
+            if j < 0:
                 # the state path dies; nothing to compare
                 continue
+            up = outer.points[j]
             if b == ZERO:
                 omega_x = (up, ZERO)
             else:

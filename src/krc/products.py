@@ -25,11 +25,24 @@ x^a = x^b for all a < b exactly when it does for a = index(t),
 b = a + period(t).
 
 Every division target and every `ActionPair.sgp` is a multiplication
-oracle: it has `mul(u, v)` and `elements`, the carrier list when it is
-enumerated (`FiniteSemigroup`, `MulOracle`) and None when it is lazy
-(`PairSemigroup`, `WreathProduct`).  Checking given lifts only multiplies;
-a search needs `elements`.  A factor that is only multiplied is a
-`MulOracle`, not a `FiniteSemigroup`.
+oracle on codes: `encode(v)` (KeyError when v is not an element of an
+enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
+oracle lists its `elements` and their `codes` in one order; a lazy one
+(`PairSemigroup`, `WreathProduct`, a `MulOracle` without a carrier) has
+`elements` None.  Codes are a `FiniteSemigroup`'s indices, a `MulOracle`'s
+numbering on first sight, a `PairSemigroup`'s pairs, and a wreath
+product's (tuple of left-factor codes or None, right-factor code).  An
+action pair acts on codes by `row(c)`: per point, its image's position,
+-1 where undefined.
+
+Divisions run on codes; the source steps along its right Cayley graph by
+index.  Values appear only at the boundary: given lifts are encoded once,
+and one that is not an element of the target is refused there; a
+witness's lifts and morphism table and every rejection message are
+decoded, so a witness's `target` and `lifts` go back into
+`check_division`.  Checking given lifts only multiplies; a search needs
+`codes`.  A factor that is only multiplied is a `MulOracle`, not a
+`FiniteSemigroup`.
 
 The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
 (S^1,S) wr (T^1,T) of the right translation actions
@@ -38,6 +51,7 @@ The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -50,26 +64,60 @@ DIVISION_SEARCH_BUDGET = 2_000_000
 
 
 class MulOracle:
-    """A bare multiplication oracle (no Cayley machinery), for a factor
-    that is only multiplied or a carrier too large to wrap in a
-    FiniteSemigroup."""
+    """A bare multiplication oracle on values (no Cayley machinery), for a
+    factor that is only multiplied.  Its codes are ints given on first
+    sight, in carrier order when it has a carrier."""
 
     def __init__(self, elements: Optional[list[Any]], mul: Callable[[Any, Any], Any]):
         self.elements = elements
         self.mul = mul
+        self._values = list(elements or ())
+        self._codes = {v: i for i, v in enumerate(self._values)}
+
+    @property
+    def codes(self) -> range:
+        return range(len(self.elements))
+
+    def encode(self, value) -> int:
+        code = self._codes.get(value)
+        if code is None:
+            if self.elements is not None:
+                raise KeyError(value)
+            code = self._codes[value] = len(self._values)
+            self._values.append(value)
+        return code
+
+    def decode(self, code: int):
+        return self._values[code]
+
+    def mul_code(self, a: int, b: int) -> int:
+        return self.encode(self.mul(self._values[a], self._values[b]))
 
 
-class PairSemigroup:
-    """Componentwise product of two multiplication oracles (lazy)."""
+class _LazyOracle:
+    """A lazy oracle on codes; values multiply through their codes."""
 
     elements = None
+
+    def mul(self, u, v):
+        return self.decode(self.mul_code(self.encode(u), self.encode(v)))
+
+
+class PairSemigroup(_LazyOracle):
+    """Componentwise product of two multiplication oracles (lazy)."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
-    def mul(self, u, v):
-        return (self.left.mul(u[0], v[0]), self.right.mul(u[1], v[1]))
+    def encode(self, value) -> tuple:
+        return (self.left.encode(value[0]), self.right.encode(value[1]))
+
+    def decode(self, code) -> tuple:
+        return (self.left.decode(code[0]), self.right.decode(code[1]))
+
+    def mul_code(self, u, v) -> tuple:
+        return (self.left.mul_code(u[0], v[0]), self.right.mul_code(u[1], v[1]))
 
 
 # -- actions -------------------------------------------------------------
@@ -87,6 +135,13 @@ class ActionPair:
 
     def __post_init__(self):
         self._pos = {p: i for i, p in enumerate(self.points)}
+        self.row = functools.lru_cache(maxsize=None)(self._row)
+
+    def _row(self, code) -> tuple:
+        """`row(code)`, the action of the element with this code: per
+        point, the position of its image, -1 where undefined."""
+        v = self.sgp.decode(code)
+        return tuple(self._pos.get(self.act(p, v), -1) for p in self.points)
 
     @classmethod
     def of_transformations(cls, sgp: FiniteSemigroup) -> "ActionPair":
@@ -120,18 +175,17 @@ class ActionPair:
 # -- wreath products ------------------------------------------------------
 
 
-class WreathProduct:
+class WreathProduct(_LazyOracle):
     """(B,S) wr (Q,T) as a lazy carrier on pairs (f, t).
 
     f is a tuple over Q-positions with values in S (or None for the
-    adjoined identity), t is an element of T.  Elements multiply by the
-    wreath formula and act on B x Q points; the full carrier S^Q x T is
+    adjoined identity), t is an element of T; its code is f's tuple of S's
+    codes with t's code.  Codes multiply by the wreath formula, reading
+    T's action rows, and act on B x Q points; the full carrier S^Q x T is
     materialized only under the given budget.  It is itself the action
-    pair (B x Q, S wr T): it has `points`, `_pos`, `sgp` and `act`, so it
-    nests as either factor of another wreath product.
+    pair (B x Q, S wr T): it has `points`, `_pos`, `sgp`, `row` and `act`,
+    so it nests as either factor of another wreath product.
     """
-
-    elements = None  # a lazy oracle; full_carrier() enumerates
 
     def __init__(self, left: ActionPair, right: ActionPair, restrict_to_domain: bool = False):
         self.left = left
@@ -142,8 +196,14 @@ class WreathProduct:
         # domain of their own t-component; this keeps s -> (f_s, t_s) maps
         # structurally injective over partial right actions
         self.restrict_to_domain = restrict_to_domain
-        # a division closure multiplies the same pairs many times
-        self.mul = functools.lru_cache(maxsize=None)(self._product)
+        self.row = functools.lru_cache(maxsize=None)(self._row)
+        # the factors' products by code pair, with None for the left
+        # identity: a search takes a few of them many times
+        mul = left.sgp.mul_code
+        self._left_mul = functools.lru_cache(maxsize=None)(
+            lambda a, b: b if a is None else a if b is None else mul(a, b)
+        )
+        self._right_mul = functools.lru_cache(maxsize=None)(right.sgp.mul_code)
 
     @property
     def sgp(self) -> "WreathProduct":
@@ -159,64 +219,90 @@ class WreathProduct:
             ]
         return (tuple(fvals), t)
 
-    def _product(self, u, v):
-        """The wreath formula; `mul` is its cached form."""
-        f1, t1 = u
-        f2, t2 = v
-        right, left_mul = self.right, self.left.sgp.mul
-        out = []
-        for i, q in enumerate(right.points):
-            qi = right.act(q, t1)
-            if qi is None:
-                out.append(f1[i])
-                continue
-            other = f2[right._pos[qi]]
-            if f1[i] is None:
-                out.append(other)
-            elif other is None:
-                out.append(f1[i])
-            else:
-                out.append(left_mul(f1[i], other))
-        t12 = right.sgp.mul(t1, t2)
+    def encode(self, value) -> tuple:
+        f, t = value
+        if len(f) != len(self.right.points):
+            raise KeyError(value)
+        enc = self.left.sgp.encode
+        return (tuple(None if v is None else enc(v) for v in f), self.right.sgp.encode(t))
+
+    def decode(self, code) -> tuple:
+        f, t = code
+        dec = self.left.sgp.decode
+        return (tuple(None if c is None else dec(c) for c in f), self.right.sgp.decode(t))
+
+    def mul_code(self, u, v) -> tuple:
+        """The wreath formula on codes; where q.t1 is undefined (-1), q
+        reads the identity None appended to f2."""
+        (f1, t1), (f2, t2) = u, v
+        row = self.right.row
+        f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, row(t1))))
+        t = self._right_mul(t1, t2)
         if self.restrict_to_domain:
-            out = [
-                None if right.act(q, t12) is None else w
-                for w, q in zip(out, right.points)
-            ]
-        return (tuple(out), t12)
+            f = tuple([None if j < 0 else c for c, j in zip(f, row(t))])
+        return (f, t)
+
+    def _row(self, code) -> tuple:
+        """`row(code)`: (b, q)(f, t) = (b(qf), qt) by positions, b running
+        slowest."""
+        f, t = code
+        left, nq = self.left, len(self.right.points)
+        qrow = self.right.row(t)
+        return tuple(
+            -1 if b2 < 0 or j < 0 else b2 * nq + j
+            for b in range(len(left.points))
+            for c, j in zip(f, qrow)
+            for b2 in (b if c is None else left.row(c)[b],)
+        )
 
     def act(self, point, w):
-        (b, q), (f, t) = point, w
-        fq = f[self.right._pos[q]]
-        b2 = b if fq is None else self.left.act(b, fq)
-        q2 = self.right.act(q, t)
-        if b2 is None or q2 is None:
-            return None
-        return (b2, q2)
+        j = self.row(self.encode(w))[self._pos[point]]
+        return None if j < 0 else self.points[j]
 
-    def full_carrier(self, budget: int) -> MulOracle:
-        """S^Q x T, in the order of T's carrier and then of the function
-        parts over S's carrier, lexicographically."""
-        left, right = self.left.sgp.elements, self.right.sgp.elements
-        size = len(left) ** len(self.right.points) * len(right)
+    def full_carrier(self, budget: int) -> "WreathProduct":
+        """S^Q x T enumerated, in the order of T's carrier and then of the
+        function parts over S's carrier, lexicographically."""
+        left, right = self.left.sgp, self.right.sgp
+        nq = len(self.right.points)
+        size = len(left.elements) ** nq * len(right.elements)
         if size > budget:
             raise ResourceError(
                 f"wreath carrier of size {size} exceeds the budget of {budget}"
             )
-        elements = [
-            (f, t)
-            for t in right
-            for f in itertools.product(left, repeat=len(self.right.points))
+        carrier = copy.copy(self)
+        carrier.codes = [
+            (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
         ]
-        return MulOracle(elements, self.mul)
+        carrier.elements = [
+            (f, t) for t in right.elements for f in itertools.product(left.elements, repeat=nq)
+        ]
+        return carrier
 
 
 # -- division certificates -------------------------------------------------
 
 
+def _encode_lifts(target, lifts: dict[str, Any]) -> dict[str, Any]:
+    """The target's codes of the given lifts."""
+    codes = {}
+    for name, v in lifts.items():
+        try:
+            codes[name] = target.encode(v)
+        except (KeyError, TypeError, ValueError):
+            raise VerificationError(
+                f"division lifts rejected: lift for {name!r} is not an element of the target"
+            ) from None
+    return codes
+
+
+def _decode_morphism(s: FiniteSemigroup, target, closure: dict) -> dict[Any, Any]:
+    return {target.decode(t): s.elements[i] for t, i in closure.items()}
+
+
 @dataclass
 class DivisionWitness:
-    """Generator lifts realizing S < T, with the verified graph closure."""
+    """Generator lifts realizing S < T, with the verified graph closure,
+    both in value form."""
 
     source: FiniteSemigroup
     target: Any
@@ -224,10 +310,12 @@ class DivisionWitness:
     morphism: dict[Any, Any] = field(repr=False)
 
     def verify(self) -> None:
-        result = _relation_closure(self.source, self.target, self.lifts)
+        result = _relation_closure(
+            self.source, self.target, _encode_lifts(self.target, self.lifts)
+        )
         if not isinstance(result, dict):
             raise VerificationError(f"division witness failed to re-verify: {result}")
-        if result != self.morphism:
+        if _decode_morphism(self.source, self.target, result) != self.morphism:
             raise VerificationError("division witness morphism table mismatch")
 
 
@@ -255,45 +343,48 @@ def _relation_closure(
     names: Optional[Sequence[str]] = None,
 ):
     """Close {(lift(x), x)} under multiplication, x running over the
-    generators `names` (all of S's by default); return the t -> s map if it
-    stays functional, else a description of the first conflict.
+    generators `names` (all of S's by default); return the map from
+    target codes to S's indices if it stays functional, else a description
+    of the first conflict, its target element decoded.  `lifts` holds
+    target codes; S steps along its right Cayley graph.
 
     Over all generators the map must also be onto S.  Over some of them it
     is onto the subsemigroup they generate by construction, so only
     functionality is checked.  A lift for a name that is not a generator
     of S is refused.
     """
-    gen_values = dict(zip(s.gen_names, (s.elements[gi] for gi in s.gens)))
+    letter = {name: k for k, name in enumerate(s.gen_names)}
     for name in lifts:
-        if name not in gen_values:
+        if name not in letter:
             return f"lift for {name!r}, which is not a generator of the source"
     gen_pairs = []
     for name in s.gen_names if names is None else names:
         if name not in lifts:
             return f"no lift for generator {name!r}"
-        gen_pairs.append((lifts[name], gen_values[name]))
-    mapping: dict[Any, Any] = {}
+        gen_pairs.append((lifts[name], letter[name]))
+    right, mul = s.right_cayley, target.mul_code
+    mapping: dict[Any, int] = {}
     frontier = []
-    for tv, sv in gen_pairs:
-        if tv in mapping:
-            if mapping[tv] != sv:
-                return f"conflict at generator lift {tv!r}"
+    for tc, k in gen_pairs:
+        si = s.gens[k]
+        if tc in mapping:
+            if mapping[tc] != si:
+                return f"conflict at generator lift {target.decode(tc)!r}"
         else:
-            mapping[tv] = sv
-            frontier.append(tv)
+            mapping[tc] = si
+            frontier.append(tc)
     while frontier:
         new = []
-        for tv in frontier:
-            sv = mapping[tv]
-            for tg, sg in gen_pairs:
-                t2 = target.mul(tv, tg)
-                s2 = s.mul(sv, sg)
+        for tc in frontier:
+            row = right[mapping[tc]]
+            for tg, k in gen_pairs:
+                t2 = mul(tc, tg)
                 prev = mapping.get(t2)
                 if prev is None:
-                    mapping[t2] = s2
+                    mapping[t2] = row[k]
                     new.append(t2)
-                elif prev != s2:
-                    return f"relation not functional at {t2!r}"
+                elif prev != row[k]:
+                    return f"relation not functional at {target.decode(t2)!r}"
         frontier = new
     if names is None and len(set(mapping.values())) != len(s.elements):
         return "relation not surjective onto the source"
@@ -301,21 +392,17 @@ def _relation_closure(
 
 
 def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:
-    """Per generator of S, the target elements whose one-generator closure
-    is functional, by the (index, period) test, in the target's order."""
+    """Per generator of S, the codes of the target elements whose
+    one-generator closure is functional, by the (index, period) test, in
+    the target's order."""
     right = s.right_cayley
     gen_shapes = [
         _index_period(gi, lambda i, k=k: right[i][k]) for k, gi in enumerate(s.gens)
     ]
-    shapes = [
-        _index_period(tv, lambda y, tv=tv: target.mul(y, tv)) for tv in target.elements
-    ]
+    codes, mul = target.codes, target.mul_code
+    shapes = [_index_period(tc, lambda y, tc=tc: mul(y, tc)) for tc in codes]
     return [
-        [
-            tv
-            for tv, (ti, tp) in zip(target.elements, shapes)
-            if ti >= xi and tp % xp == 0
-        ]
+        [tc for tc, (ti, tp) in zip(codes, shapes) if ti >= xi and tp % xp == 0]
         for xi, xp in gen_shapes
     ]
 
@@ -336,8 +423,8 @@ def check_division(
     one-generator closure {(t^n, x^n)} is functional, in the target's
     element order.  That holds exactly when index(t) >= index(x) and
     period(x) divides period(t) (see the module docstring), so the filter
-    closes nothing: it walks the powers of each target element once through
-    `target.mul`, and of each generator once along its column of
+    closes nothing: it walks the powers of each target code once through
+    `target.mul_code`, and of each generator once along its column of
     `s.right_cayley`.  The search assigns generators depth first in
     canonical order and closes the relation of each prefix of two or more
     lifts; a prefix whose closure is not functional is cut with its whole
@@ -350,11 +437,11 @@ def check_division(
     one to re-verify a witness.
     """
     if lifts is not None:
-        result = _relation_closure(s, target, lifts)
+        result = _relation_closure(s, target, _encode_lifts(target, lifts))
         if not isinstance(result, dict):
             raise VerificationError(f"division lifts rejected: {result}")
         # built from the closure just checked, so not re-verified
-        return DivisionWitness(s, target, dict(lifts), result)
+        return DivisionWitness(s, target, dict(lifts), _decode_morphism(s, target, result))
 
     if target.elements is None:
         raise InputError("division search needs an enumerated target")
@@ -366,17 +453,17 @@ def check_division(
     for d in range(k - 1, -1, -1):
         block[d] = block[d + 1] * len(viable[d])
     tried = 0
-    chosen: dict[str, Any] = {}  # entries past the current depth are stale
+    chosen: dict[str, Any] = {}  # codes; entries past the current depth are stale
 
     def first_witness(depth: int):
         """The closure of the first witness extending `chosen`, or None;
         `tried` moves past every tuple ruled out."""
         nonlocal tried
         name = names[depth]
-        for tv in viable[depth]:
+        for tc in viable[depth]:
             if tried >= budget:
                 return None
-            chosen[name] = tv
+            chosen[name] = tc
             if depth + 1 == k:
                 result = _relation_closure(s, target, chosen)
                 if isinstance(result, dict):
@@ -397,6 +484,7 @@ def check_division(
     if result is None:
         total = block[0]
         return ExhaustionReport(min(total, budget), budget, searched_all=total <= budget)
-    witness = DivisionWitness(s, target, {name: chosen[name] for name in names}, result)
+    lifts = {name: target.decode(chosen[name]) for name in names}
+    witness = DivisionWitness(s, target, lifts, _decode_morphism(s, target, result))
     witness.verify()
     return witness

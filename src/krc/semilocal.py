@@ -591,23 +591,25 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
 
 
 def _verify_fasp_action(pres, w, witness) -> None:
-    """The wreath image acts on G x B exactly as S does on R_e."""
+    """The wreath image acts on G x B exactly as S does on R_e, read off
+    the wreath's action rows by point position."""
     sgp, rc = pres.sgp, pres.rees
     gs = sgp.green()
     # the a = 0 slice, by column of J's table
     r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
     for wv, sv in witness.morphism.items():
         row = pres.jref.rows[sgp.index[sv]]
+        wrow = w.row(w.encode(wv))
         for k, g, b in r_e:
             p = row[k]
             in_j = gs.j_of[p] == pres.jref.j_id
-            img = w.act((g, b + 1), wv)
+            img = wrow[w._pos[(g, b + 1)]]
             if not in_j:
-                if img is not None:
+                if img >= 0:
                     raise VerificationError("wreath action defined where theta^R is not")
             else:
                 a2, g2, b2 = rc.coord[p]
-                if img != (g2, b2 + 1):
+                if img != w._pos[(g2, b2 + 1)]:
                     raise VerificationError(
                         f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
                     )

@@ -364,6 +364,12 @@ class TestDivide:
             "--lifts", str(lifts),
         )
         assert code == EXIT_OK
+        # the given lift and the closure, decoded back to values
+        assert out == (
+            '{\n  "lifts": {\n    "t": "1 3 2"\n  },\n  "morphism": [\n'
+            '    [\n      "1 2 3",\n      "1 2"\n    ],\n'
+            '    [\n      "1 3 2",\n      "2 1"\n    ]\n  ]\n}\n'
+        )
 
     def test_search_stdout_is_pinned(self, capsys):
         code, out, _ = run(capsys, "divide", corpus_file("z2"), corpus_file("sym3"))

@@ -16,7 +16,7 @@ from krc.products import (
     WreathProduct,
     check_division,
 )
-from test_core import LADDER, T4_GENS
+from test_core import I4_GENS, LADDER, T4_GENS
 from test_goldens import division_instance
 
 T = PartialTransformation
@@ -235,6 +235,17 @@ class TestDivision:
         with pytest.raises(VerificationError, match=f"failed to re-verify: {reason}"):
             forged.verify()
 
+    @pytest.mark.parametrize("lift", [T((1, 1, 1)), T((2, 1))], ids=["outside", "degree"])
+    def test_lift_outside_the_target_is_refused(self, sym3, lift):
+        z2 = FiniteSemigroup.generate([("t", T((2, 1)))])
+        message = "division lifts rejected: lift for 't' is not an element of the target"
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            check_division(z2, sym3, lifts={"t": lift})
+        good = check_division(z2, sym3, lifts={"t": T((1, 3, 2))})
+        forged = DivisionWitness(z2, sym3, {"t": lift}, good.morphism)
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            forged.verify()
+
     def test_witness_reverifies(self, sym3):
         z3 = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
         w = check_division(z3, sym3)
@@ -267,7 +278,7 @@ def viable_lifts(s, target):
         viable.append([
             tv
             for tv in target.elements
-            if isinstance(_relation_closure(sub, target, {name: tv}), dict)
+            if isinstance(_relation_closure(sub, target, {name: target.encode(tv)}), dict)
         ])
     return viable
 
@@ -281,9 +292,10 @@ def scan_division(s, target, budget):
             return ExhaustionReport(tried, budget, searched_all=False)
         tried += 1
         lifts = dict(zip(s.gen_names, combo))
-        result = _relation_closure(s, target, lifts)
+        result = _relation_closure(s, target, {n: target.encode(v) for n, v in lifts.items()})
         if isinstance(result, dict):
-            return DivisionWitness(s, target, lifts, result)
+            morphism = {target.decode(t): s.elements[i] for t, i in result.items()}
+            return DivisionWitness(s, target, lifts, morphism)
     return ExhaustionReport(tried, budget, searched_all=True)
 
 
@@ -353,14 +365,19 @@ def closure_viable(s, target):
         [
             tv
             for tv in target.elements
-            if isinstance(_relation_closure(s, target, {name: tv}, [name]), dict)
+            if isinstance(_relation_closure(s, target, {name: target.encode(tv)}, [name]), dict)
         ]
         for name in s.gen_names
     ]
 
 
+def filtered_viable(s, target):
+    """The (index, period) filter's candidates, decoded to values."""
+    return [[target.decode(c) for c in ok] for ok in products._viable_lifts(s, target)]
+
+
 def ladder(name):
-    gens = T4_GENS if name == "T4" else LADDER[name]
+    gens = {"T4": T4_GENS, "I4": I4_GENS}.get(name) or LADDER[name]
     return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
 
 
@@ -395,18 +412,18 @@ class TestViableFilter:
     ])
     def test_division_pairs(self, pair, division_pairs):
         s, target = division_pairs[pair]
-        assert products._viable_lifts(s, target) == closure_viable(s, target)
+        assert filtered_viable(s, target) == closure_viable(s, target)
 
     @pytest.mark.parametrize("name,order", [("trivial", 243), ("z2", 1875), ("u1", 1875)])
     def test_derived_wreath_carriers(self, name, order, derived_wreath_divisions):
         s, carrier = derived_wreath_divisions[name]
         assert len(carrier.elements) == order
-        assert products._viable_lifts(s, carrier) == closure_viable(s, carrier)
+        assert filtered_viable(s, carrier) == closure_viable(s, carrier)
 
     @pytest.mark.parametrize("target", ["PT3", "T4", "I3"])
     def test_t3_into_ladder(self, target):
         s, t = ladder("T3"), ladder(target)
-        viable = products._viable_lifts(s, t)
+        viable = filtered_viable(s, t)
         assert viable == closure_viable(s, t)
         # an idempotent generator may lift anywhere; the others may not
         assert any(len(ok) < len(t.elements) for ok in viable)
@@ -460,6 +477,11 @@ class TestDivisionOutcomes:
         budget = products.DIVISION_SEARCH_BUDGET
         got = check_division(ladder("T3"), ladder("I3"))
         assert got == ExhaustionReport(408, budget, searched_all=True)
+
+    def test_t3_into_i4_exhausts(self):
+        budget = products.DIVISION_SEARCH_BUDGET
+        got = check_division(ladder("T3"), ladder("I4"))
+        assert got == ExhaustionReport(150480, budget, searched_all=True)
 
 
 def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):

@@ -4,7 +4,7 @@ import pytest
 
 from krc.cli import CORPUS_DIR
 from krc.core import FiniteSemigroup, PartialTransformation, compose, is_aperiodic
-from krc.errors import InputError
+from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
 from krc.inverse import (
     matrix_semigroup_as_transformations,
@@ -395,6 +395,22 @@ class TestFaspEmbedding:
                     col, g = entry
                     assert col_of_b[rlm_map(b + 1) - 1] == col
                     assert fvals[b] == g
+
+    @pytest.mark.parametrize("name,gen,b,point", [
+        ("b2z2_1", "b", 1, "(1, None), PartialTransformation(images=(2, 0))"),
+        ("small_2_z2", "e", 0, "(0, None), PartialTransformation(images=(1, 0))"),
+    ])
+    def test_corrupted_label_is_rejected(self, name, gen, b, point):
+        # one defined label moved to the other element of Z_2
+        pres = group_mapping_presentation(load_semigroup(CORPUS_DIR / f"{name}.sgp"))
+        assert pres.rlm_of_gen[gen][b] != 0
+        labels = list(pres.label_of_gen[gen])
+        labels[b] = 1 - labels[b]
+        pres.label_of_gen[gen] = tuple(labels)
+        message = f"division lifts rejected: relation not functional at ({point})"
+        with pytest.raises(VerificationError) as err:
+            fasp_embedding(pres)
+        assert str(err.value) == message
 
 
 def test_theta_prime_representation(corpus):
