@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceError, VerificationError
@@ -45,6 +46,19 @@ def _light_test(table: list[list[int]], gens: Sequence[int]) -> Optional[tuple[i
                 if xg_row[y] != x_row[gy]:
                     return x, g, y
     return None
+
+
+def row_getter(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
+    """row -> tuple(row[p] for p in positions), gathered in C by
+    `operator.itemgetter`.  A bare itemgetter returns the value itself for
+    one position and cannot be built for none, so those two cases get a
+    tuple-valued getter of their own."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
 
 
 @dataclass(frozen=True)
@@ -127,11 +141,11 @@ class FiniteSemigroup:
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
     element s, and `left_translations(points)` gives s*p.  Each row is built
-    from the row of s's word less its last letter g, one list lookup per
-    entry: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the points are
-    closed under left multiplication by the generators.  Both identities
-    are associativity, the same assumption that tracing makes.  `mul_index`
-    is the way to get a single scattered product.
+    from the row of s's word less its last letter g, gathered in C by one
+    `row_getter` call: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the
+    points are closed under left multiplication by the generators.  Both
+    identities are associativity, the same assumption that tracing makes.
+    `mul_index` is the way to get a single scattered product.
     """
 
     def __init__(
@@ -313,8 +327,9 @@ class FiniteSemigroup:
 
         Rows are built along the word tree, prefix before child: s = t*g
         with g the last letter of s's word gives p*s = (p*t)*g, so s's row
-        is t's row moved one step along the right Cayley graph.  Like
-        tracing, this rests on associativity."""
+        is t's row moved one step along the right Cayley graph, gathered
+        from g's column in one `row_getter` call (exact for zero and one
+        point too).  Like tracing, this rests on associativity."""
         points = tuple(points)
         right = self.right_cayley
         by_letter = list(zip(*right))  # by_letter[k][x] = x*g_k
@@ -322,7 +337,7 @@ class FiniteSemigroup:
         parent, letter = self._parent, self._letter
         for s in self._order:
             prev = points if parent[s] < 0 else rows[parent[s]]
-            rows[s] = tuple(map(by_letter[letter[s]].__getitem__, prev))
+            rows[s] = row_getter(prev)(by_letter[letter[s]])
         return rows
 
     def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
@@ -331,14 +346,15 @@ class FiniteSemigroup:
 
         Rows are built along the word tree: s = t*g gives s*p = t*(g*p),
         and g*p is again a point, so s's row is t's row read at the
-        positions of the points g*p.  Like tracing, this rests on
-        associativity."""
+        positions of the points g*p.  Each generator's shift is one
+        `row_getter`, built once (exact for zero and one point too).  Like
+        tracing, this rests on associativity."""
         points = tuple(points)
         left = self.left_cayley
         at = {p: i for i, p in enumerate(points)}
         g_rows = [tuple(left[p][k] for p in points) for k in range(len(self.gens))]
         try:
-            shifts = [[at[q] for q in row] for row in g_rows]
+            shifts = [row_getter([at[q] for q in row]) for row in g_rows]
         except KeyError:
             raise InputError(
                 "point set is not closed under left multiplication by the generators"
@@ -347,7 +363,7 @@ class FiniteSemigroup:
         parent, letter = self._parent, self._letter
         for s in self._order:
             t, k = parent[s], letter[s]
-            rows[s] = g_rows[k] if t < 0 else tuple(map(rows[t].__getitem__, shifts[k]))
+            rows[s] = g_rows[k] if t < 0 else shifts[k](rows[t])
         return rows
 
     @property

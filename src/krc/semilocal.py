@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Optional
 
-from .core import FiniteGroup, FiniteSemigroup, PartialTransformation, maximal_subgroup
+from .core import (
+    FiniteGroup,
+    FiniteSemigroup,
+    PartialTransformation,
+    maximal_subgroup,
+    row_getter,
+)
 from .errors import InputError, VerificationError
 from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 
@@ -268,7 +274,13 @@ class GmQuotient:
 def gm_quotient(
     sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
 ) -> GmQuotient:
-    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J."""
+    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J.
+
+    The quotient's right Cayley graph is read off the parent's through the
+    congruence, [r]*g = [r*g], so no product is traced to build it.  Its
+    multiplication callable, class_rep[a*b], is still passed on: Light's
+    test runs on it for GM images of at most `_ASSOC_CHECK_LIMIT`
+    elements, like on every other abstract carrier."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
@@ -298,12 +310,13 @@ def gm_quotient(
         raise VerificationError("J-profile relation is not a congruence")
 
     reps = sorted(set(class_rep))
-    quotient = FiniteSemigroup.from_elements(
+    pos = {r: i for i, r in enumerate(reps)}
+    quotient = FiniteSemigroup(
         reps,
+        [pos[class_rep[g]] for g in sgp.gens],
+        list(sgp.gen_names),
+        [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
         lambda a, b: class_rep[sgp.mul_index(a, b)],
-        sort_key=lambda v: v,
-        gen_values=[class_rep[g] for g in sgp.gens],
-        gen_names=list(sgp.gen_names),
     )
     morphism = {sgp.elements[i]: class_rep[i] for i in range(n)}
 
@@ -364,22 +377,48 @@ class ReesCoordinates:
 
     def verify_transport(self) -> None:
         """uncoord(a,g,b) * uncoord(a',g',b') = uncoord(a, g C(b,a') g', b')
-        or falls out of J exactly when C(b,a') = 0; checked for all pairs."""
-        g, rows = self.group, self.jref.rows
-        gs = self.sgp.green()
-        for k, (a1, g1, b1) in enumerate(self.coord.values()):
-            for v, (a2, g2, b2) in self.coord.items():
-                p = rows[v][k]
-                c = self.matrix[b1][a2]
-                if c < 0:
-                    if gs.j_of[p] == self.jref.j_id:
-                        raise VerificationError(
-                            "product stayed in J where the structure matrix is 0"
-                        )
-                else:
-                    want = self.uncoord[(a1, g.mul(g.mul(g1, c), g2), b2)]
-                    if p != want:
-                        raise VerificationError("multiplication transport failed")
+        or falls out of J exactly when C(b,a') = 0; checked for all pairs.
+
+        The check runs in coordinate space, one whole row of J's table at
+        a time.  Each product u*v is mapped to its coordinate code
+        (a*|G| + g)*|B| + b, or -1 outside J, and compared with the row of
+        wanted codes, which is gathered too: with v = (a',g',b') and u
+        running over J, it reads a table that depends on (g',b') only, at
+        positions that depend on a' only.  The coordinates are a bijection
+        onto A x G x B (checked at construction), so equal codes mean the
+        product is the wanted element, and -1 means it left J: comparing
+        every row compares all |J|^2 products."""
+        group, rows, coords = self.group, self.jref.rows, list(self.coord.values())
+        n_a, n_g, n_b = len(self.a_classes), len(group), len(self.b_classes)
+        code = [-1] * len(self.sgp.elements)
+        for u, (a, g, b) in self.coord.items():
+            code[u] = (a * n_g + g) * n_b + b
+        # codes[g2, b2][a*|G| + h] is the code of (a, h*g2, b2); its last
+        # slot, read at -1, keeps a 0 entry at -1
+        codes = {}
+        for g2 in range(n_g):
+            ag = [a * n_g + group.mul(h, g2) for a in range(n_a) for h in range(n_g)]
+            for b2 in range(n_b):
+                codes[g2, b2] = [x * n_b + b2 for x in ag] + [-1]
+        # (a1,g1,b1)(a2,g2,b2) = (a1, (g1 C(b1,a2)) g2, b2): column u reads
+        # codes[g2, b2] at the slot of (a1, g1 C(b1,a2)), or at -1 where
+        # C(b1,a2) = 0
+        slots = []
+        for a2 in range(n_a):
+            cs = (self.matrix[b1][a2] for _, _, b1 in coords)
+            slots.append(row_getter([
+                -1 if c < 0 else a1 * n_g + group.mul(g1, c)
+                for (a1, g1, _), c in zip(coords, cs)
+            ]))
+        for v, (a2, g2, b2) in self.coord.items():
+            got, want = row_getter(rows[v])(code), slots[a2](codes[g2, b2])
+            if got != want:
+                k = next(k for k, (x, w) in enumerate(zip(got, want)) if x != w)
+                if want[k] < 0:
+                    raise VerificationError(
+                        "product stayed in J where the structure matrix is 0"
+                    )
+                raise VerificationError("multiplication transport failed")
 
     def verify_matrix_regular(self) -> None:
         for row in self.matrix:

@@ -356,6 +356,29 @@ class TestBulkTranslations:
                 checked += 1
         assert checked >= len(translation_carriers)
 
+    def test_one_point_sets(self, translation_carriers):
+        # a bare itemgetter returns a value, not a 1-tuple, for one position
+        left_closed = 0
+        for sgp in translation_carriers:
+            n = len(sgp)
+            for p in {0, n // 2, n - 1}:
+                rows = sgp.right_translations([p])
+                assert rows == [(sgp.mul_index(p, s),) for s in range(n)]
+            for p in range(n):
+                if set(sgp.left_cayley[p]) == {p}:  # g*p = p for every generator
+                    rows = sgp.left_translations([p])
+                    assert rows == [(sgp.mul_index(s, p),) for s in range(n)] == [(p,)] * n
+                    left_closed += 1
+        assert left_closed >= 10
+
+    def test_one_element_carrier(self):
+        one = FiniteSemigroup.generate([("e", T((1,))), ("f", T((1,)))])
+        assert len(one) == 1 and one.mul_index(0, 0) == 0
+        for translations in (one.right_translations, one.left_translations):
+            assert translations([0]) == [(0,)]
+            assert translations([0, 0]) == [(0, 0)]
+            assert translations([]) == [()]
+
     def test_left_translations_need_a_left_closed_set(self, b2z2_1):
         gs = b2z2_1.green()
         top = gs.j_classes[gs.j_of[b2z2_1.identity_index()]]

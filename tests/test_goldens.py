@@ -4,9 +4,10 @@
 report and, per corpus member and per ladder semigroup (T_3, PT_3 and I_3
 at default options, I_4 and T_4 at `--automata-budget 0`), of the
 certificate `krc estimate FILE --cert OUT` writes, of estimate's stdout
-and of `krc replay OUT`'s stdout; per derived-wreath division of the
-acceptance suite, it holds the digest of the witness found by search.
-These tests read that file and never write it.
+and of `krc replay OUT`'s stdout (T_4's replay stdout is pinned here, in
+`REPLAY_STDOUT`); per derived-wreath division of the acceptance suite, it
+holds the digest of the witness found by search.  These tests read that
+file and never write it.
 """
 
 import hashlib
@@ -62,6 +63,13 @@ def sgp_text(gens) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Replay stdout digests that `perfbench/goldens.json` does not hold: it
+# records an error message for `degree4/T4` instead
+REPLAY_STDOUT = {
+    "degree4/T4": "1685f9331d88faab71dabc7ca6d8f00260a79b413de6791a96a6bdca9c0033e8",
+}
+
+
 @pytest.mark.parametrize("key,gens,flags", [
     pytest.param(key, gens, flags, id=key) for key, gens, flags in [
         ("desk/T3", LADDER["T3"], []),
@@ -80,10 +88,7 @@ def test_ladder_estimate_and_replay(key, gens, flags, goldens, capsys, tmp_path)
     assert sha(cert.read_text(encoding="ascii")) == want["cert"]
     replayed = run(capsys, ["replay", str(cert)])
     assert replayed.splitlines()[-1] == "replay: ok"
-    # T_4's replay failed when the goldens were recorded, so only its
-    # message is on file
-    if "replay_stdout" in want:
-        assert sha(replayed) == want["replay_stdout"]
+    assert sha(replayed) == want.get("replay_stdout", REPLAY_STDOUT.get(key))
 
 
 @pytest.mark.parametrize("gens,digest", [

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -23,6 +24,8 @@ from krc.semilocal import (
     rlm_quotient,
     theta_prime_representation,
 )
+
+from test_core import T4_GENS
 
 T = PartialTransformation
 
@@ -208,6 +211,28 @@ class TestGmQuotient:
             images = {gq.morphism[small17_trans.elements[i]] for i in h}
             assert len(images) == len(h)
 
+    def test_cayley_graph_read_off_the_parent(self, corpus):
+        # [r]*g = [r*g] gives the graph that tracing class_rep[r*g] gives
+        t4 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(T4_GENS)])
+        checked = 0
+        for sgp in [s for s, _ in corpus.values()] + [t4]:
+            for j, regular in enumerate(sgp.green().regular):
+                if not regular:
+                    continue
+                gq = gm_quotient(sgp, JClassRef(sgp, j))
+                class_rep = [gq.morphism[v] for v in sgp.elements]
+                traced = FiniteSemigroup.from_elements(
+                    class_rep,
+                    lambda a, b: class_rep[sgp.mul_index(a, b)],
+                    sort_key=lambda v: v,
+                    gen_values=[class_rep[g] for g in sgp.gens],
+                )
+                assert gq.quotient.elements == traced.elements
+                assert gq.quotient.gens == traced.gens
+                assert gq.quotient.right_cayley == traced.right_cayley
+                checked += 1
+        assert checked > 20
+
     def test_aperiodic_class_flagged_generalized(self, right_zero_2):
         gq = gm_quotient(right_zero_2, JClassRef(right_zero_2, 0))
         assert gq.generalized_only
@@ -313,6 +338,135 @@ class TestReesCoordinates:
         rc = rees_coordinates(b2z2_1, JClassRef(b2z2_1, 1))
         assert len(rc.coord) == 8
         assert len(rc.uncoord) == 8
+
+
+def _transport_reference(rc):
+    """The transport law product by product through `mul_index`, in
+    `verify_transport`'s order (v, then u): the first failure's message, or
+    None."""
+    sgp, g = rc.sgp, rc.group
+    j_of = sgp.green().j_of
+    for v, (a2, g2, b2) in rc.coord.items():
+        for u, (a1, g1, b1) in rc.coord.items():
+            p, c = sgp.mul_index(u, v), rc.matrix[b1][a2]
+            if c < 0:
+                if j_of[p] == rc.jref.j_id:
+                    return "product stayed in J where the structure matrix is 0"
+            elif p != rc.uncoord[(a1, g.mul(g.mul(g1, c), g2), b2)]:
+                return "multiplication transport failed"
+    return None
+
+
+def _swap(rc, u, w):
+    """rc with members u and w trading coordinates."""
+    coord = dict(rc.coord)
+    coord[u], coord[w] = coord[w], coord[u]
+    return dataclasses.replace(rc, coord=coord, uncoord={c: x for x, c in coord.items()})
+
+
+def _swapped(rc):
+    """Two members trade coordinates: within an H-class when G is
+    nontrivial, else across R- and L-classes; None when every such swap is
+    an automorphism (one R- or L-class and a trivial group)."""
+    same_h = len(rc.group) > 1
+    for (u, cu), (w, cw) in itertools.combinations(rc.coord.items(), 2):
+        if (cu[0] == cw[0] and cu[2] == cw[2]) if same_h else (cu[0] != cw[0] and cu[2] != cw[2]):
+            return _swap(rc, u, w)
+    return None
+
+
+def _with_entry(rc, pick, value):
+    """The first structure-matrix entry that `pick` accepts, set to
+    `value(entry)`; None when `pick` accepts none."""
+    for b, row in enumerate(rc.matrix):
+        for a, c in enumerate(row):
+            if pick(c):
+                matrix = [list(r) for r in rc.matrix]
+                matrix[b][a] = value(c)
+                return dataclasses.replace(rc, matrix=matrix)
+    return None
+
+
+TRANSPORT_MUTATIONS = {
+    "swap": (_swapped, "multiplication transport failed"),
+    "move": (
+        lambda rc: len(rc.group) > 1
+        and _with_entry(rc, lambda c: c >= 0, lambda c: (c + 1) % len(rc.group)),
+        "multiplication transport failed",
+    ),
+    "to_zero": (
+        lambda rc: _with_entry(rc, lambda c: c >= 0, lambda c: -1),
+        "product stayed in J where the structure matrix is 0",
+    ),
+    "from_zero": (
+        lambda rc: _with_entry(rc, lambda c: c < 0, lambda c: rc.group.identity),
+        "multiplication transport failed",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def transport_cases(corpus):
+    """Rees coordinates of T_4's regular J-classes and of each generalized
+    group mapping corpus member's distinguished class."""
+    t4 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(T4_GENS)])
+    cases = [
+        (f"T4/J{j}", rees_coordinates(t4, JClassRef(t4, j)))
+        for j, regular in enumerate(t4.green().regular)
+        if regular
+    ]
+    for name, (sgp, _) in sorted(corpus.items()):
+        cls = classify(sgp)
+        if cls.generalized_group_mapping:
+            cases.append((name, rees_coordinates(sgp, JClassRef(sgp, cls.distinguished_j))))
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(TRANSPORT_MUTATIONS))
+def test_transport_rejects_each_mutation(transport_cases, kind):
+    """One corrupted coordinate or matrix entry fails `verify_transport`
+    with its own message, the one the product-by-product law gives for the
+    first broken product: only a zeroed entry leaves a product in J where
+    the matrix says 0."""
+    mutate, message = TRANSPORT_MUTATIONS[kind]
+    tried = []
+    for name, rc in transport_cases:
+        assert _transport_reference(rc) is None, name
+        rc.verify_transport()
+        bad = mutate(rc)
+        if not bad:
+            continue
+        assert _transport_reference(bad) == message, name
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            bad.verify_transport()
+        tried.append(name)
+    # T_4's four classes where each applies, and corpus members
+    assert sum(name.startswith("T4/") for name in tried) == {
+        "swap": 3, "move": 3, "to_zero": 4, "from_zero": 2,
+    }[kind]
+    assert len(tried) >= 5
+
+
+def test_transport_agrees_with_the_product_law_under_every_swap(transport_cases):
+    """Every swap of two members' coordinates, on the classes of at most 24
+    members: `verify_transport` fails exactly where the product-by-product
+    law does, with the same message.  Among them are swaps that keep (a, g)
+    and move only b, and swaps that are automorphisms and pass."""
+    outcomes = set()
+    for name, rc in transport_cases:
+        if len(rc.coord) > 24:
+            continue
+        for u, w in itertools.combinations(rc.coord, 2):
+            bad = _swap(rc, u, w)
+            want = _transport_reference(bad)
+            try:
+                bad.verify_transport()
+                got = None
+            except VerificationError as err:
+                got = str(err)
+            assert got == want, (name, u, w)
+            outcomes.add(want)
+    assert outcomes == {None, *(m for _, m in TRANSPORT_MUTATIONS.values())}
 
 
 class TestPresentation:
