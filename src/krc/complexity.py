@@ -484,7 +484,7 @@ def _estimate_carrier(
     child_intervals: list[ComplexityInterval] = []
     child_certs = []
     for jref, gq in gm_reduction(sgp, shared):
-        if len(gq.quotient) < len(sgp.elements):
+        if gq.order < len(sgp.elements):
             sub = estimate(
                 gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo, shared
             )
@@ -580,7 +580,7 @@ def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
         "kind": "pure",
         "value": rlm_upper + 1,
         "witness": "wreath-embedding-over-rlm",
-        "embedded_order": len(emb.witness.morphism),
+        "embedded_order": len(emb.witness.closure),
     }
 
 
@@ -626,7 +626,7 @@ def flow_upper(
             "cap": cap,
             "flow": dump_flow(flow),
             "b_bar": witness.b_bar,
-            "lift_semigroup_order": len(witness.division.morphism),
+            "lift_semigroup_order": len(witness.division.closure),
         }
 
     if stored is None:

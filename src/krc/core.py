@@ -7,10 +7,13 @@ values).  Semigroups built from transformations multiply by `compose`;
 abstract ones (quotients, Rees/Brandt carriers, products) supply their own
 multiplication callable.  Either way the callable is read only while the
 carrier is built, for its right Cayley graph over the generators (and, on
-small abstract carriers, for the associativity check).  After that a product is
-traced: i*j follows a word of j through the right Cayley graph from i,
-which is sound because the operation is associative.  An abstract
-carrier's file form is read off that graph too (`fileformats`).
+small abstract carriers, for the associativity check).  A carrier that
+comes with its Cayley graph, a GM image read off its parent's, reads the
+callable for the associativity check alone, and a GM image's callable looks
+its products up in one table of the parent's right translations.  After
+that a product is traced: i*j follows a word of j through the right Cayley
+graph from i, which is sound because the operation is associative.  An
+abstract carrier's file form is read off that graph too (`fileformats`).
 """
 
 from __future__ import annotations
@@ -145,7 +148,9 @@ class FiniteSemigroup:
     `row_getter` call: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the
     points are closed under left multiplication by the generators.  Both
     identities are associativity, the same assumption that tracing makes.
-    `mul_index` is the way to get a single scattered product.
+    `right_translation(points, s)` is one such row on its own, walked along
+    s's word one whole-row gather per letter.  `mul_index` is the way to get
+    a single scattered product.
     """
 
     def __init__(
@@ -339,6 +344,18 @@ class FiniteSemigroup:
             prev = points if parent[s] < 0 else rows[parent[s]]
             rows[s] = row_getter(prev)(by_letter[letter[s]])
         return rows
+
+    def right_translation(self, points: Sequence[int], s: int) -> tuple[int, ...]:
+        """The row (p*s for p in points) of `right_translations` on its own:
+        p*(g1*...*gk) = (...(p*g1)...)*gk, one step per letter of s's word.
+        A step gathers the current points' rows of the right Cayley graph
+        and reads their letter's entries, both in C, so no column of the
+        whole graph is built.  Like tracing, this rests on associativity."""
+        row = tuple(points)
+        right = self.right_cayley
+        for k in self._words[s]:
+            row = tuple(map(itemgetter(k), row_getter(row)(right)))
+        return row
 
     def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
         """For every element s, the row (s*p for p in points); `points` must
@@ -735,15 +752,12 @@ def maximal_subgroup(sgp: FiniteSemigroup, e: Any) -> FiniteGroup:
     members = gs.h_classes[gs.h_of[ei]]
     values = [sgp.elements[i] for i in members]
     pos = {i: k for k, i in enumerate(members)}
-    table = []
-    for i in members:
-        row = []
-        for j in members:
-            p = sgp.mul_index(i, j)
-            if p not in pos:
-                raise VerificationError("H-class of idempotent not closed")
-            row.append(pos[p])
-        table.append(row)
+    # column j holds i*j for every member i
+    columns = [sgp.right_translation(members, j) for j in members]
+    try:
+        table = [[pos[p] for p in row] for row in zip(*columns)]
+    except KeyError:
+        raise VerificationError("H-class of idempotent not closed") from None
     g = FiniteGroup(values, table)
     g.verify()
     return g

@@ -83,17 +83,22 @@ def _right_regular(sgp: FiniteSemigroup) -> list[PartialTransformation]:
     Faithful iff these generate exactly |S| maps.  s acts as rho_s, its
     word's product (`right_translations`), which sends the base point (the
     identity, or the adjoined point) to s; so the rho_s are distinct, and
-    they are all the maps iff rho_s then g is rho_(s*g) for every s and g."""
+    they are all the maps iff rho_s then g is rho_(s*g) for every s and g.
+    A tree edge of the word tree (s the parent of t = s*g, g its last
+    letter) holds by construction: rows[t] is that very gather of g's
+    column at rows[s], the adjoined point's image s*g included.  Every
+    other edge is compared."""
     right = sgp.right_cayley
     columns = list(zip(*right))  # columns[k][x] = x*g_k
     rows = sgp.right_translations(range(len(right)))
     if sgp.identity_index() is None:
         rows = [row + (s,) for s, row in enumerate(rows)]
         columns = [col + (gi,) for col, gi in zip(columns, sgp.gens)]
+    parent, letter = sgp._parent, sgp._letter
     for s, row in enumerate(rows if len(rows[0]) > 1 else ()):  # one point, one map
         image = itemgetter(*row)  # col -> (col[x] for x in row), as a tuple
-        for col, t in zip(columns, right[s]):
-            if image(col) != rows[t]:
+        for k, (col, t) in enumerate(zip(columns, right[s])):
+            if (parent[t] != s or letter[t] != k) and image(col) != rows[t]:
                 raise VerificationError("regular representation is not faithful")
     return [PartialTransformation(tuple(x + 1 for x in col)) for col in columns]
 

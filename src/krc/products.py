@@ -38,8 +38,8 @@ action pair acts on codes by `row(c)`: per point, its image's position,
 Divisions run on codes; the source steps along its right Cayley graph by
 index.  Values appear only at the boundary: given lifts are encoded once,
 and one that is not an element of the target is refused there; a
-witness's lifts and morphism table and every rejection message are
-decoded, so a witness's `target` and `lifts` go back into
+witness's lifts and every rejection message are decoded, and its morphism
+table when first read, so a witness's `target` and `lifts` go back into
 `check_division`.  Checking given lifts only multiplies; a search needs
 `codes`.  A factor that is only multiplied is a `MulOracle`, not a
 `FiniteSemigroup`.
@@ -197,6 +197,7 @@ class WreathProduct(_LazyOracle):
         # structurally injective over partial right actions
         self.restrict_to_domain = restrict_to_domain
         self.row = functools.lru_cache(maxsize=None)(self._row)
+        self._column = functools.lru_cache(maxsize=None)(self._column_of)
         # the factors' products by code pair, with None for the left
         # identity: a search takes a few of them many times
         mul = left.sgp.mul_code
@@ -244,16 +245,22 @@ class WreathProduct(_LazyOracle):
 
     def _row(self, code) -> tuple:
         """`row(code)`: (b, q)(f, t) = (b(qf), qt) by positions, b running
-        slowest."""
+        slowest.  The points (b, q) at one position of Q form one column
+        over b, which depends only on q's left code qf and the position of
+        qt; the row interleaves those cached columns."""
         f, t = code
-        left, nq = self.left, len(self.right.points)
-        qrow = self.right.row(t)
-        return tuple(
-            -1 if b2 < 0 or j < 0 else b2 * nq + j
-            for b in range(len(left.points))
-            for c, j in zip(f, qrow)
-            for b2 in (b if c is None else left.row(c)[b],)
-        )
+        columns = map(self._column, f, self.right.row(t))
+        return tuple(itertools.chain.from_iterable(zip(*columns)))
+
+    def _column_of(self, c, j: int) -> tuple:
+        """Per b, the position of (b.c, q') where q' is the point at
+        position j: -1 where j or b.c is undefined, and c None acts as the
+        identity."""
+        nb, nq = len(self.left.points), len(self.right.points)
+        if j < 0:
+            return (-1,) * nb
+        images = range(nb) if c is None else self.left.row(c)
+        return tuple([-1 if b2 < 0 else b2 * nq + j for b2 in images])
 
     def act(self, point, w):
         j = self.row(self.encode(w))[self._pos[point]]
@@ -295,19 +302,23 @@ def _encode_lifts(target, lifts: dict[str, Any]) -> dict[str, Any]:
     return codes
 
 
-def _decode_morphism(s: FiniteSemigroup, target, closure: dict) -> dict[Any, Any]:
-    return {target.decode(t): s.elements[i] for t, i in closure.items()}
-
-
 @dataclass
 class DivisionWitness:
-    """Generator lifts realizing S < T, with the verified graph closure,
-    both in value form."""
+    """Generator lifts realizing S < T, in value form, with the verified
+    graph closure on codes: `closure` maps each target code to S's index.
+    `morphism`, the closure in value form, is decoded when first read; a
+    check that reads the closure (`semilocal._verify_fasp_action`) or only
+    its size decodes nothing."""
 
     source: FiniteSemigroup
     target: Any
     lifts: dict[str, Any]
-    morphism: dict[Any, Any] = field(repr=False)
+    closure: dict[Any, int] = field(repr=False)
+
+    @functools.cached_property
+    def morphism(self) -> dict[Any, Any]:
+        elements, decode = self.source.elements, self.target.decode
+        return {decode(t): elements[i] for t, i in self.closure.items()}
 
     def verify(self) -> None:
         result = _relation_closure(
@@ -315,7 +326,8 @@ class DivisionWitness:
         )
         if not isinstance(result, dict):
             raise VerificationError(f"division witness failed to re-verify: {result}")
-        if _decode_morphism(self.source, self.target, result) != self.morphism:
+        # a value has one code, so equal closures are equal morphisms
+        if result != self.closure:
             raise VerificationError("division witness morphism table mismatch")
 
 
@@ -441,7 +453,7 @@ def check_division(
         if not isinstance(result, dict):
             raise VerificationError(f"division lifts rejected: {result}")
         # built from the closure just checked, so not re-verified
-        return DivisionWitness(s, target, dict(lifts), _decode_morphism(s, target, result))
+        return DivisionWitness(s, target, dict(lifts), result)
 
     if target.elements is None:
         raise InputError("division search needs an enumerated target")
@@ -485,6 +497,6 @@ def check_division(
         total = block[0]
         return ExhaustionReport(min(total, budget), budget, searched_all=total <= budget)
     lifts = {name: target.decode(chosen[name]) for name in names}
-    witness = DivisionWitness(s, target, lifts, _decode_morphism(s, target, result))
+    witness = DivisionWitness(s, target, lifts, result)
     witness.verify()
     return witness

@@ -19,8 +19,9 @@ every product they need is u*s with u in J.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -179,7 +180,10 @@ def _lclass_action_map(
     sgp: FiniteSemigroup, jref: JClassRef
 ) -> Callable[[int], PartialTransformation]:
     """s -> the partial map of s on B, verified representative-free.  The
-    products u*s are J's table, its columns grouped by L-class."""
+    products u*s are J's table: s's row is gathered once through `target`
+    (each product's L-class position, 0 below J) and compared whole with
+    itself read at the first column of each column's L-class, so every
+    member of every L-class is checked to move with its first one."""
     gs = sgp.green()
     b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
     target = [
@@ -188,18 +192,15 @@ def _lclass_action_map(
     columns: dict[int, list[int]] = {b: [] for b in jref.b_classes}
     for k, u in enumerate(jref.members):
         columns[gs.l_of[u]].append(k)
+    first_of_class = row_getter([ks[0] for ks in columns.values()])
+    first_of_column = row_getter([columns[gs.l_of[u]][0] for u in jref.members])
 
     def action(s_idx: int) -> PartialTransformation:
-        row = jref.rows[s_idx]
-        images = []
-        for b, ks in columns.items():
-            targets = {target[row[k]] for k in ks}
-            if len(targets) != 1:
-                raise VerificationError(
-                    f"L-class action not well defined at b={b}, s={s_idx}"
-                )
-            images.append(targets.pop())
-        return PartialTransformation(tuple(images))
+        targets = row_getter(jref.rows[s_idx])(target)
+        if first_of_column(targets) != targets:
+            b = next(b for b, ks in columns.items() if len({targets[k] for k in ks}) != 1)
+            raise VerificationError(f"L-class action not well defined at b={b}, s={s_idx}")
+        return PartialTransformation(first_of_class(targets))
 
     return action
 
@@ -265,64 +266,97 @@ def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int
 
 @dataclass
 class GmQuotient:
-    quotient: FiniteSemigroup  # values are least preimage indices
+    """The GM image at J: `class_rep[s]` (and `morphism` on values) is the
+    least member of s's class, and `quotient` is the image as a carrier on
+    those least members, built when first read."""
+
+    sgp: FiniteSemigroup = field(repr=False)
+    class_rep: list[int] = field(repr=False)
     morphism: dict[Any, int]
     generalized_only: bool  # True when J is aperiodic (warning case)
     injective_on_all_subgroups: bool
+
+    @cached_property
+    def order(self) -> int:
+        return len(set(self.class_rep))
+
+    @cached_property
+    def quotient(self) -> FiniteSemigroup:
+        """S/~ on the least class members.  Its right Cayley graph is read
+        off the parent's through the congruence, [r]*g = [r*g], so no
+        product is traced to build it.  Its multiplication callable,
+        class_rep[a*b], is still passed on, with a*b read off one table of
+        the parent's right translations at the least members, taken on the
+        callable's first call: Light's test runs on it for GM images of at
+        most `_ASSOC_CHECK_LIMIT` elements, like on every other abstract
+        carrier."""
+        sgp, class_rep = self.sgp, self.class_rep
+        reps = sorted(set(class_rep))
+        pos = {r: i for i, r in enumerate(reps)}
+        table = cache(lambda: sgp.right_translations(reps))  # table()[b][pos[a]] = a*b
+        return FiniteSemigroup(
+            reps,
+            [pos[class_rep[g]] for g in sgp.gens],
+            list(sgp.gen_names),
+            [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
+            lambda a, b: class_rep[table()[b][pos[a]]],
+        )
+
+
+def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
+    """Each element's least class member under s = t iff xsy and xty agree
+    through J for all x, y in J.
+
+    The key of s is its sandwiches q_b*s*p_a only.  That loses nothing:
+    x = p_a*g*q_b and y = p_a'*g'*q_b' give xsy = p_a*g*(q_b*s*p_a')*g'*q_b',
+    and the sandwich either lies in H_e, fixing xsy, or drops out of J with
+    it.  The rows q_b*s come in bulk.  When q_b*s falls below J, so does
+    each (q_b*s)*p_a; otherwise q_b*s is a member x of J, whose entries
+    x*p_a (-1 below J) are gathered as |A| whole columns over J.  Each key
+    is then one gather of those entries at the row q_b*s."""
+    gs = sgp.green()
+    _, p_reps, q_reps = _sandwich_reps(sgp, jref)
+    members = jref.members
+    in_j = [p if j == jref.j_id else -1 for p, j in enumerate(gs.j_of)]
+    columns = [row_getter(sgp.right_translation(members, pa))(in_j) for pa in p_reps]
+    entries = [(-1,) * len(p_reps)] * len(sgp.elements)
+    for x, entry in zip(members, zip(*columns)):
+        entries[x] = entry
+    first: dict[tuple, int] = {}
+    return [
+        first.setdefault(row_getter(qs_row)(entries), s)
+        for s, qs_row in enumerate(sgp.right_translations(q_reps))
+    ]
 
 
 def gm_quotient(
     sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
 ) -> GmQuotient:
-    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J.
+    """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J
+    (`_profile_classes`), checked to be a congruence.
 
-    The quotient's right Cayley graph is read off the parent's through the
-    congruence, [r]*g = [r*g], so no product is traced to build it.  Its
-    multiplication callable, class_rep[a*b], is still passed on: Light's
-    test runs on it for GM images of at most `_ASSOC_CHECK_LIMIT`
-    elements, like on every other abstract carrier."""
+    The GM verdict is read off the image's classification.  A discrete
+    partition builds no image for it: the image is then S on its own
+    indices, with S's right Cayley graph and generators, and a
+    classification depends on that pair alone, so S's own is the image's
+    (the entry an equal carrier gets from `_shared`).  Nor does that copy
+    miss an associativity check: its products are S's, and S's are
+    associative (composition, or Light's test on S itself at its order)."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
-    _, p_reps, q_reps = _sandwich_reps(sgp, jref)
-    n = len(sgp.elements)
-    # The key of s is its sandwiches q_b*s*p_a only.  That loses nothing:
-    # x = p_a*g*q_b and y = p_a'*g'*q_b' give xsy = p_a*g*(q_b*s*p_a')*g'*q_b',
-    # and the sandwich either lies in H_e, fixing xsy, or drops out of J with it.
-    # The rows q_b*s come in bulk.  When q_b*s falls below J, so does each
-    # (q_b*s)*p_a; otherwise q_b*s is a member of J, whose p_a-entries are
-    # traced once per member.
-    entries = [(-1,) * len(p_reps)] * n
-    for x in jref.members:
-        entries[x] = tuple(
-            p if gs.j_of[p] == jref.j_id else -1
-            for p in (sgp.mul_index(x, pa) for pa in p_reps)
-        )
-    profiles: dict[tuple, list[int]] = {}
-    for s, qs_row in enumerate(sgp.right_translations(q_reps)):
-        profiles.setdefault(tuple(entries[qs] for qs in qs_row), []).append(s)
-    class_rep = [0] * n
-    for cls_members in profiles.values():
-        rep = min(cls_members)
-        for s in cls_members:
-            class_rep[s] = rep
+    class_rep = _profile_classes(sgp, jref)
     if not _is_congruence(sgp, class_rep):
         raise VerificationError("J-profile relation is not a congruence")
-
-    reps = sorted(set(class_rep))
-    pos = {r: i for i, r in enumerate(reps)}
-    quotient = FiniteSemigroup(
-        reps,
-        [pos[class_rep[g]] for g in sgp.gens],
-        list(sgp.gen_names),
-        [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
-        lambda a, b: class_rep[sgp.mul_index(a, b)],
+    gq = GmQuotient(
+        sgp,
+        class_rep,
+        dict(zip(sgp.elements, class_rep)),
+        generalized_only=not jref.contains_nontrivial_subgroup(),
+        injective_on_all_subgroups=True,
     )
-    morphism = {sgp.elements[i]: class_rep[i] for i in range(n)}
-
-    generalized_only = not jref.contains_nontrivial_subgroup()
-    qcls = classify(quotient, _shared)
-    if generalized_only:
+    qcls = classify(sgp if gq.order == len(class_rep) else gq.quotient, _shared)
+    if gq.generalized_only:
         if not qcls.generalized_group_mapping:
             raise VerificationError("GM image is not generalized group mapping")
     elif not qcls.group_mapping:
@@ -330,31 +364,33 @@ def gm_quotient(
 
     # injectivity on subgroups: guaranteed for subgroups whose identity
     # lies in J (that one is asserted), recorded as data for the rest
-    injective_all = True
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
         image = {class_rep[i] for i in h_members}
         if len(image) != len(h_members):
-            injective_all = False
+            gq.injective_on_all_subgroups = False
             if gs.j_of[e] == jref.j_id:
                 raise VerificationError(
                     "GM morphism not injective on a subgroup of the distinguished class"
                 )
-    return GmQuotient(quotient, morphism, generalized_only, injective_all)
+    return gq
 
 
 def _is_congruence(sgp: FiniteSemigroup, class_rep: list[int]) -> bool:
     """Whether the partition that maps each element to a member of its class
     is a congruence.  Checking s*g ~ r*g and g*s ~ g*r for each s, its
     representative r and each generator g is complete: along the word of u,
-    s ~ t gives s*u ~ t*u, likewise u*s ~ u*t, and then s*t ~ s'*t ~ s'*t'."""
-    right, left = sgp.right_cayley, sgp.left_cayley
-    return all(
-        class_rep[a] == class_rep[b]
-        for s, r in enumerate(class_rep)
-        for row_s, row_r in ((right[s], right[r]), (left[s], left[r]))
-        for a, b in zip(row_s, row_r)
-    )
+    s ~ t gives s*u ~ t*u, likewise u*s ~ u*t, and then s*t ~ s'*t ~ s'*t'.
+
+    The check runs on whole columns: per generator and per Cayley graph,
+    the classes of the products (class_rep[s*g] for every s) are compared
+    with themselves read at the representatives (class_rep[r*g])."""
+    at_reps = row_getter(class_rep)
+    for column in itertools.chain(zip(*sgp.right_cayley), zip(*sgp.left_cayley)):
+        classes = row_getter(column)(class_rep)
+        if at_reps(classes) != classes:
+            return False
+    return True
 
 
 # -- Rees coordinates -------------------------------------------------------
@@ -623,32 +659,35 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
         ]
         lifts[name] = w.make(fvals, PartialTransformation(rlm_map))
     witness = check_division(pres.sgp, w, lifts=lifts)
-    if len(witness.morphism) != len(pres.sgp.elements):
+    if len(witness.closure) != len(pres.sgp.elements):
         raise VerificationError("wreath embedding is not injective")
     _verify_fasp_action(pres, w, witness)
     return FaspEmbedding(lifts, witness)
 
 
 def _verify_fasp_action(pres, w, witness) -> None:
-    """The wreath image acts on G x B exactly as S does on R_e, read off
-    the wreath's action rows by point position."""
+    """The wreath image acts on G x B exactly as S does on R_e.  For each
+    pair of the witness's closure (a wreath code and S's index s), the
+    wreath row read at R_e's points is compared whole with s's row of J's
+    table read at R_e's columns and mapped to wreath positions: a product
+    (a, g, b) in J to the point (g, b), one below J to -1."""
     sgp, rc = pres.sgp, pres.rees
-    gs = sgp.green()
     # the a = 0 slice, by column of J's table
     r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
-    for wv, sv in witness.morphism.items():
-        row = pres.jref.rows[sgp.index[sv]]
-        wrow = w.row(w.encode(wv))
-        for k, g, b in r_e:
-            p = row[k]
-            in_j = gs.j_of[p] == pres.jref.j_id
-            img = wrow[w._pos[(g, b + 1)]]
-            if not in_j:
-                if img >= 0:
-                    raise VerificationError("wreath action defined where theta^R is not")
-            else:
-                a2, g2, b2 = rc.coord[p]
-                if img != w._pos[(g2, b2 + 1)]:
-                    raise VerificationError(
-                        f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
-                    )
+    at_columns = row_getter([k for k, _, _ in r_e])
+    at_points = row_getter([w._pos[(g, b + 1)] for _, g, b in r_e])
+    position = [-1] * len(sgp.elements)
+    for p, (_, g2, b2) in rc.coord.items():
+        position[p] = w._pos[(g2, b2 + 1)]
+    rows = pres.jref.rows
+    for wc, s in witness.closure.items():
+        got = at_points(w.row(wc))
+        want = row_getter(at_columns(rows[s]))(position)
+        if got != want:
+            k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+            if want[k] < 0:
+                raise VerificationError("wreath action defined where theta^R is not")
+            _, g, b = r_e[k]
+            raise VerificationError(
+                f"wreath action disagrees with theta^R at {(g, b)} under {sgp.elements[s]!r}"
+            )

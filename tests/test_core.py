@@ -356,6 +356,16 @@ class TestBulkTranslations:
                 checked += 1
         assert checked >= len(translation_carriers)
 
+    def test_one_row_walks_the_word(self, translation_carriers):
+        # right_translation(points, s) is row s of right_translations(points)
+        for sgp in translation_carriers:
+            n = len(sgp)
+            rng = random.Random(n)
+            for points in (rng.choices(range(n), k=n + 3), [n - 1], []):
+                rows = sgp.right_translations(points)
+                for s in rng.sample(range(n), min(n, 20)):
+                    assert sgp.right_translation(points, s) == rows[s]
+
     def test_one_point_sets(self, translation_carriers):
         # a bare itemgetter returns a value, not a 1-tuple, for one position
         left_closed = 0
@@ -607,6 +617,26 @@ class TestRegularRepresentation:
         assert len(rep) == len(gq.quotient)
         assert rep.gen_names == gq.quotient.gen_names
         assert text == dump_semigroup(reference_regular_representation(gq.quotient))
+
+    @pytest.mark.parametrize("values,step", [
+        (range(41), lambda v, g: (v + g) % 41),
+        (range(1, 43), lambda v, g: min(v + g, 42)),
+    ], ids=["Z41", "truncated"])
+    def test_broken_edge_off_the_word_tree_is_rejected(self, values, step):
+        # one right Cayley edge moved, off the word tree the rows are built
+        # along: the check skips tree edges only, so it compares this one;
+        # truncated addition has no identity, so the adjoined point is in play
+        values = list(values)
+        index = {v: i for i, v in enumerate(values)}
+        right = [[index[step(v, g)] for g in (1, 2)] for v in values]
+        s = 10
+        right[s][0] -= 7  # an element the tree reaches before s
+        sgp = FiniteSemigroup(values, [index[1], index[2]], ["a", "b"], right, None)
+        t = right[s][0]
+        assert (sgp._parent[t], sgp._letter[t]) != (s, 0)
+        assert (sgp.identity_index() is None) == (values[0] == 1)
+        with pytest.raises(VerificationError, match="not faithful"):
+            dump_semigroup(sgp)
 
     def test_unfaithful_carrier_is_rejected(self):
         # Z_41 over 1 and 2 with one right Cayley edge moved; past 40

@@ -9,7 +9,7 @@ import pytest
 from krc import complexity, flows
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, estimate
-from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, is_aperiodic
+from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, compose, is_aperiodic
 from krc.errors import InputError, VerificationError
 from krc.flows import (
     Automaton,
@@ -29,7 +29,8 @@ from krc.flows import (
 )
 from krc.fileformats import dump_flow, load_semigroup, parse_semigroup
 from krc.inverse import matrix_semigroup_as_transformations, small_monoid
-from krc.semilocal import group_mapping_presentation
+from krc.products import ActionPair, MulOracle, WreathProduct
+from krc.semilocal import fasp_embedding, group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
 from test_core import I4_GENS, LADDER, T4_GENS
 
@@ -198,6 +199,51 @@ class TestVerifyFlow:
                 )
             again = Flow(flow.automaton, pres, tuple(relabeled))
             assert (verify_flow(again) is True) == base
+
+
+def _row_by_points(w, code):
+    """`WreathProduct.row` by its definition, point by point: (b, q)(f, t)
+    = (b(qf), qt) by positions, b running slowest, -1 where qt or b(qf) is
+    undefined, and a None entry of f acting as the identity."""
+    f, t = code
+    nq = len(w.right.points)
+    return tuple(
+        -1 if b2 < 0 or j < 0 else b2 * nq + j
+        for b in range(len(w.left.points))
+        for c, j in zip(f, w.right.row(t))
+        for b2 in (b if c is None else w.left.row(c)[b],)
+    )
+
+
+def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
+    """The wreath row interleaves cached columns; it agrees with the point
+    definition on the FASP wreath (None where the RLM map is undefined)
+    and on the flows' nested wreath, its inner factor included."""
+    checked = Counter()
+    fasp = fasp_embedding(group_mapping_presentation(b2z2_1)).witness
+    for code in fasp.closure:
+        assert fasp.target.row(code) == _row_by_points(fasp.target, code)
+        checked["fasp", None in code[0]] += 1
+    division = presentation_construct(trivial_flow(small17_pres)).division
+    outer = division.target.left
+    # and by hand: a 2-state transition semigroup where a letter dies
+    sym = ActionPair([1, 2], MulOracle(None, compose), lambda q, p: p(q))
+    inner = WreathProduct(ActionPair.of_group(FiniteGroup.cyclic(2)), sym)
+    states = FiniteSemigroup.generate([("x", T((2, 0))), ("y", T((1, 1)))])
+    dying = WreathProduct(inner, ActionPair.of_transformations(states))
+    made = [
+        dying.make([inner.make((1, 0), T((2, 1))), None], T((2, 0))),
+        dying.make([None, inner.make((0, 1), T((1, 2)))], T((1, 1))),
+    ]
+    codes = [dying.encode(v) for v in made]
+    codes += [dying.mul_code(u, v) for u in codes for v in codes]
+    for w, w_codes in ((outer, [c for c, _ in division.closure]), (dying, codes)):
+        for code in w_codes:
+            assert w.row(code) == _row_by_points(w, code)
+            assert all(w.left.row(c) == _row_by_points(w.left, c) for c in code[0] if c is not None)
+            checked["nested", -1 in w.right.row(code[1]), None in code[0]] += 1
+    assert checked["fasp", True] and checked["fasp", False]
+    assert checked["nested", True, True] and checked["nested", False, False]
 
 
 class TestPresentationConstruct:

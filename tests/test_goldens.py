@@ -64,9 +64,10 @@ def sgp_text(gens) -> str:
 
 
 # Replay stdout digests that `perfbench/goldens.json` does not hold: it
-# records an error message for `degree4/T4` instead
+# records an error message for these two instead
 REPLAY_STDOUT = {
     "degree4/T4": "1685f9331d88faab71dabc7ca6d8f00260a79b413de6791a96a6bdca9c0033e8",
+    "sample/c2a2968d0416c173": "401ebf783b3a16110d9afafd21122cf121d7a72c591bbaf614d37cd869f32a4f",
 }
 
 
@@ -77,6 +78,8 @@ REPLAY_STDOUT = {
         ("desk/I3", LADDER["I3"], []),
         ("degree4/I4", I4_GENS, ["--automata-budget", "0"]),
         ("degree4/T4", T4_GENS, ["--automata-budget", "0"]),
+        # the order-61 sample member whose GM images replay recomputes
+        ("sample/c2a2968d0416c173", ((1, 3, 1, 0), (2, 0, 3, 4), (0, 4, 3, 2)), []),
     ]
 ])
 def test_ladder_estimate_and_replay(key, gens, flags, goldens, capsys, tmp_path):

@@ -231,7 +231,7 @@ class TestDivision:
         with pytest.raises(VerificationError, match=f"division lifts rejected: {reason}"):
             check_division(z2, sym3, lifts=lifts)
         good = check_division(z2, sym3, lifts={"t": T((1, 3, 2))})
-        forged = DivisionWitness(z2, sym3, lifts, good.morphism)
+        forged = DivisionWitness(z2, sym3, lifts, good.closure)
         with pytest.raises(VerificationError, match=f"failed to re-verify: {reason}"):
             forged.verify()
 
@@ -242,7 +242,7 @@ class TestDivision:
         with pytest.raises(VerificationError, match=f"^{message}$"):
             check_division(z2, sym3, lifts={"t": lift})
         good = check_division(z2, sym3, lifts={"t": T((1, 3, 2))})
-        forged = DivisionWitness(z2, sym3, {"t": lift}, good.morphism)
+        forged = DivisionWitness(z2, sym3, {"t": lift}, good.closure)
         with pytest.raises(VerificationError, match=f"^{message}$"):
             forged.verify()
 
@@ -294,8 +294,7 @@ def scan_division(s, target, budget):
         lifts = dict(zip(s.gen_names, combo))
         result = _relation_closure(s, target, {n: target.encode(v) for n, v in lifts.items()})
         if isinstance(result, dict):
-            morphism = {target.decode(t): s.elements[i] for t, i in result.items()}
-            return DivisionWitness(s, target, lifts, morphism)
+            return DivisionWitness(s, target, lifts, result)
     return ExhaustionReport(tried, budget, searched_all=True)
 
 

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from krc import semilocal
 from krc.cli import CORPUS_DIR
 from krc.core import FiniteSemigroup, PartialTransformation, compose, is_aperiodic
 from krc.errors import InputError, VerificationError
@@ -16,6 +17,7 @@ from krc.semilocal import (
     Classification,
     JClassRef,
     _is_congruence,
+    _verify_fasp_action,
     classify,
     fasp_embedding,
     gm_quotient,
@@ -25,7 +27,7 @@ from krc.semilocal import (
     theta_prime_representation,
 )
 
-from test_core import T4_GENS
+from test_core import LADDER, T4_GENS
 
 T = PartialTransformation
 
@@ -140,6 +142,28 @@ def test_classify_takes_products_in_bulk(monkeypatch):
     assert calls == []
 
 
+def _lclass_action_reference(sgp, jref):
+    """`_lclass_action_map` by its definition: per L-class, the set of the
+    L-classes its members move to (0 below J) must be a singleton."""
+    gs = sgp.green()
+    b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
+    columns = {b: [] for b in jref.b_classes}
+    for k, u in enumerate(jref.members):
+        columns[gs.l_of[u]].append(k)
+
+    def action(s):
+        images = []
+        for b, ks in columns.items():
+            row = jref.rows[s]
+            targets = {b_pos[gs.l_of[row[k]]] if gs.j_of[row[k]] == jref.j_id else 0 for k in ks}
+            if len(targets) != 1:
+                raise VerificationError(f"L-class action not well defined at b={b}, s={s}")
+            images.append(targets.pop())
+        return T(tuple(images))
+
+    return action
+
+
 class TestRlmQuotient:
     def test_group_gives_trivial(self, sym3):
         rq = rlm_quotient(sym3, JClassRef(sym3, 0))
@@ -176,6 +200,42 @@ class TestRlmQuotient:
                     for u in gs.l_classes[b]
                 }
                 assert len(verdicts) == 1
+
+    @pytest.mark.parametrize("column", ["first", "later"])
+    def test_one_corrupted_table_entry_is_rejected(self, corpus, monkeypatch, column):
+        # one entry of J's table moved to an element of another L-class, or
+        # across J's edge, in the first column of an L-class or a later one:
+        # the message is the one the per-L-class sets give
+        rejected = 0
+        for name, (sgp, _) in sorted(corpus.items()):
+            gs = sgp.green()
+            for j, regular in enumerate(gs.regular):
+                jref = JClassRef(sgp, j)
+                columns = {}
+                for k, u in enumerate(jref.members):
+                    columns.setdefault(gs.l_of[u], []).append(k)
+                wide = [ks for ks in columns.values() if len(ks) > 1]
+                if not regular or not wide:
+                    continue
+                k, other = wide[0][:2] if column == "first" else wide[0][1::-1]
+                place = [gs.l_of[p] if gs.j_of[p] == j else -1 for p in range(len(sgp))]
+                rows = [list(row) for row in jref.rows]
+                s = len(sgp) - 1
+                moved = [p for p in range(len(sgp)) if place[p] != place[rows[s][other]]]
+                if not moved:  # one L-class and nothing below J
+                    continue
+                rows[s][k] = moved[0]
+                jref.rows = [tuple(row) for row in rows]
+                with monkeypatch.context() as patch:
+                    patch.setattr(semilocal, "_lclass_action_map", _lclass_action_reference)
+                    with pytest.raises(VerificationError) as want:
+                        rlm_quotient(sgp, jref)
+                with pytest.raises(VerificationError) as got:
+                    rlm_quotient(sgp, jref)
+                assert str(got.value) == str(want.value), name
+                assert str(got.value).startswith("L-class action not well defined at b=")
+                rejected += 1
+        assert rejected >= 5
 
     def test_rejects_irregular_class(self):
         # a null semigroup: x^2 = 0, J-class of x not regular
@@ -303,6 +363,44 @@ def test_generator_congruence_check_matches_all_pairs(corpus):
                 verdicts.append(verdict)
     # every J-profile partition is a congruence; some merges are not
     assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
+
+def _broken_sides(sgp, class_rep):
+    """The Cayley graphs, "right" or "left", with an edge where s*g and r*g
+    (g*s and g*r) lie in different classes, r the representative of s;
+    edge by edge."""
+    sides = set()
+    for s, r in enumerate(class_rep):
+        for side, graph in (("right", sgp.right_cayley), ("left", sgp.left_cayley)):
+            if any(class_rep[a] != class_rep[b] for a, b in zip(graph[s], graph[r])):
+                sides.add(side)
+    return sides
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_congruence_check_rejects_a_partition_broken_on_one_side(corpus, monkeypatch, side):
+    """L is a right congruence and R a left one: the L-partition can break
+    only at a left edge and the R-partition only at a right edge.  Where
+    one breaks, `_is_congruence` says so, and `gm_quotient` given it as its
+    classes fails with its message."""
+    t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
+    rejected = 0
+    for sgp in [s for s, _ in corpus.values()] + [t3]:
+        gs = sgp.green()
+        class_of, classes = (gs.l_of, gs.l_classes) if side == "left" else (gs.r_of, gs.r_classes)
+        part = [min(classes[c]) for c in class_of]
+        broken = _broken_sides(sgp, part)
+        assert broken <= {side}
+        assert _is_congruence(sgp, part) == (not broken)
+        if not broken:
+            continue
+        jref = JClassRef(sgp, gs.regular.index(True))
+        with monkeypatch.context() as patch:
+            patch.setattr(semilocal, "_profile_classes", lambda *_: list(part))
+            with pytest.raises(VerificationError, match="^J-profile relation is not a congruence$"):
+                gm_quotient(sgp, jref)
+        rejected += 1
+    assert rejected >= 3
 
 
 class TestReesCoordinates:
@@ -565,6 +663,51 @@ class TestFaspEmbedding:
         with pytest.raises(VerificationError) as err:
             fasp_embedding(pres)
         assert str(err.value) == message
+
+
+def _fasp_action_reference(pres, w, witness):
+    """`_verify_fasp_action` point by point on the witness's values: the
+    first failure's message, or None."""
+    sgp, rc = pres.sgp, pres.rees
+    j_of = sgp.green().j_of
+    r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
+    for wv, sv in witness.morphism.items():
+        row = pres.jref.rows[sgp.index[sv]]
+        wrow = w.row(w.encode(wv))
+        for k, g, b in r_e:
+            p, img = row[k], wrow[w._pos[(g, b + 1)]]
+            if j_of[p] != pres.jref.j_id:
+                if img >= 0:
+                    return "wreath action defined where theta^R is not"
+            elif img != w._pos[(rc.coord[p][1], rc.coord[p][2] + 1)]:
+                return f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["b2z2_1", "small_2_z2", "sym3", "zero_z2", "z3"])
+def test_fasp_action_rejects_one_corrupted_label(name):
+    # one defined label of one closure element moved to the next group
+    # element, its S-element kept: the message is the point-by-point one
+    pres = group_mapping_presentation(load_semigroup(CORPUS_DIR / f"{name}.sgp"))
+    witness = fasp_embedding(pres).witness
+    w = witness.target
+    assert _fasp_action_reference(pres, w, witness) is None
+    order = len(pres.group)
+    for code in witness.closure:
+        f, t = code
+        i = next((i for i, c in enumerate(f) if c is not None), None)
+        if i is None:
+            continue
+        bad_code = (f[:i] + ((f[i] + 1) % order,) + f[i + 1:], t)
+        if bad_code not in witness.closure:
+            break
+    closure = {bad_code if c == code else c: s for c, s in witness.closure.items()}
+    bad = dataclasses.replace(witness, closure=closure)
+    want = _fasp_action_reference(pres, w, bad)
+    assert want.startswith("wreath action disagrees with theta^R at ")
+    with pytest.raises(VerificationError) as err:
+        _verify_fasp_action(pres, w, bad)
+    assert str(err.value) == want
 
 
 def test_theta_prime_representation(corpus):
