@@ -7,10 +7,12 @@ values).  Semigroups built from transformations multiply by `compose`;
 abstract ones (quotients, Rees/Brandt carriers, products) supply their own
 multiplication callable.  Either way the callable is read only while the
 carrier is built, for its right Cayley graph over the generators (and, on
-small abstract carriers, for the associativity check).  A carrier that
-comes with its Cayley graph, a GM image read off its parent's, reads the
-callable for the associativity check alone, and a GM image's callable looks
-its products up in one table of the parent's right translations.  After
+small abstract carriers, for the associativity check).  `compose` is not
+even called then: the closure composes image tuples by whole-row gathers
+(`row_getter`) that compute the same maps.  A carrier that comes with its
+Cayley graph, a GM or RLM image read off its parent's, reads the callable
+for the associativity check alone, and a GM image's callable looks its
+products up in one table of the parent's right translations.  After
 that a product is traced: i*j follows a word of j through the right Cayley
 graph from i, which is sound because the operation is associative.  An
 abstract carrier's file form is read off that graph too (`fileformats`).
@@ -18,6 +20,7 @@ abstract carrier's file form is read off that graph too (`fileformats`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -137,8 +140,11 @@ class FiniteSemigroup:
     j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Light's test is skipped
     where it cannot fail, when the callable is `compose`: composing maps is
     associative, and the carrier is closed already, as `generate` closes by
-    construction and `from_elements` checks closure under the generators
-    plus reachability.  Every other callable, a GM image's included, gets
+    construction, `from_elements` checks closure under the generators
+    plus reachability, and an RLM image is checked to be the closure of its
+    generators' maps (`semilocal.rlm_quotient`).  The callable may be
+    `compose` without being called: `generate` composes image tuples by
+    gathers instead.  Every other callable, a GM image's included, gets
     the full test.
 
     Products that come as whole rows are taken in bulk.
@@ -218,6 +224,14 @@ class FiniteSemigroup:
         """Breadth-first closure of the generators under right multiplication;
         its edges are the right Cayley graph.
 
+        Each element u gets one step function, read once per generator g
+        for u*g.  Under `compose` the closure runs on image tuples: u*g is
+        u's images read as positions into g's images with a 0 in front
+        (0 stays undefined), one `row_getter` gather in C, and each
+        element's `PartialTransformation` (range check included) is built
+        once the closure is done.  Any other callable steps through
+        `functools.partial(mul, u)`.
+
         The element list is re-sorted into canonical order afterwards, so
         output is independent of generator order up to naming.
         """
@@ -231,13 +245,21 @@ class FiniteSemigroup:
         if len(degrees) > 1:
             raise InputError(f"generators of unequal degree: {sorted(degrees)}")
         gen_values = [g for _, g in named_gens]
+        if mul is compose:
+            gen_values = [g.images for g in gen_values]
+            operands = [(0,) + g for g in gen_values]
+            stepper = row_getter
+        else:
+            operands = gen_values
+            stepper = functools.partial(functools.partial, mul)  # u -> partial(mul, u)
         values = list(dict.fromkeys(gen_values))  # in breadth-first order
         found = {g: b for b, g in enumerate(values)}  # value -> position in values
         edges = []
         for u in values:  # grows while iterating: breadth first
+            step = stepper(u)
             row = []
-            for g in gen_values:
-                p = mul(u, g)
+            for g in operands:
+                p = step(g)
                 b = found.get(p)
                 if b is None:
                     b = found[p] = len(values)
@@ -249,6 +271,8 @@ class FiniteSemigroup:
                         )
                 row.append(b)
             edges.append(row)
+        if mul is compose:
+            values = [PartialTransformation(v) for v in values]
         order = sorted(range(len(values)), key=lambda b: sort_key(values[b]))
         rank = {b: i for i, b in enumerate(order)}
         right = [[rank[c] for c in edges[b]] for b in order]
@@ -429,49 +453,52 @@ class FiniteSemigroup:
 # -- Green's relations ------------------------------------------------
 
 
-def _sccs(n: int, succ: Callable[[int], Iterable[int]]) -> list[int]:
-    """Iterative Tarjan; returns a class id per vertex (ids are arbitrary)."""
+def _sccs(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected components of the graph i -> rows[i], by Tarjan's
+    algorithm run iteratively: `path` holds the depth-first path and
+    `edge` the position of each path vertex's next edge in its row.  A
+    visited vertex is on Tarjan's stack exactly while it has no class id.
+    Returns a class id per vertex (ids are arbitrary)."""
+    n = len(rows)
     ids = [-1] * n
     low = [0] * n
-    order = [0] * n
-    on_stack = [False] * n
+    order = [0] * n  # discovery number, from 1; 0 while unvisited
     stack: list[int] = []
-    counter = itertools.count()
-    comp = itertools.count()
+    count = comp = 0
     for root in range(n):
-        if ids[root] != -1 or order[root]:
+        if order[root]:
             continue
-        work = [(root, iter(succ(root)))]
-        order[root] = low[root] = next(counter) + 1
+        count += 1
+        order[root] = low[root] = count
         stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
+        path, edge = [root], [0]
+        while path:
+            v = path[-1]
+            row, k = rows[v], edge[-1]
+            while k < len(row):
+                w = row[k]
+                k += 1
                 if not order[w]:
-                    order[w] = low[w] = next(counter) + 1
+                    edge[-1] = k
+                    count += 1
+                    order[w] = low[w] = count
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ(w))))
-                    advanced = True
+                    path.append(w)
+                    edge.append(0)
                     break
-                elif on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == order[v]:
-                cid = next(comp)
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    ids[w] = cid
-                    if w == v:
-                        break
+                if ids[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                edge.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        ids[w] = comp
+                    comp += 1
     return ids
 
 
@@ -512,31 +539,48 @@ class GreenStructure:
 
 
 def green(sgp: FiniteSemigroup) -> GreenStructure:
-    """Compute R, L, J, H partitions plus regularity and idempotents."""
-    n = len(sgp.elements)
+    """Compute R, L, J, H partitions plus regularity and idempotents.
+
+    R and L are the strongly connected components of the right and left
+    Cayley graphs.  J is not searched for: in a finite semigroup J = D,
+    and D = R v L, the join of the two partitions (Rhodes & Steinberg,
+    *The q-theory of Finite Semigroups*, 2009, App. A).  So the J-classes
+    are the R-classes joined, by union-find, whenever two of them meet
+    one L-class.  The class orders are read off whole columns of the
+    Cayley graphs: each generator's column, mapped to class ids, gives
+    the one-step edges between classes."""
     right = sgp.right_cayley
     left = sgp.left_cayley
 
-    r_raw = _sccs(n, lambda i: right[i])
-    l_raw = _sccs(n, lambda i: left[i])
-    j_raw = _sccs(n, lambda i: itertools.chain(right[i], left[i]))
+    r_of, r_classes = _canonical_classes(_sccs(right))
+    l_of, l_classes = _canonical_classes(_sccs(left))
 
-    r_of, r_classes = _canonical_classes(r_raw)
-    l_of, l_classes = _canonical_classes(l_raw)
-    j_of, j_classes = _canonical_classes(j_raw)
+    parent = list(range(len(r_classes)))  # union-find over R-class ids
 
-    h_raw = [r_of[i] * len(l_classes) + l_of[i] for i in range(n)]
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for members in l_classes:
+        a = root(r_of[members[0]])
+        for i in members[1:]:
+            parent[root(r_of[i])] = a
+    j_of, j_classes = _canonical_classes([root(c) for c in r_of])
+
+    h_raw = [r * len(l_classes) + l for r, l in zip(r_of, l_of)]
     h_of, h_classes = _canonical_classes(h_raw)
 
     # class-level orders: one-step successors in the condensations, whose
     # reflexive-transitive closure is the order
-    def _successors(class_of: list[int], classes: list[list[int]], both: bool) -> list[set[int]]:
-        succ: list[set[int]] = [set() for _ in classes]
-        for i in range(n):
-            out = succ[class_of[i]]
-            out.update(class_of[j] for j in left[i])
-            if both:
-                out.update(class_of[j] for j in right[i])
+    def _successors(class_of: list[int], count: int, graphs) -> list[set[int]]:
+        edges = set()
+        for graph in graphs:
+            for column in zip(*graph):
+                edges.update(zip(class_of, row_getter(column)(class_of)))
+        succ: list[set[int]] = [set() for _ in range(count)]
+        for c, d in edges:
+            succ[c].add(d)
         return succ
 
     idempotents = sgp.idempotent_indices()
@@ -547,8 +591,8 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     return GreenStructure(
         r_of, l_of, j_of, h_of,
         r_classes, l_classes, j_classes, h_classes,
-        _successors(j_of, j_classes, both=True),
-        _successors(l_of, l_classes, both=False),
+        _successors(j_of, len(j_classes), (right, left)),
+        _successors(l_of, len(l_classes), (left,)),
         regular, idempotents,
     )
 

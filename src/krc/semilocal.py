@@ -28,6 +28,7 @@ from .core import (
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
+    compose,
     maximal_subgroup,
     row_getter,
 )
@@ -208,15 +209,41 @@ def _lclass_action_map(
 def rlm_quotient(
     sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
 ) -> RlmQuotient:
+    """S's image under its action on the L-classes of J, read off S.
+
+    The image carrier is the set of maps action(s), in canonical order, and
+    its right Cayley graph takes action(s) along generator g to
+    action(s*g), read off S's graph.  Both rest on one check, made at every
+    element s and generator g: action(s) composed with action(g) is
+    action(s*g), one whole-row gather each.  It is complete: along the word
+    g1...gk of s it gives action(s) = action(g1)...action(gk), so every map
+    of the image lies in the closure of the generators' maps, and every
+    product of those maps is the action of the matching word, so the image
+    is that closure.  It also makes the graph well defined: action(s) =
+    action(t) gives action(s*g) = action(s)action(g) = action(t*g)."""
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
     action = _lclass_action_map(sgp, jref)
-    named = [(name, action(gi)) for name, gi in zip(sgp.gen_names, sgp.gens)]
-    rlm = FiniteSemigroup.generate(named)
-    morphism = {sgp.elements[i]: action(i) for i in range(len(sgp.elements))}
-    for v in morphism.values():
-        if v not in rlm.index:
-            raise VerificationError("quotient morphism leaves the generated image")
+    maps = [action(s) for s in range(len(sgp.elements))]
+    images = [m.images for m in maps]
+    operands = [(0,) + images[g] for g in sgp.gens]  # 0 stays undefined
+    for s, row in enumerate(sgp.right_cayley):
+        step = row_getter(images[s])
+        for g, sg in zip(operands, row):
+            if step(g) != images[sg]:
+                raise VerificationError("quotient morphism leaves the generated image")
+    elements = sorted(set(maps), key=PartialTransformation.sort_key)
+    pos = {m: i for i, m in enumerate(elements)}
+    code = [pos[m] for m in maps]
+    some = {c: s for s, c in enumerate(code)}  # an element with each image
+    rlm = FiniteSemigroup(
+        elements,
+        [code[g] for g in sgp.gens],
+        list(sgp.gen_names),
+        [list(row_getter(sgp.right_cayley[some[c]])(code)) for c in range(len(elements))],
+        compose,
+    )
+    morphism = dict(zip(sgp.elements, maps))
     image_of_j = {morphism[sgp.elements[i]] for i in jref.members}
     cls = classify(rlm, _shared)  # first, so an equal carrier's Green structure is adopted
 

@@ -6,10 +6,14 @@ import pytest
 from krc.core import (
     FiniteGroup,
     FiniteSemigroup,
+    GreenStructure,
     PartialTransformation,
+    _canonical_classes,
     _index_period,
+    _sccs,
     check_stability,
     compose,
+    green,
     is_aperiodic,
     maximal_subgroup,
     minimal_generating_set,
@@ -646,3 +650,192 @@ class TestRegularRepresentation:
         sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], right, lambda u, v: (u + v) % 41)
         with pytest.raises(VerificationError, match="not faithful"):
             dump_semigroup(sgp)
+
+
+def seed2_sample():
+    """The generator sets of the benchmark's 60-draw sample (seed 2): degree
+    2-4, 1-3 random partial maps, closures of at most 90 elements."""
+    rng = random.Random(2)
+    out, seen = [], set()
+    while len(out) < 60:
+        degree = rng.choice([2, 3, 4])
+        k = rng.choice([1, 2, 3])
+        gens = tuple(tuple(rng.randrange(0, degree + 1) for _ in range(degree)) for _ in range(k))
+        if (degree, gens) in seen:
+            continue
+        seen.add((degree, gens))
+        try:
+            FiniteSemigroup.generate([(f"g{i}", T(g)) for i, g in enumerate(gens)], max_elements=90)
+        except ResourceError:
+            continue
+        out.append(gens)
+    return out
+
+
+@pytest.fixture(scope="module")
+def closure_cases(corpus):
+    """name -> named generators: every corpus member, the five ladder
+    semigroups, the seed-2 sample, degree-1 inputs and one map under two
+    names."""
+    cases = {
+        name: [(nm, s.elements[g]) for nm, g in zip(s.gen_names, s.gens)]
+        for name, (s, _) in corpus.items()
+    }
+    ladder = dict(LADDER, T4=T4_GENS, I4=I4_GENS)
+    draws = {f"sample{k}": gens for k, gens in enumerate(seed2_sample())}
+    for name, gens in {**ladder, **draws}.items():
+        cases[name] = [(f"g{k}", T(g)) for k, g in enumerate(gens)]
+    cases["one"] = [("a", T((1,)))]
+    cases["undefined"] = [("z", T((0,)))]
+    cases["one_and_undefined"] = [("a", T((1,))), ("z", T((0,)))]
+    cases["two_names"] = [("x", T((2, 1, 3))), ("c", T((2, 3, 1))), ("y", T((2, 1, 3)))]
+    assert len(cases) == 17 + 5 + 60 + 4
+    return cases
+
+
+class TestClosure:
+    """The closure on image tuples against the same loop driven by a
+    callable that is not `compose`, so it calls it for every product."""
+
+    def test_matches_the_callable_loop(self, closure_cases):
+        for name, named in closure_cases.items():
+            got = FiniteSemigroup.generate(named)
+            want = FiniteSemigroup.generate(named, mul=lambda f, g: compose(f, g))
+            assert got.elements == want.elements, name
+            assert all(type(v) is T for v in got.elements), name
+            assert got.right_cayley == want.right_cayley, name
+            assert got.gens == want.gens, name
+            assert got.gen_names == want.gen_names == [nm for nm, _ in named]
+
+    def test_budget_boundary(self, closure_cases):
+        raised = 0
+        for name, named in closure_cases.items():
+            order = len(FiniteSemigroup.generate(named))
+            assert len(FiniteSemigroup.generate(named, max_elements=order)) == order
+            messages = []
+            for mul in (None, lambda f, g: compose(f, g)):
+                try:
+                    FiniteSemigroup.generate(named, mul=mul, max_elements=order - 1)
+                    messages.append(None)
+                except ResourceError as err:
+                    messages.append(str(err))
+            assert messages[0] == messages[1], name
+            # the budget counts the elements the closure adds to the generators
+            if order > len({v for _, v in named}):
+                assert messages[0] == (
+                    f"element budget exceeded: more than {order - 1} elements in the closure"
+                )
+                raised += 1
+        assert raised == 71
+
+
+def _sccs_three_pass(n, succ):
+    """Tarjan over a successor callable, as `core.green` ran it three times."""
+    ids = [-1] * n
+    low = [0] * n
+    order = [0] * n
+    on_stack = [False] * n
+    stack = []
+    counter = itertools.count()
+    comp = itertools.count()
+    for root in range(n):
+        if ids[root] != -1 or order[root]:
+            continue
+        work = [(root, iter(succ(root)))]
+        order[root] = low[root] = next(counter) + 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if not order[w]:
+                    order[w] = low[w] = next(counter) + 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                elif on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == order[v]:
+                cid = next(comp)
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    ids[w] = cid
+                    if w == v:
+                        break
+    return ids
+
+
+def green_three_pass(sgp):
+    """The Green structure with R, L and J each found by Tarjan (J over both
+    Cayley graphs) and the class orders built element by element."""
+    n = len(sgp.elements)
+    right, left = sgp.right_cayley, sgp.left_cayley
+    r_of, r_classes = _canonical_classes(_sccs_three_pass(n, lambda i: right[i]))
+    l_of, l_classes = _canonical_classes(_sccs_three_pass(n, lambda i: left[i]))
+    j_of, j_classes = _canonical_classes(
+        _sccs_three_pass(n, lambda i: itertools.chain(right[i], left[i]))
+    )
+    h_of, h_classes = _canonical_classes([r_of[i] * len(l_classes) + l_of[i] for i in range(n)])
+
+    def successors(class_of, classes, both):
+        succ = [set() for _ in classes]
+        for i in range(n):
+            succ[class_of[i]].update(class_of[j] for j in left[i])
+            if both:
+                succ[class_of[i]].update(class_of[j] for j in right[i])
+        return succ
+
+    idempotents = sgp.idempotent_indices()
+    regular = [False] * len(j_classes)
+    for e in idempotents:
+        regular[j_of[e]] = True
+    return GreenStructure(
+        r_of, l_of, j_of, h_of, r_classes, l_classes, j_classes, h_classes,
+        successors(j_of, j_classes, True), successors(l_of, l_classes, False),
+        regular, idempotents,
+    )
+
+
+class TestGreenAgainstThreePasses:
+    """J read off R and L by union-find (J = D = R v L in a finite
+    semigroup) against a third Tarjan pass, field by field."""
+
+    def test_every_field_equal(self, closure_cases, trivial_group, z2_group):
+        carriers = [FiniteSemigroup.generate(named) for named in closure_cases.values()]
+        t4 = carriers[list(closure_cases).index("T4")]
+        carriers += [
+            gm_quotient(t4, JClassRef(t4, j)).quotient
+            for j, regular in enumerate(t4.green().regular)
+            if regular
+        ]
+        carriers += [
+            FiniteSemigroup.from_elements([0], lambda a, b: 0, sort_key=lambda v: v),
+            FiniteSemigroup.generate([("z", T((0, 0)))]),  # zero only
+            FiniteSemigroup.generate([("a", T((1, 1))), ("b", T((2, 2)))]),  # right zero
+            FiniteSemigroup.from_elements(range(5), lambda a, b: (a + b) % 5, sort_key=lambda v: v),
+            brandt_semigroup(2, trivial_group),
+            brandt_semigroup(3, z2_group),
+            catalan_monoid(5),
+        ]
+        for sgp in carriers:
+            assert green(sgp) == green_three_pass(sgp)
+
+    def test_sccs_on_int_rows(self):
+        # a cycle with a tail, a self-loop, and a vertex without edges
+        rows = [[1], [2], [0, 3], [3], [], [4, 0]]
+        ids = _sccs(rows)
+        assert ids[0] == ids[1] == ids[2]
+        assert len({ids[0], ids[3], ids[4], ids[5]}) == 4
+        assert _canonical_classes(ids)[1] == _canonical_classes(
+            _sccs_three_pass(len(rows), lambda i: rows[i])
+        )[1]

@@ -7,7 +7,8 @@ certificate `krc estimate FILE --cert OUT` writes, of estimate's stdout
 and of `krc replay OUT`'s stdout (T_4's replay stdout is pinned here, in
 `REPLAY_STDOUT`); per derived-wreath division of the acceptance suite, it
 holds the digest of the witness found by search.  These tests read that
-file and never write it.
+file and never write it.  T_5 at `--automata-budget 0`, which the file does
+not hold, is pinned here: its certificate and replay stdout digests.
 """
 
 import hashlib
@@ -141,3 +142,22 @@ def test_division_witness(name, budget, goldens):
     witness = check_derived_wreath_division(*division_instance(name), budget=budget)
     assert isinstance(witness, DivisionWitness)
     assert sha(witness_json(witness)) == goldens["instances"][f"division/{name}"]["witness"]
+
+
+T5_GENS = ((2, 3, 4, 5, 1), (2, 1, 3, 4, 5), (1, 1, 3, 4, 5))
+
+
+def test_t5_at_automata_budget_0(capsys, tmp_path):
+    """The ladder's top rung (order 3 125, interval [1,4]): the certificate
+    and the replay stdout, pinned by digest.  Estimate plus replay take
+    about 10 s on a 2-core VM."""
+    src, cert = tmp_path / "in.sgp", tmp_path / "cert.json"
+    src.write_text(sgp_text(T5_GENS), encoding="ascii")
+    out = run(capsys, ["estimate", str(src), "--cert", str(cert), "--automata-budget", "0"])
+    assert out == "[1, 4]\n"
+    assert sha(cert.read_text(encoding="ascii")) == (
+        "ad244cbb8565cfaa8e842caefb51897ad55fd0589aa3a13be0137acf56012d67"
+    )
+    assert sha(run(capsys, ["replay", str(cert)])) == (
+        "0c382f66173a9a0c9fe1bd91c518838ee14656bb126d67e48b6544a0a94b7197"
+    )

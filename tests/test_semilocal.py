@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,7 @@ from krc.semilocal import (
     theta_prime_representation,
 )
 
-from test_core import LADDER, T4_GENS
+from test_core import I4_GENS, LADDER, T4_GENS
 
 T = PartialTransformation
 
@@ -244,6 +245,75 @@ class TestRlmQuotient:
         bad = next(j for j, flag in enumerate(gs.regular) if not flag)
         with pytest.raises(InputError):
             rlm_quotient(s, JClassRef(s, bad))
+
+
+def degree4_carriers():
+    return {
+        name: FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+        for name, gens in (("T4", T4_GENS), ("I4", I4_GENS))
+    }
+
+
+class TestRlmImageReadOff:
+    """The RLM image read off S against the closure of the generators'
+    L-class maps."""
+
+    def test_equals_the_closure_of_the_generators_maps(self, corpus):
+        gm_members = [s for s, want in corpus.values() if want["group_mapping"][0]]
+        checked = 0
+        for sgp in list(degree4_carriers().values()) + gm_members:
+            for j, regular in enumerate(sgp.green().regular):
+                if not regular:
+                    continue
+                jref = JClassRef(sgp, j)
+                action = semilocal._lclass_action_map(sgp, jref)
+                closure = FiniteSemigroup.generate(
+                    [(name, action(g)) for name, g in zip(sgp.gen_names, sgp.gens)]
+                )
+                rq = rlm_quotient(sgp, jref)
+                assert rq.rlm.elements == closure.elements
+                assert rq.rlm.right_cayley == closure.right_cayley
+                assert rq.rlm.gens == closure.gens
+                assert rq.rlm.gen_names == closure.gen_names
+                assert rq.morphism == {v: action(s) for s, v in enumerate(sgp.elements)}
+                assert set(rq.morphism.values()) == set(closure.elements)
+                checked += 1
+        assert checked == 9 + 21  # T_4 and I_4, then the GM corpus members
+
+    def test_each_changed_map_is_rejected(self, monkeypatch):
+        # one element's map, a generator's included, replaced by another
+        # element's map (so the set of maps stays the same) or by a drawn
+        # map of the same degree.  On a carrier where the changed table is
+        # still a morphism (the trivial semigroup sent to the empty map) no
+        # check could see it; on T_4 and I_4 every change shows.
+        rng = random.Random(23)
+        action_map = semilocal._lclass_action_map
+        changes = 0
+        for sgp in degree4_carriers().values():
+            for j, regular in enumerate(sgp.green().regular):
+                if not regular:
+                    continue
+                jref = JClassRef(sgp, j)
+                action = action_map(sgp, jref)
+                maps = [action(s) for s in range(len(sgp))]
+                degree = maps[0].degree
+                for s0, old in enumerate(maps):
+                    drawn = old
+                    while drawn == old:
+                        drawn = T(tuple(rng.randrange(degree + 1) for _ in range(degree)))
+                    other = next((m for m in maps if m != old), None)
+                    for new in filter(None, (other, drawn)):
+                        changed = maps[:s0] + [new] + maps[s0 + 1:]
+                        monkeypatch.setattr(
+                            semilocal, "_lclass_action_map",
+                            lambda sgp, jref, changed=changed: changed.__getitem__,
+                        )
+                        with pytest.raises(VerificationError) as err:
+                            rlm_quotient(sgp, jref)
+                        assert str(err.value) == "quotient morphism leaves the generated image"
+                        changes += 1
+        # I_4's zero class gives every element one map, so no other map
+        assert changes == 2 * (4 * 256 + 5 * 209) - 209
 
 
 class TestGmQuotient:
