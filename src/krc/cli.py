@@ -107,7 +107,7 @@ def cmd_rlm(args) -> int:
         "b_classes": len(rq.jref.b_classes),
         "order": len(rq.rlm),
         "morphism": sorted(
-            [str(s), str(v)] for s, v in rq.morphism.items()
+            [str(s), str(rq.rlm.elements[c])] for s, c in zip(sgp.elements, rq.code)
         ),
     }
     sys.stdout.write(_dump_json(sidecar))
@@ -124,7 +124,7 @@ def cmd_gm(args) -> int:
         "generalized_only": gq.generalized_only,
         "injective_on_all_subgroups": gq.injective_on_all_subgroups,
         "classes": sorted(
-            [str(s), gq.morphism[s]] for s in sgp.elements
+            [str(s), r] for s, r in zip(sgp.elements, gq.class_rep)
         ),
     }
     sys.stdout.write(_dump_json(sidecar))

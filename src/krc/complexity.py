@@ -15,10 +15,9 @@ searching, and accepts only if it gets the same certificate back.
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional, Sequence
 
 from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
@@ -37,8 +36,6 @@ from .flows import (
     verify_flow,
 )
 
-IDENT = ("I",)  # the fresh identity object of a derived category
-
 DEFAULT_CHAIN_BUDGET = 50_000
 DERIVED_WREATH_CARRIER_BUDGET = 10_000  # elements of D(phi) wr D(psi)
 
@@ -53,42 +50,34 @@ ARROW_CHECK_LIMIT = 4000
 @dataclass
 class RelationalMorphism:
     """A fully defined relation S -> T whose graph is a subsemigroup of
-    S x T, stored enumerated."""
+    S x T, stored enumerated on element indices.  `preimages[t]` lists the
+    source indices related to target index t, in order."""
 
     source: FiniteSemigroup
     target: FiniteSemigroup
-    graph: set  # of (s_value, t_value)
-    gen_choice: dict[str, Any]  # per generator name, one chosen t-partner
+    graph: set[tuple[int, int]]  # (source index, target index)
+    gen_choice: dict[str, int]  # per generator name, one chosen target index
+    preimages: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if {p[0] for p in self.graph} != set(self.source.elements):
+        if {s for s, _ in self.graph} != set(range(len(self.source))):
             raise InputError("relational morphism is not fully defined")
+        s_mul, t_mul = self.source.mul_index, self.target.mul_index
         for (s1, t1) in self.graph:
             for (s2, t2) in self.graph:
-                if (
-                    self.source.mul(s1, s2),
-                    self.target.mul(t1, t2),
-                ) not in self.graph:
+                if (s_mul(s1, s2), t_mul(t1, t2)) not in self.graph:
                     raise InputError("graph is not a subsemigroup of S x T")
-
-    def preimage(self, t_value) -> list[Any]:
-        return sorted(
-            (s for (s, t) in self.graph if t == t_value),
-            key=lambda v: self.source.index[v],
-        )
+        self.preimages = [[] for _ in self.target.elements]
+        for s, t in sorted(self.graph):
+            self.preimages[t].append(s)
 
     def is_aperiodic_morphism(self) -> bool:
         """Preimages of idempotents are aperiodic subsemigroups."""
         for i in self.target.idempotent_indices():
-            pre = self.preimage(self.target.elements[i])
-            if not pre:
-                continue
-            sub = FiniteSemigroup.from_elements(
-                pre,
-                self.source.mul,
-                sort_key=lambda v: self.source.index[v],
-            )
-            if not is_aperiodic(sub):
+            pre = self.preimages[i]
+            if pre and not is_aperiodic(
+                FiniteSemigroup.from_elements(pre, self.source.mul_index)
+            ):
                 return False
         return True
 
@@ -96,12 +85,14 @@ class RelationalMorphism:
     def from_function(
         cls, source: FiniteSemigroup, target: FiniteSemigroup, mapping: dict[Any, Any]
     ) -> "RelationalMorphism":
-        graph = {(s, mapping[s]) for s in source.elements}
-        gen_choice = {
-            name: mapping[source.elements[gi]]
-            for name, gi in zip(source.gen_names, source.gens)
-        }
-        return cls(source, target, graph, gen_choice)
+        """The graph of a function given on values: `mapping` sends every
+        element of the source to an element of the target."""
+        try:
+            images = [target.index[mapping[v]] for v in source.elements]
+        except KeyError:
+            raise InputError("mapping is not a function from the source into the target") from None
+        gen_choice = {name: images[gi] for name, gi in zip(source.gen_names, source.gens)}
+        return cls(source, target, set(enumerate(images)), gen_choice)
 
     @classmethod
     def identity(cls, sgp: FiniteSemigroup) -> "RelationalMorphism":
@@ -113,48 +104,35 @@ class RelationalMorphism:
         return cls.from_function(sgp, triv, {v: triv.elements[0] for v in sgp.elements})
 
     def compose(self, other: "RelationalMorphism") -> "RelationalMorphism":
-        if self.target is not other.source and set(self.target.elements) != set(
-            other.source.elements
-        ):
+        """self then other.  A middle carrier built twice with the same
+        elements is re-indexed through its values."""
+        if self.target is other.source:
+            middle: Sequence[int] = range(len(self.target))
+        elif set(self.target.elements) == set(other.source.elements):
+            middle = [other.source.index[v] for v in self.target.elements]
+        else:
             raise InputError("morphisms do not compose")
-        graph = {
-            (s, u)
-            for (s, t) in self.graph
-            for (t2, u) in other.graph
-            if t2 == t
-        }
-        gen_choice = {}
-        for name in self.gen_choice:
-            t = self.gen_choice[name]
-            partners = sorted(
-                (u for (t2, u) in other.graph if t2 == t),
-                key=lambda v: other.target.index[v],
-            )
-            gen_choice[name] = partners[0]
+        images: list[list[int]] = [[] for _ in other.source.elements]
+        for t, u in sorted(other.graph):
+            images[t].append(u)
+        graph = {(s, u) for s, t in self.graph for u in images[middle[t]]}
+        gen_choice = {name: images[middle[t]][0] for name, t in self.gen_choice.items()}
         return RelationalMorphism(self.source, other.target, graph, gen_choice)
 
 
 # -- derived semigroup -------------------------------------------------------
 
 
-def _arrow_end(t_sgp: FiniteSemigroup, obj, t2):
-    """The object where the arrow (obj, (s, t2)) ends."""
-    return t2 if obj is IDENT else t_sgp.mul(obj, t2)
-
-
-def _arrow_key(rho: RelationalMorphism, pre: dict, obj, s, t2) -> tuple:
+def _arrow_key(rho: RelationalMorphism, obj: int, s: int, t2: int) -> tuple:
     """The class of the derived-category arrow (obj, (s, t2)): source and end
-    objects by index, and a label.  An arrow from a target object is labeled
-    by its left translation on that object's preimage `pre[obj]`; the fresh
-    object labels by s on the nose."""
-    s_sgp, t_sgp = rho.source, rho.target
-    end = _arrow_end(t_sgp, obj, t2)
-    if obj is IDENT:
-        label: Any = (s_sgp.index[s], None)
-    else:
-        label = tuple(s_sgp.index[s_sgp.mul(s1, s)] for s1 in pre[obj])
-    oi = -1 if obj is IDENT else t_sgp.index[obj]
-    return (oi, t_sgp.index[end], label)
+    objects, and a label, all by index, with -1 the fresh object.  An arrow
+    from a target object is labeled by its left translation on that
+    object's preimage; the fresh object labels by s on the nose."""
+    if obj < 0:
+        return (-1, t2, (s, None))
+    s_mul = rho.source.mul_index
+    label = tuple(s_mul(s1, s) for s1 in rho.preimages[obj])
+    return (obj, rho.target.mul_index(obj, t2), label)
 
 
 def derived_semigroup(rho: RelationalMorphism) -> FiniteSemigroup:
@@ -166,46 +144,35 @@ def derived_semigroup(rho: RelationalMorphism) -> FiniteSemigroup:
     fresh object forcing equality on the nose.  Non-composable products
     are 0.
     """
-    s_sgp, t_sgp = rho.source, rho.target
-    objects = [IDENT] + list(t_sgp.elements)
-    pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
-    arrow_key = functools.partial(_arrow_key, rho, pre)
-
+    s_mul, t_mul = rho.source.mul_index, rho.target.mul_index
     arrows: dict[tuple, tuple] = {}  # class key -> canonical representative
     members: dict[tuple, list[tuple]] = {}
-    for obj in objects:
-        for (s, t2) in sorted(
-            rho.graph, key=lambda p: (s_sgp.index[p[0]], t_sgp.index[p[1]])
-        ):
-            key = arrow_key(obj, s, t2)
+    for obj in range(-1, len(rho.target)):
+        for s, t2 in sorted(rho.graph):
+            key = _arrow_key(rho, obj, s, t2)
             arrows.setdefault(key, (obj, s, t2))
             members.setdefault(key, []).append((obj, s, t2))
 
-    def arrow_mul(k1, k2):
-        obj1, s1, t1 = arrows[k1]
-        end1 = _arrow_end(t_sgp, obj1, t1)
-        # composable iff the second arrow starts where the first ends
-        if k2[0] < 0 or t_sgp.index[end1] != k2[0]:
-            return ZERO
-        _, s2, t2 = arrows[k2]
-        return arrow_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
-
     def mul(u, v):
-        if u == ZERO or v == ZERO:
+        # composable iff the second arrow starts where the first ends
+        if u == ZERO or v == ZERO or u[1] != v[0]:
             return ZERO
-        return arrow_mul(u, v)
+        (obj1, s1, t1), (_, s2, t2) = arrows[u], arrows[v]
+        return _arrow_key(rho, obj1, s_mul(s1, s2), t_mul(t1, t2))
 
     values = [ZERO] + sorted(arrows)
     der = FiniteSemigroup.from_elements(
         values, mul, sort_key=lambda v: (0,) if v == ZERO else (1,) + v
     )
-    _verify_arrow_identification(rho, members, arrow_key)
+    _verify_arrow_identification(rho, members)
     return der
 
 
-def _verify_arrow_identification(rho, members, arrow_key) -> None:
-    """Products may not depend on the representative arrow chosen."""
-    s_sgp, t_sgp = rho.source, rho.target
+def _verify_arrow_identification(rho: RelationalMorphism, members: dict) -> None:
+    """Products may not depend on the representative arrow chosen.  The
+    arrows of class k1 compose with those of k2 exactly when k2 starts
+    where k1 ends."""
+    s_mul, t_mul = rho.source.mul_index, rho.target.mul_index
     total = sum(len(v) for v in members.values())
     if total > ARROW_CHECK_LIMIT:
         raise ResourceError(
@@ -214,19 +181,15 @@ def _verify_arrow_identification(rho, members, arrow_key) -> None:
         )
     for k1, arr1 in members.items():
         for k2, arr2 in members.items():
-            expected = None
-            for (obj1, s1, t1) in arr1:
-                end1 = _arrow_end(t_sgp, obj1, t1)
-                for (obj2, s2, t2) in arr2:
-                    if obj2 is IDENT or t_sgp.index[end1] != t_sgp.index[obj2]:
-                        continue
-                    got = arrow_key(obj1, s_sgp.mul(s1, s2), t_sgp.mul(t1, t2))
-                    if expected is None:
-                        expected = got
-                    elif expected != got:
-                        raise VerificationError(
-                            "derived product depends on the representative"
-                        )
+            if k2[0] != k1[1]:
+                continue
+            products = {
+                _arrow_key(rho, obj1, s_mul(s1, s2), t_mul(t1, t2))
+                for (obj1, s1, t1) in arr1
+                for (_, s2, t2) in arr2
+            }
+            if len(products) > 1:
+                raise VerificationError("derived product depends on the representative")
 
 
 def derived_division_witness(
@@ -234,26 +197,22 @@ def derived_division_witness(
 ) -> DivisionWitness:
     """S < D(rho) wr T with the canonical lifts f_x(t1) = [t1, (x, t_x)];
     the fresh-object component pins down the source element, which is what
-    makes the relation functional."""
+    makes the relation functional.  The wreath's points are the fresh
+    object's marker, then T's elements in index order."""
     s_sgp, t_sgp = rho.source, rho.target
-    pre: dict[Any, list[Any]] = {t: rho.preimage(t) for t in t_sgp.elements}
-
     w = WreathProduct(
         ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp)
     )
-    marker = w.right.points[0]
     lifts = {}
     for name, gi in zip(s_sgp.gen_names, s_sgp.gens):
-        x = s_sgp.elements[gi]
         tx = rho.gen_choice[name]
         fvals = []
-        for p in w.right.points:
-            obj = IDENT if p is marker else p
-            key = _arrow_key(rho, pre, obj, x, tx)
+        for obj in range(-1, len(t_sgp)):
+            key = _arrow_key(rho, obj, gi, tx)
             if key not in derived.index:
                 raise VerificationError("lift arrow missing from the derived semigroup")
             fvals.append(key)
-        lifts[name] = (tuple(fvals), tx)
+        lifts[name] = (tuple(fvals), t_sgp.elements[tx])
     return check_division(s_sgp, w, lifts=lifts)
 
 
@@ -306,10 +265,7 @@ def rhodes_expansion(
         raw = list(beta) + [t_sgp.mul_index(a, top) for a in alpha]
         return reduce(raw)
 
-    expansion = FiniteSemigroup.from_elements(
-        chains, mul, sort_key=lambda c: c,
-        gen_values=None,
-    )
+    expansion = FiniteSemigroup.from_elements(chains, mul, sort_key=lambda c: c)
     eta = {c: t_sgp.elements[c[-1]] for c in expansion.elements}
     # eta is a surjective morphism onto T
     if set(eta.values()) != set(t_sgp.elements):
@@ -327,19 +283,11 @@ def lift_through_expansion(
     eta: dict[Any, Any],
 ) -> RelationalMorphism:
     """The induced relation S -> T-hat: relate s to every chain over a
-    partner of s."""
-    graph = {
-        (s, chain)
-        for chain in expansion.elements
-        for s in rho.preimage(eta[chain])
-    }
-    gen_choice = {}
-    for name, t in rho.gen_choice.items():
-        partners = sorted(
-            (c for c in expansion.elements if eta[c] == t),
-            key=lambda c: expansion.index[c],
-        )
-        gen_choice[name] = partners[0]
+    partner of s.  A generator's chosen chain is the first chain over its
+    chosen partner."""
+    top = [rho.target.index[eta[c]] for c in expansion.elements]
+    graph = {(s, c) for c, t in enumerate(top) for s in rho.preimages[t]}
+    gen_choice = {name: top.index(t) for name, t in rho.gen_choice.items()}
     return RelationalMorphism(rho.source, expansion, graph, gen_choice)
 
 
@@ -375,10 +323,7 @@ def gm_reduction(
     # the combined projection is injective on every maximal subgroup
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
-        combined = {
-            tuple(gq.morphism[sgp.elements[i]] for _, gq in children)
-            for i in h_members
-        }
+        combined = {tuple(gq.class_rep[i] for _, gq in children) for i in h_members}
         if children and len(combined) != len(h_members):
             raise VerificationError(
                 "combined GM projection not injective on a subgroup"

@@ -140,9 +140,9 @@ class FiniteSemigroup:
     j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Light's test is skipped
     where it cannot fail, when the callable is `compose`: composing maps is
     associative, and the carrier is closed already, as `generate` closes by
-    construction, `from_elements` checks closure under the generators
-    plus reachability, and an RLM image is checked to be the closure of its
-    generators' maps (`semilocal.rlm_quotient`).  The callable may be
+    construction, `from_elements` checks closure, and an RLM image is
+    checked to be the closure of its generators' maps
+    (`semilocal.rlm_quotient`).  The callable may be
     `compose` without being called: `generate` composes image tuples by
     gathers instead.  Every other callable, a GM image's included, gets
     the full test.
@@ -285,28 +285,17 @@ class FiniteSemigroup:
         values: Iterable[Any],
         mul: Callable[[Any, Any], Any],
         sort_key: Callable[[Any], Any] = _transformation_key,
-        gen_values: Optional[Sequence[Any]] = None,
-        gen_names: Optional[Sequence[str]] = None,
     ) -> "FiniteSemigroup":
         """Wrap an explicitly enumerated carrier; verifies closure under
-        right multiplication by the generators, which together with the
-        generators reaching every element gives closure.
-
-        Without an explicit generating set every element is taken as a
-        generator (harmless at desk scale, and it keeps the Cayley graphs
-        honest).
-        """
+        multiplication.  Every element is taken as a generator (harmless
+        at desk scale, and it keeps the Cayley graphs honest)."""
         elements = sorted(set(values), key=sort_key)
         index = {v: i for i, v in enumerate(elements)}
-        if gen_values is None:
-            gen_values = elements
-            gen_names = [f"e{i}" for i in range(len(elements))]
-        elif gen_names is None:
-            gen_names = [f"x{i}" for i in range(len(gen_values))]
-        right = [[index.get(mul(u, g)) for g in gen_values] for u in elements]
+        right = [[index.get(mul(u, g)) for g in elements] for u in elements]
         if any(None in row for row in right):
             raise InputError("carrier is not closed under multiplication")
-        return cls(elements, [index[g] for g in gen_values], list(gen_names), right, mul)
+        n = len(elements)
+        return cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right, mul)
 
     def _check_associativity(self, mul: Callable[[Any, Any], Any]):
         """Light's test on the callable's own products (traced ones would
@@ -693,22 +682,10 @@ class FiniteGroup:
             raise VerificationError("group table not associative")
 
     def greedy_generators(self) -> list[int]:
-        """A generating set chosen greedily in element order: an element
-        joins when the right products of the chosen ones have not reached
-        it yet.  The products start from the identity, which associates in
-        the middle position already, so Light's test needs no generator
+        """`_greedy_generators` seeded with the identity, which associates
+        in the middle position already, so Light's test needs no generator
         for it."""
-        table = self.table
-        gens: list[int] = []
-        reached = {self.identity}
-        for i in range(len(table)):
-            if i not in reached:
-                gens.append(i)
-                frontier = reached | {i}
-                while frontier:
-                    reached |= frontier
-                    frontier = {table[u][g] for u in frontier for g in gens} - reached
-        return gens
+        return _greedy_generators(len(self.table), self.mul, {self.identity})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -748,31 +725,28 @@ class FiniteGroup:
         return f"<FiniteGroup of order {len(self.elements)}>"
 
 
+def _greedy_generators(n: int, mul: Callable[[int, int], int], seed: set[int]) -> list[int]:
+    """A generating set of the elements 0..n-1 chosen greedily in index
+    order: i joins when the products of the chosen ones, together with
+    `seed`, have not reached it yet.  Right products are enough, since
+    every word is its prefix times its last letter: the reached set is
+    `seed` with the subsemigroup the chosen ones generate, as a walk over
+    left and right products would reach."""
+    gens: list[int] = []
+    reached = set(seed)
+    for i in range(n):
+        if i not in reached:
+            gens.append(i)
+            frontier = reached | {i}
+            while frontier:
+                reached |= frontier
+                frontier = {mul(u, g) for u in frontier for g in gens} - reached
+    return gens
+
+
 def minimal_generating_set(sgp: FiniteSemigroup) -> list[int]:
     """A small generating set, greedily in canonical element order."""
-    n = len(sgp.elements)
-    gens: list[int] = []
-    reached: set[int] = set()
-    for i in range(n):
-        if i in reached:
-            continue
-        gens.append(i)
-        reached.add(i)
-        frontier = list(reached)
-        while frontier:
-            new = []
-            for u in frontier:
-                for g in gens:
-                    for p in (sgp.mul_index(u, g), sgp.mul_index(g, u)):
-                        if p not in reached:
-                            reached.add(p)
-                            new.append(p)
-            frontier = new
-        if len(reached) == n:
-            break
-    if len(reached) != n:
-        raise VerificationError("generating-set search failed to cover the semigroup")
-    return gens
+    return _greedy_generators(len(sgp.elements), sgp.mul_index, set())
 
 
 def with_generators(sgp: FiniteSemigroup, gen_indices: list[int]) -> FiniteSemigroup:

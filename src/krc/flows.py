@@ -288,7 +288,7 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
             for q in range(1, nq + 1)
         ]
         wx = outer.make(fvals, aut.letter_map(x))
-        lifts[x] = (wx, pres.rlmq.morphism[pres.sgp.elements[gi]])
+        lifts[x] = (wx, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
 
     # Qbar: each point ((g, j), q) of the wreath with 0, and with every b
     # in block j of q's label

@@ -424,9 +424,9 @@ def flat_kernel_matches_rlm(sgp: FiniteSemigroup, group: FiniteGroup) -> bool:
     this is the precise content of "RLM replaces nonzero entries by 1"."""
     cls = classify(sgp)
     rq = rlm_quotient(sgp, JClassRef(sgp, cls.distinguished_j))
-    for a in sgp.elements:
-        for b in sgp.elements:
-            if (rlm_matrix(a) == rlm_matrix(b)) != (rq.morphism[a] == rq.morphism[b]):
+    for a, ca in zip(sgp.elements, rq.code):
+        for b, cb in zip(sgp.elements, rq.code):
+            if (rlm_matrix(a) == rlm_matrix(b)) != (ca == cb):
                 return False
     return len({rlm_matrix(a) for a in sgp.elements}) == len(rq.rlm)
 
@@ -485,7 +485,7 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
             ),
             key=PartialMonomialMatrix.sort_key,
         )
-        lifts[name] = (extensions[0], pres.rlmq.morphism[x])
+        lifts[name] = (extensions[0], pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
     target = PairSemigroup(units_sgp, pres.rlmq.rlm)
     direct = check_division(sgp, target, lifts=lifts)
 

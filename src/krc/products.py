@@ -27,11 +27,13 @@ b = a + period(t).
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle on codes: `encode(v)` (KeyError when v is not an element of an
 enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
-oracle lists its `elements` and their `codes` in one order; a lazy one
-(`PairSemigroup`, `WreathProduct`, a `MulOracle` without a carrier) has
-`elements` None.  Codes are a `FiniteSemigroup`'s indices, a `MulOracle`'s
-numbering on first sight, a `PairSemigroup`'s pairs, and a wreath
-product's (tuple of left-factor codes or None, right-factor code).  An
+oracle lists its `elements` and their `codes` in one order (a wreath
+product's full carrier decodes its `elements` when first read); a lazy
+one (`PairSemigroup`, `WreathProduct`, a `MulOracle` without a carrier)
+has `elements` and `codes` None.  Codes are a `FiniteSemigroup`'s
+indices, a `MulOracle`'s numbering on first sight, a `PairSemigroup`'s
+pairs, and a wreath product's (tuple of left-factor codes or None,
+right-factor code).  An
 action pair acts on codes by `row(c)`: per point, its image's position,
 -1 where undefined.
 
@@ -51,7 +53,6 @@ The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -75,8 +76,8 @@ class MulOracle:
         self._codes = {v: i for i, v in enumerate(self._values)}
 
     @property
-    def codes(self) -> range:
-        return range(len(self.elements))
+    def codes(self) -> Optional[range]:
+        return None if self.elements is None else range(len(self.elements))
 
     def encode(self, value) -> int:
         code = self._codes.get(value)
@@ -98,6 +99,7 @@ class _LazyOracle:
     """A lazy oracle on codes; values multiply through their codes."""
 
     elements = None
+    codes = None
 
     def mul(self, u, v):
         return self.decode(self.mul_code(self.encode(u), self.encode(v)))
@@ -210,6 +212,12 @@ class WreathProduct(_LazyOracle):
     def sgp(self) -> "WreathProduct":
         return self
 
+    @functools.cached_property
+    def elements(self) -> Optional[list]:
+        """The values of `codes`, in order, decoded when first read; None
+        on a lazy product."""
+        return None if self.codes is None else [self.decode(c) for c in self.codes]
+
     def make(self, fvals: Sequence[Any], t) -> tuple[tuple, Any]:
         if len(fvals) != len(self.right.points):
             raise InputError("function part has wrong arity")
@@ -267,21 +275,18 @@ class WreathProduct(_LazyOracle):
         return None if j < 0 else self.points[j]
 
     def full_carrier(self, budget: int) -> "WreathProduct":
-        """S^Q x T enumerated, in the order of T's carrier and then of the
-        function parts over S's carrier, lexicographically."""
+        """S^Q x T enumerated as `codes`, in the order of T's carrier and
+        then of the function parts over S's carrier, lexicographically."""
         left, right = self.left.sgp, self.right.sgp
         nq = len(self.right.points)
-        size = len(left.elements) ** nq * len(right.elements)
+        size = len(left.codes) ** nq * len(right.codes)
         if size > budget:
             raise ResourceError(
                 f"wreath carrier of size {size} exceeds the budget of {budget}"
             )
-        carrier = copy.copy(self)
+        carrier = WreathProduct(self.left, self.right, self.restrict_to_domain)
         carrier.codes = [
             (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
-        ]
-        carrier.elements = [
-            (f, t) for t in right.elements for f in itertools.product(left.elements, repeat=nq)
         ]
         return carrier
 
@@ -455,7 +460,7 @@ def check_division(
         # built from the closure just checked, so not re-verified
         return DivisionWitness(s, target, dict(lifts), result)
 
-    if target.elements is None:
+    if target.codes is None:
         raise InputError("division search needs an enumerated target")
     names = list(s.gen_names)
     k = len(names)

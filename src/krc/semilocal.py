@@ -66,6 +66,11 @@ class JClassRef:
         """For every element s, the row (u*s for u in `members`)."""
         return self.sgp.right_translations(self.members)
 
+    @cached_property
+    def column(self) -> dict[int, int]:
+        """Each member's column in `rows`."""
+        return {u: k for k, u in enumerate(self.members)}
+
     @property
     def is_regular(self) -> bool:
         return self.sgp.green().regular[self.j_id]
@@ -168,13 +173,12 @@ def _classify(sgp: FiniteSemigroup) -> Classification:
 
 @dataclass
 class RlmQuotient:
-    """The action of S on the L-classes of J by partial maps, with the
-    quotient morphism table."""
+    """The action of S on the L-classes of J by partial maps: `code[s]` is
+    the index in `rlm` of element s's map."""
 
     jref: JClassRef
     rlm: FiniteSemigroup  # transformations on 1..|B|
-    morphism: dict[Any, PartialTransformation]
-    image_of_j: set[PartialTransformation]
+    code: list[int] = field(repr=False)
 
 
 def _lclass_action_map(
@@ -243,28 +247,23 @@ def rlm_quotient(
         [list(row_getter(sgp.right_cayley[some[c]])(code)) for c in range(len(elements))],
         compose,
     )
-    morphism = dict(zip(sgp.elements, maps))
-    image_of_j = {morphism[sgp.elements[i]] for i in jref.members}
+    image_of_j = {code[i] for i in jref.members}
     cls = classify(rlm, _shared)  # first, so an equal carrier's Green structure is adopted
 
     # the image of J is an aperiodic J-class of the quotient
     rgs = rlm.green()
-    img_ids = {rgs.j_of[rlm.index[v]] for v in image_of_j}
+    img_ids = {rgs.j_of[c] for c in image_of_j}
     if len(img_ids) != 1:
         raise VerificationError("image of J is not a single J-class")
     if JClassRef(rlm, img_ids.pop()).contains_nontrivial_subgroup():
         raise VerificationError("image of J is not aperiodic")
     if not cls.right_mapping:
         raise VerificationError("RLM quotient is not right mapping")
-    distinguished = {
-        rlm.elements[i]
-        for i in rlm.green().j_classes[cls.distinguished_j]
-    }
-    if distinguished != image_of_j:
+    if set(rgs.j_classes[cls.distinguished_j]) != image_of_j:
         raise VerificationError(
             "distinguished class of the RLM quotient is not the image of J"
         )
-    return RlmQuotient(jref, rlm, morphism, image_of_j)
+    return RlmQuotient(jref, rlm, code)
 
 
 def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int], list[int]]:
@@ -293,13 +292,12 @@ def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int
 
 @dataclass
 class GmQuotient:
-    """The GM image at J: `class_rep[s]` (and `morphism` on values) is the
-    least member of s's class, and `quotient` is the image as a carrier on
-    those least members, built when first read."""
+    """The GM image at J: `class_rep[s]` is the least member of s's class,
+    and `quotient` is the image as a carrier on those least members, built
+    when first read."""
 
     sgp: FiniteSemigroup = field(repr=False)
     class_rep: list[int] = field(repr=False)
-    morphism: dict[Any, int]
     generalized_only: bool  # True when J is aperiodic (warning case)
     injective_on_all_subgroups: bool
 
@@ -378,7 +376,6 @@ def gm_quotient(
     gq = GmQuotient(
         sgp,
         class_rep,
-        dict(zip(sgp.elements, class_rep)),
         generalized_only=not jref.contains_nontrivial_subgroup(),
         injective_on_all_subgroups=True,
     )
@@ -505,8 +502,7 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     a_pos = {a: k for k, a in enumerate(a_classes)}
     b_pos = {b: k for k, b in enumerate(b_classes)}
     # p_a, g and q_b lie in J, so p_a*(g*q_b) and q_b*p_a are table entries
-    rows = jref.rows
-    column = {u: k for k, u in enumerate(jref.members)}
+    rows, column = jref.rows, jref.column
     g_columns = [column[sgp.index[v]] for v in group.elements]
 
     # in member order, so the k-th coordinate is the table's column k
@@ -579,11 +575,12 @@ class GroupMappingPresentation:
     def n_b(self) -> int:
         return len(self.rees.b_classes)
 
-    def label_of(self, b_pos: int, s_value) -> Optional[tuple[int, int]]:
-        """((b)s, b.s) for an arbitrary element, or None if b.s is undefined."""
+    def label_of(self, b_pos: int, s: int) -> Optional[tuple[int, int]]:
+        """((b)s, b.s) for the element of index s, or None if b.s is
+        undefined."""
         rc, jref = self.rees, self.jref
         u = rc.uncoord[(0, rc.group.identity, b_pos)]
-        p = jref.rows[self.sgp.index[s_value]][jref.members.index(u)]
+        p = jref.rows[s][jref.column[u]]
         if self.sgp.green().j_of[p] != jref.j_id:
             return None
         a, g, b2 = rc.coord[p]
@@ -601,11 +598,11 @@ def group_mapping_presentation(
     jref = JClassRef(sgp, cls.distinguished_j)
     rc = rees_coordinates(sgp, jref)
     rlmq = rlm_quotient(sgp, jref, _shared)
-    gens = [(name, sgp.elements[gi]) for name, gi in zip(sgp.gen_names, sgp.gens)]
-    rlm_of_gen = {name: rlmq.morphism[x].images for name, x in gens}
+    gens = list(zip(sgp.gen_names, sgp.gens))
+    rlm_of_gen = {name: rlmq.rlm.elements[rlmq.code[gi]].images for name, gi in gens}
     pres = GroupMappingPresentation(sgp, jref, rc, rlmq, rlm_of_gen, {}, cls.group_mapping)
-    for name, x in gens:
-        labels = (pres.label_of(b, x) for b in range(pres.n_b))
+    for name, gi in gens:
+        labels = (pres.label_of(b, gi) for b in range(pres.n_b))
         pres.label_of_gen[name] = tuple(
             rc.group.identity if lab is None else lab[0] for lab in labels
         )

@@ -207,6 +207,23 @@ class TestQuotientCommands:
         assert code == EXIT_OK
         assert out == text + json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("file,jclass,text,sidecar", [
+        ("b2z2_1", 1, "points: 2\ngens:\ne: 1 2\na: 2 -\nb: - 1\n",
+         {"b_classes": 2, "jclass": 1, "order": 6,
+          "morphism": [["- - - -", "- -"], ["- - 1 2", "- 1"], ["- - 2 1", "- 1"],
+                       ["- - 3 4", "- 2"], ["- - 4 3", "- 2"], ["1 2 - -", "1 -"],
+                       ["1 2 3 4", "1 2"], ["2 1 - -", "1 -"], ["3 4 - -", "2 -"],
+                       ["4 3 - -", "2 -"]]}),
+        ("z2_rz2", 0, "points: 2\ngens:\nx: 1 1\ny: 2 2\n",
+         {"b_classes": 2, "jclass": 0, "order": 2,
+          "morphism": [["1 2 3 3", "1 1"], ["1 2 4 4", "2 2"], ["2 1 3 3", "1 1"],
+                       ["2 1 4 4", "2 2"]]}),
+    ], ids=["b2z2_1-J1", "z2_rz2-J0"])
+    def test_rlm_stdout_is_pinned(self, capsys, file, jclass, text, sidecar):
+        code, out, _ = run(capsys, "rlm", corpus_file(file), "--jclass", str(jclass))
+        assert code == EXIT_OK
+        assert out == text + json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
+
     def test_rees_sidecar(self, capsys):
         code, out, _ = run(capsys, "rees", corpus_file("b2z2_1"), "--jclass", "1")
         assert code == EXIT_OK

@@ -113,6 +113,33 @@ class TestDerived:
         assert estimate(z2_rz2).upper <= t_upper + d_upper
 
 
+class TestRelationalMorphism:
+    def test_compose_through_a_separately_built_middle(self, z2_rz2, z2_abs):
+        # the same middle carrier built again, in the other element order,
+        # is re-indexed through its values
+        proj = {v: 0 if v(1) == 1 else 1 for v in z2_rz2.elements}
+        rho = RelationalMorphism.from_function(z2_rz2, z2_abs, proj)
+        z2_rev = FiniteSemigroup.from_elements(
+            [0, 1], lambda a, b: (a + b) % 2, sort_key=lambda v: -v
+        )
+        assert z2_rev.elements == [1, 0]
+        one = rho.compose(RelationalMorphism.identity(z2_abs))
+        two = rho.compose(RelationalMorphism.from_function(z2_rev, z2_abs, {0: 0, 1: 1}))
+        assert (two.graph, two.gen_choice) == (one.graph, one.gen_choice)
+        d_one, d_two = derived_semigroup(one), derived_semigroup(two)
+        assert d_two.elements == d_one.elements
+        assert d_two.right_cayley == d_one.right_cayley
+
+    def test_compose_refuses_another_middle(self, z2_rz2, sym3):
+        with pytest.raises(InputError):
+            RelationalMorphism.to_trivial(z2_rz2).compose(RelationalMorphism.identity(sym3))
+
+    @pytest.mark.parametrize("mapping", [{0: 0, 1: 2}, {0: 0}], ids=["outside", "undefined"])
+    def test_from_function_outside_the_target(self, z2_abs, mapping):
+        with pytest.raises(InputError):
+            RelationalMorphism.from_function(z2_abs, z2_abs, mapping)
+
+
 class TestRhodesExpansion:
     def test_right_zero_unchanged(self, right_zero_2):
         ex, eta = rhodes_expansion(right_zero_2)
@@ -399,4 +426,4 @@ def test_flow_cap_check(corpus):
 def test_relational_morphism_validation(sym3):
     z2 = abstract([0, 1], lambda a, b: (a + b) % 2)
     with pytest.raises(InputError):
-        RelationalMorphism(sym3, z2, {(sym3.elements[0], 0)}, {})
+        RelationalMorphism(sym3, z2, {(0, 0)}, {})

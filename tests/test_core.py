@@ -169,24 +169,23 @@ class TestTracedProducts:
         }
 
     def test_generators_that_do_not_generate(self):
+        # 0 alone generates {0} in Z_3
         with pytest.raises(InputError, match="do not generate"):
-            FiniteSemigroup.from_elements(
-                [0, 1, 2], lambda a, b: (a + b) % 3, sort_key=lambda v: v, gen_values=[0]
-            )
+            FiniteSemigroup([0, 1, 2], [0], ["x0"], [[0], [1], [2]], lambda a, b: (a + b) % 3)
 
 
 class TestAssociativityCheck:
-    @pytest.mark.parametrize("gen_values", [None, [1]])
-    def test_subtraction_mod_3_rejected(self, gen_values):
+    @pytest.mark.parametrize("build", [
+        lambda mul: FiniteSemigroup.from_elements([0, 1, 2], mul, sort_key=lambda v: v),
+        lambda mul: FiniteSemigroup.generate([("x0", 1)], mul=mul, sort_key=lambda v: v),
+    ], ids=["every-element", "one-generator"])
+    def test_subtraction_mod_3_rejected(self, build):
         with pytest.raises(VerificationError):
-            FiniteSemigroup.from_elements(
-                [0, 1, 2], lambda a, b: (a - b) % 3, sort_key=lambda v: v,
-                gen_values=gen_values,
-            )
+            build(lambda a, b: (a - b) % 3)
 
     def test_addition_mod_3_accepted_from_one_generator(self):
-        s = FiniteSemigroup.from_elements(
-            [0, 1, 2], lambda a, b: (a + b) % 3, sort_key=lambda v: v, gen_values=[1]
+        s = FiniteSemigroup.generate(
+            [("x0", 1)], mul=lambda a, b: (a + b) % 3, sort_key=lambda v: v
         )
         assert len(s) == 3
 

@@ -51,9 +51,9 @@ def test_rlm_image_aperiodic_at_every_regular_class():
                 continue
             rq = rlm_quotient(sgp, jref)
             rgs = rq.rlm.green()
-            for v in rq.image_of_j:
-                h = rgs.h_classes[rgs.h_of[rq.rlm.index[v]]]
-                if rq.rlm.mul_index(rq.rlm.index[v], rq.rlm.index[v]) == rq.rlm.index[v]:
+            for c in {rq.code[i] for i in jref.members}:
+                h = rgs.h_classes[rgs.h_of[c]]
+                if rq.rlm.mul_index(c, c) == c:
                     assert len(h) == 1, (name, j)
 
 
@@ -72,9 +72,9 @@ def test_gm_projection_can_collapse_foreign_subgroups():
     gq = gm_quotient(s, JClassRef(s, units_class))
     assert not gq.injective_on_all_subgroups
     # the kernel subgroup is the collapsed one
-    assert gq.morphism[(0, 0)] == gq.morphism[(1, 0)]
+    assert gq.class_rep[s.index[(0, 0)]] == gq.class_rep[s.index[(1, 0)]]
     # the subgroup inside the distinguished class embeds
-    assert gq.morphism[(0, 1)] != gq.morphism[(1, 1)]
+    assert gq.class_rep[s.index[(0, 1)]] != gq.class_rep[s.index[(1, 1)]]
     # and at the kernel class everything separates again
     kernel_class = gs.j_of[s.index[(0, 0)]]
     gq2 = gm_quotient(s, JClassRef(s, kernel_class))

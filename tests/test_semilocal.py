@@ -177,18 +177,16 @@ class TestRlmQuotient:
         assert len(rq.rlm) == 6
         assert is_aperiodic(rq.rlm)
         # the nonzero ideal maps act like matrix units over the trivial group
-        maps = {m.images for m in rq.image_of_j}
+        maps = {rq.rlm.elements[rq.code[i]].images for i in rq.jref.members}
         assert maps == {(2, 0), (0, 1), (1, 0), (0, 2)}
 
     def test_flattening_matches_rlm_kernel(self, z2_group):
         # "changing all non-zero entries of elements of S to 1"
         sgp = small_monoid(2, z2_group, 1)
         rq = rlm_quotient(sgp, JClassRef(sgp, classify(sgp).distinguished_j))
-        for a in sgp.elements:
-            for b in sgp.elements:
-                assert (rlm_matrix(a) == rlm_matrix(b)) == (
-                    rq.morphism[a] == rq.morphism[b]
-                )
+        for a, ca in zip(sgp.elements, rq.code):
+            for b, cb in zip(sgp.elements, rq.code):
+                assert (rlm_matrix(a) == rlm_matrix(b)) == (ca == cb)
 
     def test_well_defined_across_representatives(self, b2z2_1):
         # bs in J for one representative iff for all: rebuilt per element
@@ -275,8 +273,10 @@ class TestRlmImageReadOff:
                 assert rq.rlm.right_cayley == closure.right_cayley
                 assert rq.rlm.gens == closure.gens
                 assert rq.rlm.gen_names == closure.gen_names
-                assert rq.morphism == {v: action(s) for s, v in enumerate(sgp.elements)}
-                assert set(rq.morphism.values()) == set(closure.elements)
+                assert [rq.rlm.elements[c] for c in rq.code] == [
+                    action(s) for s in range(len(sgp))
+                ]
+                assert set(rq.code) == set(range(len(closure)))
                 checked += 1
         assert checked == 9 + 21  # T_4 and I_4, then the GM corpus members
 
@@ -338,7 +338,7 @@ class TestGmQuotient:
             if gs.j_of[e] != jref.j_id:
                 continue
             h = gs.h_classes[gs.h_of[e]]
-            images = {gq.morphism[small17_trans.elements[i]] for i in h}
+            images = {gq.class_rep[i] for i in h}
             assert len(images) == len(h)
 
     def test_cayley_graph_read_off_the_parent(self, corpus):
@@ -350,12 +350,11 @@ class TestGmQuotient:
                 if not regular:
                     continue
                 gq = gm_quotient(sgp, JClassRef(sgp, j))
-                class_rep = [gq.morphism[v] for v in sgp.elements]
-                traced = FiniteSemigroup.from_elements(
-                    class_rep,
-                    lambda a, b: class_rep[sgp.mul_index(a, b)],
+                class_rep = gq.class_rep
+                traced = FiniteSemigroup.generate(
+                    [(name, class_rep[g]) for name, g in zip(sgp.gen_names, sgp.gens)],
+                    mul=lambda a, b: class_rep[sgp.mul_index(a, b)],
                     sort_key=lambda v: v,
-                    gen_values=[class_rep[g] for g in sgp.gens],
                 )
                 assert gq.quotient.elements == traced.elements
                 assert gq.quotient.gens == traced.gens
@@ -370,7 +369,7 @@ class TestGmQuotient:
 
 def _full_profile_classes(sgp, jref):
     """The GM congruence by its definition: s ~ t iff x*s*y and x*t*y agree
-    through J for all x, y in J; maps each element to its least class member."""
+    through J for all x, y in J; per element index, its least class member."""
     gs = sgp.green()
     profiles = {}
     for s in range(len(sgp.elements)):
@@ -381,7 +380,8 @@ def _full_profile_classes(sgp, jref):
                 p = sgp.mul_index(xs, y)
                 prof.append(p if gs.j_of[p] == jref.j_id else -1)
         profiles.setdefault(tuple(prof), []).append(s)
-    return {sgp.elements[s]: min(cls) for cls in profiles.values() for s in cls}
+    least = {s: min(cls) for cls in profiles.values() for s in cls}
+    return [least[s] for s in range(len(sgp.elements))]
 
 
 def test_gm_key_matches_full_profile(corpus):
@@ -393,7 +393,7 @@ def test_gm_key_matches_full_profile(corpus):
         for j_id, regular in enumerate(gs.regular):
             if regular:
                 jref = JClassRef(sgp, j_id)
-                assert gm_quotient(sgp, jref).morphism == _full_profile_classes(sgp, jref)
+                assert gm_quotient(sgp, jref).class_rep == _full_profile_classes(sgp, jref)
                 checked += 1
     assert checked == 494
 
@@ -422,8 +422,7 @@ def test_generator_congruence_check_matches_all_pairs(corpus):
         for j_id, regular in enumerate(gs.regular):
             if not regular:
                 continue
-            morphism = gm_quotient(sgp, JClassRef(sgp, j_id)).morphism
-            class_rep = [morphism[v] for v in sgp.elements]
+            class_rep = gm_quotient(sgp, JClassRef(sgp, j_id)).class_rep
             partitions = [class_rep]
             for a, b in itertools.combinations(sorted(set(class_rep)), 2):
                 partitions.append([a if r == b else r for r in class_rep])
@@ -653,9 +652,10 @@ class TestPresentation:
     def test_arbitrary_element_labels_compose(self, b2z2_1):
         pres = group_mapping_presentation(b2z2_1)
         g = pres.group
-        for s in b2z2_1.elements:
-            for t in b2z2_1.elements:
-                st = b2z2_1.mul(s, t)
+        n = len(b2z2_1)
+        for s in range(n):
+            for t in range(n):
+                st = b2z2_1.mul_index(s, t)
                 for b in range(pres.n_b):
                     lab_s = pres.label_of(b, s)
                     via = None
