@@ -24,6 +24,22 @@ a >= index(y) and period(y) divides b - a, so t^a = t^b forces
 x^a = x^b for all a < b exactly when it does for a = index(t),
 b = a + period(t).
 
+On a wreath carrier the (index, period) of every element is read
+coordinatewise (`WreathProduct.index_periods`).  (f,t)^n = (f_n, t^n) with
+f_n[q] = f[q].f[q.t]...f[q.t^(n-1)], a factor at an undefined point being
+the identity.  So per position q the pairs s_n(q) = (f_n[q], q.t^n) form a
+deterministic walk, s_(n+1)(q) = (f_n[q].f[q.t^n], q.t^(n+1)), that depends
+only on t, q and f along q's orbit under t; an undefined point (-1) is
+absorbing, and with `restrict_to_domain` the value there is None.  Two
+powers of (f,t) are equal exactly when t's powers and every coordinate's
+walk are equal (equal t^a, t^b give equal q.t^a, q.t^b).  Each of these
+sequences is a deterministic walk on a finite set, so, as for powers
+above, s_a = s_b for a < b exactly when a >= its index and its period
+divides b - a, the least i, p >= 1 with s_i = s_(i+p); all of them do
+exactly when a >= the greatest index and the lcm of the periods divides
+b - a.  So (f,t) has index the max and period the lcm over t's walk and
+the coordinate walks.
+
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle on codes: `encode(v)` (KeyError when v is not an element of an
 enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
@@ -55,6 +71,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -207,6 +225,14 @@ class WreathProduct(_LazyOracle):
             lambda a, b: b if a is None else a if b is None else mul(a, b)
         )
         self._right_mul = functools.lru_cache(maxsize=None)(right.sgp.mul_code)
+        # index_periods: per t its walks, per orbit shape (length m, the
+        # last position stepping to -1 or back to position end) the memo
+        # of walk shapes, and (index, period) by the walk shapes of a code
+        self._power_walks = functools.lru_cache(maxsize=None)(self._power_walks_of)
+        self._walk_memo = functools.lru_cache(maxsize=None)(
+            lambda m, end: _Memo(functools.partial(self._walk_shape, [*range(1, m), end]))
+        )
+        self._combined = _Memo(_max_lcm)
 
     @property
     def sgp(self) -> "WreathProduct":
@@ -270,6 +296,57 @@ class WreathProduct(_LazyOracle):
         images = range(nb) if c is None else self.left.row(c)
         return tuple([-1 if b2 < 0 else b2 * nq + j for b2 in images])
 
+    def index_periods(self, codes) -> list[tuple[int, int]]:
+        """Per code, the (index, period) of its powers, read coordinatewise
+        (see the module docstring): the max of the indices and the lcm of
+        the periods of t's walk and of every position's walk.  Each run of
+        codes with one t reads t's orbits once; a position's walk is looked
+        up by f's codes along its orbit, and a code's (index, period) by
+        the tuple of its walks' (index, period)."""
+        shapes = []
+        for t, run in itertools.groupby(codes, key=operator.itemgetter(1)):
+            fs = [f for f, _ in run]
+            t_shape, walks = self._power_walks(t)
+            columns = [map(memo.__getitem__, map(getter, fs)) for getter, memo in walks]
+            shapes += map(self._combined.__getitem__, zip(itertools.repeat(t_shape), *columns))
+        return shapes
+
+    def _power_walks_of(self, t) -> tuple[tuple[int, int], list]:
+        """t's (index, period) in T and, per position q of Q, a getter of
+        f's codes along q's orbit under t with the memo of walks along
+        orbits of that shape."""
+        right_mul = self._right_mul
+        shape = _index_period(t, lambda y: right_mul(y, t))
+        row = self.right.row(t)
+        walks = []
+        for q in range(len(row)):
+            orbit, seen = [q], {q: 0}
+            j = row[q]
+            while j >= 0 and j not in seen:
+                seen[j] = len(orbit)
+                orbit.append(j)
+                j = row[j]
+            memo = self._walk_memo(len(orbit), -1 if j < 0 else seen[j])
+            walks.append((operator.itemgetter(*orbit), memo))
+        return shape, walks
+
+    def _walk_shape(self, nxt: list[int], key) -> tuple[int, int]:
+        """(index, period) of a position's walk along an orbit whose k-th
+        position steps to its nxt[k]-th, -1 where undefined; `key` is f's
+        codes along the orbit, a lone code on a one-position orbit."""
+        vals = key if len(nxt) > 1 else (key,)
+        mul, restrict = self._left_mul, self.restrict_to_domain
+
+        def step(state):
+            v, k = state
+            if k < 0:
+                return (None if restrict else v, -1)
+            k2 = nxt[k]
+            v = mul(v, vals[k])
+            return (None if restrict and k2 < 0 else v, k2)
+
+        return _index_period((vals[0], nxt[0]), step)
+
     def act(self, point, w):
         j = self.row(self.encode(w))[self._pos[point]]
         return None if j < 0 else self.points[j]
@@ -289,6 +366,24 @@ class WreathProduct(_LazyOracle):
             (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
         ]
         return carrier
+
+
+class _Memo(dict):
+    """A dict that computes a missing value as fn(key) and keeps it."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+def _max_lcm(shapes) -> tuple[int, int]:
+    """(index, period) of walks taken together: the max of the indices and
+    the lcm of the periods."""
+    indices, periods = zip(*shapes)
+    return max(indices), math.lcm(*periods)
 
 
 # -- division certificates -------------------------------------------------
@@ -411,17 +506,25 @@ def _relation_closure(
 def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:
     """Per generator of S, the codes of the target elements whose
     one-generator closure is functional, by the (index, period) test, in
-    the target's order."""
+    the target's order.  A wreath carrier reads its elements' (index,
+    period) coordinatewise; any other target walks each element's powers.
+    The test runs once per distinct (index, period) and generator."""
     right = s.right_cayley
     gen_shapes = [
         _index_period(gi, lambda i, k=k: right[i][k]) for k, gi in enumerate(s.gens)
     ]
-    codes, mul = target.codes, target.mul_code
-    shapes = [_index_period(tc, lambda y, tc=tc: mul(y, tc)) for tc in codes]
-    return [
-        [tc for tc, (ti, tp) in zip(codes, shapes) if ti >= xi and tp % xp == 0]
-        for xi, xp in gen_shapes
-    ]
+    codes = target.codes
+    if isinstance(target, WreathProduct):
+        shapes = target.index_periods(codes)
+    else:
+        mul = target.mul_code
+        shapes = [_index_period(tc, lambda y, tc=tc: mul(y, tc)) for tc in codes]
+    distinct = set(shapes)
+    viable = []
+    for xi, xp in gen_shapes:
+        ok = {(ti, tp): ti >= xi and tp % xp == 0 for ti, tp in distinct}
+        viable.append(list(itertools.compress(codes, map(ok.__getitem__, shapes))))
+    return viable
 
 
 def check_division(
@@ -440,18 +543,21 @@ def check_division(
     one-generator closure {(t^n, x^n)} is functional, in the target's
     element order.  That holds exactly when index(t) >= index(x) and
     period(x) divides period(t) (see the module docstring), so the filter
-    closes nothing: it walks the powers of each target code once through
-    `target.mul_code`, and of each generator once along its column of
-    `s.right_cayley`.  The search assigns generators depth first in
+    closes nothing.  It walks the powers of each generator once along its
+    column of `s.right_cayley`.  A wreath carrier gives its codes' (index,
+    period) by `WreathProduct.index_periods`, which walks t's powers once
+    per distinct t and each position's walk once per distinct orbit shape
+    and f's codes along it; any other target walks the powers of each
+    target code once through `target.mul_code`.  The search assigns generators depth first in
     canonical order and closes the relation of each prefix of two or more
     lifts; a prefix whose closure is not functional is cut with its whole
     subtree, since every extension's relation contains it.  Surjectivity
     is checked on full tuples only.  The first witness is thus the first
     in the canonical order of all tuples, and a cut subtree counts all its
     tuples as tried.  The search stops when `budget` tuples are ruled out,
-    so for S with k generators it costs one power walk per target element
-    and per generator, then at most k closures per tuple of the budget and
-    one to re-verify a witness.
+    so for S with k generators it costs the (index, period) of every
+    target element and generator, then at most k closures per tuple of the
+    budget and one to re-verify a witness.
     """
     if lifts is not None:
         result = _relation_closure(s, target, _encode_lifts(target, lifts))

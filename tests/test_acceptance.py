@@ -339,7 +339,7 @@ def test_criterion_7_derived_and_expansion():
     for phi, psi, budget in instances:
         res = check_derived_wreath_division(phi, psi, budget=budget)
         outcomes.append(isinstance(res, DivisionWitness))
-    assert any(outcomes), "exhaustion on all three instances"
+    assert all(outcomes), f"witnessed on {sum(outcomes)}/3 instances"
     print(
         f"ACCEPTANCE 7: PASS - expansion morphisms on {len(corpus_names)} members, "
         f"{len(morphisms)} aperiodic relations with aperiodic derived lifts, "

@@ -256,6 +256,29 @@ class TestEstimate:
         with pytest.raises(Exception):
             ComplexityInterval(2, 1, {})
 
+    def test_flow_accept_never_swallows_a_construction(self, corpus, monkeypatch):
+        """flow_upper's `accept` returns None, and the search moves on,
+        only when presentation_construct fails on a verified flow; on the
+        corpus and on T_3, PT_3 and I_3 at default options it never does."""
+        accepted = []
+        search = complexity.flow_search
+
+        def counted_search(*args, accept, **kwargs):
+            def counted(flow):
+                accepted.append(accept(flow))
+                return accepted[-1]
+
+            return search(*args, accept=counted, **kwargs)
+
+        monkeypatch.setattr(complexity, "flow_search", counted_search)
+        sgps = [sgp for sgp, _ in corpus.values()]
+        sgps += [ladder(LADDER[name]) for name in ("T3", "PT3", "I3")]
+        assert len(sgps) == 20
+        for sgp in sgps:
+            estimate(sgp)
+        assert accepted, "no verified flow reached accept"
+        assert None not in accepted
+
 
 class TestDerivedWreathDivision:
     def test_three_tiny_instances(self):

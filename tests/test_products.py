@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
 from krc import complexity, products
-from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation
+from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, _index_period
 from krc.errors import InputError, ResourceError, VerificationError
 from krc.products import (
     ActionPair,
@@ -426,6 +427,101 @@ class TestViableFilter:
         assert viable == closure_viable(s, t)
         # an idempotent generator may lift anywhere; the others may not
         assert any(len(ok) < len(t.elements) for ok in viable)
+
+
+def walked_index_periods(w, codes):
+    """The (index, period) of each code by walking its powers through
+    `mul_code`, the oracle of `WreathProduct.index_periods`."""
+    return [_index_period(c, lambda y, c=c: w.mul_code(y, c)) for c in codes]
+
+
+def restricted(w, codes):
+    """The codes with None in f wherever q.t is undefined, as the wreath
+    formula leaves them under restrict_to_domain."""
+    return [
+        (tuple(None if j < 0 else c for c, j in zip(f, w.right.row(t))), t)
+        for f, t in codes
+    ]
+
+
+def partial_carrier(group_order, degree, seed, restrict):
+    """The full carrier of (G,G) wr (n, T), T generated by a nilpotent
+    shift (1 -> 2 -> ... -> n -> undefined) and two random partial
+    transformations of degree n."""
+    rng = random.Random(seed)
+    shift = tuple(range(2, degree + 1)) + (0,)
+    gens = [shift] + [tuple(rng.randrange(degree + 1) for _ in range(degree)) for _ in "ab"]
+    t = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
+    right = ActionPair.of_transformations(t)
+    return WreathProduct(group_pair(group_order), right, restrict).full_carrier(BUDGET)
+
+
+class TestIndexPeriods:
+    """`WreathProduct.index_periods` equals the walk of each code's powers
+    through `mul_code`, code for code."""
+
+    @pytest.mark.parametrize("name", ["trivial", "z2", "u1"])
+    def test_derived_wreath_carriers(self, name, derived_wreath_divisions):
+        _, carrier = derived_wreath_divisions[name]
+        got = carrier.index_periods(carrier.codes)
+        assert got == walked_index_periods(carrier, carrier.codes)
+        assert len(set(got)) > 1
+
+    @pytest.mark.parametrize("group_order,degree", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_partial_wreath_carriers(self, group_order, degree, seed, restrict):
+        w = partial_carrier(group_order, degree, seed, restrict)
+        # the shift: q.t is defined and q.t^n is not
+        shift = w.right.sgp.encode(T(tuple(range(2, degree + 1)) + (0,)))
+        assert w.right.row(shift) == (*range(1, degree), -1)
+        codes = w.codes
+        if restrict:
+            codes = restricted(w, codes)
+            assert any(None in f for f, _ in codes)
+        assert w.index_periods(codes) == walked_index_periods(w, codes)
+        # a shuffled list reads each run of one t on its own
+        shuffled = random.Random(seed).sample(codes, len(codes))
+        assert w.index_periods(shuffled) == walked_index_periods(w, shuffled)
+
+    def test_restricted_walk_of_an_unrestricted_code(self):
+        """Under restrict_to_domain the square of (f, t) drops f where q.t
+        is undefined, so a code that keeps f there has index 2; t fixes 1
+        and is undefined at 2 and 3."""
+        t = FiniteSemigroup.generate([("e", T((1, 0, 0)))])
+        w = WreathProduct(group_pair(2), ActionPair.of_transformations(t), True)
+        codes = [(f, 0) for f in itertools.product((0, 1), repeat=3)]
+        codes += restricted(w, [((0, 0, 0), 0), ((1, 0, 0), 0)])
+        got = w.index_periods(codes)
+        assert got == walked_index_periods(w, codes)
+        assert got == [(2, 1)] * 4 + [(2, 2)] * 4 + [(1, 1), (1, 2)]
+
+    def test_coprime_periods_combine_by_lcm(self):
+        """c is a 3-cycle on {1, 2, 3} fixing 4 (period 3), and g at 4 alone
+        has period 2 (under c^3 = 1), so (f, c) has period 6: the lcm, not
+        the max, of t's and the coordinates' periods."""
+        c, one = T((2, 3, 1, 4)), T((1, 2, 3, 4))
+        t = FiniteSemigroup.generate([("c", c)])
+        w = WreathProduct(group_pair(2), ActionPair.of_transformations(t))
+        c, one = w.right.sgp.encode(c), w.right.sgp.encode(one)
+        e = FiniteGroup.cyclic(2).identity
+        g = 1 - e
+        codes = [((e, e, e, e), c), ((e, e, e, g), one), ((e, e, e, g), c)]
+        got = w.index_periods(codes)
+        assert got == walked_index_periods(w, codes)
+        assert got == [(1, 3), (1, 2), (1, 6)]
+
+    def test_t_walk_counts_where_the_action_forgets_it(self):
+        """Z_2 acting trivially on one point, an action that is not
+        faithful: the coordinate walk of ((0,), t) is constant, and t's own
+        walk gives the period 2."""
+        z2 = FiniteGroup.cyclic(2)
+        idx = list(range(len(z2)))
+        mute = ActionPair([0], products.MulOracle(idx, z2.mul), lambda p, v: p)
+        w = WreathProduct(trivial_on(1), mute).full_carrier(BUDGET)
+        got = w.index_periods(w.codes)
+        assert got == walked_index_periods(w, w.codes)
+        assert got == [(1, 1), (1, 2)]
 
 
 class TestDivisionOutcomes:
