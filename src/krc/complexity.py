@@ -197,8 +197,8 @@ def derived_division_witness(
 ) -> DivisionWitness:
     """S < D(rho) wr T with the canonical lifts f_x(t1) = [t1, (x, t_x)];
     the fresh-object component pins down the source element, which is what
-    makes the relation functional.  The wreath's points are the fresh
-    object's marker, then T's elements in index order."""
+    makes the relation functional.  The wreath's right points are the
+    fresh object at position 0, then T's element of index i at 1 + i."""
     s_sgp, t_sgp = rho.source, rho.target
     w = WreathProduct(
         ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp)

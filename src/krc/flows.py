@@ -23,10 +23,11 @@ each block of W_q its target block and its group shift.  From a verified
 flow these transports give each generator its lift into
 (G wr Sym_b wr T_A) x RLM, with G wr Sym_b nested directly as the left
 factor, a wreath product being an action pair.  The lifted action is the
-wreath lift's own: Qbar pairs the wreath's points ((g, j), q) with B + 0,
-and the witness map rho onto G x B + 0 is checked to be a surjective
-morphism against `act` of each lift.  The division of S that the lifts
-generate is then machine-checked through the division machinery.
+wreath lift's own: Qbar pairs the wreath's points ((g, j), q), read by
+position, with B + 0, and the witness map rho onto G x B + 0 is checked
+to be a surjective morphism against the wreath row of each lift.  The
+division of S that the lifts generate is then machine-checked through the
+division machinery.
 """
 
 from __future__ import annotations
@@ -275,24 +276,25 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
 
     # the lifts into (G wr Sym_b wr T_A) x RLM; Sym_b and G wr Sym_b stay
     # lazy oracles, as checking given lifts only multiplies
-    sym = ActionPair(list(range(1, b_bar + 1)), MulOracle(None, compose), lambda q, p: p(q))
+    sym_b = MulOracle(None, compose)
+    sym = ActionPair(b_bar, sym_b, lambda c: tuple([v - 1 for v in sym_b.decode(c).images]))
     inner = WreathProduct(ActionPair.of_group(group), sym)
     outer = WreathProduct(inner, ActionPair.of_transformations(transition_semigroup(aut)))
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
-        fvals = [
-            None if aut.step(q, x) is None else inner.make(
+        fvals = tuple(
+            None if aut.step(q, x) is None else (
                 gbar[x][q - 1],
                 PartialTransformation(tuple(p + 1 for p in perms[x][q - 1])),
             )
             for q in range(1, nq + 1)
-        ]
-        wx = outer.make(fvals, aut.letter_map(x))
-        lifts[x] = (wx, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+        )
+        lifts[x] = ((fvals, aut.letter_map(x)), pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
 
-    # Qbar: each point ((g, j), q) of the wreath with 0, and with every b
-    # in block j of q's label
-    qbar: list[Any] = [(point, ZERO) for point in outer.points]
+    # Qbar: each point ((g, j), q) of the wreath, by its position
+    # ((g*b_bar + j-1)*nq + q-1), with 0, and with every b in block j of
+    # q's label
+    qbar: list[Any] = [(point, ZERO) for point in range(outer.size)]
     rho: dict[Any, Any] = dict.fromkeys(qbar, ZERO)
     for q in range(1, nq + 1):
         blocks = flow.labeling[q - 1].blocks
@@ -300,7 +302,7 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
         for j, blk in enumerate(blocks, 1):
             for b in blk:
                 for g in range(len(group)):
-                    omega = (((g, j), q), b)
+                    omega = ((g * b_bar + j - 1) * nq + q - 1, b)
                     qbar.append(omega)
                     rho[omega] = (group.mul(g, lab[b]), b)
 
@@ -333,11 +335,10 @@ def _verify_rho(pres, qbar, rho, outer: WreathProduct, lifts) -> None:
                 img = rlm_map[bb - 1]
                 down_x = (group.mul(h, labels[bb - 1]), img) if img else ZERO
             # action of x upstairs
-            j = moves[x][outer._pos[point]]
-            if j < 0:
+            up = moves[x][point]
+            if up < 0:
                 # the state path dies; nothing to compare
                 continue
-            up = outer.points[j]
             if b == ZERO:
                 omega_x = (up, ZERO)
             else:

@@ -5,7 +5,11 @@ functions are post-composed through the right factor's action:
 (b,q)(f,t) = (b(qf), qt) and (f,t)(f',t') = (f.(t o f'), tt').  Function
 parts may carry None entries, read as an adjoined identity of the left
 semigroup; the skip convention keeps the product associative on partial
-right actions.
+right actions.  A left factor may instead be (G, G^0), whose zero is
+undefined at every point (`ActionPair.of_group_with_zero`).  If two
+elements carry the zero exactly where q.t is undefined, so does their
+product: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or (q.t1).t2
+is undefined, since the zero absorbs and G holds no zero.
 
 Division S < T is always handled as a checkable certificate: generator
 lifts whose generated relation inside T x S is a surjective function onto
@@ -30,15 +34,14 @@ f_n[q] = f[q].f[q.t]...f[q.t^(n-1)], a factor at an undefined point being
 the identity.  So per position q the pairs s_n(q) = (f_n[q], q.t^n) form a
 deterministic walk, s_(n+1)(q) = (f_n[q].f[q.t^n], q.t^(n+1)), that depends
 only on t, q and f along q's orbit under t; an undefined point (-1) is
-absorbing, and with `restrict_to_domain` the value there is None.  Two
-powers of (f,t) are equal exactly when t's powers and every coordinate's
-walk are equal (equal t^a, t^b give equal q.t^a, q.t^b).  Each of these
-sequences is a deterministic walk on a finite set, so, as for powers
-above, s_a = s_b for a < b exactly when a >= its index and its period
-divides b - a, the least i, p >= 1 with s_i = s_(i+p); all of them do
-exactly when a >= the greatest index and the lcm of the periods divides
-b - a.  So (f,t) has index the max and period the lcm over t's walk and
-the coordinate walks.
+absorbing.  Two powers of (f,t) are equal exactly when t's powers and
+every coordinate's walk are equal (equal t^a, t^b give equal q.t^a,
+q.t^b).  Each of these sequences is a deterministic walk on a finite set,
+so, as for powers above, s_a = s_b for a < b exactly when a >= its index
+and its period divides b - a, the least i, p >= 1 with s_i = s_(i+p); all
+of them do exactly when a >= the greatest index and the lcm of the
+periods divides b - a.  So (f,t) has index the max and period the lcm
+over t's walk and the coordinate walks.
 
 Every division target and every `ActionPair.sgp` is a multiplication
 oracle on codes: `encode(v)` (KeyError when v is not an element of an
@@ -49,9 +52,12 @@ one (`PairSemigroup`, `WreathProduct`, a `MulOracle` without a carrier)
 has `elements` and `codes` None.  Codes are a `FiniteSemigroup`'s
 indices, a `MulOracle`'s numbering on first sight, a `PairSemigroup`'s
 pairs, and a wreath product's (tuple of left-factor codes or None,
-right-factor code).  An
-action pair acts on codes by `row(c)`: per point, its image's position,
--1 where undefined.
+right-factor code).
+
+An action pair (Q, S) has points 0..size-1 and acts on S's codes by
+`row(c)`: per point, its image's position, -1 where undefined.  A wreath
+product (B,S) wr (Q,T) is itself an action pair on B x Q, the point (b,q)
+at position b*|Q| + q, so wreath products nest.
 
 Divisions run on codes; the source steps along its right Cayley graph by
 index.  Values appear only at the boundary: given lifts are encoded once,
@@ -76,7 +82,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .core import FiniteGroup, FiniteSemigroup, _index_period
+from .core import ZERO, FiniteGroup, FiniteSemigroup, _index_period
 from .errors import InputError, ResourceError, VerificationError
 
 DIVISION_SEARCH_BUDGET = 2_000_000
@@ -113,18 +119,10 @@ class MulOracle:
         return self.encode(self.mul(self._values[a], self._values[b]))
 
 
-class _LazyOracle:
-    """A lazy oracle on codes; values multiply through their codes."""
-
-    elements = None
-    codes = None
-
-    def mul(self, u, v):
-        return self.decode(self.mul_code(self.encode(u), self.encode(v)))
-
-
-class PairSemigroup(_LazyOracle):
+class PairSemigroup:
     """Componentwise product of two multiplication oracles (lazy)."""
+
+    elements = codes = None
 
     def __init__(self, left, right):
         self.left = left
@@ -145,77 +143,77 @@ class PairSemigroup(_LazyOracle):
 
 @dataclass
 class ActionPair:
-    """A transformation semigroup (Q, S): S with a faithful partial right
-    action on the ordered point set Q.  S may be a lazy oracle; `_pos`
-    maps each point to its position in Q."""
+    """A transformation semigroup (Q, S): S, a multiplication oracle that
+    may be lazy, with a faithful partial right action on the points
+    0..size-1.  `row(code)` is the action of the element with this code:
+    per point, the position of its image, -1 where undefined; rows are
+    cached."""
 
-    points: list[Any]
-    sgp: Any  # a multiplication oracle
-    act: Callable[[Any, Any], Optional[Any]]
+    size: int
+    sgp: Any
+    row: Callable[[Any], tuple]
 
     def __post_init__(self):
-        self._pos = {p: i for i, p in enumerate(self.points)}
-        self.row = functools.lru_cache(maxsize=None)(self._row)
-
-    def _row(self, code) -> tuple:
-        """`row(code)`, the action of the element with this code: per
-        point, the position of its image, -1 where undefined."""
-        v = self.sgp.decode(code)
-        return tuple(self._pos.get(self.act(p, v), -1) for p in self.points)
+        self.row = functools.lru_cache(maxsize=None)(self.row)
 
     @classmethod
     def of_transformations(cls, sgp: FiniteSemigroup) -> "ActionPair":
-        n = sgp.degree
-
-        def act(q, f):
-            img = f(q)
-            return img if img else None
-
-        return cls(list(range(1, n + 1)), sgp, act)
+        """(n, S) for partial transformations of {1..n}: point q at q - 1."""
+        return cls(sgp.degree, sgp, lambda c: tuple([v - 1 for v in sgp.elements[c].images]))
 
     @classmethod
     def of_group(cls, group: FiniteGroup) -> "ActionPair":
-        """(G, G): the right regular action, with elements 0..|G|-1."""
+        """(G, G): the right regular action, with elements 0..|G|-1, by the
+        columns of the group table."""
         idx = list(range(len(group)))
-        return cls(idx, MulOracle(idx, group.mul), group.mul)
+        return cls(len(idx), MulOracle(idx, group.mul), list(zip(*group.table)).__getitem__)
 
     @classmethod
-    def right_translation(cls, sgp) -> "ActionPair":
-        """(S^1, S): S acting on itself by right translation.  The points
-        are a fresh marker, standing for the adjoined identity, followed
-        by S's elements."""
-        marker = object()
+    def of_group_with_zero(cls, group: FiniteGroup) -> "ActionPair":
+        """(G, G^0): (G, G) with a zero adjoined, value `ZERO` and code |G|,
+        whose row is undefined at every point."""
+        n = len(group)
 
-        def act(p, t):
-            return t if p is marker else sgp.mul(p, t)
+        def mul(a, b):
+            return ZERO if ZERO in (a, b) else group.mul(a, b)
 
-        return cls([marker] + list(sgp.elements), sgp, act)
+        columns = list(zip(*group.table)) + [(-1,) * n]
+        return cls(n, MulOracle([*range(n), ZERO], mul), columns.__getitem__)
+
+    @classmethod
+    def right_translation(cls, sgp: FiniteSemigroup) -> "ActionPair":
+        """(S^1, S): S acting on itself by right translation.  Point 0
+        stands for the adjoined identity, and point 1 + i for S's element
+        of index i."""
+        points = range(len(sgp.elements))
+
+        def row(c):
+            return (c + 1, *[p + 1 for p in sgp.right_translation(points, c)])
+
+        return cls(len(points) + 1, sgp, row)
 
 
 # -- wreath products ------------------------------------------------------
 
 
-class WreathProduct(_LazyOracle):
+class WreathProduct:
     """(B,S) wr (Q,T) as a lazy carrier on pairs (f, t).
 
-    f is a tuple over Q-positions with values in S (or None for the
+    f is a tuple over Q's points with values in S (or None for the
     adjoined identity), t is an element of T; its code is f's tuple of S's
     codes with t's code.  Codes multiply by the wreath formula, reading
-    T's action rows, and act on B x Q points; the full carrier S^Q x T is
-    materialized only under the given budget.  It is itself the action
-    pair (B x Q, S wr T): it has `points`, `_pos`, `sgp`, `row` and `act`,
-    so it nests as either factor of another wreath product.
+    T's action rows; the full carrier S^Q x T is materialized only under
+    the given budget.  It is itself the action pair (B x Q, S wr T), the
+    point (b, q) at position b*|Q| + q: it has `size`, `sgp` and `row`, so
+    it nests as either factor of another wreath product.
     """
 
-    def __init__(self, left: ActionPair, right: ActionPair, restrict_to_domain: bool = False):
+    codes = None
+
+    def __init__(self, left: ActionPair, right: ActionPair):
         self.left = left
         self.right = right
-        self.points = [(b, q) for b in left.points for q in right.points]
-        self._pos = {p: i for i, p in enumerate(self.points)}
-        # with restrict_to_domain, function parts carry None outside the
-        # domain of their own t-component; this keeps s -> (f_s, t_s) maps
-        # structurally injective over partial right actions
-        self.restrict_to_domain = restrict_to_domain
+        self.size = left.size * right.size
         self.row = functools.lru_cache(maxsize=None)(self._row)
         self._column = functools.lru_cache(maxsize=None)(self._column_of)
         # the factors' products by code pair, with None for the left
@@ -244,19 +242,9 @@ class WreathProduct(_LazyOracle):
         on a lazy product."""
         return None if self.codes is None else [self.decode(c) for c in self.codes]
 
-    def make(self, fvals: Sequence[Any], t) -> tuple[tuple, Any]:
-        if len(fvals) != len(self.right.points):
-            raise InputError("function part has wrong arity")
-        if self.restrict_to_domain:
-            fvals = [
-                None if self.right.act(q, t) is None else v
-                for v, q in zip(fvals, self.right.points)
-            ]
-        return (tuple(fvals), t)
-
     def encode(self, value) -> tuple:
         f, t = value
-        if len(f) != len(self.right.points):
+        if len(f) != self.right.size:
             raise KeyError(value)
         enc = self.left.sgp.encode
         return (tuple(None if v is None else enc(v) for v in f), self.right.sgp.encode(t))
@@ -270,12 +258,8 @@ class WreathProduct(_LazyOracle):
         """The wreath formula on codes; where q.t1 is undefined (-1), q
         reads the identity None appended to f2."""
         (f1, t1), (f2, t2) = u, v
-        row = self.right.row
-        f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, row(t1))))
-        t = self._right_mul(t1, t2)
-        if self.restrict_to_domain:
-            f = tuple([None if j < 0 else c for c, j in zip(f, row(t))])
-        return (f, t)
+        f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, self.right.row(t1))))
+        return (f, self._right_mul(t1, t2))
 
     def _row(self, code) -> tuple:
         """`row(code)`: (b, q)(f, t) = (b(qf), qt) by positions, b running
@@ -290,7 +274,7 @@ class WreathProduct(_LazyOracle):
         """Per b, the position of (b.c, q') where q' is the point at
         position j: -1 where j or b.c is undefined, and c None acts as the
         identity."""
-        nb, nq = len(self.left.points), len(self.right.points)
+        nb, nq = self.left.size, self.right.size
         if j < 0:
             return (-1,) * nb
         images = range(nb) if c is None else self.left.row(c)
@@ -335,33 +319,25 @@ class WreathProduct(_LazyOracle):
         position steps to its nxt[k]-th, -1 where undefined; `key` is f's
         codes along the orbit, a lone code on a one-position orbit."""
         vals = key if len(nxt) > 1 else (key,)
-        mul, restrict = self._left_mul, self.restrict_to_domain
+        mul = self._left_mul
 
         def step(state):
             v, k = state
-            if k < 0:
-                return (None if restrict else v, -1)
-            k2 = nxt[k]
-            v = mul(v, vals[k])
-            return (None if restrict and k2 < 0 else v, k2)
+            return state if k < 0 else (mul(v, vals[k]), nxt[k])
 
         return _index_period((vals[0], nxt[0]), step)
-
-    def act(self, point, w):
-        j = self.row(self.encode(w))[self._pos[point]]
-        return None if j < 0 else self.points[j]
 
     def full_carrier(self, budget: int) -> "WreathProduct":
         """S^Q x T enumerated as `codes`, in the order of T's carrier and
         then of the function parts over S's carrier, lexicographically."""
         left, right = self.left.sgp, self.right.sgp
-        nq = len(self.right.points)
+        nq = self.right.size
         size = len(left.codes) ** nq * len(right.codes)
         if size > budget:
             raise ResourceError(
                 f"wreath carrier of size {size} exceeds the budget of {budget}"
             )
-        carrier = WreathProduct(self.left, self.right, self.restrict_to_domain)
+        carrier = WreathProduct(self.left, self.right)
         carrier.codes = [
             (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
         ]

@@ -25,6 +25,7 @@ from functools import cache, cached_property
 from typing import Any, Callable, Optional
 
 from .core import (
+    ZERO,
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
@@ -661,7 +662,11 @@ def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
 
 @dataclass
 class FaspEmbedding:
-    """S embedded in (G,G) wr (B, RLM_J(S)) via x -> ((b)x, RLM(x))."""
+    """S embedded in (G, G^0) wr (B, RLM_J(S)) via x -> ((b)x, RLM(x)),
+    (b)x being the zero where b.x is undefined.  As the zero absorbs, an
+    element's entry is the zero exactly where b is outside the domain of
+    its RLM image (see `products`), where the embedding into
+    (G,G) wr (B, RLM_J(S)) leaves it undefined."""
 
     lifts: dict[str, Any]
     witness: DivisionWitness
@@ -670,18 +675,15 @@ class FaspEmbedding:
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     group = pres.group
     w = WreathProduct(
-        ActionPair.of_group(group),
+        ActionPair.of_group_with_zero(group),
         ActionPair.of_transformations(pres.rlmq.rlm),
-        restrict_to_domain=True,
     )
     lifts = {}
     for name in pres.sgp.gen_names:
         rlm_map = pres.rlm_of_gen[name]
         labels = pres.label_of_gen[name]
-        fvals = [
-            labels[b] if rlm_map[b] != 0 else None for b in range(pres.n_b)
-        ]
-        lifts[name] = w.make(fvals, PartialTransformation(rlm_map))
+        fvals = tuple(labels[b] if rlm_map[b] != 0 else ZERO for b in range(pres.n_b))
+        lifts[name] = (fvals, PartialTransformation(rlm_map))
     witness = check_division(pres.sgp, w, lifts=lifts)
     if len(witness.closure) != len(pres.sgp.elements):
         raise VerificationError("wreath embedding is not injective")
@@ -694,15 +696,16 @@ def _verify_fasp_action(pres, w, witness) -> None:
     pair of the witness's closure (a wreath code and S's index s), the
     wreath row read at R_e's points is compared whole with s's row of J's
     table read at R_e's columns and mapped to wreath positions: a product
-    (a, g, b) in J to the point (g, b), one below J to -1."""
+    (a, g, b) in J to the point (g, b) at g*|B| + b, one below J to -1."""
     sgp, rc = pres.sgp, pres.rees
     # the a = 0 slice, by column of J's table
     r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
     at_columns = row_getter([k for k, _, _ in r_e])
-    at_points = row_getter([w._pos[(g, b + 1)] for _, g, b in r_e])
+    nb = pres.n_b
+    at_points = row_getter([g * nb + b for _, g, b in r_e])
     position = [-1] * len(sgp.elements)
     for p, (_, g2, b2) in rc.coord.items():
-        position[p] = w._pos[(g2, b2 + 1)]
+        position[p] = g2 * nb + b2
     rows = pres.jref.rows
     for wc, s in witness.closure.items():
         got = at_points(w.row(wc))

@@ -9,7 +9,14 @@ import pytest
 from krc import complexity, flows
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, estimate
-from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation, compose, is_aperiodic
+from krc.core import (
+    ZERO,
+    FiniteGroup,
+    FiniteSemigroup,
+    PartialTransformation,
+    compose,
+    is_aperiodic,
+)
 from krc.errors import InputError, VerificationError
 from krc.flows import (
     Automaton,
@@ -201,46 +208,69 @@ class TestVerifyFlow:
             assert (verify_flow(again) is True) == base
 
 
-def _row_by_points(w, code):
+def _row_by_definition(pair, value):
+    """The row of `value` read off its factor's own definition: a map's
+    images (point q at position q - 1), a group element's column of the
+    group table (g.x for every g, by the oracle's value product), the
+    zero undefined everywhere, and a wreath element point by point."""
+    if isinstance(pair, WreathProduct):
+        return _row_by_points(pair, value)
+    if isinstance(value, PartialTransformation):
+        return tuple(v - 1 for v in value.images)
+    if value == ZERO:
+        return (-1,) * pair.size
+    return tuple(pair.sgp.mul(g, value) for g in range(pair.size))
+
+
+def _row_by_points(w, value):
     """`WreathProduct.row` by its definition, point by point: (b, q)(f, t)
     = (b(qf), qt) by positions, b running slowest, -1 where qt or b(qf) is
-    undefined, and a None entry of f acting as the identity."""
-    f, t = code
-    nq = len(w.right.points)
+    undefined, and a None entry of f acting as the identity; the factors
+    act by `_row_by_definition`."""
+    f, t = value
+    nq = w.right.size
     return tuple(
         -1 if b2 < 0 or j < 0 else b2 * nq + j
-        for b in range(len(w.left.points))
-        for c, j in zip(f, w.right.row(t))
-        for b2 in (b if c is None else w.left.row(c)[b],)
+        for b in range(w.left.size)
+        for v, j in zip(f, _row_by_definition(w.right, t))
+        for b2 in (b if v is None else _row_by_definition(w.left, v)[b],)
     )
 
 
 def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
     """The wreath row interleaves cached columns; it agrees with the point
-    definition on the FASP wreath (None where the RLM map is undefined)
-    and on the flows' nested wreath, its inner factor included."""
+    definition on the FASP wreath (the zero where the RLM map is
+    undefined) and on the flows' nested wreath, its inner factor
+    included."""
     checked = Counter()
     fasp = fasp_embedding(group_mapping_presentation(b2z2_1)).witness
+    zero = fasp.target.left.sgp.encode(ZERO)
     for code in fasp.closure:
-        assert fasp.target.row(code) == _row_by_points(fasp.target, code)
-        checked["fasp", None in code[0]] += 1
+        assert fasp.target.row(code) == _row_by_points(fasp.target, fasp.target.decode(code))
+        checked["fasp", zero in code[0]] += 1
     division = presentation_construct(trivial_flow(small17_pres)).division
     outer = division.target.left
     # and by hand: a 2-state transition semigroup where a letter dies
-    sym = ActionPair([1, 2], MulOracle(None, compose), lambda q, p: p(q))
+    sym_2 = MulOracle(None, compose)
+    sym = ActionPair(2, sym_2, lambda c: tuple(v - 1 for v in sym_2.decode(c).images))
     inner = WreathProduct(ActionPair.of_group(FiniteGroup.cyclic(2)), sym)
     states = FiniteSemigroup.generate([("x", T((2, 0))), ("y", T((1, 1)))])
     dying = WreathProduct(inner, ActionPair.of_transformations(states))
     made = [
-        dying.make([inner.make((1, 0), T((2, 1))), None], T((2, 0))),
-        dying.make([None, inner.make((0, 1), T((1, 2)))], T((1, 1))),
+        ((((1, 0), T((2, 1))), None), T((2, 0))),
+        ((None, ((0, 1), T((1, 2)))), T((1, 1))),
     ]
     codes = [dying.encode(v) for v in made]
     codes += [dying.mul_code(u, v) for u in codes for v in codes]
     for w, w_codes in ((outer, [c for c, _ in division.closure]), (dying, codes)):
         for code in w_codes:
-            assert w.row(code) == _row_by_points(w, code)
-            assert all(w.left.row(c) == _row_by_points(w.left, c) for c in code[0] if c is not None)
+            f, _ = value = w.decode(code)
+            assert w.row(code) == _row_by_points(w, value)
+            assert all(
+                w.left.row(c) == _row_by_points(w.left, v)
+                for c, v in zip(code[0], f)
+                if c is not None
+            )
             checked["nested", -1 in w.right.row(code[1]), None in code[0]] += 1
     assert checked["fasp", True] and checked["fasp", False]
     assert checked["nested", True, True] and checked["nested", False, False]

@@ -66,6 +66,25 @@ def reference_semigroup_wreath_mul(s, t):
     return mul
 
 
+def wreath_mul(w, u, v):
+    """The product of two wreath values through their codes."""
+    return w.decode(w.mul_code(w.encode(u), w.encode(v)))
+
+
+def reference_row(group, value):
+    """The row of (f, t) in (G,G) wr (n, T) from the factors' own
+    definitions: (b, q)(f, t) = (b.f(q), q.t), b.f(q) from the group table
+    and q.t from t's images, the point (b, q) at position b*n + q - 1, and
+    -1 where q.t is undefined."""
+    f, t = value
+    n = t.degree
+    return tuple(
+        -1 if t(q) == 0 else group.table[b][f[q - 1]] * n + t(q) - 1
+        for b in range(len(group))
+        for q in range(1, n + 1)
+    )
+
+
 def reference_sort_key(w, element):
     """The canonical order of a wreath carrier: T's order, then the
     function part over S's order (None first)."""
@@ -87,44 +106,37 @@ class TestWreath:
         assert len(w.full_carrier(BUDGET).elements) == 2 ** 2 * 1
 
     def test_action_formula(self):
-        # (b, q)(f, t) = (b(qf), qt) replayed point by point
-        left = group_pair(3)
+        # (b, q)(f, t) = (b(qf), qt) read off Z_3's table and t's images
+        z3 = FiniteGroup.cyclic(3)
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("s", T((2, 1)))])
         )
-        w = WreathProduct(left, right)
+        w = WreathProduct(ActionPair.of_group(z3), right)
         for f in itertools.product(range(3), repeat=2):
             for t in right.sgp.elements:
-                elt = w.make(list(f), t)
-                for (b, q) in w.points:
-                    expected_b = left.act(b, f[right._pos[q]])
-                    expected_q = right.act(q, t)
-                    got = w.act((b, q), elt)
-                    assert got == (
-                        None
-                        if expected_b is None or expected_q is None
-                        else (expected_b, expected_q)
-                    )
+                assert w.row(w.encode((f, t))) == reference_row(z3, (f, t))
 
     def test_product_matches_composed_action(self):
-        left = group_pair(2)
+        # the product acts as its factors do one after the other, by the
+        # reference rows
+        z2 = FiniteGroup.cyclic(2)
         right = ActionPair.of_transformations(
             FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
         )
-        w = WreathProduct(left, right)
+        w = WreathProduct(ActionPair.of_group(z2), right)
         carrier = w.full_carrier(BUDGET)
         for u in carrier.elements:
+            ru = reference_row(z2, u)
+            assert w.row(carrier.encode(u)) == ru
             for v in carrier.elements:
-                uv = carrier.mul(u, v)
-                for p in w.points:
-                    step = w.act(p, u)
-                    lhs = None if step is None else w.act(step, v)
-                    assert lhs == w.act(p, uv)
+                rv = reference_row(z2, v)
+                composed = tuple(-1 if p < 0 else rv[p] for p in ru)
+                assert reference_row(z2, wreath_mul(carrier, u, v)) == composed
 
     def test_faithful_on_total_instances(self):
         w = WreathProduct(group_pair(2), trivial_on(2))
         carrier = w.full_carrier(BUDGET)
-        tables = {tuple(w.act(p, e) for p in w.points) for e in carrier.elements}
+        tables = {w.row(c) for c in carrier.codes}
         assert len(tables) == len(carrier.elements)
 
     def test_carrier_budget(self):
@@ -159,7 +171,7 @@ class TestWreath:
         assert len(carrier) == len(s) ** (len(t) + 1) * len(t)
         for u in carrier:
             for v in carrier:
-                assert w.mul(u, v) == want(u, v)
+                assert wreath_mul(w, u, v) == want(u, v)
 
 
 class TestSemidirect:
@@ -175,13 +187,13 @@ class TestSemidirect:
         assert len(carrier.elements) == 2 ** 2 * len(right.sgp)
 
         def beta(t, f):
-            # (t . f)(q) = f(qt)
-            return tuple(f[right._pos[right.act(q, t)]] for q in right.points)
+            # (t . f)(q) = f(qt), qt read off t's images
+            return tuple(f[t(q) - 1] for q in range(1, t.degree + 1))
 
         for (f1, t1) in carrier.elements:
             for (f2, t2) in carrier.elements:
                 f = tuple(z2.mul(a, b) for a, b in zip(f1, beta(t1, f2)))
-                assert carrier.mul((f1, t1), (f2, t2)) == (f, right.sgp.mul(t1, t2))
+                assert wreath_mul(carrier, (f1, t1), (f2, t2)) == (f, right.sgp.mul(t1, t2))
 
 
 class TestDivision:
@@ -435,25 +447,17 @@ def walked_index_periods(w, codes):
     return [_index_period(c, lambda y, c=c: w.mul_code(y, c)) for c in codes]
 
 
-def restricted(w, codes):
-    """The codes with None in f wherever q.t is undefined, as the wreath
-    formula leaves them under restrict_to_domain."""
-    return [
-        (tuple(None if j < 0 else c for c, j in zip(f, w.right.row(t))), t)
-        for f, t in codes
-    ]
-
-
-def partial_carrier(group_order, degree, seed, restrict):
-    """The full carrier of (G,G) wr (n, T), T generated by a nilpotent
-    shift (1 -> 2 -> ... -> n -> undefined) and two random partial
-    transformations of degree n."""
+def partial_carrier(group_order, degree, seed, zero):
+    """The full carrier of (G,G) wr (n, T), or of (G,G^0) wr (n, T) with
+    `zero`, T generated by a nilpotent shift (1 -> 2 -> ... -> n ->
+    undefined) and two random partial transformations of degree n."""
     rng = random.Random(seed)
     shift = tuple(range(2, degree + 1)) + (0,)
     gens = [shift] + [tuple(rng.randrange(degree + 1) for _ in range(degree)) for _ in "ab"]
     t = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
-    right = ActionPair.of_transformations(t)
-    return WreathProduct(group_pair(group_order), right, restrict).full_carrier(BUDGET)
+    group = FiniteGroup.cyclic(group_order)
+    left = ActionPair.of_group_with_zero(group) if zero else ActionPair.of_group(group)
+    return WreathProduct(left, ActionPair.of_transformations(t)).full_carrier(BUDGET)
 
 
 class TestIndexPeriods:
@@ -469,32 +473,34 @@ class TestIndexPeriods:
 
     @pytest.mark.parametrize("group_order,degree", [(2, 3), (3, 2)])
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("restrict", [False, True])
-    def test_partial_wreath_carriers(self, group_order, degree, seed, restrict):
-        w = partial_carrier(group_order, degree, seed, restrict)
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_partial_wreath_carriers(self, group_order, degree, seed, zero):
+        w = partial_carrier(group_order, degree, seed, zero)
         # the shift: q.t is defined and q.t^n is not
         shift = w.right.sgp.encode(T(tuple(range(2, degree + 1)) + (0,)))
         assert w.right.row(shift) == (*range(1, degree), -1)
         codes = w.codes
-        if restrict:
-            codes = restricted(w, codes)
-            assert any(None in f for f, _ in codes)
+        assert len(codes) == (group_order + zero) ** degree * len(w.right.sgp)
         assert w.index_periods(codes) == walked_index_periods(w, codes)
         # a shuffled list reads each run of one t on its own
         shuffled = random.Random(seed).sample(codes, len(codes))
         assert w.index_periods(shuffled) == walked_index_periods(w, shuffled)
 
-    def test_restricted_walk_of_an_unrestricted_code(self):
-        """Under restrict_to_domain the square of (f, t) drops f where q.t
-        is undefined, so a code that keeps f there has index 2; t fixes 1
-        and is undefined at 2 and 3."""
-        t = FiniteSemigroup.generate([("e", T((1, 0, 0)))])
-        w = WreathProduct(group_pair(2), ActionPair.of_transformations(t), True)
-        codes = [(f, 0) for f in itertools.product((0, 1), repeat=3)]
-        codes += restricted(w, [((0, 0, 0), 0), ((1, 0, 0), 0)])
+    def test_zero_on_a_cycle_absorbs_the_walk(self):
+        """c is a 3-cycle and Z_2^0 has code 2 for its zero.  With f =
+        (1, 0, 0) the walks have period 6 and index 1; a zero anywhere on
+        the cycle absorbs every walk within three steps, which leaves the
+        period 3 of c and sets the index to the step that reaches it."""
+        t = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
+        w = WreathProduct(
+            ActionPair.of_group_with_zero(FiniteGroup.cyclic(2)),
+            ActionPair.of_transformations(t),
+        )
+        c = w.right.sgp.encode(T((2, 3, 1)))
+        codes = [((1, 0, 0), c), ((1, 0, 2), c), ((2, 0, 0), c), ((2, 2, 2), c)]
         got = w.index_periods(codes)
         assert got == walked_index_periods(w, codes)
-        assert got == [(2, 1)] * 4 + [(2, 2)] * 4 + [(1, 1), (1, 2)]
+        assert got == [(1, 6), (3, 3), (3, 3), (1, 3)]
 
     def test_coprime_periods_combine_by_lcm(self):
         """c is a 3-cycle on {1, 2, 3} fixing 4 (period 3), and g at 4 alone
@@ -517,7 +523,7 @@ class TestIndexPeriods:
         walk gives the period 2."""
         z2 = FiniteGroup.cyclic(2)
         idx = list(range(len(z2)))
-        mute = ActionPair([0], products.MulOracle(idx, z2.mul), lambda p, v: p)
+        mute = ActionPair(1, products.MulOracle(idx, z2.mul), lambda c: (0,))
         w = WreathProduct(trivial_on(1), mute).full_carrier(BUDGET)
         got = w.index_periods(w.codes)
         assert got == walked_index_periods(w, w.codes)

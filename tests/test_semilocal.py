@@ -5,10 +5,12 @@ import random
 import pytest
 
 from krc import semilocal
-from krc.cli import CORPUS_DIR
-from krc.core import FiniteSemigroup, PartialTransformation, compose, is_aperiodic
+from krc.cli import CORPUS_DIR, load_corpus_manifest
+from krc.complexity import EstimateOptions, pure_upper
+from krc.core import ZERO, FiniteSemigroup, PartialTransformation, compose, is_aperiodic
 from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
+from krc.products import _relation_closure
 from krc.inverse import (
     matrix_semigroup_as_transformations,
     rlm_matrix,
@@ -29,6 +31,7 @@ from krc.semilocal import (
 )
 
 from test_core import I4_GENS, LADDER, T4_GENS
+from test_flows import ladder, reached_presentations
 
 T = PartialTransformation
 
@@ -719,8 +722,8 @@ class TestFaspEmbedding:
                     assert fvals[b] == g
 
     @pytest.mark.parametrize("name,gen,b,point", [
-        ("b2z2_1", "b", 1, "(1, None), PartialTransformation(images=(2, 0))"),
-        ("small_2_z2", "e", 0, "(0, None), PartialTransformation(images=(1, 0))"),
+        ("b2z2_1", "b", 1, "(1, '0'), PartialTransformation(images=(2, 0))"),
+        ("small_2_z2", "e", 0, "(0, '0'), PartialTransformation(images=(1, 0))"),
     ])
     def test_corrupted_label_is_rejected(self, name, gen, b, point):
         # one defined label moved to the other element of Z_2
@@ -745,11 +748,11 @@ def _fasp_action_reference(pres, w, witness):
         row = pres.jref.rows[sgp.index[sv]]
         wrow = w.row(w.encode(wv))
         for k, g, b in r_e:
-            p, img = row[k], wrow[w._pos[(g, b + 1)]]
+            p, img = row[k], wrow[g * pres.n_b + b]
             if j_of[p] != pres.jref.j_id:
                 if img >= 0:
                     return "wreath action defined where theta^R is not"
-            elif img != w._pos[(rc.coord[p][1], rc.coord[p][2] + 1)]:
+            elif img != rc.coord[p][1] * pres.n_b + rc.coord[p][2]:
                 return f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
     return None
 
@@ -765,7 +768,8 @@ def test_fasp_action_rejects_one_corrupted_label(name):
     order = len(pres.group)
     for code in witness.closure:
         f, t = code
-        i = next((i for i, c in enumerate(f) if c is not None), None)
+        # a defined label: a group code, below the zero's code |G|
+        i = next((i for i, c in enumerate(f) if c < order), None)
         if i is None:
             continue
         bad_code = (f[:i] + ((f[i] + 1) % order,) + f[i + 1:], t)
@@ -778,6 +782,68 @@ def test_fasp_action_rejects_one_corrupted_label(name):
     with pytest.raises(VerificationError) as err:
         _verify_fasp_action(pres, w, bad)
     assert str(err.value) == want
+
+
+class RestrictedWreath:
+    """(G,G) wr (B, RLM) on codes under the rule that the zero of
+    `fasp_embedding` replaces: a product keeps its function part only
+    inside the domain of its own RLM part, None (the identity) elsewhere.
+    Codes are (tuple of G's indices or None, RLM index)."""
+
+    def __init__(self, pres):
+        self.group, self.rlm = pres.group, pres.rlmq.rlm
+
+    def decode(self, code):
+        return code
+
+    def mul_code(self, u, v):
+        (f1, t1), (f2, t2) = u, v
+        t = self.rlm.mul_index(t1, t2)
+        f = []
+        for a, q1, qt in zip(f1, self.rlm.elements[t1].images, self.rlm.elements[t].images):
+            b = f2[q1 - 1] if q1 else None
+            f.append(
+                None if qt == 0 else b if a is None else a if b is None else self.group.mul(a, b)
+            )
+        return (tuple(f), t)
+
+
+ESTIMATE_SOURCES = {
+    "corpus": lambda: [load_semigroup(CORPUS_DIR / e["file"]) for e in load_corpus_manifest()],
+    **{name: lambda gens=gens: [ladder(gens)] for name, gens in LADDER.items()},
+    "I4": lambda: [ladder(I4_GENS)],
+    "T4": lambda: [ladder(T4_GENS)],
+}
+
+
+@pytest.mark.parametrize("source", list(ESTIMATE_SOURCES))
+def test_zero_is_the_removed_domain_restriction(source):
+    """On every group-mapping presentation that estimate reaches, the
+    embedding into (G, G^0) wr (B, RLM), its zeros read as None, closes to
+    the same codes and S indices as the restricted (G,G) wr (B, RLM), so
+    the certified `embedded_order` is the same."""
+    options = EstimateOptions(automata_budget=0) if source in ("I4", "T4") else None
+    presentations = reached_presentations(ESTIMATE_SOURCES[source](), options)
+    assert presentations
+    for pres in presentations:
+        witness = fasp_embedding(pres).witness
+        zero = witness.target.left.sgp.encode(ZERO)
+        read = {
+            (tuple(None if c == zero else c for c in f), t): s
+            for (f, t), s in witness.closure.items()
+        }
+        lifts = {
+            name: (
+                tuple(
+                    lab if img else None
+                    for lab, img in zip(pres.label_of_gen[name], pres.rlm_of_gen[name])
+                ),
+                pres.rlmq.code[gi],
+            )
+            for name, gi in zip(pres.sgp.gen_names, pres.sgp.gens)
+        }
+        assert read == _relation_closure(pres.sgp, RestrictedWreath(pres), lifts)
+        assert pure_upper(pres, 0)["embedded_order"] == len(read) == len(pres.sgp)
 
 
 def test_theta_prime_representation(corpus):
