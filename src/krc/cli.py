@@ -3,12 +3,12 @@
 Subcommands: analyze, rlm, gm, rees, spc, flow verify, flow search,
 divide, estimate, inverse demo, corpus run, replay.  Output is
 deterministic byte for byte for fixed inputs and budgets.  Exit codes:
-0 success, 2 usage or input error, 3 resource budget, 4 verification
-failure.  A subcommand takes only the budget flags it reads.  The
-certificate format belongs to `complexity`: `estimate` and `replay` only
-write, read and print what it returns.  `main(argv)` may be called
-repeatedly in one process: the parser is built once per process and each
-call parses into a fresh namespace.  A negative budget exits 2.
+0 success, 2 usage or input error, 3 resource budget or out of memory,
+4 verification failure.  A subcommand takes only the budget flags it
+reads.  The certificate format belongs to `complexity`: `estimate` and
+`replay` only write, read and print what it returns.  `main(argv)` may be
+called repeatedly in one process: the parser is built once per process
+and each call parses into a fresh namespace.  A negative budget exits 2.
 """
 
 from __future__ import annotations
@@ -513,6 +513,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

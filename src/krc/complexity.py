@@ -309,9 +309,7 @@ class ComplexityInterval:
         return f"[{self.lower}, {hi}]"
 
 
-def gm_reduction(
-    sgp: FiniteSemigroup, _shared: Optional[dict] = None
-) -> list[tuple[JClassRef, GmQuotient]]:
+def gm_reduction(sgp: FiniteSemigroup) -> list[tuple[JClassRef, GmQuotient]]:
     """GM images at every J-class with a nontrivial subgroup, with the
     combined-projection injectivity check of the max rule."""
     gs = sgp.green()
@@ -319,7 +317,7 @@ def gm_reduction(
     for j_id in range(len(gs.j_classes)):
         jref = JClassRef(sgp, j_id)
         if jref.is_regular and jref.contains_nontrivial_subgroup():
-            children.append((jref, gm_quotient(sgp, jref, _shared)))
+            children.append((jref, gm_quotient(sgp, jref)))
     # the combined projection is injective on every maximal subgroup
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
@@ -345,7 +343,6 @@ def estimate(
     _label: str = "S",
     _given: Optional[dict[str, Any]] = None,
     _memo: Optional[dict[tuple, tuple[str, ComplexityInterval]]] = None,
-    _shared: Optional[dict] = None,
 ) -> ComplexityInterval:
     """The full pipeline: aperiodicity, GM reduction with the max rule,
     and per group-mapping image the RLM recursion plus pure/flow uppers.
@@ -365,14 +362,12 @@ def estimate(
     that a hit should skip, and equal text does not fix the element order
     that J-class ids are read in.  A hit returns the stored interval with
     its certificate relabeled: every label that is the stored label, or
-    starts with it plus "/", starts with `_label` instead.
-
-    `_shared`, made and passed down the same way, is `semilocal.classify`'s
-    table: one Green structure and classification per distinct int structure."""
+    starts with it plus "/", starts with `_label` instead.  Each carrier
+    object keeps its own Green structure and classification
+    (`semilocal.classify`); carriers share neither."""
     from .fileformats import dump_semigroup
 
     memo = {} if _memo is None else _memo
-    shared = {} if _shared is None else _shared
     text = dump_semigroup(sgp) if sgp.is_transformation else None
     key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names), text)
     if key in memo:
@@ -382,9 +377,7 @@ def estimate(
         )
     if text is None:
         text = dump_semigroup(sgp)
-    result = _estimate_carrier(
-        sgp, text, options or EstimateOptions(), _label, _given, memo, shared
-    )
+    result = _estimate_carrier(sgp, text, options or EstimateOptions(), _label, _given, memo)
     memo[key] = (_label, result)
     return result
 
@@ -410,7 +403,6 @@ def _estimate_carrier(
     label: str,
     given: Optional[dict[str, Any]],
     memo: dict,
-    shared: dict,
 ) -> ComplexityInterval:
     """`estimate` on a carrier the memo does not hold; `text` is its
     serialized form."""
@@ -428,11 +420,9 @@ def _estimate_carrier(
         )
     child_intervals: list[ComplexityInterval] = []
     child_certs = []
-    for jref, gq in gm_reduction(sgp, shared):
+    for jref, gq in gm_reduction(sgp):
         if gq.order < len(sgp.elements):
-            sub = estimate(
-                gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo, shared
-            )
+            sub = estimate(gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo)
             child_intervals.append(sub)
             child_certs.append(
                 {
@@ -443,7 +433,7 @@ def _estimate_carrier(
                 }
             )
         else:
-            sub = _estimate_group_mapping(sgp, text, jref, options, label, given, memo, shared)
+            sub = _estimate_group_mapping(sgp, text, jref, options, label, given, memo)
             child_intervals.append(sub)
             child_certs.append(
                 {"jclass": jref.j_id, "kind": "self-group-mapping", "sub": sub.certificate}
@@ -473,15 +463,14 @@ def _estimate_group_mapping(
     label: str,
     given: Optional[dict[str, Any]],
     memo: dict,
-    shared: dict,
 ) -> ComplexityInterval:
     """`text` is the serialized form of sgp, which the caller already has."""
-    pres = group_mapping_presentation(sgp, shared)
+    pres = group_mapping_presentation(sgp)
     if pres.jref.j_id != jref.j_id:
         raise VerificationError(
             "trivial GM congruence at a class that is not distinguished"
         )
-    rlm_int = estimate(pres.rlmq.rlm, options, f"{label}/RLM", given, memo, shared)
+    rlm_int = estimate(pres.rlmq.rlm, options, f"{label}/RLM", given, memo)
     lower = max(1, rlm_int.lower)
     cert: dict[str, Any] = {
         "label": label,

@@ -93,8 +93,6 @@ class Classification:
     left_mapping: bool
     generalized_group_mapping: bool
     group_mapping: bool
-    zero_index: Optional[int]
-    zero_minimal_ideals: list[tuple[int, list[int]]]  # (j_id, ideal incl. zero)
     distinguished_j: Optional[int]
 
 
@@ -120,37 +118,39 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
     return z, out
 
 
-def classify(sgp: FiniteSemigroup, _shared: Optional[dict] = None) -> Classification:
-    """Right/left/group-mapping flags via faithfulness on 0-minimal ideals.
+def classify(sgp: FiniteSemigroup) -> Classification:
+    """Right/left/group-mapping flags via faithfulness on 0-minimal ideals,
+    kept on the carrier next to its Green structure.
 
-    The result is kept on the carrier, next to its Green structure; both
-    depend only on the right Cayley graph and generator indices.  `_shared`
-    (made by each top-level `complexity.estimate`, passed down by every
-    function here that takes it) maps that pair to the first carrier's
-    results, so an equal carrier adopts them and the checks run once."""
+    Faithfulness is tested on one R-class and one L-class of each ideal.
+    Lemma: let J u {0} be a 0-minimal ideal (or J the kernel, and no zero)
+    and R an R-class of J; S acts faithfully on the right of J u {0} iff
+    it does on R u {0}.  Proof: R u {0} is closed under the action, since
+    r*s lies in the ideal and, by stability, in R when it stays in J; so
+    one way is clear.  Let s and t agree on R u {0}, and take any u in J.
+    As J = D in a finite semigroup, R n L_u holds some r, and u = y*r for
+    some y in S^1; so u*s = y*(r*s) = y*(r*t) = u*t.  The left case is
+    dual, with one L-class L.  The zero's column is constant (0*s = 0 =
+    s*0), so it never changes whether the rows are distinct: the right
+    rows leave it out, and `left_translations` gets it only because g*L
+    must lie in its points."""
     if sgp._classification is None:
-        shared = {} if _shared is None else _shared
-        key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens))
-        if key not in shared:
-            shared[key] = (sgp.green(), _classify(sgp))
-        sgp._green, sgp._classification = shared[key]
+        sgp._classification = _classify(sgp)
     return sgp._classification
 
 
 def _classify(sgp: FiniteSemigroup) -> Classification:
-    """`classify`'s body.  An ideal (the 0-minimal ones carry their zero) is
-    two-sided, so both translation sets come in bulk."""
+    """`classify`'s body: each ideal's test runs on the R-class and the
+    L-class of its least member."""
+    gs = sgp.green()
     z, ideals = _zero_minimal_ideals(sgp)
+    zero = [] if z is None else [z]
     n = len(sgp.elements)
-    right_on = []
-    left_on = []
-    for j_id, ideal in ideals:
-        if len(set(sgp.right_translations(ideal))) == n:
-            right_on.append(j_id)
-        if len(set(sgp.left_translations(ideal))) == n:
-            left_on.append(j_id)
-    right_mapping = bool(right_on)
-    left_mapping = bool(left_on)
+    right_mapping = left_mapping = False
+    for _, ideal in ideals:
+        u = ideal[0]
+        right_mapping |= len(set(sgp.right_translations(gs.r_classes[gs.r_of[u]]))) == n
+        left_mapping |= len(set(sgp.left_translations(gs.l_classes[gs.l_of[u]] + zero))) == n
     distinguished = None
     if right_mapping or left_mapping:
         if len(ideals) != 1:
@@ -158,15 +158,13 @@ def _classify(sgp: FiniteSemigroup) -> Classification:
                 "right/left mapping semigroup with several 0-minimal ideals"
             )
         distinguished = ideals[0][0]
-        if not sgp.green().regular[distinguished]:
+        if not gs.regular[distinguished]:
             raise VerificationError("0-minimal ideal of a mapping semigroup not regular")
     ggm = right_mapping and left_mapping
     gm = False
     if ggm:
         gm = JClassRef(sgp, distinguished).contains_nontrivial_subgroup()
-    return Classification(
-        right_mapping, left_mapping, ggm, gm, z, ideals, distinguished
-    )
+    return Classification(right_mapping, left_mapping, ggm, gm, distinguished)
 
 
 # -- RLM quotient ---------------------------------------------------------
@@ -211,9 +209,7 @@ def _lclass_action_map(
     return action
 
 
-def rlm_quotient(
-    sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
-) -> RlmQuotient:
+def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
     """S's image under its action on the L-classes of J, read off S.
 
     The image carrier is the set of maps action(s), in canonical order, and
@@ -225,7 +221,11 @@ def rlm_quotient(
     of the image lies in the closure of the generators' maps, and every
     product of those maps is the action of the matching word, so the image
     is that closure.  It also makes the graph well defined: action(s) =
-    action(t) gives action(s*g) = action(s)action(g) = action(t*g)."""
+    action(t) gives action(s*g) = action(s)action(g) = action(t*g).
+
+    The image is then classified, and the classification is kept on it: it
+    must be right mapping, and its distinguished class must be the image
+    of J, an aperiodic J-class."""
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
     action = _lclass_action_map(sgp, jref)
@@ -249,7 +249,7 @@ def rlm_quotient(
         compose,
     )
     image_of_j = {code[i] for i in jref.members}
-    cls = classify(rlm, _shared)  # first, so an equal carrier's Green structure is adopted
+    cls = classify(rlm)
 
     # the image of J is an aperiodic J-class of the quotient
     rgs = rlm.green()
@@ -355,19 +355,17 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     ]
 
 
-def gm_quotient(
-    sgp: FiniteSemigroup, jref: JClassRef, _shared: Optional[dict] = None
-) -> GmQuotient:
+def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
     """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J
     (`_profile_classes`), checked to be a congruence.
 
-    The GM verdict is read off the image's classification.  A discrete
-    partition builds no image for it: the image is then S on its own
-    indices, with S's right Cayley graph and generators, and a
-    classification depends on that pair alone, so S's own is the image's
-    (the entry an equal carrier gets from `_shared`).  Nor does that copy
-    miss an associativity check: its products are S's, and S's are
-    associative (composition, or Light's test on S itself at its order)."""
+    The GM verdict is read off the image's classification, which `classify`
+    keeps on the image.  A discrete partition builds no image for it: the
+    image is then S on its own indices, with S's right Cayley graph and
+    generators, and a classification depends on that pair alone, so S's
+    own is the image's.  Nor does skipping the copy miss an associativity
+    check: its products are S's, and S's are associative (composition, or
+    Light's test on S itself at its order)."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
@@ -380,7 +378,7 @@ def gm_quotient(
         generalized_only=not jref.contains_nontrivial_subgroup(),
         injective_on_all_subgroups=True,
     )
-    qcls = classify(sgp if gq.order == len(class_rep) else gq.quotient, _shared)
+    qcls = classify(sgp if gq.order == len(class_rep) else gq.quotient)
     if gq.generalized_only:
         if not qcls.generalized_group_mapping:
             raise VerificationError("GM image is not generalized group mapping")
@@ -590,15 +588,13 @@ class GroupMappingPresentation:
         return g, b2
 
 
-def group_mapping_presentation(
-    sgp: FiniteSemigroup, _shared: Optional[dict] = None
-) -> GroupMappingPresentation:
-    cls = classify(sgp, _shared)
+def group_mapping_presentation(sgp: FiniteSemigroup) -> GroupMappingPresentation:
+    cls = classify(sgp)
     if not cls.generalized_group_mapping:
         raise InputError("semigroup is not generalized group mapping")
     jref = JClassRef(sgp, cls.distinguished_j)
     rc = rees_coordinates(sgp, jref)
-    rlmq = rlm_quotient(sgp, jref, _shared)
+    rlmq = rlm_quotient(sgp, jref)
     gens = list(zip(sgp.gen_names, sgp.gens))
     rlm_of_gen = {name: rlmq.rlm.elements[rlmq.code[gi]].images for name, gi in gens}
     pres = GroupMappingPresentation(sgp, jref, rc, rlmq, rlm_of_gen, {}, cls.group_mapping)

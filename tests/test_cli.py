@@ -456,6 +456,14 @@ class TestEstimateAndReplay:
         assert code == EXIT_OK
         assert out.strip() == expect
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cx, "estimate", exhausted)
+        code, out, err = run(capsys, "estimate", corpus_file("z2"))
+        assert (code, out, err) == (EXIT_RESOURCE, "", "resource error: out of memory\n")
+
     def test_trace_prints_certificate_json(self, capsys):
         code, out, _ = run(capsys, "estimate", corpus_file("b2z2_1"), "--trace")
         assert code == EXIT_OK

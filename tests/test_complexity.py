@@ -317,9 +317,9 @@ def memo_served(monkeypatch, sgp, options):
     memo, served = {}, []
     inner = complexity.estimate
 
-    def tracing(sub, opts=None, _label="S", _given=None, _memo=None, _shared=None):
+    def tracing(sub, opts=None, _label="S", _given=None, _memo=None):
         before = None if _memo is None else len(_memo)
-        result = inner(sub, opts, _label, _given, _memo, _shared)
+        result = inner(sub, opts, _label, _given, _memo)
         if _memo is memo and len(memo) == before:
             served.append((sub, _label, result))
         return result
@@ -363,25 +363,16 @@ class TestMemo:
         self.check_hits(served, options)
 
 
-def same_int_data(sgp):
-    """A new carrier on sgp's int data: elements 0..n-1, the same generators
-    and right Cayley graph, products traced."""
-    n = len(sgp)
-    rows = [list(row) for row in sgp.right_cayley]
-    return FiniteSemigroup(list(range(n)), list(sgp.gens), list(sgp.gen_names), rows, sgp.mul_index)
-
-
 class TestSharedStructure:
-    """One top-level estimate computes the Green structure and the
-    classification once per distinct int structure; what a carrier gets
-    from the table equals what a fresh carrier on its int data computes."""
+    """Carriers share no Green structure or classification: each carrier
+    object computes its own once and keeps it."""
 
     @pytest.mark.parametrize("gens,bodies,greens", [
-        (LADDER["T3"], 5, 6),
-        (LADDER["PT3"], 5, 6),
-        (LADDER["I3"], 5, 6),
-        (I4_GENS, 9, 10),
-        (T4_GENS, 9, 10),
+        (LADDER["T3"], 7, 8),
+        (LADDER["PT3"], 7, 8),
+        (LADDER["I3"], 7, 8),
+        (I4_GENS, 16, 17),
+        (T4_GENS, 16, 17),
     ], ids=["T3", "PT3", "I3", "I4", "T4"])
     def test_counts(self, monkeypatch, gens, bodies, greens):
         counts = collections.Counter()
@@ -397,46 +388,83 @@ class TestSharedStructure:
         estimate(ladder(gens), BUDGET_0)
         assert (counts["classify"], counts["green"]) == (bodies, greens)
 
-    def reached(self, monkeypatch, sgp, options):
-        """Every carrier that estimate(sgp, options) estimates or classifies."""
-        seen = []
-        inner_estimate, inner_classify = complexity.estimate, semilocal.classify
 
-        def estimating(sub, *args):
-            seen.append(sub)
-            return inner_estimate(sub, *args)
+def reached(monkeypatch, sgp, options):
+    """Every carrier that estimate(sgp, options) classifies, once each."""
+    seen = {}
+    inner = semilocal.classify
 
-        def classifying(sub, _shared=None):
-            seen.append(sub)
-            return inner_classify(sub, _shared)
+    def classifying(sub):
+        seen[id(sub)] = sub
+        return inner(sub)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(complexity, "estimate", estimating)
-            patch.setattr(semilocal, "classify", classifying)
-            estimating(sgp, options)
-        return list({id(s): s for s in seen}.values())
+    with monkeypatch.context() as patch:
+        patch.setattr(semilocal, "classify", classifying)
+        estimate(sgp, options)
+    return list(seen.values())
 
-    def test_sharing_is_exact(self, monkeypatch):
-        # fresh carriers: the session's corpus may hold classifications already
-        runs = [(load_semigroup(CORPUS_DIR / e["file"]), None) for e in load_corpus_manifest()]
-        runs += [(ladder(gens), None) for gens in LADDER.values()]
-        runs += [(ladder(gens), BUDGET_0) for gens in (I4_GENS, T4_GENS)]
-        classified = structures = 0
-        for sgp, options in runs:
-            carriers = self.reached(monkeypatch, sgp, options)
-            for sub in carriers:
-                fresh = same_int_data(sub)
-                if sub._green is not None:
-                    assert sub._green == fresh.green()
-                if sub._classification is not None:
-                    assert sub._classification == semilocal._classify(fresh)
-                    classified += 1
-            structures += len({
-                (tuple(map(tuple, sub.right_cayley)), tuple(sub.gens))
-                for sub in carriers if sub._classification is not None
-            })
-        # a discrete GM partition adopts S's own classification and builds no copy
-        assert (classified, structures) == (91, 68)
+
+def whole_ideal_verdicts(sgp):
+    """The right and left mapping flags by the rule `classify` replaced:
+    faithfulness on the whole of each 0-minimal ideal, zero included."""
+    _, ideals = semilocal._zero_minimal_ideals(sgp)
+    n = len(sgp)
+    right = any(len(set(sgp.right_translations(ideal))) == n for _, ideal in ideals)
+    left = any(len(set(sgp.left_translations(ideal))) == n for _, ideal in ideals)
+    return right, left
+
+
+# fresh carriers: the session's corpus may hold classifications already
+CLASSIFIED_RUNS = {e["name"]: (e["file"], None) for e in load_corpus_manifest()}
+CLASSIFIED_RUNS.update({name: (LADDER[name], None) for name in ("T3", "PT3", "I3")})
+CLASSIFIED_RUNS.update({"I4": (I4_GENS, BUDGET_0), "T4": (T4_GENS, BUDGET_0)})
+
+
+class TestOneClassFaithfulness:
+    """`classify` tests faithfulness on one R-class and one L-class of each
+    0-minimal ideal; its verdicts must be the whole ideal's (the lemma in
+    its docstring) on every carrier an estimate classifies."""
+
+    @pytest.mark.parametrize("name", list(CLASSIFIED_RUNS))
+    def test_every_classified_carrier(self, monkeypatch, name):
+        source, options = CLASSIFIED_RUNS[name]
+        if isinstance(source, str):
+            sgp = load_semigroup(CORPUS_DIR / source)
+        else:
+            sgp = ladder(source)
+        carriers = reached(monkeypatch, sgp, options)
+        assert carriers or is_aperiodic(sgp)
+        for sub in carriers:
+            cls = semilocal.classify(sub)
+            assert (cls.right_mapping, cls.left_mapping) == whole_ideal_verdicts(sub)
+
+    def test_runs_reach_kernels_and_proper_classes(self, monkeypatch):
+        # a kernel with no zero (Z_2's carriers), and a class whose R- and
+        # L-classes are proper parts of J with more than one element (T_3's)
+        carriers = reached(monkeypatch, ladder(LADDER["T3"]), None)
+        carriers += reached(monkeypatch, load_semigroup(CORPUS_DIR / "z2.sgp"), None)
+        assert any(sub.zero_index() is None for sub in carriers)
+
+        def proper(sub):
+            gs = sub.green()
+            members = gs.j_classes[semilocal.classify(sub).distinguished_j]
+            r, l = gs.r_classes[gs.r_of[members[0]]], gs.l_classes[gs.l_of[members[0]]]
+            return 1 < len(r) < len(members) and 1 < len(l) < len(members)
+
+        assert any(proper(sub) for sub in carriers)
+
+    @pytest.mark.parametrize("gens,null,zero,verdicts", [
+        ([T((2, 0))], [True], True, (False, False)),  # {x, 0}
+        ([T((1, 0, 0)), T((0, 3, 0))], [False, True], True, (False, False)),  # {e, x, 0}
+        ([T((1, 1)), T((2, 2))], [False], False, (True, False)),  # a right zero semigroup
+    ], ids=["null", "regular-and-null", "right-zero"])
+    def test_null_ideals_and_a_kernel(self, gens, null, zero, verdicts):
+        sgp = FiniteSemigroup.generate([(f"g{k}", g) for k, g in enumerate(gens)])
+        gs = sgp.green()
+        assert [not gs.regular[c] for c, _ in semilocal._zero_minimal_ideals(sgp)[1]] == null
+        assert (sgp.zero_index() is not None) == zero
+        cls = semilocal.classify(sgp)
+        assert (cls.right_mapping, cls.left_mapping) == whole_ideal_verdicts(sgp) == verdicts
 
 
 def test_flow_cap_check(corpus):
