@@ -150,8 +150,7 @@ def cmd_rees(args) -> int:
 
 
 def cmd_spc(args) -> int:
-    with open(args.group, encoding="ascii") as fh:
-        group = ff.parse_group(fh.read())
+    group = ff.parse_group(ff.read_ascii(args.group))
     if args.op == "enumerate":
         for s in spcmod.enumerate_spcs(args.size, group):
             print(ff.dump_spc(s))
@@ -171,8 +170,7 @@ def cmd_spc(args) -> int:
 def cmd_flow_verify(args) -> int:
     sgp = ff.load_semigroup(args.semigroup, max_elements=args.budget_elements)
     pres = group_mapping_presentation(sgp)
-    with open(args.flow, encoding="ascii") as fh:
-        flow = ff.parse_flow(fh.read(), pres)
+    flow = ff.parse_flow(ff.read_ascii(args.flow), pres)
     verdict = flowmod.verify_flow(flow)
     if verdict is True:
         print("ok")
@@ -209,8 +207,7 @@ def cmd_divide(args) -> int:
     target = ff.load_semigroup(args.target, max_elements=args.budget_elements)
     lifts = None
     if args.lifts:
-        with open(args.lifts, encoding="ascii") as fh:
-            lifts = _parse_lifts(fh.read(), source, target)
+        lifts = _parse_lifts(ff.read_ascii(args.lifts), source, target)
     result = check_division(source, target, lifts=lifts, budget=args.division_budget)
     if isinstance(result, DivisionWitness):
         payload = {
@@ -277,8 +274,7 @@ def _named_group(spec: str) -> FiniteGroup:
         return FiniteGroup.trivial()
     if spec.upper().startswith("Z") and spec[1:].isdigit():
         return FiniteGroup.cyclic(int(spec[1:]))
-    with open(spec, encoding="ascii") as fh:
-        return ff.parse_group(fh.read())
+    return ff.parse_group(ff.read_ascii(spec))
 
 
 def cmd_inverse_demo(args) -> int:
@@ -325,8 +321,33 @@ def cmd_inverse_demo(args) -> int:
 
 
 def load_corpus_manifest(path=None) -> list[dict]:
-    manifest_path = Path(path) if path else CORPUS_DIR / "manifest.json"
-    return json.loads(manifest_path.read_text(encoding="ascii"))
+    """The manifest's entries, each an object with a `name`, a `file` and
+    an `expected` object whose values are [value, tag] pairs, `order`,
+    `aperiodic` and `group_mapping` among them; InputError otherwise."""
+    text = ff.read_ascii(Path(path) if path else CORPUS_DIR / "manifest.json")
+    try:
+        entries = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"manifest is not JSON: {exc}") from None
+    if not isinstance(entries, list):
+        raise InputError("manifest is not a list of entries")
+    for k, entry in enumerate(entries):
+        expected = entry.get("expected") if isinstance(entry, dict) else None
+        if not (
+            isinstance(expected, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("file"), str)
+            and {"order", "aperiodic", "group_mapping"} <= expected.keys()
+            and all(
+                isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], str)
+                for pair in expected.values()
+            )
+        ):
+            raise InputError(
+                f"manifest entry {k} needs a name, a file and an expected object "
+                "of [value, tag] pairs for order, aperiodic and group_mapping"
+            )
+    return entries
 
 
 def corpus_report(manifest_path=None, options=None) -> str:
@@ -377,10 +398,11 @@ def cmd_corpus_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    text = ff.read_ascii(args.certificate)
     try:
-        cert = json.loads(Path(args.certificate).read_text(encoding="ascii"))
+        cert = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"certificate is not ASCII JSON: {exc}") from None
+        raise InputError(f"certificate is not JSON: {exc}") from None
     log = cx.replay_certificate(cert, _estimate_options(args))
     for line in log:
         print(line)

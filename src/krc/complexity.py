@@ -30,6 +30,7 @@ from .semilocal import (
 )
 from .flows import (
     DEFAULT_AUTOMATA_BUDGET,
+    FlowSearchExhausted,
     flow_search,
     presentation_construct,
     transition_semigroup,
@@ -536,52 +537,46 @@ def flow_upper(
     pres, rlm_upper: int, options: EstimateOptions, stored: Optional[dict] = None
 ):
     """Search for a flow whose transition semigroup stays below rlm_upper-1
-    and whose constructive decomposition fully verifies; returns the
-    certificate dict or an exhaustion report.
+    and return the certificate dict of the decomposition it induces, or
+    the search's exhaustion report.  A verified flow always constructs
+    (the proof is in the `flows` module docstring), so a construction that
+    fails raises its VerificationError.
 
-    Replay passes the `stored` upper node instead: a stored flow is checked
-    like a found one (VerificationError if it fails), and any other stored
-    kind returns None without searching."""
+    Replay passes the `stored` upper node instead: a stored flow is parsed,
+    verified and cap-checked in place of the search (VerificationError if
+    it fails), and any other stored kind returns None without searching."""
     from .fileformats import dump_flow, parse_flow
 
     if rlm_upper < 1:
         raise InputError("flow upper bounds need an RLM upper bound of at least 1")
     cap = rlm_upper - 1
     cap_check = flow_cap_check(cap, options)
-
-    def accept(flow):
-        try:
-            witness = presentation_construct(flow)
-        except (VerificationError, ResourceError):
-            return None  # flow verifies but yields no usable decomposition
-        return {
-            "kind": "flow",
-            "value": rlm_upper,
-            "cap": cap,
-            "flow": dump_flow(flow),
-            "b_bar": witness.b_bar,
-            "lift_semigroup_order": len(witness.division.closure),
-        }
-
     if stored is None:
-        return flow_search(
+        flow = flow_search(
             pres,
             options.max_flow_states,
             cap_check=cap_check,
             automata_budget=options.automata_budget,
-            accept=accept,
         )
-    if stored.get("kind") != "flow":
+        if isinstance(flow, FlowSearchExhausted):
+            return flow
+    elif stored.get("kind") != "flow":
         return None
-    flow = parse_flow(stored.get("flow"), pres)
-    if verify_flow(flow) is not True:
-        raise VerificationError("replay: stored flow does not verify")
-    if not cap_check(transition_semigroup(flow.automaton)):
-        raise VerificationError("replay: stored flow's automaton exceeds the cap")
-    result = accept(flow)
-    if result is None:
-        raise VerificationError("replay: stored flow yields no decomposition")
-    return result
+    else:
+        flow = parse_flow(stored.get("flow"), pres)
+        if verify_flow(flow) is not True:
+            raise VerificationError("replay: stored flow does not verify")
+        if not cap_check(transition_semigroup(flow.automaton)):
+            raise VerificationError("replay: stored flow's automaton exceeds the cap")
+    witness = presentation_construct(flow)
+    return {
+        "kind": "flow",
+        "value": rlm_upper,
+        "cap": cap,
+        "flow": dump_flow(flow),
+        "b_bar": witness.b_bar,
+        "lift_semigroup_order": len(witness.division.closure),
+    }
 
 
 # -- certificate replay ------------------------------------------------------

@@ -36,6 +36,7 @@ line per state, in state order.
 from __future__ import annotations
 
 from operator import itemgetter
+from pathlib import Path
 
 from .core import (
     DEFAULT_ELEMENT_BUDGET,
@@ -44,6 +45,18 @@ from .core import (
     PartialTransformation,
 )
 from .errors import InputError, VerificationError
+
+
+def read_ascii(path) -> str:
+    """The text of the input file at `path`.  Every input is ASCII, so a
+    byte outside it, in a comment too, is an InputError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None
 
 
 def _clean_lines(text: str) -> list[str]:
@@ -143,8 +156,7 @@ def parse_semigroup(
 
 
 def load_semigroup(path, max_elements: int = DEFAULT_ELEMENT_BUDGET) -> FiniteSemigroup:
-    with open(path, encoding="ascii") as fh:
-        return parse_semigroup(fh.read(), max_elements=max_elements)
+    return parse_semigroup(read_ascii(path), max_elements=max_elements)
 
 
 # -- group files -------------------------------------------------------

@@ -12,10 +12,9 @@ of G x B).
 The middle one is the sink condition: an undefined q.x moves to a sink
 state labeled with the empty SPC, and F1 against it reads W_q.x inside
 {0}.  A point of W_q that x moves while q dies gets no wreath coordinate
-in x's lift, so elements of S that differ only there share a lift.  Every
-flow that keeps the condition constructed over the 1- and 2-state
-automata on the corpus, T_3 and PT_3; some that break it construct too,
-at a state that no transition enters for one.
+in x's lift, so elements of S that differ only there share a lift.  The
+condition is sufficient, not necessary: a flow may break it at a state
+that no transition enters and still construct.
 
 One transport per labeled transition serves verification and
 construction alike: it checks F1-F5 in order and, when all hold, gives
@@ -28,6 +27,47 @@ position, with B + 0, and the witness map rho onto G x B + 0 is checked
 to be a surjective morphism against the wreath row of each lift.  The
 division of S that the lifts generate is then machine-checked through the
 division machinery.
+
+A verified flow always constructs: F1-F5, the sink condition and the
+cover condition make every check of `presentation_construct` pass.  Let
+lab_q be the cross section of q's SPC; Qbar holds (((g, j), q), b) for b
+in block j of W_q, with rho sending it to (g*lab_q(b), b), and
+((g, j), q) paired with 0, sent to 0.  A live q.x = t moves the wreath
+point ((g, j), q) to ((g*h, k), t), with k and h the target block and
+shift of block j; a dead q.x leaves it undefined.
+(a) F3 makes the block map of q.x injective on the blocks with a target.
+    The other blocks, padding included, are as many as the targets left
+    unused in [b_bar], so the completion is a permutation of [b_bar].  A
+    dead q.x keeps the identity.
+(b) By the cover condition each b of B lies in some W_q, and g*lab_q(b)
+    runs over G with g, so rho is onto G x B + 0.
+(c) Take omega = (((g, j), q), b) and a live q.x = t.  When b.x = 0,
+    omega.x is paired with 0 and rho(omega).x = 0.  Otherwise c = b.x
+    lies in W_t by F1 and in block k by F2, so omega.x = (((g*h, k), t),
+    c) is in Qbar: F1 and F2 keep Qbar closed.  By F4 the transported label
+    m(c) = lab_q(b)*(b)x is one value, and by F5 m(c) = h*lab_t(c), so
+    rho(omega.x) = (g*h*lab_t(c), c) = (g*lab_q(b)*(b)x, c) = rho(omega).x.
+    A point paired with 0 stays paired with 0.  These are `_verify_rho`'s
+    steps: a point of Qbar over q has its b in W_q or 0, and a dead q.x
+    is skipped.
+(d) Let words u and v have equal lift products, and p = (h, b) in G x B.
+    By (b) p = rho(omega) for some omega over a q with b in W_q.  The
+    wreath parts agree, so q's state path survives u iff it survives v.
+    If it survives, (c) gives rho(omega.u) = p.u, and omega.u is read off
+    the lift product (its wreath part moves the point, its RLM part moves
+    b), so p.u = p.v.  If it dies at the letter x after a prefix w, then
+    p.w = rho(omega.w) by (c), and omega.w lies over a state whose x is
+    undefined, with its b in that state's W or 0; the sink condition
+    sends that b, and so p.w, to 0 under x, and 0 stays 0: p.u = 0 = p.v.
+    So u and v act alike on G x B + 0, which
+    `semilocal._verify_coordinate_action` identifies with R u {0}, R the
+    a = 0 R-class of the distinguished class.  A generalized group mapping
+    S is right mapping, so it acts faithfully there by the lemma in
+    `semilocal.classify`, and u = v in S.  The relation closure is
+    therefore a function, and onto S since every generator is lifted.
+(e) No ResourceError arises: T_A was built under the same element budget
+    by the search or by replay's cap check, and a division with given
+    lifts has no budget.  One that did arise would end as exit 3.
 """
 
 from __future__ import annotations
@@ -383,18 +423,20 @@ def flow_search(
     max_states: int,
     cap_check: Callable[[FiniteSemigroup], bool] = is_aperiodic,
     automata_budget: int = DEFAULT_AUTOMATA_BUDGET,
-    accept: Callable[[Flow], Any] = lambda flow: flow,
 ):
-    """First accepted verified flow over automata with at most max_states
+    """The first verified flow over automata with at most max_states
     states whose transition semigroup passes `cap_check` (aperiodicity,
-    that is cap 0, unless `complexity.flow_cap_check` gives another).
+    that is cap 0, unless `complexity.flow_cap_check` gives another), or
+    FlowSearchExhausted.
 
     Automata come in canonical order, and per automaton its consistent
     covering labelings that keep the sink condition, with transitions
     checked through one `_successor_index` and one `_sink_index` per
-    search; `accept(flow)` turns a verified flow into the result, and None
-    moves on to the next labeling.  Exhaustion is explicit and never a
-    nonexistence claim."""
+    search.  The first labeling found is verified again and returned; it
+    constructs, by the proof in the module docstring.  The sink condition
+    is sufficient, not necessary, so a labeling that breaks it is passed
+    over even where it would construct.  Exhaustion is explicit and never
+    a nonexistence claim."""
     letters = tuple(pres.sgp.gen_names)
     spcs = None  # enumerated once an automaton passes the cap
 
@@ -415,13 +457,12 @@ def flow_search(
                 supports = [frozenset(spc.subset) for spc in spcs]
                 succ = _successor_index(pres, spcs, supports)
                 sinks = _sink_index(pres, supports)
-            for assignment in _iter_labelings(aut, supports, succ, sinks):
+            assignment = next(_iter_labelings(aut, supports, succ, sinks), None)
+            if assignment is not None:
                 flow = Flow(aut, pres, tuple(spcs[i] for i in assignment))
                 if verify_flow(flow) is not True:
                     raise VerificationError("search produced a non-flow")
-                result = accept(flow)
-                if result is not None:
-                    return result
+                return flow
     return FlowSearchExhausted(max_states, tried, automata_budget)
 
 

@@ -524,11 +524,11 @@ def check_division(
     period) by `WreathProduct.index_periods`, which walks t's powers once
     per distinct t and each position's walk once per distinct orbit shape
     and f's codes along it; any other target walks the powers of each
-    target code once through `target.mul_code`.  The search assigns generators depth first in
-    canonical order and closes the relation of each prefix of two or more
-    lifts; a prefix whose closure is not functional is cut with its whole
-    subtree, since every extension's relation contains it.  Surjectivity
-    is checked on full tuples only.  The first witness is thus the first
+    target code once through `target.mul_code`.  The search assigns
+    generators depth first in canonical order and closes the relation of
+    each prefix of two or more lifts; a prefix whose closure is not
+    functional is cut with its whole subtree, since every extension's
+    relation contains it.  Surjectivity is checked on full tuples only.  The first witness is thus the first
     in the canonical order of all tuples, and a cut subtree counts all its
     tuples as tried.  The search stops when `budget` tuples are ruled out,
     so for S with k generators it costs the (index, period) of every

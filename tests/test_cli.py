@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,15 +34,16 @@ def corpus_file(name: str) -> str:
     return str(CORPUS_DIR / f"{name}.sgp")
 
 
-def fresh_process(cwd, *argv) -> tuple[int, bytes]:
-    """`python -m krc.cli ARGV` in a new interpreter: exit code and stdout."""
+def fresh_process(cwd, *argv) -> tuple[int, bytes, bytes]:
+    """`python -m krc.cli ARGV` in a new interpreter: exit code, stdout and
+    stderr."""
     src = str(Path(krc.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "krc.cli", *argv],
         capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path}, check=False,
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 # each subcommand's required arguments, and its non-negative int options
@@ -89,6 +91,31 @@ class TestBudgetFlags:
         assert f"argument {flag}: invalid non-negative int value: '-1'" in err
 
 
+def leaf_commands(parser, command=()):
+    """The subcommands of `parser` that take no further subcommand, as
+    space-joined words."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(command)
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_commands(sub, (*command, name))
+
+
+class TestSubcommandLists:
+    def test_docstring_readme_and_parser_agree(self):
+        import krc.cli
+
+        listed = re.search(r"Subcommands: ([^.]*)\.", krc.cli.__doc__).group(1)
+        docstring = {" ".join(name.split()) for name in listed.split(",")}
+        readme = (Path(krc.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        in_readme = {m.group(1) for m in re.finditer(r"^krc((?: [a-z]+)+)", block, re.M)}
+        in_readme = {name.strip() for name in in_readme}
+        assert docstring == in_readme == set(leaf_commands(build_parser()))
+        assert len(docstring) == 12
+
+
 class TestParserReuse:
     def test_second_call_builds_no_parser(self, capsys, monkeypatch):
         built = []
@@ -123,7 +150,7 @@ class TestParserReuse:
         assert out.startswith("usage: krc estimate")
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert fresh_process(tmp_path, *argv) == (code, out.encode("ascii"))
+        assert fresh_process(tmp_path, *argv)[:2] == (code, out.encode("ascii"))
 
 
 class TestAnalyze:
@@ -491,7 +518,7 @@ class TestEstimateAndReplay:
         code, out, _ = run(capsys, "estimate", file, "--cert", str(tmp_path / "main.json"))
         assert code == EXIT_OK
         one_shot = fresh_process(tmp_path, "estimate", file, "--cert", "one-shot.json")
-        assert one_shot == (code, out.encode("ascii"))
+        assert one_shot[:2] == (code, out.encode("ascii"))
         assert (tmp_path / "one-shot.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
     def test_certificate_replay_cold(self, capsys, tmp_path):
@@ -810,6 +837,136 @@ class TestCorpusAndDeterminism:
         code, out, _ = run(capsys, "corpus", "run")
         assert code == EXIT_OK
         assert "MISMATCH" not in out
+
+
+def edited(mapping: dict, drop=(), **changes) -> dict:
+    """A copy of `mapping` with `changes` and without the keys `drop`."""
+    return {k: v for k, v in {**mapping, **changes}.items() if k not in drop}
+
+
+Z2_EXPECTED = {
+    "order": [2, "TRIVIAL"], "aperiodic": [False, "DERIVED"], "group_mapping": [True, "DERIVED"],
+}
+Z2_ENTRY = {"name": "z2", "file": "z2.sgp", "expected": Z2_EXPECTED}
+
+
+# (argv, the input file made non-ASCII); argv names the input files
+# written by `ascii_inputs` by their keys
+NON_ASCII_CASES = [
+    (["analyze", "SGP"], "SGP"),
+    (["rlm", "SGP", "--jclass", "0"], "SGP"),
+    (["gm", "SGP", "--jclass", "0"], "SGP"),
+    (["rees", "SGP", "--jclass", "0"], "SGP"),
+    (["spc", "GRP", "enumerate", "--size", "1"], "GRP"),
+    (["flow", "verify", "SGP", "FLOW"], "SGP"),
+    (["flow", "verify", "SGP", "FLOW"], "FLOW"),
+    (["flow", "search", "SGP"], "SGP"),
+    (["divide", "SGP", "SGP", "--lifts", "LIFTS"], "SGP"),
+    (["divide", "SGP", "SGP", "--lifts", "LIFTS"], "LIFTS"),
+    (["estimate", "SGP"], "SGP"),
+    (["inverse", "demo", "--n", "2", "--group", "GRP", "--rank", "1"], "GRP"),
+    (["corpus", "run", "--manifest", "MANIFEST"], "MANIFEST"),
+    (["corpus", "run", "--manifest", "MANIFEST"], "SGP"),
+    (["replay", "CERT"], "CERT"),
+]
+
+
+@pytest.fixture
+def ascii_inputs(tmp_path, capsys):
+    """Z_2's semigroup, group, flow, lift, one-entry manifest and
+    certificate files, by key."""
+    files = {
+        "SGP": "points: 2\ngens:\nt: 2 1\n",
+        "GRP": "order: 2\n0 1\n1 0\n",
+        "FLOW": "states: 1\ntrans: 1 t 1\nflow:\nW={1}; blocks=[{1}:0]\n",
+        "LIFTS": "t: 2 1\n",
+        "MANIFEST": json.dumps([edited(Z2_ENTRY, file="SGP")]),
+    }
+    paths = {key: tmp_path / key for key in [*files, "CERT"]}
+    for key, text in files.items():
+        paths[key].write_text(text, encoding="ascii")
+    assert run(capsys, "estimate", str(paths["SGP"]), "--cert", str(paths["CERT"]))[0] == EXIT_OK
+    return paths
+
+
+class TestNonAsciiInput:
+    """A byte outside ASCII in any input file, in a comment too, is an
+    input error (exit 2) with an `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv,key", NON_ASCII_CASES, ids=[" ".join(argv) + " @" + key for argv, key in NON_ASCII_CASES]
+    )
+    def test_every_input_file(self, capsys, ascii_inputs, argv, key):
+        argv = [str(ascii_inputs.get(arg, arg)) for arg in argv]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        path = ascii_inputs[key]
+        # a UTF-8 byte order mark on JSON, an accented comment elsewhere
+        prefix = b"\xef\xbb\xbf" if key in ("MANIFEST", "CERT") else b"# caf\xc3\xa9\n"
+        path.write_bytes(prefix + path.read_bytes())
+        offset = next(i for i, byte in enumerate(prefix) if byte > 127)
+        assert run(capsys, *argv) == (
+            EXIT_USAGE, "", f"error: {path}: byte {prefix[offset]:#04x} at offset {offset} is not ASCII\n"
+        )
+
+    def test_no_traceback_in_a_fresh_process(self, tmp_path):
+        (tmp_path / "z2.sgp").write_bytes(b"# caf\xc3\xa9\npoints: 2\ngens:\nt: 2 1\n")
+        code, out, err = fresh_process(tmp_path, "analyze", "z2.sgp")
+        assert (code, out) == (EXIT_USAGE, b"")
+        assert err == b"error: z2.sgp: byte 0xc3 at offset 5 is not ASCII\n"
+        assert b"Traceback" not in err
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("text,message", [
+        ("[{", "manifest is not JSON: "),
+        ("[" * 10**5 + "]" * 10**5, "manifest is not JSON: "),
+        ('{"name": "z2"}', "manifest is not a list of entries"),
+        ('"z2"', "manifest is not a list of entries"),
+    ], ids=["truncated", "deep", "object", "string"])
+    def test_not_a_list(self, capsys, tmp_path, text, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(text, encoding="ascii")
+        code, out, err = run(capsys, "corpus", "run", "--manifest", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("entry", [
+        "z2.sgp",
+        edited(Z2_ENTRY, drop=("name",)),
+        edited(Z2_ENTRY, drop=("file",)),
+        edited(Z2_ENTRY, drop=("expected",)),
+        edited(Z2_ENTRY, name=2),
+        edited(Z2_ENTRY, file=["z2.sgp"]),
+        edited(Z2_ENTRY, expected=[["order", 2]]),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, drop=("order",))),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, drop=("group_mapping",))),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, order=2)),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, order=[2])),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, order=[2, "TRIVIAL", "x"])),
+        edited(Z2_ENTRY, expected=edited(Z2_EXPECTED, interval=[[1, 1], None])),
+    ], ids=[
+        "string", "no-name", "no-file", "no-expected", "int-name", "list-file",
+        "expected-list", "no-order", "no-group-mapping", "bare-value", "no-tag",
+        "triple", "null-tag",
+    ])
+    def test_bad_entry(self, capsys, tmp_path, entry):
+        (tmp_path / "z2.sgp").write_text("points: 2\ngens:\nt: 2 1\n", encoding="ascii")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([Z2_ENTRY, entry]), encoding="ascii")
+        code, out, err = run(capsys, "corpus", "run", "--manifest", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: manifest entry 1 needs a name, a file and an expected object of "
+            "[value, tag] pairs for order, aperiodic and group_mapping\n"
+        )
+
+    def test_good_entries_run(self, capsys, tmp_path):
+        (tmp_path / "z2.sgp").write_text("points: 2\ngens:\nt: 2 1\n", encoding="ascii")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([Z2_ENTRY, Z2_ENTRY]), encoding="ascii")
+        code, out, _ = run(capsys, "corpus", "run", "--manifest", str(path))
+        assert code == EXIT_OK
+        assert out.endswith("  RESULT: pass\nentries: 2\n")
 
 
 class TestSpcCommand:

@@ -16,9 +16,9 @@ from krc.complexity import (
     lift_through_expansion,
     rhodes_expansion,
 )
-from krc.cli import CORPUS_DIR, load_corpus_manifest
+from krc.cli import CORPUS_DIR, EXIT_OK, EXIT_VERIFY, load_corpus_manifest, main
 from krc.fileformats import load_semigroup
-from krc.errors import InputError, ResourceError
+from krc.errors import InputError, ResourceError, VerificationError
 from krc.products import DivisionWitness, ExhaustionReport
 from test_core import I4_GENS, LADDER, T4_GENS
 
@@ -256,28 +256,30 @@ class TestEstimate:
         with pytest.raises(Exception):
             ComplexityInterval(2, 1, {})
 
-    def test_flow_accept_never_swallows_a_construction(self, corpus, monkeypatch):
-        """flow_upper's `accept` returns None, and the search moves on,
-        only when presentation_construct fails on a verified flow; on the
-        corpus and on T_3, PT_3 and I_3 at default options it never does."""
-        accepted = []
-        search = complexity.flow_search
+    def test_a_failed_construction_is_a_verification_failure(
+        self, corpus, monkeypatch, capsys, tmp_path
+    ):
+        """A verified flow always constructs (the proof is in the `flows`
+        module docstring), so a construction that fails is raised, never
+        passed over: `estimate` raises it, and `krc estimate` and `krc
+        replay` of a flow certificate exit 4."""
+        sgp, _ = corpus["small_2_z2"]
+        file, cert = str(CORPUS_DIR / "small_2_z2.sgp"), tmp_path / "cert.json"
+        assert main(["estimate", file, "--cert", str(cert)]) == EXIT_OK
+        assert '"kind": "flow"' in cert.read_text(encoding="ascii")
 
-        def counted_search(*args, accept, **kwargs):
-            def counted(flow):
-                accepted.append(accept(flow))
-                return accepted[-1]
+        def broken(flow):
+            raise VerificationError("construction failed")
 
-            return search(*args, accept=counted, **kwargs)
-
-        monkeypatch.setattr(complexity, "flow_search", counted_search)
-        sgps = [sgp for sgp, _ in corpus.values()]
-        sgps += [ladder(LADDER[name]) for name in ("T3", "PT3", "I3")]
-        assert len(sgps) == 20
-        for sgp in sgps:
+        monkeypatch.setattr(complexity, "presentation_construct", broken)
+        with pytest.raises(VerificationError, match="construction failed"):
             estimate(sgp)
-        assert accepted, "no verified flow reached accept"
-        assert None not in accepted
+        capsys.readouterr()
+        assert main(["estimate", file]) == EXIT_VERIFY
+        assert main(["replay", str(cert)]) == EXIT_VERIFY
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "verification failure: construction failed\n" * 2
 
 
 class TestDerivedWreathDivision:

@@ -384,33 +384,20 @@ class TestFlowSearch:
         out = flow_search(small17_pres, max_states=2, automata_budget=0)
         assert out == FlowSearchExhausted(2, 0, 0)
 
-    def test_rejecting_accept_exhausts(self, small17_pres):
-        offered = []
-
-        def reject(flow):
-            assert verify_flow(flow) is True
-            offered.append(flow)
-            return None
-
-        out = flow_search(small17_pres, max_states=1, accept=reject)
-        assert isinstance(out, FlowSearchExhausted)
-        assert offered
-        assert out.automata_tried == 2 ** len(small17_pres.sgp.gen_names)
-
     @pytest.mark.parametrize("budget", [0, 1, 3, 1000])
     def test_estimate_counts_automata_like_flow_search(
         self, small17_pres, monkeypatch, budget
     ):
-        # every decomposition fails, so the estimate's search runs dry too
-        def no_decomposition(flow):
-            raise VerificationError("no decomposition")
+        # every automaton fails the cap check, so both searches run dry
+        def reject(tsg):
+            return False
 
-        monkeypatch.setattr(complexity, "presentation_construct", no_decomposition)
+        monkeypatch.setattr(complexity, "flow_cap_check", lambda cap, options: reject)
         via_estimate = complexity.flow_upper(
             small17_pres, 1, EstimateOptions(automata_budget=budget)
         )
         direct = flow_search(
-            small17_pres, max_states=1, automata_budget=budget, accept=lambda f: None
+            small17_pres, max_states=1, cap_check=reject, automata_budget=budget
         )
         assert isinstance(via_estimate, FlowSearchExhausted)
         assert isinstance(direct, FlowSearchExhausted)
@@ -645,24 +632,13 @@ class TestSinkSoundness:
         [("T3", FlowSearchExhausted(2, 737, 2000)), ("PT3", FlowSearchExhausted(2, 2000, 2000))],
     )
     def test_two_state_search_results(self, ladder_presentations, name, exhausted):
-        # recorded before the sink condition was part of the definition:
-        # the search then offered flows that failed to construct, and
-        # passed over them
-        def constructs(flow):
-            try:
-                presentation_construct(flow)
-            except VerificationError:
-                return None
-            return flow
-
-        results = [
-            flow_search(pres, max_states=2, accept=constructs)
-            for pres in ladder_presentations[name]
-        ]
+        results = [flow_search(pres, max_states=2) for pres in ladder_presentations[name]]
         assert results[0] == exhausted
         assert [dump_flow(flow) for flow in results[1:]] == [
             dump_flow(trivial_flow(pres)) for pres in ladder_presentations[name][1:]
         ]
+        for flow in results[1:]:
+            presentation_construct(flow)
 
 
 def digest(values) -> str:
