@@ -15,6 +15,7 @@ searching, and accepts only if it gets the same certificate back.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -310,15 +311,19 @@ class ComplexityInterval:
         return f"[{self.lower}, {hi}]"
 
 
-def gm_reduction(sgp: FiniteSemigroup) -> list[tuple[JClassRef, GmQuotient]]:
+def gm_reduction(
+    sgp: FiniteSemigroup, build: Callable[..., FiniteSemigroup] = FiniteSemigroup
+) -> list[tuple[JClassRef, GmQuotient]]:
     """GM images at every J-class with a nontrivial subgroup, with the
-    combined-projection injectivity check of the max rule."""
+    combined-projection injectivity check of the max rule.  `build` makes
+    each image (see `gm_quotient`); `estimate` passes its memo's, so every
+    sibling image is in the memo before any sibling's subtree runs."""
     gs = sgp.green()
     children = []
     for j_id in range(len(gs.j_classes)):
         jref = JClassRef(sgp, j_id)
         if jref.is_regular and jref.contains_nontrivial_subgroup():
-            children.append((jref, gm_quotient(sgp, jref)))
+            children.append((jref, gm_quotient(sgp, jref, build)))
     # the combined projection is injective on every maximal subgroup
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
@@ -343,7 +348,7 @@ def estimate(
     options: Optional[EstimateOptions] = None,
     _label: str = "S",
     _given: Optional[dict[str, Any]] = None,
-    _memo: Optional[dict[tuple, tuple[str, ComplexityInterval]]] = None,
+    _memo: Optional[dict[tuple, _Entry]] = None,
 ) -> ComplexityInterval:
     """The full pipeline: aperiodicity, GM reduction with the max rule,
     and per group-mapping image the RLM recursion plus pure/flow uppers.
@@ -352,35 +357,71 @@ def estimate(
     nodes: a stored flow is checked instead of searched for, and any other
     stored choice skips the flow search.
 
-    Each distinct carrier is computed once per top-level call: the
-    recursion reaches the same semigroup by several paths (S/GM[J2] and
-    S/GM[J1]/GM[J2], say).  `_memo`, made fresh by every top-level call
-    and passed down next to `_given`, maps a carrier's key to the label it
-    was first computed at and its interval.  The key is the carrier's int
-    structure: its right Cayley graph, generator indices and names, and
-    for a transformation carrier its text.  Text alone would not do: an
-    abstract carrier's text costs a faithfulness check (`dump_semigroup`)
-    that a hit should skip, and equal text does not fix the element order
-    that J-class ids are read in.  A hit returns the stored interval with
-    its certificate relabeled: every label that is the stored label, or
-    starts with it plus "/", starts with `_label` instead.  Each carrier
-    object keeps its own Green structure and classification
-    (`semilocal.classify`); carriers share neither."""
+    Each distinct carrier is built and computed once per top-level call:
+    the recursion reaches the same semigroup by several paths (S/GM[J2]
+    and S/GM[J1]/GM[J2], say).  `_memo`, made fresh by every top-level call
+    and passed down next to `_given`, maps a carrier's key (`_key`: its
+    right Cayley graph, which fixes the element order that J-class ids are
+    read in, its generator indices and names, and for a transformation
+    carrier its generators' maps, which fix its text) to an `_Entry`.  The entry holds the carrier first built with that key, and
+    once computed, the label it was computed at and its interval.  A hit
+    returns the stored interval with its certificate relabeled: every label
+    that is the stored label, or starts with it plus "/", starts with
+    `_label` instead.
+
+    GM and RLM images are made through `_memo_carrier`, which gives back
+    the memo's carrier when it holds the image's key, so an image reached
+    by a second path is not built, Green-structured or classified again:
+    its verdict and the RLM checks read the held carrier's cached
+    classification and Green structure (`semilocal.classify`).  On T_4 or
+    I_4 at automata budget 0 this takes one estimate from 16
+    classifications and 17 Green structures to 9 and 10, one per distinct
+    structure, and on T_3, PT_3 or I_3 from 7 and 8 to 5 and 6."""
     from .fileformats import dump_semigroup
 
     memo = {} if _memo is None else _memo
-    text = dump_semigroup(sgp) if sgp.is_transformation else None
-    key = (tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names), text)
-    if key in memo:
-        label, done = memo[key]
+    key = _key(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_cayley)
+    entry = memo.setdefault(key, _Entry(sgp))
+    done = entry.interval
+    if done is not None:
         return ComplexityInterval(
-            done.lower, done.upper, _relabeled(done.certificate, label, _label)
+            done.lower, done.upper, _relabeled(done.certificate, entry.label, _label)
         )
-    if text is None:
-        text = dump_semigroup(sgp)
-    result = _estimate_carrier(sgp, text, options or EstimateOptions(), _label, _given, memo)
-    memo[key] = (_label, result)
+    result = _estimate_carrier(
+        sgp, dump_semigroup(sgp), options or EstimateOptions(), _label, _given, memo
+    )
+    entry.label, entry.interval = _label, result
     return result
+
+
+@dataclass
+class _Entry:
+    """A value of `estimate`'s memo: the carrier first built with its key,
+    and once computed, the label it was computed at and its interval."""
+
+    sgp: FiniteSemigroup
+    label: str = ""
+    interval: Optional[ComplexityInterval] = None
+
+
+def _key(elements, gens, gen_names, right_cayley) -> tuple:
+    """The memo key of the carrier that `FiniteSemigroup` makes of these
+    arguments.  An abstract carrier's element values are left out: its
+    certificate is read off the int structure alone."""
+    maps = None
+    if elements and isinstance(elements[0], PartialTransformation):
+        maps = tuple(elements[g] for g in gens)
+    return (tuple(map(tuple, right_cayley)), tuple(gens), tuple(gen_names), maps)
+
+
+def _memo_carrier(memo: dict, elements, gens, gen_names, right_cayley, mul) -> FiniteSemigroup:
+    """`FiniteSemigroup(elements, gens, gen_names, right_cayley, mul)`, or the
+    carrier `memo` holds for its key.  A new carrier is entered at once, so
+    a sibling GM image is found while the first sibling's subtree runs."""
+    key = _key(elements, gens, gen_names, right_cayley)
+    if key not in memo:
+        memo[key] = _Entry(FiniteSemigroup(elements, gens, gen_names, right_cayley, mul))
+    return memo[key].sgp
 
 
 def _relabeled(node: Any, old: str, new: str) -> Any:
@@ -421,7 +462,7 @@ def _estimate_carrier(
         )
     child_intervals: list[ComplexityInterval] = []
     child_certs = []
-    for jref, gq in gm_reduction(sgp):
+    for jref, gq in gm_reduction(sgp, functools.partial(_memo_carrier, memo)):
         if gq.order < len(sgp.elements):
             sub = estimate(gq.quotient, options, f"{label}/GM[J{jref.j_id}]", given, memo)
             child_intervals.append(sub)
@@ -466,7 +507,7 @@ def _estimate_group_mapping(
     memo: dict,
 ) -> ComplexityInterval:
     """`text` is the serialized form of sgp, which the caller already has."""
-    pres = group_mapping_presentation(sgp)
+    pres = group_mapping_presentation(sgp, functools.partial(_memo_carrier, memo))
     if pres.jref.j_id != jref.j_id:
         raise VerificationError(
             "trivial GM congruence at a class that is not distinguished"

@@ -209,7 +209,9 @@ def _lclass_action_map(
     return action
 
 
-def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
+def rlm_quotient(
+    sgp: FiniteSemigroup, jref: JClassRef, build: Callable[..., FiniteSemigroup] = FiniteSemigroup
+) -> RlmQuotient:
     """S's image under its action on the L-classes of J, read off S.
 
     The image carrier is the set of maps action(s), in canonical order, and
@@ -225,7 +227,12 @@ def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
 
     The image is then classified, and the classification is kept on it: it
     must be right mapping, and its distinguished class must be the image
-    of J, an aperiodic J-class."""
+    of J, an aperiodic J-class.
+
+    `build` makes the image from `FiniteSemigroup`'s arguments.  `estimate`
+    passes one that gives back the carrier its memo already holds for that
+    structure, so these checks then read that carrier's Green structure and
+    classification instead of computing them again."""
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
     action = _lclass_action_map(sgp, jref)
@@ -241,7 +248,7 @@ def rlm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> RlmQuotient:
     pos = {m: i for i, m in enumerate(elements)}
     code = [pos[m] for m in maps]
     some = {c: s for s, c in enumerate(code)}  # an element with each image
-    rlm = FiniteSemigroup(
+    rlm = build(
         elements,
         [code[g] for g in sgp.gens],
         list(sgp.gen_names),
@@ -294,13 +301,14 @@ def _sandwich_reps(sgp: FiniteSemigroup, jref: JClassRef) -> tuple[int, list[int
 @dataclass
 class GmQuotient:
     """The GM image at J: `class_rep[s]` is the least member of s's class,
-    and `quotient` is the image as a carrier on those least members, built
-    when first read."""
+    and `quotient` is the image as a carrier on those least members, made
+    by `build` from `FiniteSemigroup`'s arguments when first read."""
 
     sgp: FiniteSemigroup = field(repr=False)
     class_rep: list[int] = field(repr=False)
     generalized_only: bool  # True when J is aperiodic (warning case)
     injective_on_all_subgroups: bool
+    build: Callable[..., FiniteSemigroup] = field(default=FiniteSemigroup, repr=False)
 
     @cached_property
     def order(self) -> int:
@@ -320,7 +328,7 @@ class GmQuotient:
         reps = sorted(set(class_rep))
         pos = {r: i for i, r in enumerate(reps)}
         table = cache(lambda: sgp.right_translations(reps))  # table()[b][pos[a]] = a*b
-        return FiniteSemigroup(
+        return self.build(
             reps,
             [pos[class_rep[g]] for g in sgp.gens],
             list(sgp.gen_names),
@@ -355,9 +363,12 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     ]
 
 
-def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
+def gm_quotient(
+    sgp: FiniteSemigroup, jref: JClassRef, build: Callable[..., FiniteSemigroup] = FiniteSemigroup
+) -> GmQuotient:
     """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J
-    (`_profile_classes`), checked to be a congruence.
+    (`_profile_classes`), checked to be a congruence.  A discrete partition
+    is not checked: the identity relation is always a congruence.
 
     The GM verdict is read off the image's classification, which `classify`
     keeps on the image.  A discrete partition builds no image for it: the
@@ -365,20 +376,30 @@ def gm_quotient(sgp: FiniteSemigroup, jref: JClassRef) -> GmQuotient:
     generators, and a classification depends on that pair alone, so S's
     own is the image's.  Nor does skipping the copy miss an associativity
     check: its products are S's, and S's are associative (composition, or
-    Light's test on S itself at its order)."""
+    Light's test on S itself at its order).
+
+    Any other image is made by `build` (see `GmQuotient`) from its right
+    Cayley graph, read off `class_rep` and S's.  `estimate` passes one that
+    gives back the carrier its memo holds for that structure; the verdict
+    then reads that carrier's classification.  Light's test is not run
+    again on it: a quotient of a semigroup by a congruence is a semigroup,
+    and the graph over the generators fixes its products, which are the
+    ones the held carrier was tested with."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
     class_rep = _profile_classes(sgp, jref)
-    if not _is_congruence(sgp, class_rep):
-        raise VerificationError("J-profile relation is not a congruence")
     gq = GmQuotient(
         sgp,
         class_rep,
         generalized_only=not jref.contains_nontrivial_subgroup(),
         injective_on_all_subgroups=True,
+        build=build,
     )
-    qcls = classify(sgp if gq.order == len(class_rep) else gq.quotient)
+    discrete = gq.order == len(class_rep)  # class_rep[s] == s for every s
+    if not discrete and not _is_congruence(sgp, class_rep):
+        raise VerificationError("J-profile relation is not a congruence")
+    qcls = classify(sgp if discrete else gq.quotient)
     if gq.generalized_only:
         if not qcls.generalized_group_mapping:
             raise VerificationError("GM image is not generalized group mapping")
@@ -588,13 +609,16 @@ class GroupMappingPresentation:
         return g, b2
 
 
-def group_mapping_presentation(sgp: FiniteSemigroup) -> GroupMappingPresentation:
+def group_mapping_presentation(
+    sgp: FiniteSemigroup, build: Callable[..., FiniteSemigroup] = FiniteSemigroup
+) -> GroupMappingPresentation:
+    """`build` makes the RLM image (see `rlm_quotient`)."""
     cls = classify(sgp)
     if not cls.generalized_group_mapping:
         raise InputError("semigroup is not generalized group mapping")
     jref = JClassRef(sgp, cls.distinguished_j)
     rc = rees_coordinates(sgp, jref)
-    rlmq = rlm_quotient(sgp, jref)
+    rlmq = rlm_quotient(sgp, jref, build)
     gens = list(zip(sgp.gen_names, sgp.gens))
     rlm_of_gen = {name: rlmq.rlm.elements[rlmq.code[gi]].images for name, gi in gens}
     pres = GroupMappingPresentation(sgp, jref, rc, rlmq, rlm_of_gen, {}, cls.group_mapping)

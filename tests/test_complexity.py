@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import pytest
 
@@ -315,14 +316,19 @@ BUDGET_0 = EstimateOptions(automata_budget=0)
 
 def memo_served(monkeypatch, sgp, options):
     """estimate(sgp, options) on a memo of its own; returns that memo and,
-    per call the memo served, (carrier, label, interval)."""
+    per call the memo served, (carrier, label, interval).  The memo enters
+    a GM or RLM image when it is built, before its interval is computed, so
+    a served call is one after which no more entries hold an interval."""
     memo, served = {}, []
     inner = complexity.estimate
 
+    def computed():
+        return sum(entry.interval is not None for entry in memo.values())
+
     def tracing(sub, opts=None, _label="S", _given=None, _memo=None):
-        before = None if _memo is None else len(_memo)
+        before = computed()
         result = inner(sub, opts, _label, _given, _memo)
-        if _memo is memo and len(memo) == before:
+        if _memo is memo and computed() == before:
             served.append((sub, _label, result))
         return result
 
@@ -365,16 +371,53 @@ class TestMemo:
         self.check_hits(served, options)
 
 
+# fresh carriers: the session's corpus may hold classifications already
+CLASSIFIED_RUNS = {e["name"]: (e["file"], None) for e in load_corpus_manifest()}
+CLASSIFIED_RUNS.update({name: (LADDER[name], None) for name in ("T3", "PT3", "I3")})
+CLASSIFIED_RUNS.update({"I4": (I4_GENS, BUDGET_0), "T4": (T4_GENS, BUDGET_0)})
+
+
+def classified_run(name):
+    """A fresh root carrier of CLASSIFIED_RUNS[name] and its options."""
+    source, options = CLASSIFIED_RUNS[name]
+    if isinstance(source, str):
+        return load_semigroup(CORPUS_DIR / source), options
+    return ladder(source), options
+
+
+def reuses(monkeypatch, sgp, options, on_reuse=lambda sub: None):
+    """estimate(sgp, options), recording each GM or RLM image that the memo
+    gave back instead of building: (the constructor arguments, the carrier
+    given back).  `on_reuse(carrier)` runs at each such call."""
+    calls = []
+    inner = complexity._memo_carrier
+
+    def tracing(memo, *args):
+        held = complexity._key(*args[:4]) in memo
+        sub = inner(memo, *args)
+        if held:
+            calls.append((args, sub))
+            on_reuse(sub)
+        return sub
+
+    with monkeypatch.context() as patch:
+        patch.setattr(complexity, "_memo_carrier", tracing)
+        estimate(sgp, options)
+    return calls
+
+
 class TestSharedStructure:
-    """Carriers share no Green structure or classification: each carrier
-    object computes its own once and keeps it."""
+    """A GM or RLM image reached by a second path is the carrier the memo
+    holds for its structure: each distinct structure gets one Green
+    structure and one classification per estimate, and a reused carrier
+    still goes through every check."""
 
     @pytest.mark.parametrize("gens,bodies,greens", [
-        (LADDER["T3"], 7, 8),
-        (LADDER["PT3"], 7, 8),
-        (LADDER["I3"], 7, 8),
-        (I4_GENS, 16, 17),
-        (T4_GENS, 16, 17),
+        (LADDER["T3"], 5, 6),
+        (LADDER["PT3"], 5, 6),
+        (LADDER["I3"], 5, 6),
+        (I4_GENS, 9, 10),
+        (T4_GENS, 9, 10),
     ], ids=["T3", "PT3", "I3", "I4", "T4"])
     def test_counts(self, monkeypatch, gens, bodies, greens):
         counts = collections.Counter()
@@ -389,6 +432,43 @@ class TestSharedStructure:
         monkeypatch.setattr(core, "green", counting("green", core.green))
         estimate(ladder(gens), BUDGET_0)
         assert (counts["classify"], counts["green"]) == (bodies, greens)
+
+    @pytest.mark.parametrize("name", list(CLASSIFIED_RUNS))
+    def test_reused_carriers_match_fresh_ones(self, monkeypatch, name):
+        calls = reuses(monkeypatch, *classified_run(name))
+        for args, sub in calls:
+            fresh = FiniteSemigroup(*args)
+            assert fresh.green() == sub.green()
+            assert semilocal.classify(fresh) == semilocal.classify(sub)
+        if name in ("T3", "PT3", "I3", "I4", "T4"):
+            # one GM image and one RLM image at least
+            assert {sub.is_transformation for _, sub in calls} == {False, True}
+
+    @pytest.mark.parametrize("gens", [LADDER["T3"], T4_GENS], ids=["T3", "T4"])
+    @pytest.mark.parametrize("transformation,flag,message", [
+        (False, "group_mapping", "GM image is not group mapping"),
+        (True, "right_mapping", "RLM quotient is not right mapping"),
+    ], ids=["gm", "rlm"])
+    def test_a_reused_image_is_still_checked(
+        self, monkeypatch, gens, transformation, flag, message
+    ):
+        spoiled = []
+
+        def spoil(sub):
+            if sub.is_transformation == transformation and not spoiled:
+                cls = semilocal.classify(sub)
+                sub._classification = dataclasses.replace(cls, **{flag: False})
+                spoiled.append(sub)
+
+        with pytest.raises(VerificationError, match=f"^{message}$") as err:
+            reuses(monkeypatch, ladder(gens), BUDGET_0, spoil)
+        # the check that failed is the one on the reused image at its
+        # parent, not one on the image's own GM reduction further down
+        raised = err.traceback[-1]
+        assert raised.name == ("rlm_quotient" if transformation else "gm_quotient")
+        local = raised.frame.f_locals
+        image = local["rlm"] if transformation else vars(local["gq"]).get("quotient")
+        assert image is spoiled[0] and local["sgp"] is not image
 
 
 def reached(monkeypatch, sgp, options):
@@ -416,12 +496,6 @@ def whole_ideal_verdicts(sgp):
     return right, left
 
 
-# fresh carriers: the session's corpus may hold classifications already
-CLASSIFIED_RUNS = {e["name"]: (e["file"], None) for e in load_corpus_manifest()}
-CLASSIFIED_RUNS.update({name: (LADDER[name], None) for name in ("T3", "PT3", "I3")})
-CLASSIFIED_RUNS.update({"I4": (I4_GENS, BUDGET_0), "T4": (T4_GENS, BUDGET_0)})
-
-
 class TestOneClassFaithfulness:
     """`classify` tests faithfulness on one R-class and one L-class of each
     0-minimal ideal; its verdicts must be the whole ideal's (the lemma in
@@ -429,11 +503,7 @@ class TestOneClassFaithfulness:
 
     @pytest.mark.parametrize("name", list(CLASSIFIED_RUNS))
     def test_every_classified_carrier(self, monkeypatch, name):
-        source, options = CLASSIFIED_RUNS[name]
-        if isinstance(source, str):
-            sgp = load_semigroup(CORPUS_DIR / source)
-        else:
-            sgp = ladder(source)
+        sgp, options = classified_run(name)
         carriers = reached(monkeypatch, sgp, options)
         assert carriers or is_aperiodic(sgp)
         for sub in carriers:

@@ -355,6 +355,24 @@ class TestGmQuotient:
         gq = gm_quotient(right_zero_2, JClassRef(right_zero_2, 0))
         assert gq.generalized_only
 
+    def test_only_a_discrete_partition_skips_the_congruence_check(self, corpus, monkeypatch):
+        # the identity relation is always a congruence
+        checked = []
+        inner = semilocal._is_congruence
+        monkeypatch.setattr(
+            semilocal, "_is_congruence", lambda sgp, part: checked.append(part) or inner(sgp, part)
+        )
+        kinds = set()
+        for sgp, _ in corpus.values():
+            for j, regular in enumerate(sgp.green().regular):
+                if regular:
+                    checked.clear()
+                    gq = gm_quotient(sgp, JClassRef(sgp, j))
+                    discrete = gq.class_rep == list(range(len(sgp)))
+                    assert checked == ([] if discrete else [gq.class_rep])
+                    kinds.add(discrete)
+        assert kinds == {False, True}
+
 
 def _full_profile_classes(sgp, jref):
     """The GM congruence by its definition: s ~ t iff x*s*y and x*t*y agree
