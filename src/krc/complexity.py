@@ -414,13 +414,13 @@ def _key(elements, gens, gen_names, right_cayley) -> tuple:
     return (tuple(map(tuple, right_cayley)), tuple(gens), tuple(gen_names), maps)
 
 
-def _memo_carrier(memo: dict, elements, gens, gen_names, right_cayley, mul) -> FiniteSemigroup:
-    """`FiniteSemigroup(elements, gens, gen_names, right_cayley, mul)`, or the
+def _memo_carrier(memo: dict, elements, gens, gen_names, right_cayley) -> FiniteSemigroup:
+    """`FiniteSemigroup(elements, gens, gen_names, right_cayley)`, or the
     carrier `memo` holds for its key.  A new carrier is entered at once, so
     a sibling GM image is found while the first sibling's subtree runs."""
     key = _key(elements, gens, gen_names, right_cayley)
     if key not in memo:
-        memo[key] = _Entry(FiniteSemigroup(elements, gens, gen_names, right_cayley, mul))
+        memo[key] = _Entry(FiniteSemigroup(elements, gens, gen_names, right_cayley))
     return memo[key].sgp
 
 

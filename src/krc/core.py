@@ -3,18 +3,13 @@
 Everything downstream works on two carriers: `PartialTransformation`
 (a partial self-map of {1..n}, with 0 playing the role of the undefined
 mark) and `FiniteSemigroup` (an enumerated semigroup on arbitrary hashable
-values).  Semigroups built from transformations multiply by `compose`;
-abstract ones (quotients, Rees/Brandt carriers, products) supply their own
-multiplication callable.  Either way the callable is read only while the
-carrier is built, for its right Cayley graph over the generators (and, on
-small abstract carriers, for the associativity check).  `compose` is not
-even called then: the closure composes image tuples by whole-row gathers
-(`row_getter`) that compute the same maps.  A carrier that comes with its
-Cayley graph, a GM or RLM image read off its parent's, reads the callable
-for the associativity check alone, and a GM image's callable looks its
-products up in one table of the parent's right translations.  After
-that a product is traced: i*j follows a word of j through the right Cayley
-graph from i, which is sound because the operation is associative.  An
+values, held as int tables over their indices).  `generate` and
+`from_elements` read a multiplication callable (`compose`, the default, is
+replaced by whole-row gathers) only to build the right Cayley graph and,
+on small abstract carriers, for Light's associativity test; a GM or RLM
+image, read off its parent's graph, takes none.  A product is then
+traced: i*j follows a word of j through the right Cayley graph from i,
+sound because the operation is associative (`check_associative`).  An
 abstract carrier's file form is read off that graph too (`fileformats`).
 """
 
@@ -32,8 +27,7 @@ DEFAULT_ELEMENT_BUDGET = 100_000
 
 ZERO = "0"  # the adjoined zero of abstract carriers (Brandt, derived, flow points)
 
-# Carriers up to this order get a complete associativity check (Light's
-# test) at construction time.
+# Light's test checks a callable's products on carriers up to this order.
 _ASSOC_CHECK_LIMIT = 40
 
 
@@ -132,20 +126,17 @@ class FiniteSemigroup:
     & Pin, "Algorithms for computing finite semigroups" (1997).  No product
     is stored.
 
-    The multiplication callable is read only while a carrier is built: it
-    gives the right Cayley graph, and for carriers of at most
-    `_ASSOC_CHECK_LIMIT` elements Light's test checks its own products for
-    associativity.  Tracing is sound because the operation is associative
-    (checked there, taken on trust for larger carriers): with
-    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Light's test is skipped
-    where it cannot fail, when the callable is `compose`: composing maps is
-    associative, and the carrier is closed already, as `generate` closes by
-    construction, `from_elements` checks closure, and an RLM image is
-    checked to be the closure of its generators' maps
-    (`semilocal.rlm_quotient`).  The callable may be
-    `compose` without being called: `generate` composes image tuples by
-    gathers instead.  Every other callable, a GM image's included, gets
-    the full test.
+    Tracing is sound because the operation is associative: with
+    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Maps compose
+    associatively, so a transformation carrier needs no check once it is
+    closed (`generate` closes, `from_elements` checks closure, and an RLM
+    image is checked to be the closure of its generators' maps,
+    `semilocal.rlm_quotient`).  A graph that `generate` or `from_elements`
+    reads off any other callable gets Light's test on the callable's own
+    products up to `_ASSOC_CHECK_LIMIT` elements (`_light_checked`); every
+    other abstract carrier gets `check_associative` on its graph, once: a
+    GM image when it is built (`semilocal.GmQuotient.quotient`), any other
+    when it is written (`fileformats.dump_semigroup`).
 
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
@@ -165,10 +156,8 @@ class FiniteSemigroup:
         gen_indices: list[int],
         gen_names: list[str],
         right_cayley: list[list[int]],
-        mul: Callable[[Any, Any], Any],
     ):
-        """`right_cayley[i][k]` is the index of elements[i] * generator k;
-        `mul` is the value-level multiplication, read only here."""
+        """`right_cayley[i][k]` is the index of elements[i] * generator k."""
         self.elements = elements
         self.index = {v: i for i, v in enumerate(elements)}
         if len(self.index) != len(elements):
@@ -180,8 +169,7 @@ class FiniteSemigroup:
         self.left_cayley = self.right_translations(self.gens)  # g*i for each g
         self._green: Optional[GreenStructure] = None
         self._classification = None  # filled by semilocal.classify
-        if len(elements) <= _ASSOC_CHECK_LIMIT and mul is not compose:
-            self._check_associativity(mul)
+        self._associative = False  # set once the traced product is checked
 
     def _word_tree(self) -> None:
         """A word per element, breadth first along the right Cayley graph.
@@ -277,7 +265,8 @@ class FiniteSemigroup:
         rank = {b: i for i, b in enumerate(order)}
         right = [[rank[c] for c in edges[b]] for b in order]
         gens = [rank[found[g]] for g in gen_values]
-        return cls([values[b] for b in order], gens, [n for n, _ in named_gens], right, mul)
+        out = cls([values[b] for b in order], gens, [n for n, _ in named_gens], right)
+        return out._light_checked(mul)
 
     @classmethod
     def from_elements(
@@ -295,12 +284,15 @@ class FiniteSemigroup:
         if any(None in row for row in right):
             raise InputError("carrier is not closed under multiplication")
         n = len(elements)
-        return cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right, mul)
+        return cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right)._light_checked(mul)
 
-    def _check_associativity(self, mul: Callable[[Any, Any], Any]):
-        """Light's test on the callable's own products (traced ones would
-        take associativity for granted), over the generators, which reach
-        every element."""
+    def _light_checked(self, mul: Callable[[Any, Any], Any]) -> "FiniteSemigroup":
+        """self, after Light's test on the callable's own products (traced
+        ones would take associativity for granted) over the generators,
+        which reach every element, where it can fail (see the class).  The
+        traced products are then the callable's: `check_associative` holds."""
+        if len(self) > _ASSOC_CHECK_LIMIT or mul is compose:
+            return self
         els, index = self.elements, self.index
         table = [[index.get(mul(u, v)) for v in els] for u in els]
         if any(None in row for row in table):
@@ -311,6 +303,31 @@ class FiniteSemigroup:
             raise VerificationError(
                 f"multiplication not associative at ({els[x]}, {els[g]}, {els[y]})"
             )
+        self._associative = True
+        return self
+
+    def check_associative(self) -> None:
+        """Check once that the traced product is associative, on the right
+        Cayley graph alone.  Lemma: it is if (x*s)*g = x*(s*g) for all
+        elements x, s and generators g.  By induction along the word tree:
+        for a generator z, x*(y*z) = (x*y)*z is the hypothesis; for z = t*g,
+        g the last letter of z's word, y*z = (y*t)*g by tracing, so
+        x*(y*z) = (x*(y*t))*g = ((x*y)*t)*g = (x*y)*z.
+
+        x*s for every x is s's row of `right_translations`, so the check
+        moves that row along g's column and compares it with s*g's row.  A
+        tree edge (s the parent of s*g, g its letter) holds by construction:
+        its row is that very gather."""
+        if self._associative:
+            return
+        columns = list(zip(*self.right_cayley))  # columns[k][x] = x*g_k
+        rows = self.right_translations(range(len(self)))
+        for s, (row, edges) in enumerate(zip(rows, self.right_cayley)):
+            image = row_getter(row)  # col -> (col[x] for x in row)
+            for k, (col, t) in enumerate(zip(columns, edges)):
+                if (self._parent[t], self._letter[t]) != (s, k) and image(col) != rows[t]:
+                    raise VerificationError("regular representation is not faithful")
+        self._associative = True
 
     # -- basic structure ----------------------------------------------
 

@@ -35,7 +35,6 @@ line per state, in state order.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from pathlib import Path
 
 from .core import (
@@ -44,7 +43,7 @@ from .core import (
     FiniteSemigroup,
     PartialTransformation,
 )
-from .errors import InputError, VerificationError
+from .errors import InputError
 
 
 def read_ascii(path) -> str:
@@ -82,7 +81,7 @@ def _int(token: str, what: str) -> int:
 
 def dump_semigroup(sgp: FiniteSemigroup) -> str:
     """The generators' images; an abstract carrier (a quotient, a product)
-    is written as its right regular representation, `_right_regular`."""
+    is written as its right regular representation, checked faithful."""
     gens = [sgp.elements[gi] for gi in sgp.gens] if sgp.is_transformation else _right_regular(sgp)
     lines = [f"points: {gens[0].degree}", "gens:"]
     lines += [f"{name}: {g}" for name, g in zip(sgp.gen_names, gens)]
@@ -96,23 +95,12 @@ def _right_regular(sgp: FiniteSemigroup) -> list[PartialTransformation]:
     Faithful iff these generate exactly |S| maps.  s acts as rho_s, its
     word's product (`right_translations`), which sends the base point (the
     identity, or the adjoined point) to s; so the rho_s are distinct, and
-    they are all the maps iff rho_s then g is rho_(s*g) for every s and g.
-    A tree edge of the word tree (s the parent of t = s*g, g its last
-    letter) holds by construction: rows[t] is that very gather of g's
-    column at rows[s], the adjoined point's image s*g included.  Every
-    other edge is compared."""
-    right = sgp.right_cayley
-    columns = list(zip(*right))  # columns[k][x] = x*g_k
-    rows = sgp.right_translations(range(len(right)))
+    they are all the maps iff rho_s then g is rho_(s*g) for every s and g:
+    on the adjoined point by definition, on S by `check_associative`."""
+    sgp.check_associative()
+    columns = list(zip(*sgp.right_cayley))  # columns[k][x] = x*g_k
     if sgp.identity_index() is None:
-        rows = [row + (s,) for s, row in enumerate(rows)]
         columns = [col + (gi,) for col, gi in zip(columns, sgp.gens)]
-    parent, letter = sgp._parent, sgp._letter
-    for s, row in enumerate(rows if len(rows[0]) > 1 else ()):  # one point, one map
-        image = itemgetter(*row)  # col -> (col[x] for x in row), as a tuple
-        for k, (col, t) in enumerate(zip(columns, right[s])):
-            if (parent[t] != s or letter[t] != k) and image(col) != rows[t]:
-                raise VerificationError("regular representation is not faithful")
     return [PartialTransformation(tuple(x + 1 for x in col)) for col in columns]
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -29,7 +29,6 @@ from .core import (
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
-    compose,
     maximal_subgroup,
     row_getter,
 )
@@ -253,7 +252,6 @@ def rlm_quotient(
         [code[g] for g in sgp.gens],
         list(sgp.gen_names),
         [list(row_getter(sgp.right_cayley[some[c]])(code)) for c in range(len(elements))],
-        compose,
     )
     image_of_j = {code[i] for i in jref.members}
     cls = classify(rlm)
@@ -318,23 +316,20 @@ class GmQuotient:
     def quotient(self) -> FiniteSemigroup:
         """S/~ on the least class members.  Its right Cayley graph is read
         off the parent's through the congruence, [r]*g = [r*g], so no
-        product is traced to build it.  Its multiplication callable,
-        class_rep[a*b], is still passed on, with a*b read off one table of
-        the parent's right translations at the least members, taken on the
-        callable's first call: Light's test runs on it for GM images of at
-        most `_ASSOC_CHECK_LIMIT` elements, like on every other abstract
-        carrier."""
+        product is traced to build it.  Its traced product is then checked
+        to be associative (`FiniteSemigroup.check_associative`), at every
+        order, before the image is classified or written."""
         sgp, class_rep = self.sgp, self.class_rep
         reps = sorted(set(class_rep))
         pos = {r: i for i, r in enumerate(reps)}
-        table = cache(lambda: sgp.right_translations(reps))  # table()[b][pos[a]] = a*b
-        return self.build(
+        image = self.build(
             reps,
             [pos[class_rep[g]] for g in sgp.gens],
             list(sgp.gen_names),
             [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
-            lambda a, b: class_rep[table()[b][pos[a]]],
         )
+        image.check_associative()
+        return image
 
 
 def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
@@ -376,15 +371,14 @@ def gm_quotient(
     generators, and a classification depends on that pair alone, so S's
     own is the image's.  Nor does skipping the copy miss an associativity
     check: its products are S's, and S's are associative (composition, or
-    Light's test on S itself at its order).
+    S's own check, see `FiniteSemigroup`).
 
     Any other image is made by `build` (see `GmQuotient`) from its right
     Cayley graph, read off `class_rep` and S's.  `estimate` passes one that
     gives back the carrier its memo holds for that structure; the verdict
-    then reads that carrier's classification.  Light's test is not run
-    again on it: a quotient of a semigroup by a congruence is a semigroup,
-    and the graph over the generators fixes its products, which are the
-    ones the held carrier was tested with."""
+    then reads that carrier's classification, and its associativity check
+    is not run again: the graph over the generators fixes the traced
+    products, which are the ones the held carrier was checked with."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()

@@ -393,7 +393,7 @@ def reuses(monkeypatch, sgp, options, on_reuse=lambda sub: None):
     inner = complexity._memo_carrier
 
     def tracing(memo, *args):
-        held = complexity._key(*args[:4]) in memo
+        held = complexity._key(*args) in memo
         sub = inner(memo, *args)
         if held:
             calls.append((args, sub))
@@ -409,29 +409,42 @@ def reuses(monkeypatch, sgp, options, on_reuse=lambda sub: None):
 class TestSharedStructure:
     """A GM or RLM image reached by a second path is the carrier the memo
     holds for its structure: each distinct structure gets one Green
-    structure and one classification per estimate, and a reused carrier
-    still goes through every check."""
+    structure and one classification per estimate, each distinct GM image
+    one associativity check (on its graph, when it is built; no Light's
+    test), and a reused carrier still goes through every check."""
 
-    @pytest.mark.parametrize("gens,bodies,greens", [
-        (LADDER["T3"], 5, 6),
-        (LADDER["PT3"], 5, 6),
-        (LADDER["I3"], 5, 6),
-        (I4_GENS, 9, 10),
-        (T4_GENS, 9, 10),
+    @pytest.mark.parametrize("gens,bodies,greens,checks", [
+        (LADDER["T3"], 5, 6, (3, 0)),
+        (LADDER["PT3"], 5, 6, (3, 0)),
+        (LADDER["I3"], 5, 6, (3, 0)),
+        (I4_GENS, 9, 10, (6, 0)),
+        (T4_GENS, 9, 10, (6, 0)),
     ], ids=["T3", "PT3", "I3", "I4", "T4"])
-    def test_counts(self, monkeypatch, gens, bodies, greens):
+    def test_counts(self, monkeypatch, gens, bodies, greens, checks):
         counts = collections.Counter()
 
-        def counting(name, fn):
+        def counting(name, fn, runs=lambda *args: True):
             def counted(*args):
-                counts[name] += 1
+                counts[name] += runs(*args)
                 return fn(*args)
             return counted
 
+        light_checked = core.FiniteSemigroup._light_checked
+
+        def light(sub, mul):  # a Light's test that runs marks its carrier checked
+            light_checked(sub, mul)
+            counts["light"] += sub._associative
+            return sub
+
         monkeypatch.setattr(semilocal, "_classify", counting("classify", semilocal._classify))
         monkeypatch.setattr(core, "green", counting("green", core.green))
+        monkeypatch.setattr(core.FiniteSemigroup, "check_associative", counting(
+            "graph", core.FiniteSemigroup.check_associative, lambda sub: not sub._associative
+        ))
+        monkeypatch.setattr(core.FiniteSemigroup, "_light_checked", light)
         estimate(ladder(gens), BUDGET_0)
         assert (counts["classify"], counts["green"]) == (bodies, greens)
+        assert (counts["graph"], counts["light"]) == checks
 
     @pytest.mark.parametrize("name", list(CLASSIFIED_RUNS))
     def test_reused_carriers_match_fresh_ones(self, monkeypatch, name):

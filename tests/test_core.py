@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -115,22 +116,25 @@ LADDER = {
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every carrier built while the fixture is active, with the
-    multiplication callable it was built from."""
+    """Every carrier `generate` or `from_elements` builds while the fixture
+    is active, with the multiplication callable it was built from."""
     seen = []
-    init = FiniteSemigroup.__init__
+    for name in ("generate", "from_elements"):
+        make = getattr(FiniteSemigroup, name)
 
-    def recording(self, elements, gen_indices, gen_names, right_cayley, mul):
-        init(self, elements, gen_indices, gen_names, right_cayley, mul)
-        seen.append((self, mul))
+        def recording(*args, make=make, signature=inspect.signature(make), **kwargs):
+            sgp = make(*args, **kwargs)
+            seen.append((sgp, signature.bind(*args, **kwargs).arguments.get("mul") or compose))
+            return sgp
 
-    monkeypatch.setattr(FiniteSemigroup, "__init__", recording)
+        monkeypatch.setattr(FiniteSemigroup, name, recording)
     return seen
 
 
 class TestTracedProducts:
     """Products traced along words against the callable each carrier was
-    built from, and the generator-only checks against brute force."""
+    built from (a GM image's: its parent's products, up to the congruence),
+    and the generator-only checks against brute force."""
 
     def test_traced_products_match_the_callable(self, built):
         corpus = [load_semigroup(CORPUS_DIR / e["file"]) for e in load_corpus_manifest()]
@@ -139,11 +143,12 @@ class TestTracedProducts:
             for name, gens in LADDER.items()
         }
         t3 = ladder["T3"]
-        quotients = [
-            gm_quotient(t3, JClassRef(t3, j)).quotient
-            for j, regular in enumerate(t3.green().regular)
-            if regular
-        ]
+        quotients = []
+        for j, regular in enumerate(t3.green().regular):
+            if regular:
+                gq = gm_quotient(t3, JClassRef(t3, j))
+                quotients.append(gq.quotient)
+                built.append((gq.quotient, lambda a, b, rep=gq.class_rep: rep[t3.mul_index(a, b)]))
         derived = derived_semigroup(RelationalMorphism.to_trivial(corpus[0]))
         regenerated = with_generators(t3, minimal_generating_set(t3))
         assert [len(s) for s in ladder.values()] == [27, 64, 34]
@@ -166,12 +171,13 @@ class TestTracedProducts:
         assert set(vars(sym3)) == {
             "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
             "_words", "_order", "_parent", "_letter", "_green", "_classification",
+            "_associative",
         }
 
     def test_generators_that_do_not_generate(self):
         # 0 alone generates {0} in Z_3
         with pytest.raises(InputError, match="do not generate"):
-            FiniteSemigroup([0, 1, 2], [0], ["x0"], [[0], [1], [2]], lambda a, b: (a + b) % 3)
+            FiniteSemigroup([0, 1, 2], [0], ["x0"], [[0], [1], [2]])
 
 
 class TestAssociativityCheck:
@@ -190,22 +196,35 @@ class TestAssociativityCheck:
         assert len(s) == 3
 
     def test_light_only_where_it_can_fail(self, monkeypatch):
-        # composing maps is associative; any other callable, a GM image's
-        # included, gets Light's test
-        tested = []
-        check = FiniteSemigroup._check_associativity
+        # composing maps is associative; any other callable gets Light's
+        # test, and a GM image, which comes with no callable, the graph
+        # check, once, and not again when it is written
+        tested, checked = [], []
+        light, graph = FiniteSemigroup._light_checked, FiniteSemigroup.check_associative
 
-        def counting(self, mul):
-            tested.append(mul)
-            check(self, mul)
+        def counting_light(self, mul):
+            light(self, mul)
+            if self._associative:  # Light's test ran and passed
+                tested.append(mul)
+            return self
 
-        monkeypatch.setattr(FiniteSemigroup, "_check_associativity", counting)
+        def counting_graph(self):
+            if not self._associative:
+                checked.append(self)
+            graph(self)
+
+        monkeypatch.setattr(FiniteSemigroup, "_light_checked", counting_light)
+        monkeypatch.setattr(FiniteSemigroup, "check_associative", counting_graph)
         t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
         FiniteSemigroup.from_elements(t3.elements, compose)
-        assert tested == []
-        gm_quotient(t3, JClassRef(t3, t3.green().j_of[t3.gens[0]]))
-        FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
-        assert len(tested) == 2 and compose not in tested
+        assert tested == [] and checked == []
+        gq = gm_quotient(t3, JClassRef(t3, t3.green().j_of[t3.gens[0]]))
+        dump_semigroup(gq.quotient)
+        assert tested == [] and checked == [gq.quotient]
+        # a carrier that passed Light's test needs no graph check to be written
+        u1 = FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
+        dump_semigroup(u1)
+        assert len(tested) == 1 and compose not in tested and checked == [gq.quotient]
 
 
 class TestGreen:
@@ -634,7 +653,7 @@ class TestRegularRepresentation:
         right = [[index[step(v, g)] for g in (1, 2)] for v in values]
         s = 10
         right[s][0] -= 7  # an element the tree reaches before s
-        sgp = FiniteSemigroup(values, [index[1], index[2]], ["a", "b"], right, None)
+        sgp = FiniteSemigroup(values, [index[1], index[2]], ["a", "b"], right)
         t = right[s][0]
         assert (sgp._parent[t], sgp._letter[t]) != (s, 0)
         assert (sgp.identity_index() is None) == (values[0] == 1)
@@ -642,11 +661,11 @@ class TestRegularRepresentation:
             dump_semigroup(sgp)
 
     def test_unfaithful_carrier_is_rejected(self):
-        # Z_41 over 1 and 2 with one right Cayley edge moved; past 40
-        # elements Light's test does not run, so only the text's check sees it
+        # Z_41 over 1 and 2 with one right Cayley edge moved; the carrier
+        # takes no callable, so only the graph check, run by the text, sees it
         right = [[(i + 1) % 41, (i + 2) % 41] for i in range(41)]
         right[5][1] = (right[5][1] + 7) % 41
-        sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], right, lambda u, v: (u + v) % 41)
+        sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], right)
         with pytest.raises(VerificationError, match="not faithful"):
             dump_semigroup(sgp)
 

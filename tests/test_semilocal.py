@@ -351,6 +351,31 @@ class TestGmQuotient:
                 checked += 1
         assert checked > 20
 
+    def test_an_image_is_checked_when_built(self):
+        # T_4's 169-element image at its rank-2 class, with one right Cayley
+        # edge off the word tree moved to an element the tree reaches
+        # earlier (so the tree stays the same): gm_quotient itself rejects
+        # the image, before anything is written
+        t4 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(T4_GENS)])
+        moved = []
+
+        def corrupting(elements, gens, gen_names, right):
+            probe = FiniteSemigroup(elements, gens, gen_names, right)
+            s, k = next(
+                (s, k) for s in probe._order[1:] for k, t in enumerate(right[s])
+                if (probe._parent[t], probe._letter[t]) != (s, k) and t != probe._order[0]
+            )
+            right = [list(row) for row in right]
+            right[s][k] = probe._order[0]
+            image = FiniteSemigroup(elements, gens, gen_names, right)
+            assert image._order == probe._order
+            moved.append(image)
+            return image
+
+        with pytest.raises(VerificationError, match="^regular representation is not faithful$"):
+            gm_quotient(t4, JClassRef(t4, 2), corrupting)
+        assert [len(image) for image in moved] == [169]
+
     def test_aperiodic_class_flagged_generalized(self, right_zero_2):
         gq = gm_quotient(right_zero_2, JClassRef(right_zero_2, 0))
         assert gq.generalized_only
