@@ -37,7 +37,8 @@ print(f"Rees coordinates: |A| = {len(rc.a_classes)}, |B| = {len(rc.b_classes)}, 
       f"|G| = {len(rc.group)}")
 print("structure matrix (-1 encodes 0):", rc.matrix)
 print("every element of the class is p_a * g * q_b for a unique g;")
-print("the transport law was verified over all products at construction.")
+rc.verify_transport()  # the law is proved at construction; this checks it
+print("the transport law holds over all products (checked by verify_transport).")
 print()
 
 rq = rlm_quotient(b2, jref)

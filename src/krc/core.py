@@ -9,8 +9,10 @@ replaced by whole-row gathers) only to build the right Cayley graph and,
 on small abstract carriers, for Light's associativity test; a GM or RLM
 image, read off its parent's graph, takes none.  A product is then
 traced: i*j follows a word of j through the right Cayley graph from i,
-sound because the operation is associative (`check_associative`).  An
-abstract carrier's file form is read off that graph too (`fileformats`).
+sound because the operation is associative.  That is proved for
+transformation carriers and GM images, and checked on any other abstract
+carrier (see `FiniteSemigroup`).  An abstract carrier's file form is read
+off that graph too (`fileformats`).
 """
 
 from __future__ import annotations
@@ -133,10 +135,12 @@ class FiniteSemigroup:
     image is checked to be the closure of its generators' maps,
     `semilocal.rlm_quotient`).  A graph that `generate` or `from_elements`
     reads off any other callable gets Light's test on the callable's own
-    products up to `_ASSOC_CHECK_LIMIT` elements (`_light_checked`); every
-    other abstract carrier gets `check_associative` on its graph, once: a
-    GM image when it is built (`semilocal.GmQuotient.quotient`), any other
-    when it is written (`fileformats.dump_semigroup`).
+    products up to `_ASSOC_CHECK_LIMIT` elements (`_light_checked`).  A GM
+    image, read off its parent's graph through a congruence, is proved
+    associative and marked so when built (`semilocal.GmQuotient.quotient`);
+    there `check_associative` is a test oracle.  Any other abstract carrier
+    gets `check_associative` on its graph when it is written
+    (`fileformats.dump_semigroup`).
 
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
@@ -169,7 +173,7 @@ class FiniteSemigroup:
         self.left_cayley = self.right_translations(self.gens)  # g*i for each g
         self._green: Optional[GreenStructure] = None
         self._classification = None  # filled by semilocal.classify
-        self._associative = False  # set once the traced product is checked
+        self._associative = False  # set once the traced product is checked or proved
 
     def _word_tree(self) -> None:
         """A word per element, breadth first along the right Cayley graph.
@@ -284,19 +288,25 @@ class FiniteSemigroup:
         if any(None in row for row in right):
             raise InputError("carrier is not closed under multiplication")
         n = len(elements)
-        return cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right)._light_checked(mul)
+        out = cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right)
+        return out._light_checked(mul, right)  # every element is a generator
 
-    def _light_checked(self, mul: Callable[[Any, Any], Any]) -> "FiniteSemigroup":
+    def _light_checked(
+        self, mul: Callable[[Any, Any], Any], table: Optional[list[list[int]]] = None
+    ) -> "FiniteSemigroup":
         """self, after Light's test on the callable's own products (traced
         ones would take associativity for granted) over the generators,
         which reach every element, where it can fail (see the class).  The
-        traced products are then the callable's: `check_associative` holds."""
+        traced products are then the callable's: `check_associative` holds.
+        `table` is the callable's table over the elements, if the caller
+        has it."""
         if len(self) > _ASSOC_CHECK_LIMIT or mul is compose:
             return self
         els, index = self.elements, self.index
-        table = [[index.get(mul(u, v)) for v in els] for u in els]
-        if any(None in row for row in table):
-            raise InputError("carrier is not closed under multiplication")
+        if table is None:
+            table = [[index.get(mul(u, v)) for v in els] for u in els]
+            if any(None in row for row in table):
+                raise InputError("carrier is not closed under multiplication")
         bad = _light_test(table, self.gens)
         if bad is not None:
             x, g, y = bad

@@ -96,7 +96,11 @@ def _right_regular(sgp: FiniteSemigroup) -> list[PartialTransformation]:
     word's product (`right_translations`), which sends the base point (the
     identity, or the adjoined point) to s; so the rho_s are distinct, and
     they are all the maps iff rho_s then g is rho_(s*g) for every s and g:
-    on the adjoined point by definition, on S by `check_associative`."""
+    on the adjoined point by definition, on S by associativity.  That is
+    proved for a GM image (`semilocal.GmQuotient.quotient`), so the call
+    to `check_associative` returns at once on every abstract carrier below
+    an estimate's root, and on every one that `krc estimate` or
+    `krc replay` writes; on any other abstract carrier it runs the check."""
     sgp.check_associative()
     columns = list(zip(*sgp.right_cayley))  # columns[k][x] = x*g_k
     if sgp.identity_index() is None:

@@ -6,8 +6,14 @@ The coordinatization fixes the least idempotent e of the class, G = the
 H-class of e, and least-element representatives p_a in a n L_e and
 q_b in R_e n b; every element of the class is then p_a * g * q_b for a
 unique g, and the structure matrix entry C(b, a) is the coordinate of
-q_b * p_a (or 0 when the product drops out of the class).  All of this
-is verified exhaustively at construction time.
+q_b * p_a (or 0 when the product drops out of the class).  Construction
+checks that the coordinates are a bijection onto A x G x B, that each
+matrix entry that stays in J lies in H_e, and that the matrix is regular;
+the transport law follows, proved in `rees_coordinates`.  Likewise a GM
+image's partition is checked to be a congruence, and its associativity
+follows, proved in `GmQuotient.quotient`.  The whole-table checks,
+`ReesCoordinates.verify_transport` and `FiniteSemigroup.check_associative`,
+are the tests' oracles.
 
 S's right action on a J-class is computed once, as the class's table
 `JClassRef.rows` (u*s for every element s and every member u).  The Rees
@@ -316,9 +322,21 @@ class GmQuotient:
     def quotient(self) -> FiniteSemigroup:
         """S/~ on the least class members.  Its right Cayley graph is read
         off the parent's through the congruence, [r]*g = [r*g], so no
-        product is traced to build it.  Its traced product is then checked
-        to be associative (`FiniteSemigroup.check_associative`), at every
-        order, before the image is classified or written."""
+        product is traced to build it.
+
+        It is marked associative without a check (`check_associative` is a
+        test oracle here): its traced product is S/~'s, associative
+        because S's is (S is a transformation carrier, a GM image by
+        induction, or an abstract carrier checked as `FiniteSemigroup`
+        says).  Proof, given that ~ is a congruence (`gm_quotient` checks
+        it, or has the identity relation): take [x] and [y], and let u be
+        the image's word for [y] evaluated in S.  The graph steps
+        [z]*g = [z*g] whichever member z is (right compatibility), so the
+        word traced from the image's generators reaches [u], and u ~ y;
+        traced from [x], it reaches [x*u], and x*u ~ x*y (left
+        compatibility), so it is [x*y].  The proof reads the graph alone, so it holds for
+        whatever `build` gives back for it: a new carrier, or the one with
+        this graph that `estimate`'s memo holds."""
         sgp, class_rep = self.sgp, self.class_rep
         reps = sorted(set(class_rep))
         pos = {r: i for i, r in enumerate(reps)}
@@ -328,7 +346,7 @@ class GmQuotient:
             list(sgp.gen_names),
             [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
         )
-        image.check_associative()
+        image._associative = True
         return image
 
 
@@ -369,16 +387,13 @@ def gm_quotient(
     keeps on the image.  A discrete partition builds no image for it: the
     image is then S on its own indices, with S's right Cayley graph and
     generators, and a classification depends on that pair alone, so S's
-    own is the image's.  Nor does skipping the copy miss an associativity
-    check: its products are S's, and S's are associative (composition, or
-    S's own check, see `FiniteSemigroup`).
+    own is the image's.
 
     Any other image is made by `build` (see `GmQuotient`) from its right
     Cayley graph, read off `class_rep` and S's.  `estimate` passes one that
     gives back the carrier its memo holds for that structure; the verdict
-    then reads that carrier's classification, and its associativity check
-    is not run again: the graph over the generators fixes the traced
-    products, which are the ones the held carrier was checked with."""
+    then reads that carrier's classification.  No image, built or held,
+    gets an associativity check: `GmQuotient.quotient` proves it."""
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
@@ -452,6 +467,7 @@ class ReesCoordinates:
     def verify_transport(self) -> None:
         """uncoord(a,g,b) * uncoord(a',g',b') = uncoord(a, g C(b,a') g', b')
         or falls out of J exactly when C(b,a') = 0; checked for all pairs.
+        `rees_coordinates` proves this law, so this is a test oracle.
 
         The check runs in coordinate space, one whole row of J's table at
         a time.  Each product u*v is mapped to its coordinate code
@@ -504,6 +520,22 @@ class ReesCoordinates:
 
 
 def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
+    """J's Rees coordinates and structure matrix, with the checks that make
+    the transport law hold, so `ReesCoordinates.verify_transport` is a test
+    oracle only.
+
+    Each member u gets the (a, g, b) with u = p_a*g*q_b, read off those
+    products, and the coordinates are checked to be a bijection onto
+    A x G x B: so p_a*h*q_b = uncoord(a, h, b) for every triple.  Each
+    entry q_b*p_a that stays in J is checked to lie in H_e, and G's table
+    is S's product on H_e, checked to be a group by `maximal_subgroup`.
+    Let u = p_a*g*q_b and v = p_a'*g'*q_b'.  By associativity
+    u*v = p_a*(g*(q_b*p_a')*g')*q_b'.  If C(b,a') = q_b*p_a' lies in
+    H_e, g*C*g' is a product in G, and u*v = uncoord(a, g*C*g', b').
+    Otherwise q_b*p_a' lies J-below J (a product of members of J lies in
+    J or below it), so u*v <=_J q_b*p_a' leaves J, as the matrix's 0
+    says.  The J-order facts are in Rhodes & Steinberg, *The q-theory of
+    Finite Semigroups* (2009)."""
     if not jref.is_regular:
         raise InputError("Rees coordinates need a regular J-class")
     gs = sgp.green()
@@ -555,7 +587,6 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     rc = ReesCoordinates(
         sgp, jref, group, list(a_classes), list(b_classes), matrix, coord, uncoord
     )
-    rc.verify_transport()
     rc.verify_matrix_regular()
     return rc
 

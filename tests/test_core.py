@@ -23,10 +23,10 @@ from krc.core import (
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, RelationalMorphism, derived_semigroup, estimate
 from krc.errors import InputError, ResourceError, VerificationError
-from krc import fileformats
+from krc import fileformats, semilocal
 from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
-from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient
+from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient, rees_coordinates
 
 T = PartialTransformation
 
@@ -197,13 +197,13 @@ class TestAssociativityCheck:
 
     def test_light_only_where_it_can_fail(self, monkeypatch):
         # composing maps is associative; any other callable gets Light's
-        # test, and a GM image, which comes with no callable, the graph
-        # check, once, and not again when it is written
+        # test, and a GM image, which comes with no callable, no check: it
+        # is proved associative, neither checked when built nor when written
         tested, checked = [], []
         light, graph = FiniteSemigroup._light_checked, FiniteSemigroup.check_associative
 
-        def counting_light(self, mul):
-            light(self, mul)
+        def counting_light(self, mul, *table):
+            light(self, mul, *table)
             if self._associative:  # Light's test ran and passed
                 tested.append(mul)
             return self
@@ -219,12 +219,28 @@ class TestAssociativityCheck:
         FiniteSemigroup.from_elements(t3.elements, compose)
         assert tested == [] and checked == []
         gq = gm_quotient(t3, JClassRef(t3, t3.green().j_of[t3.gens[0]]))
+        assert gq.order < len(t3)
         dump_semigroup(gq.quotient)
-        assert tested == [] and checked == [gq.quotient]
+        assert tested == [] and checked == []
         # a carrier that passed Light's test needs no graph check to be written
         u1 = FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
         dump_semigroup(u1)
-        assert len(tested) == 1 and compose not in tested and checked == [gq.quotient]
+        assert len(tested) == 1 and compose not in tested and checked == []
+        # any other abstract carrier gets the graph check when written
+        z3 = FiniteSemigroup([0, 1, 2], [1], ["a"], [[1], [2], [0]])
+        dump_semigroup(z3)
+        assert checked == [z3]
+
+    def test_from_elements_calls_its_callable_once_per_product(self):
+        # Light's test reads the table that closure was checked on
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return (a + b) % 40
+
+        z40 = FiniteSemigroup.from_elements(range(40), mul, sort_key=lambda v: v)
+        assert z40._associative and len(calls) == 40 * 40
 
 
 class TestGreen:
@@ -593,10 +609,11 @@ def reference_regular_representation(sgp):
 
 
 @pytest.fixture(scope="module")
-def written_abstract_carriers(corpus):
-    """Every distinct abstract carrier that `estimate` writes, at default
-    options on the corpus, T_3, PT_3, I_3 and the acceptance sample, and at
-    automata budget 0 on I_4 and T_4."""
+def estimate_runs(corpus):
+    """What `estimate` writes and coordinatizes, at default options on the
+    corpus, T_3, PT_3, I_3 and the acceptance sample, and at automata
+    budget 0 on I_4 and T_4: every distinct abstract carrier it writes,
+    and every `ReesCoordinates` it builds."""
     from test_acceptance import _sample_semigroups
 
     def generated(gens):
@@ -606,19 +623,61 @@ def written_abstract_carriers(corpus):
     runs += [(generated(gens), EstimateOptions()) for gens in LADDER.values()]
     runs += [(generated(gens), EstimateOptions(automata_budget=0)) for gens in (I4_GENS, T4_GENS)]
     runs += [(s, EstimateOptions()) for s in _sample_semigroups()]
-    seen = {}
-    dump = fileformats.dump_semigroup
+    seen, coordinates = {}, []
+    dump, coordinatize = fileformats.dump_semigroup, semilocal.rees_coordinates
 
     def recording(sgp):
         if not sgp.is_transformation:
             seen[tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names)] = sgp
         return dump(sgp)
 
+    def coordinatizing(sgp, jref):
+        coordinates.append(coordinatize(sgp, jref))
+        return coordinates[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileformats, "dump_semigroup", recording)
+        mp.setattr(semilocal, "rees_coordinates", coordinatizing)
         for sgp, options in runs:
             estimate(sgp, options)
-    return list(seen.values())
+    return list(seen.values()), coordinates
+
+
+@pytest.fixture(scope="module")
+def written_abstract_carriers(estimate_runs):
+    """Every distinct abstract carrier that `estimate_runs` writes."""
+    return estimate_runs[0]
+
+
+class TestOracles:
+    """The two whole-table checks that the run path leaves to proofs, a GM
+    image's associativity (`semilocal.GmQuotient.quotient`) and the Rees
+    transport law (`semilocal.rees_coordinates`), hold wherever the runs
+    of `estimate_runs` reach."""
+
+    def test_every_written_carrier_rebuilt_is_associative(self, written_abstract_carriers):
+        for sgp in written_abstract_carriers:
+            fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_cayley)
+            assert not fresh._associative
+            fresh.check_associative()
+            assert fresh._associative
+
+    def test_transport_on_every_regular_class_of_a_written_carrier(
+        self, written_abstract_carriers
+    ):
+        classes = 0
+        for sgp in written_abstract_carriers:
+            for j, regular in enumerate(sgp.green().regular):
+                if regular:
+                    rees_coordinates(sgp, JClassRef(sgp, j)).verify_transport()
+                    classes += 1
+        assert classes > len(written_abstract_carriers)
+
+    def test_transport_on_every_class_the_runs_coordinatize(self, estimate_runs):
+        _, coordinates = estimate_runs
+        for rc in coordinates:
+            rc.verify_transport()
+        assert {rc.sgp.is_transformation for rc in coordinates} == {False, True}
 
 
 class TestRegularRepresentation:

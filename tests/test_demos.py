@@ -13,7 +13,7 @@ PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PY
 # sha256 of each demo's standard output; the demos are deterministic
 STDOUT_SHA256 = {
     "01_green_structure": "b025aef020a082f7c8b69c09d90962159295a45c76509cf7905ef8ed63d3112c",
-    "02_semilocal_coordinates": "1a3ca5116bd99b19ccfbd01f96b4929eface0e6d680a3a03be86cc494088fa06",
+    "02_semilocal_coordinates": "304536797e1abc7df2a5a50e96c29c350c2101b7d7ccfe8a879f01d7f5bf2a66",
     "03_spc_lattice": "0c5f45af8fd8553c43956a675b53624546158d1c5f747c5269ccfb25396df371",
     "04_flows_and_decomposition": "afc155f499dcbe5007ad0e07fcba3f1b6fca0b9da286de19d298f01b3ccf336d",
     "05_complexity_certificates": "45ae2e87a72ba76bc7fb0176a830e4dee16dfa24d02f61050c35ecf59bdca6dc",

@@ -351,30 +351,28 @@ class TestGmQuotient:
                 checked += 1
         assert checked > 20
 
-    def test_an_image_is_checked_when_built(self):
-        # T_4's 169-element image at its rank-2 class, with one right Cayley
-        # edge off the word tree moved to an element the tree reaches
-        # earlier (so the tree stays the same): gm_quotient itself rejects
-        # the image, before anything is written
+    def test_the_oracle_rejects_a_corrupted_image(self):
+        # T_4's 169-element image at its rank-2 class, rebuilt with one
+        # right Cayley edge off the word tree moved to an element the tree
+        # reaches earlier (so the tree stays the same): `check_associative`,
+        # which `gm_quotient` no longer runs, rejects it when called.  A
+        # broken premise is rejected at run time, by the congruence check
+        # (`test_congruence_check_rejects_a_partition_broken_on_one_side`)
         t4 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(T4_GENS)])
-        moved = []
-
-        def corrupting(elements, gens, gen_names, right):
-            probe = FiniteSemigroup(elements, gens, gen_names, right)
-            s, k = next(
-                (s, k) for s in probe._order[1:] for k, t in enumerate(right[s])
-                if (probe._parent[t], probe._letter[t]) != (s, k) and t != probe._order[0]
-            )
-            right = [list(row) for row in right]
-            right[s][k] = probe._order[0]
-            image = FiniteSemigroup(elements, gens, gen_names, right)
-            assert image._order == probe._order
-            moved.append(image)
-            return image
-
+        image = gm_quotient(t4, JClassRef(t4, 2)).quotient
+        assert len(image) == 169 and image._associative
+        args = image.elements, image.gens, image.gen_names
+        FiniteSemigroup(*args, image.right_cayley).check_associative()
+        s, k = next(
+            (s, k) for s in image._order[1:] for k, t in enumerate(image.right_cayley[s])
+            if (image._parent[t], image._letter[t]) != (s, k) and t != image._order[0]
+        )
+        right = [list(row) for row in image.right_cayley]
+        right[s][k] = image._order[0]
+        corrupted = FiniteSemigroup(*args, right)
+        assert corrupted._order == image._order
         with pytest.raises(VerificationError, match="^regular representation is not faithful$"):
-            gm_quotient(t4, JClassRef(t4, 2), corrupting)
-        assert [len(image) for image in moved] == [169]
+            corrupted.check_associative()
 
     def test_aperiodic_class_flagged_generalized(self, right_zero_2):
         gq = gm_quotient(right_zero_2, JClassRef(right_zero_2, 0))
