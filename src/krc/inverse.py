@@ -534,11 +534,14 @@ def brandt_isomorphism(sgp: FiniteSemigroup, rc) -> dict[Any, Any]:
         return (a + 1, group.mul(g, rc.matrix[b][match[b]]), match[b] + 1)
 
     iso = {sgp.elements[u]: normalize(c) for u, c in rc.coord.items()}
-    # verify against the Brandt rule, the products u*v read off J's table
+    # verify against the Brandt rule, the products u*v read off one row
+    # (u*v for u in J) per v
     gs = sgp.green()
+    members = list(rc.coord)
+    rows = {v: sgp.right_translation(members, v) for v in members}
     for k, cu in enumerate(rc.coord.values()):
         for v, cv in rc.coord.items():
-            p = rc.jref.rows[v][k]
+            p = rows[v][k]
             iu, iv = normalize(cu), normalize(cv)
             in_j = gs.j_of[p] == rc.jref.j_id
             if iu[2] == iv[0]:

@@ -15,12 +15,14 @@ follows, proved in `GmQuotient.quotient`.  The whole-table checks,
 `ReesCoordinates.verify_transport` and `FiniteSemigroup.check_associative`,
 are the tests' oracles.
 
-S's right action on a J-class is computed once, as the class's table
-`JClassRef.rows` (u*s for every element s and every member u).  The Rees
-coordinates, their transport and structure matrix, the L-class action of
-the RLM quotient, the labels of the presentation, the coordinate action
-and the wreath embedding's action on R_e all read their products off it:
-every product they need is u*s with u in J.
+S acts on J through one R-class: `JClassRef.rows` is S's right action on
+R u {0}, R the R-class of J's least member (the a = 0 coordinates), so
+|G|*|B| columns, not |J|.  The RLM quotient's L-class action, the labels
+and the wreath embedding's action read their products off it.  The Rees
+coordinates read p_a*g*q_b and q_b*p_a as single rows, and the coordinate
+action reads the generators' columns of the right Cayley graph.  Only the
+oracle `ReesCoordinates.verify_transport` and `inverse.brandt_isomorphism`
+read every product in J, |J| rows of their own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 
 @dataclass
 class JClassRef:
-    """A J-class of a semigroup with its R-class list A and L-class list B.
+    """A J-class of a semigroup with its R-class list A and L-class list B,
+    and S's right action on R, the R-class A[0] of J's least member.
 
     Ids are the canonical Green ids (classes ordered by least element), so
     references are stable across runs.
@@ -67,15 +70,20 @@ class JClassRef:
     def members(self) -> list[int]:
         return self.sgp.green().j_classes[self.j_id]
 
+    @property
+    def r_members(self) -> list[int]:
+        """R, the R-class A[0]: the members with Rees coordinate a = 0."""
+        return self.sgp.green().r_classes[self.a_classes[0]]
+
     @cached_property
     def rows(self) -> list[tuple[int, ...]]:
-        """For every element s, the row (u*s for u in `members`)."""
-        return self.sgp.right_translations(self.members)
+        """For every element s, the row (r*s for r in `r_members`)."""
+        return self.sgp.right_translations(self.r_members)
 
     @cached_property
     def column(self) -> dict[int, int]:
-        """Each member's column in `rows`."""
-        return {u: k for k, u in enumerate(self.members)}
+        """Each member of R's column in `rows`."""
+        return {r: k for k, r in enumerate(self.r_members)}
 
     @property
     def is_regular(self) -> bool:
@@ -188,28 +196,25 @@ class RlmQuotient:
 def _lclass_action_map(
     sgp: FiniteSemigroup, jref: JClassRef
 ) -> Callable[[int], PartialTransformation]:
-    """s -> the partial map of s on B, verified representative-free.  The
-    products u*s are J's table: s's row is gathered once through `target`
-    (each product's L-class position, 0 below J) and compared whole with
-    itself read at the first column of each column's L-class, so every
-    member of every L-class is checked to move with its first one."""
+    """s -> the partial map of s on B, read off R's table at one column per
+    L-class, R's first member in it, in B's order.  The map needs no
+    check: r*s L r'*s whenever r L r' (L is a right congruence), and
+    L-related elements lie in one J-class, so each member of L_b moves to
+    the L-class, or out of J, that R's member does.  s's row is gathered at
+    those columns and then through `target` (each product's L-class
+    position, 0 below J)."""
     gs = sgp.green()
     b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
     target = [
         b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in range(len(sgp.elements))
     ]
-    columns: dict[int, list[int]] = {b: [] for b in jref.b_classes}
-    for k, u in enumerate(jref.members):
-        columns[gs.l_of[u]].append(k)
-    first_of_class = row_getter([ks[0] for ks in columns.values()])
-    first_of_column = row_getter([columns[gs.l_of[u]][0] for u in jref.members])
+    first: dict[int, int] = {}
+    for k, r in enumerate(jref.r_members):
+        first.setdefault(gs.l_of[r], k)
+    at_classes = row_getter([first[b] for b in jref.b_classes])
 
     def action(s_idx: int) -> PartialTransformation:
-        targets = row_getter(jref.rows[s_idx])(target)
-        if first_of_column(targets) != targets:
-            b = next(b for b, ks in columns.items() if len({targets[k] for k in ks}) != 1)
-            raise VerificationError(f"L-class action not well defined at b={b}, s={s_idx}")
-        return PartialTransformation(first_of_class(targets))
+        return PartialTransformation(row_getter(at_classes(jref.rows[s_idx]))(target))
 
     return action
 
@@ -469,18 +474,20 @@ class ReesCoordinates:
         or falls out of J exactly when C(b,a') = 0; checked for all pairs.
         `rees_coordinates` proves this law, so this is a test oracle.
 
-        The check runs in coordinate space, one whole row of J's table at
-        a time.  Each product u*v is mapped to its coordinate code
-        (a*|G| + g)*|B| + b, or -1 outside J, and compared with the row of
-        wanted codes, which is gathered too: with v = (a',g',b') and u
-        running over J, it reads a table that depends on (g',b') only, at
-        positions that depend on a' only.  The coordinates are a bijection
-        onto A x G x B (checked at construction), so equal codes mean the
-        product is the wanted element, and -1 means it left J: comparing
-        every row compares all |J|^2 products."""
-        group, rows, coords = self.group, self.jref.rows, list(self.coord.values())
+        The check runs in coordinate space, one whole row (u*v for u in J,
+        by `right_translation`) at a time.  Each product u*v is mapped to
+        its coordinate code (a*|G| + g)*|B| + b, or -1 outside J, and
+        compared with the row of wanted codes, which is gathered too: with
+        v = (a',g',b') and u running over J, it reads a table that depends
+        on (g',b') only, at positions that depend on a' only.  The
+        coordinates are a bijection onto A x G x B (checked at
+        construction), so equal codes mean the product is the wanted
+        element, and -1 means it left J: comparing every row compares all
+        |J|^2 products."""
+        sgp, group, members = self.sgp, self.group, list(self.coord)
+        coords = list(self.coord.values())
         n_a, n_g, n_b = len(self.a_classes), len(group), len(self.b_classes)
-        code = [-1] * len(self.sgp.elements)
+        code = [-1] * len(sgp.elements)
         for u, (a, g, b) in self.coord.items():
             code[u] = (a * n_g + g) * n_b + b
         # codes[g2, b2][a*|G| + h] is the code of (a, h*g2, b2); its last
@@ -501,7 +508,8 @@ class ReesCoordinates:
                 for (a1, g1, _), c in zip(coords, cs)
             ]))
         for v, (a2, g2, b2) in self.coord.items():
-            got, want = row_getter(rows[v])(code), slots[a2](codes[g2, b2])
+            got = row_getter(sgp.right_translation(members, v))(code)
+            want = slots[a2](codes[g2, b2])
             if got != want:
                 k = next(k for k, (x, w) in enumerate(zip(got, want)) if x != w)
                 if want[k] < 0:
@@ -524,11 +532,13 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     the transport law hold, so `ReesCoordinates.verify_transport` is a test
     oracle only.
 
-    Each member u gets the (a, g, b) with u = p_a*g*q_b, read off those
-    products, and the coordinates are checked to be a bijection onto
-    A x G x B: so p_a*h*q_b = uncoord(a, h, b) for every triple.  Each
-    entry q_b*p_a that stays in J is checked to lie in H_e, and G's table
-    is S's product on H_e, checked to be a group by `maximal_subgroup`.
+    The coordinates are read off the products, as single rows
+    (`right_translation`): p_a*g for every a, one row per g in G, then
+    (p_a*g)*q_b for every (a, g), one row per b.  They are checked to be a
+    bijection onto J, so p_a*h*q_b = uncoord(a, h, b) for every triple.
+    Each C(b, a) = q_b*p_a (one row per a) that stays in J is checked to
+    lie in H_e, and G's table is S's product on H_e, checked to be a group
+    by `maximal_subgroup`.
     Let u = p_a*g*q_b and v = p_a'*g'*q_b'.  By associativity
     u*v = p_a*(g*(q_b*p_a')*g')*q_b'.  If C(b,a') = q_b*p_a' lies in
     H_e, g*C*g' is a product in G, and u*v = uncoord(a, g*C*g', b').
@@ -539,53 +549,32 @@ def rees_coordinates(sgp: FiniteSemigroup, jref: JClassRef) -> ReesCoordinates:
     if not jref.is_regular:
         raise InputError("Rees coordinates need a regular J-class")
     gs = sgp.green()
-    j_id = jref.j_id
     e, p_reps, q_reps = _sandwich_reps(sgp, jref)
     group = maximal_subgroup(sgp, sgp.elements[e])
     g_index = {sgp.index[v]: k for k, v in enumerate(group.elements)}
-    a_classes, b_classes = jref.a_classes, jref.b_classes
+    n_g = len(g_index)
 
-    a_pos = {a: k for k, a in enumerate(a_classes)}
-    b_pos = {b: k for k, b in enumerate(b_classes)}
-    # p_a, g and q_b lie in J, so p_a*(g*q_b) and q_b*p_a are table entries
-    rows, column = jref.rows, jref.column
-    g_columns = [column[sgp.index[v]] for v in group.elements]
-
-    # in member order, so the k-th coordinate is the table's column k
-    coord: dict[int, tuple[int, int, int]] = {}
-    uncoord: dict[tuple[int, int, int], int] = {}
-    for u in jref.members:
-        a = a_pos[gs.r_of[u]]
-        b = b_pos[gs.l_of[u]]
-        g_q, p_col = rows[q_reps[b]], column[p_reps[a]]
-        hits = [k for k, gc in enumerate(g_columns) if rows[g_q[gc]][p_col] == u]
-        if len(hits) != 1:
-            raise VerificationError(
-                f"element {u} is p_a*g*q_b for {len(hits)} values of g"
-            )
-        coord[u] = (a, hits[0], b)
-        uncoord[(a, hits[0], b)] = u
-
-    if len(uncoord) != len(jref.members) or len(uncoord) != len(a_classes) * len(
-        group.elements
-    ) * len(b_classes):
+    # p_a*g at slot a*|G| + g, then each slot's product with q_b
+    by_g = [sgp.right_translation(p_reps, x) for x in g_index]
+    p_g = [pg for row in zip(*by_g) for pg in row]
+    found: dict[int, tuple[int, int, int]] = {}
+    for b, q in enumerate(q_reps):
+        for k, u in enumerate(sgp.right_translation(p_g, q)):
+            found[u] = (k // n_g, k % n_g, b)
+    if len(found) != len(p_g) * len(q_reps) or found.keys() != set(jref.members):
         raise VerificationError("coordinates are not a bijection onto A x G x B")
+    # in member order, which the oracles' rows over J are zipped against
+    coord = {u: found[u] for u in jref.members}
+    uncoord = {c: u for u, c in coord.items()}
 
-    matrix = []
-    for b in range(len(b_classes)):
-        row = []
-        for a in range(len(a_classes)):
-            prod = rows[p_reps[a]][column[q_reps[b]]]
-            if gs.j_of[prod] == j_id:
-                if prod not in g_index:
-                    raise VerificationError("q_b * p_a stayed in J but left H_e")
-                row.append(g_index[prod])
-            else:
-                row.append(-1)
-        matrix.append(row)
+    # C(b, a) = q_b*p_a: one row per a, so row b is each row's b-th entry
+    products = list(zip(*(sgp.right_translation(q_reps, p) for p in p_reps)))
+    if any(gs.j_of[p] == jref.j_id and p not in g_index for row in products for p in row):
+        raise VerificationError("q_b * p_a stayed in J but left H_e")
+    matrix = [[g_index.get(p, -1) for p in row] for row in products]  # H_e lies in J
 
     rc = ReesCoordinates(
-        sgp, jref, group, list(a_classes), list(b_classes), matrix, coord, uncoord
+        sgp, jref, group, list(jref.a_classes), list(jref.b_classes), matrix, coord, uncoord
     )
     rc.verify_matrix_regular()
     return rc
@@ -658,14 +647,16 @@ def group_mapping_presentation(
 
 
 def _verify_coordinate_action(pres: GroupMappingPresentation) -> None:
-    """Eq-style reproduction: raw products match (a, g*(b)x, b.x) everywhere."""
+    """Eq-style reproduction: raw products match (a, g*(b)x, b.x) everywhere.
+    The products u*x for u in J are x's column of the right Cayley graph."""
     sgp, rc = pres.sgp, pres.rees
     gs = sgp.green()
     group = rc.group
-    for name, gi in zip(sgp.gen_names, sgp.gens):
+    for k, name in enumerate(sgp.gen_names):
         rlm_map = pres.rlm_of_gen[name]
         labels = pres.label_of_gen[name]
-        for p, (a, g, b) in zip(pres.jref.rows[gi], rc.coord.values()):
+        for u, (a, g, b) in rc.coord.items():
+            p = sgp.right_cayley[u][k]
             if rlm_map[b] == 0:
                 if gs.j_of[p] == pres.jref.j_id:
                     raise VerificationError(
@@ -737,29 +728,27 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
 
 
 def _verify_fasp_action(pres, w, witness) -> None:
-    """The wreath image acts on G x B exactly as S does on R_e.  For each
-    pair of the witness's closure (a wreath code and S's index s), the
-    wreath row read at R_e's points is compared whole with s's row of J's
-    table read at R_e's columns and mapped to wreath positions: a product
-    (a, g, b) in J to the point (g, b) at g*|B| + b, one below J to -1."""
+    """The wreath image acts on G x B exactly as S does on R, the R-class
+    of `JClassRef.rows` (the a = 0 coordinates).  For each pair of the
+    witness's closure (a wreath code and S's index s), the wreath row read
+    at R's points is compared whole with s's row of R's table mapped to
+    wreath positions: a product (a, g, b) in J to the point (g, b) at
+    g*|B| + b, one below J to -1."""
     sgp, rc = pres.sgp, pres.rees
-    # the a = 0 slice, by column of J's table
-    r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
-    at_columns = row_getter([k for k, _, _ in r_e])
     nb = pres.n_b
-    at_points = row_getter([g * nb + b for _, g, b in r_e])
+    r = [rc.coord[u][1:] for u in pres.jref.r_members]  # (g, b) by column
+    at_points = row_getter([g * nb + b for g, b in r])
     position = [-1] * len(sgp.elements)
     for p, (_, g2, b2) in rc.coord.items():
         position[p] = g2 * nb + b2
     rows = pres.jref.rows
     for wc, s in witness.closure.items():
         got = at_points(w.row(wc))
-        want = row_getter(at_columns(rows[s]))(position)
+        want = row_getter(rows[s])(position)
         if got != want:
             k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
             if want[k] < 0:
                 raise VerificationError("wreath action defined where theta^R is not")
-            _, g, b = r_e[k]
             raise VerificationError(
-                f"wreath action disagrees with theta^R at {(g, b)} under {sgp.elements[s]!r}"
+                f"wreath action disagrees with theta^R at {r[k]} under {sgp.elements[s]!r}"
             )

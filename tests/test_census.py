@@ -81,3 +81,14 @@ def test_gm_images_pass_the_oracles(census):
         for j, regular in enumerate(fresh.green().regular):
             if regular:
                 rees_coordinates(fresh, JClassRef(fresh, j)).verify_transport()
+
+
+def test_rlm_maps_and_coordinates_by_definition(census):
+    """The RLM map read off one R-class and the Rees coordinates read off
+    p_a*g*q_b equal their definitions on every regular J-class of every
+    class of the census and of every GM image its estimates built."""
+    from test_semilocal import assert_classes_match_definitions
+
+    runs, images = census
+    carriers = [sgp for sgp, _ in runs] + images
+    assert assert_classes_match_definitions(carriers) > len(carriers)

@@ -522,6 +522,28 @@ class TestProofsNotPasses:
         # every GM image was written, and every group-mapping node coordinatized
         assert counts["graph called"] > 0 and counts["coordinates"] > 0
 
+    @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
+    def test_no_table_is_wider_than_an_r_class(self, monkeypatch, gens):
+        # S acts on J through one R-class (`semilocal.JClassRef.rows`), so
+        # no n x |J| table is built (T_4's J-wide rows had 144 points); the
+        # other tables are over one R-class too, or are the left Cayley
+        # graph, the rows over the generators that each carrier builds
+        widths = []
+        translations = core.FiniteSemigroup.right_translations
+
+        def measured(sub, points):
+            points = tuple(points)
+            widths.append((sub, len(points)))
+            return translations(sub, points)
+
+        monkeypatch.setattr(core.FiniteSemigroup, "right_translations", measured)
+        cert = estimate(ladder(gens), BUDGET_0).certificate
+        complexity.replay_certificate(json.loads(certificate_json(cert)))
+        monkeypatch.undo()
+        for sub, width in widths:
+            assert width <= max(len(sub.gens), *map(len, sub.green().r_classes))
+        assert max(width for _, width in widths) == 24
+
 
 def reached(monkeypatch, sgp, options):
     """Every carrier that estimate(sgp, options) classifies, once each."""

@@ -679,6 +679,16 @@ class TestOracles:
             rc.verify_transport()
         assert {rc.sgp.is_transformation for rc in coordinates} == {False, True}
 
+    def test_rlm_maps_and_coordinates_by_definition(self, estimate_runs):
+        """On every regular J-class of every carrier the runs write or
+        coordinatize, the RLM map read off one R-class and the Rees
+        coordinates read off p_a*g*q_b are those of the definitions."""
+        from test_semilocal import assert_classes_match_definitions
+
+        written, coordinates = estimate_runs
+        carriers = {id(sgp): sgp for sgp in written + [rc.sgp for rc in coordinates]}
+        assert assert_classes_match_definitions(carriers.values()) > len(carriers)
+
 
 class TestRegularRepresentation:
     """An abstract carrier's text, read off its right Cayley graph, against

@@ -150,7 +150,7 @@ T5_GENS = ((2, 3, 4, 5, 1), (2, 1, 3, 4, 5), (1, 1, 3, 4, 5))
 def test_t5_at_automata_budget_0(capsys, tmp_path):
     """The ladder's top rung (order 3 125, interval [1,4]): the certificate
     and the replay stdout, pinned by digest.  Estimate plus replay take
-    about 10 s on a 2-core VM."""
+    about 3 s on a 2-core VM."""
     src, cert = tmp_path / "in.sgp", tmp_path / "cert.json"
     src.write_text(sgp_text(T5_GENS), encoding="ascii")
     out = run(capsys, ["estimate", str(src), "--cert", str(cert), "--automata-budget", "0"])

@@ -7,7 +7,14 @@ import pytest
 from krc import semilocal
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, pure_upper
-from krc.core import ZERO, FiniteSemigroup, PartialTransformation, compose, is_aperiodic
+from krc.core import (
+    ZERO,
+    FiniteSemigroup,
+    PartialTransformation,
+    compose,
+    is_aperiodic,
+    maximal_subgroup,
+)
 from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
 from krc.products import _relation_closure
@@ -133,25 +140,71 @@ def test_classify_takes_products_in_bulk(monkeypatch):
 
 
 def _lclass_action_reference(sgp, jref):
-    """`_lclass_action_map` by its definition: per L-class, the set of the
-    L-classes its members move to (0 below J) must be a singleton."""
+    """`_lclass_action_map` by its definition: s sends b to the L-class of
+    u*s (0 below J), which must be the same for every member u of J in
+    L_b; products by `mul_index`."""
     gs = sgp.green()
     b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
-    columns = {b: [] for b in jref.b_classes}
-    for k, u in enumerate(jref.members):
-        columns[gs.l_of[u]].append(k)
 
     def action(s):
         images = []
-        for b, ks in columns.items():
-            row = jref.rows[s]
-            targets = {b_pos[gs.l_of[row[k]]] if gs.j_of[row[k]] == jref.j_id else 0 for k in ks}
-            if len(targets) != 1:
-                raise VerificationError(f"L-class action not well defined at b={b}, s={s}")
+        for b in jref.b_classes:
+            products = (sgp.mul_index(u, s) for u in jref.members if gs.l_of[u] == b)
+            targets = {b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in products}
+            assert len(targets) == 1, (b, s)
             images.append(targets.pop())
         return T(tuple(images))
 
     return action
+
+
+def _rees_reference(sgp, jref):
+    """`rees_coordinates`' coordinates and matrix by their definition:
+    each member u, in member order, gets its R- and L-class positions a and
+    b and the unique g with (p_a*g)*q_b = u; C(b, a) is q_b*p_a's position
+    in G, or -1 below J.  Products by `mul_index`."""
+    gs = sgp.green()
+    mul = sgp.mul_index
+    e, p_reps, q_reps = semilocal._sandwich_reps(sgp, jref)
+    g_members = [sgp.index[v] for v in maximal_subgroup(sgp, sgp.elements[e]).elements]
+    a_pos = {a: k for k, a in enumerate(jref.a_classes)}
+    b_pos = {b: k for k, b in enumerate(jref.b_classes)}
+    coord = {}
+    for u in jref.members:
+        a, b = a_pos[gs.r_of[u]], b_pos[gs.l_of[u]]
+        hits = [k for k, x in enumerate(g_members) if mul(mul(p_reps[a], x), q_reps[b]) == u]
+        assert len(hits) == 1, u
+        coord[u] = (a, hits[0], b)
+    matrix = [
+        [
+            g_members.index(p) if gs.j_of[p] == jref.j_id else -1
+            for p in (mul(q, pa) for pa in p_reps)
+        ]
+        for q in q_reps
+    ]
+    return coord, matrix
+
+
+def assert_classes_match_definitions(carriers):
+    """On every regular J-class of each carrier: the RLM map read off R is
+    `_lclass_action_reference`, and the Rees coordinates (values and member
+    order) and matrix are `_rees_reference`'s.  Gives the classes checked."""
+    classes = 0
+    for sgp in carriers:
+        for j, regular in enumerate(sgp.green().regular):
+            if not regular:
+                continue
+            jref = JClassRef(sgp, j)
+            action = semilocal._lclass_action_map(sgp, jref)
+            reference = _lclass_action_reference(sgp, jref)
+            assert [action(s) for s in range(len(sgp))] == [reference(s) for s in range(len(sgp))]
+            rc = rees_coordinates(sgp, jref)
+            coord, matrix = _rees_reference(sgp, jref)
+            assert list(rc.coord.items()) == list(coord.items())
+            assert rc.matrix == matrix
+            assert len(jref.rows[0]) == len(rc.group) * len(rc.b_classes)
+            classes += 1
+    return classes
 
 
 class TestRlmQuotient:
@@ -188,42 +241,6 @@ class TestRlmQuotient:
                     for u in gs.l_classes[b]
                 }
                 assert len(verdicts) == 1
-
-    @pytest.mark.parametrize("column", ["first", "later"])
-    def test_one_corrupted_table_entry_is_rejected(self, corpus, monkeypatch, column):
-        # one entry of J's table moved to an element of another L-class, or
-        # across J's edge, in the first column of an L-class or a later one:
-        # the message is the one the per-L-class sets give
-        rejected = 0
-        for name, (sgp, _) in sorted(corpus.items()):
-            gs = sgp.green()
-            for j, regular in enumerate(gs.regular):
-                jref = JClassRef(sgp, j)
-                columns = {}
-                for k, u in enumerate(jref.members):
-                    columns.setdefault(gs.l_of[u], []).append(k)
-                wide = [ks for ks in columns.values() if len(ks) > 1]
-                if not regular or not wide:
-                    continue
-                k, other = wide[0][:2] if column == "first" else wide[0][1::-1]
-                place = [gs.l_of[p] if gs.j_of[p] == j else -1 for p in range(len(sgp))]
-                rows = [list(row) for row in jref.rows]
-                s = len(sgp) - 1
-                moved = [p for p in range(len(sgp)) if place[p] != place[rows[s][other]]]
-                if not moved:  # one L-class and nothing below J
-                    continue
-                rows[s][k] = moved[0]
-                jref.rows = [tuple(row) for row in rows]
-                with monkeypatch.context() as patch:
-                    patch.setattr(semilocal, "_lclass_action_map", _lclass_action_reference)
-                    with pytest.raises(VerificationError) as want:
-                        rlm_quotient(sgp, jref)
-                with pytest.raises(VerificationError) as got:
-                    rlm_quotient(sgp, jref)
-                assert str(got.value) == str(want.value), name
-                assert str(got.value).startswith("L-class action not well defined at b=")
-                rejected += 1
-        assert rejected >= 5
 
     def test_rejects_irregular_class(self):
         # a null semigroup: x^2 = 0, J-class of x not regular
@@ -536,6 +553,18 @@ class TestReesCoordinates:
         assert len(rc.coord) == 8
         assert len(rc.uncoord) == 8
 
+    def test_a_repeated_q_b_is_not_a_bijection(self, b2z2_1, monkeypatch):
+        # q_1 replaced by q_0: the products p_a*g*q_b miss L_1
+        inner = semilocal._sandwich_reps
+
+        def repeating(sgp, jref):
+            e, p_reps, q_reps = inner(sgp, jref)
+            return e, p_reps, [q_reps[0]] * len(q_reps)
+
+        monkeypatch.setattr(semilocal, "_sandwich_reps", repeating)
+        with pytest.raises(VerificationError, match="^coordinates are not a bijection onto A x G x B$"):
+            rees_coordinates(b2z2_1, JClassRef(b2z2_1, 1))
+
 
 def _transport_reference(rc):
     """The transport law product by product through `mul_index`, in
@@ -770,12 +799,11 @@ def _fasp_action_reference(pres, w, witness):
     first failure's message, or None."""
     sgp, rc = pres.sgp, pres.rees
     j_of = sgp.green().j_of
-    r_e = [(k, g, b) for k, (a, g, b) in enumerate(rc.coord.values()) if a == 0]
+    r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
     for wv, sv in witness.morphism.items():
-        row = pres.jref.rows[sgp.index[sv]]
         wrow = w.row(w.encode(wv))
-        for k, g, b in r_e:
-            p, img = row[k], wrow[g * pres.n_b + b]
+        for u, g, b in r:
+            p, img = sgp.mul_index(u, sgp.index[sv]), wrow[g * pres.n_b + b]
             if j_of[p] != pres.jref.j_id:
                 if img >= 0:
                     return "wreath action defined where theta^R is not"
