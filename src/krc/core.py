@@ -122,11 +122,12 @@ class FiniteSemigroup:
     Elements are hashable values in a canonical order.  Everything else is
     int data over their indices: the named generators, the right Cayley
     graph over them, the left one (read off as the generators' right
-    translations), and one word over the generators per element (the
-    breadth-first tree of `words()`).  The product i*j is traced: it
-    follows j's word through the right Cayley graph from i, as in Froidure
-    & Pin, "Algorithms for computing finite semigroups" (1997).  No product
-    is stored.
+    translations), both also transposed once into columns (`right_columns[k]`
+    is (x*g_k for every x), `left_columns[k]` is (g_k*x for every x)), and
+    one word over the generators per element (the breadth-first tree of
+    `words()`).  The product i*j is traced: it follows j's word through the
+    right Cayley graph from i, as in Froidure & Pin, "Algorithms for
+    computing finite semigroups" (1997).  No product is stored.
 
     Tracing is sound because the operation is associative: with
     j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Maps compose
@@ -150,8 +151,9 @@ class FiniteSemigroup:
     points are closed under left multiplication by the generators.  Both
     identities are associativity, the same assumption that tracing makes.
     `right_translation(points, s)` is one such row on its own, walked along
-    s's word one whole-row gather per letter.  `mul_index` is the way to get
-    a single scattered product.
+    s's word one whole-column gather per letter, and `left_translation(q,
+    points)` its mirror, q*p for every point p.  `mul_index` is the way to
+    get a single scattered product.
     """
 
     def __init__(
@@ -170,7 +172,9 @@ class FiniteSemigroup:
         self.gen_names = gen_names
         self.right_cayley = right_cayley
         self._word_tree()
+        self.right_columns = list(zip(*right_cayley))
         self.left_cayley = self.right_translations(self.gens)  # g*i for each g
+        self.left_columns = list(zip(*self.left_cayley))
         self._green: Optional[GreenStructure] = None
         self._classification = None  # filled by semilocal.classify
         self._associative = False  # set once the traced product is checked or proved
@@ -330,7 +334,7 @@ class FiniteSemigroup:
         its row is that very gather."""
         if self._associative:
             return
-        columns = list(zip(*self.right_cayley))  # columns[k][x] = x*g_k
+        columns = self.right_columns
         rows = self.right_translations(range(len(self)))
         for s, (row, edges) in enumerate(zip(rows, self.right_cayley)):
             image = row_getter(row)  # col -> (col[x] for x in row)
@@ -376,25 +380,36 @@ class FiniteSemigroup:
         from g's column in one `row_getter` call (exact for zero and one
         point too).  Like tracing, this rests on associativity."""
         points = tuple(points)
-        right = self.right_cayley
-        by_letter = list(zip(*right))  # by_letter[k][x] = x*g_k
-        rows: list[tuple[int, ...]] = [None] * len(right)
+        columns = self.right_columns
+        rows: list[tuple[int, ...]] = [None] * len(self.right_cayley)
         parent, letter = self._parent, self._letter
         for s in self._order:
             prev = points if parent[s] < 0 else rows[parent[s]]
-            rows[s] = row_getter(prev)(by_letter[letter[s]])
+            rows[s] = row_getter(prev)(columns[letter[s]])
         return rows
 
     def right_translation(self, points: Sequence[int], s: int) -> tuple[int, ...]:
         """The row (p*s for p in points) of `right_translations` on its own:
-        p*(g1*...*gk) = (...(p*g1)...)*gk, one step per letter of s's word.
-        A step gathers the current points' rows of the right Cayley graph
-        and reads their letter's entries, both in C, so no column of the
-        whole graph is built.  Like tracing, this rests on associativity."""
+        p*(g1*...*gk) = (...(p*g1)...)*gk, one step per letter of s's word,
+        left to right.  A step gathers the letter's column of the right
+        Cayley graph at the current points, in C.  Like tracing, this rests
+        on associativity."""
         row = tuple(points)
-        right = self.right_cayley
+        columns = self.right_columns
         for k in self._words[s]:
-            row = tuple(map(itemgetter(k), row_getter(row)(right)))
+            row = row_getter(row)(columns[k])
+        return row
+
+    def left_translation(self, q: int, points: Sequence[int]) -> tuple[int, ...]:
+        """The row (q*p for p in points), the mirror of `right_translation`:
+        (g1*...*gk)*p = g1*(...(gk*p)...), one step per letter of q's word,
+        right to left, each a gather of the letter's column of the left
+        Cayley graph at the current points.  Like tracing, this rests on
+        associativity."""
+        row = tuple(points)
+        columns = self.left_columns
+        for k in reversed(self._words[q]):
+            row = row_getter(row)(columns[k])
         return row
 
     def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
@@ -589,11 +604,10 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
 
     # class-level orders: one-step successors in the condensations, whose
     # reflexive-transitive closure is the order
-    def _successors(class_of: list[int], count: int, graphs) -> list[set[int]]:
+    def _successors(class_of: list[int], count: int, columns) -> list[set[int]]:
         edges = set()
-        for graph in graphs:
-            for column in zip(*graph):
-                edges.update(zip(class_of, row_getter(column)(class_of)))
+        for column in columns:
+            edges.update(zip(class_of, row_getter(column)(class_of)))
         succ: list[set[int]] = [set() for _ in range(count)]
         for c, d in edges:
             succ[c].add(d)
@@ -607,8 +621,8 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     return GreenStructure(
         r_of, l_of, j_of, h_of,
         r_classes, l_classes, j_classes, h_classes,
-        _successors(j_of, len(j_classes), (right, left)),
-        _successors(l_of, len(l_classes), (left,)),
+        _successors(j_of, len(j_classes), sgp.right_columns + sgp.left_columns),
+        _successors(l_of, len(l_classes), sgp.left_columns),
         regular, idempotents,
     )
 

@@ -102,7 +102,7 @@ def _right_regular(sgp: FiniteSemigroup) -> list[PartialTransformation]:
     an estimate's root, and on every one that `krc estimate` or
     `krc replay` writes; on any other abstract carrier it runs the check."""
     sgp.check_associative()
-    columns = list(zip(*sgp.right_cayley))  # columns[k][x] = x*g_k
+    columns = sgp.right_columns  # columns[k][x] = x*g_k
     if sgp.identity_index() is None:
         columns = [col + (gi,) for col, gi in zip(columns, sgp.gens)]
     return [PartialTransformation(tuple(x + 1 for x in col)) for col in columns]

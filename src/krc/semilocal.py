@@ -15,19 +15,27 @@ follows, proved in `GmQuotient.quotient`.  The whole-table checks,
 `ReesCoordinates.verify_transport` and `FiniteSemigroup.check_associative`,
 are the tests' oracles.
 
-S acts on J through one R-class: `JClassRef.rows` is S's right action on
-R u {0}, R the R-class of J's least member (the a = 0 coordinates), so
-|G|*|B| columns, not |J|.  The RLM quotient's L-class action, the labels
-and the wreath embedding's action read their products off it.  The Rees
-coordinates read p_a*g*q_b and q_b*p_a as single rows, and the coordinate
-action reads the generators' columns of the right Cayley graph.  Only the
-oracle `ReesCoordinates.verify_transport` and `inverse.brandt_isomorphism`
-read every product in J, |J| rows of their own.
+A regular J-class is read through its sandwich columns
+Q_b = (q_b*s for every s) (`FiniteSemigroup.left_translation`) and
+P_a = (s*p_a for every s) (`right_translation`), each one word walked
+through a Cayley graph's columns.  `classify` tests faithfulness on their
+rows (the lemma is in its docstring), the GM profile reads the sandwiches
+q_b*s*p_a at Q's columns, and the RLM image each product's L-class.  The
+distinguished class's Q is kept with the classification, for that class's
+GM profile and RLM image; every other table is dropped by its reader.
+
+For the labels and the wreath embedding's action, S acts on J through one
+R-class: `JClassRef.rows` is S's right action on R u {0}, R the R-class of
+J's least member (the a = 0 coordinates), so |G|*|B| columns, not |J|.
+The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows, and the
+coordinate action reads the generators' columns of the right Cayley
+graph.  Only the oracle `ReesCoordinates.verify_transport` and
+`inverse.brandt_isomorphism` read every product in J, |J| rows of their
+own.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Optional
@@ -47,7 +55,10 @@ from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 @dataclass
 class JClassRef:
     """A J-class of a semigroup with its R-class list A and L-class list B,
-    and S's right action on R, the R-class A[0] of J's least member.
+    and S's right action on R, the R-class A[0] of J's least member, which
+    the labels and the wreath embedding read.  The sandwich columns that
+    classification, the GM profile and the RLM image read are not kept
+    here (see the module docstring).
 
     Ids are the canonical Green ids (classes ordered by least element), so
     references are stable across runs.
@@ -107,6 +118,8 @@ class Classification:
     generalized_group_mapping: bool
     group_mapping: bool
     distinguished_j: Optional[int]
+    # Q of the distinguished class (see `classify`), None without one
+    q_columns: Optional[list[tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
 def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tuple[int, list[int]]]]:
@@ -133,7 +146,9 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
 
 def classify(sgp: FiniteSemigroup) -> Classification:
     """Right/left/group-mapping flags via faithfulness on 0-minimal ideals,
-    kept on the carrier next to its Green structure.
+    kept on the carrier next to its Green structure, together with the
+    distinguished class's columns Q, which its GM profile and RLM image
+    read again (`_q_columns`).
 
     Faithfulness is tested on one R-class and one L-class of each ideal.
     Lemma: let J u {0} be a 0-minimal ideal (or J the kernel, and no zero)
@@ -144,26 +159,48 @@ def classify(sgp: FiniteSemigroup) -> Classification:
     As J = D in a finite semigroup, R n L_u holds some r, and u = y*r for
     some y in S^1; so u*s = y*(r*s) = y*(r*t) = u*t.  The left case is
     dual, with one L-class L.  The zero's column is constant (0*s = 0 =
-    s*0), so it never changes whether the rows are distinct: the right
-    rows leave it out, and `left_translations` gets it only because g*L
-    must lie in its points."""
+    s*0), so it never changes whether the rows are distinct.
+
+    On a regular ideal the classes are R_e and L_e, e the least idempotent
+    of J, read through the representatives p_a of R_a n L_e and q_b of
+    R_e n L_b (`_sandwich_reps`).  By Green's lemma, left multiplication
+    by p_a (p_a L e) maps H_e onto R_a n L_e, and right multiplication by
+    q_b (q_b R e) maps H_e onto R_e n L_b; so L_e is the union of the sets
+    p_a*H_e, and R_e that of the sets H_e*q_b.  As s*(p_a*h) = (s*p_a)*h
+    and (h*q_b)*s = h*(q_b*s), and the p_a and q_b are themselves in L_e
+    and R_e, s and t agree on L_e iff s*p_a = t*p_a for every a, and on
+    R_e iff q_b*s = q_b*t for every b.  So the right test asks whether the
+    n rows (q_b*s)_b are distinct, read off the columns
+    Q_b = (q_b*s for every s), and the left test the same of the rows
+    (s*p_a)_a, off the columns P_a = (s*p_a for every s).  A null ideal
+    (no idempotent) is tested on the rows over the R-class and the L-class
+    of its least member, `left_translations` getting the zero too, since
+    g*L must lie in its points."""
     if sgp._classification is None:
         sgp._classification = _classify(sgp)
     return sgp._classification
 
 
 def _classify(sgp: FiniteSemigroup) -> Classification:
-    """`classify`'s body: each ideal's test runs on the R-class and the
-    L-class of its least member."""
+    """`classify`'s body."""
     gs = sgp.green()
     z, ideals = _zero_minimal_ideals(sgp)
-    zero = [] if z is None else [z]
     n = len(sgp.elements)
     right_mapping = left_mapping = False
-    for _, ideal in ideals:
-        u = ideal[0]
-        right_mapping |= len(set(sgp.right_translations(gs.r_classes[gs.r_of[u]]))) == n
-        left_mapping |= len(set(sgp.left_translations(gs.l_classes[gs.l_of[u]] + zero))) == n
+    q_columns = {}
+    for c, ideal in ideals:
+        if gs.regular[c]:
+            jref = JClassRef(sgp, c)
+            _, p_reps, _ = _sandwich_reps(sgp, jref)
+            q_columns[c] = _q_columns(sgp, jref)
+            p_columns = [sgp.right_translation(range(n), p) for p in p_reps]
+            right_mapping |= len(set(zip(*q_columns[c]))) == n
+            left_mapping |= len(set(zip(*p_columns))) == n
+        else:
+            u = ideal[0]
+            left = gs.l_classes[gs.l_of[u]] + ([] if z is None else [z])
+            right_mapping |= len(set(sgp.right_translations(gs.r_classes[gs.r_of[u]]))) == n
+            left_mapping |= len(set(sgp.left_translations(left))) == n
     distinguished = None
     if right_mapping or left_mapping:
         if len(ideals) != 1:
@@ -177,7 +214,20 @@ def _classify(sgp: FiniteSemigroup) -> Classification:
     gm = False
     if ggm:
         gm = JClassRef(sgp, distinguished).contains_nontrivial_subgroup()
-    return Classification(right_mapping, left_mapping, ggm, gm, distinguished)
+    return Classification(
+        right_mapping, left_mapping, ggm, gm, distinguished, q_columns.get(distinguished)
+    )
+
+
+def _q_columns(sgp: FiniteSemigroup, jref: JClassRef) -> list[tuple[int, ...]]:
+    """Q_b = (q_b*s for every s) for each q_b of `_sandwich_reps`, in B's
+    order: the columns `classify` kept when J is the carrier's
+    distinguished class, or new ones."""
+    cls = sgp._classification
+    if cls is not None and cls.distinguished_j == jref.j_id:
+        return cls.q_columns
+    _, _, q_reps = _sandwich_reps(sgp, jref)
+    return [sgp.left_translation(q, range(len(sgp.elements))) for q in q_reps]
 
 
 # -- RLM quotient ---------------------------------------------------------
@@ -193,30 +243,20 @@ class RlmQuotient:
     code: list[int] = field(repr=False)
 
 
-def _lclass_action_map(
-    sgp: FiniteSemigroup, jref: JClassRef
-) -> Callable[[int], PartialTransformation]:
-    """s -> the partial map of s on B, read off R's table at one column per
-    L-class, R's first member in it, in B's order.  The map needs no
-    check: r*s L r'*s whenever r L r' (L is a right congruence), and
-    L-related elements lie in one J-class, so each member of L_b moves to
-    the L-class, or out of J, that R's member does.  s's row is gathered at
-    those columns and then through `target` (each product's L-class
-    position, 0 below J)."""
+def _lclass_columns(sgp: FiniteSemigroup, jref: JClassRef) -> list[tuple[int, ...]]:
+    """Per L-class b of J, in B's order, the column (b.s for every s): the
+    position from 1 in B of the L-class of q_b*s, or 0 below J.  It is
+    every member's of L_b: r*s L r'*s whenever r L r' (L is a right
+    congruence), and L-related elements lie in one J-class, so each member
+    of L_b moves to the L-class, or out of J, that q_b does.  The column is
+    `target` (each product's L-class position, 0 below J) gathered at Q_b
+    (`_q_columns`)."""
     gs = sgp.green()
-    b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
-    target = [
-        b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in range(len(sgp.elements))
-    ]
-    first: dict[int, int] = {}
-    for k, r in enumerate(jref.r_members):
-        first.setdefault(gs.l_of[r], k)
-    at_classes = row_getter([first[b] for b in jref.b_classes])
-
-    def action(s_idx: int) -> PartialTransformation:
-        return PartialTransformation(row_getter(at_classes(jref.rows[s_idx]))(target))
-
-    return action
+    target = [0] * len(sgp.elements)
+    for k, b in enumerate(jref.b_classes, 1):
+        for p in gs.l_classes[b]:
+            target[p] = k
+    return [row_getter(q)(target) for q in _q_columns(sgp, jref)]
 
 
 def rlm_quotient(
@@ -228,7 +268,10 @@ def rlm_quotient(
     its right Cayley graph takes action(s) along generator g to
     action(s*g), read off S's graph.  Both rest on one check, made at every
     element s and generator g: action(s) composed with action(g) is
-    action(s*g), one whole-row gather each.  It is complete: along the word
+    action(s*g).  It runs one column of `_lclass_columns` at a time: per g
+    and b, (b.s).g for every s, g's map gathered at the column, against
+    b.(s*g) for every s, the column gathered at g's column of the right
+    Cayley graph.  It is complete: along the word
     g1...gk of s it gives action(s) = action(g1)...action(gk), so every map
     of the image lies in the closure of the generators' maps, and every
     product of those maps is the action of the matching word, so the image
@@ -245,18 +288,17 @@ def rlm_quotient(
     classification instead of computing them again."""
     if not jref.is_regular:
         raise InputError("RLM quotient needs a regular J-class")
-    action = _lclass_action_map(sgp, jref)
-    maps = [action(s) for s in range(len(sgp.elements))]
-    images = [m.images for m in maps]
-    operands = [(0,) + images[g] for g in sgp.gens]  # 0 stays undefined
-    for s, row in enumerate(sgp.right_cayley):
-        step = row_getter(images[s])
-        for g, sg in zip(operands, row):
-            if step(g) != images[sg]:
+    columns = _lclass_columns(sgp, jref)
+    for g, by_g in zip(sgp.gens, sgp.right_columns):
+        step = (0,) + tuple(col[g] for col in columns)  # g's map; 0 stays undefined
+        moved = row_getter(by_g)
+        for col in columns:
+            if row_getter(col)(step) != moved(col):
                 raise VerificationError("quotient morphism leaves the generated image")
-    elements = sorted(set(maps), key=PartialTransformation.sort_key)
-    pos = {m: i for i, m in enumerate(elements)}
-    code = [pos[m] for m in maps]
+    maps = list(zip(*columns))  # each element's map's images
+    elements = sorted(map(PartialTransformation, set(maps)), key=PartialTransformation.sort_key)
+    pos = {m.images: i for i, m in enumerate(elements)}
+    code = list(map(pos.__getitem__, maps))
     some = {c: s for s, c in enumerate(code)}  # an element with each image
     rlm = build(
         elements,
@@ -362,23 +404,23 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     The key of s is its sandwiches q_b*s*p_a only.  That loses nothing:
     x = p_a*g*q_b and y = p_a'*g'*q_b' give xsy = p_a*g*(q_b*s*p_a')*g'*q_b',
     and the sandwich either lies in H_e, fixing xsy, or drops out of J with
-    it.  The rows q_b*s come in bulk.  When q_b*s falls below J, so does
-    each (q_b*s)*p_a; otherwise q_b*s is a member x of J, whose entries
-    x*p_a (-1 below J) are gathered as |A| whole columns over J.  Each key
-    is then one gather of those entries at the row q_b*s."""
-    gs = sgp.green()
-    _, p_reps, q_reps = _sandwich_reps(sgp, jref)
+    it.  When q_b*s falls below J, so does each (q_b*s)*p_a; otherwise
+    q_b*s is a member x of J, whose entries x*p_a (-1 below J) are
+    gathered as |A| whole columns over J.  The keys are those entries
+    gathered at the columns Q_b (`_q_columns`), and each class's least
+    member is read off one dict built from the keys in reverse."""
+    _, p_reps, _ = _sandwich_reps(sgp, jref)
     members = jref.members
-    in_j = [p if j == jref.j_id else -1 for p, j in enumerate(gs.j_of)]
+    in_j = [-1] * len(sgp.elements)
+    for x in members:
+        in_j[x] = x
     columns = [row_getter(sgp.right_translation(members, pa))(in_j) for pa in p_reps]
     entries = [(-1,) * len(p_reps)] * len(sgp.elements)
     for x, entry in zip(members, zip(*columns)):
         entries[x] = entry
-    first: dict[tuple, int] = {}
-    return [
-        first.setdefault(row_getter(qs_row)(entries), s)
-        for s, qs_row in enumerate(sgp.right_translations(q_reps))
-    ]
+    keys = list(zip(*(row_getter(q)(entries) for q in _q_columns(sgp, jref))))
+    least = dict(zip(reversed(keys), reversed(range(len(keys)))))
+    return list(map(least.__getitem__, keys))
 
 
 def gm_quotient(
@@ -444,7 +486,7 @@ def _is_congruence(sgp: FiniteSemigroup, class_rep: list[int]) -> bool:
     the classes of the products (class_rep[s*g] for every s) are compared
     with themselves read at the representatives (class_rep[r*g])."""
     at_reps = row_getter(class_rep)
-    for column in itertools.chain(zip(*sgp.right_cayley), zip(*sgp.left_cayley)):
+    for column in sgp.right_columns + sgp.left_columns:
         classes = row_getter(column)(class_rep)
         if at_reps(classes) != classes:
             return False
@@ -743,7 +785,7 @@ def _verify_fasp_action(pres, w, witness) -> None:
         position[p] = g2 * nb + b2
     rows = pres.jref.rows
     for wc, s in witness.closure.items():
-        got = at_points(w.row(wc))
+        got = at_points(w._row(wc))  # read once: `row` would cache it
         want = row_getter(rows[s])(position)
         if got != want:
             k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from krc import complexity
+from krc import complexity, semilocal
 from krc.complexity import estimate
 from krc.core import FiniteSemigroup, PartialTransformation
 from krc.semilocal import JClassRef, rees_coordinates
@@ -92,3 +92,19 @@ def test_rlm_maps_and_coordinates_by_definition(census):
     runs, images = census
     carriers = [sgp for sgp, _ in runs] + images
     assert assert_classes_match_definitions(carriers) > len(carriers)
+
+
+def test_classify_matches_whole_ideal_verdicts(census):
+    """`classify` reads a regular ideal through its sandwich columns (the
+    lemma in its docstring); its verdicts are the whole ideal's on every
+    class of the census and every GM image its estimates built."""
+    from test_complexity import whole_ideal_verdicts
+
+    runs, images = census
+    carriers = [sgp for sgp, _ in runs] + images
+    verdicts = collections.Counter()
+    for sgp in carriers:
+        cls = semilocal.classify(sgp)
+        verdicts[cls.right_mapping, cls.left_mapping] += 1
+        assert (cls.right_mapping, cls.left_mapping) == whole_ideal_verdicts(sgp)
+    assert len(carriers) > 154 and len(verdicts) == 4

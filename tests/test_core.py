@@ -170,7 +170,7 @@ class TestTracedProducts:
     def test_holds_no_product_store(self, sym3):
         assert set(vars(sym3)) == {
             "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
-            "_words", "_order", "_parent", "_letter", "_green", "_classification",
+            "right_columns", "left_columns", "_words", "_order", "_parent", "_letter", "_green", "_classification",
             "_associative",
         }
 
@@ -403,6 +403,22 @@ class TestBulkTranslations:
                 rows = sgp.right_translations(points)
                 for s in rng.sample(range(n), min(n, 20)):
                     assert sgp.right_translation(points, s) == rows[s]
+
+    def test_one_left_row_walks_the_word(self, translation_carriers):
+        # left_translation(q, points) is q*p for every point, the mirror of
+        # right_translation, whatever the points (no closure is needed)
+        for sgp in translation_carriers:
+            n = len(sgp)
+            rng = random.Random(n)
+            for points in (rng.choices(range(n), k=n + 3), range(n), [n - 1], []):
+                for q in rng.sample(range(n), min(n, 20)):
+                    want = tuple(sgp.mul_index(q, p) for p in points)
+                    assert sgp.left_translation(q, points) == want
+
+    def test_columns_are_the_graphs_transposed(self, translation_carriers):
+        for sgp in translation_carriers:
+            assert sgp.right_columns == list(zip(*sgp.right_cayley))
+            assert sgp.left_columns == list(zip(*sgp.left_cayley))
 
     def test_one_point_sets(self, translation_carriers):
         # a bare itemgetter returns a value, not a 1-tuple, for one position

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -139,8 +140,14 @@ def test_classify_takes_products_in_bulk(monkeypatch):
     assert calls == []
 
 
+def lclass_maps(sgp, jref):
+    """Each element's map on B, read off `_lclass_columns` (one column per
+    L-class, one entry per element)."""
+    return [T(images) for images in zip(*semilocal._lclass_columns(sgp, jref))]
+
+
 def _lclass_action_reference(sgp, jref):
-    """`_lclass_action_map` by its definition: s sends b to the L-class of
+    """`_lclass_columns` by its definition: s sends b to the L-class of
     u*s (0 below J), which must be the same for every member u of J in
     L_b; products by `mul_index`."""
     gs = sgp.green()
@@ -195,9 +202,8 @@ def assert_classes_match_definitions(carriers):
             if not regular:
                 continue
             jref = JClassRef(sgp, j)
-            action = semilocal._lclass_action_map(sgp, jref)
             reference = _lclass_action_reference(sgp, jref)
-            assert [action(s) for s in range(len(sgp))] == [reference(s) for s in range(len(sgp))]
+            assert lclass_maps(sgp, jref) == [reference(s) for s in range(len(sgp))]
             rc = rees_coordinates(sgp, jref)
             coord, matrix = _rees_reference(sgp, jref)
             assert list(rc.coord.items()) == list(coord.items())
@@ -270,18 +276,16 @@ class TestRlmImageReadOff:
                 if not regular:
                     continue
                 jref = JClassRef(sgp, j)
-                action = semilocal._lclass_action_map(sgp, jref)
+                maps = lclass_maps(sgp, jref)
                 closure = FiniteSemigroup.generate(
-                    [(name, action(g)) for name, g in zip(sgp.gen_names, sgp.gens)]
+                    [(name, maps[g]) for name, g in zip(sgp.gen_names, sgp.gens)]
                 )
                 rq = rlm_quotient(sgp, jref)
                 assert rq.rlm.elements == closure.elements
                 assert rq.rlm.right_cayley == closure.right_cayley
                 assert rq.rlm.gens == closure.gens
                 assert rq.rlm.gen_names == closure.gen_names
-                assert [rq.rlm.elements[c] for c in rq.code] == [
-                    action(s) for s in range(len(sgp))
-                ]
+                assert [rq.rlm.elements[c] for c in rq.code] == maps
                 assert set(rq.code) == set(range(len(closure)))
                 checked += 1
         assert checked == 9 + 21  # T_4 and I_4, then the GM corpus members
@@ -293,15 +297,13 @@ class TestRlmImageReadOff:
         # still a morphism (the trivial semigroup sent to the empty map) no
         # check could see it; on T_4 and I_4 every change shows.
         rng = random.Random(23)
-        action_map = semilocal._lclass_action_map
         changes = 0
         for sgp in degree4_carriers().values():
             for j, regular in enumerate(sgp.green().regular):
                 if not regular:
                     continue
                 jref = JClassRef(sgp, j)
-                action = action_map(sgp, jref)
-                maps = [action(s) for s in range(len(sgp))]
+                maps = lclass_maps(sgp, jref)
                 degree = maps[0].degree
                 for s0, old in enumerate(maps):
                     drawn = old
@@ -310,11 +312,12 @@ class TestRlmImageReadOff:
                     other = next((m for m in maps if m != old), None)
                     for new in filter(None, (other, drawn)):
                         changed = maps[:s0] + [new] + maps[s0 + 1:]
-                        monkeypatch.setattr(
-                            semilocal, "_lclass_action_map",
-                            lambda sgp, jref, changed=changed: changed.__getitem__,
-                        )
-                        with pytest.raises(VerificationError) as err:
+                        columns = list(zip(*(m.images for m in changed)))
+                        with monkeypatch.context() as patch, pytest.raises(VerificationError) as err:
+                            patch.setattr(
+                                semilocal, "_lclass_columns",
+                                lambda sgp, jref, columns=columns: columns,
+                            )
                             rlm_quotient(sgp, jref)
                         assert str(err.value) == "quotient morphism leaves the generated image"
                         changes += 1
@@ -416,17 +419,21 @@ class TestGmQuotient:
 
 def _full_profile_classes(sgp, jref):
     """The GM congruence by its definition: s ~ t iff x*s*y and x*t*y agree
-    through J for all x, y in J; per element index, its least class member."""
+    through J for all x, y in J; per element index, its least class member.
+    Each product by `mul_index`; the row (u*y for y in J) of each u = x*s
+    is taken once."""
     gs = sgp.green()
+    members = jref.members
+
+    @functools.cache
+    def through_j(u):
+        products = (sgp.mul_index(u, y) for y in members)
+        return tuple(p if gs.j_of[p] == jref.j_id else -1 for p in products)
+
     profiles = {}
     for s in range(len(sgp.elements)):
-        prof = []
-        for x in jref.members:
-            xs = sgp.mul_index(x, s)
-            for y in jref.members:
-                p = sgp.mul_index(xs, y)
-                prof.append(p if gs.j_of[p] == jref.j_id else -1)
-        profiles.setdefault(tuple(prof), []).append(s)
+        prof = tuple(through_j(sgp.mul_index(x, s)) for x in members)
+        profiles.setdefault(prof, []).append(s)
     least = {s: min(cls) for cls in profiles.values() for s in cls}
     return [least[s] for s in range(len(sgp.elements))]
 
@@ -443,6 +450,20 @@ def test_gm_key_matches_full_profile(corpus):
                 assert gm_quotient(sgp, jref).class_rep == _full_profile_classes(sgp, jref)
                 checked += 1
     assert checked == 494
+
+
+def test_profile_keys_on_degree4_match_full_profile():
+    """The sandwich keys read at Q's columns on the largest classes of
+    the ladder (T_4's reach 144 members), every regular class of I_4
+    and T_4."""
+    checked = 0
+    for sgp in degree4_carriers().values():
+        for j_id, regular in enumerate(sgp.green().regular):
+            if regular:
+                jref = JClassRef(sgp, j_id)
+                assert semilocal._profile_classes(sgp, jref) == _full_profile_classes(sgp, jref)
+                checked += 1
+    assert checked == 9
 
 
 def _is_congruence_by_pairs(sgp, class_rep):
@@ -729,19 +750,22 @@ class TestPresentation:
 @pytest.mark.parametrize("name", ["b2z2_1", "sym3", "zero_z2", "small_2_z2"])
 def test_one_action_table_per_presentation(monkeypatch, name):
     """Presentation and wreath embedding read one table of S's right
-    action on the class; the only other one is classify's ideal rows."""
+    action on the class, and classify, on the regular ideal, none: it
+    reads the sandwich columns."""
     sgp = load_semigroup(CORPUS_DIR / f"{name}.sgp")
     calls = []
-    translations = FiniteSemigroup.right_translations
+    for method in ("right_translations", "left_translations"):
+        inner = getattr(FiniteSemigroup, method)
 
-    def counted(self, points):
-        if self is sgp:
-            calls.append(tuple(points))
-        return translations(self, points)
+        def counted(self, points, method=method, inner=inner):
+            if self is sgp:
+                calls.append((method, tuple(points)))
+            return inner(self, points)
 
-    monkeypatch.setattr(FiniteSemigroup, "right_translations", counted)
-    fasp_embedding(group_mapping_presentation(sgp))
-    assert len(calls) <= 2
+        monkeypatch.setattr(FiniteSemigroup, method, counted)
+    pres = group_mapping_presentation(sgp)
+    fasp_embedding(pres)
+    assert calls == [("right_translations", tuple(pres.jref.r_members))]
 
 
 class TestFaspEmbedding:
