@@ -214,7 +214,7 @@ class WreathProduct:
         self.left = left
         self.right = right
         self.size = left.size * right.size
-        self.row = functools.lru_cache(maxsize=None)(self._row)
+        self.row = functools.lru_cache(maxsize=None)(self.row_uncached)
         self._column = functools.lru_cache(maxsize=None)(self._column_of)
         # the factors' products by code pair, with None for the left
         # identity: a search takes a few of them many times
@@ -261,11 +261,12 @@ class WreathProduct:
         f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, self.right.row(t1))))
         return (f, self._right_mul(t1, t2))
 
-    def _row(self, code) -> tuple:
-        """`row(code)`: (b, q)(f, t) = (b(qf), qt) by positions, b running
-        slowest.  The points (b, q) at one position of Q form one column
-        over b, which depends only on q's left code qf and the position of
-        qt; the row interleaves those cached columns."""
+    def row_uncached(self, code) -> tuple:
+        """`row(code)` without its cache, for a reader that takes each row
+        once: (b, q)(f, t) = (b(qf), qt) by positions, b running slowest.
+        The points (b, q) at one position of Q form one column over b,
+        which depends only on q's left code qf and the position of qt; the
+        row interleaves those cached columns."""
         f, t = code
         columns = map(self._column, f, self.right.row(t))
         return tuple(itertools.chain.from_iterable(zip(*columns)))

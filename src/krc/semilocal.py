@@ -20,9 +20,8 @@ Q_b = (q_b*s for every s) (`FiniteSemigroup.left_translation`) and
 P_a = (s*p_a for every s) (`right_translation`), each one word walked
 through a Cayley graph's columns.  `classify` tests faithfulness on their
 rows (the lemma is in its docstring), the GM profile reads the sandwiches
-q_b*s*p_a at Q's columns, and the RLM image each product's L-class.  The
-distinguished class's Q is kept with the classification, for that class's
-GM profile and RLM image; every other table is dropped by its reader.
+q_b*s*p_a at Q's columns, and the RLM image each product's L-class.  Each
+reader builds the columns it reads and drops them.
 
 For the labels and the wreath embedding's action, S acts on J through one
 R-class: `JClassRef.rows` is S's right action on R u {0}, R the R-class of
@@ -118,8 +117,6 @@ class Classification:
     generalized_group_mapping: bool
     group_mapping: bool
     distinguished_j: Optional[int]
-    # Q of the distinguished class (see `classify`), None without one
-    q_columns: Optional[list[tuple[int, ...]]] = field(default=None, repr=False, compare=False)
 
 
 def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tuple[int, list[int]]]]:
@@ -146,9 +143,7 @@ def _zero_minimal_ideals(sgp: FiniteSemigroup) -> tuple[Optional[int], list[tupl
 
 def classify(sgp: FiniteSemigroup) -> Classification:
     """Right/left/group-mapping flags via faithfulness on 0-minimal ideals,
-    kept on the carrier next to its Green structure, together with the
-    distinguished class's columns Q, which its GM profile and RLM image
-    read again (`_q_columns`).
+    kept on the carrier next to its Green structure.
 
     Faithfulness is tested on one R-class and one L-class of each ideal.
     Lemma: let J u {0} be a 0-minimal ideal (or J the kernel, and no zero)
@@ -172,10 +167,13 @@ def classify(sgp: FiniteSemigroup) -> Classification:
     R_e iff q_b*s = q_b*t for every b.  So the right test asks whether the
     n rows (q_b*s)_b are distinct, read off the columns
     Q_b = (q_b*s for every s), and the left test the same of the rows
-    (s*p_a)_a, off the columns P_a = (s*p_a for every s).  A null ideal
-    (no idempotent) is tested on the rows over the R-class and the L-class
-    of its least member, `left_translations` getting the zero too, since
-    g*L must lie in its points."""
+    (s*p_a)_a, off the columns P_a = (s*p_a for every s).
+
+    A 0-minimal ideal I = J u {0} with I*I != {0} is 0-simple, so, being
+    finite, completely 0-simple, and J is regular.  So on a null ideal
+    (J not regular) I*I = {0}: each x in J sends R u {0} and L u {0} to
+    0 as the zero does, x's rows equal the zero's, and S is faithful on
+    neither side.  Such an ideal is skipped."""
     if sgp._classification is None:
         sgp._classification = _classify(sgp)
     return sgp._classification
@@ -184,23 +182,16 @@ def classify(sgp: FiniteSemigroup) -> Classification:
 def _classify(sgp: FiniteSemigroup) -> Classification:
     """`classify`'s body."""
     gs = sgp.green()
-    z, ideals = _zero_minimal_ideals(sgp)
+    _, ideals = _zero_minimal_ideals(sgp)
     n = len(sgp.elements)
     right_mapping = left_mapping = False
-    q_columns = {}
-    for c, ideal in ideals:
-        if gs.regular[c]:
-            jref = JClassRef(sgp, c)
-            _, p_reps, _ = _sandwich_reps(sgp, jref)
-            q_columns[c] = _q_columns(sgp, jref)
-            p_columns = [sgp.right_translation(range(n), p) for p in p_reps]
-            right_mapping |= len(set(zip(*q_columns[c]))) == n
-            left_mapping |= len(set(zip(*p_columns))) == n
-        else:
-            u = ideal[0]
-            left = gs.l_classes[gs.l_of[u]] + ([] if z is None else [z])
-            right_mapping |= len(set(sgp.right_translations(gs.r_classes[gs.r_of[u]]))) == n
-            left_mapping |= len(set(sgp.left_translations(left))) == n
+    for c, _ in ideals:
+        if not gs.regular[c]:
+            continue  # a null ideal: faithful on neither side
+        _, p_reps, q_reps = _sandwich_reps(sgp, JClassRef(sgp, c))
+        p_columns = [sgp.right_translation(range(n), p) for p in p_reps]
+        right_mapping |= len(set(zip(*_q_columns(sgp, q_reps)))) == n
+        left_mapping |= len(set(zip(*p_columns))) == n
     distinguished = None
     if right_mapping or left_mapping:
         if len(ideals) != 1:
@@ -208,25 +199,16 @@ def _classify(sgp: FiniteSemigroup) -> Classification:
                 "right/left mapping semigroup with several 0-minimal ideals"
             )
         distinguished = ideals[0][0]
-        if not gs.regular[distinguished]:
-            raise VerificationError("0-minimal ideal of a mapping semigroup not regular")
     ggm = right_mapping and left_mapping
     gm = False
     if ggm:
         gm = JClassRef(sgp, distinguished).contains_nontrivial_subgroup()
-    return Classification(
-        right_mapping, left_mapping, ggm, gm, distinguished, q_columns.get(distinguished)
-    )
+    return Classification(right_mapping, left_mapping, ggm, gm, distinguished)
 
 
-def _q_columns(sgp: FiniteSemigroup, jref: JClassRef) -> list[tuple[int, ...]]:
+def _q_columns(sgp: FiniteSemigroup, q_reps: list[int]) -> list[tuple[int, ...]]:
     """Q_b = (q_b*s for every s) for each q_b of `_sandwich_reps`, in B's
-    order: the columns `classify` kept when J is the carrier's
-    distinguished class, or new ones."""
-    cls = sgp._classification
-    if cls is not None and cls.distinguished_j == jref.j_id:
-        return cls.q_columns
-    _, _, q_reps = _sandwich_reps(sgp, jref)
+    order."""
     return [sgp.left_translation(q, range(len(sgp.elements))) for q in q_reps]
 
 
@@ -256,7 +238,8 @@ def _lclass_columns(sgp: FiniteSemigroup, jref: JClassRef) -> list[tuple[int, ..
     for k, b in enumerate(jref.b_classes, 1):
         for p in gs.l_classes[b]:
             target[p] = k
-    return [row_getter(q)(target) for q in _q_columns(sgp, jref)]
+    _, _, q_reps = _sandwich_reps(sgp, jref)
+    return [row_getter(q)(target) for q in _q_columns(sgp, q_reps)]
 
 
 def rlm_quotient(
@@ -409,7 +392,7 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     gathered as |A| whole columns over J.  The keys are those entries
     gathered at the columns Q_b (`_q_columns`), and each class's least
     member is read off one dict built from the keys in reverse."""
-    _, p_reps, _ = _sandwich_reps(sgp, jref)
+    _, p_reps, q_reps = _sandwich_reps(sgp, jref)
     members = jref.members
     in_j = [-1] * len(sgp.elements)
     for x in members:
@@ -418,7 +401,7 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     entries = [(-1,) * len(p_reps)] * len(sgp.elements)
     for x, entry in zip(members, zip(*columns)):
         entries[x] = entry
-    keys = list(zip(*(row_getter(q)(entries) for q in _q_columns(sgp, jref))))
+    keys = list(zip(*(row_getter(q)(entries) for q in _q_columns(sgp, q_reps))))
     least = dict(zip(reversed(keys), reversed(range(len(keys)))))
     return list(map(least.__getitem__, keys))
 
@@ -772,10 +755,10 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
 def _verify_fasp_action(pres, w, witness) -> None:
     """The wreath image acts on G x B exactly as S does on R, the R-class
     of `JClassRef.rows` (the a = 0 coordinates).  For each pair of the
-    witness's closure (a wreath code and S's index s), the wreath row read
-    at R's points is compared whole with s's row of R's table mapped to
-    wreath positions: a product (a, g, b) in J to the point (g, b) at
-    g*|B| + b, one below J to -1."""
+    witness's closure (a wreath code and S's index s), the wreath row, read
+    once and not cached, is read at R's points and compared whole with s's
+    row of R's table mapped to wreath positions: a product (a, g, b) in J
+    to the point (g, b) at g*|B| + b, one below J to -1."""
     sgp, rc = pres.sgp, pres.rees
     nb = pres.n_b
     r = [rc.coord[u][1:] for u in pres.jref.r_members]  # (g, b) by column
@@ -785,7 +768,7 @@ def _verify_fasp_action(pres, w, witness) -> None:
         position[p] = g2 * nb + b2
     rows = pres.jref.rows
     for wc, s in witness.closure.items():
-        got = at_points(w._row(wc))  # read once: `row` would cache it
+        got = at_points(w.row_uncached(wc))
         want = row_getter(rows[s])(position)
         if got != want:
             k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
