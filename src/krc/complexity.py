@@ -361,9 +361,10 @@ def estimate(
     the recursion reaches the same semigroup by several paths (S/GM[J2]
     and S/GM[J1]/GM[J2], say).  `_memo`, made fresh by every top-level call
     and passed down next to `_given`, maps a carrier's key (`_key`: its
-    right Cayley graph, which fixes the element order that J-class ids are
-    read in, its generator indices and names, and for a transformation
-    carrier its generators' maps, which fix its text) to an `_Entry`.  The entry holds the carrier first built with that key, and
+    right Cayley graph's columns, which fix the element order that J-class
+    ids are read in, its generator indices and names, and for a
+    transformation carrier its generators' maps, which fix its text) to an
+    `_Entry`.  The entry holds the carrier first built with that key, and
     once computed, the label it was computed at and its interval.  A hit
     returns the stored interval with its certificate relabeled: every label
     that is the stored label, or starts with it plus "/", starts with
@@ -380,7 +381,7 @@ def estimate(
     from .fileformats import dump_semigroup
 
     memo = {} if _memo is None else _memo
-    key = _key(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_cayley)
+    key = _key(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_columns)
     entry = memo.setdefault(key, _Entry(sgp))
     done = entry.interval
     if done is not None:
@@ -404,23 +405,23 @@ class _Entry:
     interval: Optional[ComplexityInterval] = None
 
 
-def _key(elements, gens, gen_names, right_cayley) -> tuple:
+def _key(elements, gens, gen_names, right_columns) -> tuple:
     """The memo key of the carrier that `FiniteSemigroup` makes of these
-    arguments.  An abstract carrier's element values are left out: its
-    certificate is read off the int structure alone."""
+    arguments, on its own column tuple.  An abstract carrier's element
+    values are left out: its certificate is read off its int data alone."""
     maps = None
     if elements and isinstance(elements[0], PartialTransformation):
         maps = tuple(elements[g] for g in gens)
-    return (tuple(map(tuple, right_cayley)), tuple(gens), tuple(gen_names), maps)
+    return (tuple(right_columns), tuple(gens), tuple(gen_names), maps)
 
 
-def _memo_carrier(memo: dict, elements, gens, gen_names, right_cayley) -> FiniteSemigroup:
-    """`FiniteSemigroup(elements, gens, gen_names, right_cayley)`, or the
+def _memo_carrier(memo: dict, elements, gens, gen_names, right_columns) -> FiniteSemigroup:
+    """`FiniteSemigroup(elements, gens, gen_names, right_columns)`, or the
     carrier `memo` holds for its key.  A new carrier is entered at once, so
     a sibling GM image is found while the first sibling's subtree runs."""
-    key = _key(elements, gens, gen_names, right_cayley)
+    key = _key(elements, gens, gen_names, right_columns)
     if key not in memo:
-        memo[key] = _Entry(FiniteSemigroup(elements, gens, gen_names, right_cayley))
+        memo[key] = _Entry(FiniteSemigroup(elements, gens, gen_names, key[0]))
     return memo[key].sgp
 
 

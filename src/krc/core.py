@@ -3,16 +3,16 @@
 Everything downstream works on two carriers: `PartialTransformation`
 (a partial self-map of {1..n}, with 0 playing the role of the undefined
 mark) and `FiniteSemigroup` (an enumerated semigroup on arbitrary hashable
-values, held as int tables over their indices).  `generate` and
-`from_elements` read a multiplication callable (`compose`, the default, is
-replaced by whole-row gathers) only to build the right Cayley graph and,
-on small abstract carriers, for Light's associativity test; a GM or RLM
-image, read off its parent's graph, takes none.  A product is then
-traced: i*j follows a word of j through the right Cayley graph from i,
-sound because the operation is associative.  That is proved for
-transformation carriers and GM images, and checked on any other abstract
-carrier (see `FiniteSemigroup`).  An abstract carrier's file form is read
-off that graph too (`fileformats`).
+values, held as its two Cayley graphs' columns and one word tree over
+their indices).  `generate` and `from_elements` read a multiplication
+callable (`compose`, the default, is replaced by whole-row gathers) only
+to build the right Cayley graph and, on small abstract carriers, for
+Light's associativity test; a GM or RLM image, read off its parent's
+graph, takes none.  A product is then traced: i*j follows i's tree path
+through the left graph's columns, sound because the operation is
+associative.  That is proved for transformation carriers and GM images,
+and checked on any other abstract carrier (see `FiniteSemigroup`).  An
+abstract carrier's file form is read off the right graph (`fileformats`).
 """
 
 from __future__ import annotations
@@ -117,20 +117,21 @@ def _transformation_key(x: Any) -> Any:
 
 
 class FiniteSemigroup:
-    """An enumerated finite semigroup, held as its Cayley graphs.
+    """An enumerated finite semigroup, held as its Cayley graphs' columns.
 
     Elements are hashable values in a canonical order.  Everything else is
-    int data over their indices: the named generators, the right Cayley
-    graph over them, the left one (read off as the generators' right
-    translations), both also transposed once into columns (`right_columns[k]`
-    is (x*g_k for every x), `left_columns[k]` is (g_k*x for every x)), and
-    one word over the generators per element (the breadth-first tree of
-    `words()`).  The product i*j is traced: it follows j's word through the
-    right Cayley graph from i, as in Froidure & Pin, "Algorithms for
-    computing finite semigroups" (1997).  No product is stored.
+    int data over their indices: the named generators, the columns of the
+    right and left Cayley graphs (`right_columns[k]` is (x*g_k for every
+    x), `left_columns[k]` is (g_k*x for every x), read off as the
+    generators' right translations), each graph stored in this one
+    orientation only, and the breadth-first word tree of `words()`.  The
+    product i*j is traced along i's tree path through the left columns:
+    i = t*g gives i*j = t*(g*j), so j steps to g*j and i to its parent t,
+    the tree form of Froidure & Pin, "Algorithms for computing finite
+    semigroups" (1997).  No product and no word is stored.
 
     Tracing is sound because the operation is associative: with
-    j = g1*...*gk, i*j = (...((i*g1)*g2)...)*gk.  Maps compose
+    i = g1*...*gk, i*j = g1*(g2*(...(gk*j)...)).  Maps compose
     associatively, so a transformation carrier needs no check once it is
     closed (`generate` closes, `from_elements` checks closure, and an RLM
     image is checked to be the closure of its generators' maps,
@@ -146,14 +147,14 @@ class FiniteSemigroup:
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
     element s, and `left_translations(points)` gives s*p.  Each row is built
-    from the row of s's word less its last letter g, gathered in C by one
+    from the row of s's tree parent t (s = t*g), gathered in C by one
     `row_getter` call: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the
     points are closed under left multiplication by the generators.  Both
     identities are associativity, the same assumption that tracing makes.
     `right_translation(points, s)` is one such row on its own, walked along
-    s's word one whole-column gather per letter, and `left_translation(q,
-    points)` its mirror, q*p for every point p.  `mul_index` is the way to
-    get a single scattered product.
+    s's tree path one whole-column gather per letter, and
+    `left_translation(q, points)` its mirror, q*p for every point p.
+    `mul_index` is the way to get a single scattered product.
     """
 
     def __init__(
@@ -161,51 +162,46 @@ class FiniteSemigroup:
         elements: list[Any],
         gen_indices: list[int],
         gen_names: list[str],
-        right_cayley: list[list[int]],
+        right_columns: Sequence[tuple[int, ...]],
     ):
-        """`right_cayley[i][k]` is the index of elements[i] * generator k."""
+        """`right_columns[k][i]` is the index of elements[i] * generator k;
+        the tuple is held, not copied (`complexity._key` keys on it)."""
         self.elements = elements
         self.index = {v: i for i, v in enumerate(elements)}
         if len(self.index) != len(elements):
             raise InputError("duplicate elements in semigroup carrier")
         self.gens = list(gen_indices)
         self.gen_names = gen_names
-        self.right_cayley = right_cayley
+        self.right_columns = tuple(right_columns)  # the same tuple if given one
         self._word_tree()
-        self.right_columns = list(zip(*right_cayley))
-        self.left_cayley = self.right_translations(self.gens)  # g*i for each g
-        self.left_columns = list(zip(*self.left_cayley))
+        self.left_columns = tuple(zip(*self.right_translations(self.gens)))
         self._green: Optional[GreenStructure] = None
         self._classification = None  # filled by semilocal.classify
         self._associative = False  # set once the traced product is checked or proved
 
     def _word_tree(self) -> None:
-        """A word per element, breadth first along the right Cayley graph.
-
-        The tree is also kept as int lists: `_order` lists the elements
-        prefix before child, `_parent[i]` is i's word less its last letter
-        (-1 for a generator) and `_letter[i]` is that last letter."""
-        right, gens = self.right_cayley, self.gens
-        n = len(right)
-        words: list[tuple[int, ...]] = [()] * n
+        """The word tree, breadth first along the right Cayley graph: `_order`
+        lists the elements prefix before child, `_parent[i]` is i's word less
+        its last letter (-1 for a generator) and `_letter[i]` that letter."""
+        columns, gens = self.right_columns, self.gens
+        n = len(self.elements)
         parent = [-1] * n
         letter = [-1] * n
         order = []
         for k, gi in enumerate(gens):
-            if not words[gi]:
-                words[gi] = (k,)
+            if letter[gi] < 0:
                 letter[gi] = k
                 order.append(gi)
         for i in order:  # grows while iterating: breadth first
-            for k, j in enumerate(right[i]):
-                if not words[j]:
-                    words[j] = words[i] + (k,)
+            for k, col in enumerate(columns):
+                j = col[i]
+                if letter[j] < 0:
                     parent[j] = i
                     letter[j] = k
                     order.append(j)
         if len(order) != n:
             raise InputError("given generators do not generate the carrier")
-        self._words, self._order, self._parent, self._letter = words, order, parent, letter
+        self._order, self._parent, self._letter = order, parent, letter
 
     # -- construction -------------------------------------------------
 
@@ -250,11 +246,10 @@ class FiniteSemigroup:
             stepper = functools.partial(functools.partial, mul)  # u -> partial(mul, u)
         values = list(dict.fromkeys(gen_values))  # in breadth-first order
         found = {g: b for b, g in enumerate(values)}  # value -> position in values
-        edges = []
+        columns = [[] for _ in operands]  # the graph's columns, in closure order
         for u in values:  # grows while iterating: breadth first
             step = stepper(u)
-            row = []
-            for g in operands:
+            for g, column in zip(operands, columns):
                 p = step(g)
                 b = found.get(p)
                 if b is None:
@@ -265,15 +260,14 @@ class FiniteSemigroup:
                             f"element budget exceeded: more than {max_elements} "
                             "elements in the closure"
                         )
-                row.append(b)
-            edges.append(row)
+                column.append(b)
         if mul is compose:
             values = [PartialTransformation(v) for v in values]
         order = sorted(range(len(values)), key=lambda b: sort_key(values[b]))
         rank = {b: i for i, b in enumerate(order)}
-        right = [[rank[c] for c in edges[b]] for b in order]
+        columns = tuple(row_getter(row_getter(order)(col))(rank) for col in columns)
         gens = [rank[found[g]] for g in gen_values]
-        out = cls([values[b] for b in order], gens, [n for n, _ in named_gens], right)
+        out = cls([values[b] for b in order], gens, [n for n, _ in named_gens], columns)
         return out._light_checked(mul)
 
     @classmethod
@@ -288,12 +282,12 @@ class FiniteSemigroup:
         at desk scale, and it keeps the Cayley graphs honest)."""
         elements = sorted(set(values), key=sort_key)
         index = {v: i for i, v in enumerate(elements)}
-        right = [[index.get(mul(u, g)) for g in elements] for u in elements]
-        if any(None in row for row in right):
+        table = [[index.get(mul(u, g)) for g in elements] for u in elements]
+        if any(None in row for row in table):
             raise InputError("carrier is not closed under multiplication")
         n = len(elements)
-        out = cls(elements, list(range(n)), [f"e{i}" for i in range(n)], right)
-        return out._light_checked(mul, right)  # every element is a generator
+        out = cls(elements, list(range(n)), [f"e{i}" for i in range(n)], tuple(zip(*table)))
+        return out._light_checked(mul, table)  # every element is a generator
 
     def _light_checked(
         self, mul: Callable[[Any, Any], Any], table: Optional[list[list[int]]] = None
@@ -336,7 +330,7 @@ class FiniteSemigroup:
             return
         columns = self.right_columns
         rows = self.right_translations(range(len(self)))
-        for s, (row, edges) in enumerate(zip(rows, self.right_cayley)):
+        for s, (row, edges) in enumerate(zip(rows, zip(*columns))):
             image = row_getter(row)  # col -> (col[x] for x in row)
             for k, (col, t) in enumerate(zip(columns, edges)):
                 if (self._parent[t], self._letter[t]) != (s, k) and image(col) != rows[t]:
@@ -352,11 +346,12 @@ class FiniteSemigroup:
         return self.elements[self.mul_index(self.index[u], self.index[v])]
 
     def mul_index(self, i: int, j: int) -> int:
-        """i*j, tracing j's word through the right Cayley graph from i."""
-        right = self.right_cayley
-        for k in self._words[j]:
-            i = right[i][k]
-        return i
+        """i*j: while i = t*g, i*j = t*(g*j), so j steps to g*j and i to t."""
+        left, parent, letter = self.left_columns, self._parent, self._letter
+        while i >= 0:
+            j = left[letter[i]][j]
+            i = parent[i]
+        return j
 
     # the multiplication-oracle protocol of `products`: codes are indices
     mul_code = mul_index
@@ -381,7 +376,7 @@ class FiniteSemigroup:
         point too).  Like tracing, this rests on associativity."""
         points = tuple(points)
         columns = self.right_columns
-        rows: list[tuple[int, ...]] = [None] * len(self.right_cayley)
+        rows: list[tuple[int, ...]] = [None] * len(self.elements)
         parent, letter = self._parent, self._letter
         for s in self._order:
             prev = points if parent[s] < 0 else rows[parent[s]]
@@ -390,26 +385,29 @@ class FiniteSemigroup:
 
     def right_translation(self, points: Sequence[int], s: int) -> tuple[int, ...]:
         """The row (p*s for p in points) of `right_translations` on its own:
-        p*(g1*...*gk) = (...(p*g1)...)*gk, one step per letter of s's word,
-        left to right.  A step gathers the letter's column of the right
-        Cayley graph at the current points, in C.  Like tracing, this rests
-        on associativity."""
+        p*(g1*...*gk) = (...(p*g1)...)*gk, s's tree path read back, each
+        step a gather of the letter's column of the right Cayley graph at
+        the current points, in C.  Like tracing, this rests on associativity."""
+        path = []  # the columns of s's letters, last letter first
+        while s >= 0:
+            path.append(self.right_columns[self._letter[s]])
+            s = self._parent[s]
         row = tuple(points)
-        columns = self.right_columns
-        for k in self._words[s]:
-            row = row_getter(row)(columns[k])
+        for column in reversed(path):
+            row = row_getter(row)(column)
         return row
 
     def left_translation(self, q: int, points: Sequence[int]) -> tuple[int, ...]:
         """The row (q*p for p in points), the mirror of `right_translation`:
-        (g1*...*gk)*p = g1*(...(gk*p)...), one step per letter of q's word,
-        right to left, each a gather of the letter's column of the left
-        Cayley graph at the current points.  Like tracing, this rests on
-        associativity."""
+        (g1*...*gk)*p = g1*(...(gk*p)...), one step per letter along q's
+        tree path, last letter first, each a gather of the letter's column
+        of the left Cayley graph at the current points.  Like tracing, this
+        rests on associativity."""
         row = tuple(points)
-        columns = self.left_columns
-        for k in reversed(self._words[q]):
-            row = row_getter(row)(columns[k])
+        columns, parent, letter = self.left_columns, self._parent, self._letter
+        while q >= 0:
+            row = row_getter(row)(columns[letter[q]])
+            q = parent[q]
         return row
 
     def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
@@ -422,16 +420,15 @@ class FiniteSemigroup:
         `row_getter`, built once (exact for zero and one point too).  Like
         tracing, this rests on associativity."""
         points = tuple(points)
-        left = self.left_cayley
         at = {p: i for i, p in enumerate(points)}
-        g_rows = [tuple(left[p][k] for p in points) for k in range(len(self.gens))]
+        g_rows = [row_getter(points)(col) for col in self.left_columns]
         try:
             shifts = [row_getter([at[q] for q in row]) for row in g_rows]
         except KeyError:
             raise InputError(
                 "point set is not closed under left multiplication by the generators"
             ) from None
-        rows: list[tuple[int, ...]] = [None] * len(left)
+        rows: list[tuple[int, ...]] = [None] * len(self.elements)
         parent, letter = self._parent, self._letter
         for s in self._order:
             t, k = parent[s], letter[s]
@@ -451,21 +448,25 @@ class FiniteSemigroup:
         return self.elements[0].degree
 
     def words(self) -> list[tuple[int, ...]]:
-        """A reduced word over generator indices for every element (BFS-first)."""
-        return self._words
+        """A reduced word over generator indices for every element, off the tree."""
+        words: list[tuple[int, ...]] = [()] * (len(self.elements) + 1)  # words[-1]: the root
+        for s in self._order:  # prefix before child
+            words[s] = words[self._parent[s]] + (self._letter[s],)
+        return words[:-1]
 
     def identity_index(self) -> Optional[int]:
         """e with e*g = g*e = g for every generator g, which makes e an
         identity since the generators generate."""
-        for i in range(len(self.elements)):
-            if self.right_cayley[i] == self.gens == list(self.left_cayley[i]):
+        gens = tuple(self.gens)
+        for i, (r, l) in enumerate(zip(zip(*self.right_columns), zip(*self.left_columns))):
+            if r == gens == l:
                 return i
         return None
 
     def zero_index(self) -> Optional[int]:
         """z with z*g = g*z = z for every generator g (a zero, as above)."""
-        for i in range(len(self.elements)):
-            if set(self.right_cayley[i]) | set(self.left_cayley[i]) == {i}:
+        for i, (r, l) in enumerate(zip(zip(*self.right_columns), zip(*self.left_columns))):
+            if set(r) | set(l) == {i}:
                 return i
         return None
 
@@ -484,13 +485,13 @@ class FiniteSemigroup:
 # -- Green's relations ------------------------------------------------
 
 
-def _sccs(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Strongly connected components of the graph i -> rows[i], by Tarjan's
-    algorithm run iteratively: `path` holds the depth-first path and
-    `edge` the position of each path vertex's next edge in its row.  A
+def _sccs(columns: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected components of the graph i -> col[i], col running
+    over the columns, by Tarjan's algorithm run iteratively: `path` holds
+    the depth-first path and `edge` each path vertex's next column.  A
     visited vertex is on Tarjan's stack exactly while it has no class id.
     Returns a class id per vertex (ids are arbitrary)."""
-    n = len(rows)
+    n, degree = len(columns[0]), len(columns)
     ids = [-1] * n
     low = [0] * n
     order = [0] * n  # discovery number, from 1; 0 while unvisited
@@ -505,9 +506,9 @@ def _sccs(rows: Sequence[Sequence[int]]) -> list[int]:
         path, edge = [root], [0]
         while path:
             v = path[-1]
-            row, k = rows[v], edge[-1]
-            while k < len(row):
-                w = row[k]
+            k = edge[-1]
+            while k < degree:
+                w = columns[k][v]
                 k += 1
                 if not order[w]:
                     edge[-1] = k
@@ -577,14 +578,11 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     and D = R v L, the join of the two partitions (Rhodes & Steinberg,
     *The q-theory of Finite Semigroups*, 2009, App. A).  So the J-classes
     are the R-classes joined, by union-find, whenever two of them meet
-    one L-class.  The class orders are read off whole columns of the
-    Cayley graphs: each generator's column, mapped to class ids, gives
-    the one-step edges between classes."""
-    right = sgp.right_cayley
-    left = sgp.left_cayley
-
-    r_of, r_classes = _canonical_classes(_sccs(right))
-    l_of, l_classes = _canonical_classes(_sccs(left))
+    one L-class.  Tarjan and the class orders read the Cayley graphs'
+    columns: each generator's column, mapped to class ids, gives the
+    one-step edges between classes."""
+    r_of, r_classes = _canonical_classes(_sccs(sgp.right_columns))
+    l_of, l_classes = _canonical_classes(_sccs(sgp.left_columns))
 
     parent = list(range(len(r_classes)))  # union-find over R-class ids
 
@@ -811,10 +809,8 @@ def maximal_subgroup(sgp: FiniteSemigroup, e: Any) -> FiniteGroup:
     members = gs.h_classes[gs.h_of[ei]]
     values = [sgp.elements[i] for i in members]
     pos = {i: k for k, i in enumerate(members)}
-    # column j holds i*j for every member i
-    columns = [sgp.right_translation(members, j) for j in members]
     try:
-        table = [[pos[p] for p in row] for row in zip(*columns)]
+        table = [[pos[p] for p in sgp.left_translation(i, members)] for i in members]
     except KeyError:
         raise VerificationError("H-class of idempotent not closed") from None
     g = FiniteGroup(values, table)

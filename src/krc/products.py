@@ -435,7 +435,8 @@ def _relation_closure(
     generators `names` (all of S's by default); return the map from
     target codes to S's indices if it stays functional, else a description
     of the first conflict, its target element decoded.  `lifts` holds
-    target codes; S steps along its right Cayley graph.
+    target codes; S steps along its right Cayley graph, each generator's
+    column carried next to its lift.
 
     Over all generators the map must also be onto S.  Over some of them it
     is onto the subsemigroup they generate by construction, so only
@@ -446,16 +447,16 @@ def _relation_closure(
     for name in lifts:
         if name not in letter:
             return f"lift for {name!r}, which is not a generator of the source"
-    gen_pairs = []
+    gen_pairs = []  # (lift, generator, its column)
     for name in s.gen_names if names is None else names:
         if name not in lifts:
             return f"no lift for generator {name!r}"
-        gen_pairs.append((lifts[name], letter[name]))
-    right, mul = s.right_cayley, target.mul_code
+        k = letter[name]
+        gen_pairs.append((lifts[name], s.gens[k], s.right_columns[k]))
+    mul = target.mul_code
     mapping: dict[Any, int] = {}
     frontier = []
-    for tc, k in gen_pairs:
-        si = s.gens[k]
+    for tc, si, _ in gen_pairs:
         if tc in mapping:
             if mapping[tc] != si:
                 return f"conflict at generator lift {target.decode(tc)!r}"
@@ -465,14 +466,14 @@ def _relation_closure(
     while frontier:
         new = []
         for tc in frontier:
-            row = right[mapping[tc]]
-            for tg, k in gen_pairs:
+            si = mapping[tc]
+            for tg, _, col in gen_pairs:
                 t2 = mul(tc, tg)
                 prev = mapping.get(t2)
                 if prev is None:
-                    mapping[t2] = row[k]
+                    mapping[t2] = col[si]
                     new.append(t2)
-                elif prev != row[k]:
+                elif prev != col[si]:
                     return f"relation not functional at {target.decode(t2)!r}"
         frontier = new
     if names is None and len(set(mapping.values())) != len(s.elements):
@@ -483,13 +484,11 @@ def _relation_closure(
 def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:
     """Per generator of S, the codes of the target elements whose
     one-generator closure is functional, by the (index, period) test, in
-    the target's order.  A wreath carrier reads its elements' (index,
-    period) coordinatewise; any other target walks each element's powers.
-    The test runs once per distinct (index, period) and generator."""
-    right = s.right_cayley
-    gen_shapes = [
-        _index_period(gi, lambda i, k=k: right[i][k]) for k, gi in enumerate(s.gens)
-    ]
+    the target's order.  Each generator of S walks its powers along its
+    column of `s.right_columns`.  A wreath carrier reads its elements'
+    (index, period) coordinatewise; any other target walks each element's
+    powers.  The test runs once per distinct (index, period) and generator."""
+    gen_shapes = [_index_period(gi, col.__getitem__) for gi, col in zip(s.gens, s.right_columns)]
     codes = target.codes
     if isinstance(target, WreathProduct):
         shapes = target.index_periods(codes)
@@ -521,7 +520,7 @@ def check_division(
     element order.  That holds exactly when index(t) >= index(x) and
     period(x) divides period(t) (see the module docstring), so the filter
     closes nothing.  It walks the powers of each generator once along its
-    column of `s.right_cayley`.  A wreath carrier gives its codes' (index,
+    column of `s.right_columns`.  A wreath carrier gives its codes' (index,
     period) by `WreathProduct.index_periods`, which walks t's powers once
     per distinct t and each position's walk once per distinct orbit shape
     and f's codes along it; any other target walks the powers of each

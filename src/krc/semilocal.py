@@ -249,17 +249,18 @@ def rlm_quotient(
 
     The image carrier is the set of maps action(s), in canonical order, and
     its right Cayley graph takes action(s) along generator g to
-    action(s*g), read off S's graph.  Both rest on one check, made at every
-    element s and generator g: action(s) composed with action(g) is
-    action(s*g).  It runs one column of `_lclass_columns` at a time: per g
-    and b, (b.s).g for every s, g's map gathered at the column, against
-    b.(s*g) for every s, the column gathered at g's column of the right
-    Cayley graph.  It is complete: along the word
-    g1...gk of s it gives action(s) = action(g1)...action(gk), so every map
-    of the image lies in the closure of the generators' maps, and every
-    product of those maps is the action of the matching word, so the image
-    is that closure.  It also makes the graph well defined: action(s) =
-    action(t) gives action(s*g) = action(s)action(g) = action(t*g).
+    action(s*g), read off S's graph: each image column is S's column
+    gathered at one element per map, then at `code`.  Both rest on one
+    check, made at every element s and generator g: action(s) composed with
+    action(g) is action(s*g).  It runs one column of `_lclass_columns` at a
+    time: per g and b, (b.s).g for every s, g's map gathered at the column,
+    against b.(s*g) for every s, the column gathered at g's column of the
+    right Cayley graph.  It is complete: along the word g1...gk of s it
+    gives action(s) = action(g1)...action(gk), so every map of the image
+    lies in the closure of the generators' maps, and every product of those
+    maps is the action of the matching word, so the image is that closure.
+    It also makes the graph well defined: action(s) = action(t) gives
+    action(s*g) = action(s)action(g) = action(t*g).
 
     The image is then classified, and the classification is kept on it: it
     must be right mapping, and its distinguished class must be the image
@@ -283,11 +284,12 @@ def rlm_quotient(
     pos = {m.images: i for i, m in enumerate(elements)}
     code = list(map(pos.__getitem__, maps))
     some = {c: s for s, c in enumerate(code)}  # an element with each image
+    at_some = row_getter([some[c] for c in range(len(elements))])
     rlm = build(
         elements,
         [code[g] for g in sgp.gens],
         list(sgp.gen_names),
-        [list(row_getter(sgp.right_cayley[some[c]])(code)) for c in range(len(elements))],
+        tuple(row_getter(at_some(col))(code) for col in sgp.right_columns),
     )
     image_of_j = {code[i] for i in jref.members}
     cls = classify(rlm)
@@ -352,7 +354,8 @@ class GmQuotient:
     def quotient(self) -> FiniteSemigroup:
         """S/~ on the least class members.  Its right Cayley graph is read
         off the parent's through the congruence, [r]*g = [r*g], so no
-        product is traced to build it.
+        product is traced to build it: each column is the parent's column
+        gathered at the least members, then at the class positions.
 
         It is marked associative without a check (`check_associative` is a
         test oracle here): its traced product is S/~'s, associative
@@ -370,11 +373,12 @@ class GmQuotient:
         sgp, class_rep = self.sgp, self.class_rep
         reps = sorted(set(class_rep))
         pos = {r: i for i, r in enumerate(reps)}
+        at_reps, position = row_getter(reps), [pos[r] for r in class_rep]
         image = self.build(
             reps,
             [pos[class_rep[g]] for g in sgp.gens],
             list(sgp.gen_names),
-            [[pos[class_rep[x]] for x in sgp.right_cayley[r]] for r in reps],
+            tuple(row_getter(at_reps(col))(position) for col in sgp.right_columns),
         )
         image._associative = True
         return image
@@ -677,11 +681,11 @@ def _verify_coordinate_action(pres: GroupMappingPresentation) -> None:
     sgp, rc = pres.sgp, pres.rees
     gs = sgp.green()
     group = rc.group
-    for k, name in enumerate(sgp.gen_names):
+    for name, column in zip(sgp.gen_names, sgp.right_columns):
         rlm_map = pres.rlm_of_gen[name]
         labels = pres.label_of_gen[name]
         for u, (a, g, b) in rc.coord.items():
-            p = sgp.right_cayley[u][k]
+            p = column[u]
             if rlm_map[b] == 0:
                 if gs.j_of[p] == pres.jref.j_id:
                     raise VerificationError(

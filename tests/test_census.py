@@ -76,7 +76,7 @@ def test_gm_images_pass_the_oracles(census):
     _, images = census
     assert len(images) >= 50
     for sgp in images:
-        fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_cayley)
+        fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_columns)
         fresh.check_associative()
         for j, regular in enumerate(fresh.green().regular):
             if regular:

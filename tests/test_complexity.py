@@ -131,7 +131,7 @@ class TestRelationalMorphism:
         assert (two.graph, two.gen_choice) == (one.graph, one.gen_choice)
         d_one, d_two = derived_semigroup(one), derived_semigroup(two)
         assert d_two.elements == d_one.elements
-        assert d_two.right_cayley == d_one.right_cayley
+        assert d_two.right_columns == d_one.right_columns
 
     def test_compose_refuses_another_middle(self, z2_rz2, sym3):
         with pytest.raises(InputError):
@@ -371,6 +371,15 @@ class TestMemo:
         memo, served = memo_served(monkeypatch, ladder(gens), options)
         assert (len(memo), len(served)) == (computed, hits)
         self.check_hits(served, options)
+
+    def test_keys_hold_the_carriers_own_columns(self):
+        # the memo keeps no copy of a graph: each key's columns are the
+        # very tuple its carrier holds
+        memo = {}
+        estimate(ladder(I4_GENS), BUDGET_0, _memo=memo)
+        assert len(memo) == 10
+        for key, entry in memo.items():
+            assert key[0] is entry.sgp.right_columns
 
 
 # fresh carriers: the session's corpus may hold classifications already

@@ -151,9 +151,21 @@ class TestTracedProducts:
                 built.append((gq.quotient, lambda a, b, rep=gq.class_rep: rep[t3.mul_index(a, b)]))
         derived = derived_semigroup(RelationalMorphism.to_trivial(corpus[0]))
         regenerated = with_generators(t3, minimal_generating_set(t3))
+        # one element under two names, and a generator that is also a product
+        # of the others: the word tree roots each at its first name
+        cycle, swap, merge = T((2, 3, 1)), T((2, 1, 3)), T((1, 1, 3))
+        two_names = FiniteSemigroup.generate(
+            [("x", swap), ("c", cycle), ("y", swap), ("e", merge)]
+        )
+        product = FiniteSemigroup.generate(
+            [("c", cycle), ("ce", compose(cycle, merge)), ("e", merge)]
+        )
+        assert two_names.gens[0] == two_names.gens[2] and len(two_names) == 27
+        assert product.mul_index(product.gens[0], product.gens[2]) == product.gens[1]
         assert [len(s) for s in ladder.values()] == [27, 64, 34]
         assert len(regenerated.gens) < len(regenerated)
         named = corpus + list(ladder.values()) + quotients + [derived, regenerated]
+        named += [two_names, product]
         by_carrier = {id(sgp): mul for sgp, mul in built}
         assert all(id(sgp) in by_carrier for sgp in named)
         for sgp, mul in built:
@@ -161,6 +173,15 @@ class TestTracedProducts:
             n = len(els)
             table = [[index[mul(u, v)] for v in els] for u in els]
             assert all(sgp.mul_index(i, j) == table[i][j] for i in range(n) for j in range(n))
+            points = list(range(n))
+            for i in points:
+                assert sgp.right_translation(points, i) == tuple(row[i] for row in table)
+                assert sgp.left_translation(i, points) == tuple(table[i])
+            for i, word in enumerate(sgp.words()):
+                value = els[sgp.gens[word[0]]]
+                for k in word[1:]:
+                    value = mul(value, els[sgp.gens[k]])
+                assert value == els[i]
             ident = [i for i in range(n) if all(table[i][j] == j == table[j][i] for j in range(n))]
             zero = [i for i in range(n) if all(table[i][j] == i == table[j][i] for j in range(n))]
             assert sgp.identity_index() == (ident[0] if ident else None)
@@ -169,15 +190,14 @@ class TestTracedProducts:
 
     def test_holds_no_product_store(self, sym3):
         assert set(vars(sym3)) == {
-            "elements", "index", "gens", "gen_names", "right_cayley", "left_cayley",
-            "right_columns", "left_columns", "_words", "_order", "_parent", "_letter", "_green", "_classification",
-            "_associative",
+            "elements", "index", "gens", "gen_names", "right_columns", "left_columns",
+            "_order", "_parent", "_letter", "_green", "_classification", "_associative",
         }
 
     def test_generators_that_do_not_generate(self):
         # 0 alone generates {0} in Z_3
         with pytest.raises(InputError, match="do not generate"):
-            FiniteSemigroup([0, 1, 2], [0], ["x0"], [[0], [1], [2]])
+            FiniteSemigroup([0, 1, 2], [0], ["x0"], [(0, 1, 2)])
 
 
 class TestAssociativityCheck:
@@ -227,7 +247,7 @@ class TestAssociativityCheck:
         dump_semigroup(u1)
         assert len(tested) == 1 and compose not in tested and checked == []
         # any other abstract carrier gets the graph check when written
-        z3 = FiniteSemigroup([0, 1, 2], [1], ["a"], [[1], [2], [0]])
+        z3 = FiniteSemigroup([0, 1, 2], [1], ["a"], [(1, 2, 0)])
         dump_semigroup(z3)
         assert checked == [z3]
 
@@ -415,11 +435,6 @@ class TestBulkTranslations:
                     want = tuple(sgp.mul_index(q, p) for p in points)
                     assert sgp.left_translation(q, points) == want
 
-    def test_columns_are_the_graphs_transposed(self, translation_carriers):
-        for sgp in translation_carriers:
-            assert sgp.right_columns == list(zip(*sgp.right_cayley))
-            assert sgp.left_columns == list(zip(*sgp.left_cayley))
-
     def test_one_point_sets(self, translation_carriers):
         # a bare itemgetter returns a value, not a 1-tuple, for one position
         left_closed = 0
@@ -429,7 +444,7 @@ class TestBulkTranslations:
                 rows = sgp.right_translations([p])
                 assert rows == [(sgp.mul_index(p, s),) for s in range(n)]
             for p in range(n):
-                if set(sgp.left_cayley[p]) == {p}:  # g*p = p for every generator
+                if all(col[p] == p for col in sgp.left_columns):  # g*p = p for every generator
                     rows = sgp.left_translations([p])
                     assert rows == [(sgp.mul_index(s, p),) for s in range(n)] == [(p,)] * n
                     left_closed += 1
@@ -644,7 +659,7 @@ def estimate_runs(corpus):
 
     def recording(sgp):
         if not sgp.is_transformation:
-            seen[tuple(map(tuple, sgp.right_cayley)), tuple(sgp.gens), tuple(sgp.gen_names)] = sgp
+            seen[sgp.right_columns, tuple(sgp.gens), tuple(sgp.gen_names)] = sgp
         return dump(sgp)
 
     def coordinatizing(sgp, jref):
@@ -673,7 +688,7 @@ class TestOracles:
 
     def test_every_written_carrier_rebuilt_is_associative(self, written_abstract_carriers):
         for sgp in written_abstract_carriers:
-            fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_cayley)
+            fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_columns)
             assert not fresh._associative
             fresh.check_associative()
             assert fresh._associative
@@ -738,7 +753,7 @@ class TestRegularRepresentation:
         right = [[index[step(v, g)] for g in (1, 2)] for v in values]
         s = 10
         right[s][0] -= 7  # an element the tree reaches before s
-        sgp = FiniteSemigroup(values, [index[1], index[2]], ["a", "b"], right)
+        sgp = FiniteSemigroup(values, [index[1], index[2]], ["a", "b"], tuple(zip(*right)))
         t = right[s][0]
         assert (sgp._parent[t], sgp._letter[t]) != (s, 0)
         assert (sgp.identity_index() is None) == (values[0] == 1)
@@ -750,7 +765,7 @@ class TestRegularRepresentation:
         # takes no callable, so only the graph check, run by the text, sees it
         right = [[(i + 1) % 41, (i + 2) % 41] for i in range(41)]
         right[5][1] = (right[5][1] + 7) % 41
-        sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], right)
+        sgp = FiniteSemigroup(list(range(41)), [1, 2], ["a", "b"], tuple(zip(*right)))
         with pytest.raises(VerificationError, match="not faithful"):
             dump_semigroup(sgp)
 
@@ -806,7 +821,7 @@ class TestClosure:
             want = FiniteSemigroup.generate(named, mul=lambda f, g: compose(f, g))
             assert got.elements == want.elements, name
             assert all(type(v) is T for v in got.elements), name
-            assert got.right_cayley == want.right_cayley, name
+            assert got.right_columns == want.right_columns, name
             assert got.gens == want.gens, name
             assert got.gen_names == want.gen_names == [nm for nm, _ in named]
 
@@ -882,7 +897,7 @@ def green_three_pass(sgp):
     """The Green structure with R, L and J each found by Tarjan (J over both
     Cayley graphs) and the class orders built element by element."""
     n = len(sgp.elements)
-    right, left = sgp.right_cayley, sgp.left_cayley
+    right, left = list(zip(*sgp.right_columns)), list(zip(*sgp.left_columns))  # rows
     r_of, r_classes = _canonical_classes(_sccs_three_pass(n, lambda i: right[i]))
     l_of, l_classes = _canonical_classes(_sccs_three_pass(n, lambda i: left[i]))
     j_of, j_classes = _canonical_classes(
@@ -933,10 +948,11 @@ class TestGreenAgainstThreePasses:
         for sgp in carriers:
             assert green(sgp) == green_three_pass(sgp)
 
-    def test_sccs_on_int_rows(self):
-        # a cycle with a tail, a self-loop, and a vertex without edges
-        rows = [[1], [2], [0, 3], [3], [], [4, 0]]
-        ids = _sccs(rows)
+    def test_sccs_on_int_columns(self):
+        # a cycle with a tail, and two vertices with self-loops only
+        columns = [(1, 2, 0, 3, 4, 4), (1, 2, 3, 3, 4, 0)]
+        rows = list(zip(*columns))
+        ids = _sccs(columns)
         assert ids[0] == ids[1] == ids[2]
         assert len({ids[0], ids[3], ids[4], ids[5]}) == 4
         assert _canonical_classes(ids)[1] == _canonical_classes(

@@ -282,7 +282,7 @@ class TestRlmImageReadOff:
                 )
                 rq = rlm_quotient(sgp, jref)
                 assert rq.rlm.elements == closure.elements
-                assert rq.rlm.right_cayley == closure.right_cayley
+                assert rq.rlm.right_columns == closure.right_columns
                 assert rq.rlm.gens == closure.gens
                 assert rq.rlm.gen_names == closure.gen_names
                 assert [rq.rlm.elements[c] for c in rq.code] == maps
@@ -367,7 +367,7 @@ class TestGmQuotient:
                 )
                 assert gq.quotient.elements == traced.elements
                 assert gq.quotient.gens == traced.gens
-                assert gq.quotient.right_cayley == traced.right_cayley
+                assert gq.quotient.right_columns == traced.right_columns
                 checked += 1
         assert checked > 20
 
@@ -382,14 +382,15 @@ class TestGmQuotient:
         image = gm_quotient(t4, JClassRef(t4, 2)).quotient
         assert len(image) == 169 and image._associative
         args = image.elements, image.gens, image.gen_names
-        FiniteSemigroup(*args, image.right_cayley).check_associative()
+        FiniteSemigroup(*args, image.right_columns).check_associative()
         s, k = next(
-            (s, k) for s in image._order[1:] for k, t in enumerate(image.right_cayley[s])
-            if (image._parent[t], image._letter[t]) != (s, k) and t != image._order[0]
+            (s, k) for s in image._order[1:] for k, col in enumerate(image.right_columns)
+            if (image._parent[col[s]], image._letter[col[s]]) != (s, k)
+            and col[s] != image._order[0]
         )
-        right = [list(row) for row in image.right_cayley]
-        right[s][k] = image._order[0]
-        corrupted = FiniteSemigroup(*args, right)
+        columns = [list(col) for col in image.right_columns]
+        columns[k][s] = image._order[0]
+        corrupted = FiniteSemigroup(*args, tuple(map(tuple, columns)))
         assert corrupted._order == image._order
         with pytest.raises(VerificationError, match="^regular representation is not faithful$"):
             corrupted.check_associative()
@@ -508,8 +509,8 @@ def _broken_sides(sgp, class_rep):
     edge by edge."""
     sides = set()
     for s, r in enumerate(class_rep):
-        for side, graph in (("right", sgp.right_cayley), ("left", sgp.left_cayley)):
-            if any(class_rep[a] != class_rep[b] for a, b in zip(graph[s], graph[r])):
+        for side, columns in (("right", sgp.right_columns), ("left", sgp.left_columns)):
+            if any(class_rep[col[s]] != class_rep[col[r]] for col in columns):
                 sides.add(side)
     return sides
 
