@@ -59,9 +59,9 @@ shift of block j; a dead q.x leaves it undefined.
     p.w = rho(omega.w) by (c), and omega.w lies over a state whose x is
     undefined, with its b in that state's W or 0; the sink condition
     sends that b, and so p.w, to 0 under x, and 0 stays 0: p.u = 0 = p.v.
-    So u and v act alike on G x B + 0, which
-    `semilocal._verify_coordinate_action` identifies with R u {0}, R the
-    a = 0 R-class of the distinguished class.  A generalized group mapping
+    So u and v act alike on G x B + 0, which the proof in
+    `semilocal.fasp_embedding` identifies with R u {0}, R the a = 0
+    R-class of the distinguished class.  A generalized group mapping
     S is right mapping, so it acts faithfully there by the lemma in
     `semilocal.classify`, and u = v in S.  The relation closure is
     therefore a function, and onto S since every generator is lifted.

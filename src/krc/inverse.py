@@ -535,14 +535,12 @@ def brandt_isomorphism(sgp: FiniteSemigroup, rc) -> dict[Any, Any]:
 
     iso = {sgp.elements[u]: normalize(c) for u, c in rc.coord.items()}
     # verify against the Brandt rule, the products u*v read off one row
-    # (u*v for u in J) per v
+    # (u*v for u in J) per v, held one at a time
     gs = sgp.green()
-    members = list(rc.coord)
-    rows = {v: sgp.right_translation(members, v) for v in members}
-    for k, cu in enumerate(rc.coord.values()):
-        for v, cv in rc.coord.items():
-            p = rows[v][k]
-            iu, iv = normalize(cu), normalize(cv)
+    for v, cv in rc.coord.items():
+        iv = normalize(cv)
+        for cu, p in zip(rc.coord.values(), sgp.right_translation(rc.coord, v)):
+            iu = normalize(cu)
             in_j = gs.j_of[p] == rc.jref.j_id
             if iu[2] == iv[0]:
                 if not in_j:

@@ -205,7 +205,8 @@ class WreathProduct:
     T's action rows; the full carrier S^Q x T is materialized only under
     the given budget.  It is itself the action pair (B x Q, S wr T), the
     point (b, q) at position b*|Q| + q: it has `size`, `sgp` and `row`, so
-    it nests as either factor of another wreath product.
+    it nests as either factor of another wreath product.  Its rows are
+    cached, as an `ActionPair`'s are.
     """
 
     codes = None
@@ -214,7 +215,7 @@ class WreathProduct:
         self.left = left
         self.right = right
         self.size = left.size * right.size
-        self.row = functools.lru_cache(maxsize=None)(self.row_uncached)
+        self.row = functools.lru_cache(maxsize=None)(self.row)
         self._column = functools.lru_cache(maxsize=None)(self._column_of)
         # the factors' products by code pair, with None for the left
         # identity: a search takes a few of them many times
@@ -261,9 +262,8 @@ class WreathProduct:
         f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, self.right.row(t1))))
         return (f, self._right_mul(t1, t2))
 
-    def row_uncached(self, code) -> tuple:
-        """`row(code)` without its cache, for a reader that takes each row
-        once: (b, q)(f, t) = (b(qf), qt) by positions, b running slowest.
+    def row(self, code) -> tuple:
+        """(b, q)(f, t) = (b(qf), qt) by positions, b running slowest.
         The points (b, q) at one position of Q form one column over b,
         which depends only on q's left code qf and the position of qt; the
         row interleaves those cached columns."""
@@ -384,8 +384,8 @@ class DivisionWitness:
     """Generator lifts realizing S < T, in value form, with the verified
     graph closure on codes: `closure` maps each target code to S's index.
     `morphism`, the closure in value form, is decoded when first read; a
-    check that reads the closure (`semilocal._verify_fasp_action`) or only
-    its size decodes nothing."""
+    check that reads only the closure's size (`semilocal.fasp_embedding`)
+    decodes nothing."""
 
     source: FiniteSemigroup
     target: Any

@@ -23,14 +23,15 @@ rows (the lemma is in its docstring), the GM profile reads the sandwiches
 q_b*s*p_a at Q's columns, and the RLM image each product's L-class.  Each
 reader builds the columns it reads and drops them.
 
-For the labels and the wreath embedding's action, S acts on J through one
-R-class: `JClassRef.rows` is S's right action on R u {0}, R the R-class of
-J's least member (the a = 0 coordinates), so |G|*|B| columns, not |J|.
-The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows, and the
+S acts on J through one R-class, R the R-class of J's least member (the
+a = 0 coordinates), and no table of that action is built.  The
 coordinate action reads the generators' columns of the right Cayley
-graph.  Only the oracle `ReesCoordinates.verify_transport` and
-`inverse.brandt_isomorphism` read every product in J, |J| rows of their
-own.
+graph, a label `label_of(b, s)` reads the single product u*s, and the
+wreath embedding's action on G x B + 0 is S's on R u {0} by the proof in
+`fasp_embedding`'s docstring, so only the division witness checks it.
+The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows.  Only the
+oracle `ReesCoordinates.verify_transport` and
+`inverse.brandt_isomorphism` read every product in J, one row per member.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 
 @dataclass
 class JClassRef:
-    """A J-class of a semigroup with its R-class list A and L-class list B,
-    and S's right action on R, the R-class A[0] of J's least member, which
-    the labels and the wreath embedding read.  The sandwich columns that
-    classification, the GM profile and the RLM image read are not kept
-    here (see the module docstring).
+    """A J-class of a semigroup with its R-class list A and L-class list B.
+    It holds no action table: the sandwich columns that classification,
+    the GM profile and the RLM image read are built by each reader, and
+    the labels read single products (see the module docstring).
 
     Ids are the canonical Green ids (classes ordered by least element), so
     references are stable across runs.
@@ -79,21 +79,6 @@ class JClassRef:
     @property
     def members(self) -> list[int]:
         return self.sgp.green().j_classes[self.j_id]
-
-    @property
-    def r_members(self) -> list[int]:
-        """R, the R-class A[0]: the members with Rees coordinate a = 0."""
-        return self.sgp.green().r_classes[self.a_classes[0]]
-
-    @cached_property
-    def rows(self) -> list[tuple[int, ...]]:
-        """For every element s, the row (r*s for r in `r_members`)."""
-        return self.sgp.right_translations(self.r_members)
-
-    @cached_property
-    def column(self) -> dict[int, int]:
-        """Each member of R's column in `rows`."""
-        return {r: k for k, r in enumerate(self.r_members)}
 
     @property
     def is_regular(self) -> bool:
@@ -641,10 +626,9 @@ class GroupMappingPresentation:
     def label_of(self, b_pos: int, s: int) -> Optional[tuple[int, int]]:
         """((b)s, b.s) for the element of index s, or None if b.s is
         undefined."""
-        rc, jref = self.rees, self.jref
-        u = rc.uncoord[(0, rc.group.identity, b_pos)]
-        p = jref.rows[s][jref.column[u]]
-        if self.sgp.green().j_of[p] != jref.j_id:
+        rc = self.rees
+        p = self.sgp.mul_index(rc.uncoord[(0, rc.group.identity, b_pos)], s)
+        if self.sgp.green().j_of[p] != self.jref.j_id:
             return None
         a, g, b2 = rc.coord[p]
         if a != 0:
@@ -713,10 +697,10 @@ def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
     members = sorted(gs.j_classes[cls.distinguished_j])
     pos = {u: k + 1 for k, u in enumerate(members)}
     named = []
-    for name, gi in zip(sgp.gen_names, sgp.gens):
+    for name, column in zip(sgp.gen_names, sgp.right_columns):
         images = []
         for u in members:
-            p = sgp.mul_index(u, gi)
+            p = column[u]
             images.append(pos[p] if gs.j_of[p] == cls.distinguished_j else 0)
         named.append((name, PartialTransformation(tuple(images))))
     rep = FiniteSemigroup.generate(named)
@@ -731,13 +715,35 @@ class FaspEmbedding:
     (b)x being the zero where b.x is undefined.  As the zero absorbs, an
     element's entry is the zero exactly where b is outside the domain of
     its RLM image (see `products`), where the embedding into
-    (G,G) wr (B, RLM_J(S)) leaves it undefined."""
+    (G,G) wr (B, RLM_J(S)) leaves it undefined.  `witness` is the
+    certificate: the division closure of the generators' lifts, of size
+    |S|; that its action on G x B + 0 is S's on R u {0} is proved in
+    `fasp_embedding`."""
 
     lifts: dict[str, Any]
     witness: DivisionWitness
 
 
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
+    """The generators' lifts, certified by `check_division` (the relation
+    they generate is a function onto S) and |closure| = |S| (it is
+    injective).  The wreath image's action is proved, not checked.
+
+    Identify G x B + 0 with R u {0}, R the a = 0 R-class: the point (g, b)
+    at g*|B| + b is uncoord(0, g, b), and 0, every element below J, is -1.
+    The lift of a generator x sends (g, b) to (g*(b)x, b.x).  Where b.x is
+    undefined it is 0: the lift carries G^0's zero at b, and the zero's
+    row is all -1.  `_verify_coordinate_action` has checked, at a = 0,
+    that uncoord(0, g, b)*x is uncoord(0, g*(b)x, b.x), or leaves J where
+    b.x is undefined.  So the generators' lifts act on G x B + 0 as the
+    generators act on R u {0}.  Both sides are right actions, -1 and 0
+    absorbing.  Wreath rows compose, row(u*v) being row(u) followed by
+    row(v) (the wreath formula in the `products` docstring).  For r in R,
+    r*s either stays in R or drops below J, by stability (r*s J r gives
+    r*s R r), and below J is absorbing (t <_J J gives t*s <_J J).
+    `_relation_closure` reaches every pair (w, s) as (w'*lift(x), s'*x)
+    from a pair (w', s') it already holds, starting at (lift(x), x).  So,
+    by induction, w acts on G x B + 0 as s acts on R u {0}."""
     group = pres.group
     w = WreathProduct(
         ActionPair.of_group_with_zero(group),
@@ -752,32 +758,4 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     witness = check_division(pres.sgp, w, lifts=lifts)
     if len(witness.closure) != len(pres.sgp.elements):
         raise VerificationError("wreath embedding is not injective")
-    _verify_fasp_action(pres, w, witness)
     return FaspEmbedding(lifts, witness)
-
-
-def _verify_fasp_action(pres, w, witness) -> None:
-    """The wreath image acts on G x B exactly as S does on R, the R-class
-    of `JClassRef.rows` (the a = 0 coordinates).  For each pair of the
-    witness's closure (a wreath code and S's index s), the wreath row, read
-    once and not cached, is read at R's points and compared whole with s's
-    row of R's table mapped to wreath positions: a product (a, g, b) in J
-    to the point (g, b) at g*|B| + b, one below J to -1."""
-    sgp, rc = pres.sgp, pres.rees
-    nb = pres.n_b
-    r = [rc.coord[u][1:] for u in pres.jref.r_members]  # (g, b) by column
-    at_points = row_getter([g * nb + b for g, b in r])
-    position = [-1] * len(sgp.elements)
-    for p, (_, g2, b2) in rc.coord.items():
-        position[p] = g2 * nb + b2
-    rows = pres.jref.rows
-    for wc, s in witness.closure.items():
-        got = at_points(w.row_uncached(wc))
-        want = row_getter(rows[s])(position)
-        if got != want:
-            k = next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
-            if want[k] < 0:
-                raise VerificationError("wreath action defined where theta^R is not")
-            raise VerificationError(
-                f"wreath action disagrees with theta^R at {r[k]} under {sgp.elements[s]!r}"
-            )

@@ -157,7 +157,7 @@ def test_criterion_3_rees_and_embedding():
         rc.verify_transport()  # exhaustive over |J|^2 products
         rc.verify_matrix_regular()
         pres = group_mapping_presentation(sgp)
-        emb = fasp_embedding(pres)  # injectivity + action agreement inside
+        emb = fasp_embedding(pres)  # division witness + injectivity inside
         assert len(emb.witness.morphism) == len(sgp)
     print(
         f"ACCEPTANCE 3: PASS - Rees transport and wreath embedding verified "

@@ -94,6 +94,23 @@ def test_rlm_maps_and_coordinates_by_definition(census):
     assert assert_classes_match_definitions(carriers) > len(carriers)
 
 
+def test_wreath_embedding_acts_as_proved(census):
+    """On every group-mapping presentation that the census's estimates
+    reach, the wreath image acts on G x B + 0 as S acts on R u {0}, and
+    wreath rows compose on the division closure: what `fasp_embedding`'s
+    docstring proves, checked point by point."""
+    from test_flows import reached_presentations
+    from test_semilocal import _fasp_action_reference, assert_wreath_rows_compose
+
+    runs, _ = census
+    presentations = reached_presentations(sgp for sgp, _ in runs)
+    assert len(presentations) == 32
+    for pres in presentations:
+        witness = semilocal.fasp_embedding(pres).witness
+        assert _fasp_action_reference(pres, witness.target, witness) is None
+        assert_wreath_rows_compose(witness)
+
+
 def test_classify_matches_whole_ideal_verdicts(census):
     """`classify` reads a regular ideal through its sandwich columns (the
     lemma in its docstring); its verdicts are the whole ideal's on every

@@ -532,11 +532,12 @@ class TestProofsNotPasses:
         assert counts["graph called"] > 0 and counts["coordinates"] > 0
 
     @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
-    def test_no_table_is_wider_than_an_r_class(self, monkeypatch, gens):
-        # S acts on J through one R-class (`semilocal.JClassRef.rows`), so
-        # no n x |J| table is built (T_4's J-wide rows had 144 points); the
-        # other tables are over one R-class too, or are the left Cayley
-        # graph, the rows over the generators that each carrier builds
+    def test_every_table_is_over_the_generators(self, monkeypatch, gens):
+        # the only right-action tables are the left Cayley graphs, the rows
+        # over the generators that each carrier builds: S's action on J is
+        # read off single products, and the wreath embedding's is proved
+        # (`semilocal.fasp_embedding`), so no table over an R-class (24
+        # points at T_4) or over J (144) is built
         widths = []
         translations = core.FiniteSemigroup.right_translations
 
@@ -550,8 +551,8 @@ class TestProofsNotPasses:
         complexity.replay_certificate(json.loads(certificate_json(cert)))
         monkeypatch.undo()
         for sub, width in widths:
-            assert width <= max(len(sub.gens), *map(len, sub.green().r_classes))
-        assert max(width for _, width in widths) == 24
+            assert width == len(sub.gens)
+        assert max(width for _, width in widths) == 3
 
 
 def reached(monkeypatch, sgp, options):
