@@ -280,6 +280,8 @@ def _named_group(spec: str) -> FiniteGroup:
 def cmd_inverse_demo(args) -> int:
     from .semilocal import theta_prime_representation
 
+    if args.lift and args.rank != 1:
+        raise InputError("--lift needs --rank 1")
     group = _named_group(args.group)
     sgp = invmod.small_monoid(args.n, group, args.rank)
     if args.rank == 1:

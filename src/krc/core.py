@@ -789,11 +789,15 @@ def minimal_generating_set(sgp: FiniteSemigroup) -> list[int]:
 
 
 def with_generators(sgp: FiniteSemigroup, gen_indices: list[int]) -> FiniteSemigroup:
-    """The same semigroup re-presented over the given generating subset."""
-    named = [(f"g{k}", sgp.elements[i]) for k, i in enumerate(gen_indices)]
-    out = FiniteSemigroup.generate(named, mul=sgp.mul, sort_key=lambda v: sgp.index[v])
-    if len(out) != len(sgp):
-        raise InputError("given indices do not generate the semigroup")
+    """The same semigroup, its elements in the same order, re-presented
+    over the given generating subset: each new generator's column of the
+    right Cayley graph is its right translation of every element.  The
+    product is sgp's, so sgp's associativity carries over."""
+    points = range(len(sgp))
+    columns = [sgp.right_translation(points, g) for g in gen_indices]
+    names = [f"g{k}" for k in range(len(gen_indices))]
+    out = FiniteSemigroup(sgp.elements, gen_indices, names, columns)
+    out._associative = sgp._associative
     return out
 
 

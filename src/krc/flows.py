@@ -23,22 +23,22 @@ flow these transports give each generator its lift into
 (G wr Sym_b wr T_A) x RLM, with G wr Sym_b nested directly as the left
 factor, a wreath product being an action pair.  The lifted action is the
 wreath lift's own: Qbar pairs the wreath's points ((g, j), q), read by
-position, with B + 0, and the witness map rho onto G x B + 0 is checked
-to be a surjective morphism against the wreath row of each lift.  The
-division of S that the lifts generate is then machine-checked through the
-division machinery.
+position, with B + 0, and the witness map rho onto G x B + 0 is a
+surjective morphism against the wreath row of each lift, by (b) and (c)
+below, which the construction does not re-check.  The division of S that
+the lifts generate is machine-checked through the division machinery.
 
 A verified flow always constructs: F1-F5, the sink condition and the
-cover condition make every check of `presentation_construct` pass.  Let
-lab_q be the cross section of q's SPC; Qbar holds (((g, j), q), b) for b
-in block j of W_q, with rho sending it to (g*lab_q(b), b), and
-((g, j), q) paired with 0, sent to 0.  A live q.x = t moves the wreath
-point ((g, j), q) to ((g*h, k), t), with k and h the target block and
-shift of block j; a dead q.x leaves it undefined.
+cover condition make the division check of `presentation_construct`
+pass.  Let lab_q be the cross section of q's SPC; Qbar holds
+(((g, j), q), b) for b in block j of W_q, with rho sending it to
+(g*lab_q(b), b), and ((g, j), q) paired with 0, sent to 0.  A live
+q.x = t moves the wreath point ((g, j), q) to ((g*h, k), t), with k and
+h the target block and shift of block j; a dead q.x leaves it undefined.
 (a) F3 makes the block map of q.x injective on the blocks with a target.
     The other blocks, padding included, are as many as the targets left
-    unused in [b_bar], so the completion is a permutation of [b_bar].  A
-    dead q.x keeps the identity.
+    unused in [b_bar], so the completion, which pairs them in increasing
+    order, is a permutation of [b_bar].  A dead q.x keeps the identity.
 (b) By the cover condition each b of B lies in some W_q, and g*lab_q(b)
     runs over G with g, so rho is onto G x B + 0.
 (c) Take omega = (((g, j), q), b) and a live q.x = t.  When b.x = 0,
@@ -47,9 +47,9 @@ shift of block j; a dead q.x leaves it undefined.
     c) is in Qbar: F1 and F2 keep Qbar closed.  By F4 the transported label
     m(c) = lab_q(b)*(b)x is one value, and by F5 m(c) = h*lab_t(c), so
     rho(omega.x) = (g*h*lab_t(c), c) = (g*lab_q(b)*(b)x, c) = rho(omega).x.
-    A point paired with 0 stays paired with 0.  These are `_verify_rho`'s
-    steps: a point of Qbar over q has its b in W_q or 0, and a dead q.x
-    is skipped.
+    A point paired with 0 stays paired with 0.  The tests'
+    `_rho_reference` is the oracle of (b) and (c): it checks them point
+    by point, a dead q.x skipped.
 (d) Let words u and v have equal lift products, and p = (h, b) in G x B.
     By (b) p = rho(omega) for some omega over a q with b in W_q.  The
     wreath parts agree, so q's state path survives u iff it survives v.
@@ -65,8 +65,9 @@ shift of block j; a dead q.x leaves it undefined.
     S is right mapping, so it acts faithfully there by the lemma in
     `semilocal.classify`, and u = v in S.  The relation closure is
     therefore a function, and onto S since every generator is lifted.
-(e) No ResourceError arises: T_A was built under the same element budget
-    by the search or by replay's cap check, and a division with given
+(e) No ResourceError arises: the construction enumerates no carrier.
+    Sym_b and T_A are lazy oracles of partial maps (T_A is closed only by
+    the search's or replay's cap check, once), and a division with given
     lifts has no budget.  One that did arise would end as exit 3.
 """
 
@@ -271,8 +272,9 @@ def trivial_flow(pres: GroupMappingPresentation) -> Flow:
 class PresentationWitness:
     """Everything the flow-based decomposition produces: the block count
     b_bar, per-state-and-letter permutations and group corrections, the
-    carrier Qbar with its projection rho, and the machine-checked division
-    witness, whose lifts act on Qbar."""
+    carrier Qbar with its projection rho (a surjective morphism by (b) and
+    (c) of the module docstring, not re-checked), and the machine-checked
+    division witness, whose lifts act on Qbar."""
 
     flow: Flow
     b_bar: int
@@ -308,18 +310,13 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
             moves += [(None, group.identity)] * (b_bar - len(moves))
             # unmatched sources to unmatched targets, both in increasing order
             free = iter(sorted(set(range(b_bar)).difference(j for j, _ in moves)))
-            perm = tuple(next(free) if j is None else j for j, _ in moves)
-            if sorted(perm) != list(range(b_bar)):
-                raise VerificationError("block map completion is not a permutation")
-            perms[x].append(perm)
+            perms[x].append(tuple(next(free) if j is None else j for j, _ in moves))
             gbar[x].append(tuple(g for _, g in moves))
 
-    # the lifts into (G wr Sym_b wr T_A) x RLM; Sym_b and G wr Sym_b stay
-    # lazy oracles, as checking given lifts only multiplies
-    sym_b = MulOracle(None, compose)
-    sym = ActionPair(b_bar, sym_b, lambda c: tuple([v - 1 for v in sym_b.decode(c).images]))
-    inner = WreathProduct(ActionPair.of_group(group), sym)
-    outer = WreathProduct(inner, ActionPair.of_transformations(transition_semigroup(aut)))
+    # the lifts into (G wr Sym_b wr T_A) x RLM; Sym_b and T_A stay lazy
+    # oracles, as checking given lifts only multiplies
+    inner = WreathProduct(ActionPair.of_group(group), _partial_maps(b_bar))
+    outer = WreathProduct(inner, _partial_maps(nq))
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
         fvals = tuple(
@@ -346,50 +343,16 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
                     qbar.append(omega)
                     rho[omega] = (group.mul(g, lab[b]), b)
 
-    _verify_rho(pres, qbar, rho, outer, lifts)
     division = check_division(pres.sgp, PairSemigroup(outer, pres.rlmq.rlm), lifts=lifts)
     return PresentationWitness(flow, b_bar, perms, gbar, qbar, rho, division)
 
 
-def _verify_rho(pres, qbar, rho, outer: WreathProduct, lifts) -> None:
-    """rho is onto G x B + 0 and commutes with every generator, the
-    undefined-image branch included; upstairs, x moves the wreath point of
-    a member of Qbar as its lift's wreath part does."""
-    group = pres.group
-    image = set(rho.values())
-    want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, pres.n_b + 1)}
-    if image != want:
-        raise VerificationError("rho is not onto G x B + 0")
-    moves = {x: outer.row(outer.encode(wx)) for x, (wx, _) in lifts.items()}
-    for omega in qbar:
-        point, b = omega
-        for x in lifts:
-            rlm_map = pres.rlm_of_gen[x]
-            labels = pres.label_of_gen[x]
-            # action of x on G x B + 0 downstairs
-            down = rho[omega]
-            if down == ZERO:
-                down_x = ZERO
-            else:
-                h, bb = down
-                img = rlm_map[bb - 1]
-                down_x = (group.mul(h, labels[bb - 1]), img) if img else ZERO
-            # action of x upstairs
-            up = moves[x][point]
-            if up < 0:
-                # the state path dies; nothing to compare
-                continue
-            if b == ZERO:
-                omega_x = (up, ZERO)
-            else:
-                img = rlm_map[b - 1]
-                omega_x = (up, img) if img else (up, ZERO)
-            if omega_x not in rho:
-                raise VerificationError(f"Qbar is not closed at {omega} under {x}")
-            if rho[omega_x] != down_x:
-                raise VerificationError(
-                    f"rho is not a morphism at {omega} under {x}"
-                )
+def _partial_maps(size: int) -> ActionPair:
+    """(size, the partial maps of {1..size} under `compose`) as a lazy
+    oracle: codes come on first sight, and a row is read off the decoded
+    map, point q at q - 1."""
+    maps = MulOracle(None, compose)
+    return ActionPair(size, maps, lambda c: tuple([v - 1 for v in maps.decode(c).images]))
 
 
 # -- flow search -----------------------------------------------------------

@@ -300,7 +300,8 @@ class LiftCensus:
 
 def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
     """Green census of T(S) for the rank-1 small monoid, with every claimed
-    isomorphism constructed and machine-checked."""
+    isomorphism constructed and machine-checked, save J0's copy of the
+    monomial group, which is the definition of T(S)'s product."""
     size = validate_gm_inverse(sgp, group)
     ts = lift_TS(sgp, group)
     units = monomial_group(size, group)
@@ -325,16 +326,12 @@ def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
         raise VerificationError("lift J-classes do not split as expected")
 
     # J0 = {(0, tau)} is the minimal ideal and a copy of the monomial group
+    # by p -> p[1]: one-to-one and onto by size, and a morphism, since
+    # T(S), every element a generator, multiplies by `lift_TS`'s `mul`,
+    # which is componentwise
     j0 = by_role["j0"]
     if len(j0) != len(units):
         raise VerificationError("minimal ideal size mismatch")
-    iso0 = {p: p[1] for p in j0}
-    for a in j0:
-        for b in j0:
-            if iso0[ts.mul(a, b)] != units.elements[
-                units.mul(units.index[iso0[a]], units.index[iso0[b]])
-            ]:
-                raise VerificationError("J0 is not a copy of the monomial group")
     j0_id = gs.j_of[ts.index[j0[0]]]
     if not gs.j_succ[j0_id] <= {j0_id}:
         raise VerificationError("J0 is not the minimal ideal")
@@ -456,12 +453,9 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
     units_sgp = MulOracle(units.elements, lambda a, b: monomial_mul(a, b, group))
     pres = group_mapping_presentation(sgp)
 
-    # the unit-extension lift is a surjective morphism onto S
+    # the unit-extension lift is a surjective morphism onto S: onto by
+    # `lift_TS`'s check, a morphism as its product is componentwise
     ts = lift_TS(sgp, group)
-    for u in ts.elements:
-        for v in ts.elements:
-            if ts.mul(u, v)[0] != sgp.mul(u[0], v[0]):
-                raise VerificationError("lift projection is not a morphism")
 
     # match L-classes of the distinguished class with matrix columns
     gs = sgp.green()

@@ -775,6 +775,14 @@ class TestInverseDemo:
         assert "census: units 8, rank-1 8, zero 1, total 17" in out
         assert "lift: order 32" in out
 
+    def test_lift_needs_rank_one(self, capsys, tmp_path):
+        # refused before any work: the group file is not read
+        code, out, err = run(
+            capsys, "inverse", "demo", "--n", "3", "--group", str(tmp_path / "none.grp"),
+            "--rank", "2", "--lift",
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --lift needs --rank 1\n")
+
     def test_rank2_demo(self, capsys):
         code, out, _ = run(
             capsys,

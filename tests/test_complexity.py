@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from krc import complexity, core, semilocal
+from krc import complexity, core, flows, semilocal
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.complexity import (
     ComplexityInterval,
@@ -21,7 +21,7 @@ from krc.complexity import (
 )
 from krc.cli import CORPUS_DIR, EXIT_OK, EXIT_VERIFY, load_corpus_manifest, main
 from krc.fileformats import load_semigroup
-from krc.errors import InputError, ResourceError, VerificationError
+from krc.errors import InputError, VerificationError
 from krc.products import DivisionWitness, ExhaustionReport
 from test_core import I4_GENS, LADDER, T4_GENS
 
@@ -114,6 +114,62 @@ class TestDerived:
         t_upper = estimate(rho.target).upper
         d_upper = estimate(derived_semigroup(rho)).upper
         assert estimate(z2_rz2).upper <= t_upper + d_upper
+
+
+def _arrow_identification_reference(rho):
+    """Products of derived arrows do not depend on the representatives
+    (proved in `derived_semigroup`'s docstring), pair by pair: the arrows
+    of class k1 times those of a class k2 that starts where k1 ends land
+    in one class.  None when they do, else the first pair that fails."""
+    s_mul, t_mul = rho.source.mul_index, rho.target.mul_index
+    members = collections.defaultdict(list)
+    for obj in range(-1, len(rho.target)):
+        for s, t2 in sorted(rho.graph):
+            members[complexity._arrow_key(rho, obj, s, t2)].append((obj, s, t2))
+    for k1, arr1 in members.items():
+        for k2, arr2 in members.items():
+            if k2[0] != k1[1]:
+                continue
+            products = {
+                complexity._arrow_key(rho, obj1, s_mul(s1, s2), t_mul(t1, t2))
+                for obj1, s1, t1 in arr1
+                for _, s2, t2 in arr2
+            }
+            if len(products) > 1:
+                return f"the product of {k1} and {k2} depends on the representatives"
+    return None
+
+
+def derived_relations(corpus):
+    """The relations whose derived semigroups the division instances, demo
+    07 and acceptance criterion 7 build, by name."""
+    triv = FiniteSemigroup.generate([("1", T.identity(1))])
+    z2 = abstract([0, 1], lambda a, b: (a + b) % 2)
+    u1 = abstract([0, 1], lambda a, b: a * b)
+    z2_rz2, sym3, b2 = (corpus[name][0] for name in ("z2_rz2", "sym3", "b2z2_1"))
+    out = {}
+    for name, phi in (("1", RelationalMorphism.identity(triv)),
+                      ("Z2->1", RelationalMorphism.to_trivial(z2)),
+                      ("U1->1", RelationalMorphism.to_trivial(u1))):
+        out[name] = phi
+        out[f"{name} then 1"] = phi.compose(RelationalMorphism.identity(phi.target))
+    projection = RelationalMorphism.from_function(
+        z2_rz2, z2, {v: 0 if v(1) == 1 else 1 for v in z2_rz2.elements}
+    )
+    for name, rho in (("Z2xRZ2->Z2", projection), ("Sym3", RelationalMorphism.identity(sym3)),
+                      ("B2", RelationalMorphism.identity(b2))):
+        ex, eta = rhodes_expansion(rho.target)
+        out[f"{name} expanded"] = lift_through_expansion(rho, ex, eta)
+    out["B2->1"] = RelationalMorphism.to_trivial(b2)
+    out["B2 identity"] = RelationalMorphism.identity(b2)
+    return out
+
+
+def test_arrow_identification_reference(corpus):
+    relations = derived_relations(corpus)
+    assert len(relations) == 11
+    for name, rho in relations.items():
+        assert _arrow_identification_reference(rho) is None, name
 
 
 class TestRelationalMorphism:
@@ -247,13 +303,6 @@ class TestEstimate:
         iv = estimate(sgp, EstimateOptions(automata_budget=0))
         assert iv.lower == 1
         assert iv.upper == 2  # wreath embedding over the RLM still applies
-
-    def test_arrow_check_over_limit_is_refused(self, monkeypatch, z2_abs):
-        rho = RelationalMorphism.to_trivial(z2_abs)
-        assert len(derived_semigroup(rho)) > 1
-        monkeypatch.setattr(complexity, "ARROW_CHECK_LIMIT", 1)
-        with pytest.raises(ResourceError):
-            derived_semigroup(rho)
 
     def test_interval_sanity(self):
         with pytest.raises(Exception):
@@ -553,6 +602,31 @@ class TestProofsNotPasses:
         for sub, width in widths:
             assert width == len(sub.gens)
         assert max(width for _, width in widths) == 3
+
+    def test_constructions_close_no_transition_semigroup(self, monkeypatch):
+        # T_A is closed once, by the search's or replay's cap check; the
+        # construction takes it as a lazy oracle of partial maps
+        counts = collections.Counter()
+        construct, close = complexity.presentation_construct, flows.transition_semigroup
+
+        def constructing(flow):
+            counts["constructions"] += 1
+            counts["inside"] += 1
+            try:
+                return construct(flow)
+            finally:
+                counts["inside"] -= 1
+
+        def closing(aut):
+            counts["closed inside"] += counts["inside"] > 0
+            return close(aut)
+
+        monkeypatch.setattr(complexity, "presentation_construct", constructing)
+        monkeypatch.setattr(flows, "transition_semigroup", closing)
+        for entry in load_corpus_manifest():
+            cert = estimate(load_semigroup(CORPUS_DIR / entry["file"])).certificate
+            complexity.replay_certificate(json.loads(certificate_json(cert)))
+        assert counts["constructions"] > 0 and counts["closed inside"] == 0
 
 
 def reached(monkeypatch, sgp, options):

@@ -151,6 +151,7 @@ class TestTracedProducts:
                 built.append((gq.quotient, lambda a, b, rep=gq.class_rep: rep[t3.mul_index(a, b)]))
         derived = derived_semigroup(RelationalMorphism.to_trivial(corpus[0]))
         regenerated = with_generators(t3, minimal_generating_set(t3))
+        built.append((regenerated, t3.mul))
         # one element under two names, and a generator that is also a product
         # of the others: the word tree roots each at its first name
         cycle, swap, merge = T((2, 3, 1)), T((2, 1, 3)), T((1, 1, 3))
@@ -198,6 +199,15 @@ class TestTracedProducts:
         # 0 alone generates {0} in Z_3
         with pytest.raises(InputError, match="do not generate"):
             FiniteSemigroup([0, 1, 2], [0], ["x0"], [(0, 1, 2)])
+
+    def test_with_generators_reads_the_graph(self, sym3):
+        # the same elements and order, the columns read off sym3's graph
+        swap, cycle = sym3.gens
+        again = with_generators(sym3, [cycle, swap])
+        assert again.elements == sym3.elements and again.gen_names == ["g0", "g1"]
+        assert again.right_columns == sym3.right_columns[::-1]
+        with pytest.raises(InputError, match="do not generate"):
+            with_generators(sym3, [cycle])
 
 
 class TestAssociativityCheck:

@@ -36,7 +36,7 @@ from krc.flows import (
 )
 from krc.fileformats import dump_flow, load_semigroup, parse_semigroup
 from krc.inverse import matrix_semigroup_as_transformations, small_monoid
-from krc.products import ActionPair, MulOracle, WreathProduct
+from krc.products import ActionPair, DivisionWitness, MulOracle, WreathProduct
 from krc.semilocal import fasp_embedding, group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
 from test_core import I4_GENS, LADDER, T4_GENS
@@ -85,6 +85,64 @@ def corpus_presentations():
 def ladder_presentations():
     """T_3, PT_3 and I_3's group-mapping nodes, by name."""
     return {name: reached_presentations([ladder(gens)]) for name, gens in LADDER.items()}
+
+
+def _rho_reference(w):
+    """(b) and (c) of the `flows` docstring on a construction, point by
+    point: rho is onto G x B + 0, and for every point omega of Qbar and
+    letter x whose lift's wreath part moves omega's wreath point, omega.x
+    is in Qbar and rho(omega.x) = rho(omega).x.  None when they hold, else
+    the first failure."""
+    pres = w.flow.presentation
+    group = pres.group
+    want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, pres.n_b + 1)}
+    if set(w.rho.values()) != want:
+        return "rho is not onto G x B + 0"
+    outer = w.division.target.left
+    for x, (wx, _) in w.division.lifts.items():
+        rlm_map, labels = pres.rlm_of_gen[x], pres.label_of_gen[x]
+        row = outer.row(outer.encode(wx))
+        for omega in w.qbar:
+            point, b = omega
+            if row[point] < 0:
+                continue  # the state path dies: nothing to compare
+            omega_x = (row[point], ZERO if b == ZERO or not rlm_map[b - 1] else rlm_map[b - 1])
+            if omega_x not in w.rho:
+                return f"Qbar is not closed at {omega} under {x}"
+            down = w.rho[omega]
+            if down == ZERO or not rlm_map[down[1] - 1]:
+                down_x = ZERO
+            else:
+                down_x = (group.mul(down[0], labels[down[1] - 1]), rlm_map[down[1] - 1])
+            if w.rho[omega_x] != down_x:
+                return f"rho is not a morphism at {omega} under {x}"
+    return None
+
+
+def unchecked_division(s, target, lifts):
+    """A division witness for the given lifts with no closure: the
+    construction with its division unchecked, for `_rho_reference`."""
+    return DivisionWitness(s, target, lifts, {})
+
+
+@pytest.fixture(scope="module")
+def estimated_constructions():
+    """Every construction that estimates of the corpus, T_3, PT_3 and I_3
+    make."""
+    built = []
+    construct = complexity.presentation_construct
+
+    def recording(flow):
+        built.append(construct(flow))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "presentation_construct", recording)
+        for entry in load_corpus_manifest():
+            estimate(load_semigroup(CORPUS_DIR / entry["file"]))
+        for gens in LADDER.values():
+            estimate(ladder(gens))
+    return built
 
 
 def keeps_sink(pres, spc, x):
@@ -321,9 +379,18 @@ class TestPresentationConstruct:
         with pytest.raises(InputError):
             presentation_construct(Flow(aut, pres, (bad,)))
 
+    def test_rho_reference_on_estimated_constructions(self, estimated_constructions):
+        # one-state flows, each carrier constructed once per estimate
+        assert [(len(w.flow.labeling), w.b_bar) for w in estimated_constructions] == [
+            (1, 2), (1, 3), (1, 3), (1, 3)
+        ]
+        for w in estimated_constructions:
+            assert _rho_reference(w) is None, dump_flow(w.flow)
+
     def test_wrong_shift_breaks_rho(self, small17_pres, monkeypatch):
         # F1-F5 read only the transport's violations, so the flow still
-        # verifies; the lifts built from the wrong shift do not cover rho
+        # verifies; the lifts built from the wrong shift break rho, and
+        # the division rejects them
         transport = flows._transport
         group = small17_pres.group
         other = next(g for g in range(len(group)) if g != group.identity)
@@ -341,8 +408,15 @@ class TestPresentationConstruct:
         monkeypatch.setattr(flows, "_transport", wrong_shift)
         flow = trivial_flow(small17_pres)
         assert verify_flow(flow) is True
-        with pytest.raises(VerificationError, match="rho is not a morphism"):
+        with pytest.raises(
+            VerificationError, match="^division lifts rejected: relation not functional"
+        ):
             presentation_construct(flow)
+        # the same construction with its division unchecked
+        monkeypatch.setattr(flows, "check_division", unchecked_division)
+        assert _rho_reference(presentation_construct(flow)).startswith(
+            "rho is not a morphism"
+        )
 
     def test_lifted_action_fiberwise_permutation(self, small17_pres):
         w = presentation_construct(trivial_flow(small17_pres))
@@ -490,8 +564,9 @@ class TestLabelings:
 
 class TestCover:
     """A one-state labeling verifies exactly when F1-F5, the sink condition
-    and the cover condition hold, and a flow that verifies never fails to
-    construct for want of onto-ness."""
+    and the cover condition hold; a flow that verifies constructs with rho
+    onto, and one that breaks only the cover condition leaves rho short of
+    G x B + 0 and its lifts are rejected by the division."""
 
     def test_cover_iff_onto(self, corpus_presentations, ladder_presentations, monkeypatch):
         presentations = corpus_presentations + [
@@ -516,15 +591,17 @@ class TestCover:
                         if local:
                             with monkeypatch.context() as patch:
                                 patch.setattr(flows, "verify_flow", lambda flow: True)
-                                with pytest.raises(VerificationError, match="not onto"):
+                                with pytest.raises(
+                                    VerificationError, match="^division lifts rejected"
+                                ):
                                     presentation_construct(flow)
+                                patch.setattr(flows, "check_division", unchecked_division)
+                                w = presentation_construct(flow)
+                                assert _rho_reference(w) == "rho is not onto G x B + 0"
                         continue
                     assert (verdict is True) == local
                     if verdict is True:
-                        try:
-                            presentation_construct(flow)
-                        except VerificationError as err:
-                            assert "not onto" not in str(err)
+                        assert _rho_reference(presentation_construct(flow)) is None
                         constructed += 1
         assert constructed
 
@@ -696,6 +773,7 @@ class TestPinned:
         for aut in _enumerate_automata(2, tuple(pres.sgp.gen_names)):
             for labels in _iter_labelings(aut, supports, succ, sinks):
                 w = presentation_construct(Flow(aut, pres, tuple(spcs[i] for i in labels)))
+                assert _rho_reference(w) is None
                 built.append([w.b_bar, w.perms, w.gbar, len(w.division.morphism)])
         assert len(built) == flows
         assert digest(built) == want
