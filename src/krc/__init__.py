@@ -50,17 +50,31 @@ from .complexity import (
     pure_upper,
     rhodes_expansion,
 )
-from .inverse import (
-    PartialMonomialMatrix,
-    analyze_lift,
-    brandt_semigroup,
-    inverse_decomposition,
-    lift_TS,
-    monomial_group,
-    monomial_mul,
-    rlm_matrix,
-    small_monoid,
-)
 from .errors import InputError, ResourceError, VerificationError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the inverse-monoid names, imported from `inverse` on first use (PEP 562),
+# so that commands which never reach them do not load that module
+_INVERSE_NAMES = (
+    "PartialMonomialMatrix",
+    "analyze_lift",
+    "brandt_semigroup",
+    "inverse_decomposition",
+    "lift_TS",
+    "monomial_group",
+    "monomial_mul",
+    "rlm_matrix",
+    "small_monoid",
+)
+
+
+def __getattr__(name: str):
+    if name in _INVERSE_NAMES:
+        from . import inverse
+
+        return getattr(inverse, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["inverse", *_INVERSE_NAMES]
+)

@@ -39,7 +39,6 @@ from .products import DIVISION_SEARCH_BUDGET, DivisionWitness, check_division
 from . import spc as spcmod
 from . import flows as flowmod
 from . import complexity as cx
-from . import inverse as invmod
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -278,6 +277,7 @@ def _named_group(spec: str) -> FiniteGroup:
 
 
 def cmd_inverse_demo(args) -> int:
+    from . import inverse as invmod
     from .semilocal import theta_prime_representation
 
     if args.lift and args.rank != 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence
 
 from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
@@ -297,16 +298,16 @@ def gm_reduction(
         jref = JClassRef(sgp, j_id)
         if jref.is_regular and jref.contains_nontrivial_subgroup():
             children.append((jref, gm_quotient(sgp, jref, build)))
-    # the combined projection is injective on every maximal subgroup
+    # the combined projection is injective on every maximal subgroup:
+    # combined[s] is s's tuple of class representatives, one per child
+    combined = list(zip(*(gq.class_rep for _, gq in children)))
     for e in gs.idempotents:
         h_members = gs.h_classes[gs.h_of[e]]
-        combined = {tuple(gq.class_rep[i] for _, gq in children) for i in h_members}
-        if children and len(combined) != len(h_members):
-            raise VerificationError(
-                "combined GM projection not injective on a subgroup"
-            )
-        if not children and len(h_members) > 1:
-            raise VerificationError("nontrivial subgroup escaped the GM reduction")
+        if not children:
+            if len(h_members) > 1:
+                raise VerificationError("nontrivial subgroup escaped the GM reduction")
+        elif len(set(map(combined.__getitem__, h_members))) != len(h_members):
+            raise VerificationError("combined GM projection not injective on a subgroup")
     return children
 
 
@@ -598,8 +599,46 @@ def flow_upper(
 
 
 def certificate_json(cert: dict[str, Any]) -> str:
-    """The canonical text of a certificate, as `krc estimate --cert` writes it."""
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """The canonical text of a certificate, as `krc estimate --cert` writes
+    it: byte for byte `json.dumps(cert, sort_keys=True, indent=2)` and a
+    newline.  With an indent, `json.dumps` runs CPython's pure-Python
+    encoder; `_emit` writes the same text in fewer steps.  A dict's keys
+    are strings, as in every certificate and CLI sidecar."""
+    out: list[str] = []
+    _emit(cert, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value: Any, newline: str, out: list[str]) -> None:
+    """Append `value`'s indented JSON text to `out`, `newline` being the
+    line break and indent it starts at: a non-empty dict (sorted keys) or
+    list (or tuple) one member per line, two spaces deeper, separated by
+    ","; a string by json's own escaper, an int by its repr, and any other
+    value (None, a bool, a float, an empty dict or list) by `json.dumps`,
+    which writes it on one line."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def replay_certificate(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceError, VerificationError
@@ -39,14 +39,18 @@ def _light_test(table: list[list[int]], gens: Sequence[int]) -> Optional[tuple[i
     The elements that associate in the middle position are closed under
     the table's product ((x*(ab))*y = x*((ab)*y) follows from a and b
     associating there), so this is complete once products of `gens`
-    reach every element."""
+    reach every element.
+
+    Per g and x the whole row is compared: ((x*g)*y for every y) is the
+    row of x*g, and (x*(g*y) for every y) is x's row gathered at g's row,
+    in C.  Only a mismatching row is scanned for its first y."""
+    rows = [tuple(row) for row in table]
     for g in gens:
-        g_row = table[g]
-        for x, x_row in enumerate(table):
-            xg_row = table[x_row[g]]
-            for y, gy in enumerate(g_row):
-                if xg_row[y] != x_row[gy]:
-                    return x, g, y
+        at_g = row_getter(rows[g])
+        for x, x_row in enumerate(rows):
+            xg_row, want = rows[x_row[g]], at_g(x_row)
+            if xg_row != want:
+                return x, g, next(y for y, (u, v) in enumerate(zip(xg_row, want)) if u != v)
     return None
 
 
@@ -74,10 +78,11 @@ class PartialTransformation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        for v in self.images:
-            if not 0 <= v <= n:
-                raise InputError(f"image value {v} out of range for degree {n}")
+        images = self.images
+        n = len(images)
+        if images and (min(images) < 0 or max(images) > n):
+            v = next(v for v in images if not 0 <= v <= n)
+            raise InputError(f"image value {v} out of range for degree {n}")
 
     @property
     def degree(self) -> int:
@@ -94,12 +99,18 @@ class PartialTransformation:
         return self.images[q - 1]
 
     def sort_key(self) -> tuple[int, ...]:
-        # undefined sorts after every real point
-        n = self.degree
-        return tuple(v if v else n + 1 for v in self.images)
+        """The images with undefined (0) read as n + 1, so it sorts after
+        every real point: one gather of the remap (n+1, 1, ..., n)."""
+        return row_getter(self.images)(_undefined_last(self.degree))
 
     def __str__(self) -> str:
         return " ".join(str(v) if v else "-" for v in self.images)
+
+
+@functools.cache
+def _undefined_last(n: int) -> tuple[int, ...]:
+    """The remap of `PartialTransformation.sort_key` at degree n."""
+    return (n + 1,) + tuple(range(1, n + 1))
 
 
 def compose(f: PartialTransformation, g: PartialTransformation) -> PartialTransformation:
@@ -675,7 +686,13 @@ def is_aperiodic(sgp: FiniteSemigroup) -> bool:
 
 
 class FiniteGroup:
-    """A finite group given by an element list and a multiplication table."""
+    """A finite group given by an element list and a multiplication table.
+
+    The identity, the inverses and `verify`'s axioms are read off whole
+    rows and columns, compared or scanned in C (`_light_test` likewise):
+    the identity is the first e whose row and column are (0, ..., n-1),
+    i's inverse the first j where i's row holds the identity and j's row
+    does at i, and each row and column must sort to (0, ..., n-1)."""
 
     def __init__(self, elements: list[Any], table: list[list[int]]):
         self.elements = elements
@@ -688,34 +705,34 @@ class FiniteGroup:
         self.inverse = self._find_inverses()
 
     def _find_identity(self) -> int:
-        n = len(self.elements)
-        for e in range(n):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n)):
+        table = self.table
+        points = list(range(len(table)))
+        for e, row in enumerate(table):
+            if list(row) == points and [r[e] for r in table] == points:
                 return e
         raise InputError("no identity element: not a group table")
 
     def _find_inverses(self) -> list[int]:
-        n = len(self.elements)
-        inv = [-1] * n
-        e = self.identity
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == e and self.table[j][i] == e:
-                    inv[i] = j
-                    break
-            if inv[i] < 0:
+        table, e = self.table, self.identity
+        inv = []
+        for i, row in enumerate(table):
+            # the positions j where i*j = e, in order, each tried for j*i = e
+            at_e = itertools.compress(itertools.count(), map(eq, row, itertools.repeat(e)))
+            j = next((j for j in at_e if table[j][i] == e), -1)
+            if j < 0:
                 raise InputError(f"element {i} has no inverse: not a group table")
+            inv.append(j)
         return inv
 
     def verify(self) -> None:
         """Full table-wise group axioms: rows and columns are permutations,
         and Light's test passes over `greedy_generators`."""
-        n = len(self.elements)
         table = self.table
-        for i in range(n):
-            if sorted(table[i]) != list(range(n)):
+        points = list(range(len(table)))
+        for row, column in zip(table, zip(*table)):
+            if sorted(row) != points:
                 raise VerificationError("table row is not a permutation")
-            if sorted(row[i] for row in table) != list(range(n)):
+            if sorted(column) != points:
                 raise VerificationError("table column is not a permutation")
         if _light_test(table, self.greedy_generators()) is not None:
             raise VerificationError("group table not associative")
@@ -812,11 +829,12 @@ def maximal_subgroup(sgp: FiniteSemigroup, e: Any) -> FiniteGroup:
     gs = sgp.green()
     members = gs.h_classes[gs.h_of[ei]]
     values = [sgp.elements[i] for i in members]
-    pos = {i: k for k, i in enumerate(members)}
-    try:
-        table = [[pos[p] for p in sgp.left_translation(i, members)] for i in members]
-    except KeyError:
-        raise VerificationError("H-class of idempotent not closed") from None
+    pos = [-1] * len(sgp)  # each member's position in the H-class, -1 outside it
+    for k, i in enumerate(members):
+        pos[i] = k
+    table = [list(row_getter(sgp.left_translation(i, members))(pos)) for i in members]
+    if any(-1 in row for row in table):
+        raise VerificationError("H-class of idempotent not closed")
     g = FiniteGroup(values, table)
     g.verify()
     return g

@@ -20,8 +20,11 @@ Q_b = (q_b*s for every s) (`FiniteSemigroup.left_translation`) and
 P_a = (s*p_a for every s) (`right_translation`), each one word walked
 through a Cayley graph's columns.  `classify` tests faithfulness on their
 rows (the lemma is in its docstring), the GM profile reads the sandwiches
-q_b*s*p_a at Q's columns, and the RLM image each product's L-class.  Each
-reader builds the columns it reads and drops them.
+q_b*s*p_a at Q's columns, as one int id per distinct entry, and the RLM
+image each product's L-class.  Each reader builds the columns it reads and
+drops them.  At the distinguished class of a carrier already classified
+generalized group mapping no profile is read: the carrier is its own GM
+image there, by the lemma in `gm_quotient`'s docstring.
 
 S acts on J through one R-class, R the R-class of J's least member (the
 a = 0 coordinates), and no table of that action is built.  The
@@ -378,19 +381,22 @@ def _profile_classes(sgp: FiniteSemigroup, jref: JClassRef) -> list[int]:
     and the sandwich either lies in H_e, fixing xsy, or drops out of J with
     it.  When q_b*s falls below J, so does each (q_b*s)*p_a; otherwise
     q_b*s is a member x of J, whose entries x*p_a (-1 below J) are
-    gathered as |A| whole columns over J.  The keys are those entries
-    gathered at the columns Q_b (`_q_columns`), and each class's least
-    member is read off one dict built from the keys in reverse."""
+    gathered as |A| whole columns over J.  Each distinct entry gets an int
+    id from one dict over J (0 for the all -1 entry, which every element
+    below J has), so a key is the |B| ids gathered at the columns Q_b
+    (`_q_columns`), and each class's least member is read off one dict
+    built from the keys in reverse."""
     _, p_reps, q_reps = _sandwich_reps(sgp, jref)
     members = jref.members
     in_j = [-1] * len(sgp.elements)
     for x in members:
         in_j[x] = x
     columns = [row_getter(sgp.right_translation(members, pa))(in_j) for pa in p_reps]
-    entries = [(-1,) * len(p_reps)] * len(sgp.elements)
+    ids = {(-1,) * len(p_reps): 0}
+    entry_id = [0] * len(sgp.elements)
     for x, entry in zip(members, zip(*columns)):
-        entries[x] = entry
-    keys = list(zip(*(row_getter(q)(entries) for q in _q_columns(sgp, q_reps))))
+        entry_id[x] = ids.setdefault(entry, len(ids))
+    keys = list(zip(*(row_getter(q)(entry_id) for q in _q_columns(sgp, q_reps))))
     least = dict(zip(reversed(keys), reversed(range(len(keys)))))
     return list(map(least.__getitem__, keys))
 
@@ -401,6 +407,20 @@ def gm_quotient(
     """Quotient by s = t  iff  xsy and xty agree through J for all x,y in J
     (`_profile_classes`), checked to be a congruence.  A discrete partition
     is not checked: the identity relation is always a congruence.
+
+    The profile is not computed where S's kept classification (the one
+    `classify` left on the carrier, if any; none is computed here) says S
+    is generalized group mapping with J as its distinguished class: there
+    the partition is discrete.  Lemma: let I = J u {0} be the
+    distinguished 0-minimal ideal (I = J, the kernel, when S has no zero),
+    and s != t.  S acts faithfully on the right of I, so some u in I has
+    u*s != u*t, and u != 0 as 0*s = 0 = 0*t.  S acts faithfully on the
+    left of I too, and applied to the two elements u*s != u*t it gives v
+    in I with u*s*v != u*t*v, and v != 0 likewise.  Both products lie in
+    the ideal I, so they are not both 0: they differ through J, with u and
+    v in J, and s and t have different profiles.  This is the fact that a
+    generalized group mapping semigroup is its own GM image (Rhodes &
+    Steinberg, *The q-theory of Finite Semigroups*, 2009, ch. 4).
 
     The GM verdict is read off the image's classification, which `classify`
     keeps on the image.  A discrete partition builds no image for it: the
@@ -416,7 +436,11 @@ def gm_quotient(
     if not jref.is_regular:
         raise InputError("GM quotient needs a regular J-class")
     gs = sgp.green()
-    class_rep = _profile_classes(sgp, jref)
+    kept = sgp._classification
+    if kept is not None and kept.generalized_group_mapping and kept.distinguished_j == jref.j_id:
+        class_rep = list(range(len(sgp.elements)))  # discrete, by the lemma
+    else:
+        class_rep = _profile_classes(sgp, jref)
     gq = GmQuotient(
         sgp,
         class_rep,

@@ -775,6 +775,25 @@ class TestInverseDemo:
         assert "census: units 8, rank-1 8, zero 1, total 17" in out
         assert "lift: order 32" in out
 
+    def test_only_the_inverse_commands_load_the_module(self):
+        # `krc` re-exports the inverse-monoid names lazily (PEP 562), and
+        # the CLI imports `inverse` inside its one handler
+        src = str(Path(krc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, krc, krc.cli\n"
+            "print('krc.inverse' in sys.modules)\n"
+            "print(krc.lift_TS.__module__, 'krc.inverse' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.stdout == "False\nkrc.inverse True\n"
+        assert set(krc.__all__) >= {"inverse", "lift_TS", "small_monoid", "PartialMonomialMatrix"}
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            krc.no_such_name
+
     def test_lift_needs_rank_one(self, capsys, tmp_path):
         # refused before any work: the group file is not read
         code, out, err = run(

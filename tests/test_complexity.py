@@ -71,6 +71,58 @@ class TestGmReduction:
         sgp, _ = corpus["small_2_z2"]
         assert len(gm_reduction(sgp)) == 2
 
+    @pytest.mark.parametrize("broken,message", [
+        ("subgroup", "combined GM projection not injective on a subgroup"),
+        ("reduction", "nontrivial subgroup escaped the GM reduction"),
+    ])
+    def test_combined_projection_messages(self, corpus, monkeypatch, broken, message):
+        # a GM image that merges a maximal subgroup, or no GM image at all
+        sgp, _ = corpus["small_2_z2"]
+        if broken == "subgroup":
+            merged = collections.namedtuple("Merged", "class_rep")([0] * len(sgp))
+            monkeypatch.setattr(complexity, "gm_quotient", lambda *_: merged)
+        else:
+            monkeypatch.setattr(
+                semilocal.JClassRef, "contains_nontrivial_subgroup", lambda _: False
+            )
+        with pytest.raises(VerificationError, match=f"^{message}$"):
+            gm_reduction(sgp)
+
+
+class TestCertificateJson:
+    """`certificate_json` writes `json.dumps(value, sort_keys=True,
+    indent=2)` and a newline, byte for byte."""
+
+    @staticmethod
+    def reference(value):
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [{}], [[1, [2, []]]]],
+        {"z": 1, "a": 2, "m": {"y": None, "b": True, "a": False}},
+        ["quote \" backslash \\ newline \n tab \t nul \x00 \x1f del \x7f",
+         "\u00e9\u20ac\U0001f600"],
+        {"key with \"escapes\"\n and \u00e9": "value"},
+        [None, True, False, 0, -1, 7, 2 ** 70, -(2 ** 70)], (1, (2, 3)), [1.5, -0.0, 1e300],
+        "text", 12, None, True,
+    ])
+    def test_edge_cases(self, value):
+        assert certificate_json(value) == self.reference(value)
+
+    def test_what_json_cannot_write_it_cannot(self):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            certificate_json({"a": [{1, 2}]})
+
+    def test_every_corpus_ladder_and_sample_certificate(self):
+        from test_acceptance import _sample_semigroups
+
+        roots = [classified_run(name) for name in CLASSIFIED_RUNS]
+        roots += [(sgp, None) for sgp in _sample_semigroups()]
+        assert len(roots) == 222
+        for sgp, options in roots:
+            cert = estimate(sgp, options).certificate
+            assert certificate_json(cert) == self.reference(cert)
+
 
 class TestDerived:
     def test_identity_morphism_aperiodic(self, b2z2_1, sym3):
@@ -579,6 +631,35 @@ class TestProofsNotPasses:
         assert (counts["graph"], counts["transport"]) == (0, 0)
         # every GM image was written, and every group-mapping node coordinatized
         assert counts["graph called"] > 0 and counts["coordinates"] > 0
+
+    def test_no_profile_where_the_classification_proves_it_discrete(self, monkeypatch):
+        # `gm_quotient` skips the GM profile at the distinguished class of a
+        # carrier kept classified as generalized group mapping (the lemma in
+        # its docstring); I_4 and T_4's runs reach such classes
+        counts = collections.Counter()
+        quotient, profile = complexity.gm_quotient, semilocal._profile_classes
+
+        def proved(sgp, jref):
+            kept = sgp._classification
+            return bool(kept and kept.generalized_group_mapping
+                        and kept.distinguished_j == jref.j_id)
+
+        def quotienting(sgp, jref, *args):
+            counts["proved"] += proved(sgp, jref)
+            return quotient(sgp, jref, *args)
+
+        def profiling(sgp, jref):
+            counts["profiled"] += 1
+            counts["profiled where proved"] += proved(sgp, jref)
+            return profile(sgp, jref)
+
+        monkeypatch.setattr(complexity, "gm_quotient", quotienting)
+        monkeypatch.setattr(semilocal, "_profile_classes", profiling)
+        for gens in (I4_GENS, T4_GENS):
+            cert = estimate(ladder(gens), BUDGET_0).certificate
+            complexity.replay_certificate(json.loads(certificate_json(cert)))
+        assert counts["proved"] > 0 and counts["profiled"] > 0
+        assert counts["profiled where proved"] == 0
 
     @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
     def test_every_table_is_over_the_generators(self, monkeypatch, gens):

@@ -1,6 +1,8 @@
+import collections
 import inspect
 import itertools
 import random
+import re
 
 import pytest
 
@@ -23,7 +25,7 @@ from krc.core import (
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, RelationalMorphism, derived_semigroup, estimate
 from krc.errors import InputError, ResourceError, VerificationError
-from krc import fileformats, semilocal
+from krc import core, fileformats, semilocal
 from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
 from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient, rees_coordinates
@@ -33,6 +35,21 @@ T = PartialTransformation
 
 def all_partials(n):
     return [T(imgs) for imgs in itertools.product(range(n + 1), repeat=n)]
+
+
+class TestTransformationValues:
+    def test_sort_key_reads_undefined_as_n_plus_1(self):
+        for n in range(5):
+            for f in all_partials(n):
+                assert f.sort_key() == tuple(v if v else n + 1 for v in f.images)
+
+    @pytest.mark.parametrize("images,bad", [
+        ((3, 1), 3), ((1, -1), -1), ((0, 5, -2), 5), ((-1,), -1), ((1, 2, 4), 4),
+    ])
+    def test_the_first_value_out_of_range_is_named(self, images, bad):
+        message = f"^image value {bad} out of range for degree {len(images)}$"
+        with pytest.raises(InputError, match=message):
+            T(images)
 
 
 class TestCompose:
@@ -612,6 +629,178 @@ class TestGroups:
         assert len(k.green().h_classes) == 1
         ident = k.identity_index()
         assert all(k.mul_index(i, i) == ident for i in range(4))
+
+
+def _light_reference(table, gens):
+    """Light's test, product by product: the first (x, g, y) with
+    (x*g)*y != x*(g*y)."""
+    for g in gens:
+        for x in range(len(table)):
+            for y in range(len(table)):
+                if table[table[x][g]][y] != table[x][table[g][y]]:
+                    return x, g, y
+    return None
+
+
+def _group_reference(table):
+    """What `FiniteGroup` makes of a square table, entry by entry: the
+    identity, the inverses and `verify`'s message (None if it passes), or
+    the constructor's message."""
+    n = len(table)
+    points = range(n)
+    ident = next((e for e in points if all(table[e][j] == j == table[j][e] for j in points)), None)
+    if ident is None:
+        return "no identity element: not a group table"
+    inverses = []
+    for i in points:
+        j = next((j for j in points if table[i][j] == ident == table[j][i]), None)
+        if j is None:
+            return f"element {i} has no inverse: not a group table"
+        inverses.append(j)
+    message = None
+    for i in points:
+        if sorted(table[i][j] for j in points) != list(points):
+            message = "table row is not a permutation"
+        elif sorted(table[j][i] for j in points) != list(points):
+            message = "table column is not a permutation"
+        if message:
+            break
+    else:
+        gens = FiniteGroup(list(points), table).greedy_generators()
+        if _light_reference(table, gens) is not None:
+            message = "group table not associative"
+    return ident, inverses, message
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose row and column 0 are (0, ..., n-1):
+    the multiplication tables of the loops of order n, groups among them."""
+    square = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in square]
+            return
+        i, j = divmod(cell, n)
+        if square[i][j] >= 0:
+            yield from fill(cell + 1)
+            return
+        used = set(square[i]) | {square[k][j] for k in range(n)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(cell + 1)
+        square[i][j] = -1
+
+    return list(fill(0))
+
+
+def _group_kernel_tables():
+    """Group tables, relabeled and mutated, loops and random tables (some
+    with an identity forced in), each square over range(n)."""
+    rng = random.Random(37)
+    groups = [FiniteGroup.cyclic(n).table for n in range(1, 8)]
+    groups += [FiniteGroup.symmetric(n).table for n in (3, 4)]
+    k4 = FiniteSemigroup.from_elements(
+        list(itertools.product(range(2), repeat=2)),
+        lambda f, g: tuple((a + b) % 2 for a, b in zip(f, g)),
+        sort_key=lambda f: f,
+    )
+    groups.append([[k4.mul_index(i, j) for j in range(4)] for i in range(4)])
+    tables = []
+    for table in groups:
+        n = len(table)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        back = {p: i for i, p in enumerate(perm)}
+        relabeled = [[perm[table[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+        tables += [table, relabeled]
+        for _ in range(4):
+            for base in (table, relabeled):
+                mutated = [row[:] for row in base]
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                mutated[i][j] = rng.randrange(n)
+                tables.append(mutated)
+                swapped = [row[:] for row in base]
+                swapped[i][j], swapped[i][k] = swapped[i][k], swapped[i][j]
+                tables.append(swapped)
+                rows = [row[:] for row in base]
+                rows[i], rows[k] = rows[k], rows[i]
+                tables.append(rows)
+    tables += _reduced_latin_squares(4) + _reduced_latin_squares(5)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.7:
+            e = rng.randrange(n)
+            for j in range(n):
+                table[e][j] = table[j][e] = j
+        tables.append(table)
+    return tables
+
+
+class TestGroupKernels:
+    """`_light_test` and `FiniteGroup`'s identity, inverses and `verify`
+    read whole rows and columns; they give the entry-by-entry reference's
+    triple or message on group tables, mutated ones and non-group ones."""
+
+    def test_against_the_reference(self):
+        outcomes = collections.Counter()
+        for table in _group_kernel_tables():
+            want = _group_reference(table)
+            try:
+                group = FiniteGroup(list(range(len(table))), [row[:] for row in table])
+            except InputError as err:
+                assert str(err) == want
+                outcomes[re.sub(r"\d+", "i", want)] += 1
+                continue
+            ident, inverses, message = want
+            assert (group.identity, group.inverse) == (ident, inverses)
+            try:
+                group.verify()
+            except VerificationError as err:
+                assert str(err) == message
+                outcomes[message] += 1
+            else:
+                assert message is None
+                outcomes["group"] += 1
+        # every outcome is reached
+        assert set(outcomes) == {
+            "no identity element: not a group table",
+            "element i has no inverse: not a group table",
+            "table row is not a permutation",
+            "table column is not a permutation",
+            "group table not associative",
+            "group",
+        }
+
+    def test_light_test_finds_the_reference_triple(self):
+        rng = random.Random(41)
+        tables = [row for row in _group_kernel_tables() if len(row) > 1]
+        t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
+        tables.append([[t3.mul_index(i, j) for j in range(len(t3))] for i in range(len(t3))])
+        found = collections.Counter()
+        for table in tables:
+            n = len(table)
+            for gens in (range(n), sorted(rng.sample(range(n), rng.randrange(1, n)))):
+                want = _light_reference(table, gens)
+                assert core._light_test(table, gens) == want
+                found[want is None] += 1
+        assert found[True] > 0 and found[False] > 0
+
+    def test_maximal_subgroup_tables(self, corpus):
+        # each H-class group's table is S's product on the H-class, by
+        # element positions, read entry by entry
+        checked = 0
+        for sgp, _ in corpus.values():
+            for e in sgp.idempotent_indices():
+                group = maximal_subgroup(sgp, sgp.elements[e])
+                pos = {sgp.index[v]: k for k, v in enumerate(group.elements)}
+                assert group.table == [
+                    [pos[sgp.mul_index(u, v)] for v in pos] for u in pos
+                ]
+                checked += 1
+        assert checked > 20
 
 
 def test_minimal_generating_set(sym3):

@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "04_flows_and_decomposition": "afc155f499dcbe5007ad0e07fcba3f1b6fca0b9da286de19d298f01b3ccf336d",
     "05_complexity_certificates": "45ae2e87a72ba76bc7fb0176a830e4dee16dfa24d02f61050c35ecf59bdca6dc",
     "06_inverse_monoids": "77a3bfa09228290252b502b3b6be504f75c714e3f42e3020d1c7e71a79680c2d",
-    "07_derived_and_expansion": "cef47a2681479eb5e7d1fda5bb8fbbc10c281fb9c60d9d15d50b943bf5f8ecbf",
+    "07_derived_and_expansion": "8b9deb310fd6466b04a299688a1062d580c9d2d79b0bcfb47fa8b92e4c088857",
 }
 
 

@@ -465,6 +465,55 @@ def test_profile_keys_on_degree4_match_full_profile():
     assert checked == 9
 
 
+def _estimate_roots(family):
+    """Fresh root carriers and options of the estimates the lemma oracle
+    covers, by family."""
+    from test_acceptance import _sample_semigroups
+    from test_census import census_classes
+
+    if family == "corpus":
+        return [(load_semigroup(CORPUS_DIR / e["file"]), None) for e in load_corpus_manifest()]
+    if family == "sample":
+        return [(sgp, None) for sgp in _sample_semigroups()]
+    if family == "ladder":
+        return [(ladder(gens), None) for gens in LADDER.values()]
+    if family == "degree4":
+        return [(ladder(gens), EstimateOptions(automata_budget=0)) for gens in (I4_GENS, T4_GENS)]
+    return [(sgp, None) for sgp in census_classes()]
+
+
+# per family, the distinct carriers its estimates classify as generalized
+# group mapping (a carrier the memo gives back counts once)
+GGM_CARRIERS = {"corpus": 35, "sample": 202, "ladder": 15, "degree4": 18, "census": 209}
+
+
+@pytest.mark.parametrize("family", list(GGM_CARRIERS))
+def test_a_generalized_group_mapping_carrier_is_its_own_gm_image(family):
+    """The lemma in `gm_quotient`'s docstring: on every carrier whose kept
+    classification is generalized group mapping, the GM congruence at its
+    distinguished class, by its definition, is the identity relation, so
+    `gm_quotient` may skip the profile there."""
+    from krc.complexity import estimate
+
+    roots = _estimate_roots(family)  # before the patch: importing a test module estimates
+    seen = {}
+    inner = semilocal.classify
+
+    def classifying(sub):
+        seen[id(sub)] = sub
+        return inner(sub)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semilocal, "classify", classifying)
+        for sgp, options in roots:
+            estimate(sgp, options)
+    ggm = [sub for sub in seen.values() if sub._classification.generalized_group_mapping]
+    assert len(ggm) == GGM_CARRIERS[family]
+    for sub in ggm:
+        jref = JClassRef(sub, sub._classification.distinguished_j)
+        assert _full_profile_classes(sub, jref) == list(range(len(sub)))
+
+
 def _is_congruence_by_pairs(sgp, class_rep):
     """All pairs (u, v): u*v ~ r(u)*r(v), products taken by composition."""
     els, index = sgp.elements, sgp.index
@@ -530,11 +579,14 @@ def test_congruence_check_rejects_a_partition_broken_on_one_side(corpus, monkeyp
         assert _is_congruence(sgp, part) == (not broken)
         if not broken:
             continue
-        jref = JClassRef(sgp, gs.regular.index(True))
+        # a fresh copy keeps no classification, so `gm_quotient` reads its
+        # classes off the (patched) profile, never off the discrete lemma
+        fresh = FiniteSemigroup(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_columns)
+        jref = JClassRef(fresh, gs.regular.index(True))
         with monkeypatch.context() as patch:
             patch.setattr(semilocal, "_profile_classes", lambda *_: list(part))
             with pytest.raises(VerificationError, match="^J-profile relation is not a congruence$"):
-                gm_quotient(sgp, jref)
+                gm_quotient(fresh, jref)
         rejected += 1
     assert rejected >= 3
 
