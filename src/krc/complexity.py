@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence
 
-from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import ZERO, FiniteSemigroup, PartialTransformation, _index_period, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 from .semilocal import (
@@ -71,14 +71,16 @@ class RelationalMorphism:
             self.preimages[t].append(s)
 
     def is_aperiodic_morphism(self) -> bool:
-        """Preimages of idempotents are aperiodic subsemigroups."""
-        for i in self.target.idempotent_indices():
-            pre = self.preimages[i]
-            if pre and not is_aperiodic(
-                FiniteSemigroup.from_elements(pre, self.source.mul_index)
-            ):
-                return False
-        return True
+        """Preimages of idempotents are aperiodic subsemigroups.  The preimage
+        P of an idempotent e is closed, as the graph is a subsemigroup
+        (`__post_init__`): (s, e)(s', e) = (ss', e).  So P is aperiodic iff
+        every member's powers, which stay in P, have period 1 in S."""
+        mul = self.source.mul_index
+        return all(
+            _index_period(s, lambda p, s=s: mul(p, s))[1] == 1
+            for e in self.target.idempotent_indices()
+            for s in self.preimages[e]
+        )
 
     @classmethod
     def from_function(

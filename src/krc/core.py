@@ -149,11 +149,11 @@ class FiniteSemigroup:
     `semilocal.rlm_quotient`).  A graph that `generate` or `from_elements`
     reads off any other callable gets Light's test on the callable's own
     products up to `_ASSOC_CHECK_LIMIT` elements (`_light_checked`).  A GM
-    image, read off its parent's graph through a congruence, is proved
-    associative and marked so when built (`semilocal.GmQuotient.quotient`);
-    there `check_associative` is a test oracle.  Any other abstract carrier
-    gets `check_associative` on its graph when it is written
-    (`fileformats.dump_semigroup`).
+    image, read off its parent's graph through a congruence, and T(S) are
+    proved associative and marked so when built (`inverse.lift_TS`,
+    `semilocal.GmQuotient.quotient`); there `check_associative` is a test
+    oracle.  Any other abstract carrier gets `check_associative` on its
+    graph when it is written (`fileformats.dump_semigroup`).
 
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
@@ -546,13 +546,12 @@ def _sccs(columns: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _canonical_classes(raw_ids: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Renumber class ids so classes are ordered by least member."""
+    """Renumber class ids by first appearance, which is least-member order."""
     members: dict[int, list[int]] = {}
     for i, c in enumerate(raw_ids):
         members.setdefault(c, []).append(i)
-    order = sorted(members, key=lambda c: members[c][0])
-    remap = {c: k for k, c in enumerate(order)}
-    return [remap[c] for c in raw_ids], [members[c] for c in order]
+    remap = {c: k for k, c in enumerate(members)}
+    return [remap[c] for c in raw_ids], list(members.values())
 
 
 @dataclass

@@ -6,16 +6,19 @@ matrices over G (at most one nonzero entry per row and per column) and
 contains every matrix with at most one nonzero entry overall, i.e. the
 Brandt part.  The small monoid of rank r keeps just the monomial group
 of units and the rank-r matrices, with rank-dropping products collapsing
-to an adjoined zero.
+to an adjoined zero.  Only the lift census builds the unit-extension lift
+T(S), once, off int tables (`lift_TS`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Any, Optional
 
-from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation
+from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, row_getter
 from .errors import InputError, VerificationError
 from .semilocal import JClassRef, rees_coordinates, rlm_quotient, classify
 
@@ -158,8 +161,6 @@ def small_monoid(n: int, group: FiniteGroup, r: int) -> FiniteSemigroup:
     )
     units = sum(1 for m in sgp.elements if m.is_unit())
     rank_r = sum(1 for m in sgp.elements if m.rank == r and not m.is_unit())
-    import math
-
     want_units = len(group) ** n * math.factorial(n)
     want_rank = math.comb(n, r) ** 2 * math.factorial(r) * len(group) ** r
     if units != want_units or rank_r != want_rank or len(sgp) != units + rank_r + 1:
@@ -255,34 +256,46 @@ def validate_gm_inverse(sgp: FiniteSemigroup, group: FiniteGroup) -> int:
     return size
 
 
+def _extensions(m: PartialMonomialMatrix, units: FiniteGroup) -> list[int]:
+    """The indices of the units that agree with m on dom(m), in the units' order."""
+    at_dom = row_getter([i - 1 for i in m.dom()])
+    want = at_dom(m.rows)
+    return [k for k, tau in enumerate(units.elements) if at_dom(tau.rows) == want]
+
+
 def lift_TS(sgp: FiniteSemigroup, group: FiniteGroup) -> FiniteSemigroup:
     """T(S) = {(s, tau) : tau a unit with tau|dom(s) = s}, as a subdirect
-    product of S and the monomial group."""
-    size = validate_gm_inverse(sgp, group)
-    units = monomial_group(size, group)
-    pairs = []
-    for m in sgp.elements:
-        extensions = [
-            tau for tau in units.elements
-            if all(tau.rows[i - 1] == m.rows[i - 1] for i in m.dom())
-        ]
-        if not extensions:
-            raise VerificationError("matrix with no full-domain extension")
-        pairs.extend((m, tau) for tau in extensions)
-
-    def mul(u, v):
-        return (sgp.mul(u[0], v[0]), units.elements[
-            units.mul(units.index[u[1]], units.index[v[1]])
-        ])
-
-    ts = FiniteSemigroup.from_elements(
-        pairs, mul,
-        sort_key=lambda p: (p[0].sort_key(), p[1].sort_key()),
+    product of S and the monomial group, in order of (s, tau)'s sort keys,
+    every element a generator e{k}.  The product is componentwise, so it is
+    associative (the carrier is marked so) and closed where S multiplies as
+    matrices: for i in dom(s*s'), s's row i is (j, g) with j in dom(s'),
+    shared by tau, and tau' shares s''s row j, so tau*tau' extends s*s'; all
+    units extend a product collapsed to zero.  The right Cayley graph's
+    column (s2, u2) is read off S's row s2 and the unit table's column u2."""
+    units = monomial_group(validate_gm_inverse(sgp, group), group)
+    pairs = [  # (S index, unit index) per element of T(S)
+        (s, u) for s in sorted(sgp.codes, key=lambda s: sgp.elements[s].sort_key())
+        for u in _extensions(sgp.elements[s], units)
+    ]
+    s_of, u_of = zip(*pairs)
+    at = [[-1] * len(units) for _ in sgp.elements]  # at[s][u]: (s, u)'s position
+    for k, (s, u) in enumerate(pairs):
+        at[s][u] = k
+    s_rows = sgp.right_translations(s_of)
+    u_cols = [row_getter(u_of)(col) for col in zip(*units.table)]
+    columns = tuple(  # (s*s2, u*u2)'s position for every (s, u), per generator (s2, u2)
+        tuple(map(getitem, map(at.__getitem__, s_rows[s2]), u_cols[u2])) for s2, u2 in pairs
     )
-    if {p[0] for p in ts.elements} != set(sgp.elements):
+    if any(-1 in col for col in columns):
+        raise InputError("carrier is not closed under multiplication")
+    if set(s_of) != set(sgp.codes):
         raise VerificationError("lift does not project onto S")
-    if {p[1] for p in ts.elements} != set(units.elements):
+    if set(u_of) != set(range(len(units))):
         raise VerificationError("lift does not project onto the monomial group")
+    codes = range(len(pairs))
+    elements = [(sgp.elements[s], units.elements[u]) for s, u in pairs]
+    ts = FiniteSemigroup(elements, list(codes), [f"e{k}" for k in codes], columns)
+    ts._associative = True
     return ts
 
 
@@ -301,17 +314,15 @@ class LiftCensus:
 def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
     """Green census of T(S) for the rank-1 small monoid, with every claimed
     isomorphism constructed and machine-checked, save J0's copy of the
-    monomial group, which is the definition of T(S)'s product."""
-    size = validate_gm_inverse(sgp, group)
+    monomial group, which is the definition of T(S)'s product.  `lift_TS`
+    validates S and checks that T(S) projects onto the monomial group."""
     ts = lift_TS(sgp, group)
-    units = monomial_group(size, group)
+    size = sgp.elements[0].n
+    n_units = len({tau for _, tau in ts.elements})
     gs = ts.green()
     if len(gs.j_classes) != 3:
-        raise VerificationError(
-            f"lift has {len(gs.j_classes)} J-classes, expected 3"
-        )
+        raise VerificationError(f"lift has {len(gs.j_classes)} J-classes, expected 3")
     zero_m = PartialMonomialMatrix.zero(size)
-    ident = PartialMonomialMatrix.identity(size)
 
     by_role: dict[str, list[Any]] = {}
     for jid, members in enumerate(gs.j_classes):
@@ -327,10 +338,9 @@ def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
 
     # J0 = {(0, tau)} is the minimal ideal and a copy of the monomial group
     # by p -> p[1]: one-to-one and onto by size, and a morphism, since
-    # T(S), every element a generator, multiplies by `lift_TS`'s `mul`,
-    # which is componentwise
+    # T(S)'s product is componentwise (`lift_TS`)
     j0 = by_role["j0"]
-    if len(j0) != len(units):
+    if len(j0) != n_units:
         raise VerificationError("minimal ideal size mismatch")
     j0_id = gs.j_of[ts.index[j0[0]]]
     if not gs.j_succ[j0_id] <= {j0_id}:
@@ -338,14 +348,13 @@ def analyze_lift(sgp: FiniteSemigroup, group: FiniteGroup) -> LiftCensus:
 
     # J2 = units of T(S), again a copy of the monomial group
     j2 = by_role["j2"]
-    if len(j2) != len(units) or any(p[0] != p[1] for p in j2):
+    if len(j2) != n_units or any(p[0] != p[1] for p in j2):
         raise VerificationError("unit class is not the diagonal copy")
 
     # J1 lifts the Brandt part; its maximal subgroup is G x (G wr Sym_{n-1})
     j1 = by_role["j1"]
     j1_id = gs.j_of[ts.index[j1[0]]]
-    jref = JClassRef(ts, j1_id)
-    rc = rees_coordinates(ts, jref)
+    rc = rees_coordinates(ts, JClassRef(ts, j1_id))
     h_group = rc.group
     inner = monomial_group(size - 1, group) if size > 1 else FiniteGroup.trivial()
     want = len(group) * len(inner)
@@ -430,13 +439,12 @@ def flat_kernel_matches_rlm(sgp: FiniteSemigroup, group: FiniteGroup) -> bool:
 
 @dataclass
 class InverseDecomposition:
-    """S < (monomial group) x RLM(S), realized both directly through the
-    unit-extension lift and through the one-state flow; the flow lifts are
-    translated back to monomial matrices and checked to extend the
-    generators."""
+    """S < (monomial group) x RLM(S), realized both directly, each generator
+    lifted to its first unit extension and its RLM image, and through the
+    one-state flow; the flow lifts are translated back to monomial matrices
+    and checked to extend the generators."""
 
     source: FiniteSemigroup
-    ts: FiniteSemigroup
     direct_witness: Any
     flow_witness: Any
     column_of_b: list[int]
@@ -453,10 +461,6 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
     units_sgp = MulOracle(units.elements, lambda a, b: monomial_mul(a, b, group))
     pres = group_mapping_presentation(sgp)
 
-    # the unit-extension lift is a surjective morphism onto S: onto by
-    # `lift_TS`'s check, a morphism as its product is componentwise
-    ts = lift_TS(sgp, group)
-
     # match L-classes of the distinguished class with matrix columns
     gs = sgp.green()
     column_of_b = []
@@ -471,15 +475,8 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
 
     lifts = {}
     for name, gi in zip(sgp.gen_names, sgp.gens):
-        x = sgp.elements[gi]
-        extensions = sorted(
-            (
-                tau for tau in units.elements
-                if all(tau.rows[i - 1] == x.rows[i - 1] for i in x.dom())
-            ),
-            key=PartialMonomialMatrix.sort_key,
-        )
-        lifts[name] = (extensions[0], pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+        tau = units.elements[_extensions(sgp.elements[gi], units)[0]]
+        lifts[name] = (tau, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
     target = PairSemigroup(units_sgp, pres.rlmq.rlm)
     direct = check_division(sgp, target, lifts=lifts)
 
@@ -505,7 +502,7 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
 
     if set(direct.morphism.values()) != set(witness.division.morphism.values()):
         raise VerificationError("the two decomposition witnesses differ on their images")
-    return InverseDecomposition(sgp, ts, direct, witness.division, column_of_b)
+    return InverseDecomposition(sgp, direct, witness.division, column_of_b)
 
 
 def brandt_isomorphism(sgp: FiniteSemigroup, rc) -> dict[Any, Any]:

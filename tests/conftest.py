@@ -1,5 +1,8 @@
 import pytest
 
+# the shared helpers' asserts report their operands, as a test module's do
+pytest.register_assert_rewrite("helpers")
+
 from krc.core import FiniteGroup, FiniteSemigroup, PartialTransformation
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.fileformats import load_semigroup

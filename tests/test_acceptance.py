@@ -25,7 +25,7 @@ from krc.core import (
     check_stability,
     is_aperiodic,
 )
-from krc.errors import InputError, ResourceError, VerificationError
+from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
 from krc.flows import presentation_construct, trivial_flow, verify_flow, Flow
 from krc.inverse import analyze_lift, brandt_isomorphism, small_monoid
@@ -39,35 +39,10 @@ from krc.semilocal import (
     rlm_quotient,
 )
 from krc.spc import TOP, canonicalize, enumerate_spcs, join, leq, meet
-from test_cli import changed, leaf_paths, node_at
+
+from helpers import SEED, _sample_semigroups, changed, leaf_paths, node_at
 
 T = PartialTransformation
-SEED = 20250811
-
-
-def _sample_semigroups(count=200, max_order=120):
-    """Deterministic sample of semigroups generated by at most 3 partial
-    transformations on at most 4 points."""
-    rng = random.Random(SEED)
-    out = []
-    seen = set()
-    while len(out) < count:
-        degree = rng.choice([2, 3, 4])
-        k = rng.choice([1, 2, 3])
-        gens = []
-        for i in range(k):
-            images = tuple(rng.randrange(0, degree + 1) for _ in range(degree))
-            gens.append((f"g{i}", T(images)))
-        key = (degree, tuple(g.images for _, g in gens))
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            sgp = FiniteSemigroup.generate(gens, max_elements=max_order)
-        except ResourceError:
-            continue  # oversize closures are skipped, nothing else is
-        out.append(sgp)
-    return out
 
 
 @pytest.fixture(scope="module")

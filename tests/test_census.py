@@ -5,40 +5,18 @@ regression net for exactness that no certificate digest pins, and the GM
 images its estimates build are run through the associativity oracle."""
 
 import collections
-import itertools
 
 import pytest
 
 from krc import complexity, semilocal
 from krc.complexity import estimate
-from krc.core import FiniteSemigroup, PartialTransformation
+from krc.core import FiniteSemigroup
 from krc.semilocal import JClassRef, rees_coordinates
 
-T = PartialTransformation
-
-DEGREE = 3
-MAPS = list(itertools.product(range(1, DEGREE + 1), repeat=DEGREE))  # the 27 full maps
-SYMMETRIC = list(itertools.permutations(range(1, DEGREE + 1)))
-
-
-def conjugate(images, sigma):
-    """The map sigma(q) -> sigma(f(q)) of the map f given by its images."""
-    out = [0] * len(images)
-    for q, fq in enumerate(images, 1):
-        out[sigma[q - 1] - 1] = sigma[fq - 1]
-    return tuple(out)
-
-
-def census_classes():
-    """One closure per class, the first reached in generator-tuple order."""
-    classes = {}
-    for k in range(1, 4):
-        for gens in itertools.combinations(MAPS, k):
-            sgp = FiniteSemigroup.generate([(f"g{i}", T(g)) for i, g in enumerate(gens)])
-            elements = [s.images for s in sgp.elements]
-            key = min(tuple(sorted(conjugate(f, sigma) for f in elements)) for sigma in SYMMETRIC)
-            classes.setdefault(key, sgp)
-    return list(classes.values())
+from helpers import assert_classes_match_definitions, census_classes
+from test_complexity import whole_ideal_verdicts
+from test_flows import reached_presentations
+from test_semilocal import _fasp_action_reference, assert_wreath_rows_compose
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +65,6 @@ def test_rlm_maps_and_coordinates_by_definition(census):
     """The RLM map read off one R-class and the Rees coordinates read off
     p_a*g*q_b equal their definitions on every regular J-class of every
     class of the census and of every GM image its estimates built."""
-    from test_semilocal import assert_classes_match_definitions
-
     runs, images = census
     carriers = [sgp for sgp, _ in runs] + images
     assert assert_classes_match_definitions(carriers) > len(carriers)
@@ -99,9 +75,6 @@ def test_wreath_embedding_acts_as_proved(census):
     reach, the wreath image acts on G x B + 0 as S acts on R u {0}, and
     wreath rows compose on the division closure: what `fasp_embedding`'s
     docstring proves, checked point by point."""
-    from test_flows import reached_presentations
-    from test_semilocal import _fasp_action_reference, assert_wreath_rows_compose
-
     runs, _ = census
     presentations = reached_presentations(sgp for sgp, _ in runs)
     assert len(presentations) == 32
@@ -115,8 +88,6 @@ def test_classify_matches_whole_ideal_verdicts(census):
     """`classify` reads a regular ideal through its sandwich columns (the
     lemma in its docstring); its verdicts are the whole ideal's on every
     class of the census and every GM image its estimates built."""
-    from test_complexity import whole_ideal_verdicts
-
     runs, images = census
     carriers = [sgp for sgp, _ in runs] + images
     verdicts = collections.Counter()

@@ -23,6 +23,8 @@ from krc.cli import (
 from krc.complexity import estimate
 from krc.fileformats import load_semigroup, parse_semigroup
 
+from helpers import changed, leaf_paths, node_at
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -589,23 +591,6 @@ T3_COMPUTED = ("children", 0, "sub", "children", 1, "sub")
 T3_SERVED = ("children", 1, "sub")
 
 
-def node_at(node, path):
-    for key in path:
-        node = node[key]
-    return node
-
-
-def leaf_paths(node, path=()):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from leaf_paths(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from leaf_paths(value, path + (i,))
-    else:
-        yield path
-
-
 def path_id(value):
     return ".".join(map(str, value)) if isinstance(value, tuple) else value
 
@@ -614,14 +599,6 @@ def tampered(name, path, value):
     cert = json.loads(json.dumps(TAMPER_CERTS[name]))
     node_at(cert, path[:-1])[path[-1]] = value
     return cert
-
-
-def changed(leaf):
-    """A leaf no certificate could hold in its place: text gains a comment
-    line, a number grows by one, null becomes 0."""
-    if isinstance(leaf, str):
-        return leaf + "# tampered\n"
-    return 0 if leaf is None else leaf + 1
 
 
 def equal_twins(cert):
@@ -775,6 +752,7 @@ class TestInverseDemo:
         assert "census: units 8, rank-1 8, zero 1, total 17" in out
         assert "lift: order 32" in out
 
+
     def test_only_the_inverse_commands_load_the_module(self):
         # `krc` re-exports the inverse-monoid names lazily (PEP 562), and
         # the CLI imports `inverse` inside its one handler
@@ -812,12 +790,13 @@ class TestInverseDemo:
 
     # sha256 of the whole stdout; any change in the chosen group generators
     # (and so in the monomial generators of M_n(G)) moves these
-    @pytest.mark.parametrize("group, extra, digest", [
-        ("Z2", ["--lift"], "b091274dec02bffdd2c97328fdb591044102dde7b73651d938637bc4b3fc469f"),
-        ("klein", [], "8b34d908f33e1c55d20be1de99fc708fca6d08e40b505dc58198cd693f118cdd"),
-        ("s3", [], "bc0a417c3ff0e98764191abc95a763cf75fddcaaed7b1babdf7291225eaf1a8a"),
-    ], ids=["Z2-lift", "klein", "s3"])
-    def test_demo_stdout_is_pinned(self, capsys, tmp_path, group, extra, digest):
+    @pytest.mark.parametrize("n, group, extra, digest", [
+        ("2", "Z2", ["--lift"], "b091274dec02bffdd2c97328fdb591044102dde7b73651d938637bc4b3fc469f"),
+        ("2", "klein", [], "8b34d908f33e1c55d20be1de99fc708fca6d08e40b505dc58198cd693f118cdd"),
+        ("2", "s3", [], "bc0a417c3ff0e98764191abc95a763cf75fddcaaed7b1babdf7291225eaf1a8a"),
+        ("4", "Z2", [], "417a467aee92b2036ead283e5d6824f84200bd3335a3b249346283cc154bcb75"),
+    ], ids=["Z2-lift", "klein", "s3", "n4-Z2"])
+    def test_demo_stdout_is_pinned(self, capsys, tmp_path, n, group, extra, digest):
         import hashlib
 
         from krc.core import FiniteGroup
@@ -834,7 +813,7 @@ class TestInverseDemo:
             path.write_text(files[group])
             group = str(path)
         code, out, _ = run(
-            capsys, "inverse", "demo", "--n", "2", "--group", group, "--rank", "1", *extra,
+            capsys, "inverse", "demo", "--n", n, "--group", group, "--rank", "1", *extra,
         )
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -23,6 +23,8 @@ from krc.cli import CORPUS_DIR, EXIT_OK, EXIT_VERIFY, load_corpus_manifest, main
 from krc.fileformats import load_semigroup
 from krc.errors import InputError, VerificationError
 from krc.products import DivisionWitness, ExhaustionReport
+
+from helpers import _sample_semigroups
 from test_core import I4_GENS, LADDER, T4_GENS
 
 T = PartialTransformation
@@ -114,8 +116,6 @@ class TestCertificateJson:
             certificate_json({"a": [{1, 2}]})
 
     def test_every_corpus_ladder_and_sample_certificate(self):
-        from test_acceptance import _sample_semigroups
-
         roots = [classified_run(name) for name in CLASSIFIED_RUNS]
         roots += [(sgp, None) for sgp in _sample_semigroups()]
         assert len(roots) == 222

@@ -30,6 +30,8 @@ from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
 from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient, rees_coordinates
 
+from helpers import _sample_semigroups, assert_classes_match_definitions
+
 T = PartialTransformation
 
 
@@ -844,8 +846,6 @@ def estimate_runs(corpus):
     corpus, T_3, PT_3, I_3 and the acceptance sample, and at automata
     budget 0 on I_4 and T_4: every distinct abstract carrier it writes,
     and every `ReesCoordinates` it builds."""
-    from test_acceptance import _sample_semigroups
-
     def generated(gens):
         return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
 
@@ -913,8 +913,6 @@ class TestOracles:
         """On every regular J-class of every carrier the runs write or
         coordinatize, the RLM map read off one R-class and the Rees
         coordinates read off p_a*g*q_b are those of the definitions."""
-        from test_semilocal import assert_classes_match_definitions
-
         written, coordinates = estimate_runs
         carriers = {id(sgp): sgp for sgp in written + [rc.sgp for rc in coordinates]}
         assert assert_classes_match_definitions(carriers.values()) > len(carriers)

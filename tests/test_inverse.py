@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from krc.core import FiniteGroup
+from krc import inverse
+from krc.core import FiniteGroup, FiniteSemigroup
 from krc.errors import InputError
 from krc.inverse import (
     PartialMonomialMatrix,
@@ -145,7 +146,39 @@ class TestSmallMonoid:
             assert (m.dom() == (1, 2)) == m.is_unit()
 
 
+def _lift_TS_reference(sgp, group):
+    """T(S) by its definition: every pair (s, tau), tau a unit agreeing
+    with s on dom(s), closed under the value-level componentwise product."""
+    size = validate_gm_inverse(sgp, group)
+    units = monomial_group(size, group)
+    pairs = [
+        (m, tau) for m in sgp.elements for tau in units.elements
+        if all(tau.rows[i - 1] == m.rows[i - 1] for i in m.dom())
+    ]
+
+    def mul(u, v):
+        return (sgp.mul(u[0], v[0]), units.elements[
+            units.mul(units.index[u[1]], units.index[v[1]])
+        ])
+
+    return FiniteSemigroup.from_elements(
+        pairs, mul, sort_key=lambda p: (p[0].sort_key(), p[1].sort_key()),
+    )
+
+
 class TestLift:
+    @pytest.mark.parametrize("n, group", [
+        (2, FiniteGroup.cyclic(2)), (2, FiniteGroup.trivial()),
+        (3, FiniteGroup.trivial()), (3, FiniteGroup.cyclic(2)),
+    ], ids=["2-Z2", "2-1", "3-1", "3-Z2"])
+    def test_read_off_int_tables_as_the_reference_closes_it(self, n, group):
+        s = small_monoid(n, group, 1)
+        ts, want = lift_TS(s, group), _lift_TS_reference(s, group)
+        assert ts.elements == want.elements
+        assert (ts.gens, ts.gen_names) == (want.gens, want.gen_names)
+        assert ts.right_columns == want.right_columns
+        assert ts.left_columns == want.left_columns
+
     def test_full_domain_unique_extension(self, z2_group):
         s = small_monoid(2, z2_group, 1)
         ts = lift_TS(s, z2_group)
@@ -217,6 +250,25 @@ class TestLift:
 
 
 class TestDecomposition:
+    def test_only_the_census_builds_the_lift(self, monkeypatch, z2_group):
+        # T(S) once, by the census; the degree-n monomial group once for the
+        # decomposition and once for T(S), and one degree down for J1's group
+        s = small_monoid(3, z2_group, 1)
+        lifts, degrees = [], []
+
+        def refuse(sgp, group):
+            raise AssertionError("built T(S)")
+
+        monkeypatch.setattr(
+            inverse, "monomial_group", lambda n, g: degrees.append(n) or monomial_group(n, g)
+        )
+        monkeypatch.setattr(inverse, "lift_TS", refuse)
+        inverse_decomposition(s, z2_group)
+        monkeypatch.setattr(inverse, "lift_TS", lambda *a: lifts.append(a) or lift_TS(*a))
+        assert len(analyze_lift(s, z2_group).ts) == 240
+        assert lifts == [(s, z2_group)]
+        assert degrees == [3, 3, 2]
+
     def test_small_monoid_witnesses(self, z2_group):
         s = small_monoid(2, z2_group, 1)
         dec = inverse_decomposition(s, z2_group)

@@ -586,19 +586,16 @@ class TestDivisionOutcomes:
 
 
 def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
-    from krc import inverse
-    from krc.inverse import inverse_decomposition, lift_TS, small_monoid
+    from krc.inverse import inverse_decomposition, small_monoid
     from krc.semilocal import fasp_embedding, group_mapping_presentation
 
     z2 = FiniteGroup.cyclic(2)
     pres = group_mapping_presentation(b2z2_1)
     s = small_monoid(2, z2, 1)
-    ts = lift_TS(s, z2)  # a carrier whose Green structure is read elsewhere
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a FiniteSemigroup carrier")
 
     monkeypatch.setattr(FiniteSemigroup, "from_elements", refuse)
-    monkeypatch.setattr(inverse, "lift_TS", lambda sgp, group: ts)
     assert len(fasp_embedding(pres).witness.morphism) == len(b2z2_1)
-    assert inverse_decomposition(s, z2).ts is ts
+    assert len(inverse_decomposition(s, z2).direct_witness.morphism) == 32

@@ -14,7 +14,6 @@ from krc.core import (
     PartialTransformation,
     compose,
     is_aperiodic,
-    maximal_subgroup,
 )
 from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
@@ -38,7 +37,8 @@ from krc.semilocal import (
     theta_prime_representation,
 )
 
-from test_core import I4_GENS, LADDER, T4_GENS
+from helpers import _sample_semigroups, census_classes, lclass_maps
+from test_core import I4_GENS, LADDER, T4_GENS, brute_zero_minimal_ideals
 from test_flows import ladder, reached_presentations
 
 T = PartialTransformation
@@ -81,8 +81,6 @@ class TestClassify:
 
 def _brute_classification(sgp):
     """classify() by its definitions, every product traced on its own."""
-    from test_core import brute_zero_minimal_ideals
-
     _, ideals = brute_zero_minimal_ideals(sgp)
     n = len(sgp)
     mul = sgp.mul_index
@@ -107,8 +105,6 @@ def _brute_classification(sgp):
 
 
 def test_classify_matches_brute_force(corpus):
-    from test_core import LADDER
-
     ladder = [
         FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
         for gens in LADDER.values()
@@ -122,8 +118,6 @@ def test_classify_matches_brute_force(corpus):
 
 
 def test_classify_takes_products_in_bulk(monkeypatch):
-    from test_core import LADDER
-
     t3 = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(LADDER["T3"])])
     t3.green()  # Green's relations trace each idempotent's square
     calls = []
@@ -137,78 +131,6 @@ def test_classify_takes_products_in_bulk(monkeypatch):
     cls = classify(t3)
     assert cls.right_mapping and not cls.left_mapping
     assert calls == []
-
-
-def lclass_maps(sgp, jref):
-    """Each element's map on B, read off `_lclass_columns` (one column per
-    L-class, one entry per element)."""
-    return [T(images) for images in zip(*semilocal._lclass_columns(sgp, jref))]
-
-
-def _lclass_action_reference(sgp, jref):
-    """`_lclass_columns` by its definition: s sends b to the L-class of
-    u*s (0 below J), which must be the same for every member u of J in
-    L_b; products by `mul_index`."""
-    gs = sgp.green()
-    b_pos = {b: k + 1 for k, b in enumerate(jref.b_classes)}
-
-    def action(s):
-        images = []
-        for b in jref.b_classes:
-            products = (sgp.mul_index(u, s) for u in jref.members if gs.l_of[u] == b)
-            targets = {b_pos[gs.l_of[p]] if gs.j_of[p] == jref.j_id else 0 for p in products}
-            assert len(targets) == 1, (b, s)
-            images.append(targets.pop())
-        return T(tuple(images))
-
-    return action
-
-
-def _rees_reference(sgp, jref):
-    """`rees_coordinates`' coordinates and matrix by their definition:
-    each member u, in member order, gets its R- and L-class positions a and
-    b and the unique g with (p_a*g)*q_b = u; C(b, a) is q_b*p_a's position
-    in G, or -1 below J.  Products by `mul_index`."""
-    gs = sgp.green()
-    mul = sgp.mul_index
-    e, p_reps, q_reps = semilocal._sandwich_reps(sgp, jref)
-    g_members = [sgp.index[v] for v in maximal_subgroup(sgp, sgp.elements[e]).elements]
-    a_pos = {a: k for k, a in enumerate(jref.a_classes)}
-    b_pos = {b: k for k, b in enumerate(jref.b_classes)}
-    coord = {}
-    for u in jref.members:
-        a, b = a_pos[gs.r_of[u]], b_pos[gs.l_of[u]]
-        hits = [k for k, x in enumerate(g_members) if mul(mul(p_reps[a], x), q_reps[b]) == u]
-        assert len(hits) == 1, u
-        coord[u] = (a, hits[0], b)
-    matrix = [
-        [
-            g_members.index(p) if gs.j_of[p] == jref.j_id else -1
-            for p in (mul(q, pa) for pa in p_reps)
-        ]
-        for q in q_reps
-    ]
-    return coord, matrix
-
-
-def assert_classes_match_definitions(carriers):
-    """On every regular J-class of each carrier: the RLM map read off R is
-    `_lclass_action_reference`, and the Rees coordinates (values and member
-    order) and matrix are `_rees_reference`'s.  Gives the classes checked."""
-    classes = 0
-    for sgp in carriers:
-        for j, regular in enumerate(sgp.green().regular):
-            if not regular:
-                continue
-            jref = JClassRef(sgp, j)
-            reference = _lclass_action_reference(sgp, jref)
-            assert lclass_maps(sgp, jref) == [reference(s) for s in range(len(sgp))]
-            rc = rees_coordinates(sgp, jref)
-            coord, matrix = _rees_reference(sgp, jref)
-            assert list(rc.coord.items()) == list(coord.items())
-            assert rc.matrix == matrix
-            classes += 1
-    return classes
 
 
 class TestRlmQuotient:
@@ -438,8 +360,6 @@ def _full_profile_classes(sgp, jref):
 
 
 def test_gm_key_matches_full_profile(corpus):
-    from test_acceptance import _sample_semigroups
-
     checked = 0
     for sgp in [s for s, _ in corpus.values()] + _sample_semigroups():
         gs = sgp.green()
@@ -468,9 +388,6 @@ def test_profile_keys_on_degree4_match_full_profile():
 def _estimate_roots(family):
     """Fresh root carriers and options of the estimates the lemma oracle
     covers, by family."""
-    from test_acceptance import _sample_semigroups
-    from test_census import census_classes
-
     if family == "corpus":
         return [(load_semigroup(CORPUS_DIR / e["file"]), None) for e in load_corpus_manifest()]
     if family == "sample":
