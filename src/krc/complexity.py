@@ -533,7 +533,7 @@ def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
         "kind": "pure",
         "value": rlm_upper + 1,
         "witness": "wreath-embedding-over-rlm",
-        "embedded_order": len(emb.witness.closure),
+        "embedded_order": len(emb.rows.closure),
     }
 
 

@@ -109,15 +109,21 @@ def rlm_matrix(m: PartialMonomialMatrix) -> PartialMonomialMatrix:
     )
 
 
+def monomial_units(n: int, group: FiniteGroup) -> list[PartialMonomialMatrix]:
+    """All full monomial n x n matrices over G, in sort-key order: the
+    elements of `monomial_group`, listed without its table."""
+    elements = [
+        PartialMonomialMatrix(n, tuple(zip(perm, labels)))
+        for perm in itertools.permutations(range(1, n + 1))
+        for labels in itertools.product(range(len(group)), repeat=n)
+    ]
+    elements.sort(key=PartialMonomialMatrix.sort_key)
+    return elements
+
+
 def monomial_group(n: int, group: FiniteGroup) -> FiniteGroup:
     """G wr Sym_n in matrix form: all full monomial n x n matrices over G."""
-    elements = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for labels in itertools.product(range(len(group)), repeat=n):
-            elements.append(
-                PartialMonomialMatrix(n, tuple(zip(perm, labels)))
-            )
-    elements.sort(key=PartialMonomialMatrix.sort_key)
+    elements = monomial_units(n, group)
     index = {m: i for i, m in enumerate(elements)}
     table = [
         [index[monomial_mul(a, b, group)] for b in elements] for a in elements
@@ -256,11 +262,11 @@ def validate_gm_inverse(sgp: FiniteSemigroup, group: FiniteGroup) -> int:
     return size
 
 
-def _extensions(m: PartialMonomialMatrix, units: FiniteGroup) -> list[int]:
+def _extensions(m: PartialMonomialMatrix, units: list[PartialMonomialMatrix]) -> list[int]:
     """The indices of the units that agree with m on dom(m), in the units' order."""
     at_dom = row_getter([i - 1 for i in m.dom()])
     want = at_dom(m.rows)
-    return [k for k, tau in enumerate(units.elements) if at_dom(tau.rows) == want]
+    return [k for k, tau in enumerate(units) if at_dom(tau.rows) == want]
 
 
 def lift_TS(sgp: FiniteSemigroup, group: FiniteGroup) -> FiniteSemigroup:
@@ -275,7 +281,7 @@ def lift_TS(sgp: FiniteSemigroup, group: FiniteGroup) -> FiniteSemigroup:
     units = monomial_group(validate_gm_inverse(sgp, group), group)
     pairs = [  # (S index, unit index) per element of T(S)
         (s, u) for s in sorted(sgp.codes, key=lambda s: sgp.elements[s].sort_key())
-        for u in _extensions(sgp.elements[s], units)
+        for u in _extensions(sgp.elements[s], units.elements)
     ]
     s_of, u_of = zip(*pairs)
     at = [[-1] * len(units) for _ in sgp.elements]  # at[s][u]: (s, u)'s position
@@ -456,9 +462,9 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
     from .semilocal import group_mapping_presentation
 
     size = validate_gm_inverse(sgp, group)
-    units = monomial_group(size, group)
-    # checking the given lifts only multiplies
-    units_sgp = MulOracle(units.elements, lambda a, b: monomial_mul(a, b, group))
+    units = monomial_units(size, group)
+    # checking the given lifts only multiplies, so no unit table is built
+    units_sgp = MulOracle(units, lambda a, b: monomial_mul(a, b, group))
     pres = group_mapping_presentation(sgp)
 
     # match L-classes of the distinguished class with matrix columns
@@ -475,7 +481,7 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
 
     lifts = {}
     for name, gi in zip(sgp.gen_names, sgp.gens):
-        tau = units.elements[_extensions(sgp.elements[gi], units)[0]]
+        tau = units[_extensions(sgp.elements[gi], units)[0]]
         lifts[name] = (tau, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
     target = PairSemigroup(units_sgp, pres.rlmq.rlm)
     direct = check_division(sgp, target, lifts=lifts)

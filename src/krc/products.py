@@ -48,11 +48,11 @@ oracle on codes: `encode(v)` (KeyError when v is not an element of an
 enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
 oracle lists its `elements` and their `codes` in one order (a wreath
 product's full carrier decodes its `elements` when first read); a lazy
-one (`PairSemigroup`, `WreathProduct`, a `MulOracle` without a carrier)
-has `elements` and `codes` None.  Codes are a `FiniteSemigroup`'s
-indices, a `MulOracle`'s numbering on first sight, a `PairSemigroup`'s
-pairs, and a wreath product's (tuple of left-factor codes or None,
-right-factor code).
+one (`PairSemigroup`, `WreathProduct`, `WreathRows`, a `MulOracle`
+without a carrier) has `elements` and `codes` None.  Codes are a
+`FiniteSemigroup`'s indices, a `MulOracle`'s numbering on first sight, a
+`PairSemigroup`'s pairs, a wreath product's (tuple of left-factor codes or
+None, right-factor code), and a `WreathRows`'s action rows.
 
 An action pair (Q, S) has points 0..size-1 and acts on S's codes by
 `row(c)`: per point, its image's position, -1 where undefined.  A wreath
@@ -71,6 +71,27 @@ table when first read, so a witness's `target` and `lifts` go back into
 The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
 (S^1,S) wr (T^1,T) of the right translation actions
 (`ActionPair.right_translation`), so it has no product of its own.
+
+`WreathRows` is a second oracle for (G, G^0) wr (Q, T), (Q, T) faithful
+and enumerated, on the codes (f, t) whose zero lies exactly where q.t is
+undefined; call them shaped.  Its code of (f, t) is the row on G x Q,
+followed by a -1 sentinel, and a*b is b's row gathered at a's positions.
+It runs the same division closure, by three facts.  (1) Shaped codes are
+closed under products (above).  (2) The row determines a shaped code: the
+image of (1_G, q) is (f[q], q.t), or -1 exactly where q.t is undefined,
+which is where f[q] is the zero; so the row gives f and t's row, and t's
+row gives t.  (3) Rows compose as codes multiply: row(u*v) is row(u)
+followed by row(v), -1 absorbing.  By the wreath formula, u*v = (f, t1t2)
+with f[q] = f1[q].f2[q.t1], or f1[q] where q.t1 is undefined; so
+(g,q)(u*v) = (g.f1[q].f2[q.t1], q.t1.t2) = ((g,q)u)v, and each side is
+undefined exactly when (g,q)u = (g.f1[q], q.t1) or its image under v is.
+The sentinel makes a gathered -1 read -1 and carries itself.  So, given
+shaped lifts, code -> row is injective on everything `_relation_closure`
+reaches and turns each product into a gather: the closure on rows holds
+the rows of the closure on codes, reached in the same order with the same
+S indices, and stops at the same first conflict.  `encode` refuses
+(KeyError) a value that is not shaped, and `decode` reads the code back,
+so every rejection message is the wreath product's.
 """
 
 from __future__ import annotations
@@ -345,6 +366,52 @@ class WreathProduct:
         return carrier
 
 
+class WreathRows:
+    """(G, G^0) wr (Q, T) on the action rows of its shaped codes, each
+    with a -1 sentinel appended (see the module docstring); lazy.  The
+    point (g, q) is at g*|Q| + q, as in `wreath`."""
+
+    elements = codes = None
+
+    def __init__(self, group: FiniteGroup, right: ActionPair):
+        self.wreath = WreathProduct(ActionPair.of_group_with_zero(group), right)
+        self._unit = group.identity * right.size  # the position of (1_G, 0)
+        self._zero = len(group)  # G^0's zero's code
+
+    def encode(self, value) -> tuple:
+        wreath = self.wreath
+        code = wreath.encode(value)
+        row = wreath.row(code)
+        if self._read_back(row) != (code[0], wreath.right.row(code[1])):
+            raise KeyError(value)
+        return (*row, -1)
+
+    def decode(self, row) -> tuple:
+        return self.wreath.decode(self.code_of(row))
+
+    @staticmethod
+    def mul_code(a: tuple, b: tuple) -> tuple:
+        return operator.itemgetter(*a)(b)
+
+    def code_of(self, row) -> tuple:
+        """The wreath code whose row this is."""
+        f, t_row = self._read_back(row)
+        return f, self._t_codes[t_row]
+
+    def _read_back(self, row) -> tuple[tuple, tuple]:
+        """f and t's row off the images of (1_G, q): (f[q], q.t), or -1
+        where f[q] is the zero."""
+        nq = self.wreath.right.size
+        images = row[self._unit : self._unit + nq]
+        f = tuple([self._zero if p < 0 else p // nq for p in images])
+        return f, tuple([-1 if p < 0 else p % nq for p in images])
+
+    @functools.cached_property
+    def _t_codes(self) -> dict[tuple, Any]:
+        right = self.wreath.right
+        return {right.row(c): c for c in right.sgp.codes}
+
+
 class _Memo(dict):
     """A dict that computes a missing value as fn(key) and keeps it."""
 
@@ -383,9 +450,10 @@ def _encode_lifts(target, lifts: dict[str, Any]) -> dict[str, Any]:
 class DivisionWitness:
     """Generator lifts realizing S < T, in value form, with the verified
     graph closure on codes: `closure` maps each target code to S's index.
-    `morphism`, the closure in value form, is decoded when first read; a
-    check that reads only the closure's size (`semilocal.fasp_embedding`)
-    decodes nothing."""
+    `morphism`, the closure in value form, is decoded when first read.
+    `semilocal.fasp_embedding` checks on `WreathRows`, reads only the
+    closure's size, and reads its code-form witness back from the rows
+    when that is first read."""
 
     source: FiniteSemigroup
     target: Any

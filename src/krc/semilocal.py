@@ -32,6 +32,9 @@ coordinate action reads the generators' columns of the right Cayley
 graph, a label `label_of(b, s)` reads the single product u*s, and the
 wreath embedding's action on G x B + 0 is S's on R u {0} by the proof in
 `fasp_embedding`'s docstring, so only the division witness checks it.
+That division closes on the wreath image's action rows, one gather per
+product (`products.WreathRows`); the closure on wreath codes is read back
+from the rows only when `FaspEmbedding.witness` is read.
 The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows.  Only the
 oracle `ReesCoordinates.verify_transport` and
 `inverse.brandt_isomorphism` read every product in J, one row per member.
@@ -52,7 +55,7 @@ from .core import (
     row_getter,
 )
 from .errors import InputError, VerificationError
-from .products import ActionPair, DivisionWitness, WreathProduct, check_division
+from .products import ActionPair, DivisionWitness, WreathRows, check_division
 
 
 @dataclass
@@ -739,19 +742,30 @@ class FaspEmbedding:
     (b)x being the zero where b.x is undefined.  As the zero absorbs, an
     element's entry is the zero exactly where b is outside the domain of
     its RLM image (see `products`), where the embedding into
-    (G,G) wr (B, RLM_J(S)) leaves it undefined.  `witness` is the
-    certificate: the division closure of the generators' lifts, of size
-    |S|; that its action on G x B + 0 is S's on R u {0} is proved in
-    `fasp_embedding`."""
+    (G,G) wr (B, RLM_J(S)) leaves it undefined.  `rows` is the
+    certificate: the division closure of the generators' lifts on the
+    wreath image's action rows (`products.WreathRows`), of size |S|;
+    that its action on G x B + 0 is S's on R u {0} is proved in
+    `fasp_embedding`.  `witness` is the same closure on wreath codes, read
+    back from the rows when first read."""
 
     lifts: dict[str, Any]
-    witness: DivisionWitness
+    rows: DivisionWitness
+
+    @cached_property
+    def witness(self) -> DivisionWitness:
+        oracle = self.rows.target
+        closure = {oracle.code_of(row): s for row, s in self.rows.closure.items()}
+        return DivisionWitness(self.rows.source, oracle.wreath, self.rows.lifts, closure)
 
 
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
-    """The generators' lifts, certified by `check_division` (the relation
-    they generate is a function onto S) and |closure| = |S| (it is
-    injective).  The wreath image's action is proved, not checked.
+    """The generators' lifts, certified by `check_division` on the wreath
+    image's action rows (the relation they generate is a function onto S;
+    `products.WreathRows` runs the closure on codes step by step, every
+    lift carrying the zero exactly where its RLM map is undefined) and
+    |closure| = |S| (it is injective).  The wreath image's action is
+    proved, not checked.
 
     Identify G x B + 0 with R u {0}, R the a = 0 R-class: the point (g, b)
     at g*|B| + b is uncoord(0, g, b), and 0, every element below J, is -1.
@@ -768,18 +782,14 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     `_relation_closure` reaches every pair (w, s) as (w'*lift(x), s'*x)
     from a pair (w', s') it already holds, starting at (lift(x), x).  So,
     by induction, w acts on G x B + 0 as s acts on R u {0}."""
-    group = pres.group
-    w = WreathProduct(
-        ActionPair.of_group_with_zero(group),
-        ActionPair.of_transformations(pres.rlmq.rlm),
-    )
+    oracle = WreathRows(pres.group, ActionPair.of_transformations(pres.rlmq.rlm))
     lifts = {}
     for name in pres.sgp.gen_names:
         rlm_map = pres.rlm_of_gen[name]
         labels = pres.label_of_gen[name]
         fvals = tuple(labels[b] if rlm_map[b] != 0 else ZERO for b in range(pres.n_b))
         lifts[name] = (fvals, PartialTransformation(rlm_map))
-    witness = check_division(pres.sgp, w, lifts=lifts)
-    if len(witness.closure) != len(pres.sgp.elements):
+    rows = check_division(pres.sgp, oracle, lifts=lifts)
+    if len(rows.closure) != len(pres.sgp.elements):
         raise VerificationError("wreath embedding is not injective")
-    return FaspEmbedding(lifts, witness)
+    return FaspEmbedding(lifts, rows)

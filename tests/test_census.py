@@ -16,7 +16,11 @@ from krc.semilocal import JClassRef, rees_coordinates
 from helpers import assert_classes_match_definitions, census_classes
 from test_complexity import whole_ideal_verdicts
 from test_flows import reached_presentations
-from test_semilocal import _fasp_action_reference, assert_wreath_rows_compose
+from test_semilocal import (
+    _fasp_action_reference,
+    assert_rows_close_as_codes,
+    assert_wreath_rows_compose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,13 @@ def census():
         mp.setattr(complexity, "_memo_carrier", recording)
         runs = [(sgp, estimate(sgp)) for sgp in census_classes()]
     return runs, list(images.values())
+
+
+@pytest.fixture(scope="module")
+def census_presentations(census):
+    """The group-mapping presentations that the census's estimates reach."""
+    runs, _ = census
+    return reached_presentations(sgp for sgp, _ in runs)
 
 
 def test_histogram(census):
@@ -70,18 +81,23 @@ def test_rlm_maps_and_coordinates_by_definition(census):
     assert assert_classes_match_definitions(carriers) > len(carriers)
 
 
-def test_wreath_embedding_acts_as_proved(census):
+def test_wreath_embedding_acts_as_proved(census_presentations):
     """On every group-mapping presentation that the census's estimates
     reach, the wreath image acts on G x B + 0 as S acts on R u {0}, and
     wreath rows compose on the division closure: what `fasp_embedding`'s
     docstring proves, checked point by point."""
-    runs, _ = census
-    presentations = reached_presentations(sgp for sgp, _ in runs)
-    assert len(presentations) == 32
-    for pres in presentations:
+    assert len(census_presentations) == 32
+    for pres in census_presentations:
         witness = semilocal.fasp_embedding(pres).witness
         assert _fasp_action_reference(pres, witness.target, witness) is None
         assert_wreath_rows_compose(witness)
+
+
+def test_rows_close_as_codes(census_presentations):
+    """The embedding's closure on action rows is its closure on wreath
+    codes, read back, on every presentation the census reaches."""
+    for pres in census_presentations:
+        assert_rows_close_as_codes(pres)
 
 
 def test_classify_matches_whole_ideal_verdicts(census):

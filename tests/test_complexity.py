@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from krc import complexity, core, flows, semilocal
+from krc import complexity, core, flows, products, semilocal
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.complexity import (
     ComplexityInterval,
@@ -631,6 +631,37 @@ class TestProofsNotPasses:
         assert (counts["graph"], counts["transport"]) == (0, 0)
         # every GM image was written, and every group-mapping node coordinatized
         assert counts["graph called"] > 0 and counts["coordinates"] > 0
+
+    @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
+    def test_wreath_embedding_closes_on_rows(self, monkeypatch, gens):
+        # each group-mapping presentation's embedding is one division,
+        # closed on the wreath image's action rows (`products.WreathRows`),
+        # so no wreath code is multiplied
+        counts = collections.Counter()
+        present, divide = complexity.group_mapping_presentation, products.check_division
+        multiply = products.WreathProduct.mul_code
+
+        def presenting(*args):
+            counts["presentations"] += 1
+            return present(*args)
+
+        def dividing(*args, **kwargs):
+            counts["divisions"] += 1
+            return divide(*args, **kwargs)
+
+        def multiplying(*args):
+            counts["wreath products"] += 1
+            return multiply(*args)
+
+        monkeypatch.setattr(complexity, "group_mapping_presentation", presenting)
+        for module in (products, semilocal, complexity, flows):
+            monkeypatch.setattr(module, "check_division", dividing)
+        monkeypatch.setattr(products.WreathProduct, "mul_code", multiplying)
+        cert = estimate(ladder(gens), BUDGET_0).certificate
+        complexity.replay_certificate(json.loads(certificate_json(cert)))
+        assert counts["presentations"] > 0
+        assert counts["divisions"] == counts["presentations"]
+        assert counts["wreath products"] == 0
 
     def test_no_profile_where_the_classification_proves_it_discrete(self, monkeypatch):
         # `gm_quotient` skips the GM profile at the distinguished class of a

@@ -251,8 +251,9 @@ class TestLift:
 
 class TestDecomposition:
     def test_only_the_census_builds_the_lift(self, monkeypatch, z2_group):
-        # T(S) once, by the census; the degree-n monomial group once for the
-        # decomposition and once for T(S), and one degree down for J1's group
+        # T(S) once, by the census; the degree-n monomial group once, for
+        # T(S), and one degree down for J1's group; the decomposition lists
+        # the units and builds no group table
         s = small_monoid(3, z2_group, 1)
         lifts, degrees = [], []
 
@@ -264,10 +265,11 @@ class TestDecomposition:
         )
         monkeypatch.setattr(inverse, "lift_TS", refuse)
         inverse_decomposition(s, z2_group)
+        assert degrees == []
         monkeypatch.setattr(inverse, "lift_TS", lambda *a: lifts.append(a) or lift_TS(*a))
         assert len(analyze_lift(s, z2_group).ts) == 240
         assert lifts == [(s, z2_group)]
-        assert degrees == [3, 3, 2]
+        assert degrees == [3, 2]
 
     def test_small_monoid_witnesses(self, z2_group):
         s = small_monoid(2, z2_group, 1)

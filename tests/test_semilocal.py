@@ -17,7 +17,7 @@ from krc.core import (
 )
 from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
-from krc.products import _relation_closure
+from krc.products import ActionPair, WreathProduct, WreathRows, _relation_closure, check_division
 from krc.inverse import (
     matrix_semigroup_as_transformations,
     rlm_matrix,
@@ -786,6 +786,29 @@ class TestFaspEmbedding:
             fasp_embedding(pres)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("defined", [True, False], ids=["zero-inside", "label-outside"])
+    def test_unshaped_lift_is_refused(self, b2z2_1, defined):
+        # the zero moved inside the RLM map's domain, or a label put outside
+        # it: an element of the wreath product whose row does not read back
+        # to it, so the rows oracle refuses it before any closure
+        pres = group_mapping_presentation(b2z2_1)
+        lifts = dict(fasp_embedding(pres).lifts)
+        name, b = next(
+            (name, b)
+            for name in pres.sgp.gen_names
+            for b, image in enumerate(pres.rlm_of_gen[name])
+            if bool(image) == defined
+        )
+        fvals, rlm_map = lifts[name]
+        fvals = fvals[:b] + (ZERO if defined else pres.group.identity,) + fvals[b + 1:]
+        lifts[name] = (fvals, rlm_map)
+        oracle = WreathRows(pres.group, ActionPair.of_transformations(pres.rlmq.rlm))
+        oracle.wreath.encode(lifts[name])  # an element of the wreath product
+        with pytest.raises(VerificationError) as err:
+            check_division(pres.sgp, oracle, lifts=lifts)
+        message = f"division lifts rejected: lift for {name!r} is not an element of the target"
+        assert str(err.value) == message
+
 
 def _fasp_action_reference(pres, w, witness):
     """The wreath image acts on G x B + 0 as S acts on R u {0}, R the a = 0
@@ -881,6 +904,30 @@ def assert_wreath_rows_compose(witness):
             rv = w.row(v)
             want = tuple(-1 if p < 0 else rv[p] for p in w.row(u))
             assert w.row(w.mul_code(u, v)) == want
+
+
+def assert_rows_close_as_codes(pres):
+    """`fasp_embedding` closes on the wreath image's action rows; read
+    back, its closure is the closure on wreath codes item for item and in
+    order, each row the code's row followed by the -1 sentinel, of size |S|
+    (the `products` docstring proves it)."""
+    emb = fasp_embedding(pres)
+    w = WreathProduct(
+        ActionPair.of_group_with_zero(pres.group), ActionPair.of_transformations(pres.rlmq.rlm)
+    )
+    codes = check_division(pres.sgp, w, lifts=emb.lifts).closure
+    assert list(emb.witness.closure.items()) == list(codes.items())
+    assert list(emb.rows.closure) == [(*w.row(c), -1) for c in codes]
+    assert len(emb.rows.closure) == len(codes) == len(pres.sgp)
+    emb.witness.verify()
+
+
+@pytest.mark.parametrize("source", list(ESTIMATE_SOURCES))
+def test_rows_close_as_codes(source):
+    presentations = estimate_presentations(source)
+    assert presentations
+    for pres in presentations:
+        assert_rows_close_as_codes(pres)
 
 
 @pytest.mark.parametrize("source", list(ESTIMATE_SOURCES))
