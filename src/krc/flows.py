@@ -20,13 +20,16 @@ One transport per labeled transition serves verification and
 construction alike: it checks F1-F5 in order and, when all hold, gives
 each block of W_q its target block and its group shift.  From a verified
 flow these transports give each generator its lift into
-(G wr Sym_b wr T_A) x RLM, with G wr Sym_b nested directly as the left
-factor, a wreath product being an action pair.  The lifted action is the
-wreath lift's own: Qbar pairs the wreath's points ((g, j), q), read by
-position, with B + 0, and the witness map rho onto G x B + 0 is a
-surjective morphism against the wreath row of each lift, by (b) and (c)
-below, which the construction does not re-check.  The division of S that
-the lifts generate is machine-checked through the division machinery.
+(G wr Sym_b wr T_A) x RLM.  The wreath's left factor is the partial maps
+of G x [b_bar] (`products.PartialMaps`), an element of G wr Sym_b coded
+by the map it induces, which determines it since each block map is a
+permutation by (a); T_A's elements are partial maps of the states.  The
+lifted action is the wreath lift's own: Qbar pairs the wreath's points
+((g, j), q), read by position, with B + 0, and the witness map rho onto
+G x B + 0 is a surjective morphism against the wreath row of each lift,
+by (b) and (c) below, which the construction does not re-check.  The
+division of S that the lifts generate is machine-checked through the
+division machinery.
 
 A verified flow always constructs: F1-F5, the sink condition and the
 cover condition make the division check of `presentation_construct`
@@ -66,9 +69,10 @@ h the target block and shift of block j; a dead q.x leaves it undefined.
     `semilocal.classify`, and u = v in S.  The relation closure is
     therefore a function, and onto S since every generator is lifted.
 (e) No ResourceError arises: the construction enumerates no carrier.
-    Sym_b and T_A are lazy oracles of partial maps (T_A is closed only by
-    the search's or replay's cap check, once), and a division with given
-    lifts has no budget.  One that did arise would end as exit 3.
+    Both wreath factors are lazy oracles of partial maps, a product one
+    gather (T_A is closed only by the search's or replay's cap check,
+    once), and a division with given lifts has no budget.  One that did
+    arise would end as exit 3.
 """
 
 from __future__ import annotations
@@ -78,19 +82,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .core import (
-    ZERO,
-    FiniteSemigroup,
-    PartialTransformation,
-    compose,
-    is_aperiodic,
-)
+from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
-    ActionPair,
     DivisionWitness,
-    MulOracle,
     PairSemigroup,
+    PartialMaps,
     WreathProduct,
     check_division,
 )
@@ -313,20 +310,24 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
             perms[x].append(tuple(next(free) if j is None else j for j, _ in moves))
             gbar[x].append(tuple(g for _, g in moves))
 
-    # the lifts into (G wr Sym_b wr T_A) x RLM; Sym_b and T_A stay lazy
-    # oracles, as checking given lifts only multiplies
-    inner = WreathProduct(ActionPair.of_group(group), _partial_maps(b_bar))
-    outer = WreathProduct(inner, _partial_maps(nq))
+    # the lifts into (G wr Sym_b wr T_A) x RLM: a live q.x's entry is the
+    # partial map (g, j) -> (g*gbar[j], perms[j]) of G x [b_bar], (g, j) at
+    # g*b_bar + j, and T_A's is the partial map of the states; both stay
+    # lazy, as checking given lifts only multiplies
+    points = range(len(group))
+    outer = WreathProduct(PartialMaps(len(group) * b_bar), PartialMaps(nq))
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
         fvals = tuple(
-            None if aut.step(q, x) is None else (
-                gbar[x][q - 1],
-                PartialTransformation(tuple(p + 1 for p in perms[x][q - 1])),
+            None if aut.step(q, x) is None else tuple(
+                group.mul(g, h) * b_bar + k
+                for g in points
+                for h, k in zip(gbar[x][q - 1], perms[x][q - 1])
             )
             for q in range(1, nq + 1)
         )
-        lifts[x] = ((fvals, aut.letter_map(x)), pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+        t = tuple(v - 1 for v in aut.letter_map(x).images)
+        lifts[x] = ((fvals, t), pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
 
     # Qbar: each point ((g, j), q) of the wreath, by its position
     # ((g*b_bar + j-1)*nq + q-1), with 0, and with every b in block j of
@@ -345,14 +346,6 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
 
     division = check_division(pres.sgp, PairSemigroup(outer, pres.rlmq.rlm), lifts=lifts)
     return PresentationWitness(flow, b_bar, perms, gbar, qbar, rho, division)
-
-
-def _partial_maps(size: int) -> ActionPair:
-    """(size, the partial maps of {1..size} under `compose`) as a lazy
-    oracle: codes come on first sight, and a row is read off the decoded
-    map, point q at q - 1."""
-    maps = MulOracle(None, compose)
-    return ActionPair(size, maps, lambda c: tuple([v - 1 for v in maps.decode(c).images]))
 
 
 # -- flow search -----------------------------------------------------------

@@ -493,13 +493,11 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
     witness = presentation_construct(flow)
     for name, gi in zip(sgp.gen_names, sgp.gens):
         x = sgp.elements[gi]
-        inner = witness.division.lifts[name][0][0][0]  # ((f, t) per state)[q=0]
-        fvals, perm = inner
+        # the one state's block permutation and group labels
+        perm, labels = witness.perms[name][0], witness.gbar[name][0]
         rows: list = [None] * size
         for j in range(witness.b_bar):
-            src_col = column_of_b[j]
-            tgt_col = column_of_b[perm(j + 1) - 1]
-            rows[src_col - 1] = (tgt_col, fvals[j])
+            rows[column_of_b[j] - 1] = (column_of_b[perm[j]], labels[j])
         tau = PartialMonomialMatrix(size, tuple(rows))
         if not tau.is_unit():
             raise VerificationError("flow lift does not translate to a unit")

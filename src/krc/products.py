@@ -5,11 +5,7 @@ functions are post-composed through the right factor's action:
 (b,q)(f,t) = (b(qf), qt) and (f,t)(f',t') = (f.(t o f'), tt').  Function
 parts may carry None entries, read as an adjoined identity of the left
 semigroup; the skip convention keeps the product associative on partial
-right actions.  A left factor may instead be (G, G^0), whose zero is
-undefined at every point (`ActionPair.of_group_with_zero`).  If two
-elements carry the zero exactly where q.t is undefined, so does their
-product: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or (q.t1).t2
-is undefined, since the zero absorbs and G holds no zero.
+right actions.
 
 Division S < T is always handled as a checkable certificate: generator
 lifts whose generated relation inside T x S is a surjective function onto
@@ -48,16 +44,17 @@ oracle on codes: `encode(v)` (KeyError when v is not an element of an
 enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
 oracle lists its `elements` and their `codes` in one order (a wreath
 product's full carrier decodes its `elements` when first read); a lazy
-one (`PairSemigroup`, `WreathProduct`, `WreathRows`, a `MulOracle`
-without a carrier) has `elements` and `codes` None.  Codes are a
-`FiniteSemigroup`'s indices, a `MulOracle`'s numbering on first sight, a
-`PairSemigroup`'s pairs, a wreath product's (tuple of left-factor codes or
-None, right-factor code), and a `WreathRows`'s action rows.
+one (`PairSemigroup`, `WreathProduct`, `PartialMaps`) has `elements` and
+`codes` None.  Codes are a `FiniteSemigroup`'s or `MulOracle`'s indices,
+a `PairSemigroup`'s pairs, a wreath product's (tuple of left-factor codes
+or None, right-factor code), and a `PartialMaps`'s action rows.
 
 An action pair (Q, S) has points 0..size-1 and acts on S's codes by
 `row(c)`: per point, its image's position, -1 where undefined.  A wreath
 product (B,S) wr (Q,T) is itself an action pair on B x Q, the point (b,q)
-at position b*|Q| + q, so wreath products nest.
+at position b*|Q| + q, so wreath products nest.  `PartialMaps(n)`, all
+partial maps of n points, is its own action pair: a map's code is its
+row with a -1 sentinel, and a product is one gather.
 
 Divisions run on codes; the source steps along its right Cayley graph by
 index.  Values appear only at the boundary: given lifts are encoded once,
@@ -72,26 +69,24 @@ The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
 (S^1,S) wr (T^1,T) of the right translation actions
 (`ActionPair.right_translation`), so it has no product of its own.
 
-`WreathRows` is a second oracle for (G, G^0) wr (Q, T), (Q, T) faithful
-and enumerated, on the codes (f, t) whose zero lies exactly where q.t is
-undefined; call them shaped.  Its code of (f, t) is the row on G x Q,
-followed by a -1 sentinel, and a*b is b's row gathered at a's positions.
-It runs the same division closure, by three facts.  (1) Shaped codes are
-closed under products (above).  (2) The row determines a shaped code: the
-image of (1_G, q) is (f[q], q.t), or -1 exactly where q.t is undefined,
-which is where f[q] is the zero; so the row gives f and t's row, and t's
-row gives t.  (3) Rows compose as codes multiply: row(u*v) is row(u)
-followed by row(v), -1 absorbing.  By the wreath formula, u*v = (f, t1t2)
-with f[q] = f1[q].f2[q.t1], or f1[q] where q.t1 is undefined; so
-(g,q)(u*v) = (g.f1[q].f2[q.t1], q.t1.t2) = ((g,q)u)v, and each side is
-undefined exactly when (g,q)u = (g.f1[q], q.t1) or its image under v is.
-The sentinel makes a gathered -1 read -1 and carries itself.  So, given
-shaped lifts, code -> row is injective on everything `_relation_closure`
-reaches and turns each product into a gather: the closure on rows holds
-the rows of the closure on codes, reached in the same order with the same
-S indices, and stops at the same first conflict.  `encode` refuses
-(KeyError) a value that is not shaped, and `decode` reads the code back,
-so every rejection message is the wreath product's.
+`WreathRows` codes (G, G^0) wr (Q, T), T a carrier of partial
+transformations, by the partial maps of G x Q, (g, q) at g*|Q| + q; G^0's
+zero is undefined at every point.  Call (f, t) shaped when its zero lies
+exactly where q.t is undefined.  On shaped lifts the division closure
+runs as on wreath codes, by three facts.  (1) Shaped values are closed
+under products: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or
+(q.t1).t2 is undefined, since the zero absorbs and G holds no zero.
+(2) The row determines a shaped value: the image of (1_G, q) is
+(f[q], q.t), or -1 exactly where q.t is undefined, which is where f[q] is
+the zero.  (3) Rows compose as values multiply: by the wreath formula
+(g,q)(u*v) = (g.f1[q].f2[q.t1], q.t1.t2) = ((g,q)u)v, each side undefined
+exactly when (g,q)u = (g.f1[q], q.t1) or its image under v is.  So the
+row is injective on everything `_relation_closure` reaches and turns each
+product into a gather: the closure on rows is the closure on wreath
+codes, in the same order with the same S indices, and stops at the same
+first conflict.  `encode` refuses (KeyError) a value that is not shaped,
+and `decode` reads the value back, so every rejection message is the
+wreath product's.
 """
 
 from __future__ import annotations
@@ -103,41 +98,31 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .core import ZERO, FiniteGroup, FiniteSemigroup, _index_period
+from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, _index_period
 from .errors import InputError, ResourceError, VerificationError
 
 DIVISION_SEARCH_BUDGET = 2_000_000
 
 
 class MulOracle:
-    """A bare multiplication oracle on values (no Cayley machinery), for a
-    factor that is only multiplied.  Its codes are ints given on first
-    sight, in carrier order when it has a carrier."""
+    """A bare multiplication oracle on an element list (no Cayley
+    machinery), for a factor that is only multiplied; its codes are the
+    list's indices."""
 
-    def __init__(self, elements: Optional[list[Any]], mul: Callable[[Any, Any], Any]):
+    def __init__(self, elements: list[Any], mul: Callable[[Any, Any], Any]):
         self.elements = elements
         self.mul = mul
-        self._values = list(elements or ())
-        self._codes = {v: i for i, v in enumerate(self._values)}
-
-    @property
-    def codes(self) -> Optional[range]:
-        return None if self.elements is None else range(len(self.elements))
+        self.codes = range(len(elements))
+        self._codes = {v: i for i, v in enumerate(elements)}
 
     def encode(self, value) -> int:
-        code = self._codes.get(value)
-        if code is None:
-            if self.elements is not None:
-                raise KeyError(value)
-            code = self._codes[value] = len(self._values)
-            self._values.append(value)
-        return code
+        return self._codes[value]
 
     def decode(self, code: int):
-        return self._values[code]
+        return self.elements[code]
 
     def mul_code(self, a: int, b: int) -> int:
-        return self.encode(self.mul(self._values[a], self._values[b]))
+        return self._codes[self.mul(self.elements[a], self.elements[b])]
 
 
 class PairSemigroup:
@@ -212,6 +197,37 @@ class ActionPair:
             return (c + 1, *[p + 1 for p in sgp.right_translation(points, c)])
 
         return cls(len(points) + 1, sgp, row)
+
+
+class PartialMaps:
+    """The partial maps of the points 0..size-1 as a lazy oracle that is
+    its own action pair.  A map's value is its row, per point its image,
+    -1 where undefined; its code is the row followed by a -1 sentinel, so
+    a*b is b's code gathered at a's positions, one C call: a gathered -1
+    reads the sentinel, which carries itself."""
+
+    elements = codes = None
+
+    def __init__(self, size: int):
+        self.size = size
+
+    @property
+    def sgp(self) -> "PartialMaps":
+        return self
+
+    def encode(self, row) -> tuple:
+        if len(row) != self.size or not all(-1 <= p < self.size for p in row):
+            raise KeyError(row)
+        return (*row, -1)
+
+    def row(self, code) -> tuple:
+        return code[:-1]
+
+    decode = row
+
+    @staticmethod
+    def mul_code(a: tuple, b: tuple) -> tuple:
+        return operator.itemgetter(*a)(b)
 
 
 # -- wreath products ------------------------------------------------------
@@ -366,50 +382,45 @@ class WreathProduct:
         return carrier
 
 
-class WreathRows:
-    """(G, G^0) wr (Q, T) on the action rows of its shaped codes, each
-    with a -1 sentinel appended (see the module docstring); lazy.  The
-    point (g, q) is at g*|Q| + q, as in `wreath`."""
+class WreathRows(PartialMaps):
+    """(G, G^0) wr (Q, T) on its shaped values, each coded by the partial
+    map of G x Q it induces (see the module docstring): the point (g, q),
+    at g*|Q| + q, goes to (g.f[q], q.t), undefined where q.t is.  The
+    right factor T is a carrier of partial transformations of {1..|Q|}."""
 
-    elements = codes = None
-
-    def __init__(self, group: FiniteGroup, right: ActionPair):
-        self.wreath = WreathProduct(ActionPair.of_group_with_zero(group), right)
-        self._unit = group.identity * right.size  # the position of (1_G, 0)
-        self._zero = len(group)  # G^0's zero's code
+    def __init__(self, group: FiniteGroup, right: FiniteSemigroup):
+        super().__init__(len(group) * right.degree)
+        self.right = right
+        self._unit = group.identity * right.degree  # the position of (1_G, 0)
+        # per value of G^0, its column of G's table (g.c for every g); the
+        # zero's is None, undefined everywhere
+        self._columns = dict(zip([*range(len(group)), ZERO], [*zip(*group.table), None]))
 
     def encode(self, value) -> tuple:
-        wreath = self.wreath
-        code = wreath.encode(value)
-        row = wreath.row(code)
-        if self._read_back(row) != (code[0], wreath.right.row(code[1])):
+        """The row of (f, t), with the sentinel; KeyError unless t is in
+        T, f has a value of G^0 per point, and the zero lies exactly
+        where q.t is undefined."""
+        f, t = value
+        self.right.encode(t)
+        nq = self.right.degree
+        if len(f) != nq:
             raise KeyError(value)
-        return (*row, -1)
+        undefined = (-1,) * (self.size // nq)
+        columns = []
+        for v, j in zip(f, t.images):
+            column = self._columns[v]
+            if (column is None) != (j == 0):
+                raise KeyError(value)
+            columns.append(undefined if column is None else [p * nq + j - 1 for p in column])
+        return (*itertools.chain.from_iterable(zip(*columns)), -1)
 
     def decode(self, row) -> tuple:
-        return self.wreath.decode(self.code_of(row))
-
-    @staticmethod
-    def mul_code(a: tuple, b: tuple) -> tuple:
-        return operator.itemgetter(*a)(b)
-
-    def code_of(self, row) -> tuple:
-        """The wreath code whose row this is."""
-        f, t_row = self._read_back(row)
-        return f, self._t_codes[t_row]
-
-    def _read_back(self, row) -> tuple[tuple, tuple]:
-        """f and t's row off the images of (1_G, q): (f[q], q.t), or -1
-        where f[q] is the zero."""
-        nq = self.wreath.right.size
+        """The (f, t) whose row this is, read off the images of (1_G, q):
+        (f[q], q.t), or -1 where f[q] is the zero."""
+        nq = self.right.degree
         images = row[self._unit : self._unit + nq]
-        f = tuple([self._zero if p < 0 else p // nq for p in images])
-        return f, tuple([-1 if p < 0 else p % nq for p in images])
-
-    @functools.cached_property
-    def _t_codes(self) -> dict[tuple, Any]:
-        right = self.wreath.right
-        return {right.row(c): c for c in right.sgp.codes}
+        f = tuple([ZERO if p < 0 else p // nq for p in images])
+        return f, PartialTransformation(tuple([p % nq + 1 if p >= 0 else 0 for p in images]))
 
 
 class _Memo(dict):
@@ -450,10 +461,8 @@ def _encode_lifts(target, lifts: dict[str, Any]) -> dict[str, Any]:
 class DivisionWitness:
     """Generator lifts realizing S < T, in value form, with the verified
     graph closure on codes: `closure` maps each target code to S's index.
-    `morphism`, the closure in value form, is decoded when first read.
-    `semilocal.fasp_embedding` checks on `WreathRows`, reads only the
-    closure's size, and reads its code-form witness back from the rows
-    when that is first read."""
+    `morphism`, the closure in value form, is decoded when first read;
+    a certificate records only the closure's size."""
 
     source: FiniteSemigroup
     target: Any

@@ -32,9 +32,8 @@ coordinate action reads the generators' columns of the right Cayley
 graph, a label `label_of(b, s)` reads the single product u*s, and the
 wreath embedding's action on G x B + 0 is S's on R u {0} by the proof in
 `fasp_embedding`'s docstring, so only the division witness checks it.
-That division closes on the wreath image's action rows, one gather per
-product (`products.WreathRows`); the closure on wreath codes is read back
-from the rows only when `FaspEmbedding.witness` is read.
+That division closes on the partial maps that the wreath image induces
+on G x B, one gather per product (`products.WreathRows`).
 The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows.  Only the
 oracle `ReesCoordinates.verify_transport` and
 `inverse.brandt_isomorphism` read every product in J, one row per member.
@@ -55,7 +54,7 @@ from .core import (
     row_getter,
 )
 from .errors import InputError, VerificationError
-from .products import ActionPair, DivisionWitness, WreathRows, check_division
+from .products import DivisionWitness, WreathRows, check_division
 
 
 @dataclass
@@ -742,21 +741,13 @@ class FaspEmbedding:
     (b)x being the zero where b.x is undefined.  As the zero absorbs, an
     element's entry is the zero exactly where b is outside the domain of
     its RLM image (see `products`), where the embedding into
-    (G,G) wr (B, RLM_J(S)) leaves it undefined.  `rows` is the
-    certificate: the division closure of the generators' lifts on the
-    wreath image's action rows (`products.WreathRows`), of size |S|;
-    that its action on G x B + 0 is S's on R u {0} is proved in
-    `fasp_embedding`.  `witness` is the same closure on wreath codes, read
-    back from the rows when first read."""
+    (G,G) wr (B, RLM_J(S)) leaves it undefined.  `rows`, the witness, is
+    the division closure of the generators' lifts on the wreath image's
+    action rows (`products.WreathRows`), of size |S|; that its action on
+    G x B + 0 is S's on R u {0} is proved in `fasp_embedding`."""
 
     lifts: dict[str, Any]
     rows: DivisionWitness
-
-    @cached_property
-    def witness(self) -> DivisionWitness:
-        oracle = self.rows.target
-        closure = {oracle.code_of(row): s for row, s in self.rows.closure.items()}
-        return DivisionWitness(self.rows.source, oracle.wreath, self.rows.lifts, closure)
 
 
 def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
@@ -782,7 +773,7 @@ def fasp_embedding(pres: GroupMappingPresentation) -> FaspEmbedding:
     `_relation_closure` reaches every pair (w, s) as (w'*lift(x), s'*x)
     from a pair (w', s') it already holds, starting at (lift(x), x).  So,
     by induction, w acts on G x B + 0 as s acts on R u {0}."""
-    oracle = WreathRows(pres.group, ActionPair.of_transformations(pres.rlmq.rlm))
+    oracle = WreathRows(pres.group, pres.rlmq.rlm)
     lifts = {}
     for name in pres.sgp.gen_names:
         rlm_map = pres.rlm_of_gen[name]

@@ -1,20 +1,38 @@
 """Helpers that several test modules share: the acceptance sample, the
-degree-3 census classes, certificate tree walks and the definitions that
-RLM maps and Rees coordinates are checked against.  Importing this module
-builds no carrier and runs no estimate, so a test module imports it at
-the top and no test imports another test module."""
+ladder's generators, the degree-3 census classes, the presentations an
+estimate reaches, certificate tree walks, the derived-wreath division
+instances, and the definitions that RLM maps, Rees coordinates,
+classification, 0-minimal ideals and the wreath embedding are checked
+against.  Importing this module builds no carrier and runs no estimate,
+so a test module imports it at the top and no test imports another test
+module."""
 
 import itertools
 import random
 
 from krc import semilocal
+from krc.complexity import RelationalMorphism, estimate
 from krc.core import FiniteSemigroup, PartialTransformation, maximal_subgroup
 from krc.errors import ResourceError
-from krc.semilocal import JClassRef, rees_coordinates
+from krc.fileformats import parse_semigroup
+from krc.products import ActionPair, WreathProduct, check_division
+from krc.semilocal import JClassRef, fasp_embedding, group_mapping_presentation, rees_coordinates
 
 T = PartialTransformation
 
 SEED = 20250811
+
+LADDER = {
+    "T3": ((2, 3, 1), (2, 1, 3), (1, 1, 3)),
+    "PT3": ((2, 3, 1), (2, 1, 3), (1, 1, 3), (0, 2, 3)),
+    "I3": ((2, 3, 1), (2, 1, 3), (0, 2, 3)),
+}
+T4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (1, 1, 3, 4))
+I4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (0, 2, 3, 4))
+
+
+def ladder(gens):
+    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
 
 
 def _sample_semigroups(count=200, max_order=120):
@@ -162,3 +180,129 @@ def assert_classes_match_definitions(carriers):
             assert rc.matrix == matrix
             classes += 1
     return classes
+
+
+def reached_presentations(sgps, options=None):
+    """The presentations of the distinct group-mapping nodes that estimate
+    reaches from `sgps`, in the order first reached."""
+    texts: dict[str, None] = {}
+
+    def walk(node):
+        if isinstance(node, dict):
+            if node.get("rule") == "group-mapping":
+                texts.setdefault(node["semigroup"])
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+
+    for sgp in sgps:
+        walk(estimate(sgp, options).certificate)
+    return [group_mapping_presentation(parse_semigroup(text)) for text in texts]
+
+
+def division_instance(name: str):
+    """(phi, psi) of the acceptance suite's derived-wreath division `name`."""
+    if name == "trivial":
+        phi = RelationalMorphism.identity(
+            FiniteSemigroup.generate([("1", PartialTransformation.identity(1))])
+        )
+        return phi, phi
+    mul = {"z2": lambda a, b: (a + b) % 2, "u1": lambda a, b: a * b}[name]
+    phi = RelationalMorphism.to_trivial(
+        FiniteSemigroup.from_elements([0, 1], mul, sort_key=lambda v: v)
+    )
+    return phi, RelationalMorphism.identity(phi.target)
+
+
+def brute_zero_minimal_ideals(sgp):
+    """The 0-minimal ideals (the kernel if there is no zero), read off the
+    principal ideals S^1 a S^1 computed from all products."""
+    n = len(sgp.elements)
+    mul = sgp.mul_index
+
+    def principal(a):
+        left = {a} | {mul(x, a) for x in range(n)}
+        return frozenset(left | {mul(u, y) for u in left for y in range(n)})
+
+    ideal = [principal(a) for a in range(n)]
+    zeros = [z for z in range(n) if ideal[z] == {z} and all(mul(z, x) == z for x in range(n))]
+    z = zeros[0] if zeros and n > 1 else None
+    out = []
+    for c, members in enumerate(sgp.green().j_classes):
+        a = members[0]
+        smaller = {b for b in ideal[a] if ideal[b] != ideal[a]}
+        if z is None and not smaller:
+            out.append((c, list(members)))
+        elif z is not None and a != z and smaller <= {z}:
+            out.append((c, list(members) + [z]))
+    return z, out
+
+
+def whole_ideal_verdicts(sgp):
+    """The right and left mapping flags by the rule `classify` replaced:
+    faithfulness on the whole of each 0-minimal ideal, zero included."""
+    _, ideals = semilocal._zero_minimal_ideals(sgp)
+    n = len(sgp)
+    right = any(len(set(sgp.right_translations(ideal))) == n for _, ideal in ideals)
+    left = any(len(set(sgp.left_translations(ideal))) == n for _, ideal in ideals)
+    return right, left
+
+
+def fasp_wreath(pres):
+    """(G, G^0) wr (B, RLM) on wreath codes: the product that
+    `products.WreathRows` codes by action rows."""
+    return WreathProduct(
+        ActionPair.of_group_with_zero(pres.group), ActionPair.of_transformations(pres.rlmq.rlm)
+    )
+
+
+def _fasp_action_reference(pres, witness):
+    """The wreath image acts on G x B + 0 as S acts on R u {0}, R the a = 0
+    R-class, point by point on the witness's values, each read through its
+    target's `row`: the first failure's message, or None.
+    `fasp_embedding` proves this; the tests check it."""
+    sgp, rc, w = pres.sgp, pres.rees, witness.target
+    j_of = sgp.green().j_of
+    r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
+    for wv, sv in witness.morphism.items():
+        wrow = w.row(w.encode(wv))
+        for u, g, b in r:
+            p, img = sgp.mul_index(u, sgp.index[sv]), wrow[g * pres.n_b + b]
+            if j_of[p] != pres.jref.j_id:
+                if img >= 0:
+                    return "wreath action defined where theta^R is not"
+            elif img != rc.coord[p][1] * pres.n_b + rc.coord[p][2]:
+                return f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
+    return None
+
+
+def assert_wreath_rows_compose(pres):
+    """The law `fasp_embedding`'s proof reads off the wreath formula: on
+    the division closure on wreath codes, row(u*v) is row(u) followed by
+    row(v), -1 absorbing, for every closure code u and generator-lift
+    code v."""
+    w = fasp_wreath(pres)
+    witness = check_division(pres.sgp, w, lifts=fasp_embedding(pres).lifts)
+    lifts = [w.encode(v) for v in witness.lifts.values()]
+    for u in witness.closure:
+        for v in lifts:
+            rv = w.row(v)
+            want = tuple(-1 if p < 0 else rv[p] for p in w.row(u))
+            assert w.row(w.mul_code(u, v)) == want
+
+
+def assert_rows_close_as_codes(pres):
+    """`fasp_embedding` closes on the wreath image's action rows; its
+    closure is the closure on wreath codes item for item and in order, each
+    row the code's row followed by the -1 sentinel and decoding to the
+    code's value, of size |S| (the `products` docstring proves it)."""
+    rows = fasp_embedding(pres).rows
+    w = fasp_wreath(pres)
+    codes = check_division(pres.sgp, w, lifts=rows.lifts).closure
+    assert list(rows.closure.values()) == list(codes.values())
+    assert list(rows.closure) == [(*w.row(c), -1) for c in codes]
+    assert list(rows.morphism) == [w.decode(c) for c in codes]
+    assert len(rows.closure) == len(pres.sgp)
+    rows.verify()

@@ -13,13 +13,14 @@ from krc.complexity import estimate
 from krc.core import FiniteSemigroup
 from krc.semilocal import JClassRef, rees_coordinates
 
-from helpers import assert_classes_match_definitions, census_classes
-from test_complexity import whole_ideal_verdicts
-from test_flows import reached_presentations
-from test_semilocal import (
+from helpers import (
     _fasp_action_reference,
+    assert_classes_match_definitions,
     assert_rows_close_as_codes,
     assert_wreath_rows_compose,
+    census_classes,
+    reached_presentations,
+    whole_ideal_verdicts,
 )
 
 
@@ -88,14 +89,13 @@ def test_wreath_embedding_acts_as_proved(census_presentations):
     docstring proves, checked point by point."""
     assert len(census_presentations) == 32
     for pres in census_presentations:
-        witness = semilocal.fasp_embedding(pres).witness
-        assert _fasp_action_reference(pres, witness.target, witness) is None
-        assert_wreath_rows_compose(witness)
+        assert _fasp_action_reference(pres, semilocal.fasp_embedding(pres).rows) is None
+        assert_wreath_rows_compose(pres)
 
 
 def test_rows_close_as_codes(census_presentations):
     """The embedding's closure on action rows is its closure on wreath
-    codes, read back, on every presentation the census reaches."""
+    codes, on every presentation the census reaches."""
     for pres in census_presentations:
         assert_rows_close_as_codes(pres)
 

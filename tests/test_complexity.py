@@ -24,8 +24,7 @@ from krc.fileformats import load_semigroup
 from krc.errors import InputError, VerificationError
 from krc.products import DivisionWitness, ExhaustionReport
 
-from helpers import _sample_semigroups
-from test_core import I4_GENS, LADDER, T4_GENS
+from helpers import I4_GENS, LADDER, T4_GENS, _sample_semigroups, ladder, whole_ideal_verdicts
 
 T = PartialTransformation
 
@@ -441,10 +440,6 @@ def memo_served(monkeypatch, sgp, options):
     return memo, served
 
 
-def ladder(gens):
-    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
-
-
 class TestMemo:
     """Each distinct carrier is computed once per estimate; every memo hit
     must equal a fresh estimate of its node at its label."""
@@ -717,7 +712,7 @@ class TestProofsNotPasses:
 
     def test_constructions_close_no_transition_semigroup(self, monkeypatch):
         # T_A is closed once, by the search's or replay's cap check; the
-        # construction takes it as a lazy oracle of partial maps
+        # construction takes it as partial maps coded by rows
         counts = collections.Counter()
         construct, close = complexity.presentation_construct, flows.transition_semigroup
 
@@ -754,16 +749,6 @@ def reached(monkeypatch, sgp, options):
         patch.setattr(semilocal, "classify", classifying)
         estimate(sgp, options)
     return list(seen.values())
-
-
-def whole_ideal_verdicts(sgp):
-    """The right and left mapping flags by the rule `classify` replaced:
-    faithfulness on the whole of each 0-minimal ideal, zero included."""
-    _, ideals = semilocal._zero_minimal_ideals(sgp)
-    n = len(sgp)
-    right = any(len(set(sgp.right_translations(ideal))) == n for _, ideal in ideals)
-    left = any(len(set(sgp.left_translations(ideal))) == n for _, ideal in ideals)
-    return right, left
 
 
 class TestOneClassFaithfulness:

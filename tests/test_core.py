@@ -30,7 +30,14 @@ from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
 from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient, rees_coordinates
 
-from helpers import _sample_semigroups, assert_classes_match_definitions
+from helpers import (
+    I4_GENS,
+    LADDER,
+    T4_GENS,
+    _sample_semigroups,
+    assert_classes_match_definitions,
+    brute_zero_minimal_ideals,
+)
 
 T = PartialTransformation
 
@@ -124,13 +131,6 @@ class TestGenerate:
                 assert value == s.elements[i]
                 # reduced: no shorter word reaches the element earlier in BFS
                 assert len(word) <= len(s)
-
-
-LADDER = {
-    "T3": ((2, 3, 1), (2, 1, 3), (1, 1, 3)),
-    "PT3": ((2, 3, 1), (2, 1, 3), (1, 1, 3), (0, 2, 3)),
-    "I3": ((2, 3, 1), (2, 1, 3), (0, 2, 3)),
-}
 
 
 @pytest.fixture
@@ -349,30 +349,6 @@ class TestGreen:
                 assert gs.regular[j]
 
 
-def brute_zero_minimal_ideals(sgp):
-    """The 0-minimal ideals (the kernel if there is no zero), read off the
-    principal ideals S^1 a S^1 computed from all products."""
-    n = len(sgp.elements)
-    mul = sgp.mul_index
-
-    def principal(a):
-        left = {a} | {mul(x, a) for x in range(n)}
-        return frozenset(left | {mul(u, y) for u in left for y in range(n)})
-
-    ideal = [principal(a) for a in range(n)]
-    zeros = [z for z in range(n) if ideal[z] == {z} and all(mul(z, x) == z for x in range(n))]
-    z = zeros[0] if zeros and n > 1 else None
-    out = []
-    for c, members in enumerate(sgp.green().j_classes):
-        a = members[0]
-        smaller = {b for b in ideal[a] if ideal[b] != ideal[a]}
-        if z is None and not smaller:
-            out.append((c, list(members)))
-        elif z is not None and a != z and smaller <= {z}:
-            out.append((c, list(members) + [z]))
-    return z, out
-
-
 class TestGreenOrder:
     def test_zero_minimal_ideals_match_brute_force(self, corpus):
         ladder = [
@@ -396,10 +372,6 @@ class TestGreenOrder:
                         stack.append(d)
             # b2z2_1 is a monoid, so S a S is S^1 a S^1
             assert reach == below
-
-
-T4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (1, 1, 3, 4))
-I4_GENS = ((2, 3, 4, 1), (2, 1, 3, 4), (0, 2, 3, 4))
 
 
 @pytest.fixture(scope="module")

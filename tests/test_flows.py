@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from krc import complexity, flows
+from krc import complexity, core, flows
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, estimate
 from krc.core import (
@@ -34,12 +34,21 @@ from krc.flows import (
     trivial_flow,
     verify_flow,
 )
-from krc.fileformats import dump_flow, load_semigroup, parse_semigroup
+from krc.fileformats import dump_flow, load_semigroup
 from krc.inverse import matrix_semigroup_as_transformations, small_monoid
-from krc.products import ActionPair, DivisionWitness, MulOracle, WreathProduct
+from krc.products import (
+    ActionPair,
+    DivisionWitness,
+    MulOracle,
+    PairSemigroup,
+    PartialMaps,
+    WreathProduct,
+    _relation_closure,
+)
 from krc.semilocal import fasp_embedding, group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
-from test_core import I4_GENS, LADDER, T4_GENS
+
+from helpers import I4_GENS, LADDER, T4_GENS, fasp_wreath, ladder, reached_presentations
 
 T = PartialTransformation
 
@@ -48,30 +57,6 @@ T = PartialTransformation
 def small17_pres(z2_group):
     sgp = matrix_semigroup_as_transformations(small_monoid(2, z2_group, 1), z2_group)
     return group_mapping_presentation(sgp)
-
-
-def reached_presentations(sgps, options=None):
-    """The presentations of the distinct group-mapping nodes that estimate
-    reaches from `sgps`, in the order first reached."""
-    texts: dict[str, None] = {}
-
-    def walk(node):
-        if isinstance(node, dict):
-            if node.get("rule") == "group-mapping":
-                texts.setdefault(node["semigroup"])
-            for value in node.values():
-                walk(value)
-        elif isinstance(node, list):
-            for value in node:
-                walk(value)
-
-    for sgp in sgps:
-        walk(estimate(sgp, options).certificate)
-    return [group_mapping_presentation(parse_semigroup(text)) for text in texts]
-
-
-def ladder(gens):
-    return FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +102,67 @@ def _rho_reference(w):
             if w.rho[omega_x] != down_x:
                 return f"rho is not a morphism at {omega} under {x}"
     return None
+
+
+class FirstSight:
+    """A lazy oracle of values under `mul`, codes given on first sight:
+    how the construction multiplied Sym_b and T_A before they were partial
+    maps coded by rows."""
+
+    elements = codes = None
+
+    def __init__(self, mul):
+        self.mul = mul
+        self.values = []
+        self.code_of = {}
+
+    def encode(self, value):
+        if value not in self.code_of:
+            self.code_of[value] = len(self.values)
+            self.values.append(value)
+        return self.code_of[value]
+
+    def decode(self, code):
+        return self.values[code]
+
+    def mul_code(self, a, b):
+        return self.encode(self.mul(self.values[a], self.values[b]))
+
+
+def first_sight_maps(size):
+    """(size, the partial maps of {1..size} under `compose`), coded on
+    first sight, each acting by its images."""
+    maps = FirstSight(compose)
+    return ActionPair(size, maps, lambda c: tuple(v - 1 for v in maps.decode(c).images))
+
+
+def _nested_division_reference(w):
+    """The division of construction `w` on the product it was checked in
+    before its wreath factors were coded by rows: G wr Sym_b nested as
+    `WreathProduct(ActionPair.of_group(G), Sym_b)`, a state's entry the
+    pair (labels, block permutation), and Sym_b and T_A first-sight oracles
+    of `PartialTransformation`s.  `_relation_closure`'s result: the closure
+    or the first conflict."""
+    pres, aut = w.flow.presentation, w.flow.automaton
+    inner = WreathProduct(ActionPair.of_group(pres.group), first_sight_maps(w.b_bar))
+    target = PairSemigroup(WreathProduct(inner, first_sight_maps(aut.n_states)), pres.rlmq.rlm)
+    lifts = {}
+    for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
+        fvals = tuple(
+            None if aut.step(q, x) is None else (
+                w.gbar[x][q - 1], T(tuple(p + 1 for p in w.perms[x][q - 1]))
+            )
+            for q in range(1, aut.n_states + 1)
+        )
+        value = ((fvals, aut.letter_map(x)), pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+        lifts[x] = target.encode(value)
+    return _relation_closure(pres.sgp, target, lifts)
+
+
+def assert_closes_as_nested(w):
+    """The row-coded division of construction `w` closes to the same size
+    and the same S indices, in the same order, as the nested reference."""
+    assert list(_nested_division_reference(w).values()) == list(w.division.closure.values())
 
 
 def unchecked_division(s, target, lifts):
@@ -267,12 +313,15 @@ class TestVerifyFlow:
 
 
 def _row_by_definition(pair, value):
-    """The row of `value` read off its factor's own definition: a map's
-    images (point q at position q - 1), a group element's column of the
-    group table (g.x for every g, by the oracle's value product), the
-    zero undefined everywhere, and a wreath element point by point."""
+    """The row of `value` read off its factor's own definition: a partial
+    map's row is its value, a transformation's its images (point q at
+    position q - 1), a group element's its column of the group table (g.x
+    for every g, by the oracle's value product), the zero undefined
+    everywhere, and a wreath element's point by point."""
     if isinstance(pair, WreathProduct):
         return _row_by_points(pair, value)
+    if isinstance(pair, PartialMaps):
+        return value
     if isinstance(value, PartialTransformation):
         return tuple(v - 1 for v in value.images)
     if value == ZERO:
@@ -298,19 +347,20 @@ def _row_by_points(w, value):
 def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
     """The wreath row interleaves cached columns; it agrees with the point
     definition on the FASP wreath (the zero where the RLM map is
-    undefined) and on the flows' nested wreath, its inner factor
-    included."""
+    undefined), where it is also the code `WreathRows` gives the value, on
+    the flows' wreath over partial maps, and on a nested wreath."""
     checked = Counter()
-    fasp = fasp_embedding(group_mapping_presentation(b2z2_1)).witness
-    zero = fasp.target.left.sgp.encode(ZERO)
-    for code in fasp.closure:
-        assert fasp.target.row(code) == _row_by_points(fasp.target, fasp.target.decode(code))
-        checked["fasp", zero in code[0]] += 1
+    pres = group_mapping_presentation(b2z2_1)
+    rows, fasp = fasp_embedding(pres).rows, fasp_wreath(pres)
+    for row, value in zip(rows.closure, rows.morphism):
+        assert row == (*fasp.row(fasp.encode(value)), -1)
+        assert row == (*_row_by_points(fasp, value), -1)
+        checked["fasp", ZERO in value[0]] += 1
     division = presentation_construct(trivial_flow(small17_pres)).division
     outer = division.target.left
-    # and by hand: a 2-state transition semigroup where a letter dies
-    sym_2 = MulOracle(None, compose)
-    sym = ActionPair(2, sym_2, lambda c: tuple(v - 1 for v in sym_2.decode(c).images))
+    # and by hand: G wr Sym_2 nested over a 2-state transition semigroup
+    # where a letter dies
+    sym = ActionPair.of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
     inner = WreathProduct(ActionPair.of_group(FiniteGroup.cyclic(2)), sym)
     states = FiniteSemigroup.generate([("x", T((2, 0))), ("y", T((1, 1)))])
     dying = WreathProduct(inner, ActionPair.of_transformations(states))
@@ -325,13 +375,13 @@ def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
             f, _ = value = w.decode(code)
             assert w.row(code) == _row_by_points(w, value)
             assert all(
-                w.left.row(c) == _row_by_points(w.left, v)
+                w.left.row(c) == _row_by_definition(w.left, v)
                 for c, v in zip(code[0], f)
                 if c is not None
             )
-            checked["nested", -1 in w.right.row(code[1]), None in code[0]] += 1
+            checked[w is dying, -1 in w.right.row(code[1]), None in code[0]] += 1
     assert checked["fasp", True] and checked["fasp", False]
-    assert checked["nested", True, True] and checked["nested", False, False]
+    assert checked[False, False, False] and checked[True, True, True]
 
 
 class TestPresentationConstruct:
@@ -386,6 +436,7 @@ class TestPresentationConstruct:
         ]
         for w in estimated_constructions:
             assert _rho_reference(w) is None, dump_flow(w.flow)
+            assert_closes_as_nested(w)
 
     def test_wrong_shift_breaks_rho(self, small17_pres, monkeypatch):
         # F1-F5 read only the transport's violations, so the flow still
@@ -417,6 +468,35 @@ class TestPresentationConstruct:
         assert _rho_reference(presentation_construct(flow)).startswith(
             "rho is not a morphism"
         )
+
+    def test_estimate_and_replay_multiply_no_values(self, monkeypatch):
+        # one corpus estimate and its replay construct two decompositions,
+        # both on codes: no value product inside `presentation_construct`
+        counts = Counter()
+        inside = []
+        construct = complexity.presentation_construct
+
+        def constructing(flow):
+            counts["constructions"] += 1
+            inside.append(flow)
+            try:
+                return construct(flow)
+            finally:
+                inside.pop()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += bool(inside)
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(complexity, "presentation_construct", constructing)
+        monkeypatch.setattr(MulOracle, "mul_code", counting("mul_code", MulOracle.mul_code))
+        monkeypatch.setattr(core, "compose", counting("compose", core.compose))
+        cert = estimate(load_semigroup(CORPUS_DIR / "small_3_z2_r1.sgp")).certificate
+        complexity.replay_certificate(json.loads(complexity.certificate_json(cert)))
+        assert [counts[k] for k in ("constructions", "mul_code", "compose")] == [2, 0, 0]
 
     def test_lifted_action_fiberwise_permutation(self, small17_pres):
         w = presentation_construct(trivial_flow(small17_pres))
@@ -566,7 +646,8 @@ class TestCover:
     """A one-state labeling verifies exactly when F1-F5, the sink condition
     and the cover condition hold; a flow that verifies constructs with rho
     onto, and one that breaks only the cover condition leaves rho short of
-    G x B + 0 and its lifts are rejected by the division."""
+    G x B + 0 and its lifts are rejected by the division, as by the nested
+    reference."""
 
     def test_cover_iff_onto(self, corpus_presentations, ladder_presentations, monkeypatch):
         presentations = corpus_presentations + [
@@ -598,10 +679,13 @@ class TestCover:
                                 patch.setattr(flows, "check_division", unchecked_division)
                                 w = presentation_construct(flow)
                                 assert _rho_reference(w) == "rho is not onto G x B + 0"
+                                assert not isinstance(_nested_division_reference(w), dict)
                         continue
                     assert (verdict is True) == local
                     if verdict is True:
-                        assert _rho_reference(presentation_construct(flow)) is None
+                        w = presentation_construct(flow)
+                        assert _rho_reference(w) is None
+                        assert_closes_as_nested(w)
                         constructed += 1
         assert constructed
 
@@ -630,12 +714,18 @@ def local_covering_flows(pres, automata):
 
 def construct_outcome(flow, monkeypatch):
     """"ok" when the flow's decomposition constructs, else the failure,
-    with the flow conditions left to the construction's own checks."""
+    with the flow conditions left to the construction's own checks.  The
+    nested reference agrees: the same closure when it constructs, and a
+    rejection of the same kind when it does not."""
     with monkeypatch.context() as patch:
         patch.setattr(flows, "verify_flow", lambda flow: True)
         try:
-            presentation_construct(flow)
+            assert_closes_as_nested(presentation_construct(flow))
         except VerificationError as err:
+            patch.setattr(flows, "check_division", unchecked_division)
+            reference = _nested_division_reference(presentation_construct(flow))
+            kind = f"division lifts rejected: {reference}".partition(" at ")[0]
+            assert str(err).startswith(kind), (str(err), reference)
             return str(err)
     return "ok"
 
@@ -774,6 +864,7 @@ class TestPinned:
             for labels in _iter_labelings(aut, supports, succ, sinks):
                 w = presentation_construct(Flow(aut, pres, tuple(spcs[i] for i in labels)))
                 assert _rho_reference(w) is None
+                assert_closes_as_nested(w)
                 built.append([w.b_bar, w.perms, w.gbar, len(w.division.morphism)])
         assert len(built) == flows
         assert digest(built) == want

@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from krc.cli import CORPUS_DIR, load_corpus_manifest, main
-from krc.complexity import RelationalMorphism, check_derived_wreath_division
-from krc.core import FiniteSemigroup, PartialTransformation
+from krc.complexity import check_derived_wreath_division
 from krc.products import DivisionWitness
-from test_core import I4_GENS, LADDER, T4_GENS
+
+from helpers import I4_GENS, LADDER, T4_GENS, division_instance
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
@@ -108,20 +108,6 @@ def test_degree4_at_default_options(gens, digest, capsys, tmp_path):
     run(capsys, ["estimate", str(src), "--cert", str(cert)])
     assert sha(cert.read_text(encoding="ascii")) == digest
     assert run(capsys, ["replay", str(cert)]).splitlines()[-1] == "replay: ok"
-
-
-def division_instance(name: str):
-    """(phi, psi) of the acceptance suite's derived-wreath division `name`."""
-    if name == "trivial":
-        phi = RelationalMorphism.identity(
-            FiniteSemigroup.generate([("1", PartialTransformation.identity(1))])
-        )
-        return phi, phi
-    mul = {"z2": lambda a, b: (a + b) % 2, "u1": lambda a, b: a * b}[name]
-    phi = RelationalMorphism.to_trivial(
-        FiniteSemigroup.from_elements([0, 1], mul, sort_key=lambda v: v)
-    )
-    return phi, RelationalMorphism.identity(phi.target)
 
 
 def witness_json(witness) -> str:

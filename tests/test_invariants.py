@@ -3,6 +3,8 @@ cases that motivated the documented conventions."""
 
 import itertools
 
+import pytest
+
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from krc.fileformats import (
@@ -16,7 +18,15 @@ from krc.fileformats import (
     parse_group,
     parse_semigroup,
 )
-from krc.flows import flow_search, presentation_construct, trivial_flow, verify_flow
+from krc.flows import (
+    FlowSearchExhausted,
+    FlowViolation,
+    flow_search,
+    presentation_construct,
+    trivial_flow,
+    verify_flow,
+)
+from krc.products import ExhaustionReport
 from krc.semilocal import (
     JClassRef,
     classify,
@@ -24,8 +34,22 @@ from krc.semilocal import (
     group_mapping_presentation,
     rlm_quotient,
 )
+from krc.spc import CrossSectionFailure
 
 T = PartialTransformation
+
+
+@pytest.mark.parametrize("verdict", [
+    FlowViolation("F1", 1, "x", "1.x = 2 escapes the target support"),
+    FlowSearchExhausted(2, 2000, 2000),
+    ExhaustionReport(408, 2_000_000, searched_all=True),
+    CrossSectionFailure(1, 2),
+], ids=lambda verdict: type(verdict).__name__)
+def test_failure_values_are_false(verdict):
+    # a search or check returns these in place of a result, so a caller
+    # may test the result by truth (`if verify_flow(flow):`); a dataclass
+    # with fields is true unless it says otherwise
+    assert not verdict
 
 
 def corpus_semigroups():
@@ -135,7 +159,9 @@ def test_lift_projects_to_transition_semigroup(b2z2_1):
     w = presentation_construct(trivial_flow(pres))
     for name in pres.sgp.gen_names:
         wreath_part, _ = w.division.lifts[name]
-        assert wreath_part[1] == w.flow.automaton.letter_map(name)
+        # T_A's part is the letter's partial map of the states, as a row
+        images = w.flow.automaton.letter_map(name).images
+        assert wreath_part[1] == tuple(q - 1 for q in images)
 
 
 def test_format_roundtrips_for_auxiliary_files(b2z2_1):

@@ -17,8 +17,8 @@ from krc.products import (
     WreathProduct,
     check_division,
 )
-from test_core import I4_GENS, LADDER, T4_GENS
-from test_goldens import division_instance
+
+from helpers import I4_GENS, LADDER, T4_GENS, division_instance
 
 T = PartialTransformation
 BUDGET = 10**6  # above every wreath carrier built here
@@ -597,5 +597,5 @@ def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
         raise AssertionError("built a FiniteSemigroup carrier")
 
     monkeypatch.setattr(FiniteSemigroup, "from_elements", refuse)
-    assert len(fasp_embedding(pres).witness.morphism) == len(b2z2_1)
+    assert len(fasp_embedding(pres).rows.morphism) == len(b2z2_1)
     assert len(inverse_decomposition(s, z2).direct_witness.morphism) == 32

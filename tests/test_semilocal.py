@@ -17,7 +17,7 @@ from krc.core import (
 )
 from krc.errors import InputError, VerificationError
 from krc.fileformats import load_semigroup
-from krc.products import ActionPair, WreathProduct, WreathRows, _relation_closure, check_division
+from krc.products import WreathRows, _relation_closure, check_division
 from krc.inverse import (
     matrix_semigroup_as_transformations,
     rlm_matrix,
@@ -37,9 +37,21 @@ from krc.semilocal import (
     theta_prime_representation,
 )
 
-from helpers import _sample_semigroups, census_classes, lclass_maps
-from test_core import I4_GENS, LADDER, T4_GENS, brute_zero_minimal_ideals
-from test_flows import ladder, reached_presentations
+from helpers import (
+    I4_GENS,
+    LADDER,
+    T4_GENS,
+    _fasp_action_reference,
+    _sample_semigroups,
+    assert_rows_close_as_codes,
+    assert_wreath_rows_compose,
+    brute_zero_minimal_ideals,
+    census_classes,
+    fasp_wreath,
+    lclass_maps,
+    ladder,
+    reached_presentations,
+)
 
 T = PartialTransformation
 
@@ -741,12 +753,12 @@ class TestFaspEmbedding:
     def test_group_into_itself(self, sym3):
         pres = group_mapping_presentation(sym3)
         emb = fasp_embedding(pres)
-        assert len(emb.witness.morphism) == 6
+        assert len(emb.rows.morphism) == 6
 
     def test_b2z2_injective(self, b2z2_1):
         pres = group_mapping_presentation(b2z2_1)
         emb = fasp_embedding(pres)
-        assert len(emb.witness.morphism) == len(b2z2_1)
+        assert len(emb.rows.morphism) == len(b2z2_1)
 
     def test_matrix_form_matches_monomial_representation(self, z2_group):
         # the wreath image of a generator reads off its matrix rows
@@ -802,31 +814,12 @@ class TestFaspEmbedding:
         fvals, rlm_map = lifts[name]
         fvals = fvals[:b] + (ZERO if defined else pres.group.identity,) + fvals[b + 1:]
         lifts[name] = (fvals, rlm_map)
-        oracle = WreathRows(pres.group, ActionPair.of_transformations(pres.rlmq.rlm))
-        oracle.wreath.encode(lifts[name])  # an element of the wreath product
+        oracle = WreathRows(pres.group, pres.rlmq.rlm)
+        fasp_wreath(pres).encode(lifts[name])  # an element of the wreath product
         with pytest.raises(VerificationError) as err:
             check_division(pres.sgp, oracle, lifts=lifts)
         message = f"division lifts rejected: lift for {name!r} is not an element of the target"
         assert str(err.value) == message
-
-
-def _fasp_action_reference(pres, w, witness):
-    """The wreath image acts on G x B + 0 as S acts on R u {0}, R the a = 0
-    R-class, point by point on the witness's values: the first failure's
-    message, or None.  `fasp_embedding` proves this; the tests check it."""
-    sgp, rc = pres.sgp, pres.rees
-    j_of = sgp.green().j_of
-    r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
-    for wv, sv in witness.morphism.items():
-        wrow = w.row(w.encode(wv))
-        for u, g, b in r:
-            p, img = sgp.mul_index(u, sgp.index[sv]), wrow[g * pres.n_b + b]
-            if j_of[p] != pres.jref.j_id:
-                if img >= 0:
-                    return "wreath action defined where theta^R is not"
-            elif img != rc.coord[p][1] * pres.n_b + rc.coord[p][2]:
-                return f"wreath action disagrees with theta^R at {(g, b)} under {sv!r}"
-    return None
 
 
 @pytest.mark.parametrize("name", ["b2z2_1", "small_2_z2", "sym3", "zero_z2", "z3"])
@@ -834,22 +827,22 @@ def test_fasp_action_rejects_one_corrupted_label(name):
     # one defined label of one closure element moved to the next group
     # element, its S-element kept: the reference flags it
     pres = group_mapping_presentation(load_semigroup(CORPUS_DIR / f"{name}.sgp"))
-    witness = fasp_embedding(pres).witness
+    witness = fasp_embedding(pres).rows
     w = witness.target
-    assert _fasp_action_reference(pres, w, witness) is None
+    assert _fasp_action_reference(pres, witness) is None
     order = len(pres.group)
-    for code in witness.closure:
-        f, t = code
-        # a defined label: a group code, below the zero's code |G|
-        i = next((i for i, c in enumerate(f) if c < order), None)
+    for row in witness.closure:
+        f, t = w.decode(row)
+        # a defined label: a group element, not the zero
+        i = next((i for i, v in enumerate(f) if v != ZERO), None)
         if i is None:
             continue
-        bad_code = (f[:i] + ((f[i] + 1) % order,) + f[i + 1:], t)
-        if bad_code not in witness.closure:
+        bad_row = w.encode((f[:i] + ((f[i] + 1) % order,) + f[i + 1:], t))
+        if bad_row not in witness.closure:
             break
-    closure = {bad_code if c == code else c: s for c, s in witness.closure.items()}
+    closure = {bad_row if r == row else r: s for r, s in witness.closure.items()}
     bad = dataclasses.replace(witness, closure=closure)
-    want = _fasp_action_reference(pres, w, bad)
+    want = _fasp_action_reference(pres, bad)
     assert want.startswith("wreath action disagrees with theta^R at ")
 
 
@@ -893,35 +886,6 @@ def estimate_presentations(source):
     return reached_presentations(ESTIMATE_SOURCES[source](), options)
 
 
-def assert_wreath_rows_compose(witness):
-    """The law `fasp_embedding`'s proof reads off the wreath formula: on
-    the division closure, row(u*v) is row(u) followed by row(v), -1
-    absorbing, for every closure code u and generator-lift code v."""
-    w = witness.target
-    lifts = [w.encode(v) for v in witness.lifts.values()]
-    for u in witness.closure:
-        for v in lifts:
-            rv = w.row(v)
-            want = tuple(-1 if p < 0 else rv[p] for p in w.row(u))
-            assert w.row(w.mul_code(u, v)) == want
-
-
-def assert_rows_close_as_codes(pres):
-    """`fasp_embedding` closes on the wreath image's action rows; read
-    back, its closure is the closure on wreath codes item for item and in
-    order, each row the code's row followed by the -1 sentinel, of size |S|
-    (the `products` docstring proves it)."""
-    emb = fasp_embedding(pres)
-    w = WreathProduct(
-        ActionPair.of_group_with_zero(pres.group), ActionPair.of_transformations(pres.rlmq.rlm)
-    )
-    codes = check_division(pres.sgp, w, lifts=emb.lifts).closure
-    assert list(emb.witness.closure.items()) == list(codes.items())
-    assert list(emb.rows.closure) == [(*w.row(c), -1) for c in codes]
-    assert len(emb.rows.closure) == len(codes) == len(pres.sgp)
-    emb.witness.verify()
-
-
 @pytest.mark.parametrize("source", list(ESTIMATE_SOURCES))
 def test_rows_close_as_codes(source):
     presentations = estimate_presentations(source)
@@ -935,7 +899,7 @@ def test_wreath_rows_compose_on_the_closure(source):
     presentations = estimate_presentations(source)
     assert presentations
     for pres in presentations:
-        assert_wreath_rows_compose(fasp_embedding(pres).witness)
+        assert_wreath_rows_compose(pres)
 
 
 @pytest.mark.parametrize("source", list(ESTIMATE_SOURCES))
@@ -948,12 +912,12 @@ def test_zero_is_the_removed_domain_restriction(source):
     presentations = estimate_presentations(source)
     assert presentations
     for pres in presentations:
-        witness = fasp_embedding(pres).witness
-        assert _fasp_action_reference(pres, witness.target, witness) is None
-        zero = witness.target.left.sgp.encode(ZERO)
+        witness = fasp_embedding(pres).rows
+        assert _fasp_action_reference(pres, witness) is None
+        decode, rlm = witness.target.decode, pres.rlmq.rlm
         read = {
-            (tuple(None if c == zero else c for c in f), t): s
-            for (f, t), s in witness.closure.items()
+            (tuple(None if v == ZERO else v for v in f), rlm.index[t]): s
+            for (f, t), s in zip(map(decode, witness.closure), witness.closure.values())
         }
         lifts = {
             name: (
