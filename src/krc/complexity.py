@@ -183,9 +183,7 @@ def derived_division_witness(
     makes the relation functional.  The wreath's right points are the
     fresh object at position 0, then T's element of index i at 1 + i."""
     s_sgp, t_sgp = rho.source, rho.target
-    w = WreathProduct(
-        ActionPair.right_translation(derived), ActionPair.right_translation(t_sgp)
-    )
+    w = WreathProduct(derived, ActionPair.right_translation(t_sgp))
     lifts = {}
     for name, gi in zip(s_sgp.gen_names, s_sgp.gens):
         tx = rho.gen_choice[name]
@@ -739,7 +737,7 @@ def check_derived_wreath_division(
     d_phi = derived_semigroup(phi)
     d_psi = derived_semigroup(psi)
     source = with_generators(d_comp, minimal_generating_set(d_comp))
-    carrier = WreathProduct(
-        ActionPair.right_translation(d_phi), ActionPair.right_translation(d_psi)
-    ).full_carrier(DERIVED_WREATH_CARRIER_BUDGET)
+    carrier = WreathProduct(d_phi, ActionPair.right_translation(d_psi)).full_carrier(
+        DERIVED_WREATH_CARRIER_BUDGET
+    )
     return check_division(source, carrier, lifts=None, budget=budget)

@@ -635,19 +635,6 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     )
 
 
-def check_stability(sgp: FiniteSemigroup) -> None:
-    """xy J x <=> xy R x and xy J y <=> xy L y, over all pairs."""
-    gs = sgp.green()
-    n = len(sgp.elements)
-    for i in range(n):
-        for j in range(n):
-            p = sgp.mul_index(i, j)
-            if (gs.j_of[p] == gs.j_of[i]) != (gs.r_of[p] == gs.r_of[i]):
-                raise VerificationError(f"stability (R side) fails at pair ({i},{j})")
-            if (gs.j_of[p] == gs.j_of[j]) != (gs.l_of[p] == gs.l_of[j]):
-                raise VerificationError(f"stability (L side) fails at pair ({i},{j})")
-
-
 def _index_period(x, step: Callable[[Any], Any]) -> tuple[int, int]:
     """(index, period) of the orbit x, step(x), step(step(x)), ...: the
     least i, p >= 1 whose i-th and (i+p)-th terms are equal."""

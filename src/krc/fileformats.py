@@ -247,11 +247,6 @@ def dump_automaton(aut) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_automaton(text: str, letters: tuple[str, ...]):
-    lines = _clean_lines(text)
-    return _parse_automaton_lines(lines, letters)
-
-
 def _parse_automaton_lines(lines: list[str], letters: tuple[str, ...]):
     from .flows import Automaton
 

@@ -332,7 +332,7 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
     # Qbar: each point ((g, j), q) of the wreath, by its position
     # ((g*b_bar + j-1)*nq + q-1), with 0, and with every b in block j of
     # q's label
-    qbar: list[Any] = [(point, ZERO) for point in range(outer.size)]
+    qbar: list[Any] = [(point, ZERO) for point in range(len(group) * b_bar * nq)]
     rho: dict[Any, Any] = dict.fromkeys(qbar, ZERO)
     for q in range(1, nq + 1):
         blocks = flow.labeling[q - 1].blocks

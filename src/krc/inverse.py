@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, row_getter
 from .errors import InputError, VerificationError
-from .semilocal import JClassRef, rees_coordinates, rlm_quotient, classify
+from .semilocal import JClassRef, rees_coordinates
 
 
 @dataclass(frozen=True)
@@ -430,25 +430,15 @@ def _verify_brandt_shape(ts, rc, size, group):
         raise VerificationError("J1 does not have n R-classes and n L-classes")
 
 
-def flat_kernel_matches_rlm(sgp: FiniteSemigroup, group: FiniteGroup) -> bool:
-    """Entry flattening identifies exactly the same pairs as the L-class
-    action at the distinguished class, and the images have equal size;
-    this is the precise content of "RLM replaces nonzero entries by 1"."""
-    cls = classify(sgp)
-    rq = rlm_quotient(sgp, JClassRef(sgp, cls.distinguished_j))
-    for a, ca in zip(sgp.elements, rq.code):
-        for b, cb in zip(sgp.elements, rq.code):
-            if (rlm_matrix(a) == rlm_matrix(b)) != (ca == cb):
-                return False
-    return len({rlm_matrix(a) for a in sgp.elements}) == len(rq.rlm)
-
-
 @dataclass
 class InverseDecomposition:
-    """S < (monomial group) x RLM(S), realized both directly, each generator
-    lifted to its first unit extension and its RLM image, and through the
-    one-state flow; the flow lifts are translated back to monomial matrices
-    and checked to extend the generators."""
+    """S < (monomial group) x RLM(S), realized twice.  Directly: each
+    generator lifts to its first unit extension, coded by the partial map
+    (g, i) -> (g*label_i, perm(i)) of G x [n] that it induces ((g, i) at
+    g*n + i, as in the flow's G wr Sym_b factor), with its RLM image.
+    Through the one-state flow: its lifts are translated back to monomial
+    matrices and checked to extend the generators.  The two closures reach
+    the same S indices."""
 
     source: FiniteSemigroup
     direct_witness: Any
@@ -458,13 +448,11 @@ class InverseDecomposition:
 
 def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDecomposition:
     from .flows import presentation_construct, trivial_flow, verify_flow
-    from .products import MulOracle, PairSemigroup, check_division
+    from .products import PairSemigroup, PartialMaps, check_division
     from .semilocal import group_mapping_presentation
 
     size = validate_gm_inverse(sgp, group)
     units = monomial_units(size, group)
-    # checking the given lifts only multiplies, so no unit table is built
-    units_sgp = MulOracle(units, lambda a, b: monomial_mul(a, b, group))
     pres = group_mapping_presentation(sgp)
 
     # match L-classes of the distinguished class with matrix columns
@@ -479,11 +467,15 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
     if sorted(column_of_b) != list(range(1, size + 1)):
         raise VerificationError("L-classes do not match the columns")
 
+    # checking the given lifts only multiplies, so the units act as
+    # partial maps and no unit table is built
+    points = range(len(group))
     lifts = {}
     for name, gi in zip(sgp.gen_names, sgp.gens):
         tau = units[_extensions(sgp.elements[gi], units)[0]]
-        lifts[name] = (tau, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
-    target = PairSemigroup(units_sgp, pres.rlmq.rlm)
+        row = tuple(group.mul(g, h) * size + j - 1 for g in points for j, h in tau.rows)
+        lifts[name] = (row, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+    target = PairSemigroup(PartialMaps(len(group) * size), pres.rlmq.rlm)
     direct = check_division(sgp, target, lifts=lifts)
 
     # the same decomposition through the one-state flow
@@ -504,7 +496,7 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
         if any(tau.rows[i - 1] != x.rows[i - 1] for i in x.dom()):
             raise VerificationError("flow lift does not extend the generator")
 
-    if set(direct.morphism.values()) != set(witness.division.morphism.values()):
+    if set(direct.closure.values()) != set(witness.division.closure.values()):
         raise VerificationError("the two decomposition witnesses differ on their images")
     return InverseDecomposition(sgp, direct, witness.division, column_of_b)
 

@@ -1,11 +1,27 @@
 """Products of transformation semigroups and division certificates.
 
-The wreath product here follows the convention that the left factor's
-functions are post-composed through the right factor's action:
-(b,q)(f,t) = (b(qf), qt) and (f,t)(f',t') = (f.(t o f'), tt').  Function
-parts may carry None entries, read as an adjoined identity of the left
-semigroup; the skip convention keeps the product associative on partial
-right actions.
+Every division target is a multiplication oracle on codes: `encode(v)`
+(KeyError when v is not an element), `decode(c)`, `mul_code(a, b)` and
+`codes`, every code in order on an enumerated oracle and None on a lazy
+one (`PairSemigroup`, `WreathProduct`, `PartialMaps`).  Codes are a
+`FiniteSemigroup`'s indices, a `PairSemigroup`'s pairs, a wreath
+product's (tuple of left-factor codes or None, right-factor code), and a
+`PartialMaps`'s action rows.
+
+The wreath product S wr (Q, T) has the pairs (f, t), f a tuple over Q's
+points with values in S and t in T, and (f,t)(f',t') = (f.(t o f'), tt')
+with (t o f')[q] = f'[q.t].  An entry of f may be None, read as an
+adjoined identity of S, and so is f'[q.t] where q.t is undefined; this
+skip convention keeps the product associative on partial right actions.
+S is only multiplied, so the left factor is an oracle.  The right factor
+(Q, T) is an action pair: an oracle T (`sgp`) acting faithfully on the
+points 0..size-1 by `row(c)`, per point its image's position, -1 where
+undefined.  The semigroup wreath product S wr T = S^(T^1) x T is
+S wr (T^1, T), T acting by right translation
+(`ActionPair.right_translation`), so it has no product of its own.
+`PartialMaps(n)`, all partial maps of n points, is an oracle and its own
+action pair: a map's code is its row with a -1 sentinel, and a product
+is one gather.
 
 Division S < T is always handled as a checkable certificate: generator
 lifts whose generated relation inside T x S is a surjective function onto
@@ -39,42 +55,21 @@ of them do exactly when a >= the greatest index and the lcm of the
 periods divides b - a.  So (f,t) has index the max and period the lcm
 over t's walk and the coordinate walks.
 
-Every division target and every `ActionPair.sgp` is a multiplication
-oracle on codes: `encode(v)` (KeyError when v is not an element of an
-enumerated carrier), `decode(c)` and `mul_code(a, b)`.  An enumerated
-oracle lists its `elements` and their `codes` in one order (a wreath
-product's full carrier decodes its `elements` when first read); a lazy
-one (`PairSemigroup`, `WreathProduct`, `PartialMaps`) has `elements` and
-`codes` None.  Codes are a `FiniteSemigroup`'s or `MulOracle`'s indices,
-a `PairSemigroup`'s pairs, a wreath product's (tuple of left-factor codes
-or None, right-factor code), and a `PartialMaps`'s action rows.
-
-An action pair (Q, S) has points 0..size-1 and acts on S's codes by
-`row(c)`: per point, its image's position, -1 where undefined.  A wreath
-product (B,S) wr (Q,T) is itself an action pair on B x Q, the point (b,q)
-at position b*|Q| + q, so wreath products nest.  `PartialMaps(n)`, all
-partial maps of n points, is its own action pair: a map's code is its
-row with a -1 sentinel, and a product is one gather.
-
 Divisions run on codes; the source steps along its right Cayley graph by
 index.  Values appear only at the boundary: given lifts are encoded once,
 and one that is not an element of the target is refused there; a
 witness's lifts and every rejection message are decoded, and its morphism
 table when first read, so a witness's `target` and `lifts` go back into
-`check_division`.  Checking given lifts only multiplies; a search needs
-`codes`.  A factor that is only multiplied is a `MulOracle`, not a
-`FiniteSemigroup`.
-
-The semigroup wreath product S wr T = S^(T^1) x T is the wreath product
-(S^1,S) wr (T^1,T) of the right translation actions
-(`ActionPair.right_translation`), so it has no product of its own.
+`check_division`.  Checking given lifts only multiplies, so a lazy oracle
+serves; a search needs `codes`.
 
 `WreathRows` codes (G, G^0) wr (Q, T), T a carrier of partial
-transformations, by the partial maps of G x Q, (g, q) at g*|Q| + q; G^0's
-zero is undefined at every point.  Call (f, t) shaped when its zero lies
-exactly where q.t is undefined.  On shaped lifts the division closure
-runs as on wreath codes, by three facts.  (1) Shaped values are closed
-under products: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or
+transformations, by the partial maps of G x Q, (g, q) at g*|Q| + q, that
+its elements induce: (g, q) goes to (g.f[q], q.t), undefined where q.t is
+or f[q] is G^0's zero.  Call (f, t) shaped when its zero lies exactly
+where q.t is undefined.  On shaped lifts the division closure runs as on
+wreath codes, by three facts.  (1) Shaped values are closed under
+products: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or
 (q.t1).t2 is undefined, since the zero absorbs and G holds no zero.
 (2) The row determines a shaped value: the image of (1_G, q) is
 (f[q], q.t), or -1 exactly where q.t is undefined, which is where f[q] is
@@ -104,31 +99,10 @@ from .errors import InputError, ResourceError, VerificationError
 DIVISION_SEARCH_BUDGET = 2_000_000
 
 
-class MulOracle:
-    """A bare multiplication oracle on an element list (no Cayley
-    machinery), for a factor that is only multiplied; its codes are the
-    list's indices."""
-
-    def __init__(self, elements: list[Any], mul: Callable[[Any, Any], Any]):
-        self.elements = elements
-        self.mul = mul
-        self.codes = range(len(elements))
-        self._codes = {v: i for i, v in enumerate(elements)}
-
-    def encode(self, value) -> int:
-        return self._codes[value]
-
-    def decode(self, code: int):
-        return self.elements[code]
-
-    def mul_code(self, a: int, b: int) -> int:
-        return self._codes[self.mul(self.elements[a], self.elements[b])]
-
-
 class PairSemigroup:
     """Componentwise product of two multiplication oracles (lazy)."""
 
-    elements = codes = None
+    codes = None
 
     def __init__(self, left, right):
         self.left = left
@@ -163,30 +137,6 @@ class ActionPair:
         self.row = functools.lru_cache(maxsize=None)(self.row)
 
     @classmethod
-    def of_transformations(cls, sgp: FiniteSemigroup) -> "ActionPair":
-        """(n, S) for partial transformations of {1..n}: point q at q - 1."""
-        return cls(sgp.degree, sgp, lambda c: tuple([v - 1 for v in sgp.elements[c].images]))
-
-    @classmethod
-    def of_group(cls, group: FiniteGroup) -> "ActionPair":
-        """(G, G): the right regular action, with elements 0..|G|-1, by the
-        columns of the group table."""
-        idx = list(range(len(group)))
-        return cls(len(idx), MulOracle(idx, group.mul), list(zip(*group.table)).__getitem__)
-
-    @classmethod
-    def of_group_with_zero(cls, group: FiniteGroup) -> "ActionPair":
-        """(G, G^0): (G, G) with a zero adjoined, value `ZERO` and code |G|,
-        whose row is undefined at every point."""
-        n = len(group)
-
-        def mul(a, b):
-            return ZERO if ZERO in (a, b) else group.mul(a, b)
-
-        columns = list(zip(*group.table)) + [(-1,) * n]
-        return cls(n, MulOracle([*range(n), ZERO], mul), columns.__getitem__)
-
-    @classmethod
     def right_translation(cls, sgp: FiniteSemigroup) -> "ActionPair":
         """(S^1, S): S acting on itself by right translation.  Point 0
         stands for the adjoined identity, and point 1 + i for S's element
@@ -206,7 +156,7 @@ class PartialMaps:
     a*b is b's code gathered at a's positions, one C call: a gathered -1
     reads the sentinel, which carries itself."""
 
-    elements = codes = None
+    codes = None
 
     def __init__(self, size: int):
         self.size = size
@@ -234,29 +184,24 @@ class PartialMaps:
 
 
 class WreathProduct:
-    """(B,S) wr (Q,T) as a lazy carrier on pairs (f, t).
+    """S wr (Q, T) as a lazy carrier on pairs (f, t) (see the module
+    docstring), given the oracle S and the action pair (Q, T).
 
     f is a tuple over Q's points with values in S (or None for the
     adjoined identity), t is an element of T; its code is f's tuple of S's
     codes with t's code.  Codes multiply by the wreath formula, reading
-    T's action rows; the full carrier S^Q x T is materialized only under
-    the given budget.  It is itself the action pair (B x Q, S wr T), the
-    point (b, q) at position b*|Q| + q: it has `size`, `sgp` and `row`, so
-    it nests as either factor of another wreath product.  Its rows are
-    cached, as an `ActionPair`'s are.
+    T's action rows; the full carrier S^Q x T is enumerated only under the
+    given budget.
     """
 
     codes = None
 
-    def __init__(self, left: ActionPair, right: ActionPair):
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.size = left.size * right.size
-        self.row = functools.lru_cache(maxsize=None)(self.row)
-        self._column = functools.lru_cache(maxsize=None)(self._column_of)
         # the factors' products by code pair, with None for the left
         # identity: a search takes a few of them many times
-        mul = left.sgp.mul_code
+        mul = left.mul_code
         self._left_mul = functools.lru_cache(maxsize=None)(
             lambda a, b: b if a is None else a if b is None else mul(a, b)
         )
@@ -270,26 +215,16 @@ class WreathProduct:
         )
         self._combined = _Memo(_max_lcm)
 
-    @property
-    def sgp(self) -> "WreathProduct":
-        return self
-
-    @functools.cached_property
-    def elements(self) -> Optional[list]:
-        """The values of `codes`, in order, decoded when first read; None
-        on a lazy product."""
-        return None if self.codes is None else [self.decode(c) for c in self.codes]
-
     def encode(self, value) -> tuple:
         f, t = value
         if len(f) != self.right.size:
             raise KeyError(value)
-        enc = self.left.sgp.encode
+        enc = self.left.encode
         return (tuple(None if v is None else enc(v) for v in f), self.right.sgp.encode(t))
 
     def decode(self, code) -> tuple:
         f, t = code
-        dec = self.left.sgp.decode
+        dec = self.left.decode
         return (tuple(None if c is None else dec(c) for c in f), self.right.sgp.decode(t))
 
     def mul_code(self, u, v) -> tuple:
@@ -298,25 +233,6 @@ class WreathProduct:
         (f1, t1), (f2, t2) = u, v
         f = tuple(map(self._left_mul, f1, map((f2 + (None,)).__getitem__, self.right.row(t1))))
         return (f, self._right_mul(t1, t2))
-
-    def row(self, code) -> tuple:
-        """(b, q)(f, t) = (b(qf), qt) by positions, b running slowest.
-        The points (b, q) at one position of Q form one column over b,
-        which depends only on q's left code qf and the position of qt; the
-        row interleaves those cached columns."""
-        f, t = code
-        columns = map(self._column, f, self.right.row(t))
-        return tuple(itertools.chain.from_iterable(zip(*columns)))
-
-    def _column_of(self, c, j: int) -> tuple:
-        """Per b, the position of (b.c, q') where q' is the point at
-        position j: -1 where j or b.c is undefined, and c None acts as the
-        identity."""
-        nb, nq = self.left.size, self.right.size
-        if j < 0:
-            return (-1,) * nb
-        images = range(nb) if c is None else self.left.row(c)
-        return tuple([-1 if b2 < 0 else b2 * nq + j for b2 in images])
 
     def index_periods(self, codes) -> list[tuple[int, int]]:
         """Per code, the (index, period) of its powers, read coordinatewise
@@ -368,14 +284,14 @@ class WreathProduct:
     def full_carrier(self, budget: int) -> "WreathProduct":
         """S^Q x T enumerated as `codes`, in the order of T's carrier and
         then of the function parts over S's carrier, lexicographically."""
-        left, right = self.left.sgp, self.right.sgp
+        left, right = self.left, self.right.sgp
         nq = self.right.size
         size = len(left.codes) ** nq * len(right.codes)
         if size > budget:
             raise ResourceError(
                 f"wreath carrier of size {size} exceeds the budget of {budget}"
             )
-        carrier = WreathProduct(self.left, self.right)
+        carrier = WreathProduct(left, self.right)
         carrier.codes = [
             (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
         ]
@@ -560,11 +476,12 @@ def _relation_closure(
 
 def _viable_lifts(s: FiniteSemigroup, target) -> list[list[Any]]:
     """Per generator of S, the codes of the target elements whose
-    one-generator closure is functional, by the (index, period) test, in
-    the target's order.  Each generator of S walks its powers along its
-    column of `s.right_columns`.  A wreath carrier reads its elements'
-    (index, period) coordinatewise; any other target walks each element's
-    powers.  The test runs once per distinct (index, period) and generator."""
+    one-generator closure is functional, in the target's order, by the
+    (index, period) test of the module docstring.  Each generator of S
+    walks its powers along its column of `s.right_columns`; a wreath
+    carrier reads its codes' (index, period) by `index_periods`, any other
+    target walks each code's powers through `mul_code`.  The test runs
+    once per distinct (index, period) and generator."""
     gen_shapes = [_index_period(gi, col.__getitem__) for gi, col in zip(s.gens, s.right_columns)]
     codes = target.codes
     if isinstance(target, WreathProduct):
@@ -592,25 +509,19 @@ def check_division(
     search lift tuples in canonical order, returning the first witness or
     an ExhaustionReport; exhaustion is an explicit "unknown".
 
-    Lift candidates for a generator x are the target elements t whose
-    one-generator closure {(t^n, x^n)} is functional, in the target's
-    element order.  That holds exactly when index(t) >= index(x) and
-    period(x) divides period(t) (see the module docstring), so the filter
-    closes nothing.  It walks the powers of each generator once along its
-    column of `s.right_columns`.  A wreath carrier gives its codes' (index,
-    period) by `WreathProduct.index_periods`, which walks t's powers once
-    per distinct t and each position's walk once per distinct orbit shape
-    and f's codes along it; any other target walks the powers of each
-    target code once through `target.mul_code`.  The search assigns
+    Lift candidates for a generator x are the target elements whose
+    one-generator closure is functional (`_viable_lifts`), in the target's
+    element order; the filter closes nothing.  The search assigns
     generators depth first in canonical order and closes the relation of
     each prefix of two or more lifts; a prefix whose closure is not
     functional is cut with its whole subtree, since every extension's
-    relation contains it.  Surjectivity is checked on full tuples only.  The first witness is thus the first
-    in the canonical order of all tuples, and a cut subtree counts all its
-    tuples as tried.  The search stops when `budget` tuples are ruled out,
-    so for S with k generators it costs the (index, period) of every
-    target element and generator, then at most k closures per tuple of the
-    budget and one to re-verify a witness.
+    relation contains it.  Surjectivity is checked on full tuples only.
+    The first witness is thus the first in the canonical order of all
+    tuples, and a cut subtree counts all its tuples as tried.  The search
+    stops when `budget` tuples are ruled out, so for S with k generators
+    it costs the (index, period) of every target element and generator,
+    then at most k closures per tuple of the budget and one to re-verify a
+    witness.
     """
     if lifts is not None:
         result = _relation_closure(s, target, _encode_lifts(target, lifts))

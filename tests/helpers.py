@@ -3,20 +3,29 @@ ladder's generators, the degree-3 census classes, the presentations an
 estimate reaches, certificate tree walks, the derived-wreath division
 instances, and the definitions that RLM maps, Rees coordinates,
 classification, 0-minimal ideals and the wreath embedding are checked
-against.  Importing this module builds no carrier and runs no estimate,
+against, with the reference constructors of action pairs, the wreath
+row by its point definition, and the checks no command reaches.  Importing this module builds no carrier and runs no estimate,
 so a test module imports it at the top and no test imports another test
 module."""
 
 import itertools
 import random
 
-from krc import semilocal
+from krc import fileformats, semilocal
 from krc.complexity import RelationalMorphism, estimate
-from krc.core import FiniteSemigroup, PartialTransformation, maximal_subgroup
-from krc.errors import ResourceError
+from krc.core import ZERO, FiniteSemigroup, PartialTransformation, maximal_subgroup
+from krc.errors import ResourceError, VerificationError
 from krc.fileformats import parse_semigroup
-from krc.products import ActionPair, WreathProduct, check_division
-from krc.semilocal import JClassRef, fasp_embedding, group_mapping_presentation, rees_coordinates
+from krc.inverse import rlm_matrix
+from krc.products import ActionPair, PartialMaps, WreathProduct, check_division
+from krc.semilocal import (
+    JClassRef,
+    classify,
+    fasp_embedding,
+    group_mapping_presentation,
+    rees_coordinates,
+    rlm_quotient,
+)
 
 T = PartialTransformation
 
@@ -250,24 +259,108 @@ def whole_ideal_verdicts(sgp):
     return right, left
 
 
+class MulOracle:
+    """A value oracle on an element list, its codes the list's indices:
+    the factor that the reference action pairs multiply by value."""
+
+    def __init__(self, elements, mul):
+        self.elements = elements
+        self.mul = mul
+        self.codes = range(len(elements))
+        self._codes = {v: i for i, v in enumerate(elements)}
+
+    def encode(self, value):
+        return self._codes[value]
+
+    def decode(self, code):
+        return self.elements[code]
+
+    def mul_code(self, a, b):
+        return self._codes[self.mul(self.elements[a], self.elements[b])]
+
+
+def of_transformations(sgp):
+    """(n, S) for partial transformations of {1..n}: point q at q - 1."""
+    return ActionPair(sgp.degree, sgp, lambda c: tuple([v - 1 for v in sgp.elements[c].images]))
+
+
+def of_group(group):
+    """(G, G): the right regular action, with elements 0..|G|-1, by the
+    columns of the group table."""
+    idx = list(range(len(group)))
+    return ActionPair(len(idx), MulOracle(idx, group.mul), list(zip(*group.table)).__getitem__)
+
+
+def of_group_with_zero(group):
+    """(G, G^0): (G, G) with a zero adjoined, value `ZERO` and code |G|,
+    whose row is undefined at every point."""
+    n = len(group)
+
+    def mul(a, b):
+        return ZERO if ZERO in (a, b) else group.mul(a, b)
+
+    columns = list(zip(*group.table)) + [(-1,) * n]
+    return ActionPair(n, MulOracle([*range(n), ZERO], mul), columns.__getitem__)
+
+
+def factor_row(pair, value):
+    """The row of `value` read off its factor's own definition: a partial
+    map's row is its value, a transformation's its images (point q at
+    position q - 1), a group element's its column of the group table (g.x
+    for every g, by the oracle's value product), the zero undefined
+    everywhere."""
+    if isinstance(pair, PartialMaps):
+        return value
+    if isinstance(value, PartialTransformation):
+        return tuple(v - 1 for v in value.images)
+    if value == ZERO:
+        return (-1,) * pair.size
+    return tuple(pair.sgp.mul(g, value) for g in range(pair.size))
+
+
+def wreath_row(left, right, value):
+    """The action of a wreath value (f, t) on B x Q, the left factor S
+    acting on B by the action pair `left`, by its definition, point by
+    point: (b, q)(f, t) = (b(qf), qt) at position b*|Q| + q, b running
+    slowest, -1 where qt or b(qf) is undefined, and a None entry of f
+    acting as the identity; the factors act by `factor_row`."""
+    f, t = value
+    nq = right.size
+    return tuple(
+        -1 if b2 < 0 or j < 0 else b2 * nq + j
+        for b in range(left.size)
+        for v, j in zip(f, factor_row(right, t))
+        for b2 in (b if v is None else factor_row(left, v)[b],)
+    )
+
+
+def then(ru, rv):
+    """The row of acting by ru and then by rv, -1 absorbing."""
+    return tuple(-1 if p < 0 else rv[p] for p in ru)
+
+
+def fasp_pairs(pres):
+    """The action pairs (G, G^0) and (B, RLM) of the wreath embedding."""
+    return of_group_with_zero(pres.group), of_transformations(pres.rlmq.rlm)
+
+
 def fasp_wreath(pres):
     """(G, G^0) wr (B, RLM) on wreath codes: the product that
     `products.WreathRows` codes by action rows."""
-    return WreathProduct(
-        ActionPair.of_group_with_zero(pres.group), ActionPair.of_transformations(pres.rlmq.rlm)
-    )
+    left, right = fasp_pairs(pres)
+    return WreathProduct(left.sgp, right)
 
 
 def _fasp_action_reference(pres, witness):
     """The wreath image acts on G x B + 0 as S acts on R u {0}, R the a = 0
-    R-class, point by point on the witness's values, each read through its
-    target's `row`: the first failure's message, or None.
+    R-class, point by point on the witness's values, each acting by its
+    `wreath_row`: the first failure's message, or None.
     `fasp_embedding` proves this; the tests check it."""
-    sgp, rc, w = pres.sgp, pres.rees, witness.target
+    sgp, rc, pairs = pres.sgp, pres.rees, fasp_pairs(pres)
     j_of = sgp.green().j_of
     r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
     for wv, sv in witness.morphism.items():
-        wrow = w.row(w.encode(wv))
+        wrow = wreath_row(*pairs, wv)
         for u, g, b in r:
             p, img = sgp.mul_index(u, sgp.index[sv]), wrow[g * pres.n_b + b]
             if j_of[p] != pres.jref.j_id:
@@ -280,29 +373,60 @@ def _fasp_action_reference(pres, witness):
 
 def assert_wreath_rows_compose(pres):
     """The law `fasp_embedding`'s proof reads off the wreath formula: on
-    the division closure on wreath codes, row(u*v) is row(u) followed by
-    row(v), -1 absorbing, for every closure code u and generator-lift
-    code v."""
-    w = fasp_wreath(pres)
+    the division closure on wreath codes, the row of u*v is the row of u
+    followed by the row of v, -1 absorbing, for every closure code u and
+    generator-lift code v, each row by `wreath_row`."""
+    w, pairs = fasp_wreath(pres), fasp_pairs(pres)
     witness = check_division(pres.sgp, w, lifts=fasp_embedding(pres).lifts)
     lifts = [w.encode(v) for v in witness.lifts.values()]
     for u in witness.closure:
+        ru = wreath_row(*pairs, w.decode(u))
         for v in lifts:
-            rv = w.row(v)
-            want = tuple(-1 if p < 0 else rv[p] for p in w.row(u))
-            assert w.row(w.mul_code(u, v)) == want
+            want = then(ru, wreath_row(*pairs, w.decode(v)))
+            assert wreath_row(*pairs, w.decode(w.mul_code(u, v))) == want
 
 
 def assert_rows_close_as_codes(pres):
     """`fasp_embedding` closes on the wreath image's action rows; its
     closure is the closure on wreath codes item for item and in order, each
-    row the code's row followed by the -1 sentinel and decoding to the
-    code's value, of size |S| (the `products` docstring proves it)."""
+    row the code's `wreath_row` followed by the -1 sentinel and decoding to
+    the code's value, of size |S| (the `products` docstring proves it)."""
     rows = fasp_embedding(pres).rows
-    w = fasp_wreath(pres)
+    w, pairs = fasp_wreath(pres), fasp_pairs(pres)
     codes = check_division(pres.sgp, w, lifts=rows.lifts).closure
     assert list(rows.closure.values()) == list(codes.values())
-    assert list(rows.closure) == [(*w.row(c), -1) for c in codes]
+    assert list(rows.closure) == [(*wreath_row(*pairs, w.decode(c)), -1) for c in codes]
     assert list(rows.morphism) == [w.decode(c) for c in codes]
     assert len(rows.closure) == len(pres.sgp)
     rows.verify()
+
+
+def check_stability(sgp):
+    """xy J x <=> xy R x and xy J y <=> xy L y, over all pairs."""
+    gs = sgp.green()
+    n = len(sgp.elements)
+    for i in range(n):
+        for j in range(n):
+            p = sgp.mul_index(i, j)
+            if (gs.j_of[p] == gs.j_of[i]) != (gs.r_of[p] == gs.r_of[i]):
+                raise VerificationError(f"stability (R side) fails at pair ({i},{j})")
+            if (gs.j_of[p] == gs.j_of[j]) != (gs.l_of[p] == gs.l_of[j]):
+                raise VerificationError(f"stability (L side) fails at pair ({i},{j})")
+
+
+def flat_kernel_matches_rlm(sgp, group):
+    """Entry flattening identifies exactly the same pairs as the L-class
+    action at the distinguished class, and the images have equal size;
+    this is the precise content of "RLM replaces nonzero entries by 1"."""
+    cls = classify(sgp)
+    rq = rlm_quotient(sgp, JClassRef(sgp, cls.distinguished_j))
+    for a, ca in zip(sgp.elements, rq.code):
+        for b, cb in zip(sgp.elements, rq.code):
+            if (rlm_matrix(a) == rlm_matrix(b)) != (ca == cb):
+                return False
+    return len({rlm_matrix(a) for a in sgp.elements}) == len(rq.rlm)
+
+
+def parse_automaton(text, letters):
+    """An automaton file's text, read as `parse_flow` reads its first part."""
+    return fileformats._parse_automaton_lines(fileformats._clean_lines(text), letters)

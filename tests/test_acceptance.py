@@ -22,7 +22,6 @@ from krc.core import (
     FiniteGroup,
     FiniteSemigroup,
     PartialTransformation,
-    check_stability,
     is_aperiodic,
 )
 from krc.errors import InputError, VerificationError
@@ -40,7 +39,7 @@ from krc.semilocal import (
 )
 from krc.spc import TOP, canonicalize, enumerate_spcs, join, leq, meet
 
-from helpers import SEED, _sample_semigroups, changed, leaf_paths, node_at
+from helpers import SEED, _sample_semigroups, changed, check_stability, leaf_paths, node_at
 
 T = PartialTransformation
 

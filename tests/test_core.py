@@ -14,7 +14,6 @@ from krc.core import (
     _canonical_classes,
     _index_period,
     _sccs,
-    check_stability,
     compose,
     green,
     is_aperiodic,
@@ -37,6 +36,7 @@ from helpers import (
     _sample_semigroups,
     assert_classes_match_definitions,
     brute_zero_minimal_ideals,
+    check_stability,
 )
 
 T = PartialTransformation

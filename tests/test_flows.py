@@ -12,7 +12,6 @@ from krc.complexity import EstimateOptions, estimate
 from krc.core import (
     ZERO,
     FiniteGroup,
-    FiniteSemigroup,
     PartialTransformation,
     compose,
     is_aperiodic,
@@ -39,16 +38,24 @@ from krc.inverse import matrix_semigroup_as_transformations, small_monoid
 from krc.products import (
     ActionPair,
     DivisionWitness,
-    MulOracle,
     PairSemigroup,
-    PartialMaps,
     WreathProduct,
     _relation_closure,
 )
 from krc.semilocal import fasp_embedding, group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
 
-from helpers import I4_GENS, LADDER, T4_GENS, fasp_wreath, ladder, reached_presentations
+from helpers import (
+    I4_GENS,
+    LADDER,
+    T4_GENS,
+    fasp_pairs,
+    ladder,
+    of_group,
+    reached_presentations,
+    then,
+    wreath_row,
+)
 
 T = PartialTransformation
 
@@ -86,7 +93,7 @@ def _rho_reference(w):
     outer = w.division.target.left
     for x, (wx, _) in w.division.lifts.items():
         rlm_map, labels = pres.rlm_of_gen[x], pres.label_of_gen[x]
-        row = outer.row(outer.encode(wx))
+        row = wreath_row(outer.left, outer.right, wx)
         for omega in w.qbar:
             point, b = omega
             if row[point] < 0:
@@ -139,12 +146,12 @@ def first_sight_maps(size):
 def _nested_division_reference(w):
     """The division of construction `w` on the product it was checked in
     before its wreath factors were coded by rows: G wr Sym_b nested as
-    `WreathProduct(ActionPair.of_group(G), Sym_b)`, a state's entry the
-    pair (labels, block permutation), and Sym_b and T_A first-sight oracles
-    of `PartialTransformation`s.  `_relation_closure`'s result: the closure
+    `WreathProduct(G, Sym_b)`, the left factor of the wreath over T_A, a
+    state's entry the pair (labels, block permutation), and Sym_b and T_A
+    first-sight oracles of `PartialTransformation`s.  `_relation_closure`'s result: the closure
     or the first conflict."""
     pres, aut = w.flow.presentation, w.flow.automaton
-    inner = WreathProduct(ActionPair.of_group(pres.group), first_sight_maps(w.b_bar))
+    inner = WreathProduct(of_group(pres.group).sgp, first_sight_maps(w.b_bar))
     target = PairSemigroup(WreathProduct(inner, first_sight_maps(aut.n_states)), pres.rlmq.rlm)
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
@@ -312,76 +319,26 @@ class TestVerifyFlow:
             assert (verify_flow(again) is True) == base
 
 
-def _row_by_definition(pair, value):
-    """The row of `value` read off its factor's own definition: a partial
-    map's row is its value, a transformation's its images (point q at
-    position q - 1), a group element's its column of the group table (g.x
-    for every g, by the oracle's value product), the zero undefined
-    everywhere, and a wreath element's point by point."""
-    if isinstance(pair, WreathProduct):
-        return _row_by_points(pair, value)
-    if isinstance(pair, PartialMaps):
-        return value
-    if isinstance(value, PartialTransformation):
-        return tuple(v - 1 for v in value.images)
-    if value == ZERO:
-        return (-1,) * pair.size
-    return tuple(pair.sgp.mul(g, value) for g in range(pair.size))
-
-
-def _row_by_points(w, value):
-    """`WreathProduct.row` by its definition, point by point: (b, q)(f, t)
-    = (b(qf), qt) by positions, b running slowest, -1 where qt or b(qf) is
-    undefined, and a None entry of f acting as the identity; the factors
-    act by `_row_by_definition`."""
-    f, t = value
-    nq = w.right.size
-    return tuple(
-        -1 if b2 < 0 or j < 0 else b2 * nq + j
-        for b in range(w.left.size)
-        for v, j in zip(f, _row_by_definition(w.right, t))
-        for b2 in (b if v is None else _row_by_definition(w.left, v)[b],)
-    )
-
-
 def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
-    """The wreath row interleaves cached columns; it agrees with the point
-    definition on the FASP wreath (the zero where the RLM map is
-    undefined), where it is also the code `WreathRows` gives the value, on
-    the flows' wreath over partial maps, and on a nested wreath."""
+    """`WreathRows` codes each value of the FASP wreath by its row of the
+    point definition (the zero where the RLM map is undefined), and the
+    flows' wreath over partial maps multiplies as its point-definition
+    rows compose, on its closure and the lifts."""
     checked = Counter()
     pres = group_mapping_presentation(b2z2_1)
-    rows, fasp = fasp_embedding(pres).rows, fasp_wreath(pres)
+    rows, pairs = fasp_embedding(pres).rows, fasp_pairs(pres)
     for row, value in zip(rows.closure, rows.morphism):
-        assert row == (*fasp.row(fasp.encode(value)), -1)
-        assert row == (*_row_by_points(fasp, value), -1)
-        checked["fasp", ZERO in value[0]] += 1
+        assert row == (*wreath_row(*pairs, value), -1)
+        checked[ZERO in value[0]] += 1
+    assert checked[True] and checked[False]
     division = presentation_construct(trivial_flow(small17_pres)).division
     outer = division.target.left
-    # and by hand: G wr Sym_2 nested over a 2-state transition semigroup
-    # where a letter dies
-    sym = ActionPair.of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
-    inner = WreathProduct(ActionPair.of_group(FiniteGroup.cyclic(2)), sym)
-    states = FiniteSemigroup.generate([("x", T((2, 0))), ("y", T((1, 1)))])
-    dying = WreathProduct(inner, ActionPair.of_transformations(states))
-    made = [
-        ((((1, 0), T((2, 1))), None), T((2, 0))),
-        ((None, ((0, 1), T((1, 2)))), T((1, 1))),
-    ]
-    codes = [dying.encode(v) for v in made]
-    codes += [dying.mul_code(u, v) for u in codes for v in codes]
-    for w, w_codes in ((outer, [c for c, _ in division.closure]), (dying, codes)):
-        for code in w_codes:
-            f, _ = value = w.decode(code)
-            assert w.row(code) == _row_by_points(w, value)
-            assert all(
-                w.left.row(c) == _row_by_definition(w.left, v)
-                for c, v in zip(code[0], f)
-                if c is not None
-            )
-            checked[w is dying, -1 in w.right.row(code[1]), None in code[0]] += 1
-    assert checked["fasp", True] and checked["fasp", False]
-    assert checked[False, False, False] and checked[True, True, True]
+    lifts = [outer.encode(wx) for wx, _ in division.lifts.values()]
+    for code, _ in division.closure:
+        ru = wreath_row(outer.left, outer.right, outer.decode(code))
+        for v in lifts:
+            want = then(ru, wreath_row(outer.left, outer.right, outer.decode(v)))
+            assert wreath_row(outer.left, outer.right, outer.decode(outer.mul_code(code, v))) == want
 
 
 class TestPresentationConstruct:
@@ -492,11 +449,10 @@ class TestPresentationConstruct:
             return counted
 
         monkeypatch.setattr(complexity, "presentation_construct", constructing)
-        monkeypatch.setattr(MulOracle, "mul_code", counting("mul_code", MulOracle.mul_code))
         monkeypatch.setattr(core, "compose", counting("compose", core.compose))
         cert = estimate(load_semigroup(CORPUS_DIR / "small_3_z2_r1.sgp")).certificate
         complexity.replay_certificate(json.loads(complexity.certificate_json(cert)))
-        assert [counts[k] for k in ("constructions", "mul_code", "compose")] == [2, 0, 0]
+        assert [counts[k] for k in ("constructions", "compose")] == [2, 0]
 
     def test_lifted_action_fiberwise_permutation(self, small17_pres):
         w = presentation_construct(trivial_flow(small17_pres))

@@ -6,6 +6,8 @@ from krc import fileformats as ff
 from krc.flows import Automaton, trivial_flow
 from krc.semilocal import group_mapping_presentation
 
+from helpers import parse_automaton
+
 T = PartialTransformation
 
 
@@ -59,20 +61,20 @@ class TestAutomatonFiles:
     def test_roundtrip(self):
         aut = Automaton(2, ("a", "b"), {(1, "a"): 2, (2, "a"): 1, (1, "b"): 1})
         text = ff.dump_automaton(aut)
-        again = ff.parse_automaton(text, ("a", "b"))
+        again = parse_automaton(text, ("a", "b"))
         assert again == aut
         assert ff.dump_automaton(again) == text
 
     def test_omitted_and_dash_equivalent(self):
         base = "states: 1\ntrans: 1 a 1\n"
         with_dash = "states: 1\ntrans: 1 a 1\ntrans: 1 b -\n"
-        a1 = ff.parse_automaton(base + "trans: 1 b -\n", ("a", "b"))
-        a2 = ff.parse_automaton(with_dash, ("a", "b"))
+        a1 = parse_automaton(base + "trans: 1 b -\n", ("a", "b"))
+        a2 = parse_automaton(with_dash, ("a", "b"))
         assert a1 == a2
 
     def test_rejects_unknown_letter(self):
         with pytest.raises(InputError):
-            ff.parse_automaton("states: 1\ntrans: 1 q 1\n", ("a",))
+            parse_automaton("states: 1\ntrans: 1 q 1\n", ("a",))
 
 
 class TestFlowFiles:

@@ -1,7 +1,10 @@
 """Cross-module invariants run over the whole corpus, plus the boundary
 cases that motivated the documented conventions."""
 
+import ast
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,6 @@ from krc.fileformats import (
     dump_group,
     dump_semigroup,
     load_semigroup,
-    parse_automaton,
     parse_flow,
     parse_group,
     parse_semigroup,
@@ -35,6 +37,8 @@ from krc.semilocal import (
     rlm_quotient,
 )
 from krc.spc import CrossSectionFailure
+
+from helpers import parse_automaton
 
 T = PartialTransformation
 
@@ -175,3 +179,38 @@ def test_format_roundtrips_for_auxiliary_files(b2z2_1):
     assert dump_flow(parse_flow(text, pres)) == text
     aut = flow.automaton
     assert dump_automaton(parse_automaton(dump_automaton(aut), aut.letters)) == dump_automaton(aut)
+
+
+def test_no_test_only_surface_in_src():
+    """Every function, class and method that `src/krc` defines is named in
+    `src/krc` outside its own definition, or in `perfbench/*.py` or
+    `demos/*.py`: a definition only the tests reach belongs in the tests.
+    A name counts as a word anywhere in the text; dunder methods are
+    called by the language."""
+    root = Path(__file__).resolve().parent.parent
+    word = re.compile(r"\w+")
+    sources = sorted((root / "src" / "krc").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in sources}
+    outside = {
+        name
+        for pattern in ("perfbench/*.py", "demos/*.py")
+        for path in root.glob(pattern)
+        for name in word.findall(path.read_text())
+    }
+    unused = []
+    for path in sources:
+        for node in ast.walk(ast.parse("\n".join(lines[path]))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in outside:
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not any(
+                name in word.findall(text)
+                for other in sources
+                for k, text in enumerate(lines[other], 1)
+                if other != path or not first <= k <= node.end_lineno
+            ):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

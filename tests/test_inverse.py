@@ -10,7 +10,6 @@ from krc.inverse import (
     analyze_lift,
     brandt_isomorphism,
     brandt_semigroup,
-    flat_kernel_matches_rlm,
     inverse_decomposition,
     lift_TS,
     matrix_semigroup_as_transformations,
@@ -20,7 +19,16 @@ from krc.inverse import (
     small_monoid,
     validate_gm_inverse,
 )
-from krc.semilocal import JClassRef, classify, rees_coordinates, rlm_quotient
+from krc.products import PairSemigroup, check_division
+from krc.semilocal import (
+    JClassRef,
+    classify,
+    group_mapping_presentation,
+    rees_coordinates,
+    rlm_quotient,
+)
+
+from helpers import MulOracle, flat_kernel_matches_rlm
 
 M = PartialMonomialMatrix
 
@@ -249,7 +257,42 @@ class TestLift:
         assert {p[0] for p in census.j0_members} == {M.zero(2)}
 
 
+def _monomial_division_reference(sgp, group):
+    """The direct witness of `inverse_decomposition` as it was checked
+    before the units acted as partial maps: each generator lifted to its
+    first unit extension, a `PartialMonomialMatrix` multiplied by
+    `monomial_mul`, with its RLM image."""
+    size = validate_gm_inverse(sgp, group)
+    units = inverse.monomial_units(size, group)
+    pres = group_mapping_presentation(sgp)
+    lifts = {}
+    for name, gi in zip(sgp.gen_names, sgp.gens):
+        tau = units[inverse._extensions(sgp.elements[gi], units)[0]]
+        lifts[name] = (tau, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
+    units_sgp = MulOracle(units, lambda a, b: monomial_mul(a, b, group))
+    return check_division(sgp, PairSemigroup(units_sgp, pres.rlmq.rlm), lifts=lifts)
+
+
 class TestDecomposition:
+    @pytest.mark.parametrize("n,order,size", [
+        (2, 2, 32), (3, 1, 30), (3, 2, 240), (4, 2, 2304), (4, 3, 11664),
+    ])
+    def test_direct_witness_matches_the_monomial_reference(self, monkeypatch, n, order, size):
+        # the units act as partial maps of G x [n]: the same closure, its S
+        # indices in the same order, as multiplying monomial matrices, and
+        # no monomial product is taken
+        group = FiniteGroup.cyclic(order) if order > 1 else FiniteGroup.trivial()
+        s = small_monoid(n, group, 1)
+        reference = _monomial_division_reference(s, group)
+        products = []
+        monkeypatch.setattr(
+            inverse, "monomial_mul", lambda *a: products.append(a) or monomial_mul(*a)
+        )
+        direct = inverse_decomposition(s, group).direct_witness
+        assert products == []
+        assert len(direct.closure) == len(reference.closure) == size
+        assert list(direct.closure.values()) == list(reference.closure.values())
+
     def test_only_the_census_builds_the_lift(self, monkeypatch, z2_group):
         # T(S) once, by the census; the degree-n monomial group once, for
         # T(S), and one degree down for J1's group; the decomposition lists

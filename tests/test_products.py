@@ -18,18 +18,29 @@ from krc.products import (
     check_division,
 )
 
-from helpers import I4_GENS, LADDER, T4_GENS, division_instance
+from helpers import (
+    I4_GENS,
+    LADDER,
+    T4_GENS,
+    MulOracle,
+    division_instance,
+    of_group,
+    of_group_with_zero,
+    of_transformations,
+    then,
+    wreath_row,
+)
 
 T = PartialTransformation
 BUDGET = 10**6  # above every wreath carrier built here
 
 
-def group_pair(n):
-    return ActionPair.of_group(FiniteGroup.cyclic(n))
+def group_oracle(n):
+    return of_group(FiniteGroup.cyclic(n)).sgp
 
 
 def trivial_on(k):
-    return ActionPair.of_transformations(
+    return of_transformations(
         FiniteSemigroup.generate([("1", T.identity(k))])
     )
 
@@ -71,93 +82,67 @@ def wreath_mul(w, u, v):
     return w.decode(w.mul_code(w.encode(u), w.encode(v)))
 
 
-def reference_row(group, value):
-    """The row of (f, t) in (G,G) wr (n, T) from the factors' own
-    definitions: (b, q)(f, t) = (b.f(q), q.t), b.f(q) from the group table
-    and q.t from t's images, the point (b, q) at position b*n + q - 1, and
-    -1 where q.t is undefined."""
-    f, t = value
-    n = t.degree
-    return tuple(
-        -1 if t(q) == 0 else group.table[b][f[q - 1]] * n + t(q) - 1
-        for b in range(len(group))
-        for q in range(1, n + 1)
-    )
-
-
 def reference_sort_key(w, element):
     """The canonical order of a wreath carrier: T's order, then the
     function part over S's order (None first)."""
     f, t = element
-    li = {v: i for i, v in enumerate(w.left.sgp.elements)}
+    li = {v: i for i, v in enumerate(w.left.elements)}
     ri = {v: i for i, v in enumerate(w.right.sgp.elements)}
     return (ri[t], tuple(-1 if v is None else li[v] for v in f))
 
 
 class TestWreath:
     def test_trivial_right_factor_carrier(self):
-        w = WreathProduct(group_pair(2), trivial_on(1))
+        w = WreathProduct(group_oracle(2), trivial_on(1))
         full = w.full_carrier(BUDGET)
-        assert len(full.elements) == 2
+        assert len(full.codes) == 2
 
     def test_carrier_size_formula(self):
         # (Z2, Z2) wr (2 points, trivial): |S|^|Q| * |T| = 4
-        w = WreathProduct(group_pair(2), trivial_on(2))
-        assert len(w.full_carrier(BUDGET).elements) == 2 ** 2 * 1
-
-    def test_action_formula(self):
-        # (b, q)(f, t) = (b(qf), qt) read off Z_3's table and t's images
-        z3 = FiniteGroup.cyclic(3)
-        right = ActionPair.of_transformations(
-            FiniteSemigroup.generate([("s", T((2, 1)))])
-        )
-        w = WreathProduct(ActionPair.of_group(z3), right)
-        for f in itertools.product(range(3), repeat=2):
-            for t in right.sgp.elements:
-                assert w.row(w.encode((f, t))) == reference_row(z3, (f, t))
+        w = WreathProduct(group_oracle(2), trivial_on(2))
+        assert len(w.full_carrier(BUDGET).codes) == 2 ** 2 * 1
 
     def test_product_matches_composed_action(self):
         # the product acts as its factors do one after the other, by the
-        # reference rows
-        z2 = FiniteGroup.cyclic(2)
-        right = ActionPair.of_transformations(
+        # rows of the point definition
+        left = of_group(FiniteGroup.cyclic(2))
+        right = of_transformations(
             FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
         )
-        w = WreathProduct(ActionPair.of_group(z2), right)
-        carrier = w.full_carrier(BUDGET)
-        for u in carrier.elements:
-            ru = reference_row(z2, u)
-            assert w.row(carrier.encode(u)) == ru
-            for v in carrier.elements:
-                rv = reference_row(z2, v)
-                composed = tuple(-1 if p < 0 else rv[p] for p in ru)
-                assert reference_row(z2, wreath_mul(carrier, u, v)) == composed
+        carrier = WreathProduct(left.sgp, right).full_carrier(BUDGET)
+        values = [carrier.decode(c) for c in carrier.codes]
+        for u in values:
+            ru = wreath_row(left, right, u)
+            for v in values:
+                composed = then(ru, wreath_row(left, right, v))
+                assert wreath_row(left, right, wreath_mul(carrier, u, v)) == composed
 
     def test_faithful_on_total_instances(self):
-        w = WreathProduct(group_pair(2), trivial_on(2))
-        carrier = w.full_carrier(BUDGET)
-        tables = {w.row(c) for c in carrier.codes}
-        assert len(tables) == len(carrier.elements)
+        left, right = of_group(FiniteGroup.cyclic(2)), trivial_on(2)
+        carrier = WreathProduct(left.sgp, right).full_carrier(BUDGET)
+        tables = {wreath_row(left, right, carrier.decode(c)) for c in carrier.codes}
+        assert len(tables) == len(carrier.codes)
 
     def test_carrier_budget(self):
-        w = WreathProduct(group_pair(3), trivial_on(4))
-        assert len(w.full_carrier(3 ** 4).elements) == 3 ** 4
+        w = WreathProduct(group_oracle(3), trivial_on(4))
+        assert len(w.full_carrier(3 ** 4).codes) == 3 ** 4
         with pytest.raises(ResourceError):
             w.full_carrier(3 ** 4 - 1)
 
     def test_full_carrier_is_in_canonical_order(self):
-        s = ActionPair.of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
-        c = ActionPair.of_transformations(
+        s = of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
+        c = of_transformations(
             FiniteSemigroup.generate([("c", T((1, 1))), ("s", T((2, 1)))])
         )
         for w in (
-            WreathProduct(group_pair(2), trivial_on(1)),
-            WreathProduct(group_pair(2), trivial_on(2)),
-            WreathProduct(group_pair(3), s),
-            WreathProduct(group_pair(2), c),
-            WreathProduct(group_pair(3), trivial_on(4)),
+            WreathProduct(group_oracle(2), trivial_on(1)),
+            WreathProduct(group_oracle(2), trivial_on(2)),
+            WreathProduct(group_oracle(3), s),
+            WreathProduct(group_oracle(2), c),
+            WreathProduct(group_oracle(3), trivial_on(4)),
         ):
-            elements = w.full_carrier(BUDGET).elements
+            carrier = w.full_carrier(BUDGET)
+            elements = [carrier.decode(code) for code in carrier.codes]
             assert elements == sorted(elements, key=lambda e: reference_sort_key(w, e))
 
     @pytest.mark.parametrize("pair", ["u1,z2", "z2,u1", "right_zero_2,z2"])
@@ -165,9 +150,10 @@ class TestWreath:
         u1 = FiniteSemigroup.from_elements([0, 1], lambda a, b: a * b, sort_key=lambda v: v)
         named = {"u1": u1, "z2": cyclic_sgp(2), "right_zero_2": right_zero_2}
         s, t = (named[n] for n in pair.split(","))
-        w = WreathProduct(ActionPair.right_translation(s), ActionPair.right_translation(t))
+        w = WreathProduct(s, ActionPair.right_translation(t))
         want = reference_semigroup_wreath_mul(s, t)
-        carrier = w.full_carrier(BUDGET).elements
+        full = w.full_carrier(BUDGET)
+        carrier = [full.decode(c) for c in full.codes]
         assert len(carrier) == len(s) ** (len(t) + 1) * len(t)
         for u in carrier:
             for v in carrier:
@@ -179,19 +165,17 @@ class TestSemidirect:
         # S^Q x| T under the shift action agrees with the wreath table:
         # (f1, t1)(f2, t2) = (f1 . beta(t1, f2), t1 t2)
         z2 = FiniteGroup.cyclic(2)
-        left = ActionPair.of_group(z2)
-        right = ActionPair.of_transformations(
-            FiniteSemigroup.generate([("s", T((2, 1)))])
-        )
-        carrier = WreathProduct(left, right).full_carrier(BUDGET)
-        assert len(carrier.elements) == 2 ** 2 * len(right.sgp)
+        right = of_transformations(FiniteSemigroup.generate([("s", T((2, 1)))]))
+        carrier = WreathProduct(of_group(z2).sgp, right).full_carrier(BUDGET)
+        elements = [carrier.decode(c) for c in carrier.codes]
+        assert len(elements) == 2 ** 2 * len(right.sgp)
 
         def beta(t, f):
             # (t . f)(q) = f(qt), qt read off t's images
             return tuple(f[t(q) - 1] for q in range(1, t.degree + 1))
 
-        for (f1, t1) in carrier.elements:
-            for (f2, t2) in carrier.elements:
+        for (f1, t1) in elements:
+            for (f2, t2) in elements:
                 f = tuple(z2.mul(a, b) for a, b in zip(f1, beta(t1, f2)))
                 assert wreath_mul(carrier, (f1, t1), (f2, t2)) == (f, right.sgp.mul(t1, t2))
 
@@ -267,14 +251,12 @@ class TestDivision:
     def test_search_over_lazy_oracle_is_rejected(self):
         # a lazy target has no carrier to scan, so no exhaustion is claimed
         triv = FiniteSemigroup.generate([("1", T.identity(1))])
-        oracle = WreathProduct(
-            ActionPair.right_translation(triv), ActionPair.right_translation(triv)
-        )
-        assert oracle.elements is None
+        oracle = WreathProduct(triv, ActionPair.right_translation(triv))
+        assert oracle.codes is None
         with pytest.raises(InputError):
             check_division(triv, oracle)
         with pytest.raises(InputError):
-            check_division(triv, WreathProduct(group_pair(2), trivial_on(1)))
+            check_division(triv, WreathProduct(group_oracle(2), trivial_on(1)))
 
 
 T3_GENS = [("a", T((2, 1, 3))), ("b", T((2, 3, 1))), ("e", T((1, 1, 3)))]
@@ -375,9 +357,9 @@ def closure_viable(s, target):
     inside S is functional, one closure each."""
     return [
         [
-            tv
-            for tv in target.elements
-            if isinstance(_relation_closure(s, target, {name: target.encode(tv)}, [name]), dict)
+            target.decode(tc)
+            for tc in target.codes
+            if isinstance(_relation_closure(s, target, {name: tc}, [name]), dict)
         ]
         for name in s.gen_names
     ]
@@ -429,7 +411,7 @@ class TestViableFilter:
     @pytest.mark.parametrize("name,order", [("trivial", 243), ("z2", 1875), ("u1", 1875)])
     def test_derived_wreath_carriers(self, name, order, derived_wreath_divisions):
         s, carrier = derived_wreath_divisions[name]
-        assert len(carrier.elements) == order
+        assert len(carrier.codes) == order
         assert filtered_viable(s, carrier) == closure_viable(s, carrier)
 
     @pytest.mark.parametrize("target", ["PT3", "T4", "I3"])
@@ -456,8 +438,8 @@ def partial_carrier(group_order, degree, seed, zero):
     gens = [shift] + [tuple(rng.randrange(degree + 1) for _ in range(degree)) for _ in "ab"]
     t = FiniteSemigroup.generate([(f"g{k}", T(g)) for k, g in enumerate(gens)])
     group = FiniteGroup.cyclic(group_order)
-    left = ActionPair.of_group_with_zero(group) if zero else ActionPair.of_group(group)
-    return WreathProduct(left, ActionPair.of_transformations(t)).full_carrier(BUDGET)
+    left = of_group_with_zero(group) if zero else of_group(group)
+    return WreathProduct(left.sgp, of_transformations(t)).full_carrier(BUDGET)
 
 
 class TestIndexPeriods:
@@ -492,10 +474,7 @@ class TestIndexPeriods:
         the cycle absorbs every walk within three steps, which leaves the
         period 3 of c and sets the index to the step that reaches it."""
         t = FiniteSemigroup.generate([("c", T((2, 3, 1)))])
-        w = WreathProduct(
-            ActionPair.of_group_with_zero(FiniteGroup.cyclic(2)),
-            ActionPair.of_transformations(t),
-        )
+        w = WreathProduct(of_group_with_zero(FiniteGroup.cyclic(2)).sgp, of_transformations(t))
         c = w.right.sgp.encode(T((2, 3, 1)))
         codes = [((1, 0, 0), c), ((1, 0, 2), c), ((2, 0, 0), c), ((2, 2, 2), c)]
         got = w.index_periods(codes)
@@ -508,7 +487,7 @@ class TestIndexPeriods:
         the max, of t's and the coordinates' periods."""
         c, one = T((2, 3, 1, 4)), T((1, 2, 3, 4))
         t = FiniteSemigroup.generate([("c", c)])
-        w = WreathProduct(group_pair(2), ActionPair.of_transformations(t))
+        w = WreathProduct(group_oracle(2), of_transformations(t))
         c, one = w.right.sgp.encode(c), w.right.sgp.encode(one)
         e = FiniteGroup.cyclic(2).identity
         g = 1 - e
@@ -523,8 +502,8 @@ class TestIndexPeriods:
         walk gives the period 2."""
         z2 = FiniteGroup.cyclic(2)
         idx = list(range(len(z2)))
-        mute = ActionPair(1, products.MulOracle(idx, z2.mul), lambda c: (0,))
-        w = WreathProduct(trivial_on(1), mute).full_carrier(BUDGET)
+        mute = ActionPair(1, MulOracle(idx, z2.mul), lambda c: (0,))
+        w = WreathProduct(trivial_on(1).sgp, mute).full_carrier(BUDGET)
         got = w.index_periods(w.codes)
         assert got == walked_index_periods(w, w.codes)
         assert got == [(1, 1), (1, 2)]
