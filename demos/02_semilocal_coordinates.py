@@ -59,4 +59,4 @@ for name in b2.gen_names:
     print(f"generator {name}: b.x = {pres.rlm_of_gen[name]}, "
           f"(b)x = {pres.label_of_gen[name]}")
 emb = fasp_embedding(pres)
-print("wreath embedding is injective on all", len(emb.rows.morphism), "elements")
+print("wreath embedding is injective on all", len(emb.morphism), "elements")

@@ -21,12 +21,23 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional, Sequence
 
-from .core import ZERO, FiniteSemigroup, PartialTransformation, _index_period, is_aperiodic
+from .core import (
+    ZERO,
+    FiniteSemigroup,
+    PartialTransformation,
+    _index_period,
+    is_aperiodic,
+    minimal_generating_set,
+    row_getter,
+    with_generators,
+)
 from .errors import InputError, ResourceError, VerificationError
+from .fileformats import dump_flow, dump_semigroup, parse_flow, parse_semigroup
 from .products import ActionPair, DivisionWitness, WreathProduct, check_division
 from .semilocal import (
     GmQuotient,
     JClassRef,
+    fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
 )
@@ -207,11 +218,15 @@ def rhodes_expansion(
     returns the expansion and the surjective morphism chain -> top."""
     gs = t_sgp.green()
     n = len(t_sgp.elements)
+    succ = [set() for _ in gs.l_classes]  # one edge of the left Cayley graph
+    for column in t_sgp.left_columns:
+        for c, d in zip(gs.l_of, row_getter(column)(gs.l_of)):
+            succ[c].add(d)
     below = []  # per L-class, the elements strictly below it in the L-order
     for c in range(len(gs.l_classes)):
         reach, stack = set(), [c]
         while stack:
-            for d in gs.l_succ[stack.pop()]:
+            for d in succ[stack.pop()]:
                 if d not in reach:
                     reach.add(d)
                     stack.append(d)
@@ -352,8 +367,6 @@ def estimate(
     I_4 at automata budget 0 this takes one estimate from 16
     classifications and 17 Green structures to 9 and 10, one per distinct
     structure, and on T_3, PT_3 or I_3 from 7 and 8 to 5 and 6."""
-    from .fileformats import dump_semigroup
-
     memo = {} if _memo is None else _memo
     key = _key(sgp.elements, sgp.gens, sgp.gen_names, sgp.right_columns)
     entry = memo.setdefault(key, _Entry(sgp))
@@ -524,14 +537,12 @@ def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
     """The bound that is tight exactly for pure semigroups: the embedding
     into (G,G) wr (B, RLM) caps the complexity by the RLM's upper plus one.
     The embedding witness is constructed and verified before emission."""
-    from .semilocal import fasp_embedding
-
-    emb = fasp_embedding(pres)
+    witness = fasp_embedding(pres)
     return {
         "kind": "pure",
         "value": rlm_upper + 1,
         "witness": "wreath-embedding-over-rlm",
-        "embedded_order": len(emb.rows.closure),
+        "embedded_order": len(witness.closure),
     }
 
 
@@ -561,8 +572,6 @@ def flow_upper(
     Replay passes the `stored` upper node instead: a stored flow is parsed,
     verified and cap-checked in place of the search (VerificationError if
     it fails), and any other stored kind returns None without searching."""
-    from .fileformats import dump_flow, parse_flow
-
     if rlm_upper < 1:
         raise InputError("flow upper bounds need an RLM upper bound of at least 1")
     cap = rlm_upper - 1
@@ -659,8 +668,6 @@ def replay_certificate(
     certificate whose repeats of one carrier carry different stored uppers
     is rejected, even when each upper would verify alone.  `estimate`
     never emits such a certificate."""
-    from .fileformats import parse_semigroup
-
     if not isinstance(cert, dict) or not isinstance(cert.get("semigroup"), str):
         raise InputError("certificate has no root semigroup text")
     given: dict[str, dict] = {}
@@ -730,8 +737,6 @@ def check_derived_wreath_division(
     """Witness D(phi.psi) < D(phi) wr D(psi) by bounded canonical-order
     search over generator lifts; returns the witness or an explicit
     exhaustion report (never a nonexistence claim)."""
-    from .core import minimal_generating_set, with_generators
-
     composite = phi.compose(psi)
     d_comp = derived_semigroup(composite)
     d_phi = derived_semigroup(phi)

@@ -135,7 +135,7 @@ class FiniteSemigroup:
     right and left Cayley graphs (`right_columns[k]` is (x*g_k for every
     x), `left_columns[k]` is (g_k*x for every x), read off as the
     generators' right translations), each graph stored in this one
-    orientation only, and the breadth-first word tree of `words()`.  The
+    orientation only, and the breadth-first word tree (`_word_tree`).  The
     product i*j is traced along i's tree path through the left columns:
     i = t*g gives i*j = t*(g*j), so j steps to g*j and i to its parent t,
     the tree form of Froidure & Pin, "Algorithms for computing finite
@@ -157,11 +157,9 @@ class FiniteSemigroup:
 
     Products that come as whole rows are taken in bulk.
     `right_translations(points)` gives p*s for every point p and every
-    element s, and `left_translations(points)` gives s*p.  Each row is built
-    from the row of s's tree parent t (s = t*g), gathered in C by one
-    `row_getter` call: p*(t*g) = (p*t)*g, and (t*g)*p = t*(g*p) when the
-    points are closed under left multiplication by the generators.  Both
-    identities are associativity, the same assumption that tracing makes.
+    element s.  Each row is built from the row of s's tree parent t
+    (s = t*g), gathered in C by one `row_getter` call: p*(t*g) = (p*t)*g,
+    which is associativity, the same assumption that tracing makes.
     `right_translation(points, s)` is one such row on its own, walked along
     s's tree path one whole-column gather per letter, and
     `left_translation(q, points)` its mirror, q*p for every point p.
@@ -421,31 +419,6 @@ class FiniteSemigroup:
             q = parent[q]
         return row
 
-    def left_translations(self, points: Sequence[int]) -> list[tuple[int, ...]]:
-        """For every element s, the row (s*p for p in points); `points` must
-        be closed under left multiplication by the generators.
-
-        Rows are built along the word tree: s = t*g gives s*p = t*(g*p),
-        and g*p is again a point, so s's row is t's row read at the
-        positions of the points g*p.  Each generator's shift is one
-        `row_getter`, built once (exact for zero and one point too).  Like
-        tracing, this rests on associativity."""
-        points = tuple(points)
-        at = {p: i for i, p in enumerate(points)}
-        g_rows = [row_getter(points)(col) for col in self.left_columns]
-        try:
-            shifts = [row_getter([at[q] for q in row]) for row in g_rows]
-        except KeyError:
-            raise InputError(
-                "point set is not closed under left multiplication by the generators"
-            ) from None
-        rows: list[tuple[int, ...]] = [None] * len(self.elements)
-        parent, letter = self._parent, self._letter
-        for s in self._order:
-            t, k = parent[s], letter[s]
-            rows[s] = g_rows[k] if t < 0 else shifts[k](rows[t])
-        return rows
-
     @property
     def is_transformation(self) -> bool:
         return bool(self.elements) and isinstance(
@@ -457,13 +430,6 @@ class FiniteSemigroup:
         if not self.is_transformation:
             raise InputError("not a transformation semigroup")
         return self.elements[0].degree
-
-    def words(self) -> list[tuple[int, ...]]:
-        """A reduced word over generator indices for every element, off the tree."""
-        words: list[tuple[int, ...]] = [()] * (len(self.elements) + 1)  # words[-1]: the root
-        for s in self._order:  # prefix before child
-            words[s] = words[self._parent[s]] + (self._letter[s],)
-        return words[:-1]
 
     def identity_index(self) -> Optional[int]:
         """e with e*g = g*e = g for every generator g, which makes e an
@@ -558,12 +524,12 @@ def _canonical_classes(raw_ids: list[int]) -> tuple[list[int], list[list[int]]]:
 class GreenStructure:
     """Green class data of a finite semigroup.
 
-    Class ids are canonical (ordered by least element index).  The J- and
-    L-orders on classes are kept as the one-step successor sets of the
-    Cayley graph condensations: j_succ[c] holds the classes reached from
-    class c by one edge (c itself included when an edge stays inside it).
-    Their reflexive-transitive closure is the order, which is exactly the
-    S^1-definition of the relations.
+    Class ids are canonical (ordered by least element index).  The J-order
+    on classes is kept as the one-step successor sets of the condensation
+    of both Cayley graphs: j_succ[c] holds the classes reached from class
+    c by one edge (c itself included when an edge stays inside it).  Its
+    reflexive-transitive closure is the order, which is exactly the
+    S^1-definition of the relation.
     """
 
     r_of: list[int]
@@ -575,7 +541,6 @@ class GreenStructure:
     j_classes: list[list[int]]
     h_classes: list[list[int]]
     j_succ: list[set[int]]  # one edge of either Cayley graph
-    l_succ: list[set[int]]  # one edge of the left Cayley graph
     regular: list[bool]
     idempotents: list[int]
 
@@ -610,16 +575,14 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     h_raw = [r * len(l_classes) + l for r, l in zip(r_of, l_of)]
     h_of, h_classes = _canonical_classes(h_raw)
 
-    # class-level orders: one-step successors in the condensations, whose
-    # reflexive-transitive closure is the order
-    def _successors(class_of: list[int], count: int, columns) -> list[set[int]]:
-        edges = set()
-        for column in columns:
-            edges.update(zip(class_of, row_getter(column)(class_of)))
-        succ: list[set[int]] = [set() for _ in range(count)]
-        for c, d in edges:
-            succ[c].add(d)
-        return succ
+    # the J-order: one-step successors in the condensation of both Cayley
+    # graphs, whose reflexive-transitive closure is the order
+    edges = set()
+    for column in sgp.right_columns + sgp.left_columns:
+        edges.update(zip(j_of, row_getter(column)(j_of)))
+    j_succ: list[set[int]] = [set() for _ in j_classes]
+    for c, d in edges:
+        j_succ[c].add(d)
 
     idempotents = sgp.idempotent_indices()
     regular = [False] * len(j_classes)
@@ -629,9 +592,7 @@ def green(sgp: FiniteSemigroup) -> GreenStructure:
     return GreenStructure(
         r_of, l_of, j_of, h_of,
         r_classes, l_classes, j_classes, h_classes,
-        _successors(j_of, len(j_classes), sgp.right_columns + sgp.left_columns),
-        _successors(l_of, len(l_classes), sgp.left_columns),
-        regular, idempotents,
+        j_succ, regular, idempotents,
     )
 
 

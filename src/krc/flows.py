@@ -90,6 +90,7 @@ from .products import (
     PartialMaps,
     WreathProduct,
     check_division,
+    induced_row,
 )
 from .semilocal import GroupMappingPresentation
 from .spc import SPC, CrossSectionFailure, enumerate_spcs, mu_action
@@ -311,19 +312,15 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
             gbar[x].append(tuple(g for _, g in moves))
 
     # the lifts into (G wr Sym_b wr T_A) x RLM: a live q.x's entry is the
-    # partial map (g, j) -> (g*gbar[j], perms[j]) of G x [b_bar], (g, j) at
-    # g*b_bar + j, and T_A's is the partial map of the states; both stay
-    # lazy, as checking given lifts only multiplies
-    points = range(len(group))
+    # partial map (g, j) -> (g*gbar[j], perms[j]) of G x [b_bar]
+    # (`induced_row`), and T_A's is the partial map of the states; both
+    # stay lazy, as checking given lifts only multiplies
     outer = WreathProduct(PartialMaps(len(group) * b_bar), PartialMaps(nq))
     lifts = {}
     for x, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
         fvals = tuple(
-            None if aut.step(q, x) is None else tuple(
-                group.mul(g, h) * b_bar + k
-                for g in points
-                for h, k in zip(gbar[x][q - 1], perms[x][q - 1])
-            )
+            None if aut.step(q, x) is None
+            else induced_row(group, gbar[x][q - 1], perms[x][q - 1])
             for q in range(1, nq + 1)
         )
         t = tuple(v - 1 for v in aut.letter_map(x).images)

@@ -434,8 +434,9 @@ def _verify_brandt_shape(ts, rc, size, group):
 class InverseDecomposition:
     """S < (monomial group) x RLM(S), realized twice.  Directly: each
     generator lifts to its first unit extension, coded by the partial map
-    (g, i) -> (g*label_i, perm(i)) of G x [n] that it induces ((g, i) at
-    g*n + i, as in the flow's G wr Sym_b factor), with its RLM image.
+    (g, i) -> (g*label_i, perm(i)) of G x [n] that it induces
+    (`products.induced_row`, as in the flow's G wr Sym_b factor), with its
+    RLM image.
     Through the one-state flow: its lifts are translated back to monomial
     matrices and checked to extend the generators.  The two closures reach
     the same S indices."""
@@ -448,7 +449,7 @@ class InverseDecomposition:
 
 def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDecomposition:
     from .flows import presentation_construct, trivial_flow, verify_flow
-    from .products import PairSemigroup, PartialMaps, check_division
+    from .products import PairSemigroup, PartialMaps, check_division, induced_row
     from .semilocal import group_mapping_presentation
 
     size = validate_gm_inverse(sgp, group)
@@ -469,11 +470,10 @@ def inverse_decomposition(sgp: FiniteSemigroup, group: FiniteGroup) -> InverseDe
 
     # checking the given lifts only multiplies, so the units act as
     # partial maps and no unit table is built
-    points = range(len(group))
     lifts = {}
     for name, gi in zip(sgp.gen_names, sgp.gens):
         tau = units[_extensions(sgp.elements[gi], units)[0]]
-        row = tuple(group.mul(g, h) * size + j - 1 for g in points for j, h in tau.rows)
+        row = induced_row(group, [h for _, h in tau.rows], [j - 1 for j, _ in tau.rows])
         lifts[name] = (row, pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
     target = PairSemigroup(PartialMaps(len(group) * size), pres.rlmq.rlm)
     direct = check_division(sgp, target, lifts=lifts)

@@ -63,25 +63,14 @@ table when first read, so a witness's `target` and `lifts` go back into
 `check_division`.  Checking given lifts only multiplies, so a lazy oracle
 serves; a search needs `codes`.
 
-`WreathRows` codes (G, G^0) wr (Q, T), T a carrier of partial
-transformations, by the partial maps of G x Q, (g, q) at g*|Q| + q, that
-its elements induce: (g, q) goes to (g.f[q], q.t), undefined where q.t is
-or f[q] is G^0's zero.  Call (f, t) shaped when its zero lies exactly
-where q.t is undefined.  On shaped lifts the division closure runs as on
-wreath codes, by three facts.  (1) Shaped values are closed under
-products: f[q] = f1[q].f2[q.t1] is the zero exactly when q.t1 or
-(q.t1).t2 is undefined, since the zero absorbs and G holds no zero.
-(2) The row determines a shaped value: the image of (1_G, q) is
-(f[q], q.t), or -1 exactly where q.t is undefined, which is where f[q] is
-the zero.  (3) Rows compose as values multiply: by the wreath formula
-(g,q)(u*v) = (g.f1[q].f2[q.t1], q.t1.t2) = ((g,q)u)v, each side undefined
-exactly when (g,q)u = (g.f1[q], q.t1) or its image under v is.  So the
-row is injective on everything `_relation_closure` reaches and turns each
-product into a gather: the closure on rows is the closure on wreath
-codes, in the same order with the same S indices, and stops at the same
-first conflict.  `encode` refuses (KeyError) a value that is not shaped,
-and `decode` reads the value back, so every rejection message is the
-wreath product's.
+`induced_row(group, labels, targets)` is the row of the partial map of
+G x [n], (g, i) at g*n + i, that sends (g, i) to (g.labels[i],
+targets[i]), undefined (-1) where targets[i] is -1: the action of the
+wreath value over (G, G^0) whose entry at i is labels[i], or the zero
+where the target is undefined.  The wreath embedding
+(`semilocal.fasp_embedding`, which proves that its closure on rows is the
+one in the wreath product), a flow's G wr Sym_b entries and the inverse
+decomposition's units all lift to such rows and multiply as `PartialMaps`.
 """
 
 from __future__ import annotations
@@ -93,7 +82,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .core import ZERO, FiniteGroup, FiniteSemigroup, PartialTransformation, _index_period
+from .core import FiniteGroup, FiniteSemigroup, _index_period
 from .errors import InputError, ResourceError, VerificationError
 
 DIVISION_SEARCH_BUDGET = 2_000_000
@@ -178,6 +167,18 @@ class PartialMaps:
     @staticmethod
     def mul_code(a: tuple, b: tuple) -> tuple:
         return operator.itemgetter(*a)(b)
+
+
+def induced_row(group: FiniteGroup, labels: Sequence[int], targets: Sequence[int]) -> tuple:
+    """The row of the partial map of G x [n] that sends (g, i), at
+    g*n + i, to (g.labels[i], targets[i]), -1 where targets[i] is -1 (see
+    the module docstring)."""
+    n = len(targets)
+    return tuple(
+        -1 if j < 0 else group.mul(g, h) * n + j
+        for g in range(len(group))
+        for h, j in zip(labels, targets)
+    )
 
 
 # -- wreath products ------------------------------------------------------
@@ -296,47 +297,6 @@ class WreathProduct:
             (f, t) for t in right.codes for f in itertools.product(left.codes, repeat=nq)
         ]
         return carrier
-
-
-class WreathRows(PartialMaps):
-    """(G, G^0) wr (Q, T) on its shaped values, each coded by the partial
-    map of G x Q it induces (see the module docstring): the point (g, q),
-    at g*|Q| + q, goes to (g.f[q], q.t), undefined where q.t is.  The
-    right factor T is a carrier of partial transformations of {1..|Q|}."""
-
-    def __init__(self, group: FiniteGroup, right: FiniteSemigroup):
-        super().__init__(len(group) * right.degree)
-        self.right = right
-        self._unit = group.identity * right.degree  # the position of (1_G, 0)
-        # per value of G^0, its column of G's table (g.c for every g); the
-        # zero's is None, undefined everywhere
-        self._columns = dict(zip([*range(len(group)), ZERO], [*zip(*group.table), None]))
-
-    def encode(self, value) -> tuple:
-        """The row of (f, t), with the sentinel; KeyError unless t is in
-        T, f has a value of G^0 per point, and the zero lies exactly
-        where q.t is undefined."""
-        f, t = value
-        self.right.encode(t)
-        nq = self.right.degree
-        if len(f) != nq:
-            raise KeyError(value)
-        undefined = (-1,) * (self.size // nq)
-        columns = []
-        for v, j in zip(f, t.images):
-            column = self._columns[v]
-            if (column is None) != (j == 0):
-                raise KeyError(value)
-            columns.append(undefined if column is None else [p * nq + j - 1 for p in column])
-        return (*itertools.chain.from_iterable(zip(*columns)), -1)
-
-    def decode(self, row) -> tuple:
-        """The (f, t) whose row this is, read off the images of (1_G, q):
-        (f[q], q.t), or -1 where f[q] is the zero."""
-        nq = self.right.degree
-        images = row[self._unit : self._unit + nq]
-        f = tuple([ZERO if p < 0 else p // nq for p in images])
-        return f, PartialTransformation(tuple([p % nq + 1 if p >= 0 else 0 for p in images]))
 
 
 class _Memo(dict):

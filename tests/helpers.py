@@ -4,17 +4,18 @@ estimate reaches, certificate tree walks, the derived-wreath division
 instances, and the definitions that RLM maps, Rees coordinates,
 classification, 0-minimal ideals and the wreath embedding are checked
 against, with the reference constructors of action pairs, the wreath
-row by its point definition, and the checks no command reaches.  Importing this module builds no carrier and runs no estimate,
-so a test module imports it at the top and no test imports another test
-module."""
+row by its point definition and its read-back to a wreath value, and the
+checks and translations no command reaches.  Importing this module builds
+no carrier and runs no estimate, so a test module imports it at the top
+and no test imports another test module."""
 
 import itertools
 import random
 
 from krc import fileformats, semilocal
 from krc.complexity import RelationalMorphism, estimate
-from krc.core import ZERO, FiniteSemigroup, PartialTransformation, maximal_subgroup
-from krc.errors import ResourceError, VerificationError
+from krc.core import ZERO, FiniteSemigroup, PartialTransformation, maximal_subgroup, row_getter
+from krc.errors import InputError, ResourceError, VerificationError
 from krc.fileformats import parse_semigroup
 from krc.inverse import rlm_matrix
 from krc.products import ActionPair, PartialMaps, WreathProduct, check_division
@@ -255,7 +256,7 @@ def whole_ideal_verdicts(sgp):
     _, ideals = semilocal._zero_minimal_ideals(sgp)
     n = len(sgp)
     right = any(len(set(sgp.right_translations(ideal))) == n for _, ideal in ideals)
-    left = any(len(set(sgp.left_translations(ideal))) == n for _, ideal in ideals)
+    left = any(len(set(left_translations(sgp, ideal))) == n for _, ideal in ideals)
     return right, left
 
 
@@ -345,10 +346,22 @@ def fasp_pairs(pres):
 
 
 def fasp_wreath(pres):
-    """(G, G^0) wr (B, RLM) on wreath codes: the product that
-    `products.WreathRows` codes by action rows."""
+    """(G, G^0) wr (B, RLM) on wreath codes: the product whose shaped
+    values `fasp_embedding` codes by their action rows."""
     left, right = fasp_pairs(pres)
     return WreathProduct(left.sgp, right)
+
+
+def fasp_value(pres, row):
+    """The value (f, t) of (G, G^0) wr (B, RLM) whose row `row` is, read
+    off the images of (1_G, b): (f[b], b.t), f[b] the zero where the image
+    is -1 and t a partial transformation of {1..|B|}.  A trailing -1
+    sentinel is ignored."""
+    nb = pres.n_b
+    unit = pres.group.identity * nb  # the position of (1_G, 0)
+    images = row[unit : unit + nb]
+    f = tuple(ZERO if p < 0 else p // nb for p in images)
+    return f, T(tuple(p % nb + 1 if p >= 0 else 0 for p in images))
 
 
 def _fasp_action_reference(pres, witness):
@@ -360,7 +373,7 @@ def _fasp_action_reference(pres, witness):
     j_of = sgp.green().j_of
     r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
     for wv, sv in witness.morphism.items():
-        wrow = wreath_row(*pairs, wv)
+        wrow = wreath_row(*pairs, fasp_value(pres, wv))
         for u, g, b in r:
             p, img = sgp.mul_index(u, sgp.index[sv]), wrow[g * pres.n_b + b]
             if j_of[p] != pres.jref.j_id:
@@ -377,7 +390,8 @@ def assert_wreath_rows_compose(pres):
     followed by the row of v, -1 absorbing, for every closure code u and
     generator-lift code v, each row by `wreath_row`."""
     w, pairs = fasp_wreath(pres), fasp_pairs(pres)
-    witness = check_division(pres.sgp, w, lifts=fasp_embedding(pres).lifts)
+    lifts = {name: fasp_value(pres, row) for name, row in fasp_embedding(pres).lifts.items()}
+    witness = check_division(pres.sgp, w, lifts=lifts)
     lifts = [w.encode(v) for v in witness.lifts.values()]
     for u in witness.closure:
         ru = wreath_row(*pairs, w.decode(u))
@@ -389,16 +403,17 @@ def assert_wreath_rows_compose(pres):
 def assert_rows_close_as_codes(pres):
     """`fasp_embedding` closes on the wreath image's action rows; its
     closure is the closure on wreath codes item for item and in order, each
-    row the code's `wreath_row` followed by the -1 sentinel and decoding to
-    the code's value, of size |S| (the `products` docstring proves it)."""
-    rows = fasp_embedding(pres).rows
+    row the code's `wreath_row` followed by the -1 sentinel and reading
+    back to the code's value, of size |S| (`fasp_embedding` proves it)."""
+    witness = fasp_embedding(pres)
     w, pairs = fasp_wreath(pres), fasp_pairs(pres)
-    codes = check_division(pres.sgp, w, lifts=rows.lifts).closure
-    assert list(rows.closure.values()) == list(codes.values())
-    assert list(rows.closure) == [(*wreath_row(*pairs, w.decode(c)), -1) for c in codes]
-    assert list(rows.morphism) == [w.decode(c) for c in codes]
-    assert len(rows.closure) == len(pres.sgp)
-    rows.verify()
+    lifts = {name: fasp_value(pres, row) for name, row in witness.lifts.items()}
+    codes = check_division(pres.sgp, w, lifts=lifts).closure
+    assert list(witness.closure.values()) == list(codes.values())
+    assert list(witness.closure) == [(*wreath_row(*pairs, w.decode(c)), -1) for c in codes]
+    assert [fasp_value(pres, row) for row in witness.morphism] == [w.decode(c) for c in codes]
+    assert len(witness.closure) == len(pres.sgp)
+    witness.verify()
 
 
 def check_stability(sgp):
@@ -425,6 +440,40 @@ def flat_kernel_matches_rlm(sgp, group):
             if (rlm_matrix(a) == rlm_matrix(b)) != (ca == cb):
                 return False
     return len({rlm_matrix(a) for a in sgp.elements}) == len(rq.rlm)
+
+
+def left_translations(sgp, points):
+    """For every element s, the row (s*p for p in points); `points` must
+    be closed under left multiplication by the generators.
+
+    Rows are built along the word tree: s = t*g gives s*p = t*(g*p),
+    and g*p is again a point, so s's row is t's row read at the
+    positions of the points g*p.  Each generator's shift is one
+    `row_getter`, built once (exact for zero and one point too).  Like
+    tracing, this rests on associativity."""
+    points = tuple(points)
+    at = {p: i for i, p in enumerate(points)}
+    g_rows = [row_getter(points)(col) for col in sgp.left_columns]
+    try:
+        shifts = [row_getter([at[q] for q in row]) for row in g_rows]
+    except KeyError:
+        raise InputError(
+            "point set is not closed under left multiplication by the generators"
+        ) from None
+    rows = [None] * len(sgp.elements)
+    parent, letter = sgp._parent, sgp._letter
+    for s in sgp._order:
+        t, k = parent[s], letter[s]
+        rows[s] = g_rows[k] if t < 0 else shifts[k](rows[t])
+    return rows
+
+
+def words(sgp):
+    """A reduced word over generator indices for every element, off the tree."""
+    words = [()] * (len(sgp.elements) + 1)  # words[-1]: the root
+    for s in sgp._order:  # prefix before child
+        words[s] = words[sgp._parent[s]] + (sgp._letter[s],)
+    return words[:-1]
 
 
 def parse_automaton(text, letters):

@@ -132,7 +132,7 @@ def test_criterion_3_rees_and_embedding():
         rc.verify_matrix_regular()
         pres = group_mapping_presentation(sgp)
         emb = fasp_embedding(pres)  # division witness + injectivity inside
-        assert len(emb.rows.morphism) == len(sgp)
+        assert len(emb.morphism) == len(sgp)
     print(
         f"ACCEPTANCE 3: PASS - Rees transport and wreath embedding verified "
         f"for {len(members)} generalized group mapping members"

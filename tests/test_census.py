@@ -89,7 +89,7 @@ def test_wreath_embedding_acts_as_proved(census_presentations):
     docstring proves, checked point by point."""
     assert len(census_presentations) == 32
     for pres in census_presentations:
-        assert _fasp_action_reference(pres, semilocal.fasp_embedding(pres).rows) is None
+        assert _fasp_action_reference(pres, semilocal.fasp_embedding(pres)) is None
         assert_wreath_rows_compose(pres)
 
 

@@ -1,4 +1,5 @@
 import collections
+import functools
 import inspect
 import itertools
 import random
@@ -24,7 +25,7 @@ from krc.core import (
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, RelationalMorphism, derived_semigroup, estimate
 from krc.errors import InputError, ResourceError, VerificationError
-from krc import core, fileformats, semilocal
+from krc import complexity, core, fileformats, semilocal
 from krc.fileformats import dump_semigroup, load_semigroup, parse_semigroup
 from krc.inverse import brandt_semigroup
 from krc.semilocal import JClassRef, _zero_minimal_ideals, gm_quotient, rees_coordinates
@@ -37,6 +38,8 @@ from helpers import (
     assert_classes_match_definitions,
     brute_zero_minimal_ideals,
     check_stability,
+    left_translations,
+    words,
 )
 
 T = PartialTransformation
@@ -123,8 +126,7 @@ class TestGenerate:
 
     def test_recorded_words_evaluate_back(self, sym3, b2z2_1):
         for s in (sym3, b2z2_1):
-            words = s.words()
-            for i, word in enumerate(words):
+            for i, word in enumerate(words(s)):
                 value = s.elements[s.gens[word[0]]]
                 for k in word[1:]:
                     value = s.mul(value, s.elements[s.gens[k]])
@@ -197,7 +199,7 @@ class TestTracedProducts:
             for i in points:
                 assert sgp.right_translation(points, i) == tuple(row[i] for row in table)
                 assert sgp.left_translation(i, points) == tuple(table[i])
-            for i, word in enumerate(sgp.words()):
+            for i, word in enumerate(words(sgp)):
                 value = els[sgp.gens[word[0]]]
                 for k in word[1:]:
                     value = mul(value, els[sgp.gens[k]])
@@ -410,7 +412,7 @@ class TestBulkTranslations:
             n = len(sgp)
             for _, ideal in _zero_minimal_ideals(sgp)[1]:
                 points = ideal[::-1] + ideal[:1]  # unsorted, with a repeat
-                rows = sgp.left_translations(points)
+                rows = left_translations(sgp, points)
                 assert rows == [tuple(sgp.mul_index(s, p) for p in points) for s in range(n)]
                 checked += 1
         assert checked >= len(translation_carriers)
@@ -446,7 +448,7 @@ class TestBulkTranslations:
                 assert rows == [(sgp.mul_index(p, s),) for s in range(n)]
             for p in range(n):
                 if all(col[p] == p for col in sgp.left_columns):  # g*p = p for every generator
-                    rows = sgp.left_translations([p])
+                    rows = left_translations(sgp, [p])
                     assert rows == [(sgp.mul_index(s, p),) for s in range(n)] == [(p,)] * n
                     left_closed += 1
         assert left_closed >= 10
@@ -454,7 +456,7 @@ class TestBulkTranslations:
     def test_one_element_carrier(self):
         one = FiniteSemigroup.generate([("e", T((1,))), ("f", T((1,)))])
         assert len(one) == 1 and one.mul_index(0, 0) == 0
-        for translations in (one.right_translations, one.left_translations):
+        for translations in (one.right_translations, functools.partial(left_translations, one)):
             assert translations([0]) == [(0,)]
             assert translations([0, 0]) == [(0, 0)]
             assert translations([]) == [()]
@@ -463,7 +465,7 @@ class TestBulkTranslations:
         gs = b2z2_1.green()
         top = gs.j_classes[gs.j_of[b2z2_1.identity_index()]]
         with pytest.raises(InputError, match="not closed under left multiplication"):
-            b2z2_1.left_translations(top)
+            left_translations(b2z2_1, top)
 
 
 def catalan_monoid(n):
@@ -839,6 +841,7 @@ def estimate_runs(corpus):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileformats, "dump_semigroup", recording)
+        mp.setattr(complexity, "dump_semigroup", recording)
         mp.setattr(semilocal, "rees_coordinates", coordinatizing)
         for sgp, options in runs:
             estimate(sgp, options)
@@ -1064,7 +1067,7 @@ def _sccs_three_pass(n, succ):
 
 def green_three_pass(sgp):
     """The Green structure with R, L and J each found by Tarjan (J over both
-    Cayley graphs) and the class orders built element by element."""
+    Cayley graphs) and the J-order built element by element."""
     n = len(sgp.elements)
     right, left = list(zip(*sgp.right_columns)), list(zip(*sgp.left_columns))  # rows
     r_of, r_classes = _canonical_classes(_sccs_three_pass(n, lambda i: right[i]))
@@ -1074,13 +1077,9 @@ def green_three_pass(sgp):
     )
     h_of, h_classes = _canonical_classes([r_of[i] * len(l_classes) + l_of[i] for i in range(n)])
 
-    def successors(class_of, classes, both):
-        succ = [set() for _ in classes]
-        for i in range(n):
-            succ[class_of[i]].update(class_of[j] for j in left[i])
-            if both:
-                succ[class_of[i]].update(class_of[j] for j in right[i])
-        return succ
+    j_succ = [set() for _ in j_classes]
+    for i in range(n):
+        j_succ[j_of[i]].update(j_of[j] for j in itertools.chain(left[i], right[i]))
 
     idempotents = sgp.idempotent_indices()
     regular = [False] * len(j_classes)
@@ -1088,8 +1087,7 @@ def green_three_pass(sgp):
         regular[j_of[e]] = True
     return GreenStructure(
         r_of, l_of, j_of, h_of, r_classes, l_classes, j_classes, h_classes,
-        successors(j_of, j_classes, True), successors(l_of, l_classes, False),
-        regular, idempotents,
+        j_succ, regular, idempotents,
     )
 
 

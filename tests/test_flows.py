@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from krc import complexity, core, flows
+from krc import complexity, core, flows, inverse
 from krc.cli import CORPUS_DIR, load_corpus_manifest
 from krc.complexity import EstimateOptions, estimate
 from krc.core import (
@@ -34,11 +34,12 @@ from krc.flows import (
     verify_flow,
 )
 from krc.fileformats import dump_flow, load_semigroup
-from krc.inverse import matrix_semigroup_as_transformations, small_monoid
+from krc.inverse import inverse_decomposition, matrix_semigroup_as_transformations, small_monoid
 from krc.products import (
     ActionPair,
     DivisionWitness,
     PairSemigroup,
+    PartialMaps,
     WreathProduct,
     _relation_closure,
 )
@@ -50,6 +51,7 @@ from helpers import (
     LADDER,
     T4_GENS,
     fasp_pairs,
+    fasp_value,
     ladder,
     of_group,
     reached_presentations,
@@ -320,14 +322,15 @@ class TestVerifyFlow:
 
 
 def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
-    """`WreathRows` codes each value of the FASP wreath by its row of the
-    point definition (the zero where the RLM map is undefined), and the
-    flows' wreath over partial maps multiplies as its point-definition
-    rows compose, on its closure and the lifts."""
+    """Each row of the FASP embedding's closure is the point-definition row
+    of the value it reads back to (the zero where the RLM map is
+    undefined), and the flows' wreath over partial maps multiplies as its
+    point-definition rows compose, on its closure and the lifts."""
     checked = Counter()
     pres = group_mapping_presentation(b2z2_1)
-    rows, pairs = fasp_embedding(pres).rows, fasp_pairs(pres)
-    for row, value in zip(rows.closure, rows.morphism):
+    witness, pairs = fasp_embedding(pres), fasp_pairs(pres)
+    for row in witness.closure:
+        value = fasp_value(pres, row)
         assert row == (*wreath_row(*pairs, value), -1)
         checked[ZERO in value[0]] += 1
     assert checked[True] and checked[False]
@@ -339,6 +342,45 @@ def test_wreath_rows_match_the_point_definition(b2z2_1, small17_pres):
         for v in lifts:
             want = then(ru, wreath_row(outer.left, outer.right, outer.decode(v)))
             assert wreath_row(outer.left, outer.right, outer.decode(outer.mul_code(code, v))) == want
+
+
+def test_induced_rows_are_the_point_definition(
+    corpus_presentations, ladder_presentations, estimated_constructions, small17_pres
+):
+    """`products.induced_row` is `wreath_row`'s point definition on every
+    lift built with it: the wreath embedding's on the corpus and ladder
+    ((G, G^0) wr (B, RLM), the zero where the RLM map is undefined), each
+    live entry of a construction's (G, G) wr (Sym_b) part on the
+    estimated constructions and a one-state flow, and each unit of the
+    inverse decomposition (G acting on itself, [n] by partial maps)."""
+    checked = Counter()
+    pure = corpus_presentations + [p for ps in ladder_presentations.values() for p in ps]
+    for pres in pure:
+        lifts, pairs, rlmq = fasp_embedding(pres).lifts, fasp_pairs(pres), pres.rlmq
+        for name, gi in zip(pres.sgp.gen_names, pres.sgp.gens):
+            t = rlmq.rlm.elements[rlmq.code[gi]]
+            f = tuple(lab if b else ZERO for lab, b in zip(pres.label_of_gen[name], t.images))
+            assert lifts[name] == wreath_row(*pairs, (f, t))
+            checked["pure"] += 1
+    constructions = estimated_constructions + [presentation_construct(trivial_flow(small17_pres))]
+    for w in constructions:
+        pairs = of_group(w.flow.presentation.group), PartialMaps(w.b_bar)
+        for x, ((fvals, _), _) in w.division.lifts.items():
+            for q, entry in enumerate(fvals):
+                if entry is not None:
+                    assert entry == wreath_row(*pairs, (w.gbar[x][q], w.perms[x][q]))
+                    checked["flow"] += 1
+    for n, order in [(2, 2), (3, 2), (3, 3)]:
+        group = FiniteGroup.cyclic(order)
+        sgp = small_monoid(n, group, 1)
+        lifts = inverse_decomposition(sgp, group).direct_witness.lifts
+        units, pairs = inverse.monomial_units(n, group), (of_group(group), PartialMaps(n))
+        for name, gi in zip(sgp.gen_names, sgp.gens):
+            tau = units[inverse._extensions(sgp.elements[gi], units)[0]]
+            value = (tuple(h for _, h in tau.rows), tuple(j - 1 for j, _ in tau.rows))
+            assert lifts[name][0] == wreath_row(*pairs, value)
+            checked["inverse"] += 1
+    assert checked == Counter({"pure": 93, "flow": 20, "inverse": 14})
 
 
 class TestPresentationConstruct:

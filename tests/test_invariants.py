@@ -181,16 +181,40 @@ def test_format_roundtrips_for_auxiliary_files(b2z2_1):
     assert dump_automaton(parse_automaton(dump_automaton(aut), aut.letters)) == dump_automaton(aut)
 
 
+def _code_tokens(tree):
+    """(name, line) for every name, attribute and identifier string
+    literal in a module's code; docstrings and comments hold none."""
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in docstrings
+        ):
+            yield node.value, node.lineno
+
+
 def test_no_test_only_surface_in_src():
-    """Every function, class and method that `src/krc` defines is named in
-    `src/krc` outside its own definition, or in `perfbench/*.py` or
-    `demos/*.py`: a definition only the tests reach belongs in the tests.
-    A name counts as a word anywhere in the text; dunder methods are
-    called by the language."""
+    """Every function, class and method that `src/krc` defines is used in
+    `src/krc`'s code outside its own definition (as a name, an attribute
+    or an identifier string literal), or named as a word in
+    `perfbench/*.py` or `demos/*.py`: a definition only the tests reach
+    belongs in the tests.  Docstrings and comments do not count as uses;
+    dunder methods are called by the language."""
     root = Path(__file__).resolve().parent.parent
     word = re.compile(r"\w+")
     sources = sorted((root / "src" / "krc").glob("*.py"))
-    lines = {path: path.read_text().splitlines() for path in sources}
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    tokens = {path: list(_code_tokens(tree)) for path, tree in trees.items()}
     outside = {
         name
         for pattern in ("perfbench/*.py", "demos/*.py")
@@ -198,8 +222,8 @@ def test_no_test_only_surface_in_src():
         for name in word.findall(path.read_text())
     }
     unused = []
-    for path in sources:
-        for node in ast.walk(ast.parse("\n".join(lines[path]))):
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
@@ -207,9 +231,9 @@ def test_no_test_only_surface_in_src():
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not any(
-                name in word.findall(text)
+                token == name
                 for other in sources
-                for k, text in enumerate(lines[other], 1)
+                for token, k in tokens[other]
                 if other != path or not first <= k <= node.end_lineno
             ):
                 unused.append(f"{path.stem}.{name}")

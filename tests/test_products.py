@@ -576,5 +576,5 @@ def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
         raise AssertionError("built a FiniteSemigroup carrier")
 
     monkeypatch.setattr(FiniteSemigroup, "from_elements", refuse)
-    assert len(fasp_embedding(pres).rows.morphism) == len(b2z2_1)
+    assert len(fasp_embedding(pres).morphism) == len(b2z2_1)
     assert len(inverse_decomposition(s, z2).direct_witness.morphism) == 32
