@@ -10,13 +10,13 @@ from krc import (
     JClassRef,
     PartialTransformation,
     classify,
-    fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
     is_aperiodic,
     rees_coordinates,
     rlm_quotient,
 )
+from krc.products import PartialMaps, check_division, induced_row
 
 T = PartialTransformation
 
@@ -53,10 +53,16 @@ print()
 
 # The coordinate action: (a, g, b)x = (a, g*(b)x, b.x).  Each generator
 # carries its partial map on B and its group labels, and together they
-# embed the semigroup into the wreath product over the RLM image.
+# embed the semigroup into the wreath product over the RLM image
+# (proved in `complexity.pure_upper`).  The division below checks it: each
+# generator lifts to the partial map it induces on G x B.
 pres = group_mapping_presentation(b2)
 for name in b2.gen_names:
     print(f"generator {name}: b.x = {pres.rlm_of_gen[name]}, "
           f"(b)x = {pres.label_of_gen[name]}")
-emb = fasp_embedding(pres)
+rows = {x: induced_row(pres.group, pres.label_of_gen[x], [b - 1 for b in pres.rlm_of_gen[x]])
+        for x in b2.gen_names}
+emb = check_division(b2, PartialMaps(len(pres.group) * pres.n_b), lifts=rows)
+if len(emb.morphism) != len(b2):
+    raise SystemExit("wreath embedding is not injective")
 print("wreath embedding is injective on all", len(emb.morphism), "elements")

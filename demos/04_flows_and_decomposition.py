@@ -40,7 +40,11 @@ print()
 witness = presentation_construct(flow)
 print("decomposition data:")
 print("  blocks padded to b =", witness.b_bar)
-print("  carrier size |Qbar| =", len(witness.qbar))
+# Qbar pairs each wreath point ((g, j), q) with 0, and with each b of its
+# block j of W_q: |G|*b*|Q| + |G|*sum_q |W_q| points
+supports = sum(len(b) for spc in flow.labeling for b in spc.blocks)
+qbar = len(pres.group) * (witness.b_bar * flow.automaton.n_states + supports)
+print("  carrier size |Qbar| =", qbar)
 print("  lifted semigroup order:", len(witness.division.morphism))
 print("  divides onto all", len(set(witness.division.morphism.values())),
       "elements of the monoid")

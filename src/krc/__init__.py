@@ -18,7 +18,6 @@ from .semilocal import (
     JClassRef,
     ReesCoordinates,
     classify,
-    fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
     rees_coordinates,

@@ -1,11 +1,13 @@
 """Complexity intervals with replayable certificates.
 
 A bound is only ever emitted together with machinery that re-verifies it
-from scratch: aperiodicity for the base case, the max rule over the
-group-mapping images for the reduction step, and for a group-mapping
-semigroup either the wreath embedding over its RLM image (upper bound one
-more than the RLM's) or a verified flow (matching the RLM's upper bound).
-Search exhaustion widens intervals; it never produces claims.
+from scratch, or with a proof whose premises that machinery checks:
+aperiodicity for the base case, the max rule over the group-mapping
+images for the reduction step, and for a group-mapping semigroup either
+the wreath embedding over its RLM image (upper bound one more than the
+RLM's, proved in `pure_upper`) or a verified flow (matching the RLM's
+upper bound).  Search exhaustion widens intervals; it never produces
+claims.
 
 This module is the only interpreter of the certificate format.  `estimate`
 writes it; `replay_certificate` reruns `estimate` on the root semigroup,
@@ -34,13 +36,7 @@ from .core import (
 from .errors import InputError, ResourceError, VerificationError
 from .fileformats import dump_flow, dump_semigroup, parse_flow, parse_semigroup
 from .products import ActionPair, DivisionWitness, WreathProduct, check_division
-from .semilocal import (
-    GmQuotient,
-    JClassRef,
-    fasp_embedding,
-    gm_quotient,
-    group_mapping_presentation,
-)
+from .semilocal import GmQuotient, JClassRef, gm_quotient, group_mapping_presentation
 from .flows import (
     DEFAULT_AUTOMATA_BUDGET,
     FlowSearchExhausted,
@@ -534,15 +530,56 @@ def _estimate_group_mapping(
 
 
 def pure_upper(pres, rlm_upper: int) -> dict[str, Any]:
-    """The bound that is tight exactly for pure semigroups: the embedding
-    into (G,G) wr (B, RLM) caps the complexity by the RLM's upper plus one.
-    The embedding witness is constructed and verified before emission."""
-    witness = fasp_embedding(pres)
+    """The bound that is tight exactly for pure semigroups: S embeds in
+    (G, G^0) wr (B, RLM), so its complexity is at most the RLM's upper plus
+    one.  The embedding is proved here, not closed, and its order is |S|.
+    The proof's premises are checked at run time: `classify`'s verdict that
+    S is right mapping, which `group_mapping_presentation` requires, and
+    `_verify_coordinate_action` over every member of J and every generator.
+    The tests close the division as the proof's oracle.
+
+    A generator x lifts to (f_x, RLM(x)), f_x[b] = (b)x, or G^0's zero
+    where b.x is undefined.  The row of (f, t) is its action on G x B:
+    (g, b) goes to (g.f[b], b.t), undefined where b.t is or f[b] is the
+    zero (`products.induced_row`).  Call (f, t) shaped when its zero lies
+    exactly where b.t is undefined; every lift is shaped by construction.
+    (1) Shaped values are closed under products: f[b] = f1[b].f2[b.t1] is
+    the zero exactly when b.t1 or (b.t1).t2 is undefined, since the zero
+    absorbs and G holds no zero.  So an element's zero lies where the
+    embedding into (G,G) wr (B, RLM) leaves its entry undefined.
+    (2) The row determines a shaped value: the image of (1_G, b) is
+    (f[b], b.t), or undefined exactly where b.t is, which is where f[b] is
+    the zero.  (3) Rows compose as values multiply: by the wreath formula
+    (in the `products` docstring) (g,b)(u*v) = (g.f1[b].f2[b.t1], b.t1.t2)
+    = ((g,b)u)v, each side undefined exactly when (g,b)u = (g.f1[b], b.t1)
+    or its image under v is.
+
+    Identify G x B + 0 with R u {0}, R the a = 0 R-class: the point (g, b)
+    is uncoord(0, g, b), and 0 is every element below J.  The lift of a
+    generator x sends (g, b) to (g*(b)x, b.x), and to 0 where b.x is
+    undefined.  `_verify_coordinate_action` has checked, at a = 0, that
+    uncoord(0, g, b)*x is uncoord(0, g*(b)x, b.x), or leaves J where b.x
+    is undefined.  So the generators' lifts act on G x B + 0 as the
+    generators act on R u {0}.  Both sides are right actions, 0 absorbing:
+    rows compose by (3); for r in R, r*s either stays in R or drops below
+    J, by stability (r*s J r gives r*s R r), and below J is absorbing
+    (t <_J J gives t*s <_J J).  The relation the lifts generate holds
+    (lift(x), x) and, with each pair (w, s), (w*lift(x), s*x), and nothing
+    else.  So, by induction, w acts on G x B + 0 as s acts on R u {0} for
+    every pair (w, s) of the relation.
+
+    The relation is a function: if it holds (w, s) and (w, s'), then s and
+    s' act alike on R u {0}, and S, being right mapping, acts faithfully
+    there by the one-R-class lemma in `classify`, so s = s'.  It is
+    injective: if it holds (w, s) and (w', s), then w and w' have the same
+    row and are shaped by (1), so w = w' by (2).  It is onto S, as every
+    generator is lifted.  So its wreath side is a subsemigroup of
+    (G, G^0) wr (B, RLM) isomorphic to S, of order |S|."""
     return {
         "kind": "pure",
         "value": rlm_upper + 1,
         "witness": "wreath-embedding-over-rlm",
-        "embedded_order": len(witness.closure),
+        "embedded_order": len(pres.sgp),
     }
 
 

@@ -27,9 +27,9 @@ permutation by (a); T_A's elements are partial maps of the states.  The
 lifted action is the wreath lift's own: Qbar pairs the wreath's points
 ((g, j), q), read by position, with B + 0, and the witness map rho onto
 G x B + 0 is a surjective morphism against the wreath row of each lift,
-by (b) and (c) below, which the construction does not re-check.  The
-division of S that the lifts generate is machine-checked through the
-division machinery.
+by (b) and (c) below.  The construction builds neither: they live in the
+proof and in the tests' oracle of it.  The division of S that the lifts
+generate is machine-checked through the division machinery.
 
 A verified flow always constructs: F1-F5, the sink condition and the
 cover condition make the division check of `presentation_construct`
@@ -63,7 +63,7 @@ h the target block and shift of block j; a dead q.x leaves it undefined.
     undefined, with its b in that state's W or 0; the sink condition
     sends that b, and so p.w, to 0 under x, and 0 stays 0: p.u = 0 = p.v.
     So u and v act alike on G x B + 0, which the proof in
-    `semilocal.fasp_embedding` identifies with R u {0}, R the a = 0
+    `complexity.pure_upper` identifies with R u {0}, R the a = 0
     R-class of the distinguished class.  A generalized group mapping
     S is right mapping, so it acts faithfully there by the lemma in
     `semilocal.classify`, and u = v in S.  The relation closure is
@@ -80,9 +80,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .core import ZERO, FiniteSemigroup, PartialTransformation, is_aperiodic
+from .core import FiniteSemigroup, PartialTransformation, is_aperiodic
 from .errors import InputError, ResourceError, VerificationError
 from .products import (
     DivisionWitness,
@@ -269,17 +269,14 @@ def trivial_flow(pres: GroupMappingPresentation) -> Flow:
 @dataclass
 class PresentationWitness:
     """Everything the flow-based decomposition produces: the block count
-    b_bar, per-state-and-letter permutations and group corrections, the
-    carrier Qbar with its projection rho (a surjective morphism by (b) and
-    (c) of the module docstring, not re-checked), and the machine-checked
-    division witness, whose lifts act on Qbar."""
+    b_bar, per-state-and-letter permutations and group corrections, and the
+    machine-checked division witness, whose lifts act on Qbar (the module
+    docstring)."""
 
     flow: Flow
     b_bar: int
     perms: dict[str, list[tuple[int, ...]]]  # per letter, per state: [b]->[b]
     gbar: dict[str, list[tuple[int, ...]]]  # per letter, per state: G labels
-    qbar: list[Any]
-    rho: dict[Any, Any]
     division: DivisionWitness = field(repr=False)
 
 
@@ -326,23 +323,8 @@ def presentation_construct(flow: Flow) -> PresentationWitness:
         t = tuple(v - 1 for v in aut.letter_map(x).images)
         lifts[x] = ((fvals, t), pres.rlmq.rlm.elements[pres.rlmq.code[gi]])
 
-    # Qbar: each point ((g, j), q) of the wreath, by its position
-    # ((g*b_bar + j-1)*nq + q-1), with 0, and with every b in block j of
-    # q's label
-    qbar: list[Any] = [(point, ZERO) for point in range(len(group) * b_bar * nq)]
-    rho: dict[Any, Any] = dict.fromkeys(qbar, ZERO)
-    for q in range(1, nq + 1):
-        blocks = flow.labeling[q - 1].blocks
-        lab = flow.labeling[q - 1].label_of()
-        for j, blk in enumerate(blocks, 1):
-            for b in blk:
-                for g in range(len(group)):
-                    omega = ((g * b_bar + j - 1) * nq + q - 1, b)
-                    qbar.append(omega)
-                    rho[omega] = (group.mul(g, lab[b]), b)
-
     division = check_division(pres.sgp, PairSemigroup(outer, pres.rlmq.rlm), lifts=lifts)
-    return PresentationWitness(flow, b_bar, perms, gbar, qbar, rho, division)
+    return PresentationWitness(flow, b_bar, perms, gbar, division)
 
 
 # -- flow search -----------------------------------------------------------

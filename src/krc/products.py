@@ -67,10 +67,10 @@ serves; a search needs `codes`.
 G x [n], (g, i) at g*n + i, that sends (g, i) to (g.labels[i],
 targets[i]), undefined (-1) where targets[i] is -1: the action of the
 wreath value over (G, G^0) whose entry at i is labels[i], or the zero
-where the target is undefined.  The wreath embedding
-(`semilocal.fasp_embedding`, which proves that its closure on rows is the
-one in the wreath product), a flow's G wr Sym_b entries and the inverse
-decomposition's units all lift to such rows and multiply as `PartialMaps`.
+where the target is undefined.  A flow's G wr Sym_b entries and the
+inverse decomposition's units lift to such rows and multiply as
+`PartialMaps`.  The wreath embedding of a group-mapping semigroup has such
+rows too, but it is proved, not closed (`complexity.pure_upper`).
 """
 
 from __future__ import annotations

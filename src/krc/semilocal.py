@@ -29,11 +29,10 @@ image there, by the lemma in `gm_quotient`'s docstring.
 S acts on J through one R-class, R the R-class of J's least member (the
 a = 0 coordinates), and no table of that action is built.  The
 coordinate action reads the generators' columns of the right Cayley
-graph, a label `label_of(b, s)` reads the single product u*s, and the
-wreath embedding's action on G x B + 0 is S's on R u {0} by the proof in
-`fasp_embedding`'s docstring, so only the division witness checks it.
-That division closes on the partial maps that the wreath image induces
-on G x B (`products.induced_row`), one gather per product.
+graph, and a label `label_of(b, s)` reads the single product u*s.  The
+wreath embedding into (G, G^0) wr (B, RLM) is proved, not closed, in
+`complexity.pure_upper`'s docstring: its premises are `classify`'s verdict
+and `_verify_coordinate_action`, both checked at run time.
 The Rees coordinates read p_a*g*q_b and q_b*p_a as single rows.  Only the
 oracle `ReesCoordinates.verify_transport` and
 `inverse.brandt_isomorphism` read every product in J, one row per member.
@@ -53,7 +52,6 @@ from .core import (
     row_getter,
 )
 from .errors import InputError, VerificationError
-from .products import DivisionWitness, PartialMaps, check_division, induced_row
 
 
 @dataclass
@@ -708,7 +706,7 @@ def _verify_coordinate_action(pres: GroupMappingPresentation) -> None:
                     )
 
 
-# -- theta' and the wreath embedding ----------------------------------------
+# -- theta' ------------------------------------------------------------------
 
 
 def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
@@ -733,55 +731,3 @@ def theta_prime_representation(sgp: FiniteSemigroup) -> FiniteSemigroup:
         raise VerificationError("theta' representation is not faithful")
     return rep
 
-
-def fasp_embedding(pres: GroupMappingPresentation) -> DivisionWitness:
-    """S embedded in (G, G^0) wr (B, RLM_J(S)) via x -> ((b)x, RLM(x)),
-    (b)x being G^0's zero where b.x is undefined, as a division witness:
-    each lift is the partial map of G x B it induces
-    (`products.induced_row`), closed on `PartialMaps` by `check_division`
-    (the relation is a function onto S), and |closure| = |S| (it is
-    injective).  The wreath image's action is proved, not checked.
-
-    The closure on rows is the one in the wreath product.  (g, b), at
-    g*|B| + b, goes to (g.f[b], b.t) under (f, t), undefined where b.t is
-    or f[b] is the zero.  Call (f, t) shaped when its zero lies exactly
-    where b.t is undefined; every lift is shaped by construction.
-    (1) Shaped values are closed under products: f[b] = f1[b].f2[b.t1] is
-    the zero exactly when b.t1 or (b.t1).t2 is undefined, since the zero
-    absorbs and G holds no zero.  So an element's zero lies where the
-    embedding into (G,G) wr (B, RLM) leaves its entry undefined.
-    (2) The row determines a shaped value:
-    the image of (1_G, b) is (f[b], b.t), or -1 exactly where b.t is
-    undefined, which is where f[b] is the zero.  (3) Rows compose as
-    values multiply: by the wreath formula (in the `products` docstring)
-    (g,b)(u*v) = (g.f1[b].f2[b.t1], b.t1.t2) = ((g,b)u)v, each side
-    undefined exactly when (g,b)u = (g.f1[b], b.t1) or its image under v
-    is.  So the row is injective on everything `_relation_closure`
-    reaches and turns each product into a gather: the closure on rows is
-    the one in (G, G^0) wr (B, RLM), in the same order with the same S
-    indices, and stops at the same first conflict.
-
-    Identify G x B + 0 with R u {0}, R the a = 0 R-class: the point (g, b)
-    is uncoord(0, g, b), and 0, every element below J, is -1.  The lift of
-    a generator x sends (g, b) to (g*(b)x, b.x), and to 0 where b.x is
-    undefined.  `_verify_coordinate_action` has checked, at a = 0, that
-    uncoord(0, g, b)*x is uncoord(0, g*(b)x, b.x), or leaves J where b.x
-    is undefined.  So the generators' lifts act on G x B + 0 as the
-    generators act on R u {0}.  Both sides are right actions, -1 and 0
-    absorbing.  Rows compose, row(u*v) being row(u) followed by row(v), by
-    (3).  For r in R, r*s either stays in R or drops below J, by stability
-    (r*s J r gives r*s R r), and below J is absorbing (t <_J J gives
-    t*s <_J J).  `_relation_closure` reaches every pair (w, s) as
-    (w'*lift(x), s'*x) from a pair (w', s') it already holds, starting at
-    (lift(x), x).  So, by induction, w acts on G x B + 0 as s acts on
-    R u {0}."""
-    rows = {
-        name: induced_row(
-            pres.group, pres.label_of_gen[name], [b - 1 for b in pres.rlm_of_gen[name]]
-        )
-        for name in pres.sgp.gen_names
-    }
-    witness = check_division(pres.sgp, PartialMaps(len(pres.group) * pres.n_b), lifts=rows)
-    if len(witness.closure) != len(pres.sgp.elements):
-        raise VerificationError("wreath embedding is not injective")
-    return witness

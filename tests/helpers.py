@@ -3,11 +3,13 @@ ladder's generators, the degree-3 census classes, the presentations an
 estimate reaches, certificate tree walks, the derived-wreath division
 instances, and the definitions that RLM maps, Rees coordinates,
 classification, 0-minimal ideals and the wreath embedding are checked
-against, with the reference constructors of action pairs, the wreath
-row by its point definition and its read-back to a wreath value, and the
-checks and translations no command reaches.  Importing this module builds
-no carrier and runs no estimate, so a test module imports it at the top
-and no test imports another test module."""
+against: the embedding's division closure and a flow construction's Qbar
+and rho, which the code proves instead of building, with the reference
+constructors of action pairs, the wreath row by its point definition and
+its read-back to a wreath value, and the checks and translations no
+command reaches.  Importing this module builds no carrier and runs no
+estimate, so a test module imports it at the top and no test imports
+another test module."""
 
 import itertools
 import random
@@ -18,11 +20,10 @@ from krc.core import ZERO, FiniteSemigroup, PartialTransformation, maximal_subgr
 from krc.errors import InputError, ResourceError, VerificationError
 from krc.fileformats import parse_semigroup
 from krc.inverse import rlm_matrix
-from krc.products import ActionPair, PartialMaps, WreathProduct, check_division
+from krc.products import ActionPair, PartialMaps, WreathProduct, check_division, induced_row
 from krc.semilocal import (
     JClassRef,
     classify,
-    fasp_embedding,
     group_mapping_presentation,
     rees_coordinates,
     rlm_quotient,
@@ -340,6 +341,29 @@ def then(ru, rv):
     return tuple(-1 if p < 0 else rv[p] for p in ru)
 
 
+def fasp_embedding(pres):
+    """S embedded in (G, G^0) wr (B, RLM_J(S)) via x -> ((b)x, RLM(x)),
+    (b)x being G^0's zero where b.x is undefined, as a division witness:
+    each lift is the partial map of G x B it induces
+    (`products.induced_row`), closed on `PartialMaps` by `check_division`
+    (the relation is a function onto S), and |closure| = |S| (it is
+    injective).  The oracle of `complexity.pure_upper`, which proves all
+    of this instead: by its facts (2) and (3) the row is injective on
+    everything the closure reaches and turns each product into a gather,
+    so the closure on rows is the one in the wreath product, in the same
+    order with the same S indices, and stops at the same first conflict."""
+    rows = {
+        name: induced_row(
+            pres.group, pres.label_of_gen[name], [b - 1 for b in pres.rlm_of_gen[name]]
+        )
+        for name in pres.sgp.gen_names
+    }
+    witness = check_division(pres.sgp, PartialMaps(len(pres.group) * pres.n_b), lifts=rows)
+    if len(witness.closure) != len(pres.sgp.elements):
+        raise VerificationError("wreath embedding is not injective")
+    return witness
+
+
 def fasp_pairs(pres):
     """The action pairs (G, G^0) and (B, RLM) of the wreath embedding."""
     return of_group_with_zero(pres.group), of_transformations(pres.rlmq.rlm)
@@ -368,7 +392,7 @@ def _fasp_action_reference(pres, witness):
     """The wreath image acts on G x B + 0 as S acts on R u {0}, R the a = 0
     R-class, point by point on the witness's values, each acting by its
     `wreath_row`: the first failure's message, or None.
-    `fasp_embedding` proves this; the tests check it."""
+    `complexity.pure_upper` proves this; the tests check it."""
     sgp, rc, pairs = pres.sgp, pres.rees, fasp_pairs(pres)
     j_of = sgp.green().j_of
     r = [(u, g, b) for u, (a, g, b) in rc.coord.items() if a == 0]
@@ -385,10 +409,10 @@ def _fasp_action_reference(pres, witness):
 
 
 def assert_wreath_rows_compose(pres):
-    """The law `fasp_embedding`'s proof reads off the wreath formula: on
-    the division closure on wreath codes, the row of u*v is the row of u
-    followed by the row of v, -1 absorbing, for every closure code u and
-    generator-lift code v, each row by `wreath_row`."""
+    """The law `complexity.pure_upper`'s proof reads off the wreath
+    formula: on the division closure on wreath codes, the row of u*v is the
+    row of u followed by the row of v, -1 absorbing, for every closure code
+    u and generator-lift code v, each row by `wreath_row`."""
     w, pairs = fasp_wreath(pres), fasp_pairs(pres)
     lifts = {name: fasp_value(pres, row) for name, row in fasp_embedding(pres).lifts.items()}
     witness = check_division(pres.sgp, w, lifts=lifts)
@@ -404,7 +428,8 @@ def assert_rows_close_as_codes(pres):
     """`fasp_embedding` closes on the wreath image's action rows; its
     closure is the closure on wreath codes item for item and in order, each
     row the code's `wreath_row` followed by the -1 sentinel and reading
-    back to the code's value, of size |S| (`fasp_embedding` proves it)."""
+    back to the code's value, of size |S| (`complexity.pure_upper` proves
+    it)."""
     witness = fasp_embedding(pres)
     w, pairs = fasp_wreath(pres), fasp_pairs(pres)
     lifts = {name: fasp_value(pres, row) for name, row in witness.lifts.items()}
@@ -414,6 +439,26 @@ def assert_rows_close_as_codes(pres):
     assert [fasp_value(pres, row) for row in witness.morphism] == [w.decode(c) for c in codes]
     assert len(witness.closure) == len(pres.sgp)
     witness.verify()
+
+
+def qbar_rho(w):
+    """Qbar and rho of construction `w` (the `flows` docstring): each point
+    ((g, j), q) of the wreath, by its position ((g*b_bar + j)*nq + q) from
+    0, paired with 0 and sent to 0, then paired with every b in block j of
+    q's label and sent to (g*lab_q(b), b)."""
+    flow, b_bar, group = w.flow, w.b_bar, w.flow.presentation.group
+    nq = flow.automaton.n_states
+    qbar = [(point, ZERO) for point in range(len(group) * b_bar * nq)]
+    rho = dict.fromkeys(qbar, ZERO)
+    for q, spc in enumerate(flow.labeling):
+        lab = spc.label_of()
+        for j, blk in enumerate(spc.blocks):
+            for b in blk:
+                for g in range(len(group)):
+                    omega = ((g * b_bar + j) * nq + q, b)
+                    qbar.append(omega)
+                    rho[omega] = (group.mul(g, lab[b]), b)
+    return qbar, rho
 
 
 def check_stability(sgp):

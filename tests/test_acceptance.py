@@ -32,14 +32,21 @@ from krc.products import DivisionWitness
 from krc.semilocal import (
     JClassRef,
     classify,
-    fasp_embedding,
     group_mapping_presentation,
     rees_coordinates,
     rlm_quotient,
 )
 from krc.spc import TOP, canonicalize, enumerate_spcs, join, leq, meet
 
-from helpers import SEED, _sample_semigroups, changed, check_stability, leaf_paths, node_at
+from helpers import (
+    SEED,
+    _sample_semigroups,
+    changed,
+    check_stability,
+    fasp_embedding,
+    leaf_paths,
+    node_at,
+)
 
 T = PartialTransformation
 

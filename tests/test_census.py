@@ -19,6 +19,7 @@ from helpers import (
     assert_rows_close_as_codes,
     assert_wreath_rows_compose,
     census_classes,
+    fasp_embedding,
     reached_presentations,
     whole_ideal_verdicts,
 )
@@ -85,11 +86,11 @@ def test_rlm_maps_and_coordinates_by_definition(census):
 def test_wreath_embedding_acts_as_proved(census_presentations):
     """On every group-mapping presentation that the census's estimates
     reach, the wreath image acts on G x B + 0 as S acts on R u {0}, and
-    wreath rows compose on the division closure: what `fasp_embedding`'s
+    wreath rows compose on the division closure: what `complexity.pure_upper`'s
     docstring proves, checked point by point."""
     assert len(census_presentations) == 32
     for pres in census_presentations:
-        assert _fasp_action_reference(pres, semilocal.fasp_embedding(pres)) is None
+        assert _fasp_action_reference(pres, fasp_embedding(pres)) is None
         assert_wreath_rows_compose(pres)
 
 

@@ -628,10 +628,10 @@ class TestProofsNotPasses:
         assert counts["graph called"] > 0 and counts["coordinates"] > 0
 
     @pytest.mark.parametrize("gens", [I4_GENS, T4_GENS], ids=["I4", "T4"])
-    def test_wreath_embedding_closes_on_rows(self, monkeypatch, gens):
-        # each group-mapping presentation's embedding is one division,
-        # closed on the wreath image's action rows (`products.WreathRows`),
-        # so no wreath code is multiplied
+    def test_wreath_embedding_is_proved_not_closed(self, monkeypatch, gens):
+        # the pure bound's embedding is proved (`complexity.pure_upper`), so
+        # at budget 0 no group-mapping presentation closes a division, and
+        # no wreath code is multiplied
         counts = collections.Counter()
         present, divide = complexity.group_mapping_presentation, products.check_division
         multiply = products.WreathProduct.mul_code
@@ -649,13 +649,13 @@ class TestProofsNotPasses:
             return multiply(*args)
 
         monkeypatch.setattr(complexity, "group_mapping_presentation", presenting)
-        for module in (products, semilocal, complexity, flows):
+        for module in (products, complexity, flows):
             monkeypatch.setattr(module, "check_division", dividing)
         monkeypatch.setattr(products.WreathProduct, "mul_code", multiplying)
         cert = estimate(ladder(gens), BUDGET_0).certificate
         complexity.replay_certificate(json.loads(certificate_json(cert)))
         assert counts["presentations"] > 0
-        assert counts["divisions"] == counts["presentations"]
+        assert counts["divisions"] == 0
         assert counts["wreath products"] == 0
 
     def test_no_profile_where_the_classification_proves_it_discrete(self, monkeypatch):
@@ -692,7 +692,7 @@ class TestProofsNotPasses:
         # the only right-action tables are the left Cayley graphs, the rows
         # over the generators that each carrier builds: S's action on J is
         # read off single products, and the wreath embedding's is proved
-        # (`semilocal.fasp_embedding`), so no table over an R-class (24
+        # (`complexity.pure_upper`), so no table over an R-class (24
         # points at T_4) or over J (144) is built
         widths = []
         translations = core.FiniteSemigroup.right_translations

@@ -43,17 +43,19 @@ from krc.products import (
     WreathProduct,
     _relation_closure,
 )
-from krc.semilocal import fasp_embedding, group_mapping_presentation
+from krc.semilocal import group_mapping_presentation
 from krc.spc import canonicalize, enumerate_spcs
 
 from helpers import (
     I4_GENS,
     LADDER,
     T4_GENS,
+    fasp_embedding,
     fasp_pairs,
     fasp_value,
     ladder,
     of_group,
+    qbar_rho,
     reached_presentations,
     then,
     wreath_row,
@@ -89,26 +91,27 @@ def _rho_reference(w):
     the first failure."""
     pres = w.flow.presentation
     group = pres.group
+    qbar, rho = qbar_rho(w)
     want = {ZERO} | {(g, b) for g in range(len(group)) for b in range(1, pres.n_b + 1)}
-    if set(w.rho.values()) != want:
+    if set(rho.values()) != want:
         return "rho is not onto G x B + 0"
     outer = w.division.target.left
     for x, (wx, _) in w.division.lifts.items():
         rlm_map, labels = pres.rlm_of_gen[x], pres.label_of_gen[x]
         row = wreath_row(outer.left, outer.right, wx)
-        for omega in w.qbar:
+        for omega in qbar:
             point, b = omega
             if row[point] < 0:
                 continue  # the state path dies: nothing to compare
             omega_x = (row[point], ZERO if b == ZERO or not rlm_map[b - 1] else rlm_map[b - 1])
-            if omega_x not in w.rho:
+            if omega_x not in rho:
                 return f"Qbar is not closed at {omega} under {x}"
-            down = w.rho[omega]
+            down = rho[omega]
             if down == ZERO or not rlm_map[down[1] - 1]:
                 down_x = ZERO
             else:
                 down_x = (group.mul(down[0], labels[down[1] - 1]), rlm_map[down[1] - 1])
-            if w.rho[omega_x] != down_x:
+            if rho[omega_x] != down_x:
                 return f"rho is not a morphism at {omega} under {x}"
     return None
 
@@ -399,9 +402,11 @@ class TestPresentationConstruct:
 
     def test_rho_covers_g_cross_b(self, small17_pres):
         w = presentation_construct(trivial_flow(small17_pres))
-        images = set(w.rho.values())
+        qbar, rho = qbar_rho(w)
         nb, ng = small17_pres.n_b, len(small17_pres.group)
-        assert len(images) == nb * ng + 1
+        assert len(set(rho.values())) == nb * ng + 1
+        # one state, whose support is all of B
+        assert len(qbar) == ng * (w.b_bar + nb)
 
     def test_division_witness_reverifies(self, b2z2_1):
         pres = group_mapping_presentation(b2z2_1)

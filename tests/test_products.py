@@ -24,6 +24,7 @@ from helpers import (
     T4_GENS,
     MulOracle,
     division_instance,
+    fasp_embedding,
     of_group,
     of_group_with_zero,
     of_transformations,
@@ -566,7 +567,7 @@ class TestDivisionOutcomes:
 
 def test_only_multiplied_factors_build_no_carrier(monkeypatch, b2z2_1):
     from krc.inverse import inverse_decomposition, small_monoid
-    from krc.semilocal import fasp_embedding, group_mapping_presentation
+    from krc.semilocal import group_mapping_presentation
 
     z2 = FiniteGroup.cyclic(2)
     pres = group_mapping_presentation(b2z2_1)

@@ -29,7 +29,6 @@ from krc.semilocal import (
     _is_congruence,
     _zero_minimal_ideals,
     classify,
-    fasp_embedding,
     gm_quotient,
     group_mapping_presentation,
     rees_coordinates,
@@ -47,6 +46,7 @@ from helpers import (
     assert_wreath_rows_compose,
     brute_zero_minimal_ideals,
     census_classes,
+    fasp_embedding,
     fasp_pairs,
     fasp_value,
     lclass_maps,
@@ -733,7 +733,7 @@ class TestPresentation:
 def test_presentation_builds_no_action_table(monkeypatch, name):
     """Presentation and wreath embedding build no table of S's action:
     labels read single products, the wreath embedding's action is proved
-    (`fasp_embedding`), and classify, on the regular ideal, reads the
+    (`complexity.pure_upper`), and classify, on the regular ideal, reads the
     sandwich columns."""
     sgp = load_semigroup(CORPUS_DIR / f"{name}.sgp")
     calls = []
@@ -788,16 +788,48 @@ class TestFaspEmbedding:
         ("small_2_z2", "e", 0, "0, -1, 2, -1"),
     ])
     def test_corrupted_label_is_rejected(self, name, gen, b, point):
-        # one defined label moved to the other element of Z_2
-        pres = group_mapping_presentation(load_semigroup(CORPUS_DIR / f"{name}.sgp"))
-        assert pres.rlm_of_gen[gen][b] != 0
-        labels = list(pres.label_of_gen[gen])
-        labels[b] = 1 - labels[b]
-        pres.label_of_gen[gen] = tuple(labels)
+        pres = corrupted_label(name, gen, b)
         message = f"division lifts rejected: relation not functional at ({point})"
         with pytest.raises(VerificationError) as err:
             fasp_embedding(pres)
         assert str(err.value) == message
+
+
+class TestCoordinateActionCheck:
+    """`_verify_coordinate_action` is a premise of `complexity.pure_upper`'s
+    proof: it rejects the corruptions the division oracle rejects."""
+
+    @pytest.mark.parametrize("name,gen,b,at", [
+        ("b2z2_1", "b", 1, (0, 0, 1)),
+        ("small_2_z2", "e", 0, (0, 0, 0)),
+    ])
+    def test_corrupted_label_is_rejected(self, name, gen, b, at):
+        pres = corrupted_label(name, gen, b)
+        with pytest.raises(VerificationError) as err:
+            semilocal._verify_coordinate_action(pres)
+        assert str(err.value) == f"coordinate action fails at {at} under {gen}"
+
+    def test_undefined_rlm_image_is_rejected(self, b2z2_1):
+        # one defined image of b's RLM map set to undefined
+        pres = group_mapping_presentation(b2z2_1)
+        images = list(pres.rlm_of_gen["b"])
+        b = next(b for b, img in enumerate(images) if img != 0)
+        images[b] = 0
+        pres.rlm_of_gen["b"] = tuple(images)
+        with pytest.raises(VerificationError) as err:
+            semilocal._verify_coordinate_action(pres)
+        assert str(err.value) == "(a,g,b)b stayed in J although b.b is undefined"
+
+
+def corrupted_label(name, gen, b):
+    """The presentation of corpus carrier `name` with generator `gen`'s
+    defined label at b moved to the other element of Z_2."""
+    pres = group_mapping_presentation(load_semigroup(CORPUS_DIR / f"{name}.sgp"))
+    assert pres.rlm_of_gen[gen][b] != 0
+    labels = list(pres.label_of_gen[gen])
+    labels[b] = 1 - labels[b]
+    pres.label_of_gen[gen] = tuple(labels)
+    return pres
 
 
 @pytest.mark.parametrize("name", ["b2z2_1", "small_2_z2", "sym3", "zero_z2", "z3"])
@@ -900,7 +932,8 @@ def test_zero_is_the_removed_domain_restriction(source):
     embedding into (G, G^0) wr (B, RLM), its zeros read as None, closes to
     the same codes and S indices as the restricted (G,G) wr (B, RLM), so
     the certified `embedded_order` is the same; and the wreath image acts
-    as S does (`_fasp_action_reference`), as `fasp_embedding` proves."""
+    as S does (`_fasp_action_reference`), as `complexity.pure_upper`
+    proves."""
     presentations = estimate_presentations(source)
     assert presentations
     for pres in presentations:
